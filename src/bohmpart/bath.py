@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DivergentIntegral, QuadratureConfig, ThermalSpec,
-                   integrate_window)
-from .partition import CriterionReport, Method, PartitionResult, classicality_criterion
+from .core import DivergentIntegral, QuadratureConfig, ThermalSpec
+from .partition import (CriterionReport, Method, PartitionResult,
+                        _phase_space_integral, _unified_integral,
+                        classicality_criterion)
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,11 @@ class Oscillator:
     coupling: float
 
     def __post_init__(self):
-        if self.mass <= 0 or self.omega <= 0:
-            raise ValueError("oscillator mass and frequency must be positive")
+        if not (0 < self.mass < math.inf and 0 < self.omega < math.inf):
+            raise ValueError("oscillator mass and frequency must be finite "
+                             "and positive")
+        if not math.isfinite(self.coupling):
+            raise ValueError("oscillator coupling must be finite")
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,10 @@ class BathSpec:
     def __post_init__(self):
         if not self.oscillators:
             raise ValueError("bath must contain at least one oscillator")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be strictly positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be finite and strictly positive")
+        if not math.isfinite(self.q0):
+            raise ValueError("q0 must be finite")
 
     @property
     def size(self) -> int:
@@ -126,63 +132,14 @@ def classical_bath_Z(bath: BathSpec, thermal: ThermalSpec,
         raise ValueError("classical_bath_Z supports CLOSED_FORM and QUADRATURE")
 
     quad = quad or QuadratureConfig()
-    ws = quad.window_sigmas
-    inner = quad.tightened()
     val, relerr = 1.0, 0.0
     for o in bath.oscillators:
-        center = o.coupling * bath.q0 / o.omega**2
-        sx = 1.0 / math.sqrt(beta * o.mass) / o.omega
-        sp = math.sqrt(o.mass / beta)
-
-        def x_slice(x0: float, osc=o, c0=center) -> float:
-            v = 0.5 * osc.mass * osc.omega**2 * (x0 - c0) ** 2
-            pval, _ = integrate_window(
-                lambda p: math.exp(-beta * (p * p / (2 * osc.mass) + v)),
-                -ws * sp, ws * sp, inner)
-            return pval
-
-        factor, err = integrate_window(x_slice, center - ws * sx,
-                                       center + ws * sx, quad)
+        factor, err = _phase_space_integral(
+            o.mass, o.omega, thermal, quad,
+            center=o.coupling * bath.q0 / o.omega**2)
         relerr += err / factor
         val *= factor
     return PartitionResult(val, abs(val) * relerr, method)
-
-
-def _oscillator_correction_quadrature(osc: Oscillator, sigma: float, q0: float,
-                                      thermal: ThermalSpec, hbar: float,
-                                      quad: QuadratureConfig) -> float:
-    """3D quadrature over (X_a(0), P_a(0), X_a), divided by the classical factor."""
-    beta = thermal.beta
-    r = beta * hbar**2 / (4.0 * osc.mass * sigma**2)
-    ws = quad.window_sigmas
-    mid = quad.tightened(10.0)
-    inner = quad.tightened(100.0)
-    center = osc.coupling * q0 / osc.omega**2
-    sx0 = 1.0 / math.sqrt(beta * osc.mass) / osc.omega
-    sp0 = math.sqrt(osc.mass / beta)
-    sig_eff = sigma / math.sqrt(1.0 - r)
-    pref = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
-    const_q = hbar**2 / (4.0 * osc.mass * sigma**2)
-
-    def over_x(x0: float, p0: float) -> float:
-        e_cls = p0 * p0 / (2.0 * osc.mass) \
-            + 0.5 * osc.mass * osc.omega**2 * (x0 - center) ** 2
-
-        def f(x: float) -> float:
-            u = x - x0
-            pg = pref * math.exp(-u * u / (2.0 * sigma**2))
-            energy = e_cls + const_q - hbar**2 * u * u / (8.0 * osc.mass * sigma**4)
-            return pg * math.exp(-beta * energy)
-
-        val, _ = integrate_window(f, x0 - ws * sig_eff, x0 + ws * sig_eff, inner)
-        return val
-
-    def over_p0(x0: float) -> float:
-        val, _ = integrate_window(lambda p0: over_x(x0, p0), -ws * sp0, ws * sp0, mid)
-        return val
-
-    val, _ = integrate_window(over_p0, center - ws * sx0, center + ws * sx0, quad)
-    return val / (2.0 * math.pi / (beta * osc.omega))
 
 
 def unified_bath_Z(bath: BathSpec, thermal: ThermalSpec,
@@ -216,9 +173,10 @@ def unified_bath_Z(bath: BathSpec, thermal: ThermalSpec,
 
     quad = quad or QuadratureConfig()
     factor = 1.0
-    for osc in bath.oscillators:
-        factor *= _oscillator_correction_quadrature(
-            osc, bath.sigma, bath.q0, thermal, hbar, quad)
+    for o in bath.oscillators:
+        val, _ = _unified_integral(o.mass, o.omega, bath.sigma, thermal, hbar,
+                                   quad, center=o.coupling * bath.q0 / o.omega**2)
+        factor *= val / (2.0 * math.pi / (thermal.beta * o.omega))
     exact = PartitionResult(z_b * factor, 0.0, method)
     printed = PartitionResult(z_b * factor * (2.0 * math.pi) ** bath.size,
                               0.0, method)

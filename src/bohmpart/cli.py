@@ -46,7 +46,6 @@ CONFIG_KEYS = {
     "mass": 1.0, "omega": 1.0, "hbar": 1.0, "kb": 1.0,
     "sigma": 0.45, "x0": 1.0, "p0": 0.0, "kbt": 2.0,
     "window_sigmas": 12.0, "rel_tol": 1e-10, "abs_tol": 1e-13,
-    "max_subdiv": 200,
 }
 
 FIG1_DEFAULT_PAIRS = [(0.45, 2.0), (0.45, 5.0), (0.65, 2.0)]
@@ -75,7 +74,7 @@ def load_config_file(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = int(value) if key == "max_subdiv" else float(value)
+        out[key] = float(value)
     return out
 
 
@@ -91,13 +90,12 @@ def resolve_config(args) -> dict:
         val = getattr(args, f"cfg_{key}", None)
         if val is not None:
             cfg[key] = val
-    cfg["threads"] = args.threads
     return cfg
 
 
 def quad_of(cfg: dict) -> QuadratureConfig:
     return QuadratureConfig(cfg["window_sigmas"], cfg["rel_tol"],
-                            cfg["abs_tol"], int(cfg["max_subdiv"]))
+                            cfg["abs_tol"])
 
 
 def system_of(cfg: dict, kind: str = "harmonic") -> SystemParams:
@@ -217,14 +215,14 @@ def cmd_fig1(args) -> int:
             ["sigma[length]", "kbt[energy]", "t[time]", "z[dimensionless]"], rows)
     else:
         payload = json_payload({
-            "command": "fig1", "config": config_echo(cfg),
+            "command": "fig1", "config": cfg,
             "series": [{
                 "params": {"sigma": c.sigma, "kbt": c.kbt,
                            "x0": c.x0, "p0": c.p0,
                            "normalized": c.normalized},
                 "times": list(c.times), "values": list(c.values),
             } for c in series]})
-    emit(args, "fig1", config_echo(cfg), payload)
+    emit(args, "fig1", cfg, payload)
     return EXIT_OK
 
 
@@ -244,13 +242,13 @@ def cmd_marginal(args) -> int:
         payload = csv_payload(["t[time]", "z[dimensionless]"], rows)
     else:
         payload = json_payload({
-            "command": "marginal", "config": config_echo(cfg),
+            "command": "marginal", "config": cfg,
             "series": [{
                 "params": {"sigma": curve.sigma, "kbt": curve.kbt,
                            "x0": curve.x0, "p0": curve.p0,
                            "normalized": curve.normalized},
                 "times": list(curve.times), "values": list(curve.values)}]})
-    emit(args, "marginal", config_echo(cfg), payload)
+    emit(args, "marginal", cfg, payload)
     return EXIT_OK
 
 
@@ -287,12 +285,12 @@ def cmd_limits(args) -> int:
         payload = csv_payload(header, rows)
     else:
         payload = json_payload({
-            "command": "limits", "config": config_echo(cfg),
+            "command": "limits", "config": cfg,
             "columns": header, "rows": [
                 [r[0] if isinstance(r[0], str) else float(r[0])] +
                 [c if isinstance(c, str) else float(c) for c in r[1:]]
                 for r in rows]})
-    emit(args, "limits", config_echo(cfg), payload)
+    emit(args, "limits", cfg, payload)
     return EXIT_OK
 
 
@@ -352,7 +350,7 @@ def cmd_bath(args) -> int:
                          "criterion table\n")
         return EXIT_DOMAIN
     if divergent:
-        emit(args, "bath", config_echo(cfg), osc_payload)
+        emit(args, "bath", cfg, osc_payload)
         return EXIT_OK
 
     kernel_t = np.linspace(0.0, args.kernel_tmax, args.kernel_samples)
@@ -383,7 +381,7 @@ def cmd_bath(args) -> int:
 
     if args.format == "json":
         payload = json_payload({
-            "command": "bath", "config": config_echo(cfg),
+            "command": "bath", "config": cfg,
             "summary": {row[0]: row[1] for row in summary},
             "oscillators": [{"index": r[0], "mass": r[1], "omega": r[2],
                              "coupling": r[3], "ratio": r[4], "criterion": r[5]}
@@ -391,9 +389,9 @@ def cmd_bath(args) -> int:
             "kernel": {"times": list(kernel_t),
                        "values": [float(memory_kernel(bath, t))
                                   for t in kernel_t]}})
-        emit(args, "bath", config_echo(cfg), payload)
+        emit(args, "bath", cfg, payload)
     else:
-        emit(args, "bath", config_echo(cfg), summary_payload,
+        emit(args, "bath", cfg, summary_payload,
              {"oscillators": osc_payload, "kernel": kernel_payload})
     return EXIT_OK
 
@@ -412,13 +410,13 @@ def cmd_trajectory(args) -> int:
         payload = csv_payload(["t[time]", "x[length]", "v[length/time]"], rows)
     else:
         payload = json_payload({
-            "command": "trajectory", "config": config_echo(cfg),
+            "command": "trajectory", "config": cfg,
             "series": [{
                 "params": {"x_start": args.x_start, "system": args.system},
                 "times": list(path.times),
                 "values": list(path.positions),
                 "velocities": list(path.velocities)}]})
-    emit(args, "trajectory", config_echo(cfg), payload)
+    emit(args, "trajectory", cfg, payload)
     return EXIT_OK
 
 
@@ -461,11 +459,11 @@ def cmd_partition(args) -> int:
         payload = csv_payload(header, rows)
     else:
         payload = json_payload({
-            "command": "partition", "config": config_echo(cfg),
+            "command": "partition", "config": cfg,
             "rows": [{"quantity": r[0], "method": r[1],
                       "value": float(r[2]), "est_error": float(r[3])}
                      for r in rows]})
-    emit(args, "partition", config_echo(cfg), payload)
+    emit(args, "partition", cfg, payload)
     return EXIT_OK
 
 
@@ -478,12 +476,6 @@ def cmd_verify(args) -> int:
         Path(args.out).write_text(text)
     sys.stdout.write(text)
     return EXIT_OK if report.passed else EXIT_VERIFY
-
-
-def config_echo(cfg: dict) -> dict:
-    echo = {k: cfg[k] for k in CONFIG_KEYS}
-    echo["threads"] = cfg.get("threads", 1)
-    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +496,6 @@ def build_parser() -> Parser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--hbar", type=float, help="override hbar")
         p.add_argument("--kb", type=float, help="override k_B")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker hint (kernels are deterministic "
-                            "regardless)")
         if series:
             for key in ("mass", "omega", "sigma", "x0", "p0", "kbt"):
                 p.add_argument(f"--{key}", dest=f"cfg_{key}", type=float,
@@ -580,7 +569,7 @@ def build_parser() -> Parser:
                                          "for the resolved config")
     common(p, series=True)
     p.add_argument("--oracle", action="store_true",
-                   help="include the slow nested-quadrature cross-checks")
+                   help="include the Gauss-Legendre quadrature cross-checks")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("verify", help="run all oracle checks and the "

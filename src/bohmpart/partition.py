@@ -14,9 +14,12 @@ Conventions
   which is the classicality temperature bound; every entry point checks it
   before integrating and raises DivergentIntegral at or beyond the threshold.
 * The marginal partition function at fixed (x0, p0) keeps the single
-  prepared packet in the distribution sum; it is evaluated by adaptive
-  quadrature of P exp(-beta E) with the window sized from the completed
-  square of the full exponent.
+  prepared packet in the distribution sum; it is evaluated by Gauss-Legendre
+  quadrature (core.integrate_window) of exp(log P - beta E) with the window
+  sized from the completed square of the full exponent.
+* Every QUADRATURE method integrates a vectorized integrand over a box of
+  window_sigmas standard deviations per axis; est_error is the difference
+  between the last two rules of the Gauss-Legendre ladder.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from .core import (DivergentIntegral, QuadratureConfig, SystemParams,
-                   ThermalSpec, integrate_window, potential_value)
-from .wavepacket import (WavepacketInit, density, density_dt, energy_dt,
-                         energy_pointwise, evolve, _energy_coefficients)
+                   ThermalSpec, integrate_window)
+from .wavepacket import (WavepacketInit, energy_dt, energy_pointwise, evolve,
+                         _energy_coefficients, _log_density, _log_density_dt)
 
 
 class Method(Enum):
@@ -87,6 +90,8 @@ def _measure_factor(params: SystemParams, measure: str) -> float:
 def quantum_ratio(params_mass: float, sigma: float, thermal: ThermalSpec,
                   hbar: float) -> float:
     """The dimensionless convergence ratio beta hbar^2 / (4 m sigma^2)."""
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be finite and strictly positive")
     return thermal.beta * hbar**2 / (4.0 * params_mass * sigma**2)
 
 
@@ -113,20 +118,30 @@ def classical_Z(params: SystemParams, thermal: ThermalSpec,
     if method is not Method.QUADRATURE:
         raise ValueError("classical_Z supports CLOSED_FORM and QUADRATURE")
 
+    val, err = _phase_space_integral(m, w, thermal, quad)
+    return PartitionResult(val / norm, err / norm, method)
+
+
+def _phase_space_integral(m: float, w: float, thermal: ThermalSpec,
+                          quad: QuadratureConfig, center: float = 0.0,
+                          times_energy: bool = False) -> tuple[float, float]:
+    """(value, error) of the raw-measure integral of [H] exp(-beta H) dx dp.
+
+    H = p^2/2m + m w^2 (x - center)^2 / 2; the bracketed factor H is
+    included when times_energy is set.
+    """
+    beta = thermal.beta
+    ws = quad.window_sigmas
     sx = 1.0 / math.sqrt(beta * m) / w
     sp = math.sqrt(m / beta)
-    inner = quad.tightened()
 
-    def x_slice(x: float) -> float:
-        vx = potential_value(params, x)
-        val, _ = integrate_window(
-            lambda p: math.exp(-beta * (p * p / (2 * m) + vx)),
-            -quad.window_sigmas * sp, quad.window_sigmas * sp, inner)
-        return val
+    def f(x, p):
+        h = p * p / (2 * m) + 0.5 * m * w * w * (x - center) ** 2
+        boltz = np.exp(-beta * h)
+        return h * boltz if times_energy else boltz
 
-    val, err = integrate_window(x_slice, -quad.window_sigmas * sx,
-                                quad.window_sigmas * sx, quad)
-    return PartitionResult(val / norm, err / norm, method)
+    return integrate_window(f, (center - ws * sx, -ws * sp),
+                            (center + ws * sx, ws * sp), quad)
 
 
 def quantum_Z(params: SystemParams, thermal: ThermalSpec,
@@ -183,10 +198,10 @@ def gaussian_correction(m: float, sigma: float, thermal: ThermalSpec,
     sig_eff = sigma / math.sqrt(1.0 - r)
     half = quad.window_sigmas * sig_eff
 
-    def f(u: float) -> float:
-        pg = math.exp(-u * u / (2 * sigma**2)) / (math.sqrt(2 * math.pi) * sigma)
+    def f(u):
         qpot = hbar**2 / (4 * m * sigma**2) - hbar**2 * u * u / (8 * m * sigma**4)
-        return pg * math.exp(-beta * qpot)
+        return np.exp(-u * u / (2 * sigma**2) - beta * qpot) \
+            / (math.sqrt(2 * math.pi) * sigma)
 
     val, _ = integrate_window(f, -half, half, quad)
     return val
@@ -221,39 +236,61 @@ def unified_Z_gaussian(params: SystemParams, sigma: float, thermal: ThermalSpec,
     if method is not Method.QUADRATURE:
         raise ValueError("unified_Z_gaussian supports CLOSED_FORM and QUADRATURE")
 
+    val, err = _unified_integral(m, w, sigma, thermal, hbar, quad)
+    return PartitionResult(val / norm, err / norm, method)
+
+
+def _unified_integral(m: float, w: float, sigma: float, thermal: ThermalSpec,
+                      hbar: float, quad: QuadratureConfig,
+                      center: float = 0.0) -> tuple[float, float]:
+    """(value, error) of the raw-measure triple integral of P_G exp(-beta E).
+
+    Axes are the initial conditions (x0, p0) and u = x - x0, with
+    E = p0^2/2m + m w^2 (x0 - center)^2/2 + hbar^2/(4 m sigma^2)
+    - hbar^2 u^2/(8 m sigma^4) at t = 0.  The exponents are summed before
+    exponentiating, since near r = 1 the u-window reaches where
+    exp(-beta E) alone overflows.
+    """
+    beta = thermal.beta
+    ws = quad.window_sigmas
     sx0 = 1.0 / math.sqrt(beta * m) / w
     sp0 = math.sqrt(m / beta)
-    sig_eff = sigma / math.sqrt(1.0 - r)
-    ws = quad.window_sigmas
-    mid = quad.tightened(10.0)
-    inner = quad.tightened(100.0)
+    sig_eff = sigma / math.sqrt(1.0 - quantum_ratio(m, sigma, thermal, hbar))
+    log_pref = -0.5 * math.log(2 * math.pi * sigma**2)
     const_q = hbar**2 / (4 * m * sigma**2)
-    pref = 1.0 / (math.sqrt(2 * math.pi) * sigma)
 
-    def over_x(x0: float, p0: float) -> float:
-        e_cls = p0 * p0 / (2 * m) + potential_value(params, x0)
+    def f(x0, p0, u):
+        energy = (p0 * p0 / (2 * m) + 0.5 * m * w * w * (x0 - center) ** 2
+                  + const_q - hbar**2 * u * u / (8 * m * sigma**4))
+        return np.exp(log_pref - u * u / (2 * sigma**2) - beta * energy)
 
-        def f(x: float) -> float:
-            u = x - x0
-            pg = pref * math.exp(-u * u / (2 * sigma**2))
-            energy = e_cls + const_q - hbar**2 * u * u / (8 * m * sigma**4)
-            return pg * math.exp(-beta * energy)
-
-        val, _ = integrate_window(f, x0 - ws * sig_eff, x0 + ws * sig_eff, inner)
-        return val
-
-    def over_p0(x0: float) -> float:
-        val, _ = integrate_window(lambda p0: over_x(x0, p0),
-                                  -ws * sp0, ws * sp0, mid)
-        return val
-
-    val, err = integrate_window(over_p0, -ws * sx0, ws * sx0, quad)
-    return PartitionResult(val / norm, err / norm, method)
+    return integrate_window(
+        f, (center - ws * sx0, -ws * sp0, -ws * sig_eff),
+        (center + ws * sx0, ws * sp0, ws * sig_eff), quad)
 
 
 # ---------------------------------------------------------------------------
 # Marginal partition function and its time derivative
 # ---------------------------------------------------------------------------
+
+def _marginal_window(state, beta: float,
+                     quad: QuadratureConfig) -> tuple[float, float]:
+    """x-window of the marginal integrand; DivergentIntegral if unbounded."""
+    kappa, u_star, width = _marginal_exponent_shape(state, beta)
+    if kappa <= 0.0:
+        raise DivergentIntegral(
+            f"marginal integrand not normalizable at t={state.t:g} "
+            f"(quadratic coefficient {-kappa:g} >= 0)")
+    center = state.q + u_star
+    half = quad.window_sigmas * width
+    return center - half, center + half
+
+
+def _boltzmann_density(state, beta: float, x):
+    """P(x,t) exp(-beta E(x,t)), exponentiated once so that no sample point
+    multiplies an underflowed density by an overflowed Boltzmann factor."""
+    return np.exp(_log_density(state, x) - beta * energy_pointwise(state, x))
+
 
 def _marginal_exponent_shape(state, beta: float) -> tuple[float, float, float]:
     """(kappa, u_star, width) of the full integrand exponent in u = x - q.
@@ -288,16 +325,9 @@ def marginal_Z(params: SystemParams, init: WavepacketInit, thermal: ThermalSpec,
     """
     beta = thermal.beta
     state = evolve(params, init, t)
-    kappa, u_star, width = _marginal_exponent_shape(state, beta)
-    if kappa <= 0.0:
-        raise DivergentIntegral(
-            f"marginal integrand not normalizable at t={t:g} "
-            f"(quadratic coefficient {-kappa:g} >= 0)")
-    center = state.q + u_star
-    half = quad.window_sigmas * width
-    val, _ = integrate_window(
-        lambda x: density(state, x) * math.exp(-beta * energy_pointwise(state, x)),
-        center - half, center + half, quad)
+    lo, hi = _marginal_window(state, beta, quad)
+    val, _ = integrate_window(lambda x: _boltzmann_density(state, beta, x),
+                              lo, hi, quad)
     return val
 
 
@@ -321,25 +351,15 @@ def marginal_Z_derivative(params: SystemParams, init: WavepacketInit,
                           quad: QuadratureConfig) -> MarginalRate:
     beta = thermal.beta
     state = evolve(params, init, t)
-    kappa, u_star, width = _marginal_exponent_shape(state, beta)
-    if kappa <= 0.0:
-        raise DivergentIntegral(
-            f"marginal integrand not normalizable at t={t:g}")
-    center = state.q + u_star
-    half = quad.window_sigmas * width
+    lo, hi = _marginal_window(state, beta, quad)
 
-    def exact_f(x: float) -> float:
-        w_boltz = math.exp(-beta * energy_pointwise(state, x))
-        return (density_dt(state, x)
-                - beta * density(state, x) * energy_dt(state, x)) * w_boltz
+    def rate(energy_weight: float):
+        return lambda x: (_log_density_dt(state, x)
+                          + energy_weight * energy_dt(state, x)) \
+            * _boltzmann_density(state, beta, x)
 
-    def bracket_f(x: float) -> float:
-        w_boltz = math.exp(-beta * energy_pointwise(state, x))
-        return (density_dt(state, x)
-                + density(state, x) * energy_dt(state, x)) * w_boltz
-
-    exact, _ = integrate_window(exact_f, center - half, center + half, quad)
-    bracket, _ = integrate_window(bracket_f, center - half, center + half, quad)
+    exact, _ = integrate_window(rate(-beta), lo, hi, quad)
+    bracket, _ = integrate_window(rate(1.0), lo, hi, quad)
     return MarginalRate(exact, bracket)
 
 
@@ -381,29 +401,10 @@ def classical_average_energy(params: SystemParams, thermal: ThermalSpec,
     """<H> over the classical Boltzmann weight, by 2D Gaussian moment quadrature."""
     if not params.is_harmonic:
         raise DivergentIntegral("free particle: unbounded configuration integral")
-    beta = thermal.beta
     m, w = params.mass, params.omega
-    sx = 1.0 / math.sqrt(beta * m) / w
-    sp = math.sqrt(m / beta)
-    inner = quad.tightened()
-    ws = quad.window_sigmas
-
-    def moment(weighted: bool) -> float:
-        def x_slice(x: float) -> float:
-            vx = potential_value(params, x)
-
-            def f(p: float) -> float:
-                h_val = p * p / (2 * m) + vx
-                boltz = math.exp(-beta * h_val)
-                return h_val * boltz if weighted else boltz
-
-            val, _ = integrate_window(f, -ws * sp, ws * sp, inner)
-            return val
-
-        val, _ = integrate_window(x_slice, -ws * sx, ws * sx, quad)
-        return val
-
-    return moment(True) / moment(False)
+    weighted, _ = _phase_space_integral(m, w, thermal, quad, times_energy=True)
+    plain, _ = _phase_space_integral(m, w, thermal, quad)
+    return weighted / plain
 
 
 def average_energy(mode: AverageEnergyMode, params: SystemParams,

@@ -192,7 +192,7 @@ def check_marginal_rate_fd(profile: ToleranceProfile,
     params = harmonic_system(1.0, 1.0)
     init = WavepacketInit(1.0, 0.0, 0.45)
     thermal = ThermalSpec.from_kbt(2.0)
-    tight = QuadratureConfig(quad.window_sigmas, 1e-12, 1e-15, quad.max_subdiv)
+    tight = QuadratureConfig(quad.window_sigmas, 1e-12, 1e-15)
     worst = 0.0
     for t in (0.4, 1.3, 2.9):
         rate = marginal_Z_derivative(params, init, thermal, t, tight).exact

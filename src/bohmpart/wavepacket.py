@@ -42,8 +42,10 @@ class WavepacketInit:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be strictly positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be finite and strictly positive")
+        if not (math.isfinite(self.x0) and math.isfinite(self.p0)):
+            raise ValueError("x0 and p0 must be finite")
 
     @property
     def alpha0(self) -> float:
@@ -133,6 +135,13 @@ def density(state: WavepacketState, x):
     return out if np.ndim(x) else float(out)
 
 
+def _log_density(state: WavepacketState, x):
+    """log P(x,t), finite where P itself underflows to zero."""
+    ra = state.alpha.real
+    u = np.asarray(x, dtype=float) - state.q
+    return 0.5 * math.log(2.0 * ra / math.pi) - 2.0 * ra * u**2
+
+
 def amplitude(state: WavepacketState, x):
     """Real amplitude R(x,t) = sqrt(P)."""
     ra = state.alpha.real
@@ -217,14 +226,12 @@ def _state_rates(state: WavepacketState):
     return ra_dot, ia_dot, q_dot, p_dot
 
 
-def density_dt(state: WavepacketState, x):
-    """Exact partial dP/dt at fixed x."""
+def _log_density_dt(state: WavepacketState, x):
+    """Exact partial d(log P)/dt at fixed x, so that dP/dt = P times it."""
     ra = state.alpha.real
     ra_dot, _, q_dot, _ = _state_rates(state)
     u = np.asarray(x, dtype=float) - state.q
-    out = density(state, x) * (ra_dot / (2.0 * ra) - 2.0 * ra_dot * u**2
-                               + 4.0 * ra * q_dot * u)
-    return out if np.ndim(x) else float(out)
+    return ra_dot / (2.0 * ra) - 2.0 * ra_dot * u**2 + 4.0 * ra * q_dot * u
 
 
 def energy_dt(state: WavepacketState, x):
@@ -244,7 +251,7 @@ def energy_dt(state: WavepacketState, x):
 
 
 def mean_energy(state: WavepacketState, quad: QuadratureConfig) -> float:
-    """<H> = integral of P(x,t) E(x,t) dx by adaptive quadrature.
+    """<H> = integral of P(x,t) E(x,t) dx by Gauss-Legendre quadrature.
 
     Constant in time for both systems; the spectral decomposition gives the
     same number as sum |c_k|^2 E_k.

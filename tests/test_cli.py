@@ -77,7 +77,7 @@ def test_fig1_deterministic_digest(tmp_path: Path):
     for name in ("a", "b"):
         out = tmp_path / f"{name}.csv"
         cp = run_cli("fig1", "--samples", "12", "--tmax", "2.0",
-                     "--out", str(out), "--threads", "4" if name == "a" else "1")
+                     "--out", str(out))
         assert cp.returncode == 0, cp.stderr
         manifest = json.loads(
             (tmp_path / f"{name}.csv.manifest.json").read_text())
@@ -101,8 +101,7 @@ def test_marginal_json_config_roundtrip(tmp_path: Path):
 
     cfg_file = tmp_path / "replay.cfg"
     cfg_file.write_text("".join(
-        f"{key} = {value}\n" for key, value in first["config"].items()
-        if key != "threads"))
+        f"{key} = {value}\n" for key, value in first["config"].items()))
     out2 = tmp_path / "m2.json"
     cp = run_cli("marginal", "--config", str(cfg_file), "--samples", "8",
                  "--tmax", "2.0", "--format", "json", "--out", str(out2))
@@ -118,6 +117,22 @@ def test_config_file_unknown_key_exit_1(tmp_path: Path):
     cp = run_cli("marginal", "--config", str(cfg), "--samples", "4")
     assert cp.returncode == 1
     assert "unknown config key" in cp.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("partition", "--kbt", "0"),
+    ("partition", "--kbt", "nan"),
+    ("partition", "--sigma", "nan"),
+    ("partition", "--mass", "nan"),
+    ("partition", "--hbar", "inf"),
+    ("marginal", "--kbt", "-1", "--samples", "4"),
+    ("fig1", "--sigma", "nan", "--samples", "4"),
+    ("bath", "--beta", "nan"),
+])
+def test_non_finite_or_non_positive_input_exit_1(argv):
+    cp = run_cli(*argv)
+    assert cp.returncode == 1, cp.stdout
+    assert "Traceback" not in cp.stderr
 
 
 def test_trajectory_csv_schema(tmp_path: Path):

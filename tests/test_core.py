@@ -82,15 +82,30 @@ def test_grid1d():
 
 def test_integrate_window_gaussian():
     quad = QuadratureConfig()
-    val, err = integrate_window(lambda x: math.exp(-x * x), -12.0, 12.0, quad)
-    assert val == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-    assert err >= 0.0
+    cases = [
+        (integrate_window(lambda x: np.exp(-x * x), -12.0, 12.0, quad),
+         math.sqrt(math.pi)),
+        (integrate_window(lambda x, y: np.exp(-x * x - y * y),
+                          (-12.0, -12.0), (12.0, 12.0), quad), math.pi),
+        (integrate_window(lambda x, y, z: np.exp(-x * x - y * y - z * z),
+                          (-12.0,) * 3, (12.0,) * 3, quad), math.pi**1.5),
+    ]
+    for (val, err), exact in cases:
+        assert val == pytest.approx(exact, rel=1e-12)
+        assert err >= abs(val - exact)
 
 
 def test_integrate_window_failure_on_exhausted_subdivisions():
-    quad = QuadratureConfig(max_subdiv=1)
+    # 3000 oscillations on the window: no rule of the ladder resolves them
     with pytest.raises(QuadratureFailure):
-        integrate_window(lambda x: math.cos(200.0 * x * x), 0.0, 10.0, quad)
+        integrate_window(lambda x: np.cos(200.0 * x * x), 0.0, 10.0,
+                         QuadratureConfig())
+
+
+def test_integrate_window_failure_on_non_finite_integrand():
+    with pytest.raises(QuadratureFailure):
+        integrate_window(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0,
+                         QuadratureConfig())
 
 
 def test_unit_system_invariance_of_marginal_curve(quad):

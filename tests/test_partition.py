@@ -6,7 +6,7 @@ import pytest
 from bohmpart import (AverageEnergyMode, DivergentIntegral, Method,
                       QuadratureConfig, ThermalSpec, WavepacketInit,
                       average_energy, classical_Z, classicality_criterion,
-                      evolve, free_system, gaussian_correction,
+                      energy_pointwise, evolve, free_system, gaussian_correction,
                       harmonic_system, marginal_Z, marginal_Z_derivative,
                       marginal_curve, quantum_Z, unified_Z_gaussian)
 from bohmpart.partition import (PartitionResult, classical_average_energy,
@@ -259,6 +259,31 @@ def test_marginal_derivative_vanishes_in_classical_surrogate():
     z = marginal_Z(params, init, th, 0.5, quad)
     rate = marginal_Z_derivative(params, init, th, 0.5, quad)
     assert abs(rate.exact) < 1e-4 * z * 1.0
+
+
+def _marginal_Z_gaussian_closed_form(params, init, th, t):
+    """sqrt(2 Re a / kappa) exp(-beta A0 + beta^2 A1^2 / (4 kappa)), kappa = 2 Re a + beta A2."""
+    st = evolve(params, init, t)
+    e_minus, e_mid, e_plus = (energy_pointwise(st, st.q + u) for u in (-1.0, 0.0, 1.0))
+    a2, a1, a0 = 0.5 * (e_plus + e_minus) - e_mid, 0.5 * (e_plus - e_minus), e_mid
+    beta, ra = th.beta, st.alpha.real
+    kappa = 2.0 * ra + beta * a2
+    return math.sqrt(2.0 * ra / kappa) * math.exp(-beta * a0 + beta**2 * a1**2 / (4.0 * kappa))
+
+
+def test_marginal_near_divergence_matches_gaussian_closed_form(quad):
+    # the density underflows where exp(-beta E) overflows inside this window
+    init, th, t0 = WavepacketInit(1.0, 0.3, 1.0), ThermalSpec.from_kbt(0.5), 1.3333
+    closed = _marginal_Z_gaussian_closed_form(HO, init, th, t0)
+    assert marginal_Z(HO, init, th, t0, quad) == pytest.approx(closed, rel=1e-9)
+    assert marginal_Z(HO, init, th, t0, quad) == pytest.approx(2653.92, rel=1e-6)
+
+    h = 1e-4
+    d1, d2 = ((_marginal_Z_gaussian_closed_form(HO, init, th, t0 + step)
+               - _marginal_Z_gaussian_closed_form(HO, init, th, t0 - step)) / (2 * step)
+              for step in (h, h / 2))
+    rate = marginal_Z_derivative(HO, init, th, t0, quad)
+    assert rate.exact == pytest.approx((4 * d2 - d1) / 3, rel=1e-6)
 
 
 def test_marginal_rate_high_temperature_suppression(ho_params, fig_init, quad):
