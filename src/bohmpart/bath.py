@@ -89,10 +89,8 @@ def uniform_bath(n: int, m0: float = 1.0, omega_max: float = 1.0,
 
 def memory_kernel(bath: BathSpec, t) -> float | np.ndarray:
     """Friction kernel nu(t) = sum_a (c_a^2 / w_a^2) cos(w_a t)."""
-    t_arr = np.asarray(t, dtype=float)
-    out = sum((o.coupling**2 / o.omega**2) * np.cos(o.omega * t_arr)
-              for o in bath.oscillators)
-    return out if np.ndim(t) else float(out)
+    return sum((o.coupling**2 / o.omega**2) * np.cos(o.omega * t)
+               for o in bath.oscillators)
 
 
 def noise_force(bath: BathSpec, init: BathInitialState, t) -> float | np.ndarray:
@@ -103,13 +101,12 @@ def noise_force(bath: BathSpec, init: BathInitialState, t) -> float | np.ndarray
     """
     if len(init.positions) != bath.size:
         raise ValueError("initial state size does not match bath size")
-    t_arr = np.asarray(t, dtype=float)
     out = 0.0
     for o, x_a, p_a in zip(bath.oscillators, init.positions, init.momenta):
         shift = x_a - o.coupling * bath.q0 / o.omega**2
-        out = out + o.mass * o.coupling * shift * np.cos(o.omega * t_arr) \
-            + o.coupling * p_a * np.sin(o.omega * t_arr) / o.omega
-    return out if np.ndim(t) else float(out)
+        out = out + o.mass * o.coupling * shift * np.cos(o.omega * t) \
+            + o.coupling * p_a * np.sin(o.omega * t) / o.omega
+    return out
 
 
 def bath_ratios(bath: BathSpec, thermal: ThermalSpec, hbar: float = 1.0) -> np.ndarray:

@@ -7,7 +7,8 @@ and emits CSV or JSON with a manifest carrying a stable digest of the
 numeric payload.
 
 Exit codes: 0 ok, 1 usage error, 2 domain error (divergent integral),
-3 verification failure.
+3 verification failure, 4 numerical failure (quadrature did not converge).
+JSON output holds numbers as JSON numbers and divergent cells as null.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from . import __version__
 from .bath import (BathSpec, Oscillator, bath_classicality, bath_ratios,
                    classical_bath_Z, large_N_ratio, memory_kernel,
                    unified_bath_Z, uniform_bath)
-from .core import (Constants, DivergentIntegral, QuadratureConfig, SystemParams,
-                   ThermalSpec, free_system, harmonic_system)
+from .core import (Constants, DivergentIntegral, QuadratureConfig,
+                   QuadratureFailure, SystemParams, ThermalSpec, free_system,
+                   harmonic_system)
 from .partition import (Method, classical_Z, gaussian_correction,
                         classicality_criterion, marginal_convergent,
                         marginal_curve, quantum_Z, quantum_Z_closed_form,
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
+EXIT_NUMERIC = 4
 
 CONFIG_KEYS = {
     "mass": 1.0, "omega": 1.0, "hbar": 1.0, "kb": 1.0,
@@ -90,6 +93,9 @@ def resolve_config(args) -> dict:
         val = getattr(args, f"cfg_{key}", None)
         if val is not None:
             cfg[key] = val
+    bad = [key for key, val in cfg.items() if not math.isfinite(val)]
+    if bad:
+        raise UsageError(f"non-finite value for {', '.join(bad)}")
     return cfg
 
 
@@ -124,8 +130,15 @@ def csv_payload(header: list[str], rows: list[list]) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def json_number(x) -> float | None:
+    """x as a float, or None (JSON null) where it is divergent or undefined."""
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 def json_payload(obj) -> bytes:
-    return (json.dumps(obj, indent=1, sort_keys=True) + "\n").encode()
+    return (json.dumps(obj, indent=1, sort_keys=True, allow_nan=False)
+            + "\n").encode()
 
 
 @dataclass(frozen=True)
@@ -272,12 +285,11 @@ def cmd_limits(args) -> int:
                                       local["hbar"], local["kb"])
         z_cl = classical_Z(params, thermal, quad).value
         if crit.dimensionless_ratio >= 1.0:
-            rows.append([v, "nan", fmt(z_cl), "nan",
+            rows.append([v, math.nan, z_cl, math.nan,
                          crit.dimensionless_ratio, "divergent"])
             continue
         z_u = unified_Z_gaussian(params, local["sigma"], thermal, quad).value
-        rows.append([v, fmt(z_u), fmt(z_cl), fmt(z_u / z_cl),
-                     crit.dimensionless_ratio, "ok"])
+        rows.append([v, z_u, z_cl, z_u / z_cl, crit.dimensionless_ratio, "ok"])
 
     header = [f"{args.var}[swept]", "z_u[dimensionless]", "z_cl[dimensionless]",
               "ratio[dimensionless]", "criterion_ratio[dimensionless]", "status"]
@@ -287,8 +299,7 @@ def cmd_limits(args) -> int:
         payload = json_payload({
             "command": "limits", "config": cfg,
             "columns": header, "rows": [
-                [r[0] if isinstance(r[0], str) else float(r[0])] +
-                [c if isinstance(c, str) else float(c) for c in r[1:]]
+                [c if isinstance(c, str) else json_number(c) for c in r]
                 for r in rows]})
     emit(args, "limits", cfg, payload)
     return EXIT_OK
@@ -354,9 +365,9 @@ def cmd_bath(args) -> int:
         return EXIT_OK
 
     kernel_t = np.linspace(0.0, args.kernel_tmax, args.kernel_samples)
+    kernel_nu = memory_kernel(bath, kernel_t)
     kernel_payload = csv_payload(
-        ["t[time]", "nu[coupling^2*time^2]"],
-        [[t, memory_kernel(bath, t)] for t in kernel_t])
+        ["t[time]", "nu[coupling^2*time^2]"], list(zip(kernel_t, kernel_nu)))
 
     z_b = classical_bath_Z(bath, thermal)
     exact, printed = unified_bath_Z(bath, thermal, hbar=hbar)
@@ -386,9 +397,7 @@ def cmd_bath(args) -> int:
             "oscillators": [{"index": r[0], "mass": r[1], "omega": r[2],
                              "coupling": r[3], "ratio": r[4], "criterion": r[5]}
                             for r in osc_rows],
-            "kernel": {"times": list(kernel_t),
-                       "values": [float(memory_kernel(bath, t))
-                                  for t in kernel_t]}})
+            "kernel": {"times": list(kernel_t), "values": list(kernel_nu)}})
         emit(args, "bath", cfg, payload)
     else:
         emit(args, "bath", cfg, summary_payload,
@@ -461,7 +470,8 @@ def cmd_partition(args) -> int:
         payload = json_payload({
             "command": "partition", "config": cfg,
             "rows": [{"quantity": r[0], "method": r[1],
-                      "value": float(r[2]), "est_error": float(r[3])}
+                      "value": json_number(r[2]),
+                      "est_error": json_number(r[3])}
                      for r in rows]})
     emit(args, "partition", cfg, payload)
     return EXIT_OK
@@ -595,6 +605,9 @@ def main(argv: list[str] | None = None) -> int:
     except DivergentIntegral as exc:
         sys.stderr.write(f"bohmpart: divergent integral: {exc}\n")
         return EXIT_DOMAIN
+    except QuadratureFailure as exc:
+        sys.stderr.write(f"bohmpart: numerical failure: {exc}\n")
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

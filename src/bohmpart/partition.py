@@ -144,23 +144,27 @@ def _phase_space_integral(m: float, w: float, thermal: ThermalSpec,
                             (center + ws * sx, ws * sp), quad)
 
 
-def quantum_Z(params: SystemParams, thermal: ThermalSpec,
-              tail_tol: float = 1e-14) -> PartitionResult:
+# Bound on the dropped tail of quantum_Z's eigenvalue sum, relative to the sum.
+TAIL_TOL = 1e-14
+
+
+def quantum_Z(params: SystemParams, thermal: ThermalSpec) -> PartitionResult:
     """Eigenvalue sum over the harmonic ladder, truncated at the tail bound.
 
-    The geometric tail after the last kept term is below tail_tol relative to
-    the partial sum; the closed form 1/(2 sinh(beta hbar omega / 2)) is the
-    exact limit.
+    The K kept terms exp(-x (k + 1/2)), x = beta hbar omega, are summed as
+    the finite geometric series exp(-x/2) (1 - exp(-x K)) / (1 - exp(-x)),
+    so the cost does not grow with K.  The geometric tail after the last
+    kept term is below TAIL_TOL relative to the partial sum; the closed form
+    1/(2 sinh(x / 2)) is the exact limit.
     """
     if not params.is_harmonic:
         raise DivergentIntegral("free particle: continuous spectrum")
     x = thermal.beta * params.constants.hbar * params.omega
     ratio = math.exp(-x)
     # tail after K terms: exp(-x(K+1/2)) * ratio/(1-ratio)
-    n_terms = max(2, int(math.ceil((math.log(1.0 / tail_tol)
-                                    + math.log(1.0 / (1.0 - ratio))) / x)) + 2)
-    k = np.arange(n_terms)
-    partial = float(np.sum(np.exp(-x * (k + 0.5))))
+    n_terms = max(2, math.ceil((math.log(1.0 / TAIL_TOL)
+                                + math.log(1.0 / (1.0 - ratio))) / x) + 2)
+    partial = math.exp(-0.5 * x) * math.expm1(-x * n_terms) / math.expm1(-x)
     tail = math.exp(-x * (n_terms + 0.5)) / (1.0 - ratio)
     return PartitionResult(partial, tail, Method.EIGEN_SUM)
 

@@ -94,9 +94,7 @@ def quantum_force(state: WavepacketState, x):
     hbar = state.params.constants.hbar
     m = state.params.mass
     ra = state.alpha.real
-    u = np.asarray(x, dtype=float) - state.q
-    out = 4.0 * hbar**2 * ra * ra * u / m
-    return out if np.ndim(x) else float(out)
+    return 4.0 * hbar**2 * ra * ra * (x - state.q) / m
 
 
 def scaling_solution(params: SystemParams, init: WavepacketInit,
@@ -187,11 +185,8 @@ def equivariance_check(params: SystemParams, init: WavepacketInit,
 
 
 def classical_force(params: SystemParams, x):
-    """-V'(x): the classical part of the Newton-like law."""
-    if params.is_harmonic:
-        return -params.mass * params.omega**2 * np.asarray(x, dtype=float) \
-            if np.ndim(x) else -params.mass * params.omega**2 * x
-    return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
+    """-V'(x) = -m omega^2 x: the classical part of the Newton-like law."""
+    return -params.mass * params.omega**2 * x
 
 
 __all__ = [

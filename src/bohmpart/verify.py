@@ -112,6 +112,20 @@ def _energy_scale(state: WavepacketState) -> float:
             + abs(potential_value(state.params, state.q)) + 0.1)
 
 
+def _sample_points(profile: ToleranceProfile, offset: int, lo: float = -2.5,
+                   hi: float = 2.5):
+    """Yield (system name, state, x) at n_points // 2 random points per system.
+
+    Each point draws t uniform in [0, 6] and then x = q + uniform(lo, hi)
+    times the packet width, from a generator seeded with seed + offset.
+    """
+    rng = np.random.default_rng(profile.seed + offset)
+    for name, params, init in _sample_systems():
+        for _ in range(profile.n_points // 2):
+            state = evolve(params, init, rng.uniform(0.0, 6.0))
+            yield name, state, state.q + rng.uniform(lo, hi) * state.width
+
+
 def check_quantum_potential_fd(profile: ToleranceProfile,
                                q_scale: float = 1.0) -> CheckResult:
     """Closed-form Q against -(hbar^2 / 2 m R) R'' by finite differences.
@@ -119,70 +133,50 @@ def check_quantum_potential_fd(profile: ToleranceProfile,
     q_scale is a fault-injection hook: it multiplies the closed form, so any
     value other than 1 must make the check fail.
     """
-    rng = np.random.default_rng(profile.seed)
     worst = 0.0
-    for _, params, init in _sample_systems():
-        hbar, m = params.constants.hbar, params.mass
-        for _ in range(profile.n_points // 2):
-            t = rng.uniform(0.0, 6.0)
-            state = evolve(params, init, t)
-            x = state.q + rng.uniform(-2.5, 2.5) * state.width
-            fd = -hbar**2 / (2 * m) * central_second(
-                lambda xx: amplitude(state, xx), x) / amplitude(state, x)
-            cf = q_scale * quantum_potential(state, x)
-            scale = hbar**2 * state.alpha.real / m
-            worst = max(worst, abs(fd - cf) / max(abs(cf), scale))
+    for _, state, x in _sample_points(profile, 0):
+        hbar, m = state.params.constants.hbar, state.params.mass
+        fd = -hbar**2 / (2 * m) * central_second(
+            lambda xx: amplitude(state, xx), x) / amplitude(state, x)
+        cf = q_scale * quantum_potential(state, x)
+        scale = hbar**2 * state.alpha.real / m
+        worst = max(worst, abs(fd - cf) / max(abs(cf), scale))
     return CheckResult("quantum potential vs finite-difference R''", worst,
                        profile.q_fd)
 
 
 def check_energy_fd(profile: ToleranceProfile) -> CheckResult:
     """Closed-form E(x,t) against -dS/dt by central time differences."""
-    rng = np.random.default_rng(profile.seed + 1)
     worst = 0.0
-    for _, params, init in _sample_systems():
-        for _ in range(profile.n_points // 2):
-            t = rng.uniform(0.0, 6.0)
-            state = evolve(params, init, t)
-            x = state.q + rng.uniform(-2.5, 2.5) * state.width
-            fd = -central_first(
-                lambda tt: total_phase(evolve(params, init, tt), x), t)
-            cf = energy_pointwise(state, x)
-            worst = max(worst, abs(fd - cf) / max(abs(cf), _energy_scale(state)))
+    for _, state, x in _sample_points(profile, 1):
+        fd = -central_first(
+            lambda tt: total_phase(evolve(state.params, state.init, tt), x),
+            state.t)
+        cf = energy_pointwise(state, x)
+        worst = max(worst, abs(fd - cf) / max(abs(cf), _energy_scale(state)))
     return CheckResult("pointwise energy vs -dS/dt", worst, profile.energy_fd)
 
 
 def check_qhj_residual(profile: ToleranceProfile) -> CheckResult:
     """-dS/dt - [(dS/dx)^2/2m + V + Q] = 0 with all closed forms."""
-    rng = np.random.default_rng(profile.seed + 2)
     worst = 0.0
-    for _, params, init in _sample_systems():
-        m = params.mass
-        for _ in range(profile.n_points // 2):
-            t = rng.uniform(0.0, 6.0)
-            state = evolve(params, init, t)
-            x = state.q + rng.uniform(-2.5, 2.5) * state.width
-            res = energy_pointwise(state, x) - (
-                phase_gradient(state, x) ** 2 / (2 * m)
-                + potential_value(params, x) + quantum_potential(state, x))
-            worst = max(worst, abs(res) / _energy_scale(state))
+    for _, state, x in _sample_points(profile, 2):
+        res = energy_pointwise(state, x) - (
+            phase_gradient(state, x) ** 2 / (2 * state.params.mass)
+            + potential_value(state.params, x) + quantum_potential(state, x))
+        worst = max(worst, abs(res) / _energy_scale(state))
     return CheckResult("quantum Hamilton-Jacobi residual", worst, profile.qhj)
 
 
 def check_quantum_force_fd(profile: ToleranceProfile) -> CheckResult:
     """Analytic -dQ/dx against a central difference of Q."""
-    rng = np.random.default_rng(profile.seed + 3)
     worst = 0.0
-    for _, params, init in _sample_systems():
-        hbar, m = params.constants.hbar, params.mass
-        for _ in range(profile.n_points // 2):
-            t = rng.uniform(0.0, 6.0)
-            state = evolve(params, init, t)
-            x = state.q + rng.uniform(0.2, 2.5) * state.width
-            fd = -central_first(lambda xx: quantum_potential(state, xx), x)
-            cf = quantum_force(state, x)
-            scale = 4 * hbar**2 * state.alpha.real**2 * state.width / m
-            worst = max(worst, abs(fd - cf) / max(abs(cf), scale))
+    for _, state, x in _sample_points(profile, 3, lo=0.2):
+        hbar, m = state.params.constants.hbar, state.params.mass
+        fd = -central_first(lambda xx: quantum_potential(state, xx), x)
+        cf = quantum_force(state, x)
+        scale = 4 * hbar**2 * state.alpha.real**2 * state.width / m
+        worst = max(worst, abs(fd - cf) / max(abs(cf), scale))
     return CheckResult("quantum force vs finite-difference dQ/dx", worst, 1e-8)
 
 
@@ -233,7 +227,7 @@ def energy_center_potential_variant(state: WavepacketState, x):
     """
     params = state.params
     hbar, m = params.constants.hbar, params.mass
-    u = np.asarray(x, dtype=float) - state.q
+    u = x - state.q
     if params.is_harmonic:
         w = params.omega
         a = m * w / (2.0 * hbar)
@@ -254,23 +248,15 @@ def energy_center_potential_variant(state: WavepacketState, x):
         lin_c = (2 * hbar * a0 * state.p / m) * tau / den
         const = (hbar**2 / m) * a0 / den
         center = state.p**2 / (2 * m)
-    out = quad_c * u**2 + lin_c * u + const + center
-    return out if np.ndim(x) else float(out)
+    return quad_c * (u * u) + lin_c * u + const + center
 
 
 def measure_energy_variant(profile: ToleranceProfile) -> DiscrepancyEntry:
-    rng = np.random.default_rng(profile.seed + 4)
-    worst = {}
-    for name, params, init in _sample_systems():
-        w = 0.0
-        for _ in range(profile.n_points // 2):
-            t = rng.uniform(0.0, 6.0)
-            state = evolve(params, init, t)
-            x = state.q + rng.uniform(-2.5, 2.5) * state.width
-            diff = abs(energy_center_potential_variant(state, x)
-                       - energy_pointwise(state, x))
-            w = max(w, diff / _energy_scale(state))
-        worst[name] = w
+    worst = {name: 0.0 for name, _, _ in _sample_systems()}
+    for name, state, x in _sample_points(profile, 4):
+        diff = abs(energy_center_potential_variant(state, x)
+                   - energy_pointwise(state, x))
+        worst[name] = max(worst[name], diff / _energy_scale(state))
     return DiscrepancyEntry(
         "energy form with center potential V(q)",
         "variant E = p^2/2m + V(q) + Q differs from -dS/dt by V(x) - V(q) "

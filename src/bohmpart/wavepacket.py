@@ -16,6 +16,10 @@ polar decomposition psi = R exp(iS/hbar) everything else follows:
     Q = -(hbar^2 / 2 m R) R''     quantum potential
     E = -dS/dt                    pointwise energy along the flow
 
+Every pointwise function of (state, x) is one broadcasting expression in
+u = x - q: a float x gives a float (complex for the wavefunction) and an
+array x gives an array of the same shape.
+
 All formulas here are exact solutions of the time-dependent Schroedinger
 equation; the test suite verifies them against finite-difference definitions
 of Q and E and against the quantum Hamilton-Jacobi residual.
@@ -130,49 +134,43 @@ def evolve(params: SystemParams, init: WavepacketInit, t: float) -> WavepacketSt
 def density(state: WavepacketState, x):
     """Probability density P(x,t) = sqrt(2 Re a / pi) exp(-2 Re a (x-q)^2)."""
     ra = state.alpha.real
-    u = np.asarray(x, dtype=float) - state.q
-    out = np.sqrt(2.0 * ra / np.pi) * np.exp(-2.0 * ra * u**2)
-    return out if np.ndim(x) else float(out)
+    u = x - state.q
+    return np.sqrt(2.0 * ra / np.pi) * np.exp(-2.0 * ra * (u * u))
 
 
 def _log_density(state: WavepacketState, x):
     """log P(x,t), finite where P itself underflows to zero."""
     ra = state.alpha.real
-    u = np.asarray(x, dtype=float) - state.q
-    return 0.5 * math.log(2.0 * ra / math.pi) - 2.0 * ra * u**2
+    u = x - state.q
+    return 0.5 * math.log(2.0 * ra / math.pi) - 2.0 * ra * (u * u)
 
 
 def amplitude(state: WavepacketState, x):
     """Real amplitude R(x,t) = sqrt(P)."""
     ra = state.alpha.real
-    u = np.asarray(x, dtype=float) - state.q
-    out = (2.0 * ra / np.pi) ** 0.25 * np.exp(-ra * u**2)
-    return out if np.ndim(x) else float(out)
+    u = x - state.q
+    return (2.0 * ra / np.pi) ** 0.25 * np.exp(-ra * (u * u))
 
 
 def total_phase(state: WavepacketState, x):
     """Phase S(x,t) of psi = R exp(iS/hbar)."""
     hbar = state.params.constants.hbar
-    u = np.asarray(x, dtype=float) - state.q
-    out = -hbar * state.alpha.imag * u**2 + state.p * u + state.gamma
-    return out if np.ndim(x) else float(out)
+    u = x - state.q
+    return -hbar * state.alpha.imag * (u * u) + state.p * u + state.gamma
 
 
 def wavefunction(state: WavepacketState, x):
     """Complex psi(x,t) with real-positive normalization prefactor."""
     hbar = state.params.constants.hbar
-    u = np.asarray(x, dtype=float) - state.q
-    psi = (2.0 * state.alpha.real / np.pi) ** 0.25 * np.exp(
-        -state.alpha * u**2 + 1j * (state.p * u + state.gamma) / hbar)
-    return psi if np.ndim(x) else complex(psi)
+    u = x - state.q
+    return (2.0 * state.alpha.real / np.pi) ** 0.25 * np.exp(
+        -state.alpha * (u * u) + 1j * ((state.p * u + state.gamma) / hbar))
 
 
 def phase_gradient(state: WavepacketState, x):
     """dS/dx = -2 hbar Im a (x - q) + p, the local momentum field."""
     hbar = state.params.constants.hbar
-    u = np.asarray(x, dtype=float) - state.q
-    out = -2.0 * hbar * state.alpha.imag * u + state.p
-    return out if np.ndim(x) else float(out)
+    return -2.0 * hbar * state.alpha.imag * (x - state.q) + state.p
 
 
 def quantum_potential(state: WavepacketState, x):
@@ -184,9 +182,8 @@ def quantum_potential(state: WavepacketState, x):
     hbar = state.params.constants.hbar
     m = state.params.mass
     ra = state.alpha.real
-    u = np.asarray(x, dtype=float) - state.q
-    out = hbar**2 * ra / m - (2.0 * hbar**2 * ra**2 / m) * u**2
-    return out if np.ndim(x) else float(out)
+    u = x - state.q
+    return hbar**2 * ra / m - (2.0 * hbar**2 * ra**2 / m) * (u * u)
 
 
 def _energy_coefficients(state: WavepacketState) -> tuple[float, float, float]:
@@ -208,9 +205,8 @@ def _energy_coefficients(state: WavepacketState) -> tuple[float, float, float]:
 def energy_pointwise(state: WavepacketState, x):
     """E(x,t) = -dS/dt, the energy of the trajectory passing through x at t."""
     a2, a1, a0 = _energy_coefficients(state)
-    u = np.asarray(x, dtype=float) - state.q
-    out = a2 * u**2 + a1 * u + a0
-    return out if np.ndim(x) else float(out)
+    u = x - state.q
+    return a2 * (u * u) + a1 * u + a0
 
 
 def _state_rates(state: WavepacketState):
@@ -230,8 +226,8 @@ def _log_density_dt(state: WavepacketState, x):
     """Exact partial d(log P)/dt at fixed x, so that dP/dt = P times it."""
     ra = state.alpha.real
     ra_dot, _, q_dot, _ = _state_rates(state)
-    u = np.asarray(x, dtype=float) - state.q
-    return ra_dot / (2.0 * ra) - 2.0 * ra_dot * u**2 + 4.0 * ra * q_dot * u
+    u = x - state.q
+    return ra_dot / (2.0 * ra) - 2.0 * ra_dot * (u * u) + 4.0 * ra * q_dot * u
 
 
 def energy_dt(state: WavepacketState, x):
@@ -245,9 +241,8 @@ def energy_dt(state: WavepacketState, x):
     a2_dot = 4.0 * hbar**2 * (ia * ia_dot - ra * ra_dot) / m
     a1_dot = w * w * state.p - 2.0 * hbar * (ia_dot * state.p + ia * p_dot) / m
     a0_dot = hbar**2 * ra_dot / m
-    u = np.asarray(x, dtype=float) - state.q
-    out = a2_dot * u**2 + (a1_dot - 2.0 * a2 * q_dot) * u + a0_dot - a1 * q_dot
-    return out if np.ndim(x) else float(out)
+    u = x - state.q
+    return a2_dot * (u * u) + (a1_dot - 2.0 * a2 * q_dot) * u + a0_dot - a1 * q_dot
 
 
 def mean_energy(state: WavepacketState, quad: QuadratureConfig) -> float:
@@ -338,9 +333,7 @@ def spectral_project(state: WavepacketState, basis_size: int,
     basis = (m * w / hbar) ** 0.25 * hermite_functions(basis_size, xi)
     psi = wavefunction(state, x)
 
-    coeffs = np.array([complex(simpson(basis[k] * psi.real, x=x),
-                               simpson(basis[k] * psi.imag, x=x))
-                       for k in range(basis_size + 1)])
+    coeffs = simpson(basis * psi.real, x=x) + 1j * simpson(basis * psi.imag, x=x)
     captured = float(np.sum(np.abs(coeffs) ** 2))
     if captured < 1.0 - 1e-8:
         raise TruncationInsufficient(

@@ -128,6 +128,7 @@ def test_config_file_unknown_key_exit_1(tmp_path: Path):
     ("marginal", "--kbt", "-1", "--samples", "4"),
     ("fig1", "--sigma", "nan", "--samples", "4"),
     ("bath", "--beta", "nan"),
+    ("trajectory", "--system", "free", "--omega", "nan", "--x-start", "1"),
 ])
 def test_non_finite_or_non_positive_input_exit_1(argv):
     cp = run_cli(*argv)
@@ -275,3 +276,50 @@ def test_partition_table(tmp_path: Path):
         1.0 / (2.0 * np.sinh(0.5)), rel=1e-12)
     assert rows[("gaussian_correction", "closed_form")] == pytest.approx(
         0.899281683502734, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ("partition", "--oracle"),
+    ("marginal", "--samples", "3"),
+])
+def test_quadrature_failure_exit_4(tmp_path: Path, argv):
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text("rel_tol = 1e-30\nabs_tol = 1e-300\n")
+    cp = run_cli(*argv, "--config", str(cfg))
+    assert cp.returncode == 4, cp.stderr
+    assert "Traceback" not in cp.stderr
+    assert cp.stderr.startswith("bohmpart: numerical failure:")
+
+
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_partition_json_divergent_cells_are_null():
+    cp = run_cli("partition", "--sigma", "0.2", "--kbt", "0.5", "--format", "json")
+    assert cp.returncode == 0, cp.stderr
+    rows = _strict_json(cp.stdout)["rows"]
+    for row in rows:
+        for key in ("value", "est_error"):
+            if row["method"] == "divergent":
+                assert row[key] is None
+            else:
+                assert isinstance(row[key], float)
+    assert sum(row["method"] == "divergent" for row in rows) == 2
+
+
+def test_limits_json_cells_are_numbers_or_null():
+    cp = run_cli("limits", "--var", "kbt", "--start", "0.5", "--stop", "3",
+                 "--num", "4", "--format", "json")
+    assert cp.returncode == 0, cp.stderr
+    rows = _strict_json(cp.stdout)["rows"]
+    assert [row[-1] for row in rows] == ["divergent", "ok", "ok", "ok"]
+    for *numbers, status in rows:
+        assert all(isinstance(c, float) for c in numbers if c is not None)
+        divergent = status == "divergent"
+        assert (numbers[1] is None) == divergent
+        assert (numbers[3] is None) == divergent
+        assert isinstance(numbers[2], float)
+        assert isinstance(numbers[4], float)

@@ -367,3 +367,23 @@ def test_partition_variants_decrease_in_beta(quad):
     betas_m = np.linspace(0.1, 0.55, 6)
     z_m = [marginal_Z(HO, init, ThermalSpec(b), 0.9, quad) for b in betas_m]
     assert np.all(np.diff(z_m) < 0)
+
+
+def test_quantum_Z_geometric_sum_matches_explicit_sum():
+    # same K terms as the explicit sum, up to a few ulps of summation order
+    for x in (0.05, 0.5, 1.0, 5.0, 20.0):
+        res = quantum_Z(harmonic_system(1.0, x), ThermalSpec(1.0))
+        n_terms = max(2, math.ceil((math.log(1e14)
+                                    + math.log(1.0 / (1.0 - math.exp(-x)))) / x) + 2)
+        explicit = float(np.sum(np.exp(-x * (np.arange(n_terms) + 0.5))))
+        assert res.value == pytest.approx(explicit, rel=4 * np.finfo(float).eps)
+
+
+def test_quantum_Z_tiny_level_spacing_is_bounded():
+    # beta hbar omega = 1e-9 keeps ~5e10 terms; the geometric sum never
+    # materializes them.
+    params = harmonic_system(1.0, 1e-9)
+    th = ThermalSpec(1.0)
+    res = quantum_Z(params, th)
+    assert res.value == pytest.approx(quantum_Z_closed_form(params, th), rel=1e-12)
+    assert res.est_error / res.value < 1e-13

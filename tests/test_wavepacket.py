@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from bohmpart import (TruncationInsufficient, WavepacketInit, density,
                       energy_pointwise, evolve, free_system, harmonic_system,
@@ -9,7 +10,8 @@ from bohmpart import (TruncationInsufficient, WavepacketInit, density,
                       quantum_potential, spectral_project)
 from bohmpart.numdiff import central_first, central_second
 from bohmpart.wavepacket import (amplitude, default_spectral_grid,
-                                 packet_mean_energy_exact, total_phase)
+                                 hermite_functions, packet_mean_energy_exact,
+                                 total_phase, wavefunction)
 
 HO = harmonic_system(1.0, 1.0)
 FREE = free_system(1.0)
@@ -231,6 +233,20 @@ def test_spectral_coherent_state_poisson_weights():
                          for k in range(k_max + 1)])
     assert np.max(np.abs(dec.weights - expected)) < 1e-8
     assert dec.mean_energy() == pytest.approx(1.5, abs=1e-8)
+
+
+def test_spectral_coefficients_match_per_state_simpson():
+    # one 2-D simpson call gives each state's overlap exactly as its own call
+    init = WavepacketInit(0.8, -0.5, 0.6)
+    st = evolve(HO, init, 0.9)
+    grid = default_spectral_grid(HO, init, 30)
+    dec = spectral_project(st, 30, grid)
+    x = grid.points
+    psi = wavefunction(st, x)
+    basis = hermite_functions(30, x)
+    for k in range(31):
+        assert dec.coefficients[k] == complex(simpson(basis[k] * psi.real, x=x),
+                                              simpson(basis[k] * psi.imag, x=x))
 
 
 def test_spectral_truncation_error():
