@@ -21,8 +21,10 @@ from .trajectories import (RK4Fixed, RK45Adaptive, TrajectoryConfig,
 from .partition import (AverageEnergyMode, CriterionReport, MarginalCurve,
                         Method, PartitionResult, average_energy, classical_Z,
                         classicality_criterion, gaussian_correction,
-                        marginal_Z, marginal_Z_derivative, marginal_curve,
-                        quantum_Z, unified_Z_gaussian)
+                        gaussian_correction_integral, marginal_Z,
+                        marginal_Z_derivative, marginal_curve,
+                        phase_space_integral, quantum_Z, unified_Z_gaussian,
+                        unified_integral)
 from .bath import (BathInitialState, BathSpec, Oscillator, bath_classicality,
                    classical_bath_Z, large_N_ratio, memory_kernel,
                    noise_force, unified_bath_Z, uniform_bath)

@@ -14,9 +14,12 @@ particle case, once per oscillator:
 
     (1 - r_a)^(-1/2) exp(-r_a),   r_a = beta hbar^2 / (4 m_a sigma^2).
 
-A variant with an extra 2 pi per oscillator is retained alongside the exact
-factor because it circulates in closed-form write-ups; the quadrature oracle
-in the verification suite pins down which one the integral actually gives.
+The per-oscillator factor is partition.gaussian_correction and the ratio is
+partition.quantum_ratio; this module does not re-derive either.  A variant
+with an extra 2 pi per oscillator is retained alongside the exact factor
+because it circulates in closed-form write-ups; the verification suite
+compares both against partition.unified_integral, one 3D quadrature per
+oscillator, to pin down which one the integral actually gives.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DivergentIntegral, QuadratureConfig, ThermalSpec
+from .core import ThermalSpec
 from .partition import (CriterionReport, Method, PartitionResult,
-                        _phase_space_integral, _unified_integral,
-                        classicality_criterion)
+                        classicality_criterion, gaussian_correction,
+                        quantum_ratio)
 
 
 @dataclass(frozen=True)
@@ -109,74 +112,36 @@ def noise_force(bath: BathSpec, init: BathInitialState, t) -> float | np.ndarray
     return out
 
 
-def bath_ratios(bath: BathSpec, thermal: ThermalSpec, hbar: float = 1.0) -> np.ndarray:
-    """Per-oscillator convergence ratios beta hbar^2 / (4 m_a sigma^2)."""
-    return np.array([thermal.beta * hbar**2 / (4.0 * o.mass * bath.sigma**2)
-                     for o in bath.oscillators])
+def classical_bath_Z(bath: BathSpec, thermal: ThermalSpec) -> PartitionResult:
+    """Z_B = prod_a 2 pi / (beta w_a), raw measure.
 
-
-def classical_bath_Z(bath: BathSpec, thermal: ThermalSpec,
-                     quad: QuadratureConfig | None = None,
-                     method: Method = Method.CLOSED_FORM) -> PartitionResult:
-    """Z_B = prod_a 2 pi / (beta w_a), raw measure; quadrature oracle optional."""
-    beta = thermal.beta
-    if method is Method.CLOSED_FORM:
-        val = 1.0
-        for o in bath.oscillators:
-            val *= 2.0 * math.pi / (beta * o.omega)
-        return PartitionResult(val, 0.0, method)
-    if method is not Method.QUADRATURE:
-        raise ValueError("classical_bath_Z supports CLOSED_FORM and QUADRATURE")
-
-    quad = quad or QuadratureConfig()
-    val, relerr = 1.0, 0.0
+    Oracle: partition.phase_space_integral per oscillator, centred at
+    c_a q0 / w_a^2.
+    """
+    val = 1.0
     for o in bath.oscillators:
-        factor, err = _phase_space_integral(
-            o.mass, o.omega, thermal, quad,
-            center=o.coupling * bath.q0 / o.omega**2)
-        relerr += err / factor
-        val *= factor
-    return PartitionResult(val, abs(val) * relerr, method)
+        val *= 2.0 * math.pi / (thermal.beta * o.omega)
+    return PartitionResult(val, 0.0, Method.CLOSED_FORM)
 
 
-def unified_bath_Z(bath: BathSpec, thermal: ThermalSpec,
-                   quad: QuadratureConfig | None = None,
-                   hbar: float = 1.0,
-                   method: Method = Method.CLOSED_FORM
+def unified_bath_Z(bath: BathSpec, thermal: ThermalSpec, hbar: float = 1.0
                    ) -> tuple[PartitionResult, PartitionResult]:
     """Bath partition function with the hidden coordinates integrated out.
 
     Returns (exact, with_2pi): the exact result multiplies Z_B by
-    (1 - r_a)^(-1/2) exp(-r_a) per oscillator; with_2pi carries an extra
-    2 pi per oscillator and is reported only for the discrepancy ledger.
+    gaussian_correction = (1 - r_a)^(-1/2) exp(-r_a) per oscillator;
+    with_2pi carries an extra 2 pi per oscillator and is reported only for
+    the discrepancy ledger.  Oracle: partition.unified_integral per
+    oscillator, centred at c_a q0 / w_a^2.  DivergentIntegral from the
+    first oscillator whose ratio is >= 1.
     """
-    ratios = bath_ratios(bath, thermal, hbar)
-    if np.any(ratios >= 1.0):
-        worst = float(np.max(ratios))
-        raise DivergentIntegral(
-            f"bath ratio {worst:g} >= 1: hidden-coordinate integral diverges")
     z_b = classical_bath_Z(bath, thermal).value
-
-    if method is Method.CLOSED_FORM:
-        factor = 1.0
-        for r in ratios:
-            factor *= math.exp(-r) / math.sqrt(1.0 - r)
-        exact = PartitionResult(z_b * factor, 0.0, method)
-        printed = PartitionResult(z_b * factor * (2.0 * math.pi) ** bath.size,
-                                  0.0, method)
-        return exact, printed
-    if method is not Method.QUADRATURE:
-        raise ValueError("unified_bath_Z supports CLOSED_FORM and QUADRATURE")
-
-    quad = quad or QuadratureConfig()
     factor = 1.0
     for o in bath.oscillators:
-        val, _ = _unified_integral(o.mass, o.omega, bath.sigma, thermal, hbar,
-                                   quad, center=o.coupling * bath.q0 / o.omega**2)
-        factor *= val / (2.0 * math.pi / (thermal.beta * o.omega))
-    exact = PartitionResult(z_b * factor, 0.0, method)
+        factor *= gaussian_correction(o.mass, bath.sigma, thermal, hbar)
+    exact = PartitionResult(z_b * factor, 0.0, Method.CLOSED_FORM)
     printed = PartitionResult(z_b * factor * (2.0 * math.pi) ** bath.size,
-                              0.0, method)
+                              0.0, Method.CLOSED_FORM)
     return exact, printed
 
 
@@ -186,14 +151,13 @@ def large_N_ratio(n: int, m0: float, sigma: float, thermal: ThermalSpec,
 
     Returns (approx, exact, rel_err) for Z'_B / Z_B:
         approx  = exp(-N r)
-        exact   = [(1 - r)^(-1/2) exp(-r)]^N
+        exact   = gaussian_correction^N = [(1 - r)^(-1/2) exp(-r)]^N
         rel_err = |approx - exact| / exact = |1 - (1 - r)^(N/2)|.
+    DivergentIntegral at r >= 1.
     """
-    r = thermal.beta * hbar**2 / (4.0 * m0 * sigma**2)
-    if r >= 1.0:
-        raise DivergentIntegral(f"ratio {r:g} >= 1: bath factor diverges")
+    r = quantum_ratio(m0, sigma, thermal, hbar)
     approx = math.exp(-n * r)
-    exact = (math.exp(-r) / math.sqrt(1.0 - r)) ** n
+    exact = gaussian_correction(m0, sigma, thermal, hbar) ** n
     return approx, exact, abs(approx - exact) / exact
 
 

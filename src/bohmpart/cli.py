@@ -25,16 +25,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bath import (BathSpec, Oscillator, bath_classicality, bath_ratios,
+from .bath import (BathSpec, Oscillator, bath_classicality,
                    classical_bath_Z, large_N_ratio, memory_kernel,
                    unified_bath_Z, uniform_bath)
 from .core import (Constants, DivergentIntegral, QuadratureConfig,
                    QuadratureFailure, SystemParams, ThermalSpec, free_system,
                    harmonic_system)
-from .partition import (Method, classical_Z, gaussian_correction,
-                        classicality_criterion, marginal_convergent,
-                        marginal_curve, quantum_Z, quantum_Z_closed_form,
-                        unified_Z_gaussian)
+from .partition import (classical_Z, classicality_criterion,
+                        gaussian_correction, marginal_convergent,
+                        marginal_curve, phase_space_integral, quantum_Z,
+                        quantum_Z_closed_form, unified_Z_gaussian,
+                        unified_integral)
 from .trajectories import RK45Adaptive, TrajectoryConfig, integrate
 from .verify import ToleranceProfile, run_verification
 from .wavepacket import WavepacketInit
@@ -65,9 +66,12 @@ class Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def load_config_file(path: str) -> dict:
-    """Flat key = value text; '#' starts a comment; keys must be known."""
-    out = {}
+def read_key_values(path: str):
+    """Yield (lineno, key, value) from flat key = value text.
+
+    '#' starts a comment and blank lines are skipped; any other line
+    without '=' is a UsageError.
+    """
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -75,6 +79,13 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        yield lineno, key, value
+
+
+def load_config_file(path: str) -> dict:
+    """Flat key = value text; '#' starts a comment; keys must be known."""
+    out = {}
+    for lineno, key, value in read_key_values(path):
         if key not in CONFIG_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         out[key] = float(value)
@@ -269,7 +280,6 @@ def cmd_limits(args) -> int:
     cfg = resolve_config(args)
     if args.num < 2:
         raise UsageError("--num must be at least 2")
-    quad = quad_of(cfg)
     values = np.linspace(args.start, args.stop, args.num)
     msigma2 = cfg["mass"] * cfg["sigma"] ** 2
 
@@ -283,12 +293,12 @@ def cmd_limits(args) -> int:
         thermal = ThermalSpec.from_kbt(local["kbt"])
         crit = classicality_criterion(local["mass"], local["sigma"], thermal,
                                       local["hbar"], local["kb"])
-        z_cl = classical_Z(params, thermal, quad).value
+        z_cl = classical_Z(params, thermal).value
         if crit.dimensionless_ratio >= 1.0:
             rows.append([v, math.nan, z_cl, math.nan,
                          crit.dimensionless_ratio, "divergent"])
             continue
-        z_u = unified_Z_gaussian(params, local["sigma"], thermal, quad).value
+        z_u = unified_Z_gaussian(params, local["sigma"], thermal).value
         rows.append([v, z_u, z_cl, z_u / z_cl, crit.dimensionless_ratio, "ok"])
 
     header = [f"{args.var}[swept]", "z_u[dimensionless]", "z_cl[dimensionless]",
@@ -309,13 +319,7 @@ def parse_bath_file(path: str, sigma_default: float, q0_default: float) -> BathS
     """Bath file: 'sigma = ..', 'q0 = ..', and one 'osc = m, omega, c' per line."""
     sigma, q0 = sigma_default, q0_default
     oscillators = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for lineno, key, value in read_key_values(path):
         if key == "sigma":
             sigma = float(value)
         elif key == "q0":
@@ -354,7 +358,7 @@ def cmd_bath(args) -> int:
         ["index", "mass[mass]", "omega[1/time]", "coupling[coupling]",
          "ratio[dimensionless]", "criterion"], osc_rows)
 
-    divergent = bool(np.any(bath_ratios(bath, thermal, hbar) >= 1.0))
+    divergent = not all(rep.classical_ok for rep in reports)
     if divergent and not args.allow_divergent:
         sys.stderr.write("bath: criterion ratio >= 1 for at least one "
                          "oscillator; rerun with --allow-divergent for the "
@@ -372,28 +376,22 @@ def cmd_bath(args) -> int:
     z_b = classical_bath_Z(bath, thermal)
     exact, printed = unified_bath_Z(bath, thermal, hbar=hbar)
     masses = {o.mass for o in bath.oscillators}
+    large_n = (large_N_ratio(bath.size, masses.pop(), bath.sigma, thermal, hbar)
+               if len(masses) == 1 else (math.nan,) * 3)
     summary = [
-        ["z_b", fmt(z_b.value)],
-        ["z_b_unified_exact", fmt(exact.value)],
-        ["z_b_unified_with_2pi", fmt(printed.value)],
-        ["correction_factor", fmt(exact.value / z_b.value)],
+        ["z_b", z_b.value],
+        ["z_b_unified_exact", exact.value],
+        ["z_b_unified_with_2pi", printed.value],
+        ["correction_factor", exact.value / z_b.value],
+        *zip(("large_n_factor_approx", "large_n_factor_exact",
+              "large_n_rel_err"), large_n),
     ]
-    if len(masses) == 1:
-        approx, exact_f, rel = large_N_ratio(bath.size, masses.pop(),
-                                             bath.sigma, thermal, hbar)
-        summary += [["large_n_factor_approx", fmt(approx)],
-                    ["large_n_factor_exact", fmt(exact_f)],
-                    ["large_n_rel_err", fmt(rel)]]
-    else:
-        summary += [["large_n_factor_approx", "nan"],
-                    ["large_n_factor_exact", "nan"],
-                    ["large_n_rel_err", "nan"]]
     summary_payload = csv_payload(["quantity", "value[dimensionless]"], summary)
 
     if args.format == "json":
         payload = json_payload({
             "command": "bath", "config": cfg,
-            "summary": {row[0]: row[1] for row in summary},
+            "summary": {key: json_number(val) for key, val in summary},
             "oscillators": [{"index": r[0], "mass": r[1], "omega": r[2],
                              "coupling": r[3], "ratio": r[4], "criterion": r[5]}
                             for r in osc_rows],
@@ -432,12 +430,11 @@ def cmd_trajectory(args) -> int:
 def cmd_partition(args) -> int:
     cfg = resolve_config(args)
     params = system_of(cfg)
-    quad = quad_of(cfg)
     thermal = ThermalSpec.from_kbt(cfg["kbt"])
     crit = classicality_criterion(cfg["mass"], cfg["sigma"], thermal,
                                   cfg["hbar"], cfg["kb"])
     rows = []
-    z_cl = classical_Z(params, thermal, quad)
+    z_cl = classical_Z(params, thermal)
     rows.append(["z_classical", z_cl.method.value, z_cl.value, z_cl.est_error])
     z_q = quantum_Z(params, thermal)
     rows.append(["z_quantum", z_q.method.value, z_q.value, z_q.est_error])
@@ -445,17 +442,18 @@ def cmd_partition(args) -> int:
                  quantum_Z_closed_form(params, thermal), 0.0])
     if crit.dimensionless_ratio < 1.0:
         c = gaussian_correction(cfg["mass"], cfg["sigma"], thermal, cfg["hbar"])
-        z_u = unified_Z_gaussian(params, cfg["sigma"], thermal, quad)
+        z_u = unified_Z_gaussian(params, cfg["sigma"], thermal)
         rows.append(["gaussian_correction", "closed_form", c, 0.0])
         rows.append(["z_unified", z_u.method.value, z_u.value, z_u.est_error])
         if args.oracle:
-            z_cl_q = classical_Z(params, thermal, quad, Method.QUADRATURE)
-            rows.append(["z_classical", z_cl_q.method.value, z_cl_q.value,
-                         z_cl_q.est_error])
-            z_u_q = unified_Z_gaussian(params, cfg["sigma"], thermal, quad,
-                                       Method.QUADRATURE)
-            rows.append(["z_unified", z_u_q.method.value, z_u_q.value,
-                         z_u_q.est_error])
+            quad = quad_of(cfg)
+            m, w, hbar = params.mass, params.omega, params.constants.hbar
+            norm = 2.0 * math.pi * hbar
+            for name, (val, err) in (
+                    ("z_classical", phase_space_integral(m, w, thermal, quad)),
+                    ("z_unified", unified_integral(m, w, cfg["sigma"], thermal,
+                                                   hbar, quad))):
+                rows.append([name, "quadrature", val / norm, err / norm])
     else:
         rows.append(["gaussian_correction", "divergent", math.nan, math.nan])
         rows.append(["z_unified", "divergent", math.nan, math.nan])

@@ -2,9 +2,9 @@
 
 Conventions
 -----------
-* The phase-space measure is dGamma = dx dp / (2 pi hbar) by default; pass
-  measure="raw" for plain dx dp.  Ratios such as Z_u/Z_cl do not depend on
-  the choice.
+* classical_Z, gaussian_correction and unified_Z_gaussian each have one
+  code path, their closed form.  The phase-space measure is
+  dGamma = dx dp / (2 pi hbar); ratios such as Z_u/Z_cl do not depend on it.
 * The unified Gaussian form integrates the packet density against
   exp(-beta E) over the hidden coordinate and the trajectory initial
   conditions.  The x-integral converges only while
@@ -12,14 +12,18 @@ Conventions
       beta hbar^2 / (4 m sigma^2) < 1,
 
   which is the classicality temperature bound; every entry point checks it
-  before integrating and raises DivergentIntegral at or beyond the threshold.
+  and raises DivergentIntegral at or beyond the threshold.
+* The closed forms are backed by separate Gauss-Legendre oracles, used by
+  `verify`, `partition --oracle` and the tests: phase_space_integral
+  (classical Z), gaussian_correction_integral (the factor C) and
+  unified_integral (unified Z).  Each integrates a vectorized integrand
+  over a box of window_sigmas standard deviations per axis, returns the
+  raw-measure (value, est_error) with est_error the difference between the
+  last two rules of the ladder, and calls no closed form it checks.
 * The marginal partition function at fixed (x0, p0) keeps the single
   prepared packet in the distribution sum; it is evaluated by Gauss-Legendre
   quadrature (core.integrate_window) of exp(log P - beta E) with the window
   sized from the completed square of the full exponent.
-* Every QUADRATURE method integrates a vectorized integrand over a box of
-  window_sigmas standard deviations per axis; est_error is the difference
-  between the last two rules of the Gauss-Legendre ladder.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .wavepacket import (WavepacketInit, energy_dt, energy_pointwise, evolve,
 
 class Method(Enum):
     CLOSED_FORM = "closed_form"
-    QUADRATURE = "quadrature"
     EIGEN_SUM = "eigen_sum"
 
 
@@ -79,14 +82,6 @@ class CriterionReport:
     thermal_de_broglie: float
 
 
-def _measure_factor(params: SystemParams, measure: str) -> float:
-    if measure == "dGamma":
-        return 2.0 * math.pi * params.constants.hbar
-    if measure == "raw":
-        return 1.0
-    raise ValueError(f"unknown measure {measure!r}; use 'dGamma' or 'raw'")
-
-
 def quantum_ratio(params_mass: float, sigma: float, thermal: ThermalSpec,
                   hbar: float) -> float:
     """The dimensionless convergence ratio beta hbar^2 / (4 m sigma^2)."""
@@ -95,40 +90,40 @@ def quantum_ratio(params_mass: float, sigma: float, thermal: ThermalSpec,
     return thermal.beta * hbar**2 / (4.0 * params_mass * sigma**2)
 
 
+def _convergent_ratio(m: float, sigma: float, thermal: ThermalSpec,
+                      hbar: float) -> float:
+    """quantum_ratio, or DivergentIntegral where the x-integral diverges."""
+    r = quantum_ratio(m, sigma, thermal, hbar)
+    if r >= 1.0:
+        raise DivergentIntegral(
+            f"beta hbar^2/(4 m sigma^2) = {r:g} >= 1: x-integral diverges")
+    return r
+
+
 # ---------------------------------------------------------------------------
 # Classical and quantum references
 # ---------------------------------------------------------------------------
 
-def classical_Z(params: SystemParams, thermal: ThermalSpec,
-                quad: QuadratureConfig, method: Method = Method.CLOSED_FORM,
-                measure: str = "dGamma") -> PartitionResult:
+def classical_Z(params: SystemParams, thermal: ThermalSpec) -> PartitionResult:
     """Phase-space integral of exp(-beta H); closed form k_B T/(hbar omega).
 
     Only the harmonic well has a convergent configuration integral; the free
-    particle raises DivergentIntegral.
+    particle raises DivergentIntegral.  Oracle: phase_space_integral.
     """
     if not params.is_harmonic:
         raise DivergentIntegral("free particle: unbounded configuration integral")
-    beta = thermal.beta
-    m, w = params.mass, params.omega
-    norm = _measure_factor(params, measure)
-
-    if method is Method.CLOSED_FORM:
-        return PartitionResult(2.0 * math.pi / (beta * w) / norm, 0.0, method)
-    if method is not Method.QUADRATURE:
-        raise ValueError("classical_Z supports CLOSED_FORM and QUADRATURE")
-
-    val, err = _phase_space_integral(m, w, thermal, quad)
-    return PartitionResult(val / norm, err / norm, method)
+    norm = 2.0 * math.pi * params.constants.hbar
+    return PartitionResult(2.0 * math.pi / (thermal.beta * params.omega) / norm,
+                           0.0, Method.CLOSED_FORM)
 
 
-def _phase_space_integral(m: float, w: float, thermal: ThermalSpec,
-                          quad: QuadratureConfig, center: float = 0.0,
-                          times_energy: bool = False) -> tuple[float, float]:
+def phase_space_integral(m: float, w: float, thermal: ThermalSpec,
+                         quad: QuadratureConfig, center: float = 0.0,
+                         times_energy: bool = False) -> tuple[float, float]:
     """(value, error) of the raw-measure integral of [H] exp(-beta H) dx dp.
 
     H = p^2/2m + m w^2 (x - center)^2 / 2; the bracketed factor H is
-    included when times_energy is set.
+    included when times_energy is set.  Divide by 2 pi hbar for classical_Z.
     """
     beta = thermal.beta
     ws = quad.window_sigmas
@@ -179,25 +174,27 @@ def quantum_Z_closed_form(params: SystemParams, thermal: ThermalSpec) -> float:
 # ---------------------------------------------------------------------------
 
 def gaussian_correction(m: float, sigma: float, thermal: ThermalSpec,
-                        hbar: float = 1.0,
-                        quad: QuadratureConfig | None = None,
-                        method: Method = Method.CLOSED_FORM) -> float:
+                        hbar: float = 1.0) -> float:
     """Factor C multiplying the classical Z in the unified Gaussian form.
 
     C = (1 - r)^(-1/2) exp(-r) with r = beta hbar^2/(4 m sigma^2), from
     integrating the packet density against the Boltzmann weight of its own
-    quantum potential.  Diverges (is raised) at r >= 1.
+    quantum potential.  Diverges (is raised) at r >= 1.  Oracle:
+    gaussian_correction_integral.
     """
-    r = quantum_ratio(m, sigma, thermal, hbar)
-    if r >= 1.0:
-        raise DivergentIntegral(
-            f"beta hbar^2/(4 m sigma^2) = {r:g} >= 1: x-integral diverges")
-    if method is Method.CLOSED_FORM:
-        return math.exp(-r) / math.sqrt(1.0 - r)
-    if method is not Method.QUADRATURE:
-        raise ValueError("gaussian_correction supports CLOSED_FORM and QUADRATURE")
+    r = _convergent_ratio(m, sigma, thermal, hbar)
+    return math.exp(-r) / math.sqrt(1.0 - r)
 
-    quad = quad or QuadratureConfig()
+
+def gaussian_correction_integral(m: float, sigma: float, thermal: ThermalSpec,
+                                 hbar: float, quad: QuadratureConfig
+                                 ) -> tuple[float, float]:
+    """(value, error) of integral P_G(u) exp(-beta Q(u)) du, the factor C.
+
+    P_G is the normalized packet density of width sigma and Q its quantum
+    potential hbar^2/(4 m sigma^2) - hbar^2 u^2/(8 m sigma^4).
+    """
+    r = _convergent_ratio(m, sigma, thermal, hbar)
     beta = thermal.beta
     sig_eff = sigma / math.sqrt(1.0 - r)
     half = quad.window_sigmas * sig_eff
@@ -207,59 +204,43 @@ def gaussian_correction(m: float, sigma: float, thermal: ThermalSpec,
         return np.exp(-u * u / (2 * sigma**2) - beta * qpot) \
             / (math.sqrt(2 * math.pi) * sigma)
 
-    val, _ = integrate_window(f, -half, half, quad)
-    return val
+    return integrate_window(f, -half, half, quad)
 
 
-def unified_Z_gaussian(params: SystemParams, sigma: float, thermal: ThermalSpec,
-                       quad: QuadratureConfig,
-                       method: Method = Method.CLOSED_FORM,
-                       measure: str = "dGamma") -> PartitionResult:
+def unified_Z_gaussian(params: SystemParams, sigma: float,
+                       thermal: ThermalSpec) -> PartitionResult:
     """Unified partition function for the prepared Gaussian ensemble.
 
     Triple integral over trajectory initial conditions (x0, p0) and the
     hidden coordinate x of P_G(x; x0) exp(-beta E(x; x0, p0)) at t = 0.
     Factorizes exactly into sqrt(2 pi m/beta) * C * integral exp(-beta V);
-    the QUADRATURE method performs the honest nested integral instead.
+    unified_integral performs the honest nested integral instead.
     """
     if not params.is_harmonic:
         raise DivergentIntegral("free particle: unbounded x0 integral")
-    beta = thermal.beta
-    m, w = params.mass, params.omega
-    hbar = params.constants.hbar
-    r = quantum_ratio(m, sigma, thermal, hbar)
-    if r >= 1.0:
-        raise DivergentIntegral(
-            f"beta hbar^2/(4 m sigma^2) = {r:g} >= 1: x-integral diverges")
-    norm = _measure_factor(params, measure)
-
-    if method is Method.CLOSED_FORM:
-        c = gaussian_correction(m, sigma, thermal, hbar)
-        zcl_raw = 2.0 * math.pi / (beta * w)
-        return PartitionResult(zcl_raw * c / norm, 0.0, method)
-    if method is not Method.QUADRATURE:
-        raise ValueError("unified_Z_gaussian supports CLOSED_FORM and QUADRATURE")
-
-    val, err = _unified_integral(m, w, sigma, thermal, hbar, quad)
-    return PartitionResult(val / norm, err / norm, method)
+    c = gaussian_correction(params.mass, sigma, thermal, params.constants.hbar)
+    zcl_raw = 2.0 * math.pi / (thermal.beta * params.omega)
+    norm = 2.0 * math.pi * params.constants.hbar
+    return PartitionResult(zcl_raw * c / norm, 0.0, Method.CLOSED_FORM)
 
 
-def _unified_integral(m: float, w: float, sigma: float, thermal: ThermalSpec,
-                      hbar: float, quad: QuadratureConfig,
-                      center: float = 0.0) -> tuple[float, float]:
+def unified_integral(m: float, w: float, sigma: float, thermal: ThermalSpec,
+                     hbar: float, quad: QuadratureConfig,
+                     center: float = 0.0) -> tuple[float, float]:
     """(value, error) of the raw-measure triple integral of P_G exp(-beta E).
 
     Axes are the initial conditions (x0, p0) and u = x - x0, with
     E = p0^2/2m + m w^2 (x0 - center)^2/2 + hbar^2/(4 m sigma^2)
     - hbar^2 u^2/(8 m sigma^4) at t = 0.  The exponents are summed before
     exponentiating, since near r = 1 the u-window reaches where
-    exp(-beta E) alone overflows.
+    exp(-beta E) alone overflows.  Divide by 2 pi hbar for
+    unified_Z_gaussian.
     """
     beta = thermal.beta
     ws = quad.window_sigmas
     sx0 = 1.0 / math.sqrt(beta * m) / w
     sp0 = math.sqrt(m / beta)
-    sig_eff = sigma / math.sqrt(1.0 - quantum_ratio(m, sigma, thermal, hbar))
+    sig_eff = sigma / math.sqrt(1.0 - _convergent_ratio(m, sigma, thermal, hbar))
     log_pref = -0.5 * math.log(2 * math.pi * sigma**2)
     const_q = hbar**2 / (4 * m * sigma**2)
 
@@ -406,8 +387,8 @@ def classical_average_energy(params: SystemParams, thermal: ThermalSpec,
     if not params.is_harmonic:
         raise DivergentIntegral("free particle: unbounded configuration integral")
     m, w = params.mass, params.omega
-    weighted, _ = _phase_space_integral(m, w, thermal, quad, times_energy=True)
-    plain, _ = _phase_space_integral(m, w, thermal, quad)
+    weighted, _ = phase_space_integral(m, w, thermal, quad, times_energy=True)
+    plain, _ = phase_space_integral(m, w, thermal, quad)
     return weighted / plain
 
 
@@ -435,7 +416,7 @@ def average_energy(mode: AverageEnergyMode, params: SystemParams,
         raise ValueError(f"unknown mode {mode!r}")
 
     def log_zu(beta: float) -> float:
-        res = unified_Z_gaussian(params, sigma, ThermalSpec(beta), quad)
+        res = unified_Z_gaussian(params, sigma, ThermalSpec(beta))
         return math.log(res.value)
 
     beta0 = thermal.beta

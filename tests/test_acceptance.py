@@ -13,13 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from bohmpart import (Method, QuadratureConfig, RK45Adaptive, ThermalSpec,
+from bohmpart import (QuadratureConfig, RK45Adaptive, ThermalSpec,
                       TrajectoryConfig, WavepacketInit, bohmian_velocity,
                       classical_Z, DivergentIntegral, equivariance_check,
                       evolve, free_system, gaussian_correction,
-                      harmonic_system, integrate, marginal_Z, marginal_curve,
-                      mean_energy, potential_value, quantum_potential,
-                      quantum_Z, spectral_project, unified_Z_gaussian)
+                      gaussian_correction_integral, harmonic_system,
+                      integrate, marginal_Z, marginal_curve, mean_energy,
+                      potential_value, quantum_potential, quantum_Z,
+                      spectral_project, unified_integral, unified_Z_gaussian)
 from bohmpart.numdiff import central_first, central_second
 from bohmpart.partition import quantum_Z_closed_form
 from bohmpart.trajectories import scaling_solution
@@ -42,8 +43,7 @@ def test_criterion_01_gaussian_correction_oracle():
     t0 = time.time()
     th = ThermalSpec(1.0)
     closed = gaussian_correction(1.0, 1.0, th)
-    quad_val = gaussian_correction(1.0, 1.0, th, quad=QUAD,
-                                   method=Method.QUADRATURE)
+    quad_val, _ = gaussian_correction_integral(1.0, 1.0, th, 1.0, QUAD)
     rel = abs(closed - quad_val) / closed
     elapsed = time.time() - t0
     report(1, "gaussian correction closed form vs 1D quadrature",
@@ -54,8 +54,9 @@ def test_criterion_01_gaussian_correction_oracle():
 def test_criterion_02_unified_Z_nested_quadrature():
     t0 = time.time()
     th = ThermalSpec(1.0)
-    closed = unified_Z_gaussian(HO, 1.0, th, QUAD, Method.CLOSED_FORM).value
-    nested = unified_Z_gaussian(HO, 1.0, th, QUAD, Method.QUADRATURE).value
+    closed = unified_Z_gaussian(HO, 1.0, th).value
+    # raw-measure triple integral over dGamma = dx dp / (2 pi hbar)
+    nested = unified_integral(1.0, 1.0, 1.0, th, 1.0, QUAD)[0] / (2.0 * math.pi)
     rel = abs(closed - nested) / closed
     elapsed = time.time() - t0
     report(2, "unified Z nested 3D quadrature vs factorized closed form",
@@ -82,7 +83,7 @@ def test_criterion_04_quantum_classical_chain():
     x = 0.01
     params = harmonic_system(1.0, x)
     th = ThermalSpec(1.0)
-    ratio = quantum_Z(params, th).value / classical_Z(params, th, QUAD).value
+    ratio = quantum_Z(params, th).value / classical_Z(params, th).value
     in_band = (1.0 - x**2 / 12.0 * 1.5) <= ratio <= 1.0
     worst = 0.0
     for xx in np.geomspace(0.01, 50.0, 12):
@@ -216,8 +217,8 @@ def test_criterion_09_classical_limit_mechanics():
     ratios = []
     for sigma in (1.0, 0.5, 0.25, 0.125):
         params = harmonic_system(1.0 / sigma**2, 1.0)  # m sigma^2 = 1
-        z_u = unified_Z_gaussian(params, sigma, th, QUAD).value
-        z_cl = classical_Z(params, th, QUAD).value
+        z_u = unified_Z_gaussian(params, sigma, th).value
+        z_cl = classical_Z(params, th).value
         ratios.append(z_u / z_cl)
     constant = max(ratios) - min(ratios) < 1e-10
 
@@ -247,8 +248,9 @@ def test_criterion_10_bath():
     th = ThermalSpec(1.0)
     bath = BathSpec((Oscillator(1.0, 1.0, 1.5),), sigma=1.0, q0=0.7)
     exact_cf, _ = unified_bath_Z(bath, th)
-    exact_qd, _ = unified_bath_Z(bath, th, QUAD, method=Method.QUADRATURE)
-    quad_rel = abs(exact_cf.value - exact_qd.value) / exact_cf.value
+    # raw measure, one oscillator centred at c q0 / w^2
+    exact_qd, _ = unified_integral(1.0, 1.0, 1.0, th, 1.0, QUAD, center=1.5 * 0.7)
+    quad_rel = abs(exact_cf.value - exact_qd) / exact_cf.value
 
     rng = np.random.default_rng(77)
     largen_ok = True

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from bohmpart import (BathInitialState, BathSpec, DivergentIntegral, Method,
+from bohmpart import (BathInitialState, BathSpec, DivergentIntegral,
                       Oscillator, ThermalSpec, bath_classicality,
                       classical_bath_Z, large_N_ratio, memory_kernel,
-                      noise_force, unified_bath_Z, uniform_bath)
+                      noise_force, phase_space_integral, unified_bath_Z,
+                      unified_integral, uniform_bath)
 
 
 def single(m=1.0, w=1.0, c=1.0, sigma=1.0, q0=0.0):
@@ -83,11 +84,13 @@ def test_classical_bath_Z_product():
 
 def test_classical_bath_Z_quadrature_and_coupling_invariance(quad):
     th = ThermalSpec(1.0)
-    plain = classical_bath_Z(single(c=0.0), th, quad, Method.QUADRATURE)
-    coupled = classical_bath_Z(single(c=5.0, q0=2.0), th, quad,
-                               Method.QUADRATURE)
-    assert plain.value == pytest.approx(2.0 * math.pi, rel=1e-10)
-    assert coupled.value == pytest.approx(plain.value, rel=1e-12)
+    # the coupled oscillator's well is centred at c q0 / w^2 = 10
+    plain, _ = phase_space_integral(1.0, 1.0, th, quad)
+    coupled, _ = phase_space_integral(1.0, 1.0, th, quad, center=10.0)
+    assert plain == pytest.approx(2.0 * math.pi, rel=1e-10)
+    assert coupled == pytest.approx(plain, rel=1e-12)
+    assert classical_bath_Z(single(c=5.0, q0=2.0), th).value == \
+        pytest.approx(plain, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +109,12 @@ def test_unified_bath_Z_quadrature_oracle(quad):
     # factor with no extra 2 pi
     bath = single(c=1.5, q0=0.7)
     th = ThermalSpec(1.0)
-    exact_cf, _ = unified_bath_Z(bath, th)
-    exact_qd, printed_qd = unified_bath_Z(bath, th, quad,
-                                          method=Method.QUADRATURE)
-    assert exact_qd.value == pytest.approx(exact_cf.value, rel=1e-8)
-    assert printed_qd.value / exact_qd.value == pytest.approx(
-        2.0 * math.pi, rel=1e-12)
+    exact_cf, printed_cf = unified_bath_Z(bath, th)
+    exact_qd, _ = unified_integral(1.0, 1.0, 1.0, th, 1.0, quad,
+                                   center=1.5 * 0.7)
+    assert exact_qd == pytest.approx(exact_cf.value, rel=1e-8)
+    assert printed_cf.value / exact_qd == pytest.approx(2.0 * math.pi,
+                                                        rel=1e-12)
 
 
 def test_unified_bath_Z_classical_limit(quad):

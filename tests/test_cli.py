@@ -323,3 +323,41 @@ def test_limits_json_cells_are_numbers_or_null():
         assert (numbers[3] is None) == divergent
         assert isinstance(numbers[2], float)
         assert isinstance(numbers[4], float)
+
+
+@pytest.mark.parametrize("oscillators, large_n_defined", [
+    ("osc = 1.0, 1.0, 1.0\nosc = 1.0, 2.0, 0.5\n", True),
+    ("osc = 1.0, 1.0, 1.0\nosc = 2.0, 2.0, 0.5\n", False),
+], ids=["uniform-mass", "mixed-mass"])
+def test_bath_json_summary_numbers_or_null(tmp_path: Path, oscillators,
+                                           large_n_defined):
+    bath_file = tmp_path / "bath.cfg"
+    bath_file.write_text("sigma = 2.0\n" + oscillators)
+    cp = run_cli("bath", "--bath-file", str(bath_file), "--format", "json")
+    assert cp.returncode == 0, cp.stderr
+    summary = _strict_json(cp.stdout)["summary"]
+    assert len(summary) == 7
+    for key, value in summary.items():
+        if key.startswith("large_n_") and not large_n_defined:
+            assert value is None
+        else:
+            assert isinstance(value, float)
+    assert summary["z_b"] == pytest.approx((2.0 * np.pi) ** 2 / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition", "--sigma", "0.6", "--kbt", "2"],
+    ["limits", "--var", "kbt", "--start", "0.5", "--stop", "3", "--num", "4"],
+    ["bath", "--n", "3", "--q0", "0.4"],
+])
+def test_closed_form_subcommands_never_integrate(monkeypatch, capsys, argv):
+    from bohmpart import cli, core, partition, wavepacket
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a closed-form subcommand ran a quadrature")
+    for module in (core, partition, wavepacket):
+        monkeypatch.setattr(module, "integrate_window", forbidden)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected

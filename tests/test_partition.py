@@ -7,8 +7,10 @@ from bohmpart import (AverageEnergyMode, DivergentIntegral, Method,
                       QuadratureConfig, ThermalSpec, WavepacketInit,
                       average_energy, classical_Z, classicality_criterion,
                       energy_pointwise, evolve, free_system, gaussian_correction,
-                      harmonic_system, marginal_Z, marginal_Z_derivative,
-                      marginal_curve, quantum_Z, unified_Z_gaussian)
+                      gaussian_correction_integral, harmonic_system,
+                      marginal_Z, marginal_Z_derivative, marginal_curve,
+                      phase_space_integral, quantum_Z, unified_integral,
+                      unified_Z_gaussian)
 from bohmpart.partition import (PartitionResult, classical_average_energy,
                                 heat_capacity, quantum_Z_closed_form)
 
@@ -19,32 +21,26 @@ HO = harmonic_system(1.0, 1.0)
 # classical and quantum Z
 # ---------------------------------------------------------------------------
 
-def test_classical_Z_closed_form(quad):
-    assert classical_Z(HO, ThermalSpec(1.0), quad).value == pytest.approx(1.0)
+def test_classical_Z_closed_form():
+    assert classical_Z(HO, ThermalSpec(1.0)).value == pytest.approx(1.0)
     params = harmonic_system(1.0, 2.0)
-    assert classical_Z(params, ThermalSpec(1.0), quad).value == pytest.approx(0.5)
+    assert classical_Z(params, ThermalSpec(1.0)).value == pytest.approx(0.5)
 
 
 def test_classical_Z_quadrature_agrees(quad):
     for beta, m, w in [(1.0, 1.0, 1.0), (0.7, 2.3, 1.6)]:
         params = harmonic_system(m, w)
         th = ThermalSpec(beta)
-        cf = classical_Z(params, th, quad, Method.CLOSED_FORM)
-        qd = classical_Z(params, th, quad, Method.QUADRATURE)
-        assert qd.value == pytest.approx(cf.value, rel=1e-10)
-        assert qd.method is Method.QUADRATURE
+        cf = classical_Z(params, th)
+        raw, err = phase_space_integral(m, w, th, quad)
+        # raw measure dx dp against dGamma = dx dp / (2 pi hbar)
+        assert raw / (2.0 * math.pi) == pytest.approx(cf.value, rel=1e-10)
+        assert err <= max(quad.abs_tol, quad.rel_tol * raw)
 
 
-def test_classical_Z_free_diverges(quad):
+def test_classical_Z_free_diverges():
     with pytest.raises(DivergentIntegral):
-        classical_Z(free_system(1.0), ThermalSpec(1.0), quad)
-
-
-def test_classical_Z_measure_flag(quad):
-    th = ThermalSpec(1.0)
-    d_gamma = classical_Z(HO, th, quad).value
-    raw = classical_Z(HO, th, quad, measure="raw").value
-    assert raw == pytest.approx(2.0 * math.pi * d_gamma)
+        classical_Z(free_system(1.0), ThermalSpec(1.0))
 
 
 def test_quantum_Z_matches_closed_form_over_range():
@@ -70,8 +66,7 @@ def test_quantum_classical_limit_chain():
     for x in (0.1, 0.01, 0.001):
         params = harmonic_system(1.0, x)
         th = ThermalSpec(1.0)
-        ratio = quantum_Z(params, th).value / classical_Z(
-            params, th, QuadratureConfig()).value
+        ratio = quantum_Z(params, th).value / classical_Z(params, th).value
         assert ratio <= 1.0
         errors.append(1.0 - ratio)
     assert errors[0] / errors[1] == pytest.approx(100.0, rel=0.05)
@@ -92,7 +87,7 @@ def test_partition_result_validation():
 def test_gaussian_correction_value_vs_quadrature(quad):
     th = ThermalSpec(1.0)  # ratio = 0.25
     cf = gaussian_correction(1.0, 1.0, th)
-    qd = gaussian_correction(1.0, 1.0, th, quad=quad, method=Method.QUADRATURE)
+    qd, _ = gaussian_correction_integral(1.0, 1.0, th, 1.0, quad)
     assert cf == pytest.approx(math.exp(-0.25) / math.sqrt(0.75), rel=1e-14)
     assert qd == pytest.approx(cf, rel=1e-8)
 
@@ -134,35 +129,35 @@ def test_gaussian_correction_log_slope():
 
 def test_unified_Z_closed_vs_nested_quadrature(quad):
     th = ThermalSpec(1.0)
-    cf = unified_Z_gaussian(HO, 1.0, th, quad, Method.CLOSED_FORM)
-    qd = unified_Z_gaussian(HO, 1.0, th, quad, Method.QUADRATURE)
+    cf = unified_Z_gaussian(HO, 1.0, th)
+    raw, _ = unified_integral(1.0, 1.0, 1.0, th, 1.0, quad)
     assert cf.value == pytest.approx(
-        classical_Z(HO, th, quad).value * gaussian_correction(1.0, 1.0, th),
+        classical_Z(HO, th).value * gaussian_correction(1.0, 1.0, th),
         rel=1e-14)
-    assert qd.value == pytest.approx(cf.value, rel=1e-7)
+    assert raw / (2.0 * math.pi) == pytest.approx(cf.value, rel=1e-7)
 
 
-def test_unified_Z_depends_only_on_m_sigma_squared(quad):
+def test_unified_Z_depends_only_on_m_sigma_squared():
     th = ThermalSpec(1.0)
     ratios = []
     for sigma in (1.0, 0.5, 0.25):
         params = harmonic_system(1.0 / sigma**2, 1.0)
-        z_u = unified_Z_gaussian(params, sigma, th, quad).value
-        z_cl = classical_Z(params, th, quad).value
+        z_u = unified_Z_gaussian(params, sigma, th).value
+        z_cl = classical_Z(params, th).value
         ratios.append(z_u / z_cl)
     assert max(ratios) - min(ratios) < 1e-12
 
 
-def test_unified_Z_ratio_tends_to_one(quad):
+def test_unified_Z_ratio_tends_to_one():
     th = ThermalSpec(1.0)
-    z_u = unified_Z_gaussian(HO, 100.0, th, quad).value
-    z_cl = classical_Z(HO, th, quad).value
+    z_u = unified_Z_gaussian(HO, 100.0, th).value
+    z_cl = classical_Z(HO, th).value
     assert z_u / z_cl == pytest.approx(1.0, abs=1e-4)
 
 
-def test_unified_Z_free_diverges(quad):
+def test_unified_Z_free_diverges():
     with pytest.raises(DivergentIntegral):
-        unified_Z_gaussian(free_system(1.0), 1.0, ThermalSpec(1.0), quad)
+        unified_Z_gaussian(free_system(1.0), 1.0, ThermalSpec(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +348,13 @@ def test_heat_capacity_insensitive_to_additive_shift(quad):
 
 def test_partition_variants_decrease_in_beta(quad):
     betas = np.linspace(0.1, 2.0, 8)
-    z_cl = [classical_Z(HO, ThermalSpec(b), quad).value for b in betas]
+    z_cl = [classical_Z(HO, ThermalSpec(b)).value for b in betas]
     z_q = [quantum_Z(HO, ThermalSpec(b)).value for b in betas]
     assert np.all(np.diff(z_cl) < 0)
     assert np.all(np.diff(z_q) < 0)
     # unified: monotone below the turnaround near the divergence threshold
     betas_u = np.linspace(0.1, 2.0, 8)  # ratio up to 0.5 with sigma = 1
-    z_u = [unified_Z_gaussian(HO, 1.0, ThermalSpec(b), quad).value
+    z_u = [unified_Z_gaussian(HO, 1.0, ThermalSpec(b)).value
            for b in betas_u]
     assert np.all(np.diff(z_u) < 0)
     # marginal at the curve parameters, well inside the convergent region

@@ -2,7 +2,10 @@ import math
 
 import pytest
 
-from bohmpart.verify import (ToleranceProfile, check_quantum_potential_fd,
+from bohmpart import QuadratureConfig, verify
+from bohmpart.verify import (ToleranceProfile, check_bath_factor,
+                             check_quantum_force_fd,
+                             check_quantum_potential_fd, measure_bath_2pi,
                              run_verification)
 
 
@@ -11,6 +14,9 @@ def test_tolerance_profiles():
     strict = ToleranceProfile.named("strict")
     assert strict.q_fd < default.q_fd
     assert strict.n_points > default.n_points
+    assert strict.quantum_force_fd < default.quantum_force_fd
+    force = check_quantum_force_fd(strict)
+    assert force.passed and force.tolerance == strict.quantum_force_fd
     with pytest.raises(ValueError):
         ToleranceProfile.named("bogus")
 
@@ -34,3 +40,20 @@ def test_full_verification_report():
     two_pi = [d for d in report.discrepancies if "2 pi" in d.name][0]
     assert two_pi.residual == pytest.approx(2.0 * math.pi - 1.0, abs=1e-9)
     assert "verification PASSED" in report.render()
+
+
+def test_bath_2pi_ratio_follows_the_oracle(monkeypatch):
+    quad = QuadratureConfig()
+    assert measure_bath_2pi(quad).residual == pytest.approx(
+        2.0 * math.pi - 1.0, abs=1e-9)
+    oracle = verify.unified_integral
+
+    def scaled(*args, **kwargs):
+        val, err = oracle(*args, **kwargs)
+        return 1.01 * val, 1.01 * err
+    monkeypatch.setattr(verify, "unified_integral", scaled)
+    moved = measure_bath_2pi(quad)
+    assert moved.residual == pytest.approx(2.0 * math.pi / 1.01 - 1.0,
+                                           rel=1e-9)
+    assert f"{2.0 * math.pi / 1.01:.12f}" in moved.description
+    assert not check_bath_factor(ToleranceProfile(), quad).passed
