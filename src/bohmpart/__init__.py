@@ -19,7 +19,7 @@ from .trajectories import (RK4Fixed, RK45Adaptive, TrajectoryConfig,
                            TrajectoryPath, bohmian_velocity,
                            equivariance_check, integrate, quantum_force)
 from .partition import (AverageEnergyMode, CriterionReport, MarginalCurve,
-                        Method, PartitionResult, average_energy, classical_Z,
+                        PartitionResult, average_energy, classical_Z,
                         classicality_criterion, gaussian_correction,
                         gaussian_correction_integral, marginal_Z,
                         marginal_Z_derivative, marginal_curve,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ThermalSpec
-from .partition import (CriterionReport, Method, PartitionResult,
+from .partition import (CriterionReport, PartitionResult,
                         classicality_criterion, gaussian_correction,
                         quantum_ratio)
 
@@ -121,7 +121,7 @@ def classical_bath_Z(bath: BathSpec, thermal: ThermalSpec) -> PartitionResult:
     val = 1.0
     for o in bath.oscillators:
         val *= 2.0 * math.pi / (thermal.beta * o.omega)
-    return PartitionResult(val, 0.0, Method.CLOSED_FORM)
+    return PartitionResult(val, 0.0)
 
 
 def unified_bath_Z(bath: BathSpec, thermal: ThermalSpec, hbar: float = 1.0
@@ -139,9 +139,8 @@ def unified_bath_Z(bath: BathSpec, thermal: ThermalSpec, hbar: float = 1.0
     factor = 1.0
     for o in bath.oscillators:
         factor *= gaussian_correction(o.mass, bath.sigma, thermal, hbar)
-    exact = PartitionResult(z_b * factor, 0.0, Method.CLOSED_FORM)
-    printed = PartitionResult(z_b * factor * (2.0 * math.pi) ** bath.size,
-                              0.0, Method.CLOSED_FORM)
+    exact = PartitionResult(z_b * factor, 0.0)
+    printed = PartitionResult(z_b * factor * (2.0 * math.pi) ** bath.size, 0.0)
     return exact, printed
 
 

@@ -60,7 +60,11 @@ class UsageError(Exception):
 
 
 class Parser(argparse.ArgumentParser):
-    """argparse that exits 1 (not 2) on bad flags, per the exit-code contract."""
+    """argparse that exits 1 (not 2) on bad flags, per the exit-code contract,
+    and accepts no flag prefixes, which would let --kb stand for --kbt."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -96,11 +100,7 @@ def resolve_config(args) -> dict:
     cfg = dict(CONFIG_KEYS)
     if args.config:
         cfg.update(load_config_file(args.config))
-    if args.hbar is not None:
-        cfg["hbar"] = args.hbar
-    if args.kb is not None:
-        cfg["kb"] = args.kb
-    for key in ("mass", "omega", "sigma", "x0", "p0", "kbt"):
+    for key in CONFIG_KEYS:
         val = getattr(args, f"cfg_{key}", None)
         if val is not None:
             cfg[key] = val
@@ -435,16 +435,16 @@ def cmd_partition(args) -> int:
                                   cfg["hbar"], cfg["kb"])
     rows = []
     z_cl = classical_Z(params, thermal)
-    rows.append(["z_classical", z_cl.method.value, z_cl.value, z_cl.est_error])
+    rows.append(["z_classical", "closed_form", z_cl.value, z_cl.est_error])
     z_q = quantum_Z(params, thermal)
-    rows.append(["z_quantum", z_q.method.value, z_q.value, z_q.est_error])
+    rows.append(["z_quantum", "eigen_sum", z_q.value, z_q.est_error])
     rows.append(["z_quantum", "closed_form",
                  quantum_Z_closed_form(params, thermal), 0.0])
     if crit.dimensionless_ratio < 1.0:
         c = gaussian_correction(cfg["mass"], cfg["sigma"], thermal, cfg["hbar"])
         z_u = unified_Z_gaussian(params, cfg["sigma"], thermal)
         rows.append(["gaussian_correction", "closed_form", c, 0.0])
-        rows.append(["z_unified", z_u.method.value, z_u.value, z_u.est_error])
+        rows.append(["z_unified", "closed_form", z_u.value, z_u.est_error])
         if args.oracle:
             quad = quad_of(cfg)
             m, w, hbar = params.mass, params.omega, params.constants.hbar
@@ -498,22 +498,18 @@ def build_parser() -> Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, series: bool = False):
+    def common(p: argparse.ArgumentParser, keys: tuple[str, ...]):
+        # keys: exactly the config keys the subcommand reads
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="output file path (stdout if omitted)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--hbar", type=float, help="override hbar")
-        p.add_argument("--kb", type=float, help="override k_B")
-        if series:
-            for key in ("mass", "omega", "sigma", "x0", "p0", "kbt"):
-                p.add_argument(f"--{key}", dest=f"cfg_{key}", type=float,
-                               help=f"override config key {key}")
+        for key in keys:
+            p.add_argument(f"--{key}", dest=f"cfg_{key}", type=float,
+                           help=f"override config key {key}")
 
     p = sub.add_parser("fig1", help="normalized marginal-Z curves for "
                                     "(sigma, kbt) pairs")
-    common(p)
-    for key in ("mass", "omega", "x0", "p0"):
-        p.add_argument(f"--{key}", dest=f"cfg_{key}", type=float)
+    common(p, ("hbar", "mass", "omega", "x0", "p0"))
     p.add_argument("--sigma", action="append", type=float, default=None,
                    help="packet width; repeatable")
     p.add_argument("--kbt", action="append", type=float, default=None,
@@ -526,7 +522,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("marginal", help="single marginal-Z curve from the "
                                         "resolved config")
-    common(p, series=True)
+    common(p, ("hbar", "mass", "omega", "sigma", "x0", "p0", "kbt"))
     p.add_argument("--tmax", type=float, default=4 * math.pi)
     p.add_argument("--samples", type=int, default=400)
     p.add_argument("--raw", action="store_true")
@@ -534,7 +530,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("limits", help="sweep sigma/kbt/hbar and emit "
                                       "Z_u, Z_cl, and their ratio")
-    common(p, series=True)
+    common(p, ("hbar", "mass", "omega", "sigma", "kbt"))
     p.add_argument("--var", choices=("sigma", "kbt", "hbar"), required=True)
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
@@ -545,7 +541,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("bath", help="harmonic-bath partition functions, "
                                     "criterion table, kernel samples")
-    common(p)
+    common(p, ("hbar",))
     p.add_argument("--bath-file", help="bath spec file (osc = m, omega, c)")
     p.add_argument("--n", type=int, help="uniform bath size")
     p.add_argument("--m0", type=float, default=1.0)
@@ -564,7 +560,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("trajectory", help="integrate one Bohmian trajectory "
                                           "and export (t, x, v)")
-    common(p, series=True)
+    common(p, ("hbar", "mass", "omega", "sigma", "x0", "p0"))
     p.add_argument("--system", choices=("harmonic", "free"), default="harmonic")
     p.add_argument("--x-start", type=float, required=True)
     p.add_argument("--tmax", type=float, default=5.0)
@@ -575,14 +571,16 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("partition", help="table of partition-function values "
                                          "for the resolved config")
-    common(p, series=True)
+    common(p, ("hbar", "kb", "mass", "omega", "sigma", "kbt"))
     p.add_argument("--oracle", action="store_true",
                    help="include the Gauss-Legendre quadrature cross-checks")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("verify", help="run all oracle checks and the "
                                       "discrepancy report")
-    common(p)
+    p.add_argument("--config", help="flat key = value config file; only "
+                                    "the quadrature keys are read")
+    p.add_argument("--out", help="also write the report to this file")
     p.add_argument("--profile", choices=("default", "strict"),
                    default="default", help="tolerance profile")
     p.add_argument("--inject-q-scale", type=float, default=1.0,

@@ -24,6 +24,11 @@ Conventions
   prepared packet in the distribution sum; it is evaluated by Gauss-Legendre
   quadrature (core.integrate_window) of exp(log P - beta E) with the window
   sized from the completed square of the full exponent.
+* average_energy and heat_capacity are closed forms, the exact
+  -d log Z/d beta and -k_B beta^2 d<E>/d beta of each mode's Z.  The tests
+  hold them to finite differences (numdiff) of log quantum_Z and
+  log unified_Z_gaussian, and the classical <H> to the ratio of two
+  phase_space_integral calls.
 """
 
 from __future__ import annotations
@@ -41,16 +46,10 @@ from .wavepacket import (WavepacketInit, energy_dt, energy_pointwise, evolve,
                          _energy_coefficients, _log_density, _log_density_dt)
 
 
-class Method(Enum):
-    CLOSED_FORM = "closed_form"
-    EIGEN_SUM = "eigen_sum"
-
-
 @dataclass(frozen=True)
 class PartitionResult:
     value: float
     est_error: float
-    method: Method
 
     def __post_init__(self):
         if self.value <= 0:
@@ -114,7 +113,7 @@ def classical_Z(params: SystemParams, thermal: ThermalSpec) -> PartitionResult:
         raise DivergentIntegral("free particle: unbounded configuration integral")
     norm = 2.0 * math.pi * params.constants.hbar
     return PartitionResult(2.0 * math.pi / (thermal.beta * params.omega) / norm,
-                           0.0, Method.CLOSED_FORM)
+                           0.0)
 
 
 def phase_space_integral(m: float, w: float, thermal: ThermalSpec,
@@ -161,7 +160,7 @@ def quantum_Z(params: SystemParams, thermal: ThermalSpec) -> PartitionResult:
                                 + math.log(1.0 / (1.0 - ratio))) / x) + 2)
     partial = math.exp(-0.5 * x) * math.expm1(-x * n_terms) / math.expm1(-x)
     tail = math.exp(-x * (n_terms + 0.5)) / (1.0 - ratio)
-    return PartitionResult(partial, tail, Method.EIGEN_SUM)
+    return PartitionResult(partial, tail)
 
 
 def quantum_Z_closed_form(params: SystemParams, thermal: ThermalSpec) -> float:
@@ -221,7 +220,7 @@ def unified_Z_gaussian(params: SystemParams, sigma: float,
     c = gaussian_correction(params.mass, sigma, thermal, params.constants.hbar)
     zcl_raw = 2.0 * math.pi / (thermal.beta * params.omega)
     norm = 2.0 * math.pi * params.constants.hbar
-    return PartitionResult(zcl_raw * c / norm, 0.0, Method.CLOSED_FORM)
+    return PartitionResult(zcl_raw * c / norm, 0.0)
 
 
 def unified_integral(m: float, w: float, sigma: float, thermal: ThermalSpec,
@@ -381,64 +380,59 @@ class AverageEnergyMode(Enum):
     UNIFIED_GAUSSIAN = "unified_gaussian"
 
 
-def classical_average_energy(params: SystemParams, thermal: ThermalSpec,
-                             quad: QuadratureConfig) -> float:
-    """<H> over the classical Boltzmann weight, by 2D Gaussian moment quadrature."""
+def _mode_variable(mode: AverageEnergyMode, params: SystemParams,
+                   thermal: ThermalSpec, sigma: float) -> float:
+    """x = beta hbar w for QUANTUM_EIGEN, else r = beta hbar^2/(4 m sigma^2).
+
+    DivergentIntegral for the free particle and, in the unified mode, at
+    r >= 1; ValueError for a non-finite or non-positive sigma.
+    """
     if not params.is_harmonic:
-        raise DivergentIntegral("free particle: unbounded configuration integral")
-    m, w = params.mass, params.omega
-    weighted, _ = phase_space_integral(m, w, thermal, quad, times_energy=True)
-    plain, _ = phase_space_integral(m, w, thermal, quad)
-    return weighted / plain
+        raise DivergentIntegral("free particle: no normalizable thermal state")
+    m, hbar = params.mass, params.constants.hbar
+    if mode is AverageEnergyMode.QUANTUM_EIGEN:
+        return thermal.beta * hbar * params.omega
+    if mode is AverageEnergyMode.CLASSICAL_LIMIT:
+        return quantum_ratio(m, sigma, thermal, hbar)
+    if mode is AverageEnergyMode.UNIFIED_GAUSSIAN:
+        return _convergent_ratio(m, sigma, thermal, hbar)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def average_energy(mode: AverageEnergyMode, params: SystemParams,
-                   thermal: ThermalSpec, sigma: float,
-                   quad: QuadratureConfig) -> float:
-    """<E> in the requested regime.
+                   thermal: ThermalSpec, sigma: float) -> float:
+    """<E> = -d log Z/d beta of the mode's Z, exactly, with x = beta hbar w
+    and r = beta hbar^2/(4 m sigma^2):
 
-    QUANTUM_EIGEN    : hbar w/2 + hbar w/(exp(beta hbar w) - 1)
-    CLASSICAL_LIMIT  : classical <H> plus the additive hbar^2/(4 m sigma^2)
-    UNIFIED_GAUSSIAN : -d/d(beta) log Z_u by central differences with one
-                       Richardson step (relative step 1e-5)
+    QUANTUM_EIGEN    : (x/2) / tanh(x/2) / beta, of quantum_Z
+    CLASSICAL_LIMIT  : (1 + r) / beta, the classical <H> = 1/beta plus the
+                       quantum potential at the packet centre
+    UNIFIED_GAUSSIAN : (1 + r - r/(2 (1 - r))) / beta, of unified_Z_gaussian
+
+    As r -> 0 the unified mode tends to (1 + r/2) / beta, the packet average
+    of the quantum potential in place of its centre value, so the two
+    sigma-dependent modes differ by r/(2 beta) there.
     """
-    hbar = params.constants.hbar
-    m = params.mass
+    v = _mode_variable(mode, params, thermal, sigma)
     if mode is AverageEnergyMode.QUANTUM_EIGEN:
-        if not params.is_harmonic:
-            raise DivergentIntegral("free particle: continuous spectrum")
-        x = thermal.beta * hbar * params.omega
-        return 0.5 * hbar * params.omega + hbar * params.omega / math.expm1(x)
+        return 0.5 * v / math.tanh(0.5 * v) / thermal.beta
     if mode is AverageEnergyMode.CLASSICAL_LIMIT:
-        return classical_average_energy(params, thermal, quad) \
-            + hbar**2 / (4.0 * m * sigma**2)
-    if mode is not AverageEnergyMode.UNIFIED_GAUSSIAN:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    def log_zu(beta: float) -> float:
-        res = unified_Z_gaussian(params, sigma, ThermalSpec(beta))
-        return math.log(res.value)
-
-    beta0 = thermal.beta
-    h = 1e-5 * beta0
-
-    def diff(step: float) -> float:
-        return (log_zu(beta0 + step) - log_zu(beta0 - step)) / (2.0 * step)
-
-    d1, d2 = diff(h), diff(h / 2)
-    return -(4.0 * d2 - d1) / 3.0
+        return (1.0 + v) / thermal.beta
+    return (1.0 + v - 0.5 * v / (1.0 - v)) / thermal.beta
 
 
 def heat_capacity(mode: AverageEnergyMode, params: SystemParams,
-                  thermal: ThermalSpec, sigma: float,
-                  quad: QuadratureConfig) -> float:
-    """d<E>/dT = -k_B beta^2 d<E>/d(beta) by central differences."""
+                  thermal: ThermalSpec, sigma: float) -> float:
+    """C = -k_B beta^2 d<E>/d beta, exactly, with x and r as in average_energy:
+
+    QUANTUM_EIGEN    : k_B [x exp(-x/2) / (1 - exp(-x))]^2
+    CLASSICAL_LIMIT  : k_B
+    UNIFIED_GAUSSIAN : k_B [1 + r^2 / (2 (1 - r)^2)]
+    """
+    v = _mode_variable(mode, params, thermal, sigma)
     kb = params.constants.boltzmann
-    beta0 = thermal.beta
-    h = 1e-4 * beta0
-
-    def e_of(beta: float) -> float:
-        return average_energy(mode, params, ThermalSpec(beta), sigma, quad)
-
-    d = (e_of(beta0 + h) - e_of(beta0 - h)) / (2.0 * h)
-    return -kb * beta0**2 * d
+    if mode is AverageEnergyMode.QUANTUM_EIGEN:
+        return kb * (v * math.exp(-0.5 * v) / -math.expm1(-v)) ** 2
+    if mode is AverageEnergyMode.CLASSICAL_LIMIT:
+        return kb
+    return kb * (1.0 + v * v / (2.0 * (1.0 - v) ** 2))

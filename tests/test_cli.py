@@ -66,6 +66,31 @@ def test_bad_flag_exit_1():
     assert cp.returncode == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig1", "--kb", "2"],
+    ["marginal", "--kb", "2"],
+    ["limits", "--var", "kbt", "--start", "1", "--stop", "2", "--kb", "2"],
+    ["limits", "--var", "kbt", "--start", "1", "--stop", "2", "--x0", "2"],
+    ["limits", "--var", "kbt", "--start", "1", "--stop", "2", "--p0", "2"],
+    ["bath", "--kb", "2"],
+    ["trajectory", "--x-start", "1", "--kbt", "2"],
+    ["trajectory", "--x-start", "1", "--kb", "2"],
+    ["partition", "--x0", "2"],
+    ["partition", "--p0", "2"],
+    ["verify", "--format", "json"],
+    ["verify", "--hbar", "2"],
+    ["verify", "--kb", "2"],
+])
+def test_flag_the_subcommand_does_not_read_exit_1(capsys, argv):
+    from bohmpart import cli
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+    assert "Traceback" not in err
+
+
 def test_fig1_divergent_exit_2():
     cp = run_cli("fig1", "--sigma", "0.2", "--kbt", "0.5", "--samples", "4")
     assert cp.returncode == 2

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bohmpart import (AverageEnergyMode, DivergentIntegral, Method,
+from bohmpart import (AverageEnergyMode, Constants, DivergentIntegral,
                       QuadratureConfig, ThermalSpec, WavepacketInit,
                       average_energy, classical_Z, classicality_criterion,
                       energy_pointwise, evolve, free_system, gaussian_correction,
@@ -11,8 +13,9 @@ from bohmpart import (AverageEnergyMode, DivergentIntegral, Method,
                       marginal_Z, marginal_Z_derivative, marginal_curve,
                       phase_space_integral, quantum_Z, unified_integral,
                       unified_Z_gaussian)
-from bohmpart.partition import (PartitionResult, classical_average_energy,
-                                heat_capacity, quantum_Z_closed_form)
+from bohmpart.numdiff import central_first
+from bohmpart.partition import (PartitionResult, heat_capacity,
+                                quantum_Z_closed_form)
 
 HO = harmonic_system(1.0, 1.0)
 
@@ -75,9 +78,9 @@ def test_quantum_classical_limit_chain():
 
 def test_partition_result_validation():
     with pytest.raises(ValueError):
-        PartitionResult(-1.0, 0.0, Method.CLOSED_FORM)
+        PartitionResult(-1.0, 0.0)
     with pytest.raises(ValueError):
-        PartitionResult(1.0, -0.1, Method.CLOSED_FORM)
+        PartitionResult(1.0, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -313,33 +316,145 @@ def test_criterion_threshold_de_broglie_relation():
 
 
 def test_average_energy_classical_equipartition(quad):
+    # oracle: <H> as the ratio of two phase-space quadratures, plus the
+    # quantum potential at the packet centre, hbar^2/(4 m sigma^2) = 1/4
+    sigma = 1.0
     for beta in (0.5, 1.0, 2.0):
-        val = classical_average_energy(HO, ThermalSpec(beta), quad)
-        assert val == pytest.approx(1.0 / beta, rel=1e-9)
+        th = ThermalSpec(beta)
+        weighted, _ = phase_space_integral(1.0, 1.0, th, quad,
+                                           times_energy=True)
+        plain, _ = phase_space_integral(1.0, 1.0, th, quad)
+        assert weighted / plain == pytest.approx(1.0 / beta, rel=1e-9)
+        val = average_energy(AverageEnergyMode.CLASSICAL_LIMIT, HO, th, sigma)
+        assert val - 0.25 == pytest.approx(weighted / plain, rel=1e-9)
 
 
-def test_average_energy_quantum(quad):
+def test_average_energy_quantum():
     val = average_energy(AverageEnergyMode.QUANTUM_EIGEN, HO, ThermalSpec(1.0),
-                         1.0, quad)
+                         1.0)
     assert val == pytest.approx(0.5 + 1.0 / (math.e - 1.0), rel=1e-12)
 
 
-def test_average_energy_unified_reduces_to_classical_plus_shift(quad):
+def test_average_energy_unified_reduces_to_classical_plus_shift():
     sigma = 500.0  # ratio = 1e-6 at beta = 1
     e_unified = average_energy(AverageEnergyMode.UNIFIED_GAUSSIAN, HO,
-                               ThermalSpec(1.0), sigma, quad)
+                               ThermalSpec(1.0), sigma)
     e_classical = average_energy(AverageEnergyMode.CLASSICAL_LIMIT, HO,
-                                 ThermalSpec(1.0), sigma, quad)
+                                 ThermalSpec(1.0), sigma)
     assert e_unified == pytest.approx(e_classical, rel=1e-6)
 
 
-def test_heat_capacity_insensitive_to_additive_shift(quad):
+def test_heat_capacity_insensitive_to_additive_shift():
     sigma = 500.0
     cv_unified = heat_capacity(AverageEnergyMode.UNIFIED_GAUSSIAN, HO,
-                               ThermalSpec(1.0), sigma, quad)
+                               ThermalSpec(1.0), sigma)
     cv_classical = heat_capacity(AverageEnergyMode.CLASSICAL_LIMIT, HO,
-                                 ThermalSpec(1.0), sigma, quad)
+                                 ThermalSpec(1.0), sigma)
     assert cv_unified == pytest.approx(cv_classical, rel=1e-6, abs=1e-6)
+
+
+def _log_z(mode, params, sigma):
+    """beta -> log Z of the partition function the mode's <E> derives from."""
+    if mode is AverageEnergyMode.QUANTUM_EIGEN:
+        return lambda b: math.log(quantum_Z(params, ThermalSpec(b)).value)
+    return lambda b: math.log(
+        unified_Z_gaussian(params, sigma, ThermalSpec(b)).value)
+
+
+def _assert_matches_numdiff(mode, params, beta, sigma, h):
+    """<E> = -d log Z/d beta and C = -k_B beta^2 d<E>/d beta by numdiff."""
+    kb = params.constants.boltzmann
+    energy = average_energy(mode, params, ThermalSpec(beta), sigma)
+    cv = heat_capacity(mode, params, ThermalSpec(beta), sigma)
+    assert energy == pytest.approx(
+        -central_first(_log_z(mode, params, sigma), beta, h), rel=1e-7)
+    slope = central_first(
+        lambda b: average_energy(mode, params, ThermalSpec(b), sigma), beta, h)
+    assert cv == pytest.approx(-kb * beta**2 * slope, rel=1e-6)
+    assert cv >= 0.0
+
+
+@pytest.mark.parametrize("x", [0.002, 0.1, 1.0, 10.0])
+def test_quantum_thermal_averages_match_eigen_sum_oracle(x):
+    # beta hbar omega = x; beyond x ~ 20 the finite difference of <E>
+    # cannot resolve C ~ x^2 exp(-x) against <E> ~ hbar omega / 2
+    params = harmonic_system(1.3, x / 0.7, Constants(0.7, 2.0))
+    _assert_matches_numdiff(AverageEnergyMode.QUANTUM_EIGEN, params, 1.0,
+                            1.0, 1e-4)
+
+
+@pytest.mark.parametrize("r", [1e-4, 0.5, 0.9, 0.9975])
+def test_unified_thermal_averages_match_closed_Z_oracle(r):
+    beta, m, hbar = 0.8, 1.3, 0.7
+    sigma = hbar * math.sqrt(beta / (4.0 * m * r))
+    params = harmonic_system(m, 1.6, Constants(hbar, 2.0))
+    _assert_matches_numdiff(AverageEnergyMode.UNIFIED_GAUSSIAN, params, beta,
+                            sigma, 1e-4 * beta * (1.0 - r))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(m=st.floats(0.2, 5.0), omega=st.floats(0.2, 5.0),
+       hbar=st.floats(0.2, 5.0), kb=st.floats(0.2, 5.0),
+       beta=st.floats(0.05, 5.0), r=st.floats(1e-4, 0.9))
+def test_thermal_averages_property(m, omega, hbar, kb, beta, r):
+    params = harmonic_system(m, omega, Constants(hbar, kb))
+    sigma = hbar * math.sqrt(beta / (4.0 * m * r))
+    h = 1e-4 * beta * (1.0 - r)
+    _assert_matches_numdiff(AverageEnergyMode.UNIFIED_GAUSSIAN, params, beta,
+                            sigma, h)
+    energy = average_energy(AverageEnergyMode.QUANTUM_EIGEN, params,
+                            ThermalSpec(beta), sigma)
+    assert energy == pytest.approx(
+        -central_first(_log_z(AverageEnergyMode.QUANTUM_EIGEN, params, sigma),
+                       beta, h), rel=1e-7)
+    assert heat_capacity(AverageEnergyMode.QUANTUM_EIGEN, params,
+                         ThermalSpec(beta), sigma) >= 0.0
+    assert heat_capacity(AverageEnergyMode.CLASSICAL_LIMIT, params,
+                         ThermalSpec(beta), sigma) == kb
+
+
+@pytest.mark.parametrize("x", [700.0, 800.0])
+def test_quantum_thermal_averages_deep_in_the_ground_state(x):
+    params = harmonic_system(1.0, x)  # beta hbar omega = x at beta = 1
+    th = ThermalSpec(1.0)
+    energy = average_energy(AverageEnergyMode.QUANTUM_EIGEN, params, th, 1.0)
+    cv = heat_capacity(AverageEnergyMode.QUANTUM_EIGEN, params, th, 1.0)
+    assert energy == 0.5 * x
+    # C = (x/2)^2 / sinh^2(x/2): 4.9e-299 at x = 700, below every positive
+    # double (so 0.0) at x = 800
+    assert cv == pytest.approx((0.5 * x / math.sinh(0.5 * x)) ** 2, rel=1e-12)
+    assert math.copysign(1.0, cv) == 1.0
+
+
+def test_quantum_average_energy_classical_limit():
+    params = harmonic_system(1.0, 1e-9)  # beta hbar omega = 1e-9
+    energy = average_energy(AverageEnergyMode.QUANTUM_EIGEN, params,
+                            ThermalSpec(1.0), 1.0)
+    assert energy == pytest.approx(1.0, rel=1e-15)
+
+
+def test_unified_heat_capacity_next_to_the_divergence():
+    # r = 0.999999975: a finite-difference step would cross r = 1
+    cv = heat_capacity(AverageEnergyMode.UNIFIED_GAUSSIAN, HO,
+                       ThermalSpec(3.9999999), 1.0)
+    assert math.isfinite(cv)
+    assert cv == pytest.approx(8.0e14, rel=1e-6)
+
+
+def test_thermal_averages_errors():
+    free = free_system(1.0)
+    for mode in AverageEnergyMode:
+        for fn in (average_energy, heat_capacity):
+            with pytest.raises(DivergentIntegral):
+                fn(mode, free, ThermalSpec(1.0), 1.0)
+    for fn in (average_energy, heat_capacity):
+        with pytest.raises(DivergentIntegral):
+            fn(AverageEnergyMode.UNIFIED_GAUSSIAN, HO, ThermalSpec(4.0), 1.0)
+        for mode in (AverageEnergyMode.CLASSICAL_LIMIT,
+                     AverageEnergyMode.UNIFIED_GAUSSIAN):
+            for sigma in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    fn(mode, HO, ThermalSpec(1.0), sigma)
 
 
 # ---------------------------------------------------------------------------
