@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: fig1, marginal, limits, bath, trajectory, partition, verify.
-All numeric work happens in the library modules; this layer resolves the
-configuration (defaults < config file < flags), runs the requested sweep,
-and emits CSV or JSON with a manifest carrying a stable digest of the
-numeric payload.
+All numeric work happens in the library modules.  Each subcommand resolves
+the config keys it reads (defaults < config file < flags; the table READS
+lists them) and returns one Result holding its output in both formats.
+`main` is the one emit path: it formats that result as CSV or JSON and
+writes it with a manifest carrying the resolved config and a stable digest
+of the numeric payload.  `verify` prints its text report itself.
 
 Exit codes: 0 ok, 1 usage error, 2 domain error (divergent integral),
 3 verification failure, 4 numerical failure (quadrature did not converge).
@@ -33,8 +35,8 @@ from .core import (Constants, DivergentIntegral, QuadratureConfig,
                    harmonic_system)
 from .partition import (classical_Z, classicality_criterion,
                         gaussian_correction, marginal_convergent,
-                        marginal_curve, phase_space_integral, quantum_Z,
-                        quantum_Z_closed_form, unified_Z_gaussian,
+                        marginal_curve, phase_space_integral, quantum_ratio,
+                        quantum_Z, quantum_Z_closed_form, unified_Z_gaussian,
                         unified_integral)
 from .trajectories import RK45Adaptive, TrajectoryConfig, integrate
 from .verify import ToleranceProfile, run_verification
@@ -50,6 +52,24 @@ CONFIG_KEYS = {
     "mass": 1.0, "omega": 1.0, "hbar": 1.0, "kb": 1.0,
     "sigma": 0.45, "x0": 1.0, "p0": 0.0, "kbt": 2.0,
     "window_sigmas": 12.0, "rel_tol": 1e-10, "abs_tol": 1e-13,
+}
+QUAD_KEYS = ("window_sigmas", "rel_tol", "abs_tol")
+
+# The config keys each subcommand reads, as (keys with a --<key> override
+# flag, keys only a config file sets).  Together they are the keys its
+# config file may set, the keys resolve_config resolves and the keys its
+# JSON output and manifest echo.  fig1's --sigma and --kbt are repeatable
+# lists of their own, so its sigma and kbt keys come from the file alone.
+READS = {
+    "fig1": (("hbar", "mass", "omega", "x0", "p0"),
+             ("sigma", "kbt", *QUAD_KEYS)),
+    "marginal": (("hbar", "mass", "omega", "sigma", "x0", "p0", "kbt"),
+                 QUAD_KEYS),
+    "limits": (("hbar", "mass", "omega", "sigma", "kbt"), ()),
+    "bath": (("hbar",), ()),
+    "trajectory": (("hbar", "mass", "omega", "sigma", "x0", "p0"), ()),
+    "partition": (("hbar", "kb", "mass", "omega", "sigma", "kbt"), QUAD_KEYS),
+    "verify": ((), QUAD_KEYS),
 }
 
 FIG1_DEFAULT_PAIRS = [(0.45, 2.0), (0.45, 5.0), (0.65, 2.0)]
@@ -86,22 +106,22 @@ def read_key_values(path: str):
         yield lineno, key, value
 
 
-def load_config_file(path: str) -> dict:
-    """Flat key = value text; '#' starts a comment; keys must be known."""
-    out = {}
-    for lineno, key, value in read_key_values(path):
-        if key not in CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = float(value)
-    return out
-
-
 def resolve_config(args) -> dict:
-    cfg = dict(CONFIG_KEYS)
-    if args.config:
-        cfg.update(load_config_file(args.config))
-    for key in CONFIG_KEYS:
-        val = getattr(args, f"cfg_{key}", None)
+    """Defaults < config file < flags, over the keys the subcommand reads.
+
+    The config file is flat key = value text ('#' starts a comment); a key
+    the subcommand does not read is a UsageError.
+    """
+    flags, file_only = READS[args.command]
+    cfg = {key: CONFIG_KEYS[key] for key in flags + file_only}
+    for lineno, key, value in (read_key_values(args.config)
+                               if args.config else ()):
+        if key not in cfg:
+            raise UsageError(f"{args.config}:{lineno}: unknown config key "
+                             f"{key!r} for {args.command}")
+        cfg[key] = float(value)
+    for key in flags:
+        val = getattr(args, f"cfg_{key}")
         if val is not None:
             cfg[key] = val
     bad = [key for key, val in cfg.items() if not math.isfinite(val)]
@@ -116,15 +136,11 @@ def quad_of(cfg: dict) -> QuadratureConfig:
 
 
 def system_of(cfg: dict, kind: str = "harmonic") -> SystemParams:
-    constants = Constants(cfg["hbar"], cfg["kb"])
+    # only partition reads kb, for the t_min row; no other output depends on it
+    constants = Constants(cfg["hbar"], cfg.get("kb", 1.0))
     if kind == "harmonic":
         return harmonic_system(cfg["mass"], cfg["omega"], constants)
     return free_system(cfg["mass"], constants)
-
-
-def fmt(x) -> str:
-    """Shortest round-trip decimal representation."""
-    return repr(float(x))
 
 
 def csv_payload(header: list[str], rows: list[list]) -> bytes:
@@ -133,7 +149,7 @@ def csv_payload(header: list[str], rows: list[list]) -> bytes:
             return cell
         if isinstance(cell, (int, np.integer)):
             return str(int(cell))
-        return fmt(cell)
+        return repr(float(cell))  # shortest round-trip decimal
 
     lines = [",".join(header)]
     for row in rows:
@@ -141,15 +157,41 @@ def csv_payload(header: list[str], rows: list[list]) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def json_number(x) -> float | None:
-    """x as a float, or None (JSON null) where it is divergent or undefined."""
-    x = float(x)
+def json_cell(cell):
+    """A table cell as JSON: strings and integers as they are, any other
+    number as a float, or None (JSON null) where divergent or undefined."""
+    if isinstance(cell, (str, int)):
+        return cell
+    x = float(cell)
     return x if math.isfinite(x) else None
+
+
+def json_records(header: list[str], rows: list[list]) -> list[dict]:
+    """Table rows as JSON objects keyed by the column names without units."""
+    keys = [name.split("[")[0] for name in header]
+    return [dict(zip(keys, map(json_cell, row))) for row in rows]
 
 
 def json_payload(obj) -> bytes:
     return (json.dumps(obj, indent=1, sort_keys=True, allow_nan=False)
             + "\n").encode()
+
+
+@dataclass(frozen=True)
+class Result:
+    """One subcommand's output in both formats.
+
+    CSV: `header` and `rows`, plus one companion file per entry of `tables`
+    (name -> (header, rows)).  JSON: `fields`, next to `command` and
+    `config`.
+    """
+
+    config: dict
+    header: list[str]
+    rows: list[list]
+    fields: dict
+    tables: dict[str, tuple[list[str], list[list]]] = field(
+        default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -199,84 +241,55 @@ def emit(args, command: str, config: dict, payload: bytes,
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_fig1(args) -> int:
-    cfg = resolve_config(args)
+def marginal_series(args, cfg: dict, pairs) -> tuple[list, dict]:
+    """Marginal-Z curves, one per (sigma, kbt) pair, and their JSON fields.
+
+    Every pair's t = 0 integral is checked before any curve is computed.
+    """
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
-    if args.sigma or args.kbt:
-        sigmas = args.sigma or [cfg["sigma"]]
-        kbts = args.kbt or [cfg["kbt"]]
-        pairs = [(s, k) for s in sigmas for k in kbts]
-    else:
-        pairs = list(FIG1_DEFAULT_PAIRS)
-
     params = system_of(cfg)
     quad = quad_of(cfg)
-    times = np.linspace(0.0, args.tmax, args.samples)
-
-    for sigma, kbt in pairs:
-        init = WavepacketInit(cfg["x0"], cfg["p0"], sigma)
-        thermal = ThermalSpec.from_kbt(kbt)
+    runs = [(WavepacketInit(cfg["x0"], cfg["p0"], sigma),
+             ThermalSpec.from_kbt(kbt)) for sigma, kbt in pairs]
+    for (sigma, kbt), (init, thermal) in zip(pairs, runs):
         if not marginal_convergent(params, init, thermal, 0.0):
-            crit = classicality_criterion(cfg["mass"], sigma, thermal,
-                                          cfg["hbar"], cfg["kb"])
-            sys.stderr.write(
-                f"fig1: divergent t=0 integral at sigma={sigma:g}, kbt={kbt:g} "
-                f"(criterion ratio {crit.dimensionless_ratio:g})\n")
-            return EXIT_DOMAIN
+            ratio = quantum_ratio(params.mass, sigma, thermal, cfg["hbar"])
+            raise DivergentIntegral(f"t=0 integral at sigma={sigma:g}, "
+                                    f"kbt={kbt:g} (criterion ratio {ratio:g})")
 
-    series = []
-    for sigma, kbt in pairs:
-        init = WavepacketInit(cfg["x0"], cfg["p0"], sigma)
-        curve = marginal_curve(params, init, ThermalSpec.from_kbt(kbt), times,
-                               quad, normalized=not args.raw)
-        series.append(curve)
-
-    if args.format == "csv":
-        rows = [[c.sigma, c.kbt, t, z]
-                for c in series for t, z in zip(c.times, c.values)]
-        payload = csv_payload(
-            ["sigma[length]", "kbt[energy]", "t[time]", "z[dimensionless]"], rows)
-    else:
-        payload = json_payload({
-            "command": "fig1", "config": cfg,
-            "series": [{
-                "params": {"sigma": c.sigma, "kbt": c.kbt,
-                           "x0": c.x0, "p0": c.p0,
-                           "normalized": c.normalized},
-                "times": list(c.times), "values": list(c.values),
-            } for c in series]})
-    emit(args, "fig1", cfg, payload)
-    return EXIT_OK
-
-
-def cmd_marginal(args) -> int:
-    cfg = resolve_config(args)
-    if args.samples < 2:
-        raise UsageError("--samples must be at least 2")
-    params = system_of(cfg)
-    quad = quad_of(cfg)
-    init = WavepacketInit(cfg["x0"], cfg["p0"], cfg["sigma"])
-    thermal = ThermalSpec.from_kbt(cfg["kbt"])
     times = np.linspace(0.0, args.tmax, args.samples)
-    curve = marginal_curve(params, init, thermal, times, quad,
-                           normalized=not args.raw)
-    if args.format == "csv":
-        rows = [[t, z] for t, z in zip(curve.times, curve.values)]
-        payload = csv_payload(["t[time]", "z[dimensionless]"], rows)
+    curves = [marginal_curve(params, init, thermal, times, quad,
+                             normalized=not args.raw)
+              for init, thermal in runs]
+    return curves, {"series": [{
+        "params": {"sigma": c.sigma, "kbt": c.kbt, "x0": c.x0, "p0": c.p0,
+                   "normalized": c.normalized},
+        "times": list(c.times), "values": list(c.values)} for c in curves]}
+
+
+def cmd_fig1(args) -> Result:
+    cfg = resolve_config(args)
+    if args.sigma or args.kbt:
+        pairs = [(s, k) for s in args.sigma or [cfg["sigma"]]
+                 for k in args.kbt or [cfg["kbt"]]]
     else:
-        payload = json_payload({
-            "command": "marginal", "config": cfg,
-            "series": [{
-                "params": {"sigma": curve.sigma, "kbt": curve.kbt,
-                           "x0": curve.x0, "p0": curve.p0,
-                           "normalized": curve.normalized},
-                "times": list(curve.times), "values": list(curve.values)}]})
-    emit(args, "marginal", cfg, payload)
-    return EXIT_OK
+        pairs = FIG1_DEFAULT_PAIRS
+    curves, fields = marginal_series(args, cfg, pairs)
+    rows = [[c.sigma, c.kbt, t, z]
+            for c in curves for t, z in zip(c.times, c.values)]
+    return Result(cfg, ["sigma[length]", "kbt[energy]", "t[time]",
+                        "z[dimensionless]"], rows, fields)
 
 
-def cmd_limits(args) -> int:
+def cmd_marginal(args) -> Result:
+    cfg = resolve_config(args)
+    [curve], fields = marginal_series(args, cfg, [(cfg["sigma"], cfg["kbt"])])
+    rows = [[t, z] for t, z in zip(curve.times, curve.values)]
+    return Result(cfg, ["t[time]", "z[dimensionless]"], rows, fields)
+
+
+def cmd_limits(args) -> Result:
     cfg = resolve_config(args)
     if args.num < 2:
         raise UsageError("--num must be at least 2")
@@ -291,28 +304,19 @@ def cmd_limits(args) -> int:
             local["mass"] = msigma2 / v**2
         params = system_of(local)
         thermal = ThermalSpec.from_kbt(local["kbt"])
-        crit = classicality_criterion(local["mass"], local["sigma"], thermal,
-                                      local["hbar"], local["kb"])
+        ratio = quantum_ratio(local["mass"], local["sigma"], thermal,
+                              local["hbar"])
         z_cl = classical_Z(params, thermal).value
-        if crit.dimensionless_ratio >= 1.0:
-            rows.append([v, math.nan, z_cl, math.nan,
-                         crit.dimensionless_ratio, "divergent"])
+        if ratio >= 1.0:
+            rows.append([v, math.nan, z_cl, math.nan, ratio, "divergent"])
             continue
         z_u = unified_Z_gaussian(params, local["sigma"], thermal).value
-        rows.append([v, z_u, z_cl, z_u / z_cl, crit.dimensionless_ratio, "ok"])
+        rows.append([v, z_u, z_cl, z_u / z_cl, ratio, "ok"])
 
     header = [f"{args.var}[swept]", "z_u[dimensionless]", "z_cl[dimensionless]",
               "ratio[dimensionless]", "criterion_ratio[dimensionless]", "status"]
-    if args.format == "csv":
-        payload = csv_payload(header, rows)
-    else:
-        payload = json_payload({
-            "command": "limits", "config": cfg,
-            "columns": header, "rows": [
-                [c if isinstance(c, str) else json_number(c) for c in r]
-                for r in rows]})
-    emit(args, "limits", cfg, payload)
-    return EXIT_OK
+    return Result(cfg, header, rows, {
+        "columns": header, "rows": [list(map(json_cell, r)) for r in rows]})
 
 
 def parse_bath_file(path: str, sigma_default: float, q0_default: float) -> BathSpec:
@@ -336,42 +340,36 @@ def parse_bath_file(path: str, sigma_default: float, q0_default: float) -> BathS
     return BathSpec(tuple(oscillators), sigma, q0)
 
 
-def cmd_bath(args) -> int:
+def cmd_bath(args) -> Result:
     cfg = resolve_config(args)
-    sigma = args.bath_sigma if args.bath_sigma is not None else 1.0
     if args.bath_file:
-        bath = parse_bath_file(args.bath_file, sigma, args.q0)
+        bath = parse_bath_file(args.bath_file, args.bath_sigma, args.q0)
     elif args.n:
         bath = uniform_bath(args.n, args.m0, args.omega_max, args.coupling,
-                            sigma, args.q0)
+                            args.bath_sigma, args.q0)
     else:
         bath = BathSpec((Oscillator(args.m0, args.omega_max, args.coupling),),
-                        sigma, args.q0)
+                        args.bath_sigma, args.q0)
     thermal = ThermalSpec(args.beta)
     hbar = cfg["hbar"]
 
-    reports = bath_classicality(bath, thermal, hbar, cfg["kb"])
+    reports = bath_classicality(bath, thermal, hbar)
     osc_rows = [[i, o.mass, o.omega, o.coupling, rep.dimensionless_ratio,
                  "pass" if rep.classical_ok else "fail"]
                 for i, (o, rep) in enumerate(zip(bath.oscillators, reports))]
-    osc_payload = csv_payload(
-        ["index", "mass[mass]", "omega[1/time]", "coupling[coupling]",
-         "ratio[dimensionless]", "criterion"], osc_rows)
+    osc_header = ["index", "mass[mass]", "omega[1/time]", "coupling[coupling]",
+                  "ratio[dimensionless]", "criterion"]
+    oscillators = {"oscillators": json_records(osc_header, osc_rows)}
 
-    divergent = not all(rep.classical_ok for rep in reports)
-    if divergent and not args.allow_divergent:
-        sys.stderr.write("bath: criterion ratio >= 1 for at least one "
-                         "oscillator; rerun with --allow-divergent for the "
-                         "criterion table\n")
-        return EXIT_DOMAIN
-    if divergent:
-        emit(args, "bath", cfg, osc_payload)
-        return EXIT_OK
+    if not all(rep.classical_ok for rep in reports):
+        if not args.allow_divergent:
+            raise DivergentIntegral(
+                "criterion ratio >= 1 for at least one oscillator; rerun "
+                "with --allow-divergent for the criterion table")
+        return Result(cfg, osc_header, osc_rows, oscillators)
 
     kernel_t = np.linspace(0.0, args.kernel_tmax, args.kernel_samples)
     kernel_nu = memory_kernel(bath, kernel_t)
-    kernel_payload = csv_payload(
-        ["t[time]", "nu[coupling^2*time^2]"], list(zip(kernel_t, kernel_nu)))
 
     z_b = classical_bath_Z(bath, thermal)
     exact, printed = unified_bath_Z(bath, thermal, hbar=hbar)
@@ -386,24 +384,17 @@ def cmd_bath(args) -> int:
         *zip(("large_n_factor_approx", "large_n_factor_exact",
               "large_n_rel_err"), large_n),
     ]
-    summary_payload = csv_payload(["quantity", "value[dimensionless]"], summary)
-
-    if args.format == "json":
-        payload = json_payload({
-            "command": "bath", "config": cfg,
-            "summary": {key: json_number(val) for key, val in summary},
-            "oscillators": [{"index": r[0], "mass": r[1], "omega": r[2],
-                             "coupling": r[3], "ratio": r[4], "criterion": r[5]}
-                            for r in osc_rows],
-            "kernel": {"times": list(kernel_t), "values": list(kernel_nu)}})
-        emit(args, "bath", cfg, payload)
-    else:
-        emit(args, "bath", cfg, summary_payload,
-             {"oscillators": osc_payload, "kernel": kernel_payload})
-    return EXIT_OK
+    return Result(
+        cfg, ["quantity", "value[dimensionless]"], summary,
+        {"summary": {key: json_cell(val) for key, val in summary},
+         **oscillators,
+         "kernel": {"times": list(kernel_t), "values": list(kernel_nu)}},
+        tables={"oscillators": (osc_header, osc_rows),
+                "kernel": (["t[time]", "nu[coupling^2*time^2]"],
+                           list(zip(kernel_t, kernel_nu)))})
 
 
-def cmd_trajectory(args) -> int:
+def cmd_trajectory(args) -> Result:
     cfg = resolve_config(args)
     params = system_of(cfg, args.system)
     init = WavepacketInit(cfg["x0"], cfg["p0"], cfg["sigma"])
@@ -413,21 +404,15 @@ def cmd_trajectory(args) -> int:
     path = integrate(params, init, args.x_start, traj_cfg)
     rows = [[t, x, v] for t, x, v in
             zip(path.times, path.positions, path.velocities)]
-    if args.format == "csv":
-        payload = csv_payload(["t[time]", "x[length]", "v[length/time]"], rows)
-    else:
-        payload = json_payload({
-            "command": "trajectory", "config": cfg,
-            "series": [{
-                "params": {"x_start": args.x_start, "system": args.system},
-                "times": list(path.times),
-                "values": list(path.positions),
-                "velocities": list(path.velocities)}]})
-    emit(args, "trajectory", cfg, payload)
-    return EXIT_OK
+    return Result(cfg, ["t[time]", "x[length]", "v[length/time]"], rows, {
+        "series": [{
+            "params": {"x_start": args.x_start, "system": args.system},
+            "times": list(path.times),
+            "values": list(path.positions),
+            "velocities": list(path.velocities)}]})
 
 
-def cmd_partition(args) -> int:
+def cmd_partition(args) -> Result:
     cfg = resolve_config(args)
     params = system_of(cfg)
     thermal = ThermalSpec.from_kbt(cfg["kbt"])
@@ -462,20 +447,11 @@ def cmd_partition(args) -> int:
     rows.append(["thermal_de_broglie", "closed_form", crit.thermal_de_broglie, 0.0])
 
     header = ["quantity", "method", "value[dimensionless]", "est_error[dimensionless]"]
-    if args.format == "csv":
-        payload = csv_payload(header, rows)
-    else:
-        payload = json_payload({
-            "command": "partition", "config": cfg,
-            "rows": [{"quantity": r[0], "method": r[1],
-                      "value": json_number(r[2]),
-                      "est_error": json_number(r[3])}
-                     for r in rows]})
-    emit(args, "partition", cfg, payload)
-    return EXIT_OK
+    return Result(cfg, header, rows, {"rows": json_records(header, rows)})
 
 
 def cmd_verify(args) -> int:
+    """Print (and with --out also write) the text report; return the exit code."""
     cfg = resolve_config(args)
     profile = ToleranceProfile.named(args.profile)
     report = run_verification(profile, quad_of(cfg), q_scale=args.inject_q_scale)
@@ -498,50 +474,44 @@ def build_parser() -> Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, keys: tuple[str, ...]):
-        # keys: exactly the config keys the subcommand reads
+    def add(command: str, func, help: str) -> argparse.ArgumentParser:
+        """Subparser with --config, --out, --format and a --<key> override
+        for each config key READS gives the subcommand a flag for."""
+        p = sub.add_parser(command, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="output file path (stdout if omitted)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        for key in keys:
+        for key in READS[command][0]:
             p.add_argument(f"--{key}", dest=f"cfg_{key}", type=float,
                            help=f"override config key {key}")
+        return p
 
-    p = sub.add_parser("fig1", help="normalized marginal-Z curves for "
-                                    "(sigma, kbt) pairs")
-    common(p, ("hbar", "mass", "omega", "x0", "p0"))
-    p.add_argument("--sigma", action="append", type=float, default=None,
-                   help="packet width; repeatable")
-    p.add_argument("--kbt", action="append", type=float, default=None,
-                   help="thermal energy k_B T; repeatable")
-    p.add_argument("--tmax", type=float, default=4 * math.pi)
-    p.add_argument("--samples", type=int, default=400)
-    p.add_argument("--raw", action="store_true",
-                   help="emit unnormalized values")
-    p.set_defaults(func=cmd_fig1)
+    fig1 = add("fig1", cmd_fig1,
+               "normalized marginal-Z curves for (sigma, kbt) pairs")
+    fig1.add_argument("--sigma", action="append", type=float, default=None,
+                      help="packet width; repeatable")
+    fig1.add_argument("--kbt", action="append", type=float, default=None,
+                      help="thermal energy k_B T; repeatable")
+    marginal = add("marginal", cmd_marginal,
+                   "single marginal-Z curve from the resolved config")
+    for p in (fig1, marginal):  # the flags marginal_series reads
+        p.add_argument("--tmax", type=float, default=4 * math.pi)
+        p.add_argument("--samples", type=int, default=400)
+        p.add_argument("--raw", action="store_true",
+                       help="emit unnormalized values")
 
-    p = sub.add_parser("marginal", help="single marginal-Z curve from the "
-                                        "resolved config")
-    common(p, ("hbar", "mass", "omega", "sigma", "x0", "p0", "kbt"))
-    p.add_argument("--tmax", type=float, default=4 * math.pi)
-    p.add_argument("--samples", type=int, default=400)
-    p.add_argument("--raw", action="store_true")
-    p.set_defaults(func=cmd_marginal)
-
-    p = sub.add_parser("limits", help="sweep sigma/kbt/hbar and emit "
-                                      "Z_u, Z_cl, and their ratio")
-    common(p, ("hbar", "mass", "omega", "sigma", "kbt"))
+    p = add("limits", cmd_limits,
+            "sweep sigma/kbt/hbar and emit Z_u, Z_cl, and their ratio")
     p.add_argument("--var", choices=("sigma", "kbt", "hbar"), required=True)
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--num", type=int, default=20)
     p.add_argument("--fixed-msigma2", action="store_true",
                    help="hold m*sigma^2 fixed while sweeping sigma")
-    p.set_defaults(func=cmd_limits)
 
-    p = sub.add_parser("bath", help="harmonic-bath partition functions, "
-                                    "criterion table, kernel samples")
-    common(p, ("hbar",))
+    p = add("bath", cmd_bath, "harmonic-bath partition functions, "
+                              "criterion table, kernel samples")
     p.add_argument("--bath-file", help="bath spec file (osc = m, omega, c)")
     p.add_argument("--n", type=int, help="uniform bath size")
     p.add_argument("--m0", type=float, default=1.0)
@@ -556,25 +526,20 @@ def build_parser() -> Parser:
     p.add_argument("--kernel-samples", type=int, default=101)
     p.add_argument("--allow-divergent", action="store_true",
                    help="emit only the criterion table when the bound fails")
-    p.set_defaults(func=cmd_bath)
 
-    p = sub.add_parser("trajectory", help="integrate one Bohmian trajectory "
-                                          "and export (t, x, v)")
-    common(p, ("hbar", "mass", "omega", "sigma", "x0", "p0"))
+    p = add("trajectory", cmd_trajectory,
+            "integrate one Bohmian trajectory and export (t, x, v)")
     p.add_argument("--system", choices=("harmonic", "free"), default="harmonic")
     p.add_argument("--x-start", type=float, required=True)
     p.add_argument("--tmax", type=float, default=5.0)
     p.add_argument("--record-every", type=int, default=1)
     p.add_argument("--rel-tol", type=float, default=1e-9)
     p.add_argument("--abs-tol", type=float, default=1e-12)
-    p.set_defaults(func=cmd_trajectory)
 
-    p = sub.add_parser("partition", help="table of partition-function values "
-                                         "for the resolved config")
-    common(p, ("hbar", "kb", "mass", "omega", "sigma", "kbt"))
+    p = add("partition", cmd_partition,
+            "table of partition-function values for the resolved config")
     p.add_argument("--oracle", action="store_true",
                    help="include the Gauss-Legendre quadrature cross-checks")
-    p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("verify", help="run all oracle checks and the "
                                       "discrepancy report")
@@ -591,10 +556,21 @@ def build_parser() -> Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        if args.command == "verify":  # it printed its own text report
+            return result
+        if args.format == "json":
+            payload = json_payload({"command": args.command,
+                                    "config": result.config, **result.fields})
+            extra_files = None
+        else:
+            payload = csv_payload(result.header, result.rows)
+            extra_files = {name: csv_payload(*table)
+                           for name, table in result.tables.items()}
+        emit(args, args.command, result.config, payload, extra_files)
+        return EXIT_OK
     except (UsageError, ValueError) as exc:
         sys.stderr.write(f"bohmpart: {exc}\n")
         return EXIT_USAGE

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import erfinv, ndtr
 
 from .core import StepFailure, SystemParams
 from .wavepacket import (WavepacketInit, WavepacketState, evolve,
@@ -98,15 +97,24 @@ def quantum_force(state: WavepacketState, x):
 
 
 def scaling_solution(params: SystemParams, init: WavepacketInit,
-                     x_start: float, t) -> np.ndarray:
-    """Exact trajectory x(t) = q(t) + (x_start - x0) * width(t)/width(0)."""
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    offset = x_start - init.x0
-    out = np.empty_like(times)
-    for i, ti in enumerate(times):
-        st = evolve(params, init, ti)
-        out[i] = st.q + offset * st.width / init.sigma
-    return out if np.ndim(t) else float(out[0])
+                     x_start: float, t):
+    """Exact trajectory x(t) = q(t) + (x_start - x0) * width(t)/width(0).
+
+    Harmonic: q = x0 cos wt + p0 sin wt/(m w),
+              width/sigma = sqrt(cos^2 wt + (hbar sin wt/(2 m w sigma^2))^2).
+    Free:     q = x0 + p0 t/m,  width/sigma = sqrt(1 + (hbar t/(2 m sigma^2))^2).
+    A float t gives a float, an array of times an array of the same shape.
+    """
+    hbar, m, sigma = params.constants.hbar, params.mass, init.sigma
+    if params.is_harmonic:
+        w = params.omega
+        s, c = np.sin(w * t), np.cos(w * t)
+        q = init.x0 * c + init.p0 * s / (m * w)
+        ratio = np.sqrt(c * c + (hbar * s / (2 * m * w * sigma**2)) ** 2)
+    else:
+        q = init.x0 + init.p0 * t / m
+        ratio = np.sqrt(1.0 + (hbar * t / (2 * m * sigma**2)) ** 2)
+    return q + (x_start - init.x0) * ratio
 
 
 def _velocity_of(params: SystemParams, init: WavepacketInit, t: float, x: float) -> float:
@@ -138,6 +146,7 @@ def integrate(params: SystemParams, init: WavepacketInit, x_start: float,
                 xs.append(x)
         t_arr, x_arr = np.array(times), np.array(xs)
     else:
+        from scipy.integrate import solve_ivp  # here, so only RK45 loads scipy
         sol = solve_ivp(rhs, (0.0, cfg.t_max), [x_start], method="RK45",
                         rtol=cfg.stepper.rel_tol, atol=cfg.stepper.abs_tol,
                         dense_output=False)
@@ -159,7 +168,7 @@ def density_quantile(params: SystemParams, init: WavepacketInit, t: float,
     if not 0.0 < c < 1.0:
         raise ValueError("quantile must lie in (0, 1)")
     st = evolve(params, init, t)
-    return st.q + st.width * math.sqrt(2.0) * float(erfinv(2.0 * c - 1.0))
+    return st.q + st.width * NormalDist().inv_cdf(c)
 
 
 def equivariance_check(params: SystemParams, init: WavepacketInit,
@@ -179,7 +188,7 @@ def equivariance_check(params: SystemParams, init: WavepacketInit,
         x_start = density_quantile(params, init, 0.0, c)
         path = integrate(params, init, x_start, run_cfg)
         x_end = float(path.positions[-1])
-        achieved = float(ndtr((x_end - end_state.q) / end_state.width))
+        achieved = NormalDist().cdf((x_end - end_state.q) / end_state.width)
         worst = max(worst, abs(achieved - c))
     return worst
 

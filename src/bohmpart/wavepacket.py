@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .core import (Grid1D, Harmonic, QuadratureConfig, SystemParams,
                    TruncationInsufficient, integrate_window)
@@ -333,6 +332,7 @@ def spectral_project(state: WavepacketState, basis_size: int,
     basis = (m * w / hbar) ** 0.25 * hermite_functions(basis_size, xi)
     psi = wavefunction(state, x)
 
+    from scipy.integrate import simpson  # here, so importing loads no scipy
     coeffs = simpson(basis * psi.real, x=x) + 1j * simpson(basis * psi.imag, x=x)
     captured = float(np.sum(np.abs(coeffs) ** 2))
     if captured < 1.0 - 1e-8:

@@ -61,6 +61,16 @@ def test_fig1_usage_error_exit_1():
     assert cp.returncode == 1
 
 
+def test_import_leaves_scipy_out():
+    """Only an ODE integration (trajectory) needs scipy."""
+    cp = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bohmpart.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "False"
+
+
 def test_bad_flag_exit_1():
     cp = run_cli("fig1", "--no-such-flag")
     assert cp.returncode == 1
@@ -137,11 +147,53 @@ def test_marginal_json_config_roundtrip(tmp_path: Path):
 
 
 def test_config_file_unknown_key_exit_1(tmp_path: Path):
+    """A config file may set only the keys its subcommand reads."""
+    cases = [
+        ("massq = 2.0", ["marginal", "--samples", "4"]),
+        ("kb = 2", ["fig1", "--samples", "4"]),
+        ("kb = 2", ["marginal", "--samples", "4"]),
+        ("x0 = 2", ["limits", "--var", "kbt", "--start", "1", "--stop", "2"]),
+        ("window_sigmas = 8",
+         ["limits", "--var", "kbt", "--start", "1", "--stop", "2"]),
+        ("kb = 2", ["bath"]),
+        ("sigma = 2", ["bath"]),
+        ("kbt = 2", ["trajectory", "--x-start", "1"]),
+        ("rel_tol = 1e-8", ["trajectory", "--x-start", "1"]),
+        ("p0 = 1", ["partition"]),
+        ("mass = 5", ["verify"]),
+    ]
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("massq = 2.0\n")
-    cp = run_cli("marginal", "--config", str(cfg), "--samples", "4")
-    assert cp.returncode == 1
-    assert "unknown config key" in cp.stderr
+    for line, argv in cases:
+        cfg.write_text(line + "\n")
+        cp = run_cli(*argv, "--config", str(cfg))
+        assert cp.returncode == 1, (line, argv)
+        assert "unknown config key" in cp.stderr
+        assert "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["fig1", "--samples", "2", "--tmax", "0.5"],
+     "hbar mass omega x0 p0 sigma kbt window_sigmas rel_tol abs_tol"),
+    (["marginal", "--samples", "2", "--tmax", "0.5"],
+     "hbar mass omega sigma x0 p0 kbt window_sigmas rel_tol abs_tol"),
+    (["limits", "--var", "kbt", "--start", "1", "--stop", "2", "--num", "2"],
+     "hbar mass omega sigma kbt"),
+    (["bath"], "hbar"),
+    (["trajectory", "--x-start", "1", "--tmax", "0.5"],
+     "hbar mass omega sigma x0 p0"),
+    (["partition"],
+     "hbar kb mass omega sigma kbt window_sigmas rel_tol abs_tol"),
+], ids=["fig1", "marginal", "limits", "bath", "trajectory", "partition"])
+def test_json_config_echoes_the_keys_the_subcommand_reads(tmp_path: Path,
+                                                          argv, keys):
+    from bohmpart import cli
+    flags, file_only = cli.READS[argv[0]]
+    assert sorted(flags + file_only) == sorted(keys.split())
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, "--format", "json", "--out", str(out)]) == 0
+    assert sorted(json.loads(out.read_text())["config"]) == sorted(keys.split())
+    manifest = json.loads((tmp_path / "out.json.manifest.json").read_text())
+    assert sorted(manifest["config"]) == sorted(keys.split())
 
 
 @pytest.mark.parametrize("argv", [
@@ -204,6 +256,12 @@ def test_bath_divergent_exit_2_and_allow_flag(tmp_path: Path):
     assert "criterion" in text.splitlines()[0]
     assert "fail" in text
     assert "z_b" not in text
+    cp = run_cli("bath", "--sigma", "0.4", "--allow-divergent",
+                 "--format", "json")
+    assert cp.returncode == 0, cp.stderr
+    payload = _strict_json(cp.stdout)
+    assert sorted(payload) == ["command", "config", "oscillators"]
+    assert [osc["criterion"] for osc in payload["oscillators"]] == ["fail"]
 
 
 def test_bath_file_parsing(tmp_path: Path):

@@ -38,6 +38,10 @@ def _cases():
         for name, (params, _) in SYSTEMS.items():
             yield pytest.param(lambda x, k=kernel, p=params: k(p, x), False,
                                id=f"{kernel.__name__}-{name}")
+    for name, (params, init) in SYSTEMS.items():
+        yield pytest.param(
+            lambda t, p=params, i=init: trajectories.scaling_solution(p, i, 1.3, t),
+            False, id=f"scaling_solution-{name}")
     yield pytest.param(lambda t: bath.memory_kernel(BATH, t), False,
                        id="memory_kernel")
     yield pytest.param(lambda t: bath.noise_force(BATH, BATH_INIT, t), False,

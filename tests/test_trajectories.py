@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bohmpart import (RK4Fixed, RK45Adaptive, TrajectoryConfig,
+from bohmpart import (Constants, RK4Fixed, RK45Adaptive, TrajectoryConfig,
                       WavepacketInit, bohmian_velocity, equivariance_check,
                       evolve, free_system, harmonic_system, integrate,
                       quantum_force, quantum_potential)
@@ -53,6 +53,8 @@ def test_integrate_center_trajectory_exact():
 @pytest.mark.parametrize("params,init", [
     (FREE, WavepacketInit(0.0, 2.0, 1.0)),
     (HO, WavepacketInit(1.0, 0.0, 0.7)),
+    (harmonic_system(1.3, 0.8, Constants(0.7)), WavepacketInit(0.9, -0.4, 0.55)),
+    (free_system(0.9, Constants(1.6)), WavepacketInit(-0.2, 1.1, 0.4)),
 ])
 @pytest.mark.parametrize("c", [-1.5, 0.5, 2.0])
 def test_integrate_matches_scaling_solution(params, init, c):
@@ -61,6 +63,12 @@ def test_integrate_matches_scaling_solution(params, init, c):
     path = integrate(params, init, x_start, cfg)
     exact = scaling_solution(params, init, x_start, path.times)
     assert np.max(np.abs(path.positions - exact)) < 1e-6
+    # the closed form against q(t) and width(t) of the evolved packet
+    states = [evolve(params, init, t) for t in path.times]
+    via_evolve = np.array([st.q + (x_start - init.x0) * st.width / init.sigma
+                           for st in states])
+    scale = np.max(np.abs(via_evolve))
+    assert np.max(np.abs(exact - via_evolve)) <= 16 * np.finfo(float).eps * scale
 
 
 def test_integrate_rejects_nonfinite_start():
