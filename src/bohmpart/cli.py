@@ -9,7 +9,8 @@ writes it with a manifest carrying the resolved config and a stable digest
 of the numeric payload.  `verify` prints its text report itself.
 
 Exit codes: 0 ok, 1 usage error, 2 domain error (divergent integral),
-3 verification failure, 4 numerical failure (quadrature did not converge).
+3 verification failure, 4 numerical failure (a quadrature did not converge
+or an ODE step fell below rounding).
 JSON output holds numbers as JSON numbers and divergent cells as null.
 """
 
@@ -31,8 +32,8 @@ from .bath import (BathSpec, Oscillator, bath_classicality,
                    classical_bath_Z, large_N_ratio, memory_kernel,
                    unified_bath_Z, uniform_bath)
 from .core import (Constants, DivergentIntegral, QuadratureConfig,
-                   QuadratureFailure, SystemParams, ThermalSpec, free_system,
-                   harmonic_system)
+                   QuadratureFailure, StepFailure, SystemParams, ThermalSpec,
+                   free_system, harmonic_system)
 from .partition import (classical_Z, classicality_criterion,
                         gaussian_correction, marginal_convergent,
                         marginal_curve, phase_space_integral, quantum_ratio,
@@ -73,6 +74,10 @@ READS = {
 }
 
 FIG1_DEFAULT_PAIRS = [(0.45, 2.0), (0.45, 5.0), (0.65, 2.0)]
+
+# The uniform bath's shape flags and their defaults.  A --bath-file lists its
+# oscillators itself, so it takes none of them.
+BATH_SHAPE = {"n": 1, "m0": 1.0, "omega_max": 1.0, "coupling": 1.0}
 
 
 class UsageError(Exception):
@@ -293,6 +298,8 @@ def cmd_limits(args) -> Result:
     cfg = resolve_config(args)
     if args.num < 2:
         raise UsageError("--num must be at least 2")
+    if args.fixed_msigma2 and args.var != "sigma":
+        raise UsageError("--fixed-msigma2 needs --var sigma")
     values = np.linspace(args.start, args.stop, args.num)
     msigma2 = cfg["mass"] * cfg["sigma"] ** 2
 
@@ -300,7 +307,7 @@ def cmd_limits(args) -> Result:
     for v in values:
         local = dict(cfg)
         local[args.var] = float(v)
-        if args.var == "sigma" and args.fixed_msigma2:
+        if args.fixed_msigma2:
             local["mass"] = msigma2 / v**2
         params = system_of(local)
         thermal = ThermalSpec.from_kbt(local["kbt"])
@@ -342,14 +349,21 @@ def parse_bath_file(path: str, sigma_default: float, q0_default: float) -> BathS
 
 def cmd_bath(args) -> Result:
     cfg = resolve_config(args)
+    shape = {key: getattr(args, key) for key in BATH_SHAPE}
     if args.bath_file:
+        given = [f"--{key.replace('_', '-')}" for key, val in shape.items()
+                 if val is not None]
+        if given:
+            raise UsageError(f"--bath-file defines the oscillators; drop "
+                             f"{', '.join(given)}")
         bath = parse_bath_file(args.bath_file, args.bath_sigma, args.q0)
-    elif args.n:
-        bath = uniform_bath(args.n, args.m0, args.omega_max, args.coupling,
-                            args.bath_sigma, args.q0)
     else:
-        bath = BathSpec((Oscillator(args.m0, args.omega_max, args.coupling),),
-                        args.bath_sigma, args.q0)
+        n, m0, omega_max, coupling = (BATH_SHAPE[key] if val is None else val
+                                      for key, val in shape.items())
+        if n < 1:
+            raise UsageError("--n must be at least 1")
+        bath = uniform_bath(n, m0, omega_max, coupling, args.bath_sigma,
+                            args.q0)
     thermal = ThermalSpec(args.beta)
     hbar = cfg["hbar"]
 
@@ -508,15 +522,19 @@ def build_parser() -> Parser:
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--num", type=int, default=20)
     p.add_argument("--fixed-msigma2", action="store_true",
-                   help="hold m*sigma^2 fixed while sweeping sigma")
+                   help="hold m*sigma^2 fixed while sweeping sigma "
+                        "(only with --var sigma)")
 
     p = add("bath", cmd_bath, "harmonic-bath partition functions, "
                               "criterion table, kernel samples")
     p.add_argument("--bath-file", help="bath spec file (osc = m, omega, c)")
-    p.add_argument("--n", type=int, help="uniform bath size")
-    p.add_argument("--m0", type=float, default=1.0)
-    p.add_argument("--omega-max", type=float, default=1.0)
-    p.add_argument("--coupling", type=float, default=1.0)
+    for key, kind, what in (("n", int, "uniform bath size"),
+                            ("m0", float, "oscillator mass"),
+                            ("omega_max", float, "highest frequency"),
+                            ("coupling", float, "highest coupling")):
+        p.add_argument(f"--{key.replace('_', '-')}", type=kind,
+                       help=f"{what} (default {BATH_SHAPE[key]:g}; "
+                            f"not with --bath-file)")
     p.add_argument("--sigma", dest="bath_sigma", type=float, default=1.0,
                    help="shared packet width")
     p.add_argument("--q0", type=float, default=0.0)
@@ -577,7 +595,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergentIntegral as exc:
         sys.stderr.write(f"bohmpart: divergent integral: {exc}\n")
         return EXIT_DOMAIN
-    except QuadratureFailure as exc:
+    except (QuadratureFailure, StepFailure) as exc:
         sys.stderr.write(f"bohmpart: numerical failure: {exc}\n")
         return EXIT_NUMERIC
 

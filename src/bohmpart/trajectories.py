@@ -9,11 +9,17 @@ closed-form scaling solution
     x(t) = q(t) + (x_start - q(0)) * s(t) / s(0),   s(t) = 1/(2 sqrt(Re a(t)))
 
 serves as an exact oracle for both supported systems.
+
+Two steppers integrate it in plain float arithmetic: classic RK4 at a fixed
+step, and the Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl.
+Math. 6, 1980) with first-same-as-last stages, local extrapolation and the
+step-size controller of Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Sequence, Union
@@ -24,6 +30,8 @@ from .core import StepFailure, SystemParams
 from .wavepacket import (WavepacketInit, WavepacketState, evolve,
                          phase_gradient, quantum_potential)
 
+_MIN_REL_TOL = 100 * sys.float_info.epsilon
+
 
 @dataclass(frozen=True)
 class RK4Fixed:
@@ -32,20 +40,32 @@ class RK4Fixed:
     dt: float
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be strictly positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
 class RK45Adaptive:
-    """Adaptive Runge-Kutta 4(5) with embedded error control."""
+    """Adaptive Dormand-Prince 5(4) stepper with embedded error control.
+
+    A step is accepted when its local error estimate is at most
+    abs_tol + rel_tol * max(|x_old|, |x_new|); the next step size follows
+    the Hairer-Norsett-Wanner controller (safety 0.9, factor clamped to
+    [0.2, 10], exponent -1/5, no growth right after a rejection).  rel_tol
+    below 100 eps is rejected: such a tolerance lies under the rounding
+    error of a step, so the steps shrink toward the 10 ulp(t) floor, where
+    the run either takes ever more steps or ends in StepFailure.
+    """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        if not _MIN_REL_TOL <= self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and at least "
+                             f"{_MIN_REL_TOL!r} (100 eps)")
+        if not 0 < self.abs_tol < math.inf:
+            raise ValueError("abs_tol must be finite and strictly positive")
 
 
 Stepper = Union[RK4Fixed, RK45Adaptive]
@@ -58,8 +78,8 @@ class TrajectoryConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError("t_max must be strictly positive")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError("t_max must be finite and strictly positive")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
 
@@ -121,45 +141,125 @@ def _velocity_of(params: SystemParams, init: WavepacketInit, t: float, x: float)
     return bohmian_velocity(evolve(params, init, t), x)
 
 
+# Dormand-Prince 5(4): nodes c2..c5 (c6 = c7 = 1), stage weights a_ij, the
+# 5th-order weights b_j (b2 = 0) and the error weights e_j = b_j - b*_j.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
+                                17253 / 339200, -22 / 525, 1 / 40)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 5  # -1/(order of the embedded estimate + 1)
+
+
+def _initial_step(f, x0: float, f0: float, t_max: float, rel_tol: float,
+                  abs_tol: float) -> float:
+    """First step size from the scaled size of x0, f0 and a trial Euler
+    step (Hairer-Norsett-Wanner, sec. II.4)."""
+    scale = abs_tol + abs(x0) * rel_tol
+    d0, d1 = abs(x0) / scale, abs(f0) / scale
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_max)
+    f1 = f(h0, x0 + h0 * f0)
+    d2 = abs(f1 - f0) / scale / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, t_max)
+
+
+def _dormand_prince(f, x0: float, t_max: float, rel_tol: float,
+                    abs_tol: float) -> tuple[list[float], list[float]]:
+    """Accepted (t, x) of dx/dt = f(t, x) from x(0) = x0 to t_max.
+
+    Raises StepFailure when a step would have to be shorter than 10 ulp(t).
+    """
+    t, x = 0.0, x0
+    k1 = f(t, x)
+    h = _initial_step(f, x, k1, t_max, rel_tol, abs_tol)
+    times, xs = [t], [x]
+    while t < t_max:
+        min_step = 10 * math.ulp(t)
+        h = max(h, min_step)
+        rejected = False
+        while True:
+            if h < min_step:
+                raise StepFailure(f"step size fell below 10 ulp at t={t!r}")
+            t_new = min(t + h, t_max)
+            h = t_new - t
+            k2 = f(t + _C2 * h, x + h * (_A21 * k1))
+            k3 = f(t + _C3 * h, x + h * (_A31 * k1 + _A32 * k2))
+            k4 = f(t + _C4 * h, x + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+            k5 = f(t + _C5 * h, x + h * (_A51 * k1 + _A52 * k2 + _A53 * k3
+                                         + _A54 * k4))
+            k6 = f(t + h, x + h * (_A61 * k1 + _A62 * k2 + _A63 * k3
+                                   + _A64 * k4 + _A65 * k5))
+            x_new = x + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5
+                             + _B6 * k6)
+            k7 = f(t_new, x_new)  # first stage of the next step (FSAL)
+            error = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5
+                         + _E6 * k6 + _E7 * k7)
+            scale = abs_tol + max(abs(x), abs(x_new)) * rel_tol
+            error_norm = abs(error) / scale
+            if error_norm < 1:
+                factor = (_MAX_FACTOR if error_norm == 0 else
+                          min(_MAX_FACTOR,
+                              _SAFETY * error_norm ** _ERROR_EXPONENT))
+                h *= min(1.0, factor) if rejected else factor
+                break
+            h *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        t, x, k1 = t_new, x_new, k7
+        times.append(t)
+        xs.append(x)
+    return times, xs
+
+
+def _rk4(f, x0: float, t_max: float, dt: float
+         ) -> tuple[list[float], list[float]]:
+    """(t, x) after each of round(t_max/dt) classic RK4 steps from x(0) = x0."""
+    times, xs = [0.0], [x0]
+    x, t = x0, 0.0
+    for k in range(max(1, int(round(t_max / dt)))):
+        k1 = f(t, x)
+        k2 = f(t + dt / 2, x + dt * k1 / 2)
+        k3 = f(t + dt / 2, x + dt * k2 / 2)
+        k4 = f(t + dt, x + dt * k3)
+        x = x + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        t = (k + 1) * dt
+        times.append(t)
+        xs.append(x)
+    return times, xs
+
+
 def integrate(params: SystemParams, init: WavepacketInit, x_start: float,
               cfg: TrajectoryConfig) -> TrajectoryPath:
-    """Integrate the guidance equation from x(0) = x_start up to cfg.t_max."""
+    """Integrate the guidance equation from x(0) = x_start up to cfg.t_max.
+
+    Records every cfg.record_every-th step of the stepper, and always the
+    last one.
+    """
     if not math.isfinite(x_start):
         raise ValueError("x_start must be finite")
-    rhs = lambda t, y: [_velocity_of(params, init, t, y[0])]
-
-    if isinstance(cfg.stepper, RK4Fixed):
-        dt = cfg.stepper.dt
-        n_steps = max(1, int(round(cfg.t_max / dt)))
-        times = [0.0]
-        xs = [x_start]
-        x, t = x_start, 0.0
-        for k in range(n_steps):
-            k1 = _velocity_of(params, init, t, x)
-            k2 = _velocity_of(params, init, t + dt / 2, x + dt * k1 / 2)
-            k3 = _velocity_of(params, init, t + dt / 2, x + dt * k2 / 2)
-            k4 = _velocity_of(params, init, t + dt, x + dt * k3)
-            x = x + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-            t = (k + 1) * dt
-            if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
-                times.append(t)
-                xs.append(x)
-        t_arr, x_arr = np.array(times), np.array(xs)
+    rhs = lambda t, x: _velocity_of(params, init, t, x)
+    stepper = cfg.stepper
+    if isinstance(stepper, RK4Fixed):
+        times, xs = _rk4(rhs, x_start, cfg.t_max, stepper.dt)
     else:
-        from scipy.integrate import solve_ivp  # here, so only RK45 loads scipy
-        sol = solve_ivp(rhs, (0.0, cfg.t_max), [x_start], method="RK45",
-                        rtol=cfg.stepper.rel_tol, atol=cfg.stepper.abs_tol,
-                        dense_output=False)
-        if sol.status != 0:
-            raise StepFailure(sol.message)
-        keep = np.arange(0, sol.t.size, cfg.record_every)
-        if keep[-1] != sol.t.size - 1:
-            keep = np.append(keep, sol.t.size - 1)
-        t_arr, x_arr = sol.t[keep], sol.y[0][keep]
-
-    v_arr = np.array([_velocity_of(params, init, t, x)
-                      for t, x in zip(t_arr, x_arr)])
-    return TrajectoryPath(t_arr, x_arr, v_arr)
+        times, xs = _dormand_prince(rhs, x_start, cfg.t_max, stepper.rel_tol,
+                                    stepper.abs_tol)
+    last = len(times) - 1
+    keep = [*range(0, last, cfg.record_every), last]
+    t_rec = [times[i] for i in keep]
+    x_rec = [xs[i] for i in keep]
+    return TrajectoryPath(np.array(t_rec), np.array(x_rec),
+                          np.array([rhs(t, x) for t, x in zip(t_rec, x_rec)]))
 
 
 def density_quantile(params: SystemParams, init: WavepacketInit, t: float,

@@ -62,13 +62,17 @@ def test_fig1_usage_error_exit_1():
 
 
 def test_import_leaves_scipy_out():
-    """Only an ODE integration (trajectory) needs scipy."""
+    """Neither the import nor a trajectory or verify run loads scipy; only
+    a direct call to wavepacket.spectral_project does."""
     cp = subprocess.run(
         [sys.executable, "-c",
-         "import sys, bohmpart.cli; print('scipy' in sys.modules)"],
+         "import sys, bohmpart.cli\n"
+         "assert bohmpart.cli.main(['trajectory', '--x-start', '1.2']) == 0\n"
+         "assert bohmpart.cli.main(['verify']) == 0\n"
+         "print('scipy' in sys.modules, file=sys.stderr)"],
         capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
-    assert cp.stdout.strip() == "False"
+    assert cp.stderr.strip() == "False"
 
 
 def test_bad_flag_exit_1():
@@ -211,6 +215,50 @@ def test_non_finite_or_non_positive_input_exit_1(argv):
     cp = run_cli(*argv)
     assert cp.returncode == 1, cp.stdout
     assert "Traceback" not in cp.stderr
+
+
+def _exit_1_naming(capsys, argv, name):
+    from bohmpart import cli
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bohmpart: ") and name in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["trajectory", "--x-start", "1", "--tmax", "inf"], "t_max"),
+    (["trajectory", "--x-start", "1", "--tmax", "nan"], "t_max"),
+    (["trajectory", "--x-start", "1", "--rel-tol", "nan"], "rel_tol"),
+    (["trajectory", "--x-start", "1", "--rel-tol", "1e-15"], "rel_tol"),
+    (["trajectory", "--x-start", "1", "--abs-tol", "inf"], "abs_tol"),
+    (["bath", "--n", "0"], "--n"),
+    (["limits", "--var", "kbt", "--start", "1", "--stop", "2", "--num", "2",
+      "--fixed-msigma2"], "--fixed-msigma2"),
+])
+def test_input_the_subcommand_cannot_honour_exit_1(capsys, argv, name):
+    _exit_1_naming(capsys, argv, name)
+
+
+@pytest.mark.parametrize("flag", ["--n", "--m0", "--omega-max", "--coupling"])
+def test_bath_file_with_a_uniform_bath_flag_exit_1(tmp_path: Path, capsys,
+                                                   flag):
+    bath_file = tmp_path / "bath.cfg"
+    bath_file.write_text("osc = 1.0, 1.0, 1.0\n")
+    _exit_1_naming(capsys, ["bath", "--bath-file", str(bath_file), flag, "2"],
+                   flag)
+
+
+def test_step_failure_exit_4(monkeypatch, capsys):
+    from bohmpart import cli
+    from bohmpart.core import StepFailure
+
+    def fails(*args, **kwargs):
+        raise StepFailure("step size fell below 10 ulp at t=0.5")
+    monkeypatch.setattr(cli, "integrate", fails)
+    assert cli.main(["trajectory", "--x-start", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("bohmpart: numerical failure: step size fell")
+    assert "Traceback" not in err
 
 
 def test_trajectory_csv_schema(tmp_path: Path):

@@ -71,6 +71,77 @@ def test_integrate_matches_scaling_solution(params, init, c):
     assert np.max(np.abs(exact - via_evolve)) <= 16 * np.finfo(float).eps * scale
 
 
+def _worst_relative_error(params, init, x_start, times, positions):
+    exact = scaling_solution(params, init, x_start, times)
+    return np.max(np.abs(positions - exact) / np.maximum(1.0, np.abs(exact)))
+
+
+def test_dormand_prince_matches_scipy_rk45():
+    # scipy's RK45 uses the same pair and controller, so it takes the same
+    # number of steps up to rounding in the step-size arithmetic
+    from scipy.integrate import solve_ivp
+    rng = np.random.default_rng(11)
+    for i in range(20):
+        hbar, m, w = rng.uniform(0.5, 2.0, size=3)
+        params = (harmonic_system(m, w, Constants(hbar)) if i % 2 == 0
+                  else free_system(m, Constants(hbar)))
+        init = WavepacketInit(*rng.uniform(-1.0, 1.0, size=2),
+                              rng.uniform(0.3, 1.0))
+        t_max = 50.0 if i < 2 else rng.uniform(2.0, 50.0)
+        x_start = init.x0 + rng.uniform(-2.0, 2.0) * init.sigma
+        path = integrate(params, init, x_start,
+                         TrajectoryConfig(RK45Adaptive(), t_max))
+        ref = solve_ivp(
+            lambda t, y: [bohmian_velocity(evolve(params, init, t), y[0])],
+            (0.0, t_max), [x_start], method="RK45", rtol=1e-9, atol=1e-12)
+        assert abs(path.times.size - ref.t.size) <= 2
+        ours = _worst_relative_error(params, init, x_start, path.times,
+                                     path.positions)
+        theirs = _worst_relative_error(params, init, x_start, ref.t, ref.y[0])
+        assert ours <= 2.0 * theirs and ours < 1e-6
+
+
+@pytest.mark.parametrize("stepper", [RK4Fixed(0.01), RK45Adaptive()],
+                         ids=["rk4", "rk45"])
+def test_record_every_keeps_every_kth_step_and_the_last(stepper):
+    init = WavepacketInit(1.0, 0.2, 0.6)
+    full = integrate(HO, init, 1.3, TrajectoryConfig(stepper, 4.0))
+    thinned = integrate(HO, init, 1.3,
+                        TrajectoryConfig(stepper, 4.0, record_every=3))
+    last = full.times.size - 1
+    assert last % 3 != 0  # so the last step is kept on top of the grid
+    keep = [*range(0, last, 3), last]
+    for name in ("times", "positions", "velocities"):
+        assert np.array_equal(getattr(thinned, name), getattr(full, name)[keep])
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: RK4Fixed(math.nan), "dt"),
+    (lambda: RK4Fixed(math.inf), "dt"),
+    (lambda: RK4Fixed(0.0), "dt"),
+    (lambda: RK45Adaptive(math.nan), "rel_tol"),
+    (lambda: RK45Adaptive(math.inf), "rel_tol"),
+    (lambda: RK45Adaptive(1e-15), "rel_tol"),
+    (lambda: RK45Adaptive(1e-9, math.nan), "abs_tol"),
+    (lambda: RK45Adaptive(1e-9, math.inf), "abs_tol"),
+    (lambda: RK45Adaptive(1e-9, 0.0), "abs_tol"),
+    (lambda: TrajectoryConfig(t_max=math.inf), "t_max"),
+    (lambda: TrajectoryConfig(t_max=math.nan), "t_max"),
+])
+def test_stepper_and_config_reject_out_of_domain_values(make, field):
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
+def test_rel_tol_floor_is_accepted():
+    cfg = TrajectoryConfig(RK45Adaptive(100 * np.finfo(float).eps, 1e-300),
+                           t_max=1.0)
+    init = WavepacketInit(1.0, 0.0, 0.7)
+    path = integrate(HO, init, 1.5, cfg)
+    assert _worst_relative_error(HO, init, 1.5, path.times,
+                                 path.positions) < 1e-12
+
+
 def test_integrate_rejects_nonfinite_start():
     with pytest.raises(ValueError):
         integrate(FREE, WavepacketInit(0.0, 0.0, 1.0), math.nan,
