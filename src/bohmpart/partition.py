@@ -350,8 +350,15 @@ def marginal_Z_derivative(params: SystemParams, init: WavepacketInit,
 def marginal_curve(params: SystemParams, init: WavepacketInit,
                    thermal: ThermalSpec, times: Sequence[float],
                    quad: QuadratureConfig, normalized: bool = True) -> MarginalCurve:
-    """Marginal Z sampled on a time grid, optionally normalized to 1 at t=0."""
+    """Marginal Z sampled on a time grid, optionally normalized to 1 at t=0.
+
+    Every sample is checked for divergence before any quadrature runs, so a
+    divergent sample raises DivergentIntegral even where an earlier sample
+    is convergent but too large for the quadrature.
+    """
     times = np.asarray(times, dtype=float)
+    for t in times:
+        _marginal_window(evolve(params, init, t), thermal.beta, quad)
     values = np.array([marginal_Z(params, init, thermal, t, quad) for t in times])
     if normalized:
         z0 = marginal_Z(params, init, thermal, 0.0, quad) \

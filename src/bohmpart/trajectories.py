@@ -14,6 +14,9 @@ Two steppers integrate it in plain float arithmetic: classic RK4 at a fixed
 step, and the Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl.
 Math. 6, 1980) with first-same-as-last stages, local extrapolation and the
 step-size controller of Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4.
+Each stepper returns, with every point (t, x) it reached, the velocity it
+evaluated there as a stage (RK4's k1, Dormand-Prince's first-same-as-last
+stage), so recording a path's velocities costs no further evaluation.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ from .wavepacket import (WavepacketInit, WavepacketState, evolve,
                          phase_gradient, quantum_potential)
 
 _MIN_REL_TOL = 100 * sys.float_info.epsilon
+# Steps one integration may take; every step is kept in memory until the
+# path is thinned.
+_MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -174,17 +180,23 @@ def _initial_step(f, x0: float, f0: float, t_max: float, rel_tol: float,
     return min(100 * h0, h1, t_max)
 
 
-def _dormand_prince(f, x0: float, t_max: float, rel_tol: float,
-                    abs_tol: float) -> tuple[list[float], list[float]]:
-    """Accepted (t, x) of dx/dt = f(t, x) from x(0) = x0 to t_max.
+def _dormand_prince(f, x0: float, t_max: float, rel_tol: float, abs_tol: float
+                    ) -> tuple[list[float], list[float], list[float]]:
+    """Accepted (t, x, f(t, x)) of dx/dt = f(t, x) from x(0) = x0 to t_max.
 
-    Raises StepFailure when a step would have to be shorter than 10 ulp(t).
+    The slope at each accepted point is the first stage k1 there (the FSAL
+    stage k7 of the step that reached it), so recording it costs no call.
+    Raises StepFailure when a step would have to be shorter than 10 ulp(t),
+    or when more than _MAX_STEPS steps would be accepted.
     """
     t, x = 0.0, x0
     k1 = f(t, x)
     h = _initial_step(f, x, k1, t_max, rel_tol, abs_tol)
-    times, xs = [t], [x]
+    times, xs, vs = [t], [x], [k1]
     while t < t_max:
+        if len(times) > _MAX_STEPS:
+            raise StepFailure(f"more than {_MAX_STEPS} steps needed to reach "
+                              f"t_max={t_max!r} (stopped at t={t!r})")
         min_step = 10 * math.ulp(t)
         h = max(h, min_step)
         rejected = False
@@ -218,16 +230,20 @@ def _dormand_prince(f, x0: float, t_max: float, rel_tol: float,
         t, x, k1 = t_new, x_new, k7
         times.append(t)
         xs.append(x)
-    return times, xs
+        vs.append(k1)
+    return times, xs, vs
 
 
-def _rk4(f, x0: float, t_max: float, dt: float
-         ) -> tuple[list[float], list[float]]:
-    """(t, x) after each of round(t_max/dt) classic RK4 steps from x(0) = x0."""
-    times, xs = [0.0], [x0]
+def _rk4(f, x0: float, dt: float, steps: int
+         ) -> tuple[list[float], list[float], list[float]]:
+    """(t, x, f(t, x)) before and after each of `steps` classic RK4 steps
+    from x(0) = x0.  The slope at a step's start is its stage k1; only the
+    last point costs a call of its own."""
+    times, xs, vs = [0.0], [x0], []
     x, t = x0, 0.0
-    for k in range(max(1, int(round(t_max / dt)))):
+    for k in range(steps):
         k1 = f(t, x)
+        vs.append(k1)
         k2 = f(t + dt / 2, x + dt * k1 / 2)
         k3 = f(t + dt / 2, x + dt * k2 / 2)
         k4 = f(t + dt, x + dt * k3)
@@ -235,7 +251,8 @@ def _rk4(f, x0: float, t_max: float, dt: float
         t = (k + 1) * dt
         times.append(t)
         xs.append(x)
-    return times, xs
+    vs.append(f(t, x))
+    return times, xs, vs
 
 
 def integrate(params: SystemParams, init: WavepacketInit, x_start: float,
@@ -243,23 +260,27 @@ def integrate(params: SystemParams, init: WavepacketInit, x_start: float,
     """Integrate the guidance equation from x(0) = x_start up to cfg.t_max.
 
     Records every cfg.record_every-th step of the stepper, and always the
-    last one.
+    last one, with the velocity the stepper evaluated there.  At most
+    _MAX_STEPS steps are taken: an RK4 config that needs more is a
+    ValueError, an RK45 run that would accept more a StepFailure.
     """
     if not math.isfinite(x_start):
         raise ValueError("x_start must be finite")
     rhs = lambda t, x: _velocity_of(params, init, t, x)
     stepper = cfg.stepper
     if isinstance(stepper, RK4Fixed):
-        times, xs = _rk4(rhs, x_start, cfg.t_max, stepper.dt)
+        n_steps = max(1, int(round(cfg.t_max / stepper.dt)))
+        if n_steps > _MAX_STEPS:
+            raise ValueError(f"t_max/dt = {n_steps} RK4 steps exceeds the "
+                             f"limit of {_MAX_STEPS}")
+        columns = _rk4(rhs, x_start, stepper.dt, n_steps)
     else:
-        times, xs = _dormand_prince(rhs, x_start, cfg.t_max, stepper.rel_tol,
-                                    stepper.abs_tol)
-    last = len(times) - 1
+        columns = _dormand_prince(rhs, x_start, cfg.t_max, stepper.rel_tol,
+                                  stepper.abs_tol)
+    last = len(columns[0]) - 1
     keep = [*range(0, last, cfg.record_every), last]
-    t_rec = [times[i] for i in keep]
-    x_rec = [xs[i] for i in keep]
-    return TrajectoryPath(np.array(t_rec), np.array(x_rec),
-                          np.array([rhs(t, x) for t, x in zip(t_rec, x_rec)]))
+    return TrajectoryPath(*(np.array([column[i] for i in keep])
+                            for column in columns))
 
 
 def density_quantile(params: SystemParams, init: WavepacketInit, t: float,

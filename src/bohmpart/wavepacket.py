@@ -8,8 +8,11 @@ stays Gaussian under both supported potentials:
 
 with complex inverse-width a(t), classical center (q(t), p(t)) and real phase
 accumulator g(t).  The phase convention makes the normalization prefactor real
-positive at all times, so g(t) carries only the physical phase.  From the
-polar decomposition psi = R exp(iS/hbar) everything else follows:
+positive at all times, so g(t) carries only the physical phase.  evolve
+computes a, q and p; the state computes g(t) when its gamma is read, so
+callers that never read it (densities, velocities, energies) do not pay for
+it.  From the polar decomposition psi = R exp(iS/hbar) everything else
+follows:
 
     P = R^2                       probability density
     dS/dx                         phase gradient (local momentum field)
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,14 +60,17 @@ class WavepacketInit:
         return 1.0 / (4.0 * self.sigma**2)
 
 
-@dataclass(frozen=True)
-class WavepacketState:
-    """Snapshot of the evolved packet at time t."""
+class WavepacketState(NamedTuple):
+    """Snapshot of the evolved packet at time t.
+
+    Immutable.  The phase accumulator gamma is computed when read, from
+    (params, init, t), because only the phase itself (total_phase,
+    wavefunction) needs it.
+    """
 
     alpha: complex
     q: float
     p: float
-    gamma: float
     t: float
     init: WavepacketInit
     params: SystemParams
@@ -72,6 +79,11 @@ class WavepacketState:
     def width(self) -> float:
         """Position standard deviation 1/(2 sqrt(Re alpha))."""
         return 0.5 / math.sqrt(self.alpha.real)
+
+    @property
+    def gamma(self) -> float:
+        """Real phase accumulator g(t) of psi."""
+        return _phase(self.params, self.init, self.t)
 
 
 def _continuous_angle(u: float, tanphi: float) -> float:
@@ -92,21 +104,20 @@ def evolve(params: SystemParams, init: WavepacketInit, t: float) -> WavepacketSt
     Harmonic well (mass m, frequency w):
         a(t) = (m w / hbar) * (hbar cos(wt) + 2i sigma^2 m w sin(wt))
                             / (2i hbar sin(wt) + 4 sigma^2 m w cos(wt))
-        (q, p) follow the classical flow; the phase integrates
-        g' = p^2/2m - V(q) - hbar^2 Re a / m, done in closed form with the
-        log branch tracked continuously through every winding.
+        (q, p) follow the classical flow.
 
     Free particle:
         a(t) = a0 / (1 + i tau),  tau = 2 hbar a0 t / m,  a0 = 1/(4 sigma^2)
-        q = x0 + p0 t / m,  p = p0,
-        g = p0^2 t / 2m - (hbar/2) arctan(tau).
+        q = x0 + p0 t / m,  p = p0.
+
+    The phase g(t) is not computed here: the state's gamma property computes
+    it when read (see _phase).
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     hbar = params.constants.hbar
     m = params.mass
     x0, p0, sigma = init.x0, init.p0, init.sigma
-    a0 = init.alpha0
 
     if isinstance(params.potential, Harmonic):
         w = params.potential.omega
@@ -116,18 +127,37 @@ def evolve(params: SystemParams, init: WavepacketInit, t: float) -> WavepacketSt
             / (2j * hbar * s + 4 * sigma**2 * m * w * c)
         q = x0 * c + (p0 / (m * w)) * s
         p = p0 * c - m * w * x0 * s
-        tanphi = hbar / (2 * sigma**2 * m * w)
-        gamma = (-0.5 * hbar * _continuous_angle(u, tanphi)
-                 + (p0**2 / (2 * m) - 0.5 * m * w**2 * x0**2) * s * c / w
-                 + 0.5 * p0 * x0 * (c * c - s * s))
     else:
+        a0 = init.alpha0
         tau = 2.0 * hbar * a0 * t / m
         alpha = a0 / (1.0 + 1j * tau)
         q = x0 + p0 * t / m
         p = p0
-        gamma = p0**2 * t / (2 * m) - 0.5 * hbar * math.atan(tau)
+    return WavepacketState(alpha, q, p, t, init, params)
 
-    return WavepacketState(alpha, q, p, gamma, t, init, params)
+
+def _phase(params: SystemParams, init: WavepacketInit, t: float) -> float:
+    """Phase accumulator g(t) of the packet evolved to time t.
+
+    Harmonic well: g integrates g' = p^2/2m - V(q) - hbar^2 Re a / m, done in
+    closed form with the log branch tracked continuously through every
+    winding.
+    Free particle: g = p0^2 t / 2m - (hbar/2) arctan(tau).
+    """
+    hbar = params.constants.hbar
+    m = params.mass
+    x0, p0, sigma = init.x0, init.p0, init.sigma
+
+    if isinstance(params.potential, Harmonic):
+        w = params.potential.omega
+        u = w * t
+        s, c = math.sin(u), math.cos(u)
+        tanphi = hbar / (2 * sigma**2 * m * w)
+        return (-0.5 * hbar * _continuous_angle(u, tanphi)
+                + (p0**2 / (2 * m) - 0.5 * m * w**2 * x0**2) * s * c / w
+                + 0.5 * p0 * x0 * (c * c - s * s))
+    tau = 2.0 * hbar * init.alpha0 * t / m
+    return p0**2 * t / (2 * m) - 0.5 * hbar * math.atan(tau)
 
 
 def density(state: WavepacketState, x):

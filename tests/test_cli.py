@@ -261,6 +261,27 @@ def test_step_failure_exit_4(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_step_cap_exit_4(monkeypatch, capsys):
+    from bohmpart import cli, trajectories
+    monkeypatch.setattr(trajectories, "_MAX_STEPS", 100)
+    assert cli.main(["trajectory", "--x-start", "1.2", "--tmax", "1e9"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("bohmpart: numerical failure: more than 100 steps")
+    assert "Traceback" not in err
+
+
+def test_marginal_divergent_after_an_overflowing_sample_exit_2(capsys):
+    # t = 1.354 is convergent but its log Z is ~4e3, which overflows the
+    # quadrature; t = 1.386 diverges and must decide the exit code
+    from bohmpart import cli
+    assert cli.main(["marginal", "--sigma", "1.27766", "--kbt", "0.473019",
+                     "--x0", "1.58504", "--p0", "0.434832",
+                     "--samples", "400"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bohmpart: divergent integral:")
+    assert "Traceback" not in err
+
+
 def test_trajectory_csv_schema(tmp_path: Path):
     out = tmp_path / "t.csv"
     cp = run_cli("trajectory", "--x-start", "1.45", "--tmax", "1.0",

@@ -7,6 +7,8 @@ from bohmpart import (Constants, RK4Fixed, RK45Adaptive, TrajectoryConfig,
                       WavepacketInit, bohmian_velocity, equivariance_check,
                       evolve, free_system, harmonic_system, integrate,
                       quantum_force, quantum_potential)
+from bohmpart import trajectories
+from bohmpart.core import StepFailure
 from bohmpart.numdiff import central_first
 from bohmpart.trajectories import (TrajectoryPath, density_quantile,
                                    scaling_solution)
@@ -101,18 +103,48 @@ def test_dormand_prince_matches_scipy_rk45():
         assert ours <= 2.0 * theirs and ours < 1e-6
 
 
+@pytest.mark.parametrize("params", [HO, FREE], ids=["harmonic", "free"])
 @pytest.mark.parametrize("stepper", [RK4Fixed(0.01), RK45Adaptive()],
                          ids=["rk4", "rk45"])
-def test_record_every_keeps_every_kth_step_and_the_last(stepper):
+def test_record_every_keeps_every_kth_step_and_the_last(stepper, params):
     init = WavepacketInit(1.0, 0.2, 0.6)
-    full = integrate(HO, init, 1.3, TrajectoryConfig(stepper, 4.0))
-    thinned = integrate(HO, init, 1.3,
+    full = integrate(params, init, 1.3, TrajectoryConfig(stepper, 4.0))
+    thinned = integrate(params, init, 1.3,
                         TrajectoryConfig(stepper, 4.0, record_every=3))
     last = full.times.size - 1
     assert last % 3 != 0  # so the last step is kept on top of the grid
     keep = [*range(0, last, 3), last]
     for name in ("times", "positions", "velocities"):
         assert np.array_equal(getattr(thinned, name), getattr(full, name)[keep])
+    # the steppers' own stage velocities are the RHS at the recorded points
+    for path in (full, thinned):
+        for t, x, v in zip(path.times, path.positions, path.velocities):
+            assert v == bohmian_velocity(evolve(params, init, t), x)
+
+
+def test_rk4_evaluates_four_stages_per_step_and_the_last_point(monkeypatch):
+    calls = []
+
+    def counting_evolve(*args):
+        calls.append(args[2])
+        return evolve(*args)
+    monkeypatch.setattr(trajectories, "evolve", counting_evolve)
+    steps = 50
+    path = integrate(HO, WavepacketInit(1.0, 0.2, 0.6), 1.3,
+                     TrajectoryConfig(RK4Fixed(0.01), steps * 0.01))
+    assert path.times.size == steps + 1
+    assert len(calls) == 4 * steps + 1
+
+
+def test_step_count_is_capped(monkeypatch):
+    monkeypatch.setattr(trajectories, "_MAX_STEPS", 20)
+    init = WavepacketInit(1.0, 0.2, 0.6)
+    path = integrate(HO, init, 1.3, TrajectoryConfig(RK4Fixed(0.01), 0.2))
+    assert path.times.size == 21  # exactly at the cap
+    with pytest.raises(ValueError, match="t_max/dt"):
+        integrate(HO, init, 1.3, TrajectoryConfig(RK4Fixed(0.01), 0.21))
+    with pytest.raises(StepFailure, match="more than 20 steps"):
+        integrate(HO, init, 1.3, TrajectoryConfig(RK45Adaptive(), 1e9))
 
 
 @pytest.mark.parametrize("make, field", [

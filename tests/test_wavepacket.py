@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from bohmpart import (TruncationInsufficient, WavepacketInit, density,
-                      energy_pointwise, evolve, free_system, harmonic_system,
-                      mean_energy, phase_gradient, potential_value,
-                      quantum_potential, spectral_project)
+from bohmpart import (Constants, TruncationInsufficient, WavepacketInit,
+                      density, energy_pointwise, evolve, free_system,
+                      harmonic_system, mean_energy, phase_gradient,
+                      potential_value, quantum_potential, spectral_project)
 from bohmpart.numdiff import central_first, central_second
 from bohmpart.wavepacket import (amplitude, default_spectral_grid,
                                  hermite_functions, packet_mean_energy_exact,
@@ -26,6 +26,28 @@ def test_evolve_initial_condition():
     assert st.q == pytest.approx(1.0)
     assert st.p == pytest.approx(0.0)
     assert st.alpha == pytest.approx(1.0)  # 1/(4 sigma^2) with sigma = 0.5
+    with pytest.raises(AttributeError):
+        st.q = 2.0
+
+
+# Reference values of gamma to the last bit; with w = 1.7 the harmonic times
+# span more than 16 windings of the log branch
+_HO_PHASE = harmonic_system(0.8, 1.7, Constants(0.6))
+_FREE_PHASE = free_system(1.3, Constants(1.6))
+
+
+@pytest.mark.parametrize("params, init, t, gamma", [
+    (_HO_PHASE, WavepacketInit(0.9, -0.4, 0.55), 0.3, -0.42000232570380563),
+    (_HO_PHASE, WavepacketInit(0.9, -0.4, 0.55), 2.9, -1.2351075307200596),
+    (_HO_PHASE, WavepacketInit(0.9, -0.4, 0.55), 7.9, -4.196763025178523),
+    (_HO_PHASE, WavepacketInit(0.9, -0.4, 0.55), 23.4, -11.673494277014672),
+    (_HO_PHASE, WavepacketInit(0.9, -0.4, 0.55), 61.0, -31.300994635090643),
+    (_FREE_PHASE, WavepacketInit(-0.2, 1.1, 0.4), 0.3, -0.5457491179308063),
+    (_FREE_PHASE, WavepacketInit(-0.2, 1.1, 0.4), 7.9, 2.446221013987715),
+    (_FREE_PHASE, WavepacketInit(-0.2, 1.1, 0.4), 61.0, 27.135234292442416),
+])
+def test_gamma_reference_values(params, init, t, gamma):
+    assert evolve(params, init, t).gamma == gamma
 
 
 def test_evolve_coherent_width_constant():
