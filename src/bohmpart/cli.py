@@ -8,10 +8,11 @@ lists them) and returns one Result holding its output in both formats.
 writes it with a manifest carrying the resolved config and a stable digest
 of the numeric payload.  `verify` prints its text report itself.
 
-Exit codes: 0 ok, 1 usage error, 2 domain error (divergent integral),
-3 verification failure, 4 numerical failure (a quadrature did not converge
-or an ODE step fell below rounding).
-JSON output holds numbers as JSON numbers and divergent cells as null.
+Exit codes: 0 ok, 1 usage error, 2 domain error (a DivergentIntegral from
+the library, which alone decides where an integral diverges), 3 verification
+failure, 4 numerical failure (a quadrature did not converge or an ODE step
+fell below rounding).  JSON output holds numbers as JSON numbers and
+divergent cells as null.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from .core import (Constants, DivergentIntegral, QuadratureConfig,
                    QuadratureFailure, StepFailure, SystemParams, ThermalSpec,
                    free_system, harmonic_system)
 from .partition import (classical_Z, classicality_criterion,
-                        gaussian_correction, marginal_convergent,
-                        marginal_curve, phase_space_integral, quantum_ratio,
-                        quantum_Z, quantum_Z_closed_form, unified_Z_gaussian,
+                        gaussian_correction, marginal_curve,
+                        phase_space_integral, quantum_ratio, quantum_Z,
+                        quantum_Z_closed_form, unified_Z_gaussian,
                         unified_integral)
 from .trajectories import RK45Adaptive, TrajectoryConfig, integrate
 from .verify import ToleranceProfile, run_verification
@@ -111,20 +112,28 @@ def read_key_values(path: str):
         yield lineno, key, value
 
 
-def resolve_config(args) -> dict:
+def resolve_config(args, lists: tuple[str, ...] = ()) -> dict:
     """Defaults < config file < flags, over the keys the subcommand reads.
 
     The config file is flat key = value text ('#' starts a comment); a key
-    the subcommand does not read is a UsageError.
+    the subcommand does not read is a UsageError.  Each key in `lists` names
+    a repeatable flag of the same name (fig1's --sigma and --kbt); where
+    that flag is not given, the key's value in the file becomes its one
+    value.
     """
     flags, file_only = READS[args.command]
     cfg = {key: CONFIG_KEYS[key] for key in flags + file_only}
+    in_file = set()
     for lineno, key, value in (read_key_values(args.config)
                                if args.config else ()):
         if key not in cfg:
             raise UsageError(f"{args.config}:{lineno}: unknown config key "
                              f"{key!r} for {args.command}")
         cfg[key] = float(value)
+        in_file.add(key)
+    for key in in_file.intersection(lists):
+        if getattr(args, key) is None:
+            setattr(args, key, [cfg[key]])
     for key in flags:
         val = getattr(args, f"cfg_{key}")
         if val is not None:
@@ -247,22 +256,15 @@ def emit(args, command: str, config: dict, payload: bytes,
 # ---------------------------------------------------------------------------
 
 def marginal_series(args, cfg: dict, pairs) -> tuple[list, dict]:
-    """Marginal-Z curves, one per (sigma, kbt) pair, and their JSON fields.
-
-    Every pair's t = 0 integral is checked before any curve is computed.
-    """
+    """Marginal-Z curves, one per (sigma, kbt) pair, and their JSON fields."""
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
+    if not math.isfinite(args.tmax):
+        raise UsageError("--tmax must be finite")
     params = system_of(cfg)
     quad = quad_of(cfg)
     runs = [(WavepacketInit(cfg["x0"], cfg["p0"], sigma),
              ThermalSpec.from_kbt(kbt)) for sigma, kbt in pairs]
-    for (sigma, kbt), (init, thermal) in zip(pairs, runs):
-        if not marginal_convergent(params, init, thermal, 0.0):
-            ratio = quantum_ratio(params.mass, sigma, thermal, cfg["hbar"])
-            raise DivergentIntegral(f"t=0 integral at sigma={sigma:g}, "
-                                    f"kbt={kbt:g} (criterion ratio {ratio:g})")
-
     times = np.linspace(0.0, args.tmax, args.samples)
     curves = [marginal_curve(params, init, thermal, times, quad,
                              normalized=not args.raw)
@@ -274,7 +276,7 @@ def marginal_series(args, cfg: dict, pairs) -> tuple[list, dict]:
 
 
 def cmd_fig1(args) -> Result:
-    cfg = resolve_config(args)
+    cfg = resolve_config(args, lists=("sigma", "kbt"))
     if args.sigma or args.kbt:
         pairs = [(s, k) for s in args.sigma or [cfg["sigma"]]
                  for k in args.kbt or [cfg["kbt"]]]
@@ -300,6 +302,8 @@ def cmd_limits(args) -> Result:
         raise UsageError("--num must be at least 2")
     if args.fixed_msigma2 and args.var != "sigma":
         raise UsageError("--fixed-msigma2 needs --var sigma")
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise UsageError("--start and --stop must be finite")
     values = np.linspace(args.start, args.stop, args.num)
     msigma2 = cfg["mass"] * cfg["sigma"] ** 2
 
@@ -314,11 +318,12 @@ def cmd_limits(args) -> Result:
         ratio = quantum_ratio(local["mass"], local["sigma"], thermal,
                               local["hbar"])
         z_cl = classical_Z(params, thermal).value
-        if ratio >= 1.0:
+        try:
+            z_u = unified_Z_gaussian(params, local["sigma"], thermal).value
+        except DivergentIntegral:
             rows.append([v, math.nan, z_cl, math.nan, ratio, "divergent"])
-            continue
-        z_u = unified_Z_gaussian(params, local["sigma"], thermal).value
-        rows.append([v, z_u, z_cl, z_u / z_cl, ratio, "ok"])
+        else:
+            rows.append([v, z_u, z_cl, z_u / z_cl, ratio, "ok"])
 
     header = [f"{args.var}[swept]", "z_u[dimensionless]", "z_cl[dimensionless]",
               "ratio[dimensionless]", "criterion_ratio[dimensionless]", "status"]
@@ -349,6 +354,10 @@ def parse_bath_file(path: str, sigma_default: float, q0_default: float) -> BathS
 
 def cmd_bath(args) -> Result:
     cfg = resolve_config(args)
+    if not math.isfinite(args.kernel_tmax):
+        raise UsageError("--kernel-tmax must be finite")
+    if args.kernel_samples < 1:
+        raise UsageError("--kernel-samples must be at least 1")
     shape = {key: getattr(args, key) for key in BATH_SHAPE}
     if args.bath_file:
         given = [f"--{key.replace('_', '-')}" for key, val in shape.items()
@@ -375,18 +384,18 @@ def cmd_bath(args) -> Result:
                   "ratio[dimensionless]", "criterion"]
     oscillators = {"oscillators": json_records(osc_header, osc_rows)}
 
-    if not all(rep.classical_ok for rep in reports):
+    try:
+        exact, printed = unified_bath_Z(bath, thermal, hbar=hbar)
+    except DivergentIntegral:
         if not args.allow_divergent:
             raise DivergentIntegral(
                 "criterion ratio >= 1 for at least one oscillator; rerun "
-                "with --allow-divergent for the criterion table")
+                "with --allow-divergent for the criterion table") from None
         return Result(cfg, osc_header, osc_rows, oscillators)
 
     kernel_t = np.linspace(0.0, args.kernel_tmax, args.kernel_samples)
     kernel_nu = memory_kernel(bath, kernel_t)
-
     z_b = classical_bath_Z(bath, thermal)
-    exact, printed = unified_bath_Z(bath, thermal, hbar=hbar)
     masses = {o.mass for o in bath.oscillators}
     large_n = (large_N_ratio(bath.size, masses.pop(), bath.sigma, thermal, hbar)
                if len(masses) == 1 else (math.nan,) * 3)
@@ -439,9 +448,13 @@ def cmd_partition(args) -> Result:
     rows.append(["z_quantum", "eigen_sum", z_q.value, z_q.est_error])
     rows.append(["z_quantum", "closed_form",
                  quantum_Z_closed_form(params, thermal), 0.0])
-    if crit.dimensionless_ratio < 1.0:
+    try:
         c = gaussian_correction(cfg["mass"], cfg["sigma"], thermal, cfg["hbar"])
         z_u = unified_Z_gaussian(params, cfg["sigma"], thermal)
+    except DivergentIntegral:
+        rows.append(["gaussian_correction", "divergent", math.nan, math.nan])
+        rows.append(["z_unified", "divergent", math.nan, math.nan])
+    else:
         rows.append(["gaussian_correction", "closed_form", c, 0.0])
         rows.append(["z_unified", "closed_form", z_u.value, z_u.est_error])
         if args.oracle:
@@ -453,9 +466,6 @@ def cmd_partition(args) -> Result:
                     ("z_unified", unified_integral(m, w, cfg["sigma"], thermal,
                                                    hbar, quad))):
                 rows.append([name, "quadrature", val / norm, err / norm])
-    else:
-        rows.append(["gaussian_correction", "divergent", math.nan, math.nan])
-        rows.append(["z_unified", "divergent", math.nan, math.nan])
     rows.append(["criterion_ratio", "closed_form", crit.dimensionless_ratio, 0.0])
     rows.append(["t_min", "closed_form", crit.t_min, 0.0])
     rows.append(["thermal_de_broglie", "closed_form", crit.thermal_de_broglie, 0.0])

@@ -11,8 +11,9 @@ Conventions
 
       beta hbar^2 / (4 m sigma^2) < 1,
 
-  which is the classicality temperature bound; every entry point checks it
-  and raises DivergentIntegral at or beyond the threshold.
+  which is the classicality temperature bound.  Only _convergent_ratio
+  (r >= 1) and _marginal_window (kappa <= 0) decide where an integral
+  diverges; each raises DivergentIntegral, which callers such as the CLI catch.
 * The closed forms are backed by separate Gauss-Legendre oracles, used by
   `verify`, `partition --oracle` and the tests: phase_space_integral
   (classical Z), gaussian_correction_integral (the factor C) and
@@ -257,14 +258,22 @@ def unified_integral(m: float, w: float, sigma: float, thermal: ThermalSpec,
 # Marginal partition function and its time derivative
 # ---------------------------------------------------------------------------
 
-def _marginal_window(state, beta: float,
+def _marginal_window(state, thermal: ThermalSpec,
                      quad: QuadratureConfig) -> tuple[float, float]:
-    """x-window of the marginal integrand; DivergentIntegral if unbounded."""
-    kappa, u_star, width = _marginal_exponent_shape(state, beta)
+    """x-window of the marginal integrand; DivergentIntegral if unbounded.
+
+    log(P e^(-beta E)) = -kappa u^2 - beta A1 u + const in u = x - q.
+    """
+    beta = thermal.beta
+    a2, a1, _ = _energy_coefficients(state)
+    kappa = 2.0 * state.alpha.real + beta * a2
     if kappa <= 0.0:
         raise DivergentIntegral(
-            f"marginal integrand not normalizable at t={state.t:g} "
+            f"marginal integrand not normalizable at t={state.t:g}, "
+            f"sigma={state.init.sigma:g}, kbt={thermal.kbt:g} "
             f"(quadratic coefficient {-kappa:g} >= 0)")
+    u_star = -beta * a1 / (2.0 * kappa)
+    width = 1.0 / math.sqrt(2.0 * kappa)
     center = state.q + u_star
     half = quad.window_sigmas * width
     return center - half, center + half
@@ -274,29 +283,6 @@ def _boltzmann_density(state, beta: float, x):
     """P(x,t) exp(-beta E(x,t)), exponentiated once so that no sample point
     multiplies an underflowed density by an overflowed Boltzmann factor."""
     return np.exp(_log_density(state, x) - beta * energy_pointwise(state, x))
-
-
-def _marginal_exponent_shape(state, beta: float) -> tuple[float, float, float]:
-    """(kappa, u_star, width) of the full integrand exponent in u = x - q.
-
-    log(P e^(-beta E)) = -kappa u^2 - beta A1 u + const; kappa <= 0 means the
-    integral diverges.  u_star is the completed-square center, width the
-    effective Gaussian standard deviation.
-    """
-    a2, a1, _ = _energy_coefficients(state)
-    kappa = 2.0 * state.alpha.real + beta * a2
-    if kappa <= 0.0:
-        return kappa, 0.0, math.inf
-    u_star = -beta * a1 / (2.0 * kappa)
-    return kappa, u_star, 1.0 / math.sqrt(2.0 * kappa)
-
-
-def marginal_convergent(params: SystemParams, init: WavepacketInit,
-                        thermal: ThermalSpec, t: float) -> bool:
-    """Whether the marginal integrand is normalizable at this t."""
-    state = evolve(params, init, t)
-    kappa, _, _ = _marginal_exponent_shape(state, thermal.beta)
-    return kappa > 0.0
 
 
 def marginal_Z(params: SystemParams, init: WavepacketInit, thermal: ThermalSpec,
@@ -309,7 +295,7 @@ def marginal_Z(params: SystemParams, init: WavepacketInit, thermal: ThermalSpec,
     """
     beta = thermal.beta
     state = evolve(params, init, t)
-    lo, hi = _marginal_window(state, beta, quad)
+    lo, hi = _marginal_window(state, thermal, quad)
     val, _ = integrate_window(lambda x: _boltzmann_density(state, beta, x),
                               lo, hi, quad)
     return val
@@ -335,7 +321,7 @@ def marginal_Z_derivative(params: SystemParams, init: WavepacketInit,
                           quad: QuadratureConfig) -> MarginalRate:
     beta = thermal.beta
     state = evolve(params, init, t)
-    lo, hi = _marginal_window(state, beta, quad)
+    lo, hi = _marginal_window(state, thermal, quad)
 
     def rate(energy_weight: float):
         return lambda x: (_log_density_dt(state, x)
@@ -358,7 +344,7 @@ def marginal_curve(params: SystemParams, init: WavepacketInit,
     """
     times = np.asarray(times, dtype=float)
     for t in times:
-        _marginal_window(evolve(params, init, t), thermal.beta, quad)
+        _marginal_window(evolve(params, init, t), thermal, quad)
     values = np.array([marginal_Z(params, init, thermal, t, quad) for t in times])
     if normalized:
         z0 = marginal_Z(params, init, thermal, 0.0, quad) \

@@ -31,6 +31,8 @@ from bohmpart.wavepacket import (amplitude, default_spectral_grid,
 HO = harmonic_system(1.0, 1.0)
 FREE = free_system(1.0)
 QUAD = QuadratureConfig()
+# CLI children turn RuntimeWarning into an error, as pytest does in process
+PYTHON = [sys.executable, "-W", "error::RuntimeWarning"]
 
 
 def report(num: int, label: str, ok: bool, detail: str = ""):
@@ -284,7 +286,7 @@ def test_criterion_10_bath():
 
 def test_criterion_11_verify_command_and_determinism(tmp_path: Path):
     t0 = time.time()
-    cp = subprocess.run([sys.executable, "-m", "bohmpart", "verify"],
+    cp = subprocess.run([*PYTHON, "-m", "bohmpart", "verify"],
                         capture_output=True, text=True)
     verify_ok = cp.returncode == 0 and (time.time() - t0) < 300.0
 
@@ -292,7 +294,7 @@ def test_criterion_11_verify_command_and_determinism(tmp_path: Path):
     for name in ("r1", "r2"):
         out = tmp_path / f"{name}.csv"
         run = subprocess.run(
-            [sys.executable, "-m", "bohmpart", "fig1", "--samples", "50",
+            [*PYTHON, "-m", "bohmpart", "fig1", "--samples", "50",
              "--tmax", "6.0", "--out", str(out)],
             capture_output=True, text=True)
         assert run.returncode == 0, run.stderr

@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 
 
+# A child process turns RuntimeWarning into an error, as pytest does in
+# process, so that a warning cannot pass unseen on a child's stderr.
+PYTHON = [sys.executable, "-W", "error::RuntimeWarning"]
+
+
 def run_cli(*args: str) -> subprocess.CompletedProcess:
-    cmd = [sys.executable, "-m", "bohmpart", *args]
+    cmd = [*PYTHON, "-m", "bohmpart", *args]
     return subprocess.run(cmd, capture_output=True, text=True)
 
 
@@ -65,7 +70,7 @@ def test_import_leaves_scipy_out():
     """Neither the import nor a trajectory or verify run loads scipy; only
     a direct call to wavepacket.spectral_project does."""
     cp = subprocess.run(
-        [sys.executable, "-c",
+        [*PYTHON, "-c",
          "import sys, bohmpart.cli\n"
          "assert bohmpart.cli.main(['trajectory', '--x-start', '1.2']) == 0\n"
          "assert bohmpart.cli.main(['verify']) == 0\n"
@@ -109,6 +114,48 @@ def test_fig1_divergent_exit_2():
     cp = run_cli("fig1", "--sigma", "0.2", "--kbt", "0.5", "--samples", "4")
     assert cp.returncode == 2
     assert "divergent" in cp.stderr
+
+
+@pytest.mark.parametrize("kbt, named", [
+    ("0.5", "t=0, sigma=0.45, kbt=0.5"),  # the first pair already diverges
+    ("2", "t=0, sigma=0.2, kbt=2"),  # (0.45, 2) is one of the paper's pairs
+])
+def test_fig1_divergent_message_names_the_pair(kbt, named):
+    cp = run_cli("fig1", "--sigma", "0.45", "--sigma", "0.2", "--kbt", kbt,
+                 "--samples", "50")
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("bohmpart: divergent integral:")
+    assert named in cp.stderr
+    assert cp.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("cfg_text, flags, pairs", [
+    ("window_sigmas = 10\n", (), {(0.45, 2.0), (0.45, 5.0), (0.65, 2.0)}),
+    ("sigma = 0.3\nkbt = 4\n", (), {(0.3, 4.0)}),
+    ("sigma = 0.6\n", (), {(0.6, 2.0)}),
+    ("kbt = 4\n", (), {(0.45, 4.0)}),
+    ("sigma = 0.3\nkbt = 4\n", ("--kbt", "3", "--kbt", "5"),
+     {(0.3, 3.0), (0.3, 5.0)}),
+    ("sigma = 0.3\nkbt = 4\n", ("--sigma", "0.5"), {(0.5, 4.0)}),
+    ("sigma = 0.3\n", ("--sigma", "0.5", "--sigma", "0.6"),
+     {(0.5, 2.0), (0.6, 2.0)}),
+    (None, ("--sigma", "0.5"), {(0.5, 2.0)}),
+], ids=["file-without-pair-keys", "file-only", "file-sigma",
+        "file-kbt", "file-sigma-flag-kbt", "flag-over-file",
+        "file-sigma-flag-sigma", "flags-only"])
+def test_fig1_config_keys_count_as_one_pair_value(tmp_path: Path, cfg_text,
+                                                  flags, pairs):
+    """A sigma or kbt key of the config file counts as one --sigma or --kbt
+    value; the paper's pairs apply only when neither gives sigma or kbt."""
+    from bohmpart import cli
+    argv = ["fig1", "--samples", "2", "--tmax", "0.5", *flags]
+    if cfg_text is not None:
+        cfg = tmp_path / "fig1.cfg"
+        cfg.write_text(cfg_text)
+        argv += ["--config", str(cfg)]
+    out = tmp_path / "fig1.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert set(read_series(out.read_text())) == pairs
 
 
 def test_fig1_deterministic_digest(tmp_path: Path):
@@ -234,6 +281,17 @@ def _exit_1_naming(capsys, argv, name):
     (["bath", "--n", "0"], "--n"),
     (["limits", "--var", "kbt", "--start", "1", "--stop", "2", "--num", "2",
       "--fixed-msigma2"], "--fixed-msigma2"),
+    (["bath", "--kernel-tmax", "inf"], "--kernel-tmax"),
+    (["bath", "--kernel-tmax", "nan"], "--kernel-tmax"),
+    (["bath", "--kernel-tmax", "nan", "--format", "json"], "--kernel-tmax"),
+    (["bath", "--kernel-samples", "0"], "--kernel-samples"),
+    (["bath", "--kernel-samples", "-3"], "--kernel-samples"),
+    (["marginal", "--tmax", "inf"], "--tmax"),
+    (["marginal", "--tmax", "nan", "--samples", "4"], "--tmax"),
+    (["fig1", "--tmax", "nan"], "--tmax"),
+    (["fig1", "--tmax=-inf", "--format", "json"], "--tmax"),
+    (["limits", "--var", "kbt", "--start", "1", "--stop", "inf"], "--stop"),
+    (["limits", "--var", "sigma", "--start", "nan", "--stop", "2"], "--start"),
 ])
 def test_input_the_subcommand_cannot_honour_exit_1(capsys, argv, name):
     _exit_1_naming(capsys, argv, name)

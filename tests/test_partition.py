@@ -2,20 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bohmpart import (AverageEnergyMode, Constants, DivergentIntegral,
-                      QuadratureConfig, ThermalSpec, WavepacketInit,
-                      average_energy, classical_Z, classicality_criterion,
-                      energy_pointwise, evolve, free_system, gaussian_correction,
+from bohmpart import (AverageEnergyMode, BathSpec, Constants,
+                      DivergentIntegral, Oscillator, QuadratureConfig,
+                      ThermalSpec, WavepacketInit, average_energy, classical_Z,
+                      classicality_criterion, energy_pointwise, evolve,
+                      free_system, gaussian_correction,
                       gaussian_correction_integral, harmonic_system,
                       marginal_Z, marginal_Z_derivative, marginal_curve,
-                      phase_space_integral, quantum_Z, unified_integral,
-                      unified_Z_gaussian)
+                      phase_space_integral, quantum_Z, unified_bath_Z,
+                      unified_integral, unified_Z_gaussian)
 from bohmpart.numdiff import central_first
 from bohmpart.partition import (PartitionResult, heat_capacity,
-                                quantum_Z_closed_form)
+                                quantum_ratio, quantum_Z_closed_form)
 
 HO = harmonic_system(1.0, 1.0)
 
@@ -497,3 +498,76 @@ def test_quantum_Z_tiny_level_spacing_is_bounded():
     res = quantum_Z(params, th)
     assert res.value == pytest.approx(quantum_Z_closed_form(params, th), rel=1e-12)
     assert res.est_error / res.value < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the one divergence decision, and the limits it interpolates between
+# ---------------------------------------------------------------------------
+
+_UNIT = st.floats(1e-4, 1.5)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(m=_UNIT, omega=_UNIT, hbar=_UNIT, beta=_UNIT, r=_UNIT)
+@example(m=1.0, omega=1.0, hbar=1.0, beta=1.0, r=1.0)
+def test_every_gaussian_form_diverges_exactly_at_r_one(m, omega, hbar, beta,
+                                                       r):
+    """Each closed form and oracle raises DivergentIntegral iff r >= 1, and
+    below r = 0.95 each closed form matches its oracle in log space."""
+    quad = QuadratureConfig()
+    thermal = ThermalSpec(beta)
+    params = harmonic_system(m, omega, Constants(hbar, 1.0))
+    sigma = hbar * math.sqrt(beta / (4.0 * m * r))
+    r_used = quantum_ratio(m, sigma, thermal, hbar)  # r up to rounding
+    assert r_used == pytest.approx(r, rel=1e-14)
+    bath = BathSpec((Oscillator(m, omega, 1.0),), sigma)
+    calls = {
+        "gaussian_correction": lambda: gaussian_correction(
+            m, sigma, thermal, hbar),
+        "gaussian_correction_integral": lambda: gaussian_correction_integral(
+            m, sigma, thermal, hbar, quad)[0],
+        "unified_Z_gaussian": lambda: unified_Z_gaussian(
+            params, sigma, thermal).value,
+        "unified_integral": lambda: unified_integral(
+            m, omega, sigma, thermal, hbar, quad)[0],
+        "unified_bath_Z": lambda: unified_bath_Z(bath, thermal, hbar)[0].value,
+    }
+    if r_used >= 1.0:
+        for name, call in calls.items():
+            with pytest.raises(DivergentIntegral):
+                call()
+                pytest.fail(f"{name} did not raise at r = {r_used!r}")
+        return
+    value = {name: call() for name, call in calls.items()}
+    if r > 0.95:
+        return
+    norm = 2.0 * math.pi * hbar
+    for closed, oracle in (
+            (value["gaussian_correction"],
+             value["gaussian_correction_integral"]),
+            (value["unified_Z_gaussian"], value["unified_integral"] / norm),
+            (value["unified_bath_Z"], value["unified_integral"])):
+        assert abs(math.log(closed / oracle)) <= 1e-9
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(m=_UNIT, omega=_UNIT, hbar=_UNIT, beta=_UNIT)
+def test_classical_limit_laws(m, omega, hbar, beta):
+    """Z_u/Z_cl -> 1 and the unified heat capacity -> k_B as r -> 0, and
+    quantum_Z/classical_Z -> 1 as beta hbar omega -> 0."""
+    kb = 0.7
+    thermal = ThermalSpec(beta)
+    params = harmonic_system(m, omega, Constants(hbar, kb))
+    z_cl = classical_Z(params, thermal).value
+    for r in (1e-3, 1e-6, 1e-9):
+        sigma = hbar * math.sqrt(beta / (4.0 * m * r))
+        z_u = unified_Z_gaussian(params, sigma, thermal).value
+        assert abs(z_u / z_cl - 1.0) <= r  # 1 - r/2 + O(r^2)
+        cv = heat_capacity(AverageEnergyMode.UNIFIED_GAUSSIAN, params,
+                           thermal, sigma)
+        assert abs(cv / kb - 1.0) <= r * r  # r^2/2 + O(r^3)
+    for x in (1e-1, 1e-3, 1e-5):
+        small = harmonic_system(m, x / (beta * hbar), Constants(hbar, kb))
+        ratio = quantum_Z(small, thermal).value / classical_Z(small,
+                                                              thermal).value
+        assert abs(ratio - 1.0) <= x * x  # -x^2/24 + O(x^4)
