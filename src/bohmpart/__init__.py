@@ -6,7 +6,7 @@ that interpolates between the quantum eigenvalue sum and the classical
 phase-space integral, including the harmonic-bath crossover factors.
 """
 
-from .core import (Constants, DivergentIntegral, Free, Grid1D, Harmonic,
+from .core import (Constants, DivergentIntegral, Grid1D,
                    QuadratureConfig, QuadratureFailure, StepFailure,
                    SystemParams, ThermalSpec, TruncationInsufficient,
                    free_system, harmonic_system, natural_units,

@@ -61,7 +61,8 @@ QUAD_KEYS = ("window_sigmas", "rel_tol", "abs_tol")
 # flag, keys only a config file sets).  Together they are the keys its
 # config file may set, the keys resolve_config resolves and the keys its
 # JSON output and manifest echo.  fig1's --sigma and --kbt are repeatable
-# lists of their own, so its sigma and kbt keys come from the file alone.
+# lists of their own, so its sigma and kbt keys come from the file alone;
+# it echoes them as lists, one value per curve.
 READS = {
     "fig1": (("hbar", "mass", "omega", "x0", "p0"),
              ("sigma", "kbt", *QUAD_KEYS)),
@@ -282,6 +283,7 @@ def cmd_fig1(args) -> Result:
                  for k in args.kbt or [cfg["kbt"]]]
     else:
         pairs = FIG1_DEFAULT_PAIRS
+    cfg["sigma"], cfg["kbt"] = [s for s, _ in pairs], [k for _, k in pairs]
     curves, fields = marginal_series(args, cfg, pairs)
     rows = [[c.sigma, c.kbt, t, z]
             for c in curves for t, z in zip(c.times, c.values)]

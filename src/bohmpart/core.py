@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -59,52 +59,31 @@ def natural_units() -> Constants:
 
 
 @dataclass(frozen=True)
-class Harmonic:
-    """Harmonic well V(x) = m*omega^2*x^2/2."""
-
-    omega: float
-
-    def __post_init__(self):
-        if not 0 < self.omega < math.inf:
-            raise ValueError("omega must be finite and strictly positive")
-
-
-@dataclass(frozen=True)
-class Free:
-    """Flat potential V(x) = 0."""
-
-
-Potential = Union[Harmonic, Free]
-
-
-@dataclass(frozen=True)
 class SystemParams:
-    """Single-particle system: mass plus one of the supported potentials."""
+    """Single particle in V(x) = m*omega^2*x^2/2; omega = 0 is the free particle."""
 
     mass: float
-    potential: Potential
+    omega: float
     constants: Constants = field(default_factory=natural_units)
+    # omega > 0, stored rather than a property: evolve reads it on every call
+    is_harmonic: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.mass < math.inf:
             raise ValueError("mass must be finite and strictly positive")
-
-    @property
-    def omega(self) -> float:
-        """Angular frequency; zero for the free particle."""
-        return self.potential.omega if isinstance(self.potential, Harmonic) else 0.0
-
-    @property
-    def is_harmonic(self) -> bool:
-        return isinstance(self.potential, Harmonic)
+        if not 0 <= self.omega < math.inf:
+            raise ValueError("omega must be finite and non-negative")
+        object.__setattr__(self, "is_harmonic", self.omega > 0)
 
 
 def harmonic_system(mass: float, omega: float, constants: Constants | None = None) -> SystemParams:
-    return SystemParams(mass, Harmonic(omega), constants or natural_units())
+    if not 0 < omega < math.inf:
+        raise ValueError("omega must be finite and strictly positive")
+    return SystemParams(mass, omega, constants or natural_units())
 
 
 def free_system(mass: float, constants: Constants | None = None) -> SystemParams:
-    return SystemParams(mass, Free(), constants or natural_units())
+    return SystemParams(mass, 0.0, constants or natural_units())
 
 
 def potential_value(params: SystemParams, x):

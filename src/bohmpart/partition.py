@@ -12,7 +12,7 @@ Conventions
       beta hbar^2 / (4 m sigma^2) < 1,
 
   which is the classicality temperature bound.  Only _convergent_ratio
-  (r >= 1) and _marginal_window (kappa <= 0) decide where an integral
+  (r >= 1) and _marginal_gaussian (kappa <= 0) decide where an integral
   diverges; each raises DivergentIntegral, which callers such as the CLI catch.
 * The closed forms are backed by separate Gauss-Legendre oracles, used by
   `verify`, `partition --oracle` and the tests: phase_space_integral
@@ -24,7 +24,9 @@ Conventions
 * The marginal partition function at fixed (x0, p0) keeps the single
   prepared packet in the distribution sum; it is evaluated by Gauss-Legendre
   quadrature (core.integrate_window) of exp(log P - beta E) with the window
-  sized from the completed square of the full exponent.
+  sized from the completed square of the full exponent.  Its time
+  derivative is that Z times a two-point Gauss-Hermite mean of the rate
+  brackets, exact because they are quadratic in x.
 * average_energy and heat_capacity are closed forms, the exact
   -d log Z/d beta and -k_B beta^2 d<E>/d beta of each mode's Z.  The tests
   hold them to finite differences (numdiff) of log quantum_Z and
@@ -258,9 +260,9 @@ def unified_integral(m: float, w: float, sigma: float, thermal: ThermalSpec,
 # Marginal partition function and its time derivative
 # ---------------------------------------------------------------------------
 
-def _marginal_window(state, thermal: ThermalSpec,
-                     quad: QuadratureConfig) -> tuple[float, float]:
-    """x-window of the marginal integrand; DivergentIntegral if unbounded.
+def _marginal_gaussian(state, thermal: ThermalSpec) -> tuple[float, float]:
+    """(center, width) in x of the Gaussian P e^(-beta E); DivergentIntegral
+    if it is unbounded.
 
     log(P e^(-beta E)) = -kappa u^2 - beta A1 u + const in u = x - q.
     """
@@ -274,9 +276,7 @@ def _marginal_window(state, thermal: ThermalSpec,
             f"(quadratic coefficient {-kappa:g} >= 0)")
     u_star = -beta * a1 / (2.0 * kappa)
     width = 1.0 / math.sqrt(2.0 * kappa)
-    center = state.q + u_star
-    half = quad.window_sigmas * width
-    return center - half, center + half
+    return state.q + u_star, width
 
 
 def _boltzmann_density(state, beta: float, x):
@@ -295,9 +295,10 @@ def marginal_Z(params: SystemParams, init: WavepacketInit, thermal: ThermalSpec,
     """
     beta = thermal.beta
     state = evolve(params, init, t)
-    lo, hi = _marginal_window(state, thermal, quad)
+    center, width = _marginal_gaussian(state, thermal)
+    half = quad.window_sigmas * width
     val, _ = integrate_window(lambda x: _boltzmann_density(state, beta, x),
-                              lo, hi, quad)
+                              center - half, center + half, quad)
     return val
 
 
@@ -319,18 +320,22 @@ class MarginalRate:
 def marginal_Z_derivative(params: SystemParams, init: WavepacketInit,
                           thermal: ThermalSpec, t: float,
                           quad: QuadratureConfig) -> MarginalRate:
-    beta = thermal.beta
+    """Both rates as Z times a mean over the normal density P e^(-beta E)/Z.
+
+    dP/dt = P d(log P)/dt, and d(log P)/dt and dE/dt are quadratics in x, so
+    the two-point Gauss-Hermite rule at center +- width gives their means
+    exactly.  Z is the marginal_Z quadrature.
+    """
+    z = marginal_Z(params, init, thermal, t, quad)
     state = evolve(params, init, t)
-    lo, hi = _marginal_window(state, thermal, quad)
+    center, width = _marginal_gaussian(state, thermal)
+    nodes = (center - width, center + width)
 
-    def rate(energy_weight: float):
-        return lambda x: (_log_density_dt(state, x)
-                          + energy_weight * energy_dt(state, x)) \
-            * _boltzmann_density(state, beta, x)
+    def mean(energy_weight: float) -> float:
+        return 0.5 * sum(_log_density_dt(state, x)
+                         + energy_weight * energy_dt(state, x) for x in nodes)
 
-    exact, _ = integrate_window(rate(-beta), lo, hi, quad)
-    bracket, _ = integrate_window(rate(1.0), lo, hi, quad)
-    return MarginalRate(exact, bracket)
+    return MarginalRate(z * mean(-thermal.beta), z * mean(1.0))
 
 
 def marginal_curve(params: SystemParams, init: WavepacketInit,
@@ -344,7 +349,7 @@ def marginal_curve(params: SystemParams, init: WavepacketInit,
     """
     times = np.asarray(times, dtype=float)
     for t in times:
-        _marginal_window(evolve(params, init, t), thermal, quad)
+        _marginal_gaussian(evolve(params, init, t), thermal)
     values = np.array([marginal_Z(params, init, thermal, t, quad) for t in times])
     if normalized:
         z0 = marginal_Z(params, init, thermal, 0.0, quad) \

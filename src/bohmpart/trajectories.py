@@ -30,8 +30,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .core import StepFailure, SystemParams
-from .wavepacket import (WavepacketInit, WavepacketState, evolve,
-                         phase_gradient, quantum_potential)
+from .wavepacket import WavepacketInit, WavepacketState, evolve, phase_gradient
 
 _MIN_REL_TOL = 100 * sys.float_info.epsilon
 # Steps one integration may take; every step is kept in memory until the
@@ -293,16 +292,15 @@ def density_quantile(params: SystemParams, init: WavepacketInit, t: float,
 
 
 def equivariance_check(params: SystemParams, init: WavepacketInit,
-                       quantiles: Sequence[float], t: float,
-                       cfg: TrajectoryConfig | None = None) -> float:
+                       quantiles: Sequence[float], t: float) -> float:
     """Transport error of the quantile map under the Bohmian flow.
 
-    Starts one trajectory at each c-quantile of P(.,0), integrates to t, and
-    measures the quantile each endpoint occupies in P(.,t).  Returns
-    max |c_achieved - c|; exactly zero for the ideal Gaussian flow.
+    Starts one trajectory at each c-quantile of P(.,0), integrates it to t
+    with the default RK45Adaptive stepper, and measures the quantile each
+    endpoint occupies in P(.,t).  Returns max |c_achieved - c|; exactly zero
+    for the ideal Gaussian flow.
     """
-    stepper = cfg.stepper if cfg is not None else RK45Adaptive()
-    run_cfg = TrajectoryConfig(stepper=stepper, t_max=t)
+    run_cfg = TrajectoryConfig(t_max=t)
     end_state = evolve(params, init, t)
     worst = 0.0
     for c in quantiles:
@@ -317,11 +315,3 @@ def equivariance_check(params: SystemParams, init: WavepacketInit,
 def classical_force(params: SystemParams, x):
     """-V'(x) = -m omega^2 x: the classical part of the Newton-like law."""
     return -params.mass * params.omega**2 * x
-
-
-__all__ = [
-    "RK4Fixed", "RK45Adaptive", "TrajectoryConfig", "TrajectoryPath",
-    "bohmian_velocity", "quantum_force", "scaling_solution", "integrate",
-    "density_quantile", "equivariance_check", "classical_force",
-    "quantum_potential",
-]

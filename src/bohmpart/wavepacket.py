@@ -8,7 +8,10 @@ stays Gaussian under both supported potentials:
 
 with complex inverse-width a(t), classical center (q(t), p(t)) and real phase
 accumulator g(t).  The phase convention makes the normalization prefactor real
-positive at all times, so g(t) carries only the physical phase.  evolve
+positive at all times, so g(t) carries only the physical phase.  It starts at
+g(0) = p0 x0 / 2 for the harmonic well and at 0 for the free packet, so the
+prepared packet above holds up to that constant global phase, which no
+density, velocity or energy sees.  evolve
 computes a, q and p; the state computes g(t) when its gamma is read, so
 callers that never read it (densities, velocities, energies) do not pay for
 it.  From the polar decomposition psi = R exp(iS/hbar) everything else
@@ -36,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (Grid1D, Harmonic, QuadratureConfig, SystemParams,
+from .core import (Grid1D, QuadratureConfig, SystemParams,
                    TruncationInsufficient, integrate_window)
 
 
@@ -119,8 +122,8 @@ def evolve(params: SystemParams, init: WavepacketInit, t: float) -> WavepacketSt
     m = params.mass
     x0, p0, sigma = init.x0, init.p0, init.sigma
 
-    if isinstance(params.potential, Harmonic):
-        w = params.potential.omega
+    if params.is_harmonic:
+        w = params.omega
         u = w * t
         s, c = math.sin(u), math.cos(u)
         alpha = (m * w / hbar) * (hbar * c + 2j * sigma**2 * m * w * s) \
@@ -141,15 +144,16 @@ def _phase(params: SystemParams, init: WavepacketInit, t: float) -> float:
 
     Harmonic well: g integrates g' = p^2/2m - V(q) - hbar^2 Re a / m, done in
     closed form with the log branch tracked continuously through every
-    winding.
-    Free particle: g = p0^2 t / 2m - (hbar/2) arctan(tau).
+    winding, from g(0) = p0 x0 / 2.
+    Free particle: g = p0^2 t / 2m - (hbar/2) arctan(tau), from g(0) = 0.
+    The harmonic offset p0 x0 / 2 is a constant global phase.
     """
     hbar = params.constants.hbar
     m = params.mass
     x0, p0, sigma = init.x0, init.p0, init.sigma
 
-    if isinstance(params.potential, Harmonic):
-        w = params.potential.omega
+    if params.is_harmonic:
+        w = params.omega
         u = w * t
         s, c = math.sin(u), math.cos(u)
         tanphi = hbar / (2 * sigma**2 * m * w)
@@ -328,8 +332,10 @@ def hermite_functions(n_max: int, xi: np.ndarray) -> np.ndarray:
 def default_spectral_grid(params: SystemParams, init: WavepacketInit,
                           basis_size: int, points_per_unit: int = 80) -> Grid1D:
     """Grid covering both the packet and the highest basis state with margin."""
+    if not params.is_harmonic:
+        raise ValueError("spectral grid requires a harmonic system")
     hbar = params.constants.hbar
-    scale = math.sqrt(hbar / (params.mass * params.potential.omega))
+    scale = math.sqrt(hbar / (params.mass * params.omega))
     turning = math.sqrt(2.0 * basis_size + 1.0) * scale
     half = max(abs(init.x0) + 10.0 * init.sigma, 1.3 * turning + 6.0 * scale)
     n = int(2 * half * points_per_unit) | 1
@@ -344,10 +350,10 @@ def spectral_project(state: WavepacketState, basis_size: int,
     basis_size truncates too much of the state.
     """
     params = state.params
-    if not isinstance(params.potential, Harmonic):
+    if not params.is_harmonic:
         raise ValueError("spectral projection requires a harmonic system")
     hbar = params.constants.hbar
-    m, w = params.mass, params.potential.omega
+    m, w = params.mass, params.omega
 
     scale = math.sqrt(hbar / (m * w))
     turning = math.sqrt(2.0 * basis_size + 1.0) * scale
@@ -373,18 +379,17 @@ def spectral_project(state: WavepacketState, basis_size: int,
 
 
 def packet_mean_energy_exact(params: SystemParams, init: WavepacketInit) -> float:
-    """Closed-form <H> of the initial packet (moment integrals of P and E).
+    """Closed-form <H> of the initial packet (moment integrals of P and E):
 
-    Harmonic: p0^2/2m + m w^2 x0^2/2 + hbar^2/(8 m sigma^2) + m w^2 sigma^2/2.
-    Free:     p0^2/2m + hbar^2/(8 m sigma^2).
-    Used as an independent oracle for mean_energy and spectral sums.
+        p0^2/2m + m w^2 x0^2/2 + hbar^2/(8 m sigma^2) + m w^2 sigma^2/2,
+
+    which at w = 0 is the free packet's p0^2/2m + hbar^2/(8 m sigma^2)
+    exactly, since adding the zero terms does not round.  Used as an
+    independent oracle for mean_energy and spectral sums.
     """
     hbar = params.constants.hbar
-    m = params.mass
+    m, w = params.mass, params.omega
     spread = hbar**2 / (8.0 * m * init.sigma**2)
     kin_cen = init.p0**2 / (2.0 * m)
-    if isinstance(params.potential, Harmonic):
-        w = params.potential.omega
-        return kin_cen + 0.5 * m * w * w * init.x0**2 + spread \
-            + 0.5 * m * w * w * init.sigma**2
-    return kin_cen + spread
+    return kin_cen + 0.5 * m * w * w * init.x0**2 + spread \
+        + 0.5 * m * w * w * init.sigma**2

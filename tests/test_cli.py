@@ -158,6 +158,34 @@ def test_fig1_config_keys_count_as_one_pair_value(tmp_path: Path, cfg_text,
     assert set(read_series(out.read_text())) == pairs
 
 
+@pytest.mark.parametrize("cfg_text, flags, sigmas, kbts", [
+    (None, (), [0.45, 0.45, 0.65], [2.0, 5.0, 2.0]),
+    (None, ("--sigma", "0.5", "--kbt", "3"), [0.5], [3.0]),
+    (None, ("--sigma", "0.5", "--sigma", "0.6", "--kbt", "3"),
+     [0.5, 0.6], [3.0, 3.0]),
+    ("sigma = 0.3\nkbt = 4\n", (), [0.3], [4.0]),
+    ("sigma = 0.3\n", ("--kbt", "3", "--kbt", "5"), [0.3, 0.3], [3.0, 5.0]),
+], ids=["default", "flags", "flag-lists", "file", "file-and-flags"])
+def test_fig1_config_echoes_each_curves_pair(tmp_path: Path, cfg_text, flags,
+                                             sigmas, kbts):
+    """fig1's JSON config and manifest give sigma and kbt per curve, in the
+    order of the series."""
+    from bohmpart import cli
+    argv = ["fig1", "--samples", "2", "--tmax", "0.5", *flags]
+    if cfg_text is not None:
+        cfg = tmp_path / "fig1.cfg"
+        cfg.write_text(cfg_text)
+        argv += ["--config", str(cfg)]
+    out = tmp_path / "fig1.json"
+    assert cli.main([*argv, "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    manifest = json.loads((tmp_path / "fig1.json.manifest.json").read_text())
+    for config in (payload["config"], manifest["config"]):
+        assert (config["sigma"], config["kbt"]) == (sigmas, kbts)
+    assert [(s["params"]["sigma"], s["params"]["kbt"])
+            for s in payload["series"]] == list(zip(sigmas, kbts))
+
+
 def test_fig1_deterministic_digest(tmp_path: Path):
     digests = []
     for name in ("a", "b"):

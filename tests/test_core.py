@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bohmpart import (Constants, Free, Grid1D, Harmonic, QuadratureConfig,
+from bohmpart import (Constants, Grid1D, QuadratureConfig,
                       QuadratureFailure, SystemParams, ThermalSpec,
                       WavepacketInit, free_system, harmonic_system,
                       natural_units, potential_value)
@@ -49,9 +49,9 @@ def test_potential_even_in_x():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        SystemParams(-1.0, Free())
+        SystemParams(-1.0, 0.0)
     with pytest.raises(ValueError):
-        Harmonic(0.0)
+        harmonic_system(1.0, 0.0)
     with pytest.raises(ValueError):
         ThermalSpec(0.0)
     with pytest.raises(ValueError):

@@ -14,9 +14,12 @@ from bohmpart import (AverageEnergyMode, BathSpec, Constants,
                       marginal_Z, marginal_Z_derivative, marginal_curve,
                       phase_space_integral, quantum_Z, unified_bath_Z,
                       unified_integral, unified_Z_gaussian)
+from bohmpart.core import integrate_window
 from bohmpart.numdiff import central_first
 from bohmpart.partition import (PartitionResult, heat_capacity,
                                 quantum_ratio, quantum_Z_closed_form)
+from bohmpart.wavepacket import (_energy_coefficients, _log_density,
+                                 _log_density_dt, energy_dt)
 
 HO = harmonic_system(1.0, 1.0)
 
@@ -295,6 +298,46 @@ def test_marginal_rate_high_temperature_suppression(ho_params, fig_init, quad):
     assert rel_rate(2.0) / rel_rate(50.0) >= 10.0
 
 
+def _marginal_rate_quadrature(state, th, quad, energy_weight):
+    """Gauss-Legendre integral of (d log P/dt + w dE/dt) P e^(-beta E) dx
+    over window_sigmas widths of P e^(-beta E) about its centre."""
+    a2, a1, _ = _energy_coefficients(state)
+    kappa = 2.0 * state.alpha.real + th.beta * a2
+    center = state.q - th.beta * a1 / (2.0 * kappa)
+    half = quad.window_sigmas / math.sqrt(2.0 * kappa)
+
+    def f(x):
+        boltz = np.exp(_log_density(state, x) - th.beta * energy_pointwise(state, x))
+        return (_log_density_dt(state, x) + energy_weight * energy_dt(state, x)) * boltz
+
+    return integrate_window(f, center - half, center + half, quad)[0]
+
+
+def test_marginal_rate_matches_gauss_legendre_oracle(quad):
+    """The two-point Gauss-Hermite rates against the rate integrals, over
+    seeded harmonic and free packets, for both energy weights."""
+    rng = np.random.default_rng(20261018)
+    checked = {"harmonic": 0, "free": 0}
+    while min(checked.values()) < 100:
+        name = "harmonic" if checked["harmonic"] <= checked["free"] else "free"
+        m = rng.uniform(0.5, 2.0)
+        params = harmonic_system(m, rng.uniform(0.5, 2.0)) if name == "harmonic" \
+            else free_system(m)
+        init = WavepacketInit(rng.uniform(-2, 2), rng.uniform(-2, 2),
+                              rng.uniform(0.3, 1.5))
+        th, t = ThermalSpec.from_kbt(rng.uniform(0.5, 5.0)), rng.uniform(0.0, 4.0)
+        try:
+            rate = marginal_Z_derivative(params, init, th, t, quad)
+        except DivergentIntegral:
+            continue
+        z = marginal_Z(params, init, th, t, quad)
+        state = evolve(params, init, t)
+        for weight, closed in ((-th.beta, rate.exact), (1.0, rate.bracket)):
+            oracle = _marginal_rate_quadrature(state, th, quad, weight)
+            assert abs(closed - oracle) / z <= 1e-10
+        checked[name] += 1
+
+
 # ---------------------------------------------------------------------------
 # criterion and average energy
 # ---------------------------------------------------------------------------
@@ -571,3 +614,27 @@ def test_classical_limit_laws(m, omega, hbar, beta):
         ratio = quantum_Z(small, thermal).value / classical_Z(small,
                                                               thermal).value
         assert abs(ratio - 1.0) <= x * x  # -x^2/24 + O(x^4)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(r=st.floats(1e-12, 0.9), m=_UNIT, hbar=_UNIT, beta=_UNIT, kb=_UNIT)
+@example(r=0.01, m=1.0, hbar=1.0, beta=1.0, kb=1.0)  # sigma = 5
+def test_unified_minus_classical_limit_gap(r, m, hbar, beta, kb):
+    """The unified mode sits r/(2(1 - r))/beta below CLASSICAL_LIMIT in <E>
+    and k_B r^2/(2(1 - r)^2) above it in C.  The abs floor is a few roundings
+    of the O(1/beta) and O(k_B) terms whose difference this is; r starts at
+    1e-12 so that sigma stays a finite float."""
+    thermal = ThermalSpec(beta)
+    params = harmonic_system(m, 1.0, Constants(hbar, kb))
+    sigma = hbar * math.sqrt(beta / (4.0 * m * r))
+    r_used = quantum_ratio(m, sigma, thermal, hbar)
+    unified, classical = (AverageEnergyMode.UNIFIED_GAUSSIAN,
+                          AverageEnergyMode.CLASSICAL_LIMIT)
+    gap_e = (average_energy(unified, params, thermal, sigma)
+             - average_energy(classical, params, thermal, sigma))
+    gap_c = (heat_capacity(unified, params, thermal, sigma)
+             - heat_capacity(classical, params, thermal, sigma))
+    assert gap_e == pytest.approx(-r_used / (2.0 * (1.0 - r_used)) / beta,
+                                  rel=1e-9, abs=1e-15 / beta)
+    assert gap_c == pytest.approx(kb * r_used**2 / (2.0 * (1.0 - r_used) ** 2),
+                                  rel=1e-9, abs=1e-15 * kb)

@@ -303,3 +303,25 @@ def test_mean_energy_free_closed_form(quad):
     # and at later times the same value (free evolution conserves energy)
     assert mean_energy(evolve(FREE, init, 2.7), quad) == pytest.approx(
         expected, rel=1e-8)
+
+
+def test_packet_mean_energy_exact_free_is_the_free_form():
+    """At omega = 0 the one expression is p0^2/2m + hbar^2/(8 m sigma^2) to
+    the last bit."""
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        m, hbar = rng.uniform(0.1, 10.0, size=2)
+        init = WavepacketInit(*rng.normal(0.0, 3.0, size=2),
+                              rng.uniform(0.05, 5.0))
+        free = free_system(m, Constants(hbar))
+        assert packet_mean_energy_exact(free, init) == \
+            init.p0**2 / (2.0 * m) + hbar**2 / (8.0 * m * init.sigma**2)
+
+
+def test_spectral_functions_require_a_harmonic_system():
+    init = WavepacketInit(0.0, 1.0, 0.5)
+    with pytest.raises(ValueError, match="harmonic"):
+        default_spectral_grid(FREE, init, 20)
+    with pytest.raises(ValueError, match="harmonic"):
+        spectral_project(evolve(FREE, init, 0.0), 20,
+                         default_spectral_grid(HO, init, 20))
