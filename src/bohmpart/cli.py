@@ -10,9 +10,8 @@ of the numeric payload.  `verify` prints its text report itself.
 
 Exit codes: 0 ok, 1 usage error, 2 domain error (a DivergentIntegral from
 the library, which alone decides where an integral diverges), 3 verification
-failure, 4 numerical failure (a quadrature did not converge or an ODE step
-fell below rounding).  JSON output holds numbers as JSON numbers and
-divergent cells as null.
+failure, 4 numerical failure (a quadrature did not converge).  JSON output
+holds numbers as JSON numbers and divergent cells as null.
 """
 
 from __future__ import annotations
@@ -33,16 +32,16 @@ from .bath import (BathSpec, Oscillator, bath_classicality,
                    classical_bath_Z, large_N_ratio, memory_kernel,
                    unified_bath_Z, uniform_bath)
 from .core import (Constants, DivergentIntegral, QuadratureConfig,
-                   QuadratureFailure, StepFailure, SystemParams, ThermalSpec,
-                   free_system, harmonic_system)
+                   QuadratureFailure, SystemParams, ThermalSpec, free_system,
+                   harmonic_system)
 from .partition import (classical_Z, classicality_criterion,
                         gaussian_correction, marginal_curve,
                         phase_space_integral, quantum_ratio, quantum_Z,
                         quantum_Z_closed_form, unified_Z_gaussian,
                         unified_integral)
-from .trajectories import RK45Adaptive, TrajectoryConfig, integrate
+from .trajectories import bohmian_velocity, scaling_solution
 from .verify import ToleranceProfile, run_verification
-from .wavepacket import WavepacketInit
+from .wavepacket import WavepacketInit, evolve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,6 +75,9 @@ READS = {
 }
 
 FIG1_DEFAULT_PAIRS = [(0.45, 2.0), (0.45, 5.0), (0.65, 2.0)]
+
+# trajectory writes its path at this many uniform times in [0, tmax].
+TRAJECTORY_SAMPLES = 101
 
 # The uniform bath's shape flags and their defaults.  A --bath-file lists its
 # oscillators itself, so it takes none of them.
@@ -421,20 +423,21 @@ def cmd_bath(args) -> Result:
 
 def cmd_trajectory(args) -> Result:
     cfg = resolve_config(args)
+    if not 0 < args.tmax < math.inf:
+        raise UsageError("--tmax must be finite and positive")
     params = system_of(cfg, args.system)
     init = WavepacketInit(cfg["x0"], cfg["p0"], cfg["sigma"])
-    traj_cfg = TrajectoryConfig(
-        stepper=RK45Adaptive(args.rel_tol, args.abs_tol),
-        t_max=args.tmax, record_every=args.record_every)
-    path = integrate(params, init, args.x_start, traj_cfg)
-    rows = [[t, x, v] for t, x, v in
-            zip(path.times, path.positions, path.velocities)]
+    times = np.linspace(0.0, args.tmax, TRAJECTORY_SAMPLES)
+    positions = scaling_solution(params, init, args.x_start, times)
+    velocities = [bohmian_velocity(evolve(params, init, t), x)
+                  for t, x in zip(times, positions)]
+    rows = [[t, x, v] for t, x, v in zip(times, positions, velocities)]
     return Result(cfg, ["t[time]", "x[length]", "v[length/time]"], rows, {
         "series": [{
             "params": {"x_start": args.x_start, "system": args.system},
-            "times": list(path.times),
-            "values": list(path.positions),
-            "velocities": list(path.velocities)}]})
+            "times": list(times),
+            "values": list(positions),
+            "velocities": velocities}]})
 
 
 def cmd_partition(args) -> Result:
@@ -558,13 +561,10 @@ def build_parser() -> Parser:
                    help="emit only the criterion table when the bound fails")
 
     p = add("trajectory", cmd_trajectory,
-            "integrate one Bohmian trajectory and export (t, x, v)")
+            "one Bohmian trajectory from the exact flow, as (t, x, v)")
     p.add_argument("--system", choices=("harmonic", "free"), default="harmonic")
     p.add_argument("--x-start", type=float, required=True)
     p.add_argument("--tmax", type=float, default=5.0)
-    p.add_argument("--record-every", type=int, default=1)
-    p.add_argument("--rel-tol", type=float, default=1e-9)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
 
     p = add("partition", cmd_partition,
             "table of partition-function values for the resolved config")
@@ -607,7 +607,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergentIntegral as exc:
         sys.stderr.write(f"bohmpart: divergent integral: {exc}\n")
         return EXIT_DOMAIN
-    except (QuadratureFailure, StepFailure) as exc:
+    except QuadratureFailure as exc:
         sys.stderr.write(f"bohmpart: numerical failure: {exc}\n")
         return EXIT_NUMERIC
 

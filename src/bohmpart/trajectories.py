@@ -1,28 +1,29 @@
 """Bohmian trajectories of the Gaussian flow.
 
-The guidance equation dx/dt = (dS/dx)/m is integrated directly; it is
-equivalent to the Newton-like second-order law with force -(V+Q)' on the
-flow, but the first-order form cannot drift off it numerically.  For a
-Gaussian packet every trajectory is a fixed quantile of the density, so the
-closed-form scaling solution
+For a Gaussian packet every trajectory is a fixed quantile of the density,
+so the closed-form scaling solution
 
     x(t) = q(t) + (x_start - q(0)) * s(t) / s(0),   s(t) = 1/(2 sqrt(Re a(t)))
 
-serves as an exact oracle for both supported systems.
+gives each path exactly; the `trajectory` subcommand writes it.
 
-Two steppers integrate it in plain float arithmetic: classic RK4 at a fixed
+Its numerical oracle, run by equivariance_check, the tests and the
+benchmark, integrates the guidance equation dx/dt = (dS/dx)/m directly; it
+is equivalent to the Newton-like second-order law with force -(V+Q)' on
+the flow, but the first-order form cannot drift off it numerically.  Two
+steppers integrate it in plain float arithmetic: classic RK4 at a fixed
 step, and the Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl.
-Math. 6, 1980) with first-same-as-last stages, local extrapolation and the
-step-size controller of Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4.
-Each stepper returns, with every point (t, x) it reached, the velocity it
-evaluated there as a stage (RK4's k1, Dormand-Prince's first-same-as-last
-stage), so recording a path's velocities costs no further evaluation.
+Math. 6, 1980) at fixed tolerances, with first-same-as-last stages, local
+extrapolation and the step-size controller of Hairer, Norsett & Wanner,
+Solving ODEs I, sec. II.4.  Each stepper returns, with every point (t, x)
+it reached, the velocity it evaluated there as a stage (RK4's k1,
+Dormand-Prince's first-same-as-last stage), so recording a path's
+velocities costs no further evaluation.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Sequence, Union
@@ -32,9 +33,8 @@ import numpy as np
 from .core import StepFailure, SystemParams
 from .wavepacket import WavepacketInit, WavepacketState, evolve, phase_gradient
 
-_MIN_REL_TOL = 100 * sys.float_info.epsilon
-# Steps one integration may take; every step is kept in memory until the
-# path is thinned.
+_REL_TOL, _ABS_TOL = 1e-9, 1e-12  # Dormand-Prince, see RK45Adaptive
+# Steps one integration may take; every step is kept in memory.
 _MAX_STEPS = 1_000_000
 
 
@@ -54,23 +54,11 @@ class RK45Adaptive:
     """Adaptive Dormand-Prince 5(4) stepper with embedded error control.
 
     A step is accepted when its local error estimate is at most
-    abs_tol + rel_tol * max(|x_old|, |x_new|); the next step size follows
-    the Hairer-Norsett-Wanner controller (safety 0.9, factor clamped to
-    [0.2, 10], exponent -1/5, no growth right after a rejection).  rel_tol
-    below 100 eps is rejected: such a tolerance lies under the rounding
-    error of a step, so the steps shrink toward the 10 ulp(t) floor, where
-    the run either takes ever more steps or ends in StepFailure.
+    _ABS_TOL + _REL_TOL * max(|x_old|, |x_new|) (1e-12 and 1e-9); the next
+    step size follows the Hairer-Norsett-Wanner controller (safety 0.9,
+    factor clamped to [0.2, 10], exponent -1/5, no growth right after a
+    rejection).
     """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not _MIN_REL_TOL <= self.rel_tol < math.inf:
-            raise ValueError(f"rel_tol must be finite and at least "
-                             f"{_MIN_REL_TOL!r} (100 eps)")
-        if not 0 < self.abs_tol < math.inf:
-            raise ValueError("abs_tol must be finite and strictly positive")
 
 
 Stepper = Union[RK4Fixed, RK45Adaptive]
@@ -80,13 +68,10 @@ Stepper = Union[RK4Fixed, RK45Adaptive]
 class TrajectoryConfig:
     stepper: Stepper = field(default_factory=RK45Adaptive)
     t_max: float = 5.0
-    record_every: int = 1
 
     def __post_init__(self):
         if not 0 < self.t_max < math.inf:
             raise ValueError("t_max must be finite and strictly positive")
-        if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -128,17 +113,20 @@ def scaling_solution(params: SystemParams, init: WavepacketInit,
     Harmonic: q = x0 cos wt + p0 sin wt/(m w),
               width/sigma = sqrt(cos^2 wt + (hbar sin wt/(2 m w sigma^2))^2).
     Free:     q = x0 + p0 t/m,  width/sigma = sqrt(1 + (hbar t/(2 m sigma^2))^2).
+    The square roots are taken as hypot, so no square overflows at large t.
     A float t gives a float, an array of times an array of the same shape.
     """
+    if not math.isfinite(x_start):
+        raise ValueError("x_start must be finite")
     hbar, m, sigma = params.constants.hbar, params.mass, init.sigma
     if params.is_harmonic:
         w = params.omega
         s, c = np.sin(w * t), np.cos(w * t)
         q = init.x0 * c + init.p0 * s / (m * w)
-        ratio = np.sqrt(c * c + (hbar * s / (2 * m * w * sigma**2)) ** 2)
+        ratio = np.hypot(c, hbar * s / (2 * m * w * sigma**2))
     else:
         q = init.x0 + init.p0 * t / m
-        ratio = np.sqrt(1.0 + (hbar * t / (2 * m * sigma**2)) ** 2)
+        ratio = np.hypot(1.0, hbar * t / (2 * m * sigma**2))
     return q + (x_start - init.x0) * ratio
 
 
@@ -162,11 +150,10 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5  # -1/(order of the embedded estimate + 1)
 
 
-def _initial_step(f, x0: float, f0: float, t_max: float, rel_tol: float,
-                  abs_tol: float) -> float:
+def _initial_step(f, x0: float, f0: float, t_max: float) -> float:
     """First step size from the scaled size of x0, f0 and a trial Euler
     step (Hairer-Norsett-Wanner, sec. II.4)."""
-    scale = abs_tol + abs(x0) * rel_tol
+    scale = _ABS_TOL + abs(x0) * _REL_TOL
     d0, d1 = abs(x0) / scale, abs(f0) / scale
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_max)
@@ -179,7 +166,7 @@ def _initial_step(f, x0: float, f0: float, t_max: float, rel_tol: float,
     return min(100 * h0, h1, t_max)
 
 
-def _dormand_prince(f, x0: float, t_max: float, rel_tol: float, abs_tol: float
+def _dormand_prince(f, x0: float, t_max: float
                     ) -> tuple[list[float], list[float], list[float]]:
     """Accepted (t, x, f(t, x)) of dx/dt = f(t, x) from x(0) = x0 to t_max.
 
@@ -190,7 +177,7 @@ def _dormand_prince(f, x0: float, t_max: float, rel_tol: float, abs_tol: float
     """
     t, x = 0.0, x0
     k1 = f(t, x)
-    h = _initial_step(f, x, k1, t_max, rel_tol, abs_tol)
+    h = _initial_step(f, x, k1, t_max)
     times, xs, vs = [t], [x], [k1]
     while t < t_max:
         if len(times) > _MAX_STEPS:
@@ -216,7 +203,7 @@ def _dormand_prince(f, x0: float, t_max: float, rel_tol: float, abs_tol: float
             k7 = f(t_new, x_new)  # first stage of the next step (FSAL)
             error = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5
                          + _E6 * k6 + _E7 * k7)
-            scale = abs_tol + max(abs(x), abs(x_new)) * rel_tol
+            scale = _ABS_TOL + max(abs(x), abs(x_new)) * _REL_TOL
             error_norm = abs(error) / scale
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0 else
@@ -258,8 +245,8 @@ def integrate(params: SystemParams, init: WavepacketInit, x_start: float,
               cfg: TrajectoryConfig) -> TrajectoryPath:
     """Integrate the guidance equation from x(0) = x_start up to cfg.t_max.
 
-    Records every cfg.record_every-th step of the stepper, and always the
-    last one, with the velocity the stepper evaluated there.  At most
+    The numerical oracle of scaling_solution.  Records every step of the
+    stepper, with the velocity the stepper evaluated there.  At most
     _MAX_STEPS steps are taken: an RK4 config that needs more is a
     ValueError, an RK45 run that would accept more a StepFailure.
     """
@@ -274,12 +261,8 @@ def integrate(params: SystemParams, init: WavepacketInit, x_start: float,
                              f"limit of {_MAX_STEPS}")
         columns = _rk4(rhs, x_start, stepper.dt, n_steps)
     else:
-        columns = _dormand_prince(rhs, x_start, cfg.t_max, stepper.rel_tol,
-                                  stepper.abs_tol)
-    last = len(columns[0]) - 1
-    keep = [*range(0, last, cfg.record_every), last]
-    return TrajectoryPath(*(np.array([column[i] for i in keep])
-                            for column in columns))
+        columns = _dormand_prince(rhs, x_start, cfg.t_max)
+    return TrajectoryPath(*map(np.array, columns))
 
 
 def density_quantile(params: SystemParams, init: WavepacketInit, t: float,

@@ -186,7 +186,7 @@ def test_criterion_07_energy_conservation_and_spectral_sum():
 
 
 def test_criterion_08_trajectories():
-    cfg = TrajectoryConfig(stepper=RK45Adaptive(1e-9, 1e-12), t_max=5.0)
+    cfg = TrajectoryConfig(stepper=RK45Adaptive(), t_max=5.0)
     worst_path = 0.0
     for params, init in [(FREE, WavepacketInit(0.0, 2.0, 1.0)),
                          (HO, WavepacketInit(1.0, 0.0, 0.7))]:

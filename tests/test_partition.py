@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -638,3 +639,59 @@ def test_unified_minus_classical_limit_gap(r, m, hbar, beta, kb):
                                   rel=1e-9, abs=1e-15 / beta)
     assert gap_c == pytest.approx(kb * r_used**2 / (2.0 * (1.0 - r_used) ** 2),
                                   rel=1e-9, abs=1e-15 * kb)
+
+
+# ---------------------------------------------------------------------------
+# 50-digit reference values, and classical_Z against its oracle in log space
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("x", [1e-3, 1.0, 30.0])
+def test_quantum_Z_matches_mpmath_reference(x):
+    # beta hbar omega = x with hbar = beta = 1
+    z = quantum_Z(harmonic_system(1.0, x), ThermalSpec(1.0)).value
+    with mpmath.workdps(50):
+        ref = 1 / (2 * mpmath.sinh(mpmath.mpf(x) / 2))
+    assert abs(z - ref) / ref <= 1e-14
+
+
+@pytest.mark.parametrize("r", [0.5, 0.99, 1.0 - 1e-6])
+def test_gaussian_correction_matches_mpmath_reference(r):
+    # 4 m sigma^2 = hbar = 1, so the ratio the code forms is r itself
+    thermal = ThermalSpec(r)
+    assert quantum_ratio(1.0, 0.5, thermal, 1.0) == r
+    c = gaussian_correction(1.0, 0.5, thermal, 1.0)
+    with mpmath.workdps(50):
+        ref = mpmath.exp(-mpmath.mpf(r)) / mpmath.sqrt(1 - mpmath.mpf(r))
+    assert abs(c - ref) / ref <= 1e-14
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+def test_marginal_Z_near_divergence_matches_mpmath_reference(quad, eps):
+    """kbt -> 0.75+ at t = pi/2, where kappa = 2 Re a + beta A2 -> 0+ and
+    the integrand widens without bound; the reference integrates the same
+    float coefficients over the whole line."""
+    init, t = WavepacketInit(1.0, 0.0, 1.0), math.pi / 2
+    thermal = ThermalSpec.from_kbt(0.75 * (1.0 + eps))
+    z = marginal_Z(HO, init, thermal, t, quad)
+    state = evolve(HO, init, t)
+    with mpmath.workdps(50):
+        ra, beta = mpmath.mpf(state.alpha.real), mpmath.mpf(thermal.beta)
+        a2, a1, a0 = map(mpmath.mpf, _energy_coefficients(state))
+        ref = mpmath.sqrt(2 * ra / mpmath.pi) * mpmath.quad(
+            lambda u: mpmath.exp(-2 * ra * u**2
+                                 - beta * (a2 * u**2 + a1 * u + a0)),
+            [-mpmath.inf, 0, mpmath.inf])
+    assert abs(z - ref) / ref <= 1e-10
+
+
+_DECADES = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(beta=_DECADES, m=_DECADES, omega=_DECADES)
+def test_classical_Z_matches_phase_space_integral_in_log_space(beta, m,
+                                                               omega):
+    thermal = ThermalSpec(beta)
+    z_cl = classical_Z(harmonic_system(m, omega), thermal).value
+    raw, _ = phase_space_integral(m, omega, thermal, QuadratureConfig())
+    assert abs(math.log(raw / (2.0 * math.pi)) - math.log(z_cl)) <= 1e-12
