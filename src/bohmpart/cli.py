@@ -428,9 +428,16 @@ def cmd_trajectory(args) -> Result:
     params = system_of(cfg, args.system)
     init = WavepacketInit(cfg["x0"], cfg["p0"], cfg["sigma"])
     times = np.linspace(0.0, args.tmax, TRAJECTORY_SAMPLES)
-    positions = scaling_solution(params, init, args.x_start, times)
-    velocities = [bohmian_velocity(evolve(params, init, t), x)
-                  for t, x in zip(times, positions)]
+    with np.errstate(all="ignore"):  # an overflowing path is exit 1, below
+        positions = scaling_solution(params, init, args.x_start, times)
+        finite = np.isfinite(positions).all()
+        if finite:  # so w t is finite, and evolve's sin and cos are defined
+            velocities = [bohmian_velocity(evolve(params, init, t), x)
+                          for t, x in zip(times, positions)]
+            finite = all(map(math.isfinite, velocities))
+    if not finite:
+        raise UsageError(f"the path up to --tmax {args.tmax!r} leaves the "
+                         "range of a double (some x or v is not finite)")
     rows = [[t, x, v] for t, x, v in zip(times, positions, velocities)]
     return Result(cfg, ["t[time]", "x[length]", "v[length/time]"], rows, {
         "series": [{

@@ -65,15 +65,17 @@ class SystemParams:
     mass: float
     omega: float
     constants: Constants = field(default_factory=natural_units)
-    # omega > 0, stored rather than a property: evolve reads it on every call
-    is_harmonic: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.mass < math.inf:
             raise ValueError("mass must be finite and strictly positive")
         if not 0 <= self.omega < math.inf:
             raise ValueError("omega must be finite and non-negative")
-        object.__setattr__(self, "is_harmonic", self.omega > 0)
+
+    @property
+    def is_harmonic(self) -> bool:
+        """True for a well (omega > 0), False for the free particle."""
+        return self.omega > 0
 
 
 def harmonic_system(mass: float, omega: float, constants: Constants | None = None) -> SystemParams:

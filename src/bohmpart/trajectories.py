@@ -110,23 +110,25 @@ def scaling_solution(params: SystemParams, init: WavepacketInit,
                      x_start: float, t):
     """Exact trajectory x(t) = q(t) + (x_start - x0) * width(t)/width(0).
 
-    Harmonic: q = x0 cos wt + p0 sin wt/(m w),
-              width/sigma = sqrt(cos^2 wt + (hbar sin wt/(2 m w sigma^2))^2).
-    Free:     q = x0 + p0 t/m,  width/sigma = sqrt(1 + (hbar t/(2 m sigma^2))^2).
-    The square roots are taken as hypot, so no square overflows at large t.
-    A float t gives a float, an array of times an array of the same shape.
+    With c = cos(wt) and sw = sin(wt)/w (= t at w = 0), for every omega >= 0:
+        q = x0 c + p0 sw / m,  width/sigma = hypot(c, hbar sw/(2 m sigma^2)),
+    which at w = 0 is the free packet's q = x0 + p0 t/m and
+    width/sigma = sqrt(1 + (hbar t/(2 m sigma^2))^2).  The root is taken as
+    hypot, so no square overflows at large t.  A float t gives a float, an
+    array of times an array of the same shape; a non-finite time is a
+    ValueError, as in evolve.
     """
     if not math.isfinite(x_start):
         raise ValueError("x_start must be finite")
-    hbar, m, sigma = params.constants.hbar, params.mass, init.sigma
-    if params.is_harmonic:
-        w = params.omega
-        s, c = np.sin(w * t), np.cos(w * t)
-        q = init.x0 * c + init.p0 * s / (m * w)
-        ratio = np.hypot(c, hbar * s / (2 * m * w * sigma**2))
+    if not np.isfinite(t).all():
+        raise ValueError("t must be finite")
+    hbar, m, w = params.constants.hbar, params.mass, params.omega
+    if w:
+        c, sw = np.cos(w * t), np.sin(w * t) / w
     else:
-        q = init.x0 + init.p0 * t / m
-        ratio = np.hypot(1.0, hbar * t / (2 * m * sigma**2))
+        c, sw = 1.0, t
+    q = init.x0 * c + init.p0 * sw / m
+    ratio = np.hypot(c, hbar * sw / (2 * m * init.sigma**2))
     return q + (x_start - init.x0) * ratio
 
 

@@ -1,7 +1,8 @@
-"""Closed-form Gaussian wavepacket evolution for harmonic and free systems.
+"""Closed-form Gaussian wavepacket evolution in V(x) = m omega^2 x^2 / 2.
 
 A packet prepared as psi(x,0) ~ exp[-(x-x0)^2/(4 sigma^2) + i p0 (x-x0)/hbar]
-stays Gaussian under both supported potentials:
+stays Gaussian for every omega >= 0; omega = 0 is the free particle, and one
+closed form covers both through sin(wt)/w -> t:
 
     psi(x,t) = (2 Re a(t)/pi)^(1/4)
                * exp[-a(t) (x-q)^2 + (i/hbar) p (x-q) + (i/hbar) g(t)]
@@ -9,13 +10,11 @@ stays Gaussian under both supported potentials:
 with complex inverse-width a(t), classical center (q(t), p(t)) and real phase
 accumulator g(t).  The phase convention makes the normalization prefactor real
 positive at all times, so g(t) carries only the physical phase.  It starts at
-g(0) = p0 x0 / 2 for the harmonic well and at 0 for the free packet, so the
-prepared packet above holds up to that constant global phase, which no
-density, velocity or energy sees.  evolve
-computes a, q and p; the state computes g(t) when its gamma is read, so
-callers that never read it (densities, velocities, energies) do not pay for
-it.  From the polar decomposition psi = R exp(iS/hbar) everything else
-follows:
+g(0) = p0 x0 / 2, so the prepared packet above holds up to that constant
+global phase, which no density, velocity or energy sees.  evolve computes a,
+q and p; the state computes g(t) when its gamma is read, so callers that
+never read it (densities, velocities, energies) do not pay for it.  From the
+polar decomposition psi = R exp(iS/hbar) everything else follows:
 
     P = R^2                       probability density
     dS/dx                         phase gradient (local momentum field)
@@ -89,29 +88,15 @@ class WavepacketState(NamedTuple):
         return _phase(self.params, self.init, self.t)
 
 
-def _continuous_angle(u: float, tanphi: float) -> float:
-    """Unwound angle of the ellipse cos(u) + i tanphi sin(u).
-
-    The point winds monotonically around the origin, staying in the same
-    quadrant as u itself, so the continuous angle is u plus a bounded
-    correction with |correction| < pi/2.  This closed form needs no state
-    and is exact for any number of windings.
-    """
-    s, c = math.sin(u), math.cos(u)
-    return u + math.atan2((tanphi - 1.0) * s * c, c * c + tanphi * s * s)
-
-
 def evolve(params: SystemParams, init: WavepacketInit, t: float) -> WavepacketState:
     """Evolve the packet to time t under the system's potential.
 
-    Harmonic well (mass m, frequency w):
-        a(t) = (m w / hbar) * (hbar cos(wt) + 2i sigma^2 m w sin(wt))
-                            / (2i hbar sin(wt) + 4 sigma^2 m w cos(wt))
-        (q, p) follow the classical flow.
-
-    Free particle:
-        a(t) = a0 / (1 + i tau),  tau = 2 hbar a0 t / m,  a0 = 1/(4 sigma^2)
-        q = x0 + p0 t / m,  p = p0.
+    With c = cos(wt), sw = sin(wt)/w (= t at w = 0), a0 = 1/(4 sigma^2) and
+    T = hbar sw / (2 m sigma^2), for every omega >= 0:
+        a(t) = (a0 c + i (m w^2 / 2 hbar) sw) / (c + i T),
+        q = x0 c + p0 sw / m,  p = p0 c - m w^2 x0 sw,
+    the classical flow for (q, p).  At w = 0 this is the free packet
+    a0 / (1 + i T), q = x0 + p0 t / m, p = p0.
 
     The phase g(t) is not computed here: the state's gamma property computes
     it when read (see _phase).
@@ -119,49 +104,43 @@ def evolve(params: SystemParams, init: WavepacketInit, t: float) -> WavepacketSt
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     hbar = params.constants.hbar
-    m = params.mass
-    x0, p0, sigma = init.x0, init.p0, init.sigma
-
-    if params.is_harmonic:
-        w = params.omega
-        u = w * t
-        s, c = math.sin(u), math.cos(u)
-        alpha = (m * w / hbar) * (hbar * c + 2j * sigma**2 * m * w * s) \
-            / (2j * hbar * s + 4 * sigma**2 * m * w * c)
-        q = x0 * c + (p0 / (m * w)) * s
-        p = p0 * c - m * w * x0 * s
-    else:
-        a0 = init.alpha0
-        tau = 2.0 * hbar * a0 * t / m
-        alpha = a0 / (1.0 + 1j * tau)
-        q = x0 + p0 * t / m
-        p = p0
+    m, w = params.mass, params.omega
+    if w:
+        c, sw = math.cos(w * t), math.sin(w * t) / w
+    else:  # the removable singularity of sin(wt)/w
+        c, sw = 1.0, t
+    a0 = 0.25 / init.sigma**2  # init.alpha0 without a property call per step
+    mw2sw = m * w * w * sw
+    alpha = ((a0 * c + 1j * (0.5 * mw2sw / hbar))
+             / (c + 1j * (2.0 * hbar * a0 * sw / m)))
+    q = init.x0 * c + init.p0 * sw / m
+    p = init.p0 * c - mw2sw * init.x0
     return WavepacketState(alpha, q, p, t, init, params)
 
 
 def _phase(params: SystemParams, init: WavepacketInit, t: float) -> float:
     """Phase accumulator g(t) of the packet evolved to time t.
 
-    Harmonic well: g integrates g' = p^2/2m - V(q) - hbar^2 Re a / m, done in
-    closed form with the log branch tracked continuously through every
-    winding, from g(0) = p0 x0 / 2.
-    Free particle: g = p0^2 t / 2m - (hbar/2) arctan(tau), from g(0) = 0.
-    The harmonic offset p0 x0 / 2 is a constant global phase.
+    g integrates g' = p^2/2m - V(q) - hbar^2 Re a / m from g(0) = p0 x0 / 2.
+    With s = sin(wt) and c, sw, T as in evolve, for every omega >= 0:
+        g = -(hbar/2) [w t + atan2((T - s) c, c^2 + T s)]
+            + (p0^2/2m - m w^2 x0^2/2) c sw + (p0 x0 / 2)(c^2 - s^2).
+    The bracket is the unwound angle of c + i T, which stays within pi/2 of
+    w t, so the log branch is exact for any number of windings.  At w = 0,
+    g = p0^2 t / 2m - (hbar/2) arctan(T) + p0 x0 / 2.
     """
     hbar = params.constants.hbar
-    m = params.mass
-    x0, p0, sigma = init.x0, init.p0, init.sigma
-
-    if params.is_harmonic:
-        w = params.omega
-        u = w * t
-        s, c = math.sin(u), math.cos(u)
-        tanphi = hbar / (2 * sigma**2 * m * w)
-        return (-0.5 * hbar * _continuous_angle(u, tanphi)
-                + (p0**2 / (2 * m) - 0.5 * m * w**2 * x0**2) * s * c / w
-                + 0.5 * p0 * x0 * (c * c - s * s))
-    tau = 2.0 * hbar * init.alpha0 * t / m
-    return p0**2 * t / (2 * m) - 0.5 * hbar * math.atan(tau)
+    m, w = params.mass, params.omega
+    x0, p0 = init.x0, init.p0
+    if w:
+        s, c = math.sin(w * t), math.cos(w * t)
+        sw = s / w
+    else:
+        s, c, sw = 0.0, 1.0, t
+    big_t = hbar * sw / (2 * m * init.sigma**2)
+    return (-0.5 * hbar * (w * t + math.atan2((big_t - s) * c, c * c + big_t * s))
+            + (p0**2 / (2 * m) - 0.5 * m * w**2 * x0**2) * c * sw
+            + 0.5 * p0 * x0 * (c * c - s * s))
 
 
 def density(state: WavepacketState, x):

@@ -343,6 +343,10 @@ def _exit_1_naming(capsys, argv, name):
     (["limits", "--var", "kbt", "--start", "1", "--stop", "inf"], "--stop"),
     (["limits", "--var", "sigma", "--start", "nan", "--stop", "2"], "--start"),
     (["trajectory", "--x-start", "1", "--tmax", "-1"], "--tmax"),
+    (["trajectory", "--system", "free", "--x-start", "1.2", "--tmax", "1e308"],
+     "--tmax"),
+    (["trajectory", "--omega", "10", "--x-start", "1.2", "--tmax", "1e308"],
+     "--tmax"),
 ])
 def test_input_the_subcommand_cannot_honour_exit_1(capsys, argv, name):
     _exit_1_naming(capsys, argv, name)

@@ -163,6 +163,15 @@ def test_scaling_solution_rejects_nonfinite_start(x_start):
         scaling_solution(HO, WavepacketInit(1.0, 0.0, 0.5), x_start, 1.0)
 
 
+@pytest.mark.parametrize("params", [HO, FREE])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf,
+                               np.array([0.0, 1.0, math.nan]),
+                               np.array([[2.0], [math.inf]])])
+def test_scaling_solution_rejects_nonfinite_time(params, t):
+    with pytest.raises(ValueError, match="t must be finite"):
+        scaling_solution(params, WavepacketInit(1.0, 0.0, 0.5), 0.3, t)
+
+
 def test_scaling_solution_free_width_does_not_overflow():
     # (hbar t / (2 m sigma^2))^2 overflows at t = 1e200; the width does not
     init, t = WavepacketInit(0.2, 0.5, 0.5), 1e200

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import floats
 from scipy.integrate import simpson
 
 from bohmpart import (Constants, TruncationInsufficient, WavepacketInit,
@@ -9,6 +12,7 @@ from bohmpart import (Constants, TruncationInsufficient, WavepacketInit,
                       harmonic_system, mean_energy, phase_gradient,
                       potential_value, quantum_potential, spectral_project)
 from bohmpart.numdiff import central_first, central_second
+from bohmpart.trajectories import scaling_solution
 from bohmpart.wavepacket import (amplitude, default_spectral_grid,
                                  hermite_functions, packet_mean_energy_exact,
                                  total_phase, wavefunction)
@@ -42,12 +46,30 @@ _FREE_PHASE = free_system(1.3, Constants(1.6))
     (_HO_PHASE, WavepacketInit(0.9, -0.4, 0.55), 7.9, -4.196763025178523),
     (_HO_PHASE, WavepacketInit(0.9, -0.4, 0.55), 23.4, -11.673494277014672),
     (_HO_PHASE, WavepacketInit(0.9, -0.4, 0.55), 61.0, -31.300994635090643),
-    (_FREE_PHASE, WavepacketInit(-0.2, 1.1, 0.4), 0.3, -0.5457491179308063),
-    (_FREE_PHASE, WavepacketInit(-0.2, 1.1, 0.4), 7.9, 2.446221013987715),
-    (_FREE_PHASE, WavepacketInit(-0.2, 1.1, 0.4), 61.0, 27.135234292442416),
+    (_FREE_PHASE, WavepacketInit(-0.2, 1.1, 0.4), 0.3, -0.6557491179308063),
+    (_FREE_PHASE, WavepacketInit(-0.2, 1.1, 0.4), 7.9, 2.3362210139877155),
+    (_FREE_PHASE, WavepacketInit(-0.2, 1.1, 0.4), 61.0, 27.025234292442413),
 ])
 def test_gamma_reference_values(params, init, t, gamma):
     assert evolve(params, init, t).gamma == gamma
+    # the pin itself is the closed form rounded to within 2 ulp
+    assert abs(mpmath.mpf(gamma) - _phase_mpmath(params, init, t)) \
+        <= 2 * math.ulp(gamma)
+
+
+def _phase_mpmath(params, init, t):
+    """The closed form of _phase at 50 digits, from the same float inputs."""
+    with mpmath.workdps(50):
+        hbar, m, w, x0, p0, sigma, t = map(mpmath.mpf, (
+            params.constants.hbar, params.mass, params.omega, init.x0,
+            init.p0, init.sigma, t))
+        s, c = mpmath.sin(w * t), mpmath.cos(w * t)
+        sw = s / w if w else t
+        big_t = hbar * sw / (2 * m * sigma**2)
+        return (-hbar / 2 * (w * t + mpmath.atan2((big_t - s) * c,
+                                                  c**2 + big_t * s))
+                + (p0**2 / (2 * m) - m * w**2 * x0**2 / 2) * c * sw
+                + p0 * x0 / 2 * (c**2 - s**2))
 
 
 def test_evolve_coherent_width_constant():
@@ -83,6 +105,28 @@ def test_harmonic_width_has_half_period():
         b = evolve(HO, init, t + math.pi).alpha
         assert a.real == pytest.approx(b.real, rel=1e-12)
         assert a.imag == pytest.approx(b.imag, rel=1e-12, abs=1e-12)
+
+
+def _close(a, b, scale):
+    return abs(a - b) <= 1e-10 * (abs(b) + scale)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(m=floats(0.1, 10.0), hbar=floats(0.1, 10.0), x0=floats(-10.0, 10.0),
+       p0=floats(-10.0, 10.0), sigma=floats(0.05, 5.0), t=floats(0.0, 60.0))
+def test_free_packet_is_the_omega_to_zero_limit(m, hbar, x0, p0, sigma, t):
+    # at omega = 1e-9 the well departs from the free packet by terms of
+    # relative order (omega t)^2 <= 4e-15
+    init, x_start = WavepacketInit(x0, p0, sigma), x0 + 0.7 * sigma
+    well = harmonic_system(m, 1e-9, Constants(hbar))
+    free = free_system(m, Constants(hbar))
+    a, b = evolve(well, init, t), evolve(free, init, t)
+    assert _close(a.alpha, b.alpha, 0.0)
+    assert _close(a.q, b.q, sigma)
+    assert _close(a.p, b.p, hbar / sigma)
+    assert _close(a.gamma, b.gamma, hbar)
+    assert _close(scaling_solution(well, init, x_start, t),
+                  scaling_solution(free, init, x_start, t), sigma)
 
 
 # ---------------------------------------------------------------------------
