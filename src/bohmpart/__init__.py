@@ -7,10 +7,9 @@ phase-space integral, including the harmonic-bath crossover factors.
 """
 
 from .core import (Constants, DivergentIntegral, Grid1D,
-                   QuadratureConfig, QuadratureFailure, StepFailure,
-                   SystemParams, ThermalSpec, TruncationInsufficient,
-                   free_system, harmonic_system, natural_units,
-                   potential_value)
+                   QuadratureFailure, StepFailure, SystemParams, ThermalSpec,
+                   TruncationInsufficient, free_system, harmonic_system,
+                   natural_units, potential_value)
 from .wavepacket import (SpectralDecomposition, WavepacketInit,
                          WavepacketState, density, energy_pointwise, evolve,
                          mean_energy, phase_gradient, quantum_potential,

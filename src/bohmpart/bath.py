@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ThermalSpec
+from .core import ThermalSpec, check_sigma
 from .partition import (CriterionReport, PartitionResult,
                         classicality_criterion, gaussian_correction,
                         quantum_ratio)
@@ -60,8 +60,7 @@ class BathSpec:
     def __post_init__(self):
         if not self.oscillators:
             raise ValueError("bath must contain at least one oscillator")
-        if not 0 < self.sigma < math.inf:
-            raise ValueError("sigma must be finite and strictly positive")
+        check_sigma(self.sigma)
         if not math.isfinite(self.q0):
             raise ValueError("q0 must be finite")
 

@@ -6,7 +6,8 @@ the config keys it reads (defaults < config file < flags; the table READS
 lists them) and returns one Result holding its output in both formats.
 `main` is the one emit path: it formats that result as CSV or JSON and
 writes it with a manifest carrying the resolved config and a stable digest
-of the numeric payload.  `verify` prints its text report itself.
+of the numeric payload.  `verify` reads no config key and prints its text
+report itself.
 
 Exit codes: 0 ok, 1 usage error, 2 domain error (a DivergentIntegral from
 the library, which alone decides where an integral diverges), 3 verification
@@ -31,9 +32,8 @@ from . import __version__
 from .bath import (BathSpec, Oscillator, bath_classicality,
                    classical_bath_Z, large_N_ratio, memory_kernel,
                    unified_bath_Z, uniform_bath)
-from .core import (Constants, DivergentIntegral, QuadratureConfig,
-                   QuadratureFailure, SystemParams, ThermalSpec, free_system,
-                   harmonic_system)
+from .core import (Constants, DivergentIntegral, QuadratureFailure,
+                   SystemParams, ThermalSpec, free_system, harmonic_system)
 from .partition import (classical_Z, classicality_criterion,
                         gaussian_correction, marginal_curve,
                         phase_space_integral, quantum_ratio, quantum_Z,
@@ -52,9 +52,7 @@ EXIT_NUMERIC = 4
 CONFIG_KEYS = {
     "mass": 1.0, "omega": 1.0, "hbar": 1.0, "kb": 1.0,
     "sigma": 0.45, "x0": 1.0, "p0": 0.0, "kbt": 2.0,
-    "window_sigmas": 12.0, "rel_tol": 1e-10, "abs_tol": 1e-13,
 }
-QUAD_KEYS = ("window_sigmas", "rel_tol", "abs_tol")
 
 # The config keys each subcommand reads, as (keys with a --<key> override
 # flag, keys only a config file sets).  Together they are the keys its
@@ -63,15 +61,12 @@ QUAD_KEYS = ("window_sigmas", "rel_tol", "abs_tol")
 # lists of their own, so its sigma and kbt keys come from the file alone;
 # it echoes them as lists, one value per curve.
 READS = {
-    "fig1": (("hbar", "mass", "omega", "x0", "p0"),
-             ("sigma", "kbt", *QUAD_KEYS)),
-    "marginal": (("hbar", "mass", "omega", "sigma", "x0", "p0", "kbt"),
-                 QUAD_KEYS),
+    "fig1": (("hbar", "mass", "omega", "x0", "p0"), ("sigma", "kbt")),
+    "marginal": (("hbar", "mass", "omega", "sigma", "x0", "p0", "kbt"), ()),
     "limits": (("hbar", "mass", "omega", "sigma", "kbt"), ()),
     "bath": (("hbar",), ()),
     "trajectory": (("hbar", "mass", "omega", "sigma", "x0", "p0"), ()),
-    "partition": (("hbar", "kb", "mass", "omega", "sigma", "kbt"), QUAD_KEYS),
-    "verify": ((), QUAD_KEYS),
+    "partition": (("hbar", "kb", "mass", "omega", "sigma", "kbt"), ()),
 }
 
 FIG1_DEFAULT_PAIRS = [(0.45, 2.0), (0.45, 5.0), (0.65, 2.0)]
@@ -145,11 +140,6 @@ def resolve_config(args, lists: tuple[str, ...] = ()) -> dict:
     if bad:
         raise UsageError(f"non-finite value for {', '.join(bad)}")
     return cfg
-
-
-def quad_of(cfg: dict) -> QuadratureConfig:
-    return QuadratureConfig(cfg["window_sigmas"], cfg["rel_tol"],
-                            cfg["abs_tol"])
 
 
 def system_of(cfg: dict, kind: str = "harmonic") -> SystemParams:
@@ -265,11 +255,10 @@ def marginal_series(args, cfg: dict, pairs) -> tuple[list, dict]:
     if not math.isfinite(args.tmax):
         raise UsageError("--tmax must be finite")
     params = system_of(cfg)
-    quad = quad_of(cfg)
     runs = [(WavepacketInit(cfg["x0"], cfg["p0"], sigma),
              ThermalSpec.from_kbt(kbt)) for sigma, kbt in pairs]
     times = np.linspace(0.0, args.tmax, args.samples)
-    curves = [marginal_curve(params, init, thermal, times, quad,
+    curves = [marginal_curve(params, init, thermal, times,
                              normalized=not args.raw)
               for init, thermal in runs]
     return curves, {"series": [{
@@ -470,13 +459,12 @@ def cmd_partition(args) -> Result:
         rows.append(["gaussian_correction", "closed_form", c, 0.0])
         rows.append(["z_unified", "closed_form", z_u.value, z_u.est_error])
         if args.oracle:
-            quad = quad_of(cfg)
             m, w, hbar = params.mass, params.omega, params.constants.hbar
             norm = 2.0 * math.pi * hbar
             for name, (val, err) in (
-                    ("z_classical", phase_space_integral(m, w, thermal, quad)),
-                    ("z_unified", unified_integral(m, w, cfg["sigma"], thermal,
-                                                   hbar, quad))):
+                    ("z_classical", phase_space_integral(m, w, thermal)),
+                    ("z_unified",
+                     unified_integral(m, w, cfg["sigma"], thermal, hbar))):
                 rows.append([name, "quadrature", val / norm, err / norm])
     rows.append(["criterion_ratio", "closed_form", crit.dimensionless_ratio, 0.0])
     rows.append(["t_min", "closed_form", crit.t_min, 0.0])
@@ -488,9 +476,8 @@ def cmd_partition(args) -> Result:
 
 def cmd_verify(args) -> int:
     """Print (and with --out also write) the text report; return the exit code."""
-    cfg = resolve_config(args)
     profile = ToleranceProfile.named(args.profile)
-    report = run_verification(profile, quad_of(cfg), q_scale=args.inject_q_scale)
+    report = run_verification(profile, q_scale=args.inject_q_scale)
     text = report.render() + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -580,8 +567,6 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("verify", help="run all oracle checks and the "
                                       "discrepancy report")
-    p.add_argument("--config", help="flat key = value config file; only "
-                                    "the quadrature keys are read")
     p.add_argument("--out", help="also write the report to this file")
     p.add_argument("--profile", choices=("default", "strict"),
                    default="default", help="tolerance profile")

@@ -4,7 +4,7 @@ All other modules consume the types defined here.  Everything is an immutable
 value record; default units are the natural ones (hbar = k_B = 1) so that the
 harmonic-oscillator results come out in units of m*omega^2*x0^2 for energy and
 1/omega for time.  Every numerical integral in the package goes through
-integrate_window, one tensor-product Gauss-Legendre rule over a box.
+integrate_window: one Gauss-Legendre box rule, its window and tolerances fixed.
 """
 
 from __future__ import annotations
@@ -93,6 +93,16 @@ def potential_value(params: SystemParams, x):
     return 0.5 * params.mass * params.omega**2 * (x * x)
 
 
+def check_sigma(sigma: float) -> None:
+    """ValueError unless 1e-75 <= sigma <= 1e75, where sigma^4, the highest
+    power of the packet width any formula forms, and its inverse are normal."""
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be finite and strictly positive")
+    if not 1e-75 <= sigma <= 1e75:
+        raise ValueError(f"sigma = {sigma:g} lies outside [1e-75, 1e+75], "
+                         "where its powers overflow or underflow")
+
+
 @dataclass(frozen=True)
 class ThermalSpec:
     """Canonical-ensemble inverse temperature beta = 1/(k_B T)."""
@@ -113,26 +123,6 @@ class ThermalSpec:
     @property
     def kbt(self) -> float:
         return 1.0 / self.beta
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Window and tolerance settings for integrate_window.
-
-    window_sigmas is the half-width of every truncated Gaussian integral in
-    units of the integrand's standard deviation; 12 sigma keeps the tail below
-    1e-30, far under the quadrature tolerances.
-    """
-
-    window_sigmas: float = 12.0
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
-
-    def __post_init__(self):
-        if not 6 <= self.window_sigmas < math.inf:
-            raise ValueError("window_sigmas must be finite and at least 6")
-        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
-            raise ValueError("tolerances must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -162,8 +152,12 @@ class Grid1D:
 # Quadrature
 # ---------------------------------------------------------------------------
 
+# Half-width of every truncated Gaussian integral in standard deviations of the
+# integrand; 12 keeps the dropped tail below 1e-30, far under the tolerances.
+WINDOW_SIGMAS = 12.0
+REL_TOL, ABS_TOL = 1e-10, 1e-13
 # Gauss-Legendre nodes per axis, tried in turn.  A Gaussian on a 12-sigma
-# window is resolved to 1e-12 at 48 nodes, so the default windows stop at 96.
+# window is resolved to 1e-12 at 48 nodes, so its 1-D integrals stop at 96.
 GL_LADDER = (12, 24, 48, 96, 192, 384)
 # Box points handed to the integrand at once; bounds the memory of an N-D box.
 SLAB_POINTS = 1 << 14
@@ -190,15 +184,14 @@ def _box_rule(f: Callable, mid: np.ndarray, half: np.ndarray, n: int) -> float:
     return total * float(np.prod(half))
 
 
-def integrate_window(f: Callable[..., np.ndarray], lo, hi,
-                     quad: QuadratureConfig) -> tuple[float, float]:
+def integrate_window(f: Callable[..., np.ndarray], lo, hi) -> tuple[float, float]:
     """Gauss-Legendre integral of f over the box [lo, hi].
 
     lo and hi are floats for a 1-D integral or equal-length tuples of
     per-axis bounds for an N-D box.  f takes one coordinate array per axis
     and returns the integrand at those points, broadcasting like numpy.  The
     nodes per axis double along GL_LADDER until two successive rules agree to
-    max(abs_tol, rel_tol |Q|); returns (Q(2n), |Q(2n) - Q(n)|), where the
+    max(ABS_TOL, REL_TOL |Q|); returns (Q(2n), |Q(2n) - Q(n)|), where the
     error estimate is that of the coarser rule and so bounds the finer one's
     for an integrand the rules resolve.  Raises QuadratureFailure when the
     ladder ends first or a rule gives a non-finite value.
@@ -212,7 +205,7 @@ def integrate_window(f: Callable[..., np.ndarray], lo, hi,
         if not math.isfinite(value):
             raise QuadratureFailure(f"non-finite value {value} with {n} nodes per axis")
         err = abs(value - prev)
-        if err <= max(quad.abs_tol, quad.rel_tol * abs(value)):
+        if err <= max(ABS_TOL, REL_TOL * abs(value)):
             return value, err
         prev = value
     raise QuadratureFailure(

@@ -17,10 +17,10 @@ Conventions
 * The closed forms are backed by separate Gauss-Legendre oracles, used by
   `verify`, `partition --oracle` and the tests: phase_space_integral
   (classical Z), gaussian_correction_integral (the factor C) and
-  unified_integral (unified Z).  Each integrates a vectorized integrand
-  over a box of window_sigmas standard deviations per axis, returns the
-  raw-measure (value, est_error) with est_error the difference between the
-  last two rules of the ladder, and calls no closed form it checks.
+  unified_integral (unified Z).  Each integrates a vectorized integrand over
+  a box of WINDOW_SIGMAS standard deviations per axis to core's tolerances,
+  returns the raw-measure (value, est_error) with est_error the difference
+  between the last two rules of the ladder, and calls no closed form it checks.
 * The marginal partition function at fixed (x0, p0) keeps the single
   prepared packet in the distribution sum; it is evaluated by Gauss-Legendre
   quadrature (core.integrate_window) of exp(log P - beta E) with the window
@@ -43,8 +43,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (DivergentIntegral, QuadratureConfig, SystemParams,
-                   ThermalSpec, integrate_window)
+from .core import (WINDOW_SIGMAS, DivergentIntegral, SystemParams,
+                   ThermalSpec, check_sigma, integrate_window)
 from .wavepacket import (WavepacketInit, energy_dt, energy_pointwise, evolve,
                          _energy_coefficients, _log_density, _log_density_dt)
 
@@ -87,8 +87,7 @@ class CriterionReport:
 def quantum_ratio(params_mass: float, sigma: float, thermal: ThermalSpec,
                   hbar: float) -> float:
     """The dimensionless convergence ratio beta hbar^2 / (4 m sigma^2)."""
-    if not 0 < sigma < math.inf:
-        raise ValueError("sigma must be finite and strictly positive")
+    check_sigma(sigma)
     return thermal.beta * hbar**2 / (4.0 * params_mass * sigma**2)
 
 
@@ -120,15 +119,15 @@ def classical_Z(params: SystemParams, thermal: ThermalSpec) -> PartitionResult:
 
 
 def phase_space_integral(m: float, w: float, thermal: ThermalSpec,
-                         quad: QuadratureConfig, center: float = 0.0,
-                         times_energy: bool = False) -> tuple[float, float]:
+                         center: float = 0.0, times_energy: bool = False
+                         ) -> tuple[float, float]:
     """(value, error) of the raw-measure integral of [H] exp(-beta H) dx dp.
 
     H = p^2/2m + m w^2 (x - center)^2 / 2; the bracketed factor H is
     included when times_energy is set.  Divide by 2 pi hbar for classical_Z.
     """
     beta = thermal.beta
-    ws = quad.window_sigmas
+    ws = WINDOW_SIGMAS
     sx = 1.0 / math.sqrt(beta * m) / w
     sp = math.sqrt(m / beta)
 
@@ -138,7 +137,7 @@ def phase_space_integral(m: float, w: float, thermal: ThermalSpec,
         return h * boltz if times_energy else boltz
 
     return integrate_window(f, (center - ws * sx, -ws * sp),
-                            (center + ws * sx, ws * sp), quad)
+                            (center + ws * sx, ws * sp))
 
 
 # Bound on the dropped tail of quantum_Z's eigenvalue sum, relative to the sum.
@@ -189,8 +188,7 @@ def gaussian_correction(m: float, sigma: float, thermal: ThermalSpec,
 
 
 def gaussian_correction_integral(m: float, sigma: float, thermal: ThermalSpec,
-                                 hbar: float, quad: QuadratureConfig
-                                 ) -> tuple[float, float]:
+                                 hbar: float) -> tuple[float, float]:
     """(value, error) of integral P_G(u) exp(-beta Q(u)) du, the factor C.
 
     P_G is the normalized packet density of width sigma and Q its quantum
@@ -199,14 +197,14 @@ def gaussian_correction_integral(m: float, sigma: float, thermal: ThermalSpec,
     r = _convergent_ratio(m, sigma, thermal, hbar)
     beta = thermal.beta
     sig_eff = sigma / math.sqrt(1.0 - r)
-    half = quad.window_sigmas * sig_eff
+    half = WINDOW_SIGMAS * sig_eff
 
     def f(u):
         qpot = hbar**2 / (4 * m * sigma**2) - hbar**2 * u * u / (8 * m * sigma**4)
         return np.exp(-u * u / (2 * sigma**2) - beta * qpot) \
             / (math.sqrt(2 * math.pi) * sigma)
 
-    return integrate_window(f, -half, half, quad)
+    return integrate_window(f, -half, half)
 
 
 def unified_Z_gaussian(params: SystemParams, sigma: float,
@@ -227,8 +225,7 @@ def unified_Z_gaussian(params: SystemParams, sigma: float,
 
 
 def unified_integral(m: float, w: float, sigma: float, thermal: ThermalSpec,
-                     hbar: float, quad: QuadratureConfig,
-                     center: float = 0.0) -> tuple[float, float]:
+                     hbar: float, center: float = 0.0) -> tuple[float, float]:
     """(value, error) of the raw-measure triple integral of P_G exp(-beta E).
 
     Axes are the initial conditions (x0, p0) and u = x - x0, with
@@ -239,7 +236,7 @@ def unified_integral(m: float, w: float, sigma: float, thermal: ThermalSpec,
     unified_Z_gaussian.
     """
     beta = thermal.beta
-    ws = quad.window_sigmas
+    ws = WINDOW_SIGMAS
     sx0 = 1.0 / math.sqrt(beta * m) / w
     sp0 = math.sqrt(m / beta)
     sig_eff = sigma / math.sqrt(1.0 - _convergent_ratio(m, sigma, thermal, hbar))
@@ -253,7 +250,7 @@ def unified_integral(m: float, w: float, sigma: float, thermal: ThermalSpec,
 
     return integrate_window(
         f, (center - ws * sx0, -ws * sp0, -ws * sig_eff),
-        (center + ws * sx0, ws * sp0, ws * sig_eff), quad)
+        (center + ws * sx0, ws * sp0, ws * sig_eff))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +283,7 @@ def _boltzmann_density(state, beta: float, x):
 
 
 def marginal_Z(params: SystemParams, init: WavepacketInit, thermal: ThermalSpec,
-               t: float, quad: QuadratureConfig) -> float:
+               t: float) -> float:
     """integral P(x,t) exp(-beta E(x,t)) dx at fixed (x0, p0).
 
     Time-dependent away from the quantum and classical limits; raises
@@ -296,9 +293,9 @@ def marginal_Z(params: SystemParams, init: WavepacketInit, thermal: ThermalSpec,
     beta = thermal.beta
     state = evolve(params, init, t)
     center, width = _marginal_gaussian(state, thermal)
-    half = quad.window_sigmas * width
+    half = WINDOW_SIGMAS * width
     val, _ = integrate_window(lambda x: _boltzmann_density(state, beta, x),
-                              center - half, center + half, quad)
+                              center - half, center + half)
     return val
 
 
@@ -318,15 +315,14 @@ class MarginalRate:
 
 
 def marginal_Z_derivative(params: SystemParams, init: WavepacketInit,
-                          thermal: ThermalSpec, t: float,
-                          quad: QuadratureConfig) -> MarginalRate:
+                          thermal: ThermalSpec, t: float) -> MarginalRate:
     """Both rates as Z times a mean over the normal density P e^(-beta E)/Z.
 
     dP/dt = P d(log P)/dt, and d(log P)/dt and dE/dt are quadratics in x, so
     the two-point Gauss-Hermite rule at center +- width gives their means
     exactly.  Z is the marginal_Z quadrature.
     """
-    z = marginal_Z(params, init, thermal, t, quad)
+    z = marginal_Z(params, init, thermal, t)
     state = evolve(params, init, t)
     center, width = _marginal_gaussian(state, thermal)
     nodes = (center - width, center + width)
@@ -340,7 +336,7 @@ def marginal_Z_derivative(params: SystemParams, init: WavepacketInit,
 
 def marginal_curve(params: SystemParams, init: WavepacketInit,
                    thermal: ThermalSpec, times: Sequence[float],
-                   quad: QuadratureConfig, normalized: bool = True) -> MarginalCurve:
+                   normalized: bool = True) -> MarginalCurve:
     """Marginal Z sampled on a time grid, optionally normalized to 1 at t=0.
 
     Every sample is checked for divergence before any quadrature runs, so a
@@ -350,9 +346,9 @@ def marginal_curve(params: SystemParams, init: WavepacketInit,
     times = np.asarray(times, dtype=float)
     for t in times:
         _marginal_gaussian(evolve(params, init, t), thermal)
-    values = np.array([marginal_Z(params, init, thermal, t, quad) for t in times])
+    values = np.array([marginal_Z(params, init, thermal, t) for t in times])
     if normalized:
-        z0 = marginal_Z(params, init, thermal, 0.0, quad) \
+        z0 = marginal_Z(params, init, thermal, 0.0) \
             if times[0] != 0.0 else values[0]
         values = values / z0
     return MarginalCurve(times, values, normalized, init.sigma,

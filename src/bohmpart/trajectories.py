@@ -269,11 +269,11 @@ def integrate(params: SystemParams, init: WavepacketInit, x_start: float,
 
 def density_quantile(params: SystemParams, init: WavepacketInit, t: float,
                      c: float) -> float:
-    """Closed-form c-quantile of P(. , t) (Gaussian inverse CDF)."""
+    """The c-quantile of P(., t): the path from x0 + sigma Phi^-1(c)."""
     if not 0.0 < c < 1.0:
         raise ValueError("quantile must lie in (0, 1)")
-    st = evolve(params, init, t)
-    return st.q + st.width * NormalDist().inv_cdf(c)
+    x_start = init.x0 + init.sigma * NormalDist().inv_cdf(c)
+    return scaling_solution(params, init, x_start, t)
 
 
 def equivariance_check(params: SystemParams, init: WavepacketInit,

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import BathSpec, Oscillator, unified_bath_Z
-from .core import QuadratureConfig, SystemParams, ThermalSpec, free_system, \
-    harmonic_system, potential_value
+from .core import SystemParams, ThermalSpec, free_system, harmonic_system, \
+    potential_value
 from .numdiff import central_first, central_second
 from .partition import marginal_Z, marginal_Z_derivative, unified_integral
 from .trajectories import quantum_force
@@ -186,20 +186,18 @@ def check_quantum_force_fd(profile: ToleranceProfile) -> CheckResult:
                        profile.quantum_force_fd)
 
 
-def check_marginal_rate_fd(profile: ToleranceProfile,
-                           quad: QuadratureConfig) -> CheckResult:
+def check_marginal_rate_fd(profile: ToleranceProfile) -> CheckResult:
     """Exact marginal-Z derivative against Richardson central differences."""
     params = harmonic_system(1.0, 1.0)
     init = WavepacketInit(1.0, 0.0, 0.45)
     thermal = ThermalSpec.from_kbt(2.0)
-    tight = QuadratureConfig(quad.window_sigmas, 1e-12, 1e-15)
     worst = 0.0
     for t in (0.4, 1.3, 2.9):
-        rate = marginal_Z_derivative(params, init, thermal, t, tight).exact
+        rate = marginal_Z_derivative(params, init, thermal, t).exact
         h = 1e-3
 
         def z_of(tt: float) -> float:
-            return marginal_Z(params, init, thermal, tt, tight)
+            return marginal_Z(params, init, thermal, tt)
 
         d1 = (z_of(t + h) - z_of(t - h)) / (2 * h)
         d2 = (z_of(t + h / 2) - z_of(t - h / 2)) / h
@@ -209,26 +207,24 @@ def check_marginal_rate_fd(profile: ToleranceProfile,
                        profile.dzdt_fd)
 
 
-def _unified_bath_oracle(bath: BathSpec, thermal: ThermalSpec,
-                         quad: QuadratureConfig) -> float:
+def _unified_bath_oracle(bath: BathSpec, thermal: ThermalSpec) -> float:
     """The exact unified bath Z (raw measure, hbar = 1) by quadrature: the
     product of one 3D unified_integral per oscillator, each centred where
     the coupling shifts its well."""
     val = 1.0
     for o in bath.oscillators:
         factor, _ = unified_integral(o.mass, o.omega, bath.sigma, thermal, 1.0,
-                                     quad, center=o.coupling * bath.q0 / o.omega**2)
+                                     center=o.coupling * bath.q0 / o.omega**2)
         val *= factor
     return val
 
 
-def check_bath_factor(profile: ToleranceProfile,
-                      quad: QuadratureConfig) -> CheckResult:
+def check_bath_factor(profile: ToleranceProfile) -> CheckResult:
     """Per-oscillator hidden-coordinate factor: quadrature vs closed form."""
     bath = BathSpec((Oscillator(1.0, 1.0, 1.5),), sigma=1.0, q0=0.7)
     thermal = ThermalSpec(1.0)
     exact_cf, _ = unified_bath_Z(bath, thermal)
-    exact_qd = _unified_bath_oracle(bath, thermal, quad)
+    exact_qd = _unified_bath_oracle(bath, thermal)
     rel = abs(exact_cf.value - exact_qd) / exact_cf.value
     return CheckResult("bath correction factor vs 3D quadrature", rel,
                        profile.bath_factor)
@@ -284,12 +280,12 @@ def measure_energy_variant(profile: ToleranceProfile) -> DiscrepancyEntry:
         max(worst.values()))
 
 
-def measure_dzdt_bracket(quad: QuadratureConfig) -> DiscrepancyEntry:
+def measure_dzdt_bracket() -> DiscrepancyEntry:
     params = harmonic_system(1.0, 1.0)
     init = WavepacketInit(1.0, 0.0, 0.45)
     thermal = ThermalSpec.from_kbt(2.0)
-    rate = marginal_Z_derivative(params, init, thermal, 1.3, quad)
-    z_val = marginal_Z(params, init, thermal, 1.3, quad)
+    rate = marginal_Z_derivative(params, init, thermal, 1.3)
+    z_val = marginal_Z(params, init, thermal, 1.3)
     resid = abs(rate.bracket - rate.exact) / z_val
     return DiscrepancyEntry(
         "marginal-Z rate bracket without -beta weight",
@@ -299,11 +295,11 @@ def measure_dzdt_bracket(quad: QuadratureConfig) -> DiscrepancyEntry:
         resid)
 
 
-def measure_bath_2pi(quad: QuadratureConfig) -> DiscrepancyEntry:
+def measure_bath_2pi() -> DiscrepancyEntry:
     bath = BathSpec((Oscillator(1.0, 1.0, 1.0),), sigma=1.0)
     thermal = ThermalSpec(1.0)
     _, printed = unified_bath_Z(bath, thermal)
-    ratio = printed.value / _unified_bath_oracle(bath, thermal, quad)
+    ratio = printed.value / _unified_bath_oracle(bath, thermal)
     return DiscrepancyEntry(
         "bath factor with extra 2 pi per oscillator",
         f"variant/quadrature = {ratio:.12f} per oscillator "
@@ -312,19 +308,17 @@ def measure_bath_2pi(quad: QuadratureConfig) -> DiscrepancyEntry:
 
 
 def run_verification(profile: ToleranceProfile | None = None,
-                     quad: QuadratureConfig | None = None,
                      q_scale: float = 1.0) -> VerificationReport:
     """Run every oracle check plus the discrepancy measurements."""
     profile = profile or ToleranceProfile()
-    quad = quad or QuadratureConfig()
     report = VerificationReport()
     report.checks.append(check_quantum_potential_fd(profile, q_scale))
     report.checks.append(check_energy_fd(profile))
     report.checks.append(check_qhj_residual(profile))
     report.checks.append(check_quantum_force_fd(profile))
-    report.checks.append(check_marginal_rate_fd(profile, quad))
-    report.checks.append(check_bath_factor(profile, quad))
+    report.checks.append(check_marginal_rate_fd(profile))
+    report.checks.append(check_bath_factor(profile))
     report.discrepancies.append(measure_energy_variant(profile))
-    report.discrepancies.append(measure_dzdt_bracket(quad))
-    report.discrepancies.append(measure_bath_2pi(quad))
+    report.discrepancies.append(measure_dzdt_bracket())
+    report.discrepancies.append(measure_bath_2pi())
     return report

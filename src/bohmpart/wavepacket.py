@@ -38,8 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (Grid1D, QuadratureConfig, SystemParams,
-                   TruncationInsufficient, integrate_window)
+from .core import (WINDOW_SIGMAS, Grid1D, SystemParams,
+                   TruncationInsufficient, check_sigma, integrate_window)
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,7 @@ class WavepacketInit:
     sigma: float
 
     def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
-            raise ValueError("sigma must be finite and strictly positive")
+        check_sigma(self.sigma)
         if not (math.isfinite(self.x0) and math.isfinite(self.p0)):
             raise ValueError("x0 and p0 must be finite")
 
@@ -257,16 +256,16 @@ def energy_dt(state: WavepacketState, x):
     return a2_dot * (u * u) + (a1_dot - 2.0 * a2 * q_dot) * u + a0_dot - a1 * q_dot
 
 
-def mean_energy(state: WavepacketState, quad: QuadratureConfig) -> float:
+def mean_energy(state: WavepacketState) -> float:
     """<H> = integral of P(x,t) E(x,t) dx by Gauss-Legendre quadrature.
 
     Constant in time for both systems; the spectral decomposition gives the
     same number as sum |c_k|^2 E_k.
     """
-    half = quad.window_sigmas * state.width
+    half = WINDOW_SIGMAS * state.width
     val, _ = integrate_window(
         lambda x: density(state, x) * energy_pointwise(state, x),
-        state.q - half, state.q + half, quad)
+        state.q - half, state.q + half)
     return val
 
 

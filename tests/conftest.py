@@ -1,11 +1,6 @@
 import pytest
 
-from bohmpart import QuadratureConfig, WavepacketInit, harmonic_system
-
-
-@pytest.fixture(scope="session")
-def quad():
-    return QuadratureConfig()
+from bohmpart import WavepacketInit, harmonic_system
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from bohmpart import (QuadratureConfig, RK45Adaptive, ThermalSpec,
-                      TrajectoryConfig, WavepacketInit, bohmian_velocity,
+from bohmpart import (RK45Adaptive, ThermalSpec, TrajectoryConfig,
+                      WavepacketInit, bohmian_velocity,
                       classical_Z, DivergentIntegral, equivariance_check,
                       evolve, free_system, gaussian_correction,
                       gaussian_correction_integral, harmonic_system,
@@ -30,7 +30,6 @@ from bohmpart.wavepacket import (amplitude, default_spectral_grid,
 
 HO = harmonic_system(1.0, 1.0)
 FREE = free_system(1.0)
-QUAD = QuadratureConfig()
 # CLI children turn RuntimeWarning into an error, as pytest does in process
 PYTHON = [sys.executable, "-W", "error::RuntimeWarning"]
 
@@ -45,7 +44,7 @@ def test_criterion_01_gaussian_correction_oracle():
     t0 = time.time()
     th = ThermalSpec(1.0)
     closed = gaussian_correction(1.0, 1.0, th)
-    quad_val, _ = gaussian_correction_integral(1.0, 1.0, th, 1.0, QUAD)
+    quad_val, _ = gaussian_correction_integral(1.0, 1.0, th, 1.0)
     rel = abs(closed - quad_val) / closed
     elapsed = time.time() - t0
     report(1, "gaussian correction closed form vs 1D quadrature",
@@ -58,7 +57,7 @@ def test_criterion_02_unified_Z_nested_quadrature():
     th = ThermalSpec(1.0)
     closed = unified_Z_gaussian(HO, 1.0, th).value
     # raw-measure triple integral over dGamma = dx dp / (2 pi hbar)
-    nested = unified_integral(1.0, 1.0, 1.0, th, 1.0, QUAD)[0] / (2.0 * math.pi)
+    nested = unified_integral(1.0, 1.0, 1.0, th, 1.0)[0] / (2.0 * math.pi)
     rel = abs(closed - nested) / closed
     elapsed = time.time() - t0
     report(2, "unified Z nested 3D quadrature vs factorized closed form",
@@ -105,7 +104,7 @@ def test_criterion_05_fig1_properties():
     for sigma, kbt in [(0.45, 2.0), (0.45, 5.0), (0.65, 2.0)]:
         curves[(sigma, kbt)] = marginal_curve(
             HO, WavepacketInit(1.0, 0.0, sigma), ThermalSpec.from_kbt(kbt),
-            times, QUAD)
+            times)
     elapsed = time.time() - t0
 
     starts_at_one = all(c.values[0] == 1.0 for c in curves.values())
@@ -114,8 +113,8 @@ def test_criterion_05_fig1_properties():
     th = ThermalSpec.from_kbt(2.0)
     init = WavepacketInit(1.0, 0.0, 0.45)
     for t in np.linspace(0.0, 3.0 * math.pi, 25):
-        a = marginal_Z(HO, init, th, float(t), QUAD)
-        b = marginal_Z(HO, init, th, float(t) + math.pi, QUAD)
+        a = marginal_Z(HO, init, th, float(t))
+        b = marginal_Z(HO, init, th, float(t) + math.pi)
         worst_period = max(worst_period, abs(a - b) / a)
 
     def amp(key):
@@ -165,7 +164,7 @@ def test_criterion_07_energy_conservation_and_spectral_sum():
         init = WavepacketInit(float(rng.uniform(-1.5, 1.5)),
                               float(rng.uniform(-1.5, 1.5)),
                               float(rng.uniform(0.35, 1.2)))
-        values = [mean_energy(evolve(HO, init, t), QUAD)
+        values = [mean_energy(evolve(HO, init, t))
                   for t in np.linspace(0.0, 6.0, 20)]
         drift_worst = max(drift_worst, max(values) - min(values))
         dec = spectral_project(evolve(HO, init, 0.0), 90,
@@ -176,7 +175,7 @@ def test_criterion_07_energy_conservation_and_spectral_sum():
     x0, p0 = math.sqrt(2.0), 0.6
     lam = (x0**2 / 2.0 + p0**2 / 2.0)
     coh = WavepacketInit(x0, p0, math.sqrt(0.5))
-    coherent_err = abs(mean_energy(evolve(HO, coh, 0.0), QUAD)
+    coherent_err = abs(mean_energy(evolve(HO, coh, 0.0))
                        - (lam + 0.5))
     report(7, "<H> constant in t, equals spectral sum, coherent value",
            drift_worst < 1e-8 and spectral_worst < 1e-8
@@ -251,7 +250,7 @@ def test_criterion_10_bath():
     bath = BathSpec((Oscillator(1.0, 1.0, 1.5),), sigma=1.0, q0=0.7)
     exact_cf, _ = unified_bath_Z(bath, th)
     # raw measure, one oscillator centred at c q0 / w^2
-    exact_qd, _ = unified_integral(1.0, 1.0, 1.0, th, 1.0, QUAD, center=1.5 * 0.7)
+    exact_qd, _ = unified_integral(1.0, 1.0, 1.0, th, 1.0, center=1.5 * 0.7)
     quad_rel = abs(exact_cf.value - exact_qd) / exact_cf.value
 
     rng = np.random.default_rng(77)
@@ -274,7 +273,7 @@ def test_criterion_10_bath():
             diverged = True
         gating_ok = gating_ok and (diverged == (beta / 4.0 >= 1.0))
 
-    rep = run_verification(quad=QUAD)
+    rep = run_verification()
     two_pi = [d for d in rep.discrepancies if "2 pi" in d.name]
     listed = len(two_pi) == 1 and \
         abs(two_pi[0].residual - (2.0 * math.pi - 1.0)) < 1e-9

@@ -82,11 +82,11 @@ def test_classical_bath_Z_product():
         (2.0 * math.pi) ** 2 / 2.0)
 
 
-def test_classical_bath_Z_quadrature_and_coupling_invariance(quad):
+def test_classical_bath_Z_quadrature_and_coupling_invariance():
     th = ThermalSpec(1.0)
     # the coupled oscillator's well is centred at c q0 / w^2 = 10
-    plain, _ = phase_space_integral(1.0, 1.0, th, quad)
-    coupled, _ = phase_space_integral(1.0, 1.0, th, quad, center=10.0)
+    plain, _ = phase_space_integral(1.0, 1.0, th)
+    coupled, _ = phase_space_integral(1.0, 1.0, th, center=10.0)
     assert plain == pytest.approx(2.0 * math.pi, rel=1e-10)
     assert coupled == pytest.approx(plain, rel=1e-12)
     assert classical_bath_Z(single(c=5.0, q0=2.0), th).value == \
@@ -104,20 +104,20 @@ def test_unified_bath_Z_single_closed_form():
     assert printed.value == pytest.approx(exact.value * 2.0 * math.pi, rel=1e-14)
 
 
-def test_unified_bath_Z_quadrature_oracle(quad):
+def test_unified_bath_Z_quadrature_oracle():
     # coupled, shifted oscillator: the 3D integral still gives the exact
     # factor with no extra 2 pi
     bath = single(c=1.5, q0=0.7)
     th = ThermalSpec(1.0)
     exact_cf, printed_cf = unified_bath_Z(bath, th)
-    exact_qd, _ = unified_integral(1.0, 1.0, 1.0, th, 1.0, quad,
+    exact_qd, _ = unified_integral(1.0, 1.0, 1.0, th, 1.0,
                                    center=1.5 * 0.7)
     assert exact_qd == pytest.approx(exact_cf.value, rel=1e-8)
     assert printed_cf.value / exact_qd == pytest.approx(2.0 * math.pi,
                                                         rel=1e-12)
 
 
-def test_unified_bath_Z_classical_limit(quad):
+def test_unified_bath_Z_classical_limit():
     bath = single(sigma=100.0)
     th = ThermalSpec(1.0)
     exact, _ = unified_bath_Z(bath, th)
@@ -125,7 +125,7 @@ def test_unified_bath_Z_classical_limit(quad):
     assert exact.value / z_b == pytest.approx(1.0, abs=1e-4)
 
 
-def test_unified_bath_Z_depends_on_m_sigma_sq_multiset(quad):
+def test_unified_bath_Z_depends_on_m_sigma_sq_multiset():
     th = ThermalSpec(0.5)
     bath_a = BathSpec((Oscillator(4.0, 1.0, 1.0), Oscillator(1.0, 2.0, 0.3)),
                       sigma=0.5)
@@ -137,7 +137,7 @@ def test_unified_bath_Z_depends_on_m_sigma_sq_multiset(quad):
     assert ra == pytest.approx(rb, rel=1e-14)
 
 
-def test_unified_bath_Z_factorizes(quad):
+def test_unified_bath_Z_factorizes():
     th = ThermalSpec(0.8)
     oscillators = (Oscillator(1.0, 1.0, 1.0), Oscillator(2.0, 0.6, -0.4),
                    Oscillator(0.7, 2.2, 0.1))

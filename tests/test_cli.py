@@ -93,7 +93,8 @@ def test_readme_cli_block_runs(tmp_path: Path, capsys):
     import shlex
     from bohmpart import cli
     runs = [shlex.split(line)[1:] for line in _readme_cli_lines()]
-    assert {argv[0] for argv in runs} == set(cli.READS)
+    # every subcommand: those READS lists, and verify, which reads no key
+    assert {argv[0] for argv in runs} == {*cli.READS, "verify"}
     for argv in runs:
         if "--out" in argv:
             at = argv.index("--out") + 1
@@ -121,6 +122,7 @@ def test_bad_flag_exit_1():
     ["verify", "--format", "json"],
     ["verify", "--hbar", "2"],
     ["verify", "--kb", "2"],
+    ["verify", "--config", "x"],
 ])
 def test_flag_the_subcommand_does_not_read_exit_1(capsys, argv):
     from bohmpart import cli
@@ -152,7 +154,7 @@ def test_fig1_divergent_message_names_the_pair(kbt, named):
 
 
 @pytest.mark.parametrize("cfg_text, flags, pairs", [
-    ("window_sigmas = 10\n", (), {(0.45, 2.0), (0.45, 5.0), (0.65, 2.0)}),
+    ("x0 = 1.0\n", (), {(0.45, 2.0), (0.45, 5.0), (0.65, 2.0)}),
     ("sigma = 0.3\nkbt = 4\n", (), {(0.3, 4.0)}),
     ("sigma = 0.6\n", (), {(0.6, 2.0)}),
     ("kbt = 4\n", (), {(0.45, 4.0)}),
@@ -261,7 +263,12 @@ def test_config_file_unknown_key_exit_1(tmp_path: Path):
         ("kbt = 2", ["trajectory", "--x-start", "1"]),
         ("rel_tol = 1e-8", ["trajectory", "--x-start", "1"]),
         ("p0 = 1", ["partition"]),
-        ("mass = 5", ["verify"]),
+        ("window_sigmas = 12", ["fig1", "--samples", "4"]),
+        ("rel_tol = 1e-10", ["fig1", "--samples", "4"]),
+        ("window_sigmas = 12", ["marginal", "--samples", "4"]),
+        ("rel_tol = 1e-10", ["marginal", "--samples", "4"]),
+        ("window_sigmas = 12", ["partition"]),
+        ("rel_tol = 1e-10", ["partition", "--oracle"]),
     ]
     cfg = tmp_path / "bad.cfg"
     for line, argv in cases:
@@ -274,16 +281,15 @@ def test_config_file_unknown_key_exit_1(tmp_path: Path):
 
 @pytest.mark.parametrize("argv, keys", [
     (["fig1", "--samples", "2", "--tmax", "0.5"],
-     "hbar mass omega x0 p0 sigma kbt window_sigmas rel_tol abs_tol"),
+     "hbar mass omega x0 p0 sigma kbt"),
     (["marginal", "--samples", "2", "--tmax", "0.5"],
-     "hbar mass omega sigma x0 p0 kbt window_sigmas rel_tol abs_tol"),
+     "hbar mass omega sigma x0 p0 kbt"),
     (["limits", "--var", "kbt", "--start", "1", "--stop", "2", "--num", "2"],
      "hbar mass omega sigma kbt"),
     (["bath"], "hbar"),
     (["trajectory", "--x-start", "1", "--tmax", "0.5"],
      "hbar mass omega sigma x0 p0"),
-    (["partition"],
-     "hbar kb mass omega sigma kbt window_sigmas rel_tol abs_tol"),
+    (["partition"], "hbar kb mass omega sigma kbt"),
 ], ids=["fig1", "marginal", "limits", "bath", "trajectory", "partition"])
 def test_json_config_echoes_the_keys_the_subcommand_reads(tmp_path: Path,
                                                           argv, keys):
@@ -347,6 +353,13 @@ def _exit_1_naming(capsys, argv, name):
      "--tmax"),
     (["trajectory", "--omega", "10", "--x-start", "1.2", "--tmax", "1e308"],
      "--tmax"),
+    (["trajectory", "--x-start", "1.2", "--sigma", "1e200"], "sigma"),
+    (["marginal", "--sigma", "1e200", "--samples", "3"], "sigma"),
+    (["fig1", "--sigma", "1e200", "--kbt", "2", "--samples", "3"], "sigma"),
+    (["partition", "--sigma", "1e-200"], "sigma"),
+    (["limits", "--var", "sigma", "--start", "1e-200", "--stop", "1",
+      "--num", "2"], "sigma"),
+    (["bath", "--sigma", "1e-200"], "sigma"),
 ])
 def test_input_the_subcommand_cannot_honour_exit_1(capsys, argv, name):
     _exit_1_naming(capsys, argv, name)
@@ -572,13 +585,16 @@ def test_partition_table(tmp_path: Path):
     ("partition", "--oracle"),
     ("marginal", "--samples", "3"),
 ])
-def test_quadrature_failure_exit_4(tmp_path: Path, argv):
-    cfg = tmp_path / "tight.cfg"
-    cfg.write_text("rel_tol = 1e-30\nabs_tol = 1e-300\n")
-    cp = run_cli(*argv, "--config", str(cfg))
-    assert cp.returncode == 4, cp.stderr
-    assert "Traceback" not in cp.stderr
-    assert cp.stderr.startswith("bohmpart: numerical failure:")
+def test_quadrature_failure_exit_4(monkeypatch, capsys, argv):
+    from bohmpart import cli, core
+    # tolerances no Gauss-Legendre rule meets, so the ladder runs out
+    monkeypatch.setattr(core, "REL_TOL", 1e-30)
+    monkeypatch.setattr(core, "ABS_TOL", 1e-300)
+    assert cli.main(list(argv)) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("bohmpart: numerical failure:")
+    assert err.count("\n") == 1
 
 
 def _strict_json(text: str):

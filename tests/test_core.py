@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from bohmpart import (Constants, Grid1D, QuadratureConfig,
+from bohmpart import (BathSpec, Constants, Grid1D, Oscillator,
                       QuadratureFailure, SystemParams, ThermalSpec,
                       WavepacketInit, free_system, harmonic_system,
                       natural_units, potential_value)
-from bohmpart.core import integrate_window
-from bohmpart.partition import marginal_curve
+from bohmpart.core import REL_TOL, integrate_window
+from bohmpart.partition import marginal_curve, quantum_ratio
 
 
 def test_natural_units_defaults():
@@ -63,13 +63,6 @@ def test_thermal_spec_kbt_roundtrip():
     assert th.beta == 0.5 and th.kbt == 2.0
 
 
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(window_sigmas=4.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=0.0)
-
-
 def test_grid1d():
     g = Grid1D(-1.0, 1.0, 5)
     assert np.allclose(g.points, [-1.0, -0.5, 0.0, 0.5, 1.0])
@@ -81,14 +74,13 @@ def test_grid1d():
 
 
 def test_integrate_window_gaussian():
-    quad = QuadratureConfig()
     cases = [
-        (integrate_window(lambda x: np.exp(-x * x), -12.0, 12.0, quad),
+        (integrate_window(lambda x: np.exp(-x * x), -12.0, 12.0),
          math.sqrt(math.pi)),
         (integrate_window(lambda x, y: np.exp(-x * x - y * y),
-                          (-12.0, -12.0), (12.0, 12.0), quad), math.pi),
+                          (-12.0, -12.0), (12.0, 12.0)), math.pi),
         (integrate_window(lambda x, y, z: np.exp(-x * x - y * y - z * z),
-                          (-12.0,) * 3, (12.0,) * 3, quad), math.pi**1.5),
+                          (-12.0,) * 3, (12.0,) * 3), math.pi**1.5),
     ]
     for (val, err), exact in cases:
         assert val == pytest.approx(exact, rel=1e-12)
@@ -98,24 +90,35 @@ def test_integrate_window_gaussian():
 def test_integrate_window_failure_on_exhausted_subdivisions():
     # 3000 oscillations on the window: no rule of the ladder resolves them
     with pytest.raises(QuadratureFailure):
-        integrate_window(lambda x: np.cos(200.0 * x * x), 0.0, 10.0,
-                         QuadratureConfig())
+        integrate_window(lambda x: np.cos(200.0 * x * x), 0.0, 10.0)
 
 
 def test_integrate_window_failure_on_non_finite_integrand():
     with pytest.raises(QuadratureFailure):
-        integrate_window(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0,
-                         QuadratureConfig())
+        integrate_window(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)
 
 
-def test_unit_system_invariance_of_marginal_curve(quad):
+def test_unit_system_invariance_of_marginal_curve():
     # same physics in two unit systems: hbar -> 2 hbar rescales the action,
     # so m -> 2m, p0 -> 2 p0, beta -> beta/2 with sigma, omega, x0 unchanged
     times = np.linspace(0.0, 2.0 * math.pi, 9)
     base = marginal_curve(
         harmonic_system(1.0, 1.0, Constants(1.0, 1.0)),
-        WavepacketInit(1.0, 0.3, 0.45), ThermalSpec(0.5), times, quad)
+        WavepacketInit(1.0, 0.3, 0.45), ThermalSpec(0.5), times)
     scaled = marginal_curve(
         harmonic_system(2.0, 1.0, Constants(2.0, 1.0)),
-        WavepacketInit(1.0, 0.6, 0.45), ThermalSpec(0.25), times, quad)
-    assert np.allclose(base.values, scaled.values, rtol=quad.rel_tol * 100)
+        WavepacketInit(1.0, 0.6, 0.45), ThermalSpec(0.25), times)
+    assert np.allclose(base.values, scaled.values, rtol=REL_TOL * 100)
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: WavepacketInit(1.0, 0.0, s),
+    lambda s: BathSpec((Oscillator(1.0, 1.0, 1.0),), s),
+    lambda s: quantum_ratio(1.0, s, ThermalSpec(1.0), 1.0),
+])
+def test_every_entry_of_a_width_rejects_one_whose_powers_overflow(make):
+    for sigma in (1e-75, 1e75):  # sigma^4 and sigma^-4 are normal doubles
+        make(sigma)
+    for sigma in (5e-76, 2e75, 1e-200, 1e200):
+        with pytest.raises(ValueError, match="sigma"):
+            make(sigma)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bohmpart import (AverageEnergyMode, BathSpec, Constants,
-                      DivergentIntegral, Oscillator, QuadratureConfig,
+                      DivergentIntegral, Oscillator,
                       ThermalSpec, WavepacketInit, average_energy, classical_Z,
                       classicality_criterion, energy_pointwise, evolve,
                       free_system, gaussian_correction,
@@ -15,7 +15,7 @@ from bohmpart import (AverageEnergyMode, BathSpec, Constants,
                       marginal_Z, marginal_Z_derivative, marginal_curve,
                       phase_space_integral, quantum_Z, unified_bath_Z,
                       unified_integral, unified_Z_gaussian)
-from bohmpart.core import integrate_window
+from bohmpart.core import ABS_TOL, REL_TOL, WINDOW_SIGMAS, integrate_window
 from bohmpart.numdiff import central_first
 from bohmpart.partition import (PartitionResult, heat_capacity,
                                 quantum_ratio, quantum_Z_closed_form)
@@ -35,15 +35,15 @@ def test_classical_Z_closed_form():
     assert classical_Z(params, ThermalSpec(1.0)).value == pytest.approx(0.5)
 
 
-def test_classical_Z_quadrature_agrees(quad):
+def test_classical_Z_quadrature_agrees():
     for beta, m, w in [(1.0, 1.0, 1.0), (0.7, 2.3, 1.6)]:
         params = harmonic_system(m, w)
         th = ThermalSpec(beta)
         cf = classical_Z(params, th)
-        raw, err = phase_space_integral(m, w, th, quad)
+        raw, err = phase_space_integral(m, w, th)
         # raw measure dx dp against dGamma = dx dp / (2 pi hbar)
         assert raw / (2.0 * math.pi) == pytest.approx(cf.value, rel=1e-10)
-        assert err <= max(quad.abs_tol, quad.rel_tol * raw)
+        assert err <= max(ABS_TOL, REL_TOL * raw)
 
 
 def test_classical_Z_free_diverges():
@@ -92,10 +92,10 @@ def test_partition_result_validation():
 # Gaussian correction factor
 # ---------------------------------------------------------------------------
 
-def test_gaussian_correction_value_vs_quadrature(quad):
+def test_gaussian_correction_value_vs_quadrature():
     th = ThermalSpec(1.0)  # ratio = 0.25
     cf = gaussian_correction(1.0, 1.0, th)
-    qd, _ = gaussian_correction_integral(1.0, 1.0, th, 1.0, quad)
+    qd, _ = gaussian_correction_integral(1.0, 1.0, th, 1.0)
     assert cf == pytest.approx(math.exp(-0.25) / math.sqrt(0.75), rel=1e-14)
     assert qd == pytest.approx(cf, rel=1e-8)
 
@@ -135,10 +135,10 @@ def test_gaussian_correction_log_slope():
 # unified Z
 # ---------------------------------------------------------------------------
 
-def test_unified_Z_closed_vs_nested_quadrature(quad):
+def test_unified_Z_closed_vs_nested_quadrature():
     th = ThermalSpec(1.0)
     cf = unified_Z_gaussian(HO, 1.0, th)
-    raw, _ = unified_integral(1.0, 1.0, 1.0, th, 1.0, quad)
+    raw, _ = unified_integral(1.0, 1.0, 1.0, th, 1.0)
     assert cf.value == pytest.approx(
         classical_Z(HO, th).value * gaussian_correction(1.0, 1.0, th),
         rel=1e-14)
@@ -172,28 +172,28 @@ def test_unified_Z_free_diverges():
 # marginal Z
 # ---------------------------------------------------------------------------
 
-def test_marginal_curve_normalized_at_zero(ho_params, fig_init, quad):
+def test_marginal_curve_normalized_at_zero(ho_params, fig_init):
     times = np.linspace(0.0, 2.0, 5)
     curve = marginal_curve(ho_params, fig_init, ThermalSpec.from_kbt(2.0),
-                           times, quad)
+                           times)
     assert curve.values[0] == 1.0  # exact, by construction
     assert curve.normalized
 
 
-def test_marginal_periodicity(ho_params, fig_init, quad):
+def test_marginal_periodicity(ho_params, fig_init):
     th = ThermalSpec.from_kbt(2.0)
     for t in (0.0, 0.6, 1.3, 2.4):
-        a = marginal_Z(ho_params, fig_init, th, t, quad)
-        b = marginal_Z(ho_params, fig_init, th, t + math.pi, quad)
+        a = marginal_Z(ho_params, fig_init, th, t)
+        b = marginal_Z(ho_params, fig_init, th, t + math.pi)
         assert b == pytest.approx(a, rel=1e-10)
 
 
-def test_marginal_amplitude_orderings(ho_params, quad):
+def test_marginal_amplitude_orderings(ho_params):
     times = np.linspace(0.0, math.pi, 40)
 
     def amplitude(sigma, kbt):
         curve = marginal_curve(ho_params, WavepacketInit(1.0, 0.0, sigma),
-                               ThermalSpec.from_kbt(kbt), times, quad)
+                               ThermalSpec.from_kbt(kbt), times)
         return curve.values.max() - curve.values.min()
 
     hot = amplitude(0.45, 5.0)
@@ -203,17 +203,17 @@ def test_marginal_amplitude_orderings(ho_params, quad):
     assert wide < cold
 
 
-def test_marginal_divergence_detected(ho_params, quad):
+def test_marginal_divergence_detected(ho_params):
     init = WavepacketInit(1.0, 0.0, 0.2)
     th = ThermalSpec.from_kbt(0.5)
     with pytest.raises(DivergentIntegral):
-        marginal_Z(ho_params, init, th, 0.0, quad)
+        marginal_Z(ho_params, init, th, 0.0)
     # divergence is time-dependent: near the breathing maximum the spread
     # packet feeds a convergent integrand again
-    assert marginal_Z(ho_params, init, th, math.pi / 2, quad) > 0.0
+    assert marginal_Z(ho_params, init, th, math.pi / 2) > 0.0
 
 
-def test_marginal_orbit_translation_symmetry(ho_params, quad):
+def test_marginal_orbit_translation_symmetry(ho_params):
     # translating (x0, p0) along the orbit by one width period shifts the
     # curve in time; an arbitrary shift works for the coherent width
     th = ThermalSpec.from_kbt(2.0)
@@ -222,8 +222,8 @@ def test_marginal_orbit_translation_symmetry(ho_params, quad):
     st = evolve(ho_params, init, tau)
     shifted = WavepacketInit(st.q, st.p, init.sigma)
     for t in (0.3, 1.1, 2.4):
-        a = marginal_Z(ho_params, init, th, t + tau, quad)
-        b = marginal_Z(ho_params, shifted, th, t, quad)
+        a = marginal_Z(ho_params, init, th, t + tau)
+        b = marginal_Z(ho_params, shifted, th, t)
         assert b == pytest.approx(a, rel=1e-8)
 
     coh = WavepacketInit(1.0, 0.4, math.sqrt(0.5))
@@ -231,19 +231,18 @@ def test_marginal_orbit_translation_symmetry(ho_params, quad):
     st = evolve(ho_params, coh, tau)
     shifted = WavepacketInit(st.q, st.p, coh.sigma)
     for t in (0.3, 1.1, 2.4):
-        a = marginal_Z(ho_params, coh, th, t + tau, quad)
-        b = marginal_Z(ho_params, shifted, th, t, quad)
+        a = marginal_Z(ho_params, coh, th, t + tau)
+        b = marginal_Z(ho_params, shifted, th, t)
         assert b == pytest.approx(a, rel=1e-8)
 
 
 def test_marginal_derivative_matches_finite_difference(ho_params, fig_init):
-    tight = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
     th = ThermalSpec.from_kbt(2.0)
     t0, h = 1.3, 1e-3
-    rate = marginal_Z_derivative(ho_params, fig_init, th, t0, tight)
+    rate = marginal_Z_derivative(ho_params, fig_init, th, t0)
 
     def z(t):
-        return marginal_Z(ho_params, fig_init, th, t, tight)
+        return marginal_Z(ho_params, fig_init, th, t)
 
     d1 = (z(t0 + h) - z(t0 - h)) / (2 * h)
     d2 = (z(t0 + h / 2) - z(t0 - h / 2)) / h
@@ -255,12 +254,11 @@ def test_marginal_derivative_matches_finite_difference(ho_params, fig_init):
 
 def test_marginal_derivative_vanishes_in_classical_surrogate():
     # sharp packet, huge mass, temperature scaled with the energy unit
-    quad = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-9)
     params = harmonic_system(1e6, 1.0)
     init = WavepacketInit(1.0, 0.0, 5e-4)  # ratio = 1e-6
     th = ThermalSpec(1e-6)
-    z = marginal_Z(params, init, th, 0.5, quad)
-    rate = marginal_Z_derivative(params, init, th, 0.5, quad)
+    z = marginal_Z(params, init, th, 0.5)
+    rate = marginal_Z_derivative(params, init, th, 0.5)
     assert abs(rate.exact) < 1e-4 * z * 1.0
 
 
@@ -274,47 +272,46 @@ def _marginal_Z_gaussian_closed_form(params, init, th, t):
     return math.sqrt(2.0 * ra / kappa) * math.exp(-beta * a0 + beta**2 * a1**2 / (4.0 * kappa))
 
 
-def test_marginal_near_divergence_matches_gaussian_closed_form(quad):
+def test_marginal_near_divergence_matches_gaussian_closed_form():
     # the density underflows where exp(-beta E) overflows inside this window
     init, th, t0 = WavepacketInit(1.0, 0.3, 1.0), ThermalSpec.from_kbt(0.5), 1.3333
     closed = _marginal_Z_gaussian_closed_form(HO, init, th, t0)
-    assert marginal_Z(HO, init, th, t0, quad) == pytest.approx(closed, rel=1e-9)
-    assert marginal_Z(HO, init, th, t0, quad) == pytest.approx(2653.92, rel=1e-6)
+    assert marginal_Z(HO, init, th, t0) == pytest.approx(closed, rel=1e-9)
+    assert marginal_Z(HO, init, th, t0) == pytest.approx(2653.92, rel=1e-6)
 
     h = 1e-4
     d1, d2 = ((_marginal_Z_gaussian_closed_form(HO, init, th, t0 + step)
                - _marginal_Z_gaussian_closed_form(HO, init, th, t0 - step)) / (2 * step)
               for step in (h, h / 2))
-    rate = marginal_Z_derivative(HO, init, th, t0, quad)
+    rate = marginal_Z_derivative(HO, init, th, t0)
     assert rate.exact == pytest.approx((4 * d2 - d1) / 3, rel=1e-6)
 
 
-def test_marginal_rate_high_temperature_suppression(ho_params, fig_init, quad):
+def test_marginal_rate_high_temperature_suppression(ho_params, fig_init):
     def rel_rate(kbt):
         th = ThermalSpec.from_kbt(kbt)
-        return abs(marginal_Z_derivative(ho_params, fig_init, th, 0.5,
-                                         quad).exact) / \
-            marginal_Z(ho_params, fig_init, th, 0.5, quad)
+        return abs(marginal_Z_derivative(ho_params, fig_init, th, 0.5).exact) / \
+            marginal_Z(ho_params, fig_init, th, 0.5)
 
     assert rel_rate(2.0) / rel_rate(50.0) >= 10.0
 
 
-def _marginal_rate_quadrature(state, th, quad, energy_weight):
+def _marginal_rate_quadrature(state, th, energy_weight):
     """Gauss-Legendre integral of (d log P/dt + w dE/dt) P e^(-beta E) dx
-    over window_sigmas widths of P e^(-beta E) about its centre."""
+    over WINDOW_SIGMAS widths of P e^(-beta E) about its centre."""
     a2, a1, _ = _energy_coefficients(state)
     kappa = 2.0 * state.alpha.real + th.beta * a2
     center = state.q - th.beta * a1 / (2.0 * kappa)
-    half = quad.window_sigmas / math.sqrt(2.0 * kappa)
+    half = WINDOW_SIGMAS / math.sqrt(2.0 * kappa)
 
     def f(x):
         boltz = np.exp(_log_density(state, x) - th.beta * energy_pointwise(state, x))
         return (_log_density_dt(state, x) + energy_weight * energy_dt(state, x)) * boltz
 
-    return integrate_window(f, center - half, center + half, quad)[0]
+    return integrate_window(f, center - half, center + half)[0]
 
 
-def test_marginal_rate_matches_gauss_legendre_oracle(quad):
+def test_marginal_rate_matches_gauss_legendre_oracle():
     """The two-point Gauss-Hermite rates against the rate integrals, over
     seeded harmonic and free packets, for both energy weights."""
     rng = np.random.default_rng(20261018)
@@ -328,13 +325,13 @@ def test_marginal_rate_matches_gauss_legendre_oracle(quad):
                               rng.uniform(0.3, 1.5))
         th, t = ThermalSpec.from_kbt(rng.uniform(0.5, 5.0)), rng.uniform(0.0, 4.0)
         try:
-            rate = marginal_Z_derivative(params, init, th, t, quad)
+            rate = marginal_Z_derivative(params, init, th, t)
         except DivergentIntegral:
             continue
-        z = marginal_Z(params, init, th, t, quad)
+        z = marginal_Z(params, init, th, t)
         state = evolve(params, init, t)
         for weight, closed in ((-th.beta, rate.exact), (1.0, rate.bracket)):
-            oracle = _marginal_rate_quadrature(state, th, quad, weight)
+            oracle = _marginal_rate_quadrature(state, th, weight)
             assert abs(closed - oracle) / z <= 1e-10
         checked[name] += 1
 
@@ -360,15 +357,15 @@ def test_criterion_threshold_de_broglie_relation():
         1.0 / math.sqrt(8.0 * math.pi), rel=1e-12)
 
 
-def test_average_energy_classical_equipartition(quad):
+def test_average_energy_classical_equipartition():
     # oracle: <H> as the ratio of two phase-space quadratures, plus the
     # quantum potential at the packet centre, hbar^2/(4 m sigma^2) = 1/4
     sigma = 1.0
     for beta in (0.5, 1.0, 2.0):
         th = ThermalSpec(beta)
-        weighted, _ = phase_space_integral(1.0, 1.0, th, quad,
+        weighted, _ = phase_space_integral(1.0, 1.0, th,
                                            times_energy=True)
-        plain, _ = phase_space_integral(1.0, 1.0, th, quad)
+        plain, _ = phase_space_integral(1.0, 1.0, th)
         assert weighted / plain == pytest.approx(1.0 / beta, rel=1e-9)
         val = average_energy(AverageEnergyMode.CLASSICAL_LIMIT, HO, th, sigma)
         assert val - 0.25 == pytest.approx(weighted / plain, rel=1e-9)
@@ -506,7 +503,7 @@ def test_thermal_averages_errors():
 # monotonicity in beta
 # ---------------------------------------------------------------------------
 
-def test_partition_variants_decrease_in_beta(quad):
+def test_partition_variants_decrease_in_beta():
     betas = np.linspace(0.1, 2.0, 8)
     z_cl = [classical_Z(HO, ThermalSpec(b)).value for b in betas]
     z_q = [quantum_Z(HO, ThermalSpec(b)).value for b in betas]
@@ -520,7 +517,7 @@ def test_partition_variants_decrease_in_beta(quad):
     # marginal at the curve parameters, well inside the convergent region
     init = WavepacketInit(1.0, 0.0, 0.45)
     betas_m = np.linspace(0.1, 0.55, 6)
-    z_m = [marginal_Z(HO, init, ThermalSpec(b), 0.9, quad) for b in betas_m]
+    z_m = [marginal_Z(HO, init, ThermalSpec(b), 0.9) for b in betas_m]
     assert np.all(np.diff(z_m) < 0)
 
 
@@ -558,7 +555,6 @@ def test_every_gaussian_form_diverges_exactly_at_r_one(m, omega, hbar, beta,
                                                        r):
     """Each closed form and oracle raises DivergentIntegral iff r >= 1, and
     below r = 0.95 each closed form matches its oracle in log space."""
-    quad = QuadratureConfig()
     thermal = ThermalSpec(beta)
     params = harmonic_system(m, omega, Constants(hbar, 1.0))
     sigma = hbar * math.sqrt(beta / (4.0 * m * r))
@@ -569,11 +565,11 @@ def test_every_gaussian_form_diverges_exactly_at_r_one(m, omega, hbar, beta,
         "gaussian_correction": lambda: gaussian_correction(
             m, sigma, thermal, hbar),
         "gaussian_correction_integral": lambda: gaussian_correction_integral(
-            m, sigma, thermal, hbar, quad)[0],
+            m, sigma, thermal, hbar)[0],
         "unified_Z_gaussian": lambda: unified_Z_gaussian(
             params, sigma, thermal).value,
         "unified_integral": lambda: unified_integral(
-            m, omega, sigma, thermal, hbar, quad)[0],
+            m, omega, sigma, thermal, hbar)[0],
         "unified_bath_Z": lambda: unified_bath_Z(bath, thermal, hbar)[0].value,
     }
     if r_used >= 1.0:
@@ -666,13 +662,13 @@ def test_gaussian_correction_matches_mpmath_reference(r):
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
-def test_marginal_Z_near_divergence_matches_mpmath_reference(quad, eps):
+def test_marginal_Z_near_divergence_matches_mpmath_reference(eps):
     """kbt -> 0.75+ at t = pi/2, where kappa = 2 Re a + beta A2 -> 0+ and
     the integrand widens without bound; the reference integrates the same
     float coefficients over the whole line."""
     init, t = WavepacketInit(1.0, 0.0, 1.0), math.pi / 2
     thermal = ThermalSpec.from_kbt(0.75 * (1.0 + eps))
-    z = marginal_Z(HO, init, thermal, t, quad)
+    z = marginal_Z(HO, init, thermal, t)
     state = evolve(HO, init, t)
     with mpmath.workdps(50):
         ra, beta = mpmath.mpf(state.alpha.real), mpmath.mpf(thermal.beta)
@@ -693,5 +689,5 @@ def test_classical_Z_matches_phase_space_integral_in_log_space(beta, m,
                                                                omega):
     thermal = ThermalSpec(beta)
     z_cl = classical_Z(harmonic_system(m, omega), thermal).value
-    raw, _ = phase_space_integral(m, omega, thermal, QuadratureConfig())
+    raw, _ = phase_space_integral(m, omega, thermal)
     assert abs(math.log(raw / (2.0 * math.pi)) - math.log(z_cl)) <= 1e-12

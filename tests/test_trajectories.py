@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -281,3 +282,28 @@ def test_density_quantile_inverts_cdf():
     assert ndtr((x - st.q) / st.width) == pytest.approx(0.75, abs=1e-12)
     with pytest.raises(ValueError):
         density_quantile(HO, init, 0.0, 1.5)
+
+
+@pytest.mark.parametrize("params", [HO, FREE, harmonic_system(0.7, 1.9)])
+def test_density_quantile_matches_the_evolved_width(params):
+    # the quantile q + width Phi^-1(c) of the state evolved to t
+    init = WavepacketInit(0.4, -1.1, 0.6)
+    for t in (0.0, 0.3, 1.7, 5.2, 40.0):
+        st = evolve(params, init, t)
+        for c in (0.01, 0.3, 0.5, 0.77, 0.999):
+            want = st.q + st.width * NormalDist().inv_cdf(c)
+            assert density_quantile(params, init, t, c) == pytest.approx(
+                want, rel=1e-14)
+
+
+def test_density_quantile_finite_where_the_width_underflows():
+    # Re a underflows to 0 here, so the evolved width is 0.5/sqrt(0)
+    init, t = WavepacketInit(1.0, 0.0, 0.45), 1e300
+    assert evolve(FREE, init, t).alpha.real == 0.0
+    xs = [density_quantile(FREE, init, t, c) for c in (0.1, 0.5, 0.9)]
+    assert all(map(math.isfinite, xs))
+    assert xs[1] == 1.0
+    # width(t) -> hbar t/(2 m sigma) for the free packet
+    spread = NormalDist().inv_cdf(0.9) * t / (2.0 * init.sigma)
+    assert xs[2] - xs[1] == pytest.approx(spread, rel=1e-12)
+    assert xs[1] - xs[0] == pytest.approx(spread, rel=1e-12)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from bohmpart import QuadratureConfig, verify
+from bohmpart import verify
 from bohmpart.verify import (ToleranceProfile, check_bath_factor,
                              check_quantum_force_fd,
                              check_quantum_potential_fd, measure_bath_2pi,
@@ -43,8 +43,7 @@ def test_full_verification_report():
 
 
 def test_bath_2pi_ratio_follows_the_oracle(monkeypatch):
-    quad = QuadratureConfig()
-    assert measure_bath_2pi(quad).residual == pytest.approx(
+    assert measure_bath_2pi().residual == pytest.approx(
         2.0 * math.pi - 1.0, abs=1e-9)
     oracle = verify.unified_integral
 
@@ -52,8 +51,8 @@ def test_bath_2pi_ratio_follows_the_oracle(monkeypatch):
         val, err = oracle(*args, **kwargs)
         return 1.01 * val, 1.01 * err
     monkeypatch.setattr(verify, "unified_integral", scaled)
-    moved = measure_bath_2pi(quad)
+    moved = measure_bath_2pi()
     assert moved.residual == pytest.approx(2.0 * math.pi / 1.01 - 1.0,
                                            rel=1e-9)
     assert f"{2.0 * math.pi / 1.01:.12f}" in moved.description
-    assert not check_bath_factor(ToleranceProfile(), quad).passed
+    assert not check_bath_factor(ToleranceProfile()).passed

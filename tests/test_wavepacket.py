@@ -11,6 +11,7 @@ from bohmpart import (Constants, TruncationInsufficient, WavepacketInit,
                       density, energy_pointwise, evolve, free_system,
                       harmonic_system, mean_energy, phase_gradient,
                       potential_value, quantum_potential, spectral_project)
+from bohmpart.core import WINDOW_SIGMAS
 from bohmpart.numdiff import central_first, central_second
 from bohmpart.trajectories import scaling_solution
 from bohmpart.wavepacket import (amplitude, default_spectral_grid,
@@ -138,12 +139,12 @@ def test_density_peak_value():
     assert density(st, 0.0) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi))
 
 
-def test_density_normalized_both_systems(quad):
+def test_density_normalized_both_systems():
     for params in (HO, FREE):
         init = WavepacketInit(0.7, -0.6, 0.55)
         for t in np.linspace(0.0, 5.0, 21):
             st = evolve(params, init, t)
-            half = quad.window_sigmas * st.width
+            half = WINDOW_SIGMAS * st.width
             xs = np.linspace(st.q - half, st.q + half, 4001)
             total = np.trapezoid(density(st, xs), xs)
             assert total == pytest.approx(1.0, abs=1e-10)
@@ -322,30 +323,30 @@ def test_spectral_truncation_error():
         spectral_project(st, 3, default_spectral_grid(HO, init, 80))
 
 
-def test_mean_energy_matches_spectral_sum(quad):
+def test_mean_energy_matches_spectral_sum():
     init = WavepacketInit(0.8, -0.5, 0.6)
     st = evolve(HO, init, 0.0)
     dec = spectral_project(st, 60, default_spectral_grid(HO, init, 60))
-    assert mean_energy(st, quad) == pytest.approx(dec.mean_energy(), abs=1e-8)
+    assert mean_energy(st) == pytest.approx(dec.mean_energy(), abs=1e-8)
 
 
-def test_mean_energy_time_invariant(quad):
+def test_mean_energy_time_invariant():
     init = WavepacketInit(1.0, 0.3, 0.5)
-    values = [mean_energy(evolve(HO, init, t), quad)
+    values = [mean_energy(evolve(HO, init, t))
               for t in (0.0, 0.7, 1.9, 4.3)]
     assert max(values) - min(values) < 1e-8
     assert values[0] == pytest.approx(packet_mean_energy_exact(HO, init),
                                       rel=1e-10)
 
 
-def test_mean_energy_free_closed_form(quad):
+def test_mean_energy_free_closed_form():
     sigma, p0 = 0.75, 1.3
     init = WavepacketInit(0.0, p0, sigma)
     st = evolve(FREE, init, 0.0)
     expected = p0**2 / 2 + 1.0 / (8 * sigma**2)
-    assert mean_energy(st, quad) == pytest.approx(expected, rel=1e-10)
+    assert mean_energy(st) == pytest.approx(expected, rel=1e-10)
     # and at later times the same value (free evolution conserves energy)
-    assert mean_energy(evolve(FREE, init, 2.7), quad) == pytest.approx(
+    assert mean_energy(evolve(FREE, init, 2.7)) == pytest.approx(
         expected, rel=1e-8)
 
 
