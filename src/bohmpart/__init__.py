@@ -6,10 +6,10 @@ that interpolates between the quantum eigenvalue sum and the classical
 phase-space integral, including the harmonic-bath crossover factors.
 """
 
-from .core import (Constants, DivergentIntegral, Grid1D,
-                   QuadratureFailure, StepFailure, SystemParams, ThermalSpec,
+from .core import (DivergentIntegral, Grid1D, QuadratureFailure,
+                   StepFailure, SystemParams, ThermalSpec,
                    TruncationInsufficient, free_system, harmonic_system,
-                   natural_units, potential_value)
+                   potential_value)
 from .wavepacket import (SpectralDecomposition, WavepacketInit,
                          WavepacketState, density, energy_pointwise, evolve,
                          mean_energy, phase_gradient, quantum_potential,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ThermalSpec, check_sigma
+from .core import ThermalSpec, check_scale
 from .partition import (CriterionReport, PartitionResult,
                         classicality_criterion, gaussian_correction,
                         quantum_ratio)
@@ -60,7 +60,7 @@ class BathSpec:
     def __post_init__(self):
         if not self.oscillators:
             raise ValueError("bath must contain at least one oscillator")
-        check_sigma(self.sigma)
+        check_scale("sigma", self.sigma)
         if not math.isfinite(self.q0):
             raise ValueError("q0 must be finite")
 
@@ -160,7 +160,7 @@ def large_N_ratio(n: int, m0: float, sigma: float, thermal: ThermalSpec,
 
 
 def bath_classicality(bath: BathSpec, thermal: ThermalSpec,
-                      hbar: float = 1.0, kb: float = 1.0) -> list[CriterionReport]:
+                      hbar: float = 1.0) -> list[CriterionReport]:
     """Per-oscillator temperature criterion; the bath passes iff all do."""
-    return [classicality_criterion(o.mass, bath.sigma, thermal, hbar, kb)
+    return [classicality_criterion(o.mass, bath.sigma, thermal, hbar)
             for o in bath.oscillators]

@@ -32,15 +32,15 @@ from . import __version__
 from .bath import (BathSpec, Oscillator, bath_classicality,
                    classical_bath_Z, large_N_ratio, memory_kernel,
                    unified_bath_Z, uniform_bath)
-from .core import (Constants, DivergentIntegral, QuadratureFailure,
-                   SystemParams, ThermalSpec, free_system, harmonic_system)
+from .core import (DivergentIntegral, QuadratureFailure, SystemParams,
+                   ThermalSpec, free_system, harmonic_system)
 from .partition import (classical_Z, classicality_criterion,
                         gaussian_correction, marginal_curve,
                         phase_space_integral, quantum_ratio, quantum_Z,
                         quantum_Z_closed_form, unified_Z_gaussian,
                         unified_integral)
 from .trajectories import bohmian_velocity, scaling_solution
-from .verify import ToleranceProfile, run_verification
+from .verify import run_verification
 from .wavepacket import WavepacketInit, evolve
 
 EXIT_OK = 0
@@ -50,7 +50,7 @@ EXIT_VERIFY = 3
 EXIT_NUMERIC = 4
 
 CONFIG_KEYS = {
-    "mass": 1.0, "omega": 1.0, "hbar": 1.0, "kb": 1.0,
+    "mass": 1.0, "omega": 1.0, "hbar": 1.0,
     "sigma": 0.45, "x0": 1.0, "p0": 0.0, "kbt": 2.0,
 }
 
@@ -66,7 +66,7 @@ READS = {
     "limits": (("hbar", "mass", "omega", "sigma", "kbt"), ()),
     "bath": (("hbar",), ()),
     "trajectory": (("hbar", "mass", "omega", "sigma", "x0", "p0"), ()),
-    "partition": (("hbar", "kb", "mass", "omega", "sigma", "kbt"), ()),
+    "partition": (("hbar", "mass", "omega", "sigma", "kbt"), ()),
 }
 
 FIG1_DEFAULT_PAIRS = [(0.45, 2.0), (0.45, 5.0), (0.65, 2.0)]
@@ -110,17 +110,19 @@ def read_key_values(path: str):
         yield lineno, key, value
 
 
-def resolve_config(args, lists: tuple[str, ...] = ()) -> dict:
+def resolve_config(args, lists: tuple[str, ...] = (),
+                   defaults: dict | None = None) -> dict:
     """Defaults < config file < flags, over the keys the subcommand reads.
 
     The config file is flat key = value text ('#' starts a comment); a key
     the subcommand does not read is a UsageError.  Each key in `lists` names
     a repeatable flag of the same name (fig1's --sigma and --kbt); where
     that flag is not given, the key's value in the file becomes its one
-    value.
+    value.  `defaults` replaces some CONFIG_KEYS defaults for this call.
     """
     flags, file_only = READS[args.command]
     cfg = {key: CONFIG_KEYS[key] for key in flags + file_only}
+    cfg.update(defaults or {})
     in_file = set()
     for lineno, key, value in (read_key_values(args.config)
                                if args.config else ()):
@@ -143,11 +145,9 @@ def resolve_config(args, lists: tuple[str, ...] = ()) -> dict:
 
 
 def system_of(cfg: dict, kind: str = "harmonic") -> SystemParams:
-    # only partition reads kb, for the t_min row; no other output depends on it
-    constants = Constants(cfg["hbar"], cfg.get("kb", 1.0))
     if kind == "harmonic":
-        return harmonic_system(cfg["mass"], cfg["omega"], constants)
-    return free_system(cfg["mass"], constants)
+        return harmonic_system(cfg["mass"], cfg["omega"], cfg["hbar"])
+    return free_system(cfg["mass"], cfg["hbar"])
 
 
 def csv_payload(header: list[str], rows: list[list]) -> bytes:
@@ -411,7 +411,11 @@ def cmd_bath(args) -> Result:
 
 
 def cmd_trajectory(args) -> Result:
-    cfg = resolve_config(args)
+    free = args.system == "free"
+    cfg = resolve_config(args, defaults={"omega": 0.0} if free else None)
+    if free and cfg["omega"] != 0.0:
+        raise UsageError(f"a free path has omega = 0, not {cfg['omega']:g}; "
+                         "drop --omega or the config-file omega")
     if not 0 < args.tmax < math.inf:
         raise UsageError("--tmax must be finite and positive")
     params = system_of(cfg, args.system)
@@ -441,7 +445,7 @@ def cmd_partition(args) -> Result:
     params = system_of(cfg)
     thermal = ThermalSpec.from_kbt(cfg["kbt"])
     crit = classicality_criterion(cfg["mass"], cfg["sigma"], thermal,
-                                  cfg["hbar"], cfg["kb"])
+                                  cfg["hbar"])
     rows = []
     z_cl = classical_Z(params, thermal)
     rows.append(["z_classical", "closed_form", z_cl.value, z_cl.est_error])
@@ -459,7 +463,7 @@ def cmd_partition(args) -> Result:
         rows.append(["gaussian_correction", "closed_form", c, 0.0])
         rows.append(["z_unified", "closed_form", z_u.value, z_u.est_error])
         if args.oracle:
-            m, w, hbar = params.mass, params.omega, params.constants.hbar
+            m, w, hbar = params.mass, params.omega, params.hbar
             norm = 2.0 * math.pi * hbar
             for name, (val, err) in (
                     ("z_classical", phase_space_integral(m, w, thermal)),
@@ -476,8 +480,7 @@ def cmd_partition(args) -> Result:
 
 def cmd_verify(args) -> int:
     """Print (and with --out also write) the text report; return the exit code."""
-    profile = ToleranceProfile.named(args.profile)
-    report = run_verification(profile, q_scale=args.inject_q_scale)
+    report = run_verification(q_scale=args.inject_q_scale)
     text = report.render() + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -568,8 +571,6 @@ def build_parser() -> Parser:
     p = sub.add_parser("verify", help="run all oracle checks and the "
                                       "discrepancy report")
     p.add_argument("--out", help="also write the report to this file")
-    p.add_argument("--profile", choices=("default", "strict"),
-                   default="default", help="tolerance profile")
     p.add_argument("--inject-q-scale", type=float, default=1.0,
                    help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)

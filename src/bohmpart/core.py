@@ -1,17 +1,18 @@
-"""Shared parameter records, physical constants, grids, and the quadrature rule.
+"""Shared parameter records, grids, and the quadrature rule.
 
 All other modules consume the types defined here.  Everything is an immutable
-value record; default units are the natural ones (hbar = k_B = 1) so that the
-harmonic-oscillator results come out in units of m*omega^2*x0^2 for energy and
-1/omega for time.  Every numerical integral in the package goes through
-integrate_window: one Gauss-Legendre box rule, its window and tolerances fixed.
+value record.  Units are natural: a temperature is the energy k_B T (k_B = 1),
+and hbar is a field of the system record, 1 by default, so with m = omega = 1
+energies come out in units of m*omega^2*x0^2 and times in 1/omega.  Every
+numerical integral in the package goes through integrate_window: one
+Gauss-Legendre box rule, its window and tolerances fixed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,24 +39,17 @@ class TruncationInsufficient(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Constants and parameter records
+# Parameter records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Constants:
-    """Physical constants: hbar (action) and boltzmann (energy/temperature)."""
-
-    hbar: float = 1.0
-    boltzmann: float = 1.0
-
-    def __post_init__(self):
-        if not (0 < self.hbar < math.inf and 0 < self.boltzmann < math.inf):
-            raise ValueError("hbar and boltzmann must be finite and strictly positive")
-
-
-def natural_units() -> Constants:
-    """Constants with hbar = k_B = 1 (the default dimensionless convention)."""
-    return Constants(1.0, 1.0)
+def check_scale(key: str, value: float) -> None:
+    """ValueError naming `key` unless 1e-75 <= value <= 1e75, where value^4
+    (the highest power of a mass, hbar or width) and its inverse are normal."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{key} must be finite and strictly positive")
+    if not 1e-75 <= value <= 1e75:
+        raise ValueError(f"{key} = {value:g} lies outside [1e-75, 1e+75], "
+                         "where its powers overflow or underflow")
 
 
 @dataclass(frozen=True)
@@ -64,11 +58,11 @@ class SystemParams:
 
     mass: float
     omega: float
-    constants: Constants = field(default_factory=natural_units)
+    hbar: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.mass < math.inf:
-            raise ValueError("mass must be finite and strictly positive")
+        check_scale("mass", self.mass)
+        check_scale("hbar", self.hbar)
         if not 0 <= self.omega < math.inf:
             raise ValueError("omega must be finite and non-negative")
 
@@ -78,29 +72,19 @@ class SystemParams:
         return self.omega > 0
 
 
-def harmonic_system(mass: float, omega: float, constants: Constants | None = None) -> SystemParams:
+def harmonic_system(mass: float, omega: float, hbar: float = 1.0) -> SystemParams:
     if not 0 < omega < math.inf:
         raise ValueError("omega must be finite and strictly positive")
-    return SystemParams(mass, omega, constants or natural_units())
+    return SystemParams(mass, omega, hbar)
 
 
-def free_system(mass: float, constants: Constants | None = None) -> SystemParams:
-    return SystemParams(mass, 0.0, constants or natural_units())
+def free_system(mass: float, hbar: float = 1.0) -> SystemParams:
+    return SystemParams(mass, 0.0, hbar)
 
 
 def potential_value(params: SystemParams, x):
     """V(x): m*omega^2*x^2/2 for the harmonic well, 0 for the free particle."""
     return 0.5 * params.mass * params.omega**2 * (x * x)
-
-
-def check_sigma(sigma: float) -> None:
-    """ValueError unless 1e-75 <= sigma <= 1e75, where sigma^4, the highest
-    power of the packet width any formula forms, and its inverse are normal."""
-    if not 0 < sigma < math.inf:
-        raise ValueError("sigma must be finite and strictly positive")
-    if not 1e-75 <= sigma <= 1e75:
-        raise ValueError(f"sigma = {sigma:g} lies outside [1e-75, 1e+75], "
-                         "where its powers overflow or underflow")
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,9 @@ Conventions
   derivative is that Z times a two-point Gauss-Hermite mean of the rate
   brackets, exact because they are quadratic in x.
 * average_energy and heat_capacity are closed forms, the exact
-  -d log Z/d beta and -k_B beta^2 d<E>/d beta of each mode's Z.  The tests
-  hold them to finite differences (numdiff) of log quantum_Z and
-  log unified_Z_gaussian, and the classical <H> to the ratio of two
+  -d log Z/d beta and -beta^2 d<E>/d beta (in units of k_B) of each mode's
+  Z.  The tests hold them to finite differences (numdiff) of log quantum_Z
+  and log unified_Z_gaussian, and the classical <H> to the ratio of two
   phase_space_integral calls.
 """
 
@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (WINDOW_SIGMAS, DivergentIntegral, SystemParams,
-                   ThermalSpec, check_sigma, integrate_window)
+                   ThermalSpec, check_scale, integrate_window)
 from .wavepacket import (WavepacketInit, energy_dt, energy_pointwise, evolve,
                          _energy_coefficients, _log_density, _log_density_dt)
 
@@ -86,8 +86,11 @@ class CriterionReport:
 
 def quantum_ratio(params_mass: float, sigma: float, thermal: ThermalSpec,
                   hbar: float) -> float:
-    """The dimensionless convergence ratio beta hbar^2 / (4 m sigma^2)."""
-    check_sigma(sigma)
+    """The dimensionless convergence ratio beta hbar^2 / (4 m sigma^2);
+    ValueError unless sigma, m and hbar each pass core.check_scale."""
+    check_scale("sigma", sigma)
+    check_scale("mass", params_mass)
+    check_scale("hbar", hbar)
     return thermal.beta * hbar**2 / (4.0 * params_mass * sigma**2)
 
 
@@ -113,7 +116,7 @@ def classical_Z(params: SystemParams, thermal: ThermalSpec) -> PartitionResult:
     """
     if not params.is_harmonic:
         raise DivergentIntegral("free particle: unbounded configuration integral")
-    norm = 2.0 * math.pi * params.constants.hbar
+    norm = 2.0 * math.pi * params.hbar
     return PartitionResult(2.0 * math.pi / (thermal.beta * params.omega) / norm,
                            0.0)
 
@@ -155,18 +158,18 @@ def quantum_Z(params: SystemParams, thermal: ThermalSpec) -> PartitionResult:
     """
     if not params.is_harmonic:
         raise DivergentIntegral("free particle: continuous spectrum")
-    x = thermal.beta * params.constants.hbar * params.omega
-    ratio = math.exp(-x)
-    # tail after K terms: exp(-x(K+1/2)) * ratio/(1-ratio)
+    x = thermal.beta * params.hbar * params.omega
+    gap = -math.expm1(-x)  # 1 - exp(-x), positive however small x is
+    # tail after K terms: exp(-x(K+1/2)) * exp(-x)/(1 - exp(-x))
     n_terms = max(2, math.ceil((math.log(1.0 / TAIL_TOL)
-                                + math.log(1.0 / (1.0 - ratio))) / x) + 2)
+                                + math.log(1.0 / gap)) / x) + 2)
     partial = math.exp(-0.5 * x) * math.expm1(-x * n_terms) / math.expm1(-x)
-    tail = math.exp(-x * (n_terms + 0.5)) / (1.0 - ratio)
+    tail = math.exp(-x * (n_terms + 0.5)) / gap
     return PartitionResult(partial, tail)
 
 
 def quantum_Z_closed_form(params: SystemParams, thermal: ThermalSpec) -> float:
-    x = thermal.beta * params.constants.hbar * params.omega
+    x = thermal.beta * params.hbar * params.omega
     return 1.0 / (2.0 * math.sinh(0.5 * x))
 
 
@@ -218,9 +221,9 @@ def unified_Z_gaussian(params: SystemParams, sigma: float,
     """
     if not params.is_harmonic:
         raise DivergentIntegral("free particle: unbounded x0 integral")
-    c = gaussian_correction(params.mass, sigma, thermal, params.constants.hbar)
+    c = gaussian_correction(params.mass, sigma, thermal, params.hbar)
     zcl_raw = 2.0 * math.pi / (thermal.beta * params.omega)
-    norm = 2.0 * math.pi * params.constants.hbar
+    norm = 2.0 * math.pi * params.hbar
     return PartitionResult(zcl_raw * c / norm, 0.0)
 
 
@@ -360,10 +363,11 @@ def marginal_curve(params: SystemParams, init: WavepacketInit,
 # ---------------------------------------------------------------------------
 
 def classicality_criterion(m: float, sigma: float, thermal: ThermalSpec,
-                           hbar: float = 1.0, kb: float = 1.0) -> CriterionReport:
-    """Temperature bound T > hbar^2/(4 m sigma^2 k_B) and related scales."""
+                           hbar: float = 1.0) -> CriterionReport:
+    """Temperature bound k_B T > hbar^2/(4 m sigma^2) and related scales;
+    t_min is k_B T_min, an energy like every temperature here."""
     ratio = quantum_ratio(m, sigma, thermal, hbar)
-    t_min = hbar**2 / (4.0 * m * sigma**2 * kb)
+    t_min = hbar**2 / (4.0 * m * sigma**2)
     lam = math.sqrt(2.0 * math.pi * hbar**2 * thermal.beta / m)
     return CriterionReport(t_min, ratio, ratio < 1.0, lam)
 
@@ -383,7 +387,7 @@ def _mode_variable(mode: AverageEnergyMode, params: SystemParams,
     """
     if not params.is_harmonic:
         raise DivergentIntegral("free particle: no normalizable thermal state")
-    m, hbar = params.mass, params.constants.hbar
+    m, hbar = params.mass, params.hbar
     if mode is AverageEnergyMode.QUANTUM_EIGEN:
         return thermal.beta * hbar * params.omega
     if mode is AverageEnergyMode.CLASSICAL_LIMIT:
@@ -417,16 +421,16 @@ def average_energy(mode: AverageEnergyMode, params: SystemParams,
 
 def heat_capacity(mode: AverageEnergyMode, params: SystemParams,
                   thermal: ThermalSpec, sigma: float) -> float:
-    """C = -k_B beta^2 d<E>/d beta, exactly, with x and r as in average_energy:
+    """C = -beta^2 d<E>/d beta in units of k_B, exactly, with x and r as in
+    average_energy:
 
-    QUANTUM_EIGEN    : k_B [x exp(-x/2) / (1 - exp(-x))]^2
-    CLASSICAL_LIMIT  : k_B
-    UNIFIED_GAUSSIAN : k_B [1 + r^2 / (2 (1 - r)^2)]
+    QUANTUM_EIGEN    : [x exp(-x/2) / (1 - exp(-x))]^2
+    CLASSICAL_LIMIT  : 1
+    UNIFIED_GAUSSIAN : 1 + r^2 / (2 (1 - r)^2)
     """
     v = _mode_variable(mode, params, thermal, sigma)
-    kb = params.constants.boltzmann
     if mode is AverageEnergyMode.QUANTUM_EIGEN:
-        return kb * (v * math.exp(-0.5 * v) / -math.expm1(-v)) ** 2
+        return (v * math.exp(-0.5 * v) / -math.expm1(-v)) ** 2
     if mode is AverageEnergyMode.CLASSICAL_LIMIT:
-        return kb
-    return kb * (1.0 + v * v / (2.0 * (1.0 - v) ** 2))
+        return 1.0
+    return 1.0 + v * v / (2.0 * (1.0 - v) ** 2)

@@ -100,7 +100,7 @@ def quantum_force(state: WavepacketState, x):
     Q is quadratic with no linear term, so the force is linear in the
     displacement: 4 hbar^2 (Re a)^2 (x - q) / m.
     """
-    hbar = state.params.constants.hbar
+    hbar = state.params.hbar
     m = state.params.mass
     ra = state.alpha.real
     return 4.0 * hbar**2 * ra * ra * (x - state.q) / m
@@ -122,7 +122,7 @@ def scaling_solution(params: SystemParams, init: WavepacketInit,
         raise ValueError("x_start must be finite")
     if not np.isfinite(t).all():
         raise ValueError("t must be finite")
-    hbar, m, w = params.constants.hbar, params.mass, params.omega
+    hbar, m, w = params.hbar, params.mass, params.omega
     if w:
         c, sw = np.cos(w * t), np.sin(w * t) / w
     else:

@@ -5,7 +5,9 @@ Two kinds of entries come out of a verification run:
 * checks: the library's closed forms against independent numerical
   definitions (finite-difference quantum potential and energy, the quantum
   Hamilton-Jacobi residual, the time derivative of the marginal Z, the bath
-  correction factor against 3D quadrature).  These must pass.
+  correction factor against 3D quadrature).  These must pass, each with its
+  residual below a fixed module tolerance (Q_FD_TOL, ..., BATH_FACTOR_TOL);
+  the pointwise checks sample N_POINTS seeded random points.
 * discrepancies: alternate closed-form variants that circulate for the same
   quantities but disagree with the defining integrals/derivatives.  These
   are measured and reported, never silently adopted or corrected:
@@ -16,6 +18,9 @@ Two kinds of entries come out of a verification run:
        derivative;
     3. the bath hidden-coordinate factor with an extra 2 pi per oscillator
        versus the quadrature value.
+
+The bath check and entry 3 share one bath, BATH, and one quadrature of it,
+which run_verification computes once.
 
 The quadrature oracles are separate functions of `partition`
 (unified_integral here), never a branch of the closed form they check.
@@ -82,26 +87,19 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ToleranceProfile:
-    q_fd: float = 1e-6
-    energy_fd: float = 1e-6
-    qhj: float = 1e-9
-    quantum_force_fd: float = 1e-8
-    dzdt_fd: float = 1e-6
-    bath_factor: float = 1e-8
-    n_points: int = 100
-    seed: int = 2024
+# Sample size and seed of the pointwise checks (see _sample_points).
+N_POINTS, SEED = 100, 2024
+# Each check's tolerance, at least five times its residual at N_POINTS.
+Q_FD_TOL, ENERGY_FD_TOL, QHJ_TOL = 5e-7, 1e-9, 1e-12
+QUANTUM_FORCE_FD_TOL, DZDT_FD_TOL, BATH_FACTOR_TOL = 1e-9, 1e-8, 1e-10
 
-    @classmethod
-    def named(cls, name: str) -> "ToleranceProfile":
-        if name == "default":
-            return cls()
-        if name == "strict":
-            return cls(q_fd=5e-7, energy_fd=1e-9, qhj=1e-12,
-                       quantum_force_fd=1e-9, dzdt_fd=1e-8,
-                       bath_factor=1e-10, n_points=200)
-        raise ValueError(f"unknown tolerance profile {name!r}")
+# The one-oscillator bath of check_bath_factor and measure_bath_2pi, with its
+# well displaced by the coupling (q0 != 0) and its inverse temperature.
+BATH = BathSpec((Oscillator(1.0, 1.0, 1.5),), sigma=1.0, q0=0.7)
+BATH_THERMAL = ThermalSpec(1.0)
+# The packet of check_marginal_rate_fd and measure_dzdt_bracket.
+MARGINAL_RUN = (harmonic_system(1.0, 1.0), WavepacketInit(1.0, 0.0, 0.45),
+                ThermalSpec.from_kbt(2.0))
 
 
 def _sample_systems() -> list[tuple[str, SystemParams, WavepacketInit]]:
@@ -112,122 +110,111 @@ def _sample_systems() -> list[tuple[str, SystemParams, WavepacketInit]]:
 
 
 def _energy_scale(state: WavepacketState) -> float:
-    hbar, m = state.params.constants.hbar, state.params.mass
+    hbar, m = state.params.hbar, state.params.mass
     return (state.p**2 / (2 * m) + hbar**2 * state.alpha.real / m
             + abs(potential_value(state.params, state.q)) + 0.1)
 
 
-def _sample_points(profile: ToleranceProfile, offset: int, lo: float = -2.5,
-                   hi: float = 2.5):
-    """Yield (system name, state, x) at n_points // 2 random points per system.
+def _sample_points(offset: int, lo: float = -2.5, hi: float = 2.5):
+    """Yield (system name, state, x) at N_POINTS // 2 random points per system.
 
     Each point draws t uniform in [0, 6] and then x = q + uniform(lo, hi)
-    times the packet width, from a generator seeded with seed + offset.
+    times the packet width, from a generator seeded with SEED + offset.
     """
-    rng = np.random.default_rng(profile.seed + offset)
+    rng = np.random.default_rng(SEED + offset)
     for name, params, init in _sample_systems():
-        for _ in range(profile.n_points // 2):
+        for _ in range(N_POINTS // 2):
             state = evolve(params, init, rng.uniform(0.0, 6.0))
             yield name, state, state.q + rng.uniform(lo, hi) * state.width
 
 
-def check_quantum_potential_fd(profile: ToleranceProfile,
-                               q_scale: float = 1.0) -> CheckResult:
+def check_quantum_potential_fd(q_scale: float = 1.0) -> CheckResult:
     """Closed-form Q against -(hbar^2 / 2 m R) R'' by finite differences.
 
     q_scale is a fault-injection hook: it multiplies the closed form, so any
     value other than 1 must make the check fail.
     """
     worst = 0.0
-    for _, state, x in _sample_points(profile, 0):
-        hbar, m = state.params.constants.hbar, state.params.mass
+    for _, state, x in _sample_points(0):
+        hbar, m = state.params.hbar, state.params.mass
         fd = -hbar**2 / (2 * m) * central_second(
             lambda xx: amplitude(state, xx), x) / amplitude(state, x)
         cf = q_scale * quantum_potential(state, x)
         scale = hbar**2 * state.alpha.real / m
         worst = max(worst, abs(fd - cf) / max(abs(cf), scale))
-    return CheckResult("quantum potential vs finite-difference R''", worst,
-                       profile.q_fd)
+    return CheckResult("quantum potential vs finite-difference R''", worst, Q_FD_TOL)
 
 
-def check_energy_fd(profile: ToleranceProfile) -> CheckResult:
+def check_energy_fd() -> CheckResult:
     """Closed-form E(x,t) against -dS/dt by central time differences."""
     worst = 0.0
-    for _, state, x in _sample_points(profile, 1):
+    for _, state, x in _sample_points(1):
         fd = -central_first(
             lambda tt: total_phase(evolve(state.params, state.init, tt), x),
             state.t)
         cf = energy_pointwise(state, x)
         worst = max(worst, abs(fd - cf) / max(abs(cf), _energy_scale(state)))
-    return CheckResult("pointwise energy vs -dS/dt", worst, profile.energy_fd)
+    return CheckResult("pointwise energy vs -dS/dt", worst, ENERGY_FD_TOL)
 
 
-def check_qhj_residual(profile: ToleranceProfile) -> CheckResult:
+def check_qhj_residual() -> CheckResult:
     """-dS/dt - [(dS/dx)^2/2m + V + Q] = 0 with all closed forms."""
     worst = 0.0
-    for _, state, x in _sample_points(profile, 2):
+    for _, state, x in _sample_points(2):
         res = energy_pointwise(state, x) - (
             phase_gradient(state, x) ** 2 / (2 * state.params.mass)
             + potential_value(state.params, x) + quantum_potential(state, x))
         worst = max(worst, abs(res) / _energy_scale(state))
-    return CheckResult("quantum Hamilton-Jacobi residual", worst, profile.qhj)
+    return CheckResult("quantum Hamilton-Jacobi residual", worst, QHJ_TOL)
 
 
-def check_quantum_force_fd(profile: ToleranceProfile) -> CheckResult:
+def check_quantum_force_fd() -> CheckResult:
     """Analytic -dQ/dx against a central difference of Q."""
     worst = 0.0
-    for _, state, x in _sample_points(profile, 3, lo=0.2):
-        hbar, m = state.params.constants.hbar, state.params.mass
+    for _, state, x in _sample_points(3, lo=0.2):
+        hbar, m = state.params.hbar, state.params.mass
         fd = -central_first(lambda xx: quantum_potential(state, xx), x)
         cf = quantum_force(state, x)
         scale = 4 * hbar**2 * state.alpha.real**2 * state.width / m
         worst = max(worst, abs(fd - cf) / max(abs(cf), scale))
     return CheckResult("quantum force vs finite-difference dQ/dx", worst,
-                       profile.quantum_force_fd)
+                       QUANTUM_FORCE_FD_TOL)
 
 
-def check_marginal_rate_fd(profile: ToleranceProfile) -> CheckResult:
+def check_marginal_rate_fd() -> CheckResult:
     """Exact marginal-Z derivative against Richardson central differences."""
-    params = harmonic_system(1.0, 1.0)
-    init = WavepacketInit(1.0, 0.0, 0.45)
-    thermal = ThermalSpec.from_kbt(2.0)
     worst = 0.0
     for t in (0.4, 1.3, 2.9):
-        rate = marginal_Z_derivative(params, init, thermal, t).exact
+        rate = marginal_Z_derivative(*MARGINAL_RUN, t).exact
         h = 1e-3
 
         def z_of(tt: float) -> float:
-            return marginal_Z(params, init, thermal, tt)
+            return marginal_Z(*MARGINAL_RUN, tt)
 
         d1 = (z_of(t + h) - z_of(t - h)) / (2 * h)
         d2 = (z_of(t + h / 2) - z_of(t - h / 2)) / h
         fd = (4 * d2 - d1) / 3
         worst = max(worst, abs(rate - fd) / max(abs(fd), 1e-12))
-    return CheckResult("marginal dZ/dt vs finite difference", worst,
-                       profile.dzdt_fd)
+    return CheckResult("marginal dZ/dt vs finite difference", worst, DZDT_FD_TOL)
 
 
-def _unified_bath_oracle(bath: BathSpec, thermal: ThermalSpec) -> float:
-    """The exact unified bath Z (raw measure, hbar = 1) by quadrature: the
-    product of one 3D unified_integral per oscillator, each centred where
-    the coupling shifts its well."""
+def bath_oracle() -> float:
+    """The exact unified Z of BATH (raw measure, hbar = 1) by quadrature: one
+    3D unified_integral per oscillator, centred where the coupling shifts it."""
     val = 1.0
-    for o in bath.oscillators:
-        factor, _ = unified_integral(o.mass, o.omega, bath.sigma, thermal, 1.0,
-                                     center=o.coupling * bath.q0 / o.omega**2)
+    for o in BATH.oscillators:
+        factor, _ = unified_integral(o.mass, o.omega, BATH.sigma, BATH_THERMAL,
+                                     1.0, center=o.coupling * BATH.q0 / o.omega**2)
         val *= factor
     return val
 
 
-def check_bath_factor(profile: ToleranceProfile) -> CheckResult:
-    """Per-oscillator hidden-coordinate factor: quadrature vs closed form."""
-    bath = BathSpec((Oscillator(1.0, 1.0, 1.5),), sigma=1.0, q0=0.7)
-    thermal = ThermalSpec(1.0)
-    exact_cf, _ = unified_bath_Z(bath, thermal)
-    exact_qd = _unified_bath_oracle(bath, thermal)
-    rel = abs(exact_cf.value - exact_qd) / exact_cf.value
+def check_bath_factor(oracle: float) -> CheckResult:
+    """Per-oscillator hidden-coordinate factor: closed form vs bath_oracle()."""
+    exact_cf, _ = unified_bath_Z(BATH, BATH_THERMAL)
+    rel = abs(exact_cf.value - oracle) / exact_cf.value
     return CheckResult("bath correction factor vs 3D quadrature", rel,
-                       profile.bath_factor)
+                       BATH_FACTOR_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +228,7 @@ def energy_center_potential_variant(state: WavepacketState, x):
     additionally squares the (1 - tau^2) factor of the quadratic coefficient.
     """
     params = state.params
-    hbar, m = params.constants.hbar, params.mass
+    hbar, m = params.hbar, params.mass
     u = x - state.q
     if params.is_harmonic:
         w = params.omega
@@ -266,9 +253,9 @@ def energy_center_potential_variant(state: WavepacketState, x):
     return quad_c * (u * u) + lin_c * u + const + center
 
 
-def measure_energy_variant(profile: ToleranceProfile) -> DiscrepancyEntry:
+def measure_energy_variant() -> DiscrepancyEntry:
     worst = {name: 0.0 for name, _, _ in _sample_systems()}
-    for name, state, x in _sample_points(profile, 4):
+    for name, state, x in _sample_points(4):
         diff = abs(energy_center_potential_variant(state, x)
                    - energy_pointwise(state, x))
         worst[name] = max(worst[name], diff / _energy_scale(state))
@@ -281,11 +268,8 @@ def measure_energy_variant(profile: ToleranceProfile) -> DiscrepancyEntry:
 
 
 def measure_dzdt_bracket() -> DiscrepancyEntry:
-    params = harmonic_system(1.0, 1.0)
-    init = WavepacketInit(1.0, 0.0, 0.45)
-    thermal = ThermalSpec.from_kbt(2.0)
-    rate = marginal_Z_derivative(params, init, thermal, 1.3)
-    z_val = marginal_Z(params, init, thermal, 1.3)
+    rate = marginal_Z_derivative(*MARGINAL_RUN, 1.3)
+    z_val = marginal_Z(*MARGINAL_RUN, 1.3)
     resid = abs(rate.bracket - rate.exact) / z_val
     return DiscrepancyEntry(
         "marginal-Z rate bracket without -beta weight",
@@ -295,11 +279,10 @@ def measure_dzdt_bracket() -> DiscrepancyEntry:
         resid)
 
 
-def measure_bath_2pi() -> DiscrepancyEntry:
-    bath = BathSpec((Oscillator(1.0, 1.0, 1.0),), sigma=1.0)
-    thermal = ThermalSpec(1.0)
-    _, printed = unified_bath_Z(bath, thermal)
-    ratio = printed.value / _unified_bath_oracle(bath, thermal)
+def measure_bath_2pi(oracle: float) -> DiscrepancyEntry:
+    """The 2 pi variant against `oracle`, the value of bath_oracle()."""
+    _, printed = unified_bath_Z(BATH, BATH_THERMAL)
+    ratio = printed.value / oracle
     return DiscrepancyEntry(
         "bath factor with extra 2 pi per oscillator",
         f"variant/quadrature = {ratio:.12f} per oscillator "
@@ -307,18 +290,13 @@ def measure_bath_2pi() -> DiscrepancyEntry:
         abs(ratio - 1.0))
 
 
-def run_verification(profile: ToleranceProfile | None = None,
-                     q_scale: float = 1.0) -> VerificationReport:
-    """Run every oracle check plus the discrepancy measurements."""
-    profile = profile or ToleranceProfile()
-    report = VerificationReport()
-    report.checks.append(check_quantum_potential_fd(profile, q_scale))
-    report.checks.append(check_energy_fd(profile))
-    report.checks.append(check_qhj_residual(profile))
-    report.checks.append(check_quantum_force_fd(profile))
-    report.checks.append(check_marginal_rate_fd(profile))
-    report.checks.append(check_bath_factor(profile))
-    report.discrepancies.append(measure_energy_variant(profile))
-    report.discrepancies.append(measure_dzdt_bracket())
-    report.discrepancies.append(measure_bath_2pi())
-    return report
+def run_verification(q_scale: float = 1.0) -> VerificationReport:
+    """Run every oracle check plus the discrepancy measurements; the bath
+    quadrature runs once, for both of its entries."""
+    oracle = bath_oracle()
+    return VerificationReport(
+        checks=[check_quantum_potential_fd(q_scale), check_energy_fd(),
+                check_qhj_residual(), check_quantum_force_fd(),
+                check_marginal_rate_fd(), check_bath_factor(oracle)],
+        discrepancies=[measure_energy_variant(), measure_dzdt_bracket(),
+                       measure_bath_2pi(oracle)])

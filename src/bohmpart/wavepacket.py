@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (WINDOW_SIGMAS, Grid1D, SystemParams,
-                   TruncationInsufficient, check_sigma, integrate_window)
+                   TruncationInsufficient, check_scale, integrate_window)
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class WavepacketInit:
     sigma: float
 
     def __post_init__(self):
-        check_sigma(self.sigma)
+        check_scale("sigma", self.sigma)
         if not (math.isfinite(self.x0) and math.isfinite(self.p0)):
             raise ValueError("x0 and p0 must be finite")
 
@@ -102,7 +102,7 @@ def evolve(params: SystemParams, init: WavepacketInit, t: float) -> WavepacketSt
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    hbar = params.constants.hbar
+    hbar = params.hbar
     m, w = params.mass, params.omega
     if w:
         c, sw = math.cos(w * t), math.sin(w * t) / w
@@ -128,7 +128,7 @@ def _phase(params: SystemParams, init: WavepacketInit, t: float) -> float:
     w t, so the log branch is exact for any number of windings.  At w = 0,
     g = p0^2 t / 2m - (hbar/2) arctan(T) + p0 x0 / 2.
     """
-    hbar = params.constants.hbar
+    hbar = params.hbar
     m, w = params.mass, params.omega
     x0, p0 = init.x0, init.p0
     if w:
@@ -165,14 +165,14 @@ def amplitude(state: WavepacketState, x):
 
 def total_phase(state: WavepacketState, x):
     """Phase S(x,t) of psi = R exp(iS/hbar)."""
-    hbar = state.params.constants.hbar
+    hbar = state.params.hbar
     u = x - state.q
     return -hbar * state.alpha.imag * (u * u) + state.p * u + state.gamma
 
 
 def wavefunction(state: WavepacketState, x):
     """Complex psi(x,t) with real-positive normalization prefactor."""
-    hbar = state.params.constants.hbar
+    hbar = state.params.hbar
     u = x - state.q
     return (2.0 * state.alpha.real / np.pi) ** 0.25 * np.exp(
         -state.alpha * (u * u) + 1j * ((state.p * u + state.gamma) / hbar))
@@ -180,7 +180,7 @@ def wavefunction(state: WavepacketState, x):
 
 def phase_gradient(state: WavepacketState, x):
     """dS/dx = -2 hbar Im a (x - q) + p, the local momentum field."""
-    hbar = state.params.constants.hbar
+    hbar = state.params.hbar
     return -2.0 * hbar * state.alpha.imag * (x - state.q) + state.p
 
 
@@ -190,7 +190,7 @@ def quantum_potential(state: WavepacketState, x):
     Quadratic in the displacement from the packet center:
         Q = hbar^2 Re a / m - (2 hbar^2 (Re a)^2 / m) (x - q)^2.
     """
-    hbar = state.params.constants.hbar
+    hbar = state.params.hbar
     m = state.params.mass
     ra = state.alpha.real
     u = x - state.q
@@ -203,7 +203,7 @@ def _energy_coefficients(state: WavepacketState) -> tuple[float, float, float]:
     Derived from E = -dS/dt, which equals (dS/dx)^2/2m + V(x) + Q(x) on the
     exact solution (quantum Hamilton-Jacobi).
     """
-    hbar = state.params.constants.hbar
+    hbar = state.params.hbar
     m = state.params.mass
     w = state.params.omega
     ra, ia = state.alpha.real, state.alpha.imag
@@ -222,7 +222,7 @@ def energy_pointwise(state: WavepacketState, x):
 
 def _state_rates(state: WavepacketState):
     """Time derivatives (Re a, Im a, q, p)' from the closed-form equations."""
-    hbar = state.params.constants.hbar
+    hbar = state.params.hbar
     m = state.params.mass
     w = state.params.omega
     ra, ia = state.alpha.real, state.alpha.imag
@@ -243,7 +243,7 @@ def _log_density_dt(state: WavepacketState, x):
 
 def energy_dt(state: WavepacketState, x):
     """Exact partial dE/dt at fixed x."""
-    hbar = state.params.constants.hbar
+    hbar = state.params.hbar
     m = state.params.mass
     w = state.params.omega
     ra, ia = state.alpha.real, state.alpha.imag
@@ -307,16 +307,19 @@ def hermite_functions(n_max: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
+SPECTRAL_POINTS_PER_LENGTH = 80  # of default_spectral_grid
+
+
 def default_spectral_grid(params: SystemParams, init: WavepacketInit,
-                          basis_size: int, points_per_unit: int = 80) -> Grid1D:
+                          basis_size: int) -> Grid1D:
     """Grid covering both the packet and the highest basis state with margin."""
     if not params.is_harmonic:
         raise ValueError("spectral grid requires a harmonic system")
-    hbar = params.constants.hbar
+    hbar = params.hbar
     scale = math.sqrt(hbar / (params.mass * params.omega))
     turning = math.sqrt(2.0 * basis_size + 1.0) * scale
     half = max(abs(init.x0) + 10.0 * init.sigma, 1.3 * turning + 6.0 * scale)
-    n = int(2 * half * points_per_unit) | 1
+    n = int(2 * half * SPECTRAL_POINTS_PER_LENGTH) | 1
     return Grid1D(-half, half, max(n, 801))
 
 
@@ -330,7 +333,7 @@ def spectral_project(state: WavepacketState, basis_size: int,
     params = state.params
     if not params.is_harmonic:
         raise ValueError("spectral projection requires a harmonic system")
-    hbar = params.constants.hbar
+    hbar = params.hbar
     m, w = params.mass, params.omega
 
     scale = math.sqrt(hbar / (m * w))
@@ -365,7 +368,7 @@ def packet_mean_energy_exact(params: SystemParams, init: WavepacketInit) -> floa
     exactly, since adding the zero terms does not round.  Used as an
     independent oracle for mean_energy and spectral sums.
     """
-    hbar = params.constants.hbar
+    hbar = params.hbar
     m, w = params.mass, params.omega
     spread = hbar**2 / (8.0 * m * init.sigma**2)
     kin_cen = init.p0**2 / (2.0 * m)

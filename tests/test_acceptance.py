@@ -135,7 +135,7 @@ def test_criterion_06_quantum_potential_and_energy_identities():
     worst_q = worst_e = 0.0
     for params, init in [(HO, WavepacketInit(1.0, 0.5, 0.45)),
                          (FREE, WavepacketInit(0.3, 1.2, 0.6))]:
-        hbar, m = params.constants.hbar, params.mass
+        hbar, m = params.hbar, params.mass
         for _ in range(100):
             t = rng.uniform(0.0, 6.0)
             st = evolve(params, init, t)

@@ -103,6 +103,27 @@ def test_readme_cli_block_runs(tmp_path: Path, capsys):
     capsys.readouterr()
 
 
+def test_readme_config_key_table_matches_reads():
+    """Each row of README's config-key table lists exactly the keys and
+    --<key> overrides that cli.READS gives the subcommand: the first
+    backquoted span of each cell, before any remark."""
+    import re
+    from bohmpart import cli
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| subcommand | config keys | overrides |\n", 1)[1]
+    rows = {}
+    for line in table.splitlines()[1:]:
+        if not line.startswith("|"):
+            break
+        command, keys, overrides = (re.match(r"\s*`([^`]*)`", cell)[1]
+                                    for cell in line.split("|")[1:4])
+        rows[command] = (sorted(keys.split()), sorted(overrides.split()))
+    assert rows == {
+        command: (sorted(flags + file_only),
+                  sorted(f"--{key}" for key in flags))
+        for command, (flags, file_only) in cli.READS.items()}
+
+
 def test_bad_flag_exit_1():
     cp = run_cli("fig1", "--no-such-flag")
     assert cp.returncode == 1
@@ -123,6 +144,8 @@ def test_bad_flag_exit_1():
     ["verify", "--hbar", "2"],
     ["verify", "--kb", "2"],
     ["verify", "--config", "x"],
+    ["partition", "--kb", "2"],
+    ["verify", "--profile", "strict"],
 ])
 def test_flag_the_subcommand_does_not_read_exit_1(capsys, argv):
     from bohmpart import cli
@@ -269,6 +292,7 @@ def test_config_file_unknown_key_exit_1(tmp_path: Path):
         ("rel_tol = 1e-10", ["marginal", "--samples", "4"]),
         ("window_sigmas = 12", ["partition"]),
         ("rel_tol = 1e-10", ["partition", "--oracle"]),
+        ("kb = 1", ["partition"]),
     ]
     cfg = tmp_path / "bad.cfg"
     for line, argv in cases:
@@ -289,7 +313,7 @@ def test_config_file_unknown_key_exit_1(tmp_path: Path):
     (["bath"], "hbar"),
     (["trajectory", "--x-start", "1", "--tmax", "0.5"],
      "hbar mass omega sigma x0 p0"),
-    (["partition"], "hbar kb mass omega sigma kbt"),
+    (["partition"], "hbar mass omega sigma kbt"),
 ], ids=["fig1", "marginal", "limits", "bath", "trajectory", "partition"])
 def test_json_config_echoes_the_keys_the_subcommand_reads(tmp_path: Path,
                                                           argv, keys):
@@ -360,6 +384,15 @@ def _exit_1_naming(capsys, argv, name):
     (["limits", "--var", "sigma", "--start", "1e-200", "--stop", "1",
       "--num", "2"], "sigma"),
     (["bath", "--sigma", "1e-200"], "sigma"),
+    (["partition", "--hbar", "1e200"], "hbar"),
+    (["fig1", "--hbar", "1e200", "--samples", "3"], "hbar"),
+    (["limits", "--var", "kbt", "--start", "1", "--stop", "2", "--hbar",
+      "1e200"], "hbar"),
+    (["bath", "--hbar", "1e200"], "hbar"),
+    (["marginal", "--mass", "1e300", "--samples", "3"], "mass"),
+    (["trajectory", "--x-start", "1", "--hbar", "1e200"], "hbar"),
+    (["trajectory", "--system", "free", "--omega", "3", "--x-start", "1.2",
+      "--tmax", "1"], "--omega"),
 ])
 def test_input_the_subcommand_cannot_honour_exit_1(capsys, argv, name):
     _exit_1_naming(capsys, argv, name)
@@ -397,6 +430,35 @@ def test_trajectory_csv_schema(tmp_path: Path):
     assert first[0] == 0.0 and first[1] == 1.45
 
 
+@pytest.mark.parametrize("cfg_text, flags", [
+    (None, ()),
+    ("omega = 0\n", ()),
+    (None, ("--omega", "0")),
+], ids=["default", "file-omega-0", "flag-omega-0"])
+def test_free_trajectory_echoes_omega_0(tmp_path: Path, capsys, cfg_text,
+                                        flags):
+    """A free path echoes the omega it ran with, 0, whether or not the
+    config repeats it; the harmonic default omega = 1 alone is no clash."""
+    from bohmpart import cli
+    argv = ["trajectory", "--system", "free", "--x-start", "1.2", "--tmax",
+            "1", "--format", "json", *flags]
+    if cfg_text is not None:
+        cfg = tmp_path / "free.cfg"
+        cfg.write_text(cfg_text)
+        argv += ["--config", str(cfg)]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["omega"] == 0.0
+
+
+@pytest.mark.parametrize("cfg_text", ["omega = 3\n", "omega = 1\n"])
+def test_free_trajectory_with_config_file_omega_exit_1(tmp_path: Path, capsys,
+                                                       cfg_text):
+    cfg = tmp_path / "free.cfg"
+    cfg.write_text(cfg_text)
+    _exit_1_naming(capsys, ["trajectory", "--system", "free", "--x-start",
+                            "1.2", "--config", str(cfg)], "omega")
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("system", ["harmonic", "free"])
 def test_trajectory_matches_integrator_and_velocity_oracles(capsys, system,
@@ -407,7 +469,7 @@ def test_trajectory_matches_integrator_and_velocity_oracles(capsys, system,
     (One RK45 run interpolated by cubic Hermite is up to 2.6e-6 off, so each
     sample time gets a run of its own.)"""
     from bohmpart import cli
-    from bohmpart.core import Constants, free_system, harmonic_system
+    from bohmpart.core import free_system, harmonic_system
     from bohmpart.numdiff import central_first
     from bohmpart.trajectories import (RK45Adaptive, TrajectoryConfig,
                                        integrate, scaling_solution)
@@ -419,9 +481,10 @@ def test_trajectory_matches_integrator_and_velocity_oracles(capsys, system,
     x0, p0 = map(float, rng.uniform(-1.0, 1.0, 2))
     x_start = x0 + float(rng.uniform(-2.0, 2.0)) * sigma
     tmax = float(rng.uniform(2.0, 8.0))
-    flags = {"--hbar": hbar, "--mass": mass, "--omega": omega,
-             "--sigma": sigma, "--x0": x0, "--p0": p0, "--x-start": x_start,
-             "--tmax": tmax}
+    flags = {"--hbar": hbar, "--mass": mass, "--sigma": sigma, "--x0": x0,
+             "--p0": p0, "--x-start": x_start, "--tmax": tmax}
+    if system == "harmonic":  # a free path has omega = 0 and takes no --omega
+        flags["--omega"] = omega
     argv = ["trajectory", "--system", system, "--format", "json",
             *(s for flag, val in flags.items() for s in (flag, repr(val)))]
     assert cli.main(argv) == 0
@@ -430,9 +493,8 @@ def test_trajectory_matches_integrator_and_velocity_oracles(capsys, system,
                      for key in ("times", "values", "velocities"))
     assert np.array_equal(times, np.linspace(0.0, tmax, 101))
 
-    constants = Constants(hbar)
-    params = (harmonic_system(mass, omega, constants) if system == "harmonic"
-              else free_system(mass, constants))
+    params = (harmonic_system(mass, omega, hbar) if system == "harmonic"
+              else free_system(mass, hbar))
     init = WavepacketInit(x0, p0, sigma)
     rk45 = [x_start] + [
         integrate(params, init, x_start,
@@ -579,6 +641,16 @@ def test_partition_table(tmp_path: Path):
         1.0 / (2.0 * np.sinh(0.5)), rel=1e-12)
     assert rows[("gaussian_correction", "closed_form")] == pytest.approx(
         0.899281683502734, rel=1e-12)
+
+
+def test_partition_tiny_level_spacing(capsys):
+    """At beta hbar omega = 5e-301 both quantum Z rows are 1/x, with no
+    division by the 1 - exp(-x) that rounds to 0."""
+    from bohmpart import cli
+    assert cli.main(["partition", "--omega", "1e-300", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    z_q = [row["value"] for row in rows if row["quantity"] == "z_quantum"]
+    assert z_q == [pytest.approx(2e300, rel=1e-12)] * 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,26 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from bohmpart import (BathSpec, Constants, Grid1D, Oscillator,
-                      QuadratureFailure, SystemParams, ThermalSpec,
-                      WavepacketInit, free_system, harmonic_system,
-                      natural_units, potential_value)
+from bohmpart import (BathSpec, Grid1D, Oscillator, QuadratureFailure,
+                      SystemParams, ThermalSpec, WavepacketInit, free_system,
+                      harmonic_system, potential_value)
 from bohmpart.core import REL_TOL, integrate_window
 from bohmpart.partition import marginal_curve, quantum_ratio
 
 
-def test_natural_units_defaults():
-    c = natural_units()
-    assert c.hbar == 1.0 and c.boltzmann == 1.0
-
-
-def test_constants_override_and_validation():
-    c = Constants(2.0, 1.0)
-    assert c.hbar == 2.0
-    with pytest.raises(ValueError):
-        Constants(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        Constants(1.0, 0.0)
+def test_hbar_override_and_validation():
+    assert harmonic_system(1.0, 1.0).hbar == free_system(1.0).hbar == 1.0
+    assert harmonic_system(1.0, 1.0, 2.0).hbar == 2.0
+    assert free_system(1.0, 2.0) == SystemParams(1.0, 0.0, hbar=2.0)
+    for hbar in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="hbar"):
+            SystemParams(1.0, 1.0, hbar)
 
 
 def test_boltzmann_weights_invariant_under_energy_rescale():
@@ -103,10 +97,10 @@ def test_unit_system_invariance_of_marginal_curve():
     # so m -> 2m, p0 -> 2 p0, beta -> beta/2 with sigma, omega, x0 unchanged
     times = np.linspace(0.0, 2.0 * math.pi, 9)
     base = marginal_curve(
-        harmonic_system(1.0, 1.0, Constants(1.0, 1.0)),
+        harmonic_system(1.0, 1.0, 1.0),
         WavepacketInit(1.0, 0.3, 0.45), ThermalSpec(0.5), times)
     scaled = marginal_curve(
-        harmonic_system(2.0, 1.0, Constants(2.0, 1.0)),
+        harmonic_system(2.0, 1.0, 2.0),
         WavepacketInit(1.0, 0.6, 0.45), ThermalSpec(0.25), times)
     assert np.allclose(base.values, scaled.values, rtol=REL_TOL * 100)
 
@@ -122,3 +116,20 @@ def test_every_entry_of_a_width_rejects_one_whose_powers_overflow(make):
     for sigma in (5e-76, 2e75, 1e-200, 1e200):
         with pytest.raises(ValueError, match="sigma"):
             make(sigma)
+
+
+@pytest.mark.parametrize("key, make", [
+    ("mass", lambda v: SystemParams(v, 1.0)),
+    ("hbar", lambda v: SystemParams(1.0, 0.0, v)),
+    ("mass", lambda v: quantum_ratio(v, 1.0, ThermalSpec(1.0), 1.0)),
+    ("hbar", lambda v: quantum_ratio(1.0, 1.0, ThermalSpec(1.0), v)),
+])
+def test_mass_and_hbar_share_the_width_range(key, make):
+    """A mass or hbar outside [1e-75, 1e75] is a ValueError naming the key,
+    in the system record and in quantum_ratio, which bath and limits call
+    with bare floats."""
+    for value in (1e-75, 1.0, 1e75):
+        make(value)
+    for value in (5e-76, 2e75, 1e-200, 1e200):
+        with pytest.raises(ValueError, match=f"{key} = "):
+            make(value)

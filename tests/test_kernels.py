@@ -5,14 +5,14 @@ exactly element by element."""
 import numpy as np
 import pytest
 
-from bohmpart import (BathInitialState, Constants, WavepacketInit, evolve,
+from bohmpart import (BathInitialState, WavepacketInit, evolve,
                       free_system, harmonic_system, uniform_bath)
 from bohmpart import bath, core, trajectories, verify, wavepacket
 
-CONSTANTS = Constants(hbar=0.7, boltzmann=1.0)
+HBAR = 0.7
 SYSTEMS = {
-    "harmonic": (harmonic_system(1.3, 0.8, CONSTANTS), WavepacketInit(0.9, -0.4, 0.55)),
-    "free": (free_system(0.9, CONSTANTS), WavepacketInit(-0.2, 1.1, 0.4)),
+    "harmonic": (harmonic_system(1.3, 0.8, HBAR), WavepacketInit(0.9, -0.4, 0.55)),
+    "free": (free_system(0.9, HBAR), WavepacketInit(-0.2, 1.1, 0.4)),
 }
 STATES = {name: evolve(params, init, 0.63) for name, (params, init) in SYSTEMS.items()}
 BATH = uniform_bath(3, m0=1.2, omega_max=1.7, coupling_scale=0.8, sigma=0.9, q0=0.4)

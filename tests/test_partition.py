@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bohmpart import (AverageEnergyMode, BathSpec, Constants,
+from bohmpart import (AverageEnergyMode, BathSpec,
                       DivergentIntegral, Oscillator,
                       ThermalSpec, WavepacketInit, average_energy, classical_Z,
                       classicality_criterion, energy_pointwise, evolve,
@@ -404,15 +404,15 @@ def _log_z(mode, params, sigma):
 
 
 def _assert_matches_numdiff(mode, params, beta, sigma, h):
-    """<E> = -d log Z/d beta and C = -k_B beta^2 d<E>/d beta by numdiff."""
-    kb = params.constants.boltzmann
+    """<E> = -d log Z/d beta and C = -beta^2 d<E>/d beta (units of k_B) by
+    numdiff."""
     energy = average_energy(mode, params, ThermalSpec(beta), sigma)
     cv = heat_capacity(mode, params, ThermalSpec(beta), sigma)
     assert energy == pytest.approx(
         -central_first(_log_z(mode, params, sigma), beta, h), rel=1e-7)
     slope = central_first(
         lambda b: average_energy(mode, params, ThermalSpec(b), sigma), beta, h)
-    assert cv == pytest.approx(-kb * beta**2 * slope, rel=1e-6)
+    assert cv == pytest.approx(-beta**2 * slope, rel=1e-6)
     assert cv >= 0.0
 
 
@@ -420,7 +420,7 @@ def _assert_matches_numdiff(mode, params, beta, sigma, h):
 def test_quantum_thermal_averages_match_eigen_sum_oracle(x):
     # beta hbar omega = x; beyond x ~ 20 the finite difference of <E>
     # cannot resolve C ~ x^2 exp(-x) against <E> ~ hbar omega / 2
-    params = harmonic_system(1.3, x / 0.7, Constants(0.7, 2.0))
+    params = harmonic_system(1.3, x / 0.7, 0.7)
     _assert_matches_numdiff(AverageEnergyMode.QUANTUM_EIGEN, params, 1.0,
                             1.0, 1e-4)
 
@@ -429,17 +429,17 @@ def test_quantum_thermal_averages_match_eigen_sum_oracle(x):
 def test_unified_thermal_averages_match_closed_Z_oracle(r):
     beta, m, hbar = 0.8, 1.3, 0.7
     sigma = hbar * math.sqrt(beta / (4.0 * m * r))
-    params = harmonic_system(m, 1.6, Constants(hbar, 2.0))
+    params = harmonic_system(m, 1.6, hbar)
     _assert_matches_numdiff(AverageEnergyMode.UNIFIED_GAUSSIAN, params, beta,
                             sigma, 1e-4 * beta * (1.0 - r))
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(m=st.floats(0.2, 5.0), omega=st.floats(0.2, 5.0),
-       hbar=st.floats(0.2, 5.0), kb=st.floats(0.2, 5.0),
-       beta=st.floats(0.05, 5.0), r=st.floats(1e-4, 0.9))
-def test_thermal_averages_property(m, omega, hbar, kb, beta, r):
-    params = harmonic_system(m, omega, Constants(hbar, kb))
+       hbar=st.floats(0.2, 5.0), beta=st.floats(0.05, 5.0),
+       r=st.floats(1e-4, 0.9))
+def test_thermal_averages_property(m, omega, hbar, beta, r):
+    params = harmonic_system(m, omega, hbar)
     sigma = hbar * math.sqrt(beta / (4.0 * m * r))
     h = 1e-4 * beta * (1.0 - r)
     _assert_matches_numdiff(AverageEnergyMode.UNIFIED_GAUSSIAN, params, beta,
@@ -452,7 +452,7 @@ def test_thermal_averages_property(m, omega, hbar, kb, beta, r):
     assert heat_capacity(AverageEnergyMode.QUANTUM_EIGEN, params,
                          ThermalSpec(beta), sigma) >= 0.0
     assert heat_capacity(AverageEnergyMode.CLASSICAL_LIMIT, params,
-                         ThermalSpec(beta), sigma) == kb
+                         ThermalSpec(beta), sigma) == 1.0
 
 
 @pytest.mark.parametrize("x", [700.0, 800.0])
@@ -533,12 +533,15 @@ def test_quantum_Z_geometric_sum_matches_explicit_sum():
 
 def test_quantum_Z_tiny_level_spacing_is_bounded():
     # beta hbar omega = 1e-9 keeps ~5e10 terms; the geometric sum never
-    # materializes them.
-    params = harmonic_system(1.0, 1e-9)
+    # materializes them.  At 1e-300, 1 - exp(-x) rounds to 0, so the sum
+    # must take it as -expm1(-x).
     th = ThermalSpec(1.0)
-    res = quantum_Z(params, th)
-    assert res.value == pytest.approx(quantum_Z_closed_form(params, th), rel=1e-12)
-    assert res.est_error / res.value < 1e-13
+    for x in (1e-9, 1e-300):
+        params = harmonic_system(1.0, x)
+        res = quantum_Z(params, th)
+        assert res.value == pytest.approx(quantum_Z_closed_form(params, th),
+                                          rel=1e-12)
+        assert res.est_error / res.value < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +559,7 @@ def test_every_gaussian_form_diverges_exactly_at_r_one(m, omega, hbar, beta,
     """Each closed form and oracle raises DivergentIntegral iff r >= 1, and
     below r = 0.95 each closed form matches its oracle in log space."""
     thermal = ThermalSpec(beta)
-    params = harmonic_system(m, omega, Constants(hbar, 1.0))
+    params = harmonic_system(m, omega, hbar)
     sigma = hbar * math.sqrt(beta / (4.0 * m * r))
     r_used = quantum_ratio(m, sigma, thermal, hbar)  # r up to rounding
     assert r_used == pytest.approx(r, rel=1e-14)
@@ -595,9 +598,8 @@ def test_every_gaussian_form_diverges_exactly_at_r_one(m, omega, hbar, beta,
 def test_classical_limit_laws(m, omega, hbar, beta):
     """Z_u/Z_cl -> 1 and the unified heat capacity -> k_B as r -> 0, and
     quantum_Z/classical_Z -> 1 as beta hbar omega -> 0."""
-    kb = 0.7
     thermal = ThermalSpec(beta)
-    params = harmonic_system(m, omega, Constants(hbar, kb))
+    params = harmonic_system(m, omega, hbar)
     z_cl = classical_Z(params, thermal).value
     for r in (1e-3, 1e-6, 1e-9):
         sigma = hbar * math.sqrt(beta / (4.0 * m * r))
@@ -605,24 +607,24 @@ def test_classical_limit_laws(m, omega, hbar, beta):
         assert abs(z_u / z_cl - 1.0) <= r  # 1 - r/2 + O(r^2)
         cv = heat_capacity(AverageEnergyMode.UNIFIED_GAUSSIAN, params,
                            thermal, sigma)
-        assert abs(cv / kb - 1.0) <= r * r  # r^2/2 + O(r^3)
+        assert abs(cv - 1.0) <= r * r  # r^2/2 + O(r^3)
     for x in (1e-1, 1e-3, 1e-5):
-        small = harmonic_system(m, x / (beta * hbar), Constants(hbar, kb))
+        small = harmonic_system(m, x / (beta * hbar), hbar)
         ratio = quantum_Z(small, thermal).value / classical_Z(small,
                                                               thermal).value
         assert abs(ratio - 1.0) <= x * x  # -x^2/24 + O(x^4)
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
-@given(r=st.floats(1e-12, 0.9), m=_UNIT, hbar=_UNIT, beta=_UNIT, kb=_UNIT)
-@example(r=0.01, m=1.0, hbar=1.0, beta=1.0, kb=1.0)  # sigma = 5
-def test_unified_minus_classical_limit_gap(r, m, hbar, beta, kb):
+@given(r=st.floats(1e-12, 0.9), m=_UNIT, hbar=_UNIT, beta=_UNIT)
+@example(r=0.01, m=1.0, hbar=1.0, beta=1.0)  # sigma = 5
+def test_unified_minus_classical_limit_gap(r, m, hbar, beta):
     """The unified mode sits r/(2(1 - r))/beta below CLASSICAL_LIMIT in <E>
-    and k_B r^2/(2(1 - r)^2) above it in C.  The abs floor is a few roundings
+    and r^2/(2(1 - r)^2) k_B above it in C.  The abs floor is a few roundings
     of the O(1/beta) and O(k_B) terms whose difference this is; r starts at
     1e-12 so that sigma stays a finite float."""
     thermal = ThermalSpec(beta)
-    params = harmonic_system(m, 1.0, Constants(hbar, kb))
+    params = harmonic_system(m, 1.0, hbar)
     sigma = hbar * math.sqrt(beta / (4.0 * m * r))
     r_used = quantum_ratio(m, sigma, thermal, hbar)
     unified, classical = (AverageEnergyMode.UNIFIED_GAUSSIAN,
@@ -633,8 +635,8 @@ def test_unified_minus_classical_limit_gap(r, m, hbar, beta, kb):
              - heat_capacity(classical, params, thermal, sigma))
     assert gap_e == pytest.approx(-r_used / (2.0 * (1.0 - r_used)) / beta,
                                   rel=1e-9, abs=1e-15 / beta)
-    assert gap_c == pytest.approx(kb * r_used**2 / (2.0 * (1.0 - r_used) ** 2),
-                                  rel=1e-9, abs=1e-15 * kb)
+    assert gap_c == pytest.approx(r_used**2 / (2.0 * (1.0 - r_used) ** 2),
+                                  rel=1e-9, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

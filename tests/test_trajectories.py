@@ -4,7 +4,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from bohmpart import (Constants, RK4Fixed, RK45Adaptive, TrajectoryConfig,
+from bohmpart import (RK4Fixed, RK45Adaptive, TrajectoryConfig,
                       WavepacketInit, bohmian_velocity, equivariance_check,
                       evolve, free_system, harmonic_system, integrate,
                       quantum_force, quantum_potential)
@@ -56,8 +56,8 @@ def test_integrate_center_trajectory_exact():
 @pytest.mark.parametrize("params,init", [
     (FREE, WavepacketInit(0.0, 2.0, 1.0)),
     (HO, WavepacketInit(1.0, 0.0, 0.7)),
-    (harmonic_system(1.3, 0.8, Constants(0.7)), WavepacketInit(0.9, -0.4, 0.55)),
-    (free_system(0.9, Constants(1.6)), WavepacketInit(-0.2, 1.1, 0.4)),
+    (harmonic_system(1.3, 0.8, 0.7), WavepacketInit(0.9, -0.4, 0.55)),
+    (free_system(0.9, 1.6), WavepacketInit(-0.2, 1.1, 0.4)),
 ])
 @pytest.mark.parametrize("c", [-1.5, 0.5, 2.0])
 def test_integrate_matches_scaling_solution(params, init, c):
@@ -86,8 +86,8 @@ def test_dormand_prince_matches_scipy_rk45():
     rng = np.random.default_rng(11)
     for i in range(20):
         hbar, m, w = rng.uniform(0.5, 2.0, size=3)
-        params = (harmonic_system(m, w, Constants(hbar)) if i % 2 == 0
-                  else free_system(m, Constants(hbar)))
+        params = (harmonic_system(m, w, hbar) if i % 2 == 0
+                  else free_system(m, hbar))
         init = WavepacketInit(*rng.uniform(-1.0, 1.0, size=2),
                               rng.uniform(0.3, 1.0))
         t_max = 50.0 if i < 2 else rng.uniform(2.0, 50.0)

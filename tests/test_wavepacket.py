@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis.strategies import floats
 from scipy.integrate import simpson
 
-from bohmpart import (Constants, TruncationInsufficient, WavepacketInit,
-                      density, energy_pointwise, evolve, free_system,
+from bohmpart import (TruncationInsufficient, WavepacketInit, density,
+                      energy_pointwise, evolve, free_system,
                       harmonic_system, mean_energy, phase_gradient,
                       potential_value, quantum_potential, spectral_project)
 from bohmpart.core import WINDOW_SIGMAS
@@ -37,8 +37,8 @@ def test_evolve_initial_condition():
 
 # Reference values of gamma to the last bit; with w = 1.7 the harmonic times
 # span more than 16 windings of the log branch
-_HO_PHASE = harmonic_system(0.8, 1.7, Constants(0.6))
-_FREE_PHASE = free_system(1.3, Constants(1.6))
+_HO_PHASE = harmonic_system(0.8, 1.7, 0.6)
+_FREE_PHASE = free_system(1.3, 1.6)
 
 
 @pytest.mark.parametrize("params, init, t, gamma", [
@@ -62,7 +62,7 @@ def _phase_mpmath(params, init, t):
     """The closed form of _phase at 50 digits, from the same float inputs."""
     with mpmath.workdps(50):
         hbar, m, w, x0, p0, sigma, t = map(mpmath.mpf, (
-            params.constants.hbar, params.mass, params.omega, init.x0,
+            params.hbar, params.mass, params.omega, init.x0,
             init.p0, init.sigma, t))
         s, c = mpmath.sin(w * t), mpmath.cos(w * t)
         sw = s / w if w else t
@@ -119,8 +119,8 @@ def test_free_packet_is_the_omega_to_zero_limit(m, hbar, x0, p0, sigma, t):
     # at omega = 1e-9 the well departs from the free packet by terms of
     # relative order (omega t)^2 <= 4e-15
     init, x_start = WavepacketInit(x0, p0, sigma), x0 + 0.7 * sigma
-    well = harmonic_system(m, 1e-9, Constants(hbar))
-    free = free_system(m, Constants(hbar))
+    well = harmonic_system(m, 1e-9, hbar)
+    free = free_system(m, hbar)
     a, b = evolve(well, init, t), evolve(free, init, t)
     assert _close(a.alpha, b.alpha, 0.0)
     assert _close(a.q, b.q, sigma)
@@ -214,7 +214,7 @@ def test_quantum_potential_closed_forms():
 ])
 def test_quantum_potential_matches_finite_difference(params, init):
     rng = np.random.default_rng(42)
-    hbar, m = params.constants.hbar, params.mass
+    hbar, m = params.hbar, params.mass
     for st, x in _random_states(params, init, 100, rng):
         fd = -hbar**2 / (2 * m) * central_second(
             lambda xx: amplitude(st, xx), x) / amplitude(st, x)
@@ -358,7 +358,7 @@ def test_packet_mean_energy_exact_free_is_the_free_form():
         m, hbar = rng.uniform(0.1, 10.0, size=2)
         init = WavepacketInit(*rng.normal(0.0, 3.0, size=2),
                               rng.uniform(0.05, 5.0))
-        free = free_system(m, Constants(hbar))
+        free = free_system(m, hbar)
         assert packet_mean_energy_exact(free, init) == \
             init.p0**2 / (2.0 * m) + hbar**2 / (8.0 * m * init.sigma**2)
 
