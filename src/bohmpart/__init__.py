@@ -17,11 +17,10 @@ from .wavepacket import (SpectralDecomposition, WavepacketInit,
 from .trajectories import (RK4Fixed, RK45Adaptive, TrajectoryConfig,
                            TrajectoryPath, bohmian_velocity,
                            equivariance_check, integrate, quantum_force)
-from .partition import (AverageEnergyMode, CriterionReport, MarginalCurve,
-                        PartitionResult, average_energy, classical_Z,
-                        classicality_criterion, gaussian_correction,
-                        gaussian_correction_integral, marginal_Z,
-                        marginal_Z_derivative, marginal_curve,
+from .partition import (AverageEnergyMode, CriterionReport, PartitionResult,
+                        average_energy, classical_Z, classicality_criterion,
+                        gaussian_correction, gaussian_correction_integral,
+                        marginal_Z, marginal_Z_derivative, marginal_curve,
                         phase_space_integral, quantum_Z, unified_Z_gaussian,
                         unified_integral)
 from .bath import (BathInitialState, BathSpec, Oscillator, bath_classicality,

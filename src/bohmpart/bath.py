@@ -42,11 +42,11 @@ class Oscillator:
     coupling: float
 
     def __post_init__(self):
-        if not (0 < self.mass < math.inf and 0 < self.omega < math.inf):
-            raise ValueError("oscillator mass and frequency must be finite "
-                             "and positive")
-        if not math.isfinite(self.coupling):
-            raise ValueError("oscillator coupling must be finite")
+        check_scale("oscillator mass", self.mass)
+        check_scale("oscillator omega", self.omega)
+        if not abs(self.coupling) <= 1e75:  # so c^2/omega^2 <= 1e300
+            raise ValueError(f"oscillator coupling = {self.coupling:g} lies "
+                             "outside [-1e+75, 1e+75]")
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,17 @@ def noise_force(bath: BathSpec, init: BathInitialState, t) -> float | np.ndarray
     return out
 
 
+def _finite_positive(name: str, value: float) -> float:
+    """value, or ValueError naming it unless it is a positive finite double."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} = {value:g}: a product over the "
+                         "oscillators leaves the range of a double")
+    return value
+
+
 def classical_bath_Z(bath: BathSpec, thermal: ThermalSpec) -> PartitionResult:
-    """Z_B = prod_a 2 pi / (beta w_a), raw measure.
+    """Z_B = prod_a 2 pi / (beta w_a), raw measure; ValueError where the
+    product leaves the range of a double.
 
     Oracle: partition.phase_space_integral per oscillator, centred at
     c_a q0 / w_a^2.
@@ -120,7 +129,7 @@ def classical_bath_Z(bath: BathSpec, thermal: ThermalSpec) -> PartitionResult:
     val = 1.0
     for o in bath.oscillators:
         val *= 2.0 * math.pi / (thermal.beta * o.omega)
-    return PartitionResult(val, 0.0)
+    return PartitionResult(_finite_positive("z_b", val), 0.0)
 
 
 def unified_bath_Z(bath: BathSpec, thermal: ThermalSpec, hbar: float = 1.0
@@ -132,15 +141,21 @@ def unified_bath_Z(bath: BathSpec, thermal: ThermalSpec, hbar: float = 1.0
     with_2pi carries an extra 2 pi per oscillator and is reported only for
     the discrepancy ledger.  Oracle: partition.unified_integral per
     oscillator, centred at c_a q0 / w_a^2.  DivergentIntegral from the
-    first oscillator whose ratio is >= 1.
+    first oscillator whose ratio is >= 1; ValueError where Z_B, the product
+    of the factors or either result leaves the range of a double.
     """
     z_b = classical_bath_Z(bath, thermal).value
     factor = 1.0
     for o in bath.oscillators:
         factor *= gaussian_correction(o.mass, bath.sigma, thermal, hbar)
-    exact = PartitionResult(z_b * factor, 0.0)
-    printed = PartitionResult(z_b * factor * (2.0 * math.pi) ** bath.size, 0.0)
-    return exact, printed
+    _finite_positive("correction_factor", factor)
+    try:
+        per_2pi = (2.0 * math.pi) ** bath.size
+    except OverflowError:
+        per_2pi = math.inf
+    exact = _finite_positive("z_b_unified_exact", z_b * factor)
+    printed = _finite_positive("z_b_unified_with_2pi", z_b * factor * per_2pi)
+    return PartitionResult(exact, 0.0), PartitionResult(printed, 0.0)
 
 
 def large_N_ratio(n: int, m0: float, sigma: float, thermal: ThermalSpec,

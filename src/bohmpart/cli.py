@@ -3,11 +3,13 @@
 Subcommands: fig1, marginal, limits, bath, trajectory, partition, verify.
 All numeric work happens in the library modules.  Each subcommand resolves
 the config keys it reads (defaults < config file < flags; the table READS
-lists them) and returns one Result holding its output in both formats.
-`main` is the one emit path: it formats that result as CSV or JSON and
-writes it with a manifest carrying the resolved config and a stable digest
-of the numeric payload.  `verify` reads no config key and prints its text
-report itself.
+lists them) and returns one Result: its config and its tables.  `main` is
+the one emit path and alone decides both formats.  CSV writes the main
+table, plus one companion file per further table.  JSON is one object with
+`command`, `config`, `rows` (one record per row of the main table) and one
+list of records per further table.  Either is written with a manifest
+carrying the resolved config and a stable digest of the numeric payload.
+`verify` reads no config key and prints its text report itself.
 
 Exit codes: 0 ok, 1 usage error, 2 domain error (a DivergentIntegral from
 the library, which alone decides where an integral diverges), 3 verification
@@ -23,7 +25,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -186,40 +188,22 @@ def json_payload(obj) -> bytes:
 
 @dataclass(frozen=True)
 class Result:
-    """One subcommand's output in both formats.
-
-    CSV: `header` and `rows`, plus one companion file per entry of `tables`
-    (name -> (header, rows)).  JSON: `fields`, next to `command` and
-    `config`.
-    """
+    """One subcommand's output: the main table `header` and `rows`, and its
+    companion tables, name -> (header, rows)."""
 
     config: dict
     header: list[str]
     rows: list[list]
-    fields: dict
-    tables: dict[str, tuple[list[str], list[list]]] = field(
-        default_factory=dict)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written next to every output file.
-
-    The digest hashes only the numeric payload bytes, so identical resolved
-    configs yield identical digests while the timestamp stays informational.
-    """
-
-    command: str
-    config: dict
-    version: str
-    timestamp: str
-    digest: str
-    outputs: list[str] = field(default_factory=list)
+    tables: dict[str, tuple[list, list]] = field(default_factory=dict)
 
 
 def emit(args, command: str, config: dict, payload: bytes,
          extra_files: dict[str, bytes] | None = None) -> str:
-    """Write the payload (and companions), plus a manifest with the digest."""
+    """Write the payload (and companions), plus a manifest with the digest.
+
+    The digest hashes only the numeric payload bytes, so identical resolved
+    configs yield identical digests while the timestamp stays informational.
+    """
     hasher = hashlib.sha256(payload)
     for name in sorted(extra_files or {}):
         hasher.update(extra_files[name])
@@ -233,12 +217,12 @@ def emit(args, command: str, config: dict, payload: bytes,
             side = out.with_name(out.stem + "_" + name + out.suffix)
             side.write_bytes(blob)
             written.append(str(side))
-        manifest = RunManifest(
-            command=command, config=config, version=__version__,
-            timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            digest=digest, outputs=written)
+        manifest = {
+            "command": command, "config": config, "version": __version__,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "digest": digest, "outputs": written}
         out.with_suffix(out.suffix + ".manifest.json").write_bytes(
-            json_payload(asdict(manifest)))
+            json_payload(manifest))
     else:
         sys.stdout.write(payload.decode())
     return digest
@@ -248,8 +232,9 @@ def emit(args, command: str, config: dict, payload: bytes,
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def marginal_series(args, cfg: dict, pairs) -> tuple[list, dict]:
-    """Marginal-Z curves, one per (sigma, kbt) pair, and their JSON fields."""
+def marginal_rows(args, cfg: dict, pairs) -> list[list]:
+    """Rows (sigma, kbt, t, z) of the marginal-Z curves, one curve per
+    (sigma, kbt) pair; every pair is validated before any curve runs."""
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
     if not math.isfinite(args.tmax):
@@ -258,13 +243,9 @@ def marginal_series(args, cfg: dict, pairs) -> tuple[list, dict]:
     runs = [(WavepacketInit(cfg["x0"], cfg["p0"], sigma),
              ThermalSpec.from_kbt(kbt)) for sigma, kbt in pairs]
     times = np.linspace(0.0, args.tmax, args.samples)
-    curves = [marginal_curve(params, init, thermal, times,
-                             normalized=not args.raw)
-              for init, thermal in runs]
-    return curves, {"series": [{
-        "params": {"sigma": c.sigma, "kbt": c.kbt, "x0": c.x0, "p0": c.p0,
-                   "normalized": c.normalized},
-        "times": list(c.times), "values": list(c.values)} for c in curves]}
+    return [[init.sigma, thermal.kbt, t, z] for init, thermal in runs
+            for t, z in zip(times, marginal_curve(params, init, thermal, times,
+                                                  normalized=not args.raw))]
 
 
 def cmd_fig1(args) -> Result:
@@ -275,18 +256,15 @@ def cmd_fig1(args) -> Result:
     else:
         pairs = FIG1_DEFAULT_PAIRS
     cfg["sigma"], cfg["kbt"] = [s for s, _ in pairs], [k for _, k in pairs]
-    curves, fields = marginal_series(args, cfg, pairs)
-    rows = [[c.sigma, c.kbt, t, z]
-            for c in curves for t, z in zip(c.times, c.values)]
     return Result(cfg, ["sigma[length]", "kbt[energy]", "t[time]",
-                        "z[dimensionless]"], rows, fields)
+                        "z[dimensionless]"], marginal_rows(args, cfg, pairs))
 
 
 def cmd_marginal(args) -> Result:
     cfg = resolve_config(args)
-    [curve], fields = marginal_series(args, cfg, [(cfg["sigma"], cfg["kbt"])])
-    rows = [[t, z] for t, z in zip(curve.times, curve.values)]
-    return Result(cfg, ["t[time]", "z[dimensionless]"], rows, fields)
+    rows = marginal_rows(args, cfg, [(cfg["sigma"], cfg["kbt"])])
+    return Result(cfg, ["t[time]", "z[dimensionless]"],
+                  [row[2:] for row in rows])
 
 
 def cmd_limits(args) -> Result:
@@ -320,8 +298,7 @@ def cmd_limits(args) -> Result:
 
     header = [f"{args.var}[swept]", "z_u[dimensionless]", "z_cl[dimensionless]",
               "ratio[dimensionless]", "criterion_ratio[dimensionless]", "status"]
-    return Result(cfg, header, rows, {
-        "columns": header, "rows": [list(map(json_cell, r)) for r in rows]})
+    return Result(cfg, header, rows)
 
 
 def parse_bath_file(path: str, sigma_default: float, q0_default: float) -> BathSpec:
@@ -375,7 +352,6 @@ def cmd_bath(args) -> Result:
                 for i, (o, rep) in enumerate(zip(bath.oscillators, reports))]
     osc_header = ["index", "mass[mass]", "omega[1/time]", "coupling[coupling]",
                   "ratio[dimensionless]", "criterion"]
-    oscillators = {"oscillators": json_records(osc_header, osc_rows)}
 
     try:
         exact, printed = unified_bath_Z(bath, thermal, hbar=hbar)
@@ -384,7 +360,7 @@ def cmd_bath(args) -> Result:
             raise DivergentIntegral(
                 "criterion ratio >= 1 for at least one oscillator; rerun "
                 "with --allow-divergent for the criterion table") from None
-        return Result(cfg, osc_header, osc_rows, oscillators)
+        return Result(cfg, osc_header, osc_rows)
 
     kernel_t = np.linspace(0.0, args.kernel_tmax, args.kernel_samples)
     kernel_nu = memory_kernel(bath, kernel_t)
@@ -400,14 +376,10 @@ def cmd_bath(args) -> Result:
         *zip(("large_n_factor_approx", "large_n_factor_exact",
               "large_n_rel_err"), large_n),
     ]
-    return Result(
-        cfg, ["quantity", "value[dimensionless]"], summary,
-        {"summary": {key: json_cell(val) for key, val in summary},
-         **oscillators,
-         "kernel": {"times": list(kernel_t), "values": list(kernel_nu)}},
-        tables={"oscillators": (osc_header, osc_rows),
-                "kernel": (["t[time]", "nu[coupling^2*time^2]"],
-                           list(zip(kernel_t, kernel_nu)))})
+    return Result(cfg, ["quantity", "value[dimensionless]"], summary, {
+        "oscillators": (osc_header, osc_rows),
+        "kernel": (["t[time]", "nu[coupling^2*time^2]"],
+                   list(zip(kernel_t, kernel_nu)))})
 
 
 def cmd_trajectory(args) -> Result:
@@ -432,12 +404,7 @@ def cmd_trajectory(args) -> Result:
         raise UsageError(f"the path up to --tmax {args.tmax!r} leaves the "
                          "range of a double (some x or v is not finite)")
     rows = [[t, x, v] for t, x, v in zip(times, positions, velocities)]
-    return Result(cfg, ["t[time]", "x[length]", "v[length/time]"], rows, {
-        "series": [{
-            "params": {"x_start": args.x_start, "system": args.system},
-            "times": list(times),
-            "values": list(positions),
-            "velocities": velocities}]})
+    return Result(cfg, ["t[time]", "x[length]", "v[length/time]"], rows)
 
 
 def cmd_partition(args) -> Result:
@@ -475,7 +442,7 @@ def cmd_partition(args) -> Result:
     rows.append(["thermal_de_broglie", "closed_form", crit.thermal_de_broglie, 0.0])
 
     header = ["quantity", "method", "value[dimensionless]", "est_error[dimensionless]"]
-    return Result(cfg, header, rows, {"rows": json_records(header, rows)})
+    return Result(cfg, header, rows)
 
 
 def cmd_verify(args) -> int:
@@ -521,7 +488,7 @@ def build_parser() -> Parser:
                       help="thermal energy k_B T; repeatable")
     marginal = add("marginal", cmd_marginal,
                    "single marginal-Z curve from the resolved config")
-    for p in (fig1, marginal):  # the flags marginal_series reads
+    for p in (fig1, marginal):  # the flags marginal_rows reads
         p.add_argument("--tmax", type=float, default=4 * math.pi)
         p.add_argument("--samples", type=int, default=400)
         p.add_argument("--raw", action="store_true",
@@ -585,8 +552,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":  # it printed its own text report
             return result
         if args.format == "json":
-            payload = json_payload({"command": args.command,
-                                    "config": result.config, **result.fields})
+            payload = json_payload({
+                "command": args.command, "config": result.config,
+                "rows": json_records(result.header, result.rows),
+                **{name: json_records(*table)
+                   for name, table in result.tables.items()}})
             extra_files = None
         else:
             payload = csv_payload(result.header, result.rows)

@@ -55,23 +55,10 @@ class PartitionResult:
     est_error: float
 
     def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError("partition value must be positive")
+        if not 0 < self.value < math.inf:
+            raise ValueError("partition value must be positive and finite")
         if self.est_error < 0:
             raise ValueError("est_error must be non-negative")
-
-
-@dataclass(frozen=True)
-class MarginalCurve:
-    """Time series of the marginal partition function for one (sigma, kbt)."""
-
-    times: np.ndarray
-    values: np.ndarray
-    normalized: bool
-    sigma: float
-    kbt: float
-    x0: float
-    p0: float
 
 
 @dataclass(frozen=True)
@@ -108,14 +95,33 @@ def _convergent_ratio(m: float, sigma: float, thermal: ThermalSpec,
 # Classical and quantum references
 # ---------------------------------------------------------------------------
 
+# x = beta hbar omega where the ladder's Z are positive finite doubles: below,
+# 1/x (classical Z) and quantum_Z's term count, about -log(TAIL_TOL x)/x,
+# overflow; above, exp(-x/2) (quantum Z) underflows.
+LADDER_X_MIN, LADDER_X_MAX = 1e-305, 1400.0
+
+
+def _ladder_x(params: SystemParams, thermal: ThermalSpec,
+              x_max: float = LADDER_X_MAX) -> float:
+    """x = beta hbar omega, or ValueError outside [LADDER_X_MIN, x_max]."""
+    x = thermal.beta * params.hbar * params.omega
+    if not LADDER_X_MIN <= x <= x_max:
+        raise ValueError(f"beta hbar omega = {x:g} lies outside "
+                         f"[{LADDER_X_MIN:g}, {x_max:g}], where a partition "
+                         "function of the ladder leaves the range of a double")
+    return x
+
+
 def classical_Z(params: SystemParams, thermal: ThermalSpec) -> PartitionResult:
     """Phase-space integral of exp(-beta H); closed form k_B T/(hbar omega).
 
     Only the harmonic well has a convergent configuration integral; the free
-    particle raises DivergentIntegral.  Oracle: phase_space_integral.
+    particle raises DivergentIntegral, and beta hbar omega < LADDER_X_MIN a
+    ValueError.  Oracle: phase_space_integral.
     """
     if not params.is_harmonic:
         raise DivergentIntegral("free particle: unbounded configuration integral")
+    _ladder_x(params, thermal, math.inf)
     norm = 2.0 * math.pi * params.hbar
     return PartitionResult(2.0 * math.pi / (thermal.beta * params.omega) / norm,
                            0.0)
@@ -154,11 +160,12 @@ def quantum_Z(params: SystemParams, thermal: ThermalSpec) -> PartitionResult:
     the finite geometric series exp(-x/2) (1 - exp(-x K)) / (1 - exp(-x)),
     so the cost does not grow with K.  The geometric tail after the last
     kept term is below TAIL_TOL relative to the partial sum; the closed form
-    1/(2 sinh(x / 2)) is the exact limit.
+    1/(2 sinh(x / 2)) is the exact limit.  ValueError unless LADDER_X_MIN
+    <= x <= LADDER_X_MAX.
     """
     if not params.is_harmonic:
         raise DivergentIntegral("free particle: continuous spectrum")
-    x = thermal.beta * params.hbar * params.omega
+    x = _ladder_x(params, thermal)
     gap = -math.expm1(-x)  # 1 - exp(-x), positive however small x is
     # tail after K terms: exp(-x(K+1/2)) * exp(-x)/(1 - exp(-x))
     n_terms = max(2, math.ceil((math.log(1.0 / TAIL_TOL)
@@ -169,7 +176,7 @@ def quantum_Z(params: SystemParams, thermal: ThermalSpec) -> PartitionResult:
 
 
 def quantum_Z_closed_form(params: SystemParams, thermal: ThermalSpec) -> float:
-    x = thermal.beta * params.hbar * params.omega
+    x = _ladder_x(params, thermal)
     return 1.0 / (2.0 * math.sinh(0.5 * x))
 
 
@@ -285,6 +292,16 @@ def _boltzmann_density(state, beta: float, x):
     return np.exp(_log_density(state, x) - beta * energy_pointwise(state, x))
 
 
+def _marginal_quadrature(state, thermal: ThermalSpec, center: float,
+                         width: float) -> float:
+    """marginal_Z of an evolved state whose _marginal_gaussian is given."""
+    half = WINDOW_SIGMAS * width
+    val, _ = integrate_window(
+        lambda x: _boltzmann_density(state, thermal.beta, x),
+        center - half, center + half)
+    return val
+
+
 def marginal_Z(params: SystemParams, init: WavepacketInit, thermal: ThermalSpec,
                t: float) -> float:
     """integral P(x,t) exp(-beta E(x,t)) dx at fixed (x0, p0).
@@ -293,13 +310,9 @@ def marginal_Z(params: SystemParams, init: WavepacketInit, thermal: ThermalSpec,
     DivergentIntegral when the total quadratic exponent coefficient is
     non-negative at this t.
     """
-    beta = thermal.beta
     state = evolve(params, init, t)
-    center, width = _marginal_gaussian(state, thermal)
-    half = WINDOW_SIGMAS * width
-    val, _ = integrate_window(lambda x: _boltzmann_density(state, beta, x),
-                              center - half, center + half)
-    return val
+    return _marginal_quadrature(state, thermal,
+                                *_marginal_gaussian(state, thermal))
 
 
 @dataclass(frozen=True)
@@ -325,9 +338,9 @@ def marginal_Z_derivative(params: SystemParams, init: WavepacketInit,
     the two-point Gauss-Hermite rule at center +- width gives their means
     exactly.  Z is the marginal_Z quadrature.
     """
-    z = marginal_Z(params, init, thermal, t)
     state = evolve(params, init, t)
     center, width = _marginal_gaussian(state, thermal)
+    z = _marginal_quadrature(state, thermal, center, width)
     nodes = (center - width, center + width)
 
     def mean(energy_weight: float) -> float:
@@ -339,23 +352,23 @@ def marginal_Z_derivative(params: SystemParams, init: WavepacketInit,
 
 def marginal_curve(params: SystemParams, init: WavepacketInit,
                    thermal: ThermalSpec, times: Sequence[float],
-                   normalized: bool = True) -> MarginalCurve:
-    """Marginal Z sampled on a time grid, optionally normalized to 1 at t=0.
+                   normalized: bool = True) -> np.ndarray:
+    """Marginal Z at each time, optionally normalized to 1 at t=0.
 
-    Every sample is checked for divergence before any quadrature runs, so a
-    divergent sample raises DivergentIntegral even where an earlier sample
-    is convergent but too large for the quadrature.
+    Each time is evolved once, and every window is found before any
+    quadrature runs, so a divergent sample raises DivergentIntegral even
+    where an earlier sample is convergent but too large for the quadrature.
     """
     times = np.asarray(times, dtype=float)
-    for t in times:
-        _marginal_gaussian(evolve(params, init, t), thermal)
-    values = np.array([marginal_Z(params, init, thermal, t) for t in times])
+    states = [evolve(params, init, t) for t in times]
+    windows = [_marginal_gaussian(state, thermal) for state in states]
+    values = np.array([_marginal_quadrature(state, thermal, *window)
+                       for state, window in zip(states, windows)])
     if normalized:
         z0 = marginal_Z(params, init, thermal, 0.0) \
             if times[0] != 0.0 else values[0]
         values = values / z0
-    return MarginalCurve(times, values, normalized, init.sigma,
-                         thermal.kbt, init.x0, init.p0)
+    return values
 
 
 # ---------------------------------------------------------------------------

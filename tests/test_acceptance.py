@@ -107,7 +107,7 @@ def test_criterion_05_fig1_properties():
             times)
     elapsed = time.time() - t0
 
-    starts_at_one = all(c.values[0] == 1.0 for c in curves.values())
+    starts_at_one = all(c[0] == 1.0 for c in curves.values())
 
     worst_period = 0.0
     th = ThermalSpec.from_kbt(2.0)
@@ -118,7 +118,7 @@ def test_criterion_05_fig1_properties():
         worst_period = max(worst_period, abs(a - b) / a)
 
     def amp(key):
-        return curves[key].values.max() - curves[key].values.min()
+        return curves[key].max() - curves[key].min()
 
     ordering = amp((0.45, 5.0)) < amp((0.45, 2.0)) \
         and amp((0.65, 2.0)) < amp((0.45, 2.0))

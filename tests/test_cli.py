@@ -216,7 +216,7 @@ def test_fig1_config_keys_count_as_one_pair_value(tmp_path: Path, cfg_text,
 def test_fig1_config_echoes_each_curves_pair(tmp_path: Path, cfg_text, flags,
                                              sigmas, kbts):
     """fig1's JSON config and manifest give sigma and kbt per curve, in the
-    order of the series."""
+    order of the curves' rows."""
     from bohmpart import cli
     argv = ["fig1", "--samples", "2", "--tmax", "0.5", *flags]
     if cfg_text is not None:
@@ -229,8 +229,8 @@ def test_fig1_config_echoes_each_curves_pair(tmp_path: Path, cfg_text, flags,
     manifest = json.loads((tmp_path / "fig1.json.manifest.json").read_text())
     for config in (payload["config"], manifest["config"]):
         assert (config["sigma"], config["kbt"]) == (sigmas, kbts)
-    assert [(s["params"]["sigma"], s["params"]["kbt"])
-            for s in payload["series"]] == list(zip(sigmas, kbts))
+    pairs = [(row["sigma"], row["kbt"]) for row in payload["rows"]]
+    assert pairs == [pair for pair in zip(sigmas, kbts) for _ in range(2)]
 
 
 def test_fig1_deterministic_digest(tmp_path: Path):
@@ -349,7 +349,7 @@ def _exit_1_naming(capsys, argv, name):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("bohmpart: ") and name in err
-    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -393,6 +393,19 @@ def _exit_1_naming(capsys, argv, name):
     (["trajectory", "--x-start", "1", "--hbar", "1e200"], "hbar"),
     (["trajectory", "--system", "free", "--omega", "3", "--x-start", "1.2",
       "--tmax", "1"], "--omega"),
+    (["partition", "--omega", "1e-310"], "beta hbar omega"),
+    (["partition", "--kbt", "1e308"], "beta hbar omega"),
+    (["partition", "--kbt", "1e308", "--omega", "1e-300"], "beta hbar omega"),
+    (["partition", "--omega", "1e308"], "beta hbar omega"),
+    (["partition", "--kbt", "1e-300"], "beta hbar omega"),
+    (["bath", "--n", "400"], "z_b"),
+    (["bath", "--n", "100000", "--m0", "1e3"], "z_b"),
+    (["bath", "--n", "100", "--beta", "1e10"], "z_b"),
+    (["bath", "--n", "390", "--beta", "10", "--sigma", "5"],
+     "z_b_unified_with_2pi"),
+    (["bath", "--omega-max", "1e300"], "omega"),
+    (["bath", "--coupling", "1e300"], "coupling"),
+    (["bath", "--omega-max", "1e-310"], "omega"),
 ])
 def test_input_the_subcommand_cannot_honour_exit_1(capsys, argv, name):
     _exit_1_naming(capsys, argv, name)
@@ -488,9 +501,9 @@ def test_trajectory_matches_integrator_and_velocity_oracles(capsys, system,
     argv = ["trajectory", "--system", system, "--format", "json",
             *(s for flag, val in flags.items() for s in (flag, repr(val)))]
     assert cli.main(argv) == 0
-    series = json.loads(capsys.readouterr().out)["series"][0]
-    times, xs, vs = (np.array(series[key])
-                     for key in ("times", "values", "velocities"))
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    times, xs, vs = (np.array([row[key] for row in rows])
+                     for key in ("t", "x", "v"))
     assert np.array_equal(times, np.linspace(0.0, tmax, 101))
 
     params = (harmonic_system(mass, omega, hbar) if system == "harmonic"
@@ -542,8 +555,8 @@ def test_bath_divergent_exit_2_and_allow_flag(tmp_path: Path):
                  "--format", "json")
     assert cp.returncode == 0, cp.stderr
     payload = _strict_json(cp.stdout)
-    assert sorted(payload) == ["command", "config", "oscillators"]
-    assert [osc["criterion"] for osc in payload["oscillators"]] == ["fail"]
+    assert sorted(payload) == ["command", "config", "rows"]
+    assert [osc["criterion"] for osc in payload["rows"]] == ["fail"]
 
 
 def test_bath_file_parsing(tmp_path: Path):
@@ -692,7 +705,9 @@ def test_limits_json_cells_are_numbers_or_null():
     cp = run_cli("limits", "--var", "kbt", "--start", "0.5", "--stop", "3",
                  "--num", "4", "--format", "json")
     assert cp.returncode == 0, cp.stderr
-    rows = _strict_json(cp.stdout)["rows"]
+    columns = ("kbt", "z_u", "z_cl", "ratio", "criterion_ratio", "status")
+    rows = [[row[key] for key in columns]
+            for row in _strict_json(cp.stdout)["rows"]]
     assert [row[-1] for row in rows] == ["divergent", "ok", "ok", "ok"]
     for *numbers, status in rows:
         assert all(isinstance(c, float) for c in numbers if c is not None)
@@ -713,8 +728,9 @@ def test_bath_json_summary_numbers_or_null(tmp_path: Path, oscillators,
     bath_file.write_text("sigma = 2.0\n" + oscillators)
     cp = run_cli("bath", "--bath-file", str(bath_file), "--format", "json")
     assert cp.returncode == 0, cp.stderr
-    summary = _strict_json(cp.stdout)["summary"]
-    assert len(summary) == 7
+    rows = _strict_json(cp.stdout)["rows"]
+    summary = {row["quantity"]: row["value"] for row in rows}
+    assert len(rows) == len(summary) == 7
     for key, value in summary.items():
         if key.startswith("large_n_") and not large_n_defined:
             assert value is None
@@ -743,3 +759,42 @@ def test_closed_form_subcommands_never_integrate(monkeypatch, capsys, argv):
         monkeypatch.setattr(trajectories, name, forbidden)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+def _csv_cell(text: str):
+    """A CSV cell as its JSON value: a number, null for nan, or the text."""
+    try:
+        x = float(text)
+    except ValueError:
+        return text
+    return x if np.isfinite(x) else None
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig1", "--samples", "5", "--tmax", "2"],
+    ["marginal", "--samples", "5", "--raw"],
+    ["limits", "--var", "kbt", "--start", "0.5", "--stop", "3", "--num", "4"],
+    ["bath", "--n", "3", "--q0", "0.4", "--kernel-samples", "5"],
+    ["bath", "--sigma", "0.4", "--allow-divergent"],
+    ["trajectory", "--x-start", "1.2", "--tmax", "3"],
+    ["partition", "--sigma", "0.2", "--kbt", "0.5"],
+    ["partition", "--oracle"],
+], ids=["fig1", "marginal", "limits", "bath", "bath-allow-divergent",
+        "trajectory", "partition-divergent", "partition-oracle"])
+def test_json_rows_match_csv_rows(tmp_path: Path, argv):
+    """JSON holds exactly the CSV tables, one record per row: `rows` is the
+    main table and each further key one companion file's table."""
+    from bohmpart import cli
+    assert cli.main([*argv, "--out", str(tmp_path / "t.csv")]) == 0
+    assert cli.main([*argv, "--format", "json",
+                     "--out", str(tmp_path / "t.json")]) == 0
+    payload = _strict_json((tmp_path / "t.json").read_text())
+    tables = {"rows": tmp_path / "t.csv",
+              **{path.stem[2:]: path for path in tmp_path.glob("t_*.csv")}}
+    assert sorted(payload) == sorted(["command", "config", *tables])
+    for name, path in tables.items():
+        header, *lines = path.read_text().splitlines()
+        keys = [column.split("[")[0] for column in header.split(",")]
+        assert all(sorted(record) == sorted(keys) for record in payload[name])
+        assert [[record[key] for key in keys] for record in payload[name]] \
+            == [[_csv_cell(cell) for cell in line.split(",")] for line in lines]

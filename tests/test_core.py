@@ -102,7 +102,7 @@ def test_unit_system_invariance_of_marginal_curve():
     scaled = marginal_curve(
         harmonic_system(2.0, 1.0, 2.0),
         WavepacketInit(1.0, 0.6, 0.45), ThermalSpec(0.25), times)
-    assert np.allclose(base.values, scaled.values, rtol=REL_TOL * 100)
+    assert np.allclose(base, scaled, rtol=REL_TOL * 100)
 
 
 @pytest.mark.parametrize("make", [

@@ -174,10 +174,12 @@ def test_unified_Z_free_diverges():
 
 def test_marginal_curve_normalized_at_zero(ho_params, fig_init):
     times = np.linspace(0.0, 2.0, 5)
-    curve = marginal_curve(ho_params, fig_init, ThermalSpec.from_kbt(2.0),
-                           times)
-    assert curve.values[0] == 1.0  # exact, by construction
-    assert curve.normalized
+    th = ThermalSpec.from_kbt(2.0)
+    values = marginal_curve(ho_params, fig_init, th, times)
+    assert values[0] == 1.0  # exact, by construction
+    raw = marginal_curve(ho_params, fig_init, th, times, normalized=False)
+    assert raw[0] == marginal_Z(ho_params, fig_init, th, 0.0)
+    assert np.array_equal(values, raw / raw[0])
 
 
 def test_marginal_periodicity(ho_params, fig_init):
@@ -192,9 +194,9 @@ def test_marginal_amplitude_orderings(ho_params):
     times = np.linspace(0.0, math.pi, 40)
 
     def amplitude(sigma, kbt):
-        curve = marginal_curve(ho_params, WavepacketInit(1.0, 0.0, sigma),
-                               ThermalSpec.from_kbt(kbt), times)
-        return curve.values.max() - curve.values.min()
+        values = marginal_curve(ho_params, WavepacketInit(1.0, 0.0, sigma),
+                                ThermalSpec.from_kbt(kbt), times)
+        return values.max() - values.min()
 
     hot = amplitude(0.45, 5.0)
     cold = amplitude(0.45, 2.0)
