@@ -27,9 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import ThermalSpec, check_scale
+from .core import ThermalSpec, check_scale, np
 from .partition import (CriterionReport, PartitionResult,
                         classicality_criterion, gaussian_correction,
                         quantum_ratio)

@@ -28,21 +28,18 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bath import (BathSpec, Oscillator, bath_classicality,
                    classical_bath_Z, large_N_ratio, memory_kernel,
                    unified_bath_Z, uniform_bath)
 from .core import (DivergentIntegral, QuadratureFailure, SystemParams,
-                   ThermalSpec, free_system, harmonic_system)
+                   ThermalSpec, check_scale, free_system, harmonic_system, np)
 from .partition import (classical_Z, classicality_criterion,
                         gaussian_correction, marginal_curve,
                         phase_space_integral, quantum_ratio, quantum_Z,
                         quantum_Z_closed_form, unified_Z_gaussian,
                         unified_integral)
 from .trajectories import bohmian_velocity, scaling_solution
-from .verify import run_verification
 from .wavepacket import WavepacketInit, evolve
 
 EXIT_OK = 0
@@ -146,6 +143,27 @@ def resolve_config(args, lists: tuple[str, ...] = (),
     return cfg
 
 
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) as a list of floats, bit for bit, for
+    num >= 1, so that a grid costs no numpy import.
+
+    As in numpy, point i is i * step + start with step = (stop - start) /
+    (num - 1), or i / (num - 1) * (stop - start) + start where that step
+    underflows to 0, and the last of two or more points is stop itself.
+    """
+    delta = stop - start
+    if num == 1:
+        return [0.0 * delta + start]
+    div = num - 1
+    step = delta / div
+    if step == 0:
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
 def system_of(cfg: dict, kind: str = "harmonic") -> SystemParams:
     if kind == "harmonic":
         return harmonic_system(cfg["mass"], cfg["omega"], cfg["hbar"])
@@ -156,8 +174,8 @@ def csv_payload(header: list[str], rows: list[list]) -> bytes:
     def cell_str(cell) -> str:
         if isinstance(cell, str):
             return cell
-        if isinstance(cell, (int, np.integer)):
-            return str(int(cell))
+        if isinstance(cell, int):
+            return str(cell)
         return repr(float(cell))  # shortest round-trip decimal
 
     lines = [",".join(header)]
@@ -242,7 +260,7 @@ def marginal_rows(args, cfg: dict, pairs) -> list[list]:
     params = system_of(cfg)
     runs = [(WavepacketInit(cfg["x0"], cfg["p0"], sigma),
              ThermalSpec.from_kbt(kbt)) for sigma, kbt in pairs]
-    times = np.linspace(0.0, args.tmax, args.samples)
+    times = linspace(0.0, args.tmax, args.samples)
     return [[init.sigma, thermal.kbt, t, z] for init, thermal in runs
             for t, z in zip(times, marginal_curve(params, init, thermal, times,
                                                   normalized=not args.raw))]
@@ -275,14 +293,17 @@ def cmd_limits(args) -> Result:
         raise UsageError("--fixed-msigma2 needs --var sigma")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise UsageError("--start and --stop must be finite")
-    values = np.linspace(args.start, args.stop, args.num)
-    msigma2 = cfg["mass"] * cfg["sigma"] ** 2
+    if args.fixed_msigma2:
+        check_scale("sigma", cfg["sigma"])
+        check_scale("mass", cfg["mass"])
+        msigma2 = cfg["mass"] * cfg["sigma"] ** 2
 
     rows = []
-    for v in values:
+    for v in linspace(args.start, args.stop, args.num):
         local = dict(cfg)
-        local[args.var] = float(v)
+        local[args.var] = v
         if args.fixed_msigma2:
+            check_scale("sigma", v)
             local["mass"] = msigma2 / v**2
         params = system_of(local)
         thermal = ThermalSpec.from_kbt(local["kbt"])
@@ -362,7 +383,12 @@ def cmd_bath(args) -> Result:
                 "with --allow-divergent for the criterion table") from None
         return Result(cfg, osc_header, osc_rows)
 
-    kernel_t = np.linspace(0.0, args.kernel_tmax, args.kernel_samples)
+    omega_max = max(o.omega for o in bath.oscillators)
+    if not math.isfinite(omega_max * abs(args.kernel_tmax)):
+        raise UsageError(f"--kernel-tmax {args.kernel_tmax!r} times the "
+                         f"largest omega {omega_max:g} is not a finite "
+                         "double, so the kernel's cos(omega t) is undefined")
+    kernel_t = np.asarray(linspace(0.0, args.kernel_tmax, args.kernel_samples))
     kernel_nu = memory_kernel(bath, kernel_t)
     z_b = classical_bath_Z(bath, thermal)
     masses = {o.mass for o in bath.oscillators}
@@ -392,7 +418,7 @@ def cmd_trajectory(args) -> Result:
         raise UsageError("--tmax must be finite and positive")
     params = system_of(cfg, args.system)
     init = WavepacketInit(cfg["x0"], cfg["p0"], cfg["sigma"])
-    times = np.linspace(0.0, args.tmax, TRAJECTORY_SAMPLES)
+    times = np.asarray(linspace(0.0, args.tmax, TRAJECTORY_SAMPLES))
     with np.errstate(all="ignore"):  # an overflowing path is exit 1, below
         positions = scaling_solution(params, init, args.x_start, times)
         finite = np.isfinite(positions).all()
@@ -447,6 +473,7 @@ def cmd_partition(args) -> Result:
 
 def cmd_verify(args) -> int:
     """Print (and with --out also write) the text report; return the exit code."""
+    from .verify import run_verification  # here, so other commands skip it
     report = run_verification(q_scale=args.inject_q_scale)
     text = report.render() + "\n"
     if args.out:

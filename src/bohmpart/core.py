@@ -6,6 +6,14 @@ and hbar is a field of the system record, 1 by default, so with m = omega = 1
 energies come out in units of m*omega^2*x0^2 and times in 1/omega.  Every
 numerical integral in the package goes through integrate_window: one
 Gauss-Legendre box rule, its window and tolerances fixed.
+
+numpy loads on first use.  `np` here is a small stand-in for the module that
+imports numpy when one of its attributes is first read and then keeps that
+attribute on itself, so later reads such as np.exp are plain attribute hits.
+The other modules take `np` from here, so `import bohmpart` and the
+closed-form subcommands (`partition`, `limits`), which need only `math`,
+never import numpy; an array kernel, an oracle or integrate_window loads it
+when it first runs.
 """
 
 from __future__ import annotations
@@ -15,7 +23,18 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
+
+class _LazyNumpy:
+    """numpy, imported when an attribute is first read (module docstring)."""
+
+    def __getattr__(self, name: str):
+        import numpy
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _LazyNumpy()
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
 from .core import (WINDOW_SIGMAS, DivergentIntegral, SystemParams,
-                   ThermalSpec, check_scale, integrate_window)
+                   ThermalSpec, check_scale, integrate_window, np)
 from .wavepacket import (WavepacketInit, energy_dt, energy_pointwise, evolve,
                          _energy_coefficients, _log_density, _log_density_dt)
 

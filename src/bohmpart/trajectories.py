@@ -28,9 +28,7 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Sequence, Union
 
-import numpy as np
-
-from .core import StepFailure, SystemParams
+from .core import StepFailure, SystemParams, np
 from .wavepacket import WavepacketInit, WavepacketState, evolve, phase_gradient
 
 _REL_TOL, _ABS_TOL = 1e-9, 1e-12  # Dormand-Prince, see RK45Adaptive

@@ -31,11 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .bath import BathSpec, Oscillator, unified_bath_Z
 from .core import SystemParams, ThermalSpec, free_system, harmonic_system, \
-    potential_value
+    np, potential_value
 from .numdiff import central_first, central_second
 from .partition import marginal_Z, marginal_Z_derivative, unified_integral
 from .trajectories import quantum_force

@@ -36,10 +36,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .core import (WINDOW_SIGMAS, Grid1D, SystemParams,
-                   TruncationInsufficient, check_scale, integrate_window)
+                   TruncationInsufficient, check_scale, integrate_window, np)
 
 
 @dataclass(frozen=True)

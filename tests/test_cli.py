@@ -1,10 +1,14 @@
 import json
+import math
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 
 # A child process turns RuntimeWarning into an error, as pytest does in
@@ -80,6 +84,114 @@ def test_import_leaves_scipy_out():
     assert cp.stderr.strip() == "False"
 
 
+def test_import_and_closed_form_commands_leave_numpy_out(tmp_path: Path):
+    """The import, partition (CSV, and JSON with a manifest) and limits
+    never load numpy; verify and partition --oracle load it when they first
+    build an array, and still pass."""
+    out = tmp_path / "z.json"
+    cp = subprocess.run(
+        [*PYTHON, "-c",
+         "import sys, bohmpart, bohmpart.cli as c\n"
+         "assert 'numpy' not in sys.modules\n"
+         "assert c.main(['partition']) == 0\n"
+         f"assert c.main(['partition', '--format', 'json', '--out', {str(out)!r}]) == 0\n"
+         "assert c.main(['limits', '--var', 'sigma', '--start', '1', "
+         "'--stop', '0.125', '--num', '8', '--fixed-msigma2']) == 0\n"
+         "assert 'numpy' not in sys.modules\n"
+         "assert c.main(['verify']) == 0\n"
+         "assert c.main(['partition', '--oracle']) == 0\n"
+         "assert 'numpy' in sys.modules\n"],
+        capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(Path(f"{out}.manifest.json").read_text())["digest"]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _grid_args(draw):
+    """(start, stop, num): any finite span, start == stop, or a span of a
+    few ulps, whose step underflows to 0 where the span is subnormal."""
+    kind = draw(st.sampled_from(["any", "equal", "ulps", "subnormal"]))
+    start = draw(st.floats(-1e-320, 1e-320) if kind == "subnormal"
+                 else _FINITE)
+    if kind == "any":
+        stop = draw(_FINITE)
+    else:
+        stop = start
+        toward = draw(st.sampled_from([-math.inf, math.inf]))
+        for _ in range(0 if kind == "equal" else draw(st.integers(1, 3))):
+            stop = math.nextafter(stop, toward)
+    return start, stop, draw(st.integers(1, 500))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(args=_grid_args())
+@example(args=(0.0, 4 * math.pi, 400))
+@example(args=(1.0, 0.125, 8))  # a reversed range
+@example(args=(0.0, 5e-324, 3))  # step underflows to 0
+@example(args=(5e-324, -5e-324, 500))
+@example(args=(-0.0, -0.0, 2))
+@example(args=(-1e308, 1e308, 5))  # the span overflows
+def test_cli_linspace_is_numpy_linspace(args):
+    """The CLI's grid equals np.linspace element for element, by == and
+    by the sign of zero."""
+    from bohmpart.cli import linspace
+    start, stop, num = args
+    with np.errstate(all="ignore"):  # a span past the doubles, in both
+        want = np.linspace(start, stop, num).tolist()
+    got = linspace(start, stop, num)
+    assert len(got) == num and all(type(x) is float for x in got)
+    for g, w in zip(got, want):
+        if math.isnan(w):
+            assert math.isnan(g)
+        else:
+            assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w)
+
+
+# SHA-256 digests of the payload of each README CLI line but verify, which
+# emits no payload.  They were measured with numpy 2.4 on x86-64 (AVX-512)
+# and are the digests of the code before numpy became a lazy import.
+# fig1, marginal, bath, trajectory and partition --oracle sum numpy's
+# vectorised exp and cos, which may round differently on another CPU; if
+# they move there, re-measure the pins on the previous commit.
+README_DIGESTS = {
+    "bohmpart fig1 --out fig1.csv":
+        "b3f591af8f1d9d5839902ca8522650806094e5c8f2ae4642cb52c938c68c592c",
+    "bohmpart fig1 --sigma 0.45 --kbt 2 --kbt 5 --samples 400":
+        "2769b90aad82775a6f382e31333c98f3d7dcf3212cbf2c6c2487f7808ac34994",
+    "bohmpart marginal --sigma 0.5 --kbt 3 --format json --out curve.json":
+        "a8df65a17b2b0898b0a5c5fcd1b0079d3251c2cab116cd70a3faf4ba63f615b6",
+    "bohmpart limits --var sigma --start 1.0 --stop 0.125 --num 8 "
+    "--fixed-msigma2":
+        "e56e6ae33bb90cb819f8d09197daa61c924167955f8eeb0329bec0c66a4d4f84",
+    "bohmpart bath --n 10 --sigma 5.0 --beta 1.0 --out bath.csv":
+        "99ee25e89062cde07fbc1bd7ce207773053bbf582f2516c71f4d6cc8247892eb",
+    "bohmpart trajectory --x-start 1.45 --tmax 5 --out path.csv":
+        "88a669f0db25e8cff7a972d15ef7cb3664f9e33621668f5d018a6c883d38a0a8",
+    "bohmpart partition --kbt 1.0 --sigma 1.0 --oracle":
+        "6332e6acee467cc1e5e942ffc3cf76185d757a3de4d1a19bf7b010b981adeff6",
+}
+
+
+def test_readme_cli_digests_are_pinned(tmp_path: Path, capsys):
+    from bohmpart import cli
+    lines = [line for line in _readme_cli_lines()
+             if not line.startswith("bohmpart verify")]
+    assert set(lines) == set(README_DIGESTS)
+    for n, line in enumerate(lines):
+        argv = shlex.split(line)[1:]
+        if "--out" not in argv:
+            argv += ["--out", f"run{n}.out"]
+        at = argv.index("--out") + 1
+        argv[at] = out = str(tmp_path / argv[at])
+        assert cli.main(argv) == 0, line
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["digest"] == README_DIGESTS[line], line
+    capsys.readouterr()
+
+
 def _readme_cli_lines() -> list[str]:
     """The `bohmpart ...` lines of README's `## CLI` code block."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -90,7 +202,6 @@ def _readme_cli_lines() -> list[str]:
 
 
 def test_readme_cli_block_runs(tmp_path: Path, capsys):
-    import shlex
     from bohmpart import cli
     runs = [shlex.split(line)[1:] for line in _readme_cli_lines()]
     # every subcommand: those READS lists, and verify, which reads no key
@@ -406,6 +517,16 @@ def _exit_1_naming(capsys, argv, name):
     (["bath", "--omega-max", "1e300"], "omega"),
     (["bath", "--coupling", "1e300"], "coupling"),
     (["bath", "--omega-max", "1e-310"], "omega"),
+    (["limits", "--var", "kbt", "--start", "1", "--stop", "2", "--sigma",
+      "1e200"], "sigma"),
+    (["limits", "--var", "sigma", "--start", "1e200", "--stop", "2e200",
+      "--fixed-msigma2"], "sigma"),
+    (["limits", "--var", "sigma", "--start", "0", "--stop", "1",
+      "--num", "3", "--fixed-msigma2"], "sigma"),
+    (["bath", "--kernel-tmax", "1e300", "--omega-max", "1e75",
+      "--kernel-samples", "3"], "--kernel-tmax"),
+    (["bath", "--kernel-tmax=-1e300", "--omega-max", "1e75",
+      "--kernel-samples", "3", "--format", "json"], "--kernel-tmax"),
 ])
 def test_input_the_subcommand_cannot_honour_exit_1(capsys, argv, name):
     _exit_1_naming(capsys, argv, name)
