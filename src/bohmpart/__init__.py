@@ -10,21 +10,18 @@ from .core import (DivergentIntegral, Grid1D, QuadratureFailure,
                    StepFailure, SystemParams, ThermalSpec,
                    TruncationInsufficient, free_system, harmonic_system,
                    potential_value)
-from .wavepacket import (SpectralDecomposition, WavepacketInit,
-                         WavepacketState, density, energy_pointwise, evolve,
-                         mean_energy, phase_gradient, quantum_potential,
-                         spectral_project)
+from .wavepacket import (WavepacketInit, WavepacketState, density,
+                         energy_pointwise, evolve, mean_energy, phase_gradient,
+                         quantum_potential, spectral_project)
 from .trajectories import (RK4Fixed, RK45Adaptive, TrajectoryConfig,
-                           TrajectoryPath, bohmian_velocity,
-                           equivariance_check, integrate, quantum_force)
-from .partition import (AverageEnergyMode, CriterionReport, PartitionResult,
-                        average_energy, classical_Z, classicality_criterion,
+                           bohmian_velocity, equivariance_check, integrate,
+                           quantum_force)
+from .partition import (CriterionReport, classical_Z, classicality_criterion,
                         gaussian_correction, gaussian_correction_integral,
                         marginal_Z, marginal_Z_derivative, marginal_curve,
                         phase_space_integral, quantum_Z, unified_Z_gaussian,
                         unified_integral)
-from .bath import (BathInitialState, BathSpec, Oscillator, bath_classicality,
-                   classical_bath_Z, large_N_ratio, memory_kernel,
-                   noise_force, unified_bath_Z, uniform_bath)
+from .bath import (BathSpec, Oscillator, bath_classicality, classical_bath_Z,
+                   large_N_ratio, memory_kernel, unified_bath_Z, uniform_bath)
 
 __version__ = "0.1.0"

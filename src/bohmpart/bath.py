@@ -1,4 +1,4 @@
-"""Harmonic-bath crossover: kernel, noise force, and bath partition functions.
+"""Harmonic-bath crossover: memory kernel and bath partition functions.
 
 A tagged particle at q couples bilinearly to N oscillators; the bath
 Hamiltonian is a sum of completed squares
@@ -27,10 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ThermalSpec, check_scale, np
-from .partition import (CriterionReport, PartitionResult,
-                        classicality_criterion, gaussian_correction,
-                        quantum_ratio)
+from .core import ThermalSpec, _finite_positive, check_scale, np
+from .partition import (CriterionReport, classicality_criterion,
+                        gaussian_correction, quantum_ratio)
 
 
 @dataclass(frozen=True)
@@ -67,16 +66,6 @@ class BathSpec:
         return len(self.oscillators)
 
 
-@dataclass(frozen=True)
-class BathInitialState:
-    positions: tuple[float, ...]
-    momenta: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.positions) != len(self.momenta):
-            raise ValueError("positions and momenta must have equal length")
-
-
 def uniform_bath(n: int, m0: float = 1.0, omega_max: float = 1.0,
                  coupling_scale: float = 1.0, sigma: float = 1.0,
                  q0: float = 0.0) -> BathSpec:
@@ -93,31 +82,7 @@ def memory_kernel(bath: BathSpec, t) -> float | np.ndarray:
                for o in bath.oscillators)
 
 
-def noise_force(bath: BathSpec, init: BathInitialState, t) -> float | np.ndarray:
-    """Stochastic force from the bath initial conditions.
-
-    F(t) = sum_a { m_a c_a [X_a(0) - c_a q0 / w_a^2] cos(w_a t)
-                   + c_a P_a(0) sin(w_a t) / w_a }.
-    """
-    if len(init.positions) != bath.size:
-        raise ValueError("initial state size does not match bath size")
-    out = 0.0
-    for o, x_a, p_a in zip(bath.oscillators, init.positions, init.momenta):
-        shift = x_a - o.coupling * bath.q0 / o.omega**2
-        out = out + o.mass * o.coupling * shift * np.cos(o.omega * t) \
-            + o.coupling * p_a * np.sin(o.omega * t) / o.omega
-    return out
-
-
-def _finite_positive(name: str, value: float) -> float:
-    """value, or ValueError naming it unless it is a positive finite double."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} = {value:g}: a product over the "
-                         "oscillators leaves the range of a double")
-    return value
-
-
-def classical_bath_Z(bath: BathSpec, thermal: ThermalSpec) -> PartitionResult:
+def classical_bath_Z(bath: BathSpec, thermal: ThermalSpec) -> float:
     """Z_B = prod_a 2 pi / (beta w_a), raw measure; ValueError where the
     product leaves the range of a double.
 
@@ -127,11 +92,11 @@ def classical_bath_Z(bath: BathSpec, thermal: ThermalSpec) -> PartitionResult:
     val = 1.0
     for o in bath.oscillators:
         val *= 2.0 * math.pi / (thermal.beta * o.omega)
-    return PartitionResult(_finite_positive("z_b", val), 0.0)
+    return _finite_positive("z_b", val)
 
 
 def unified_bath_Z(bath: BathSpec, thermal: ThermalSpec, hbar: float = 1.0
-                   ) -> tuple[PartitionResult, PartitionResult]:
+                   ) -> tuple[float, float]:
     """Bath partition function with the hidden coordinates integrated out.
 
     Returns (exact, with_2pi): the exact result multiplies Z_B by
@@ -142,7 +107,7 @@ def unified_bath_Z(bath: BathSpec, thermal: ThermalSpec, hbar: float = 1.0
     first oscillator whose ratio is >= 1; ValueError where Z_B, the product
     of the factors or either result leaves the range of a double.
     """
-    z_b = classical_bath_Z(bath, thermal).value
+    z_b = classical_bath_Z(bath, thermal)
     factor = 1.0
     for o in bath.oscillators:
         factor *= gaussian_correction(o.mass, bath.sigma, thermal, hbar)
@@ -151,9 +116,8 @@ def unified_bath_Z(bath: BathSpec, thermal: ThermalSpec, hbar: float = 1.0
         per_2pi = (2.0 * math.pi) ** bath.size
     except OverflowError:
         per_2pi = math.inf
-    exact = _finite_positive("z_b_unified_exact", z_b * factor)
-    printed = _finite_positive("z_b_unified_with_2pi", z_b * factor * per_2pi)
-    return PartitionResult(exact, 0.0), PartitionResult(printed, 0.0)
+    return (_finite_positive("z_b_unified_exact", z_b * factor),
+            _finite_positive("z_b_unified_with_2pi", z_b * factor * per_2pi))
 
 
 def large_N_ratio(n: int, m0: float, sigma: float, thermal: ThermalSpec,

@@ -309,9 +309,9 @@ def cmd_limits(args) -> Result:
         thermal = ThermalSpec.from_kbt(local["kbt"])
         ratio = quantum_ratio(local["mass"], local["sigma"], thermal,
                               local["hbar"])
-        z_cl = classical_Z(params, thermal).value
+        z_cl = classical_Z(params, thermal)
         try:
-            z_u = unified_Z_gaussian(params, local["sigma"], thermal).value
+            z_u = unified_Z_gaussian(params, local["sigma"], thermal)
         except DivergentIntegral:
             rows.append([v, math.nan, z_cl, math.nan, ratio, "divergent"])
         else:
@@ -395,10 +395,10 @@ def cmd_bath(args) -> Result:
     large_n = (large_N_ratio(bath.size, masses.pop(), bath.sigma, thermal, hbar)
                if len(masses) == 1 else (math.nan,) * 3)
     summary = [
-        ["z_b", z_b.value],
-        ["z_b_unified_exact", exact.value],
-        ["z_b_unified_with_2pi", printed.value],
-        ["correction_factor", exact.value / z_b.value],
+        ["z_b", z_b],
+        ["z_b_unified_exact", exact],
+        ["z_b_unified_with_2pi", printed],
+        ["correction_factor", exact / z_b],
         *zip(("large_n_factor_approx", "large_n_factor_exact",
               "large_n_rel_err"), large_n),
     ]
@@ -439,13 +439,10 @@ def cmd_partition(args) -> Result:
     thermal = ThermalSpec.from_kbt(cfg["kbt"])
     crit = classicality_criterion(cfg["mass"], cfg["sigma"], thermal,
                                   cfg["hbar"])
-    rows = []
-    z_cl = classical_Z(params, thermal)
-    rows.append(["z_classical", "closed_form", z_cl.value, z_cl.est_error])
-    z_q = quantum_Z(params, thermal)
-    rows.append(["z_quantum", "eigen_sum", z_q.value, z_q.est_error])
-    rows.append(["z_quantum", "closed_form",
-                 quantum_Z_closed_form(params, thermal), 0.0])
+    rows = [["z_classical", "closed_form", classical_Z(params, thermal), 0.0],
+            ["z_quantum", "eigen_sum", *quantum_Z(params, thermal)],
+            ["z_quantum", "closed_form",
+             quantum_Z_closed_form(params, thermal), 0.0]]
     try:
         c = gaussian_correction(cfg["mass"], cfg["sigma"], thermal, cfg["hbar"])
         z_u = unified_Z_gaussian(params, cfg["sigma"], thermal)
@@ -454,7 +451,7 @@ def cmd_partition(args) -> Result:
         rows.append(["z_unified", "divergent", math.nan, math.nan])
     else:
         rows.append(["gaussian_correction", "closed_form", c, 0.0])
-        rows.append(["z_unified", "closed_form", z_u.value, z_u.est_error])
+        rows.append(["z_unified", "closed_form", z_u, 0.0])
         if args.oracle:
             m, w, hbar = params.mass, params.omega, params.hbar
             norm = 2.0 * math.pi * hbar

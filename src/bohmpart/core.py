@@ -71,6 +71,13 @@ def check_scale(key: str, value: float) -> None:
                          "where its powers overflow or underflow")
 
 
+def _finite_positive(name: str, value: float) -> float:
+    """value, or ValueError naming it unless it is a positive finite double."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} = {value!r} is not a positive finite double")
+    return value
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Single particle in V(x) = m*omega^2*x^2/2; omega = 0 is the free particle."""
@@ -145,10 +152,6 @@ class Grid1D:
     @property
     def points(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n)
-
-    @property
-    def spacing(self) -> float:
-        return (self.hi - self.lo) / (self.n - 1)
 
 
 # ---------------------------------------------------------------------------

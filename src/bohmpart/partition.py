@@ -2,9 +2,10 @@
 
 Conventions
 -----------
-* classical_Z, gaussian_correction and unified_Z_gaussian each have one
-  code path, their closed form.  The phase-space measure is
-  dGamma = dx dp / (2 pi hbar); ratios such as Z_u/Z_cl do not depend on it.
+* Every closed-form partition function is a float.  classical_Z is 1/x
+  with x = beta hbar omega, and unified_Z_gaussian is classical_Z times
+  gaussian_correction, so the phase-space measure dGamma = dx dp / (2 pi hbar)
+  enters once; ratios such as Z_u/Z_cl do not depend on it.
 * The unified Gaussian form integrates the packet density against
   exp(-beta E) over the hidden coordinate and the trajectory initial
   conditions.  The x-integral converges only while
@@ -21,42 +22,27 @@ Conventions
   a box of WINDOW_SIGMAS standard deviations per axis to core's tolerances,
   returns the raw-measure (value, est_error) with est_error the difference
   between the last two rules of the ladder, and calls no closed form it checks.
+  quantum_Z returns the same (value, est_error) shape, with est_error the
+  dropped tail of the eigenvalue sum.
 * The marginal partition function at fixed (x0, p0) keeps the single
   prepared packet in the distribution sum; it is evaluated by Gauss-Legendre
   quadrature (core.integrate_window) of exp(log P - beta E) with the window
   sized from the completed square of the full exponent.  Its time
   derivative is that Z times a two-point Gauss-Hermite mean of the rate
   brackets, exact because they are quadratic in x.
-* average_energy and heat_capacity are closed forms, the exact
-  -d log Z/d beta and -beta^2 d<E>/d beta (in units of k_B) of each mode's
-  Z.  The tests hold them to finite differences (numdiff) of log quantum_Z
-  and log unified_Z_gaussian, and the classical <H> to the ratio of two
-  phase_space_integral calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 from .core import (WINDOW_SIGMAS, DivergentIntegral, SystemParams,
-                   ThermalSpec, check_scale, integrate_window, np)
+                   ThermalSpec, _finite_positive, check_scale,
+                   integrate_window, np)
 from .wavepacket import (WavepacketInit, energy_dt, energy_pointwise, evolve,
                          _energy_coefficients, _log_density, _log_density_dt)
-
-
-@dataclass(frozen=True)
-class PartitionResult:
-    value: float
-    est_error: float
-
-    def __post_init__(self):
-        if not 0 < self.value < math.inf:
-            raise ValueError("partition value must be positive and finite")
-        if self.est_error < 0:
-            raise ValueError("est_error must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -101,58 +87,67 @@ LADDER_X_MIN, LADDER_X_MAX = 1e-305, 1400.0
 
 def _ladder_x(params: SystemParams, thermal: ThermalSpec,
               x_max: float = LADDER_X_MAX) -> float:
-    """x = beta hbar omega, or ValueError outside [LADDER_X_MIN, x_max]."""
+    """x = beta hbar omega, or ValueError unless it is a finite double in
+    [LADDER_X_MIN, x_max]."""
     x = thermal.beta * params.hbar * params.omega
-    if not LADDER_X_MIN <= x <= x_max:
-        raise ValueError(f"beta hbar omega = {x:g} lies outside "
-                         f"[{LADDER_X_MIN:g}, {x_max:g}], where a partition "
+    if not (LADDER_X_MIN <= x <= x_max and x < math.inf):
+        upper = f"{x_max:g}" if x_max < math.inf else "finite"
+        raise ValueError(f"beta hbar omega = {x!r} lies outside "
+                         f"[{LADDER_X_MIN:g}, {upper}], where a partition "
                          "function of the ladder leaves the range of a double")
     return x
 
 
-def classical_Z(params: SystemParams, thermal: ThermalSpec) -> PartitionResult:
-    """Phase-space integral of exp(-beta H); closed form k_B T/(hbar omega).
+def classical_Z(params: SystemParams, thermal: ThermalSpec) -> float:
+    """Phase-space integral of exp(-beta H) dx dp / (2 pi hbar); closed form
+    1/x = k_B T/(hbar omega), a positive finite double.
 
     Only the harmonic well has a convergent configuration integral; the free
-    particle raises DivergentIntegral, and beta hbar omega < LADDER_X_MIN a
-    ValueError.  Oracle: phase_space_integral.
+    particle raises DivergentIntegral, and an x = beta hbar omega below
+    LADDER_X_MIN or not finite a ValueError.  Oracle: phase_space_integral.
     """
     if not params.is_harmonic:
         raise DivergentIntegral("free particle: unbounded configuration integral")
-    _ladder_x(params, thermal, math.inf)
-    norm = 2.0 * math.pi * params.hbar
-    return PartitionResult(2.0 * math.pi / (thermal.beta * params.omega) / norm,
-                           0.0)
+    return 1.0 / _ladder_x(params, thermal, math.inf)
+
+
+def _x_window(m: float, w: float, beta: float) -> float:
+    """Half-width of an oracle's x window, WINDOW_SIGMAS standard deviations
+    of exp(-beta m w^2 x^2/2); ValueError naming omega where its square,
+    which the integrand forms, is not a finite double."""
+    half = WINDOW_SIGMAS * (1.0 / math.sqrt(beta * m) / w)
+    if not math.isfinite(half * half):
+        raise ValueError(f"omega = {w!r}: the oracle's x window {half:g} "
+                         "squared is not a finite double")
+    return half
 
 
 def phase_space_integral(m: float, w: float, thermal: ThermalSpec,
-                         center: float = 0.0, times_energy: bool = False
-                         ) -> tuple[float, float]:
-    """(value, error) of the raw-measure integral of [H] exp(-beta H) dx dp.
+                         center: float = 0.0) -> tuple[float, float]:
+    """(value, error) of the raw-measure integral of exp(-beta H) dx dp.
 
-    H = p^2/2m + m w^2 (x - center)^2 / 2; the bracketed factor H is
-    included when times_energy is set.  Divide by 2 pi hbar for classical_Z.
+    H = p^2/2m + m w^2 (x - center)^2 / 2.  Divide by 2 pi hbar for
+    classical_Z.
     """
     beta = thermal.beta
-    ws = WINDOW_SIGMAS
-    sx = 1.0 / math.sqrt(beta * m) / w
-    sp = math.sqrt(m / beta)
+    half = _x_window(m, w, beta)
+    sp = WINDOW_SIGMAS * math.sqrt(m / beta)
 
     def f(x, p):
-        h = p * p / (2 * m) + 0.5 * m * w * w * (x - center) ** 2
-        boltz = np.exp(-beta * h)
-        return h * boltz if times_energy else boltz
+        return np.exp(-beta * (p * p / (2 * m)
+                               + 0.5 * m * w * w * (x - center) ** 2))
 
-    return integrate_window(f, (center - ws * sx, -ws * sp),
-                            (center + ws * sx, ws * sp))
+    return integrate_window(f, (center - half, -sp), (center + half, sp))
 
 
 # Bound on the dropped tail of quantum_Z's eigenvalue sum, relative to the sum.
 TAIL_TOL = 1e-14
 
 
-def quantum_Z(params: SystemParams, thermal: ThermalSpec) -> PartitionResult:
-    """Eigenvalue sum over the harmonic ladder, truncated at the tail bound.
+def quantum_Z(params: SystemParams, thermal: ThermalSpec
+              ) -> tuple[float, float]:
+    """(value, tail) of the eigenvalue sum over the harmonic ladder,
+    truncated at the tail bound.
 
     The K kept terms exp(-x (k + 1/2)), x = beta hbar omega, are summed as
     the finite geometric series exp(-x/2) (1 - exp(-x K)) / (1 - exp(-x)),
@@ -170,7 +165,7 @@ def quantum_Z(params: SystemParams, thermal: ThermalSpec) -> PartitionResult:
                                 + math.log(1.0 / gap)) / x) + 2)
     partial = math.exp(-0.5 * x) * math.expm1(-x * n_terms) / math.expm1(-x)
     tail = math.exp(-x * (n_terms + 0.5)) / gap
-    return PartitionResult(partial, tail)
+    return partial, tail
 
 
 def quantum_Z_closed_form(params: SystemParams, thermal: ThermalSpec) -> float:
@@ -200,36 +195,35 @@ def gaussian_correction_integral(m: float, sigma: float, thermal: ThermalSpec,
     """(value, error) of integral P_G(u) exp(-beta Q(u)) du, the factor C.
 
     P_G is the normalized packet density of width sigma and Q its quantum
-    potential hbar^2/(4 m sigma^2) - hbar^2 u^2/(8 m sigma^4).
+    potential hbar^2/(4 m sigma^2) - hbar^2 u^2/(8 m sigma^4), so the
+    exponent is -r - (1 - r) u^2/(2 sigma^2) with r = quantum_ratio.  The
+    two u^2 terms are summed as the factor 1 - r before they multiply u^2:
+    near r = 1 each alone is huge at the window's edge, and their
+    difference would be lost to rounding.
     """
     r = _convergent_ratio(m, sigma, thermal, hbar)
-    beta = thermal.beta
     sig_eff = sigma / math.sqrt(1.0 - r)
     half = WINDOW_SIGMAS * sig_eff
 
     def f(u):
-        qpot = hbar**2 / (4 * m * sigma**2) - hbar**2 * u * u / (8 * m * sigma**4)
-        return np.exp(-u * u / (2 * sigma**2) - beta * qpot) \
+        return np.exp(-r - (1.0 - r) * u * u / (2 * sigma**2)) \
             / (math.sqrt(2 * math.pi) * sigma)
 
     return integrate_window(f, -half, half)
 
 
 def unified_Z_gaussian(params: SystemParams, sigma: float,
-                       thermal: ThermalSpec) -> PartitionResult:
+                       thermal: ThermalSpec) -> float:
     """Unified partition function for the prepared Gaussian ensemble.
 
     Triple integral over trajectory initial conditions (x0, p0) and the
     hidden coordinate x of P_G(x; x0) exp(-beta E(x; x0, p0)) at t = 0.
-    Factorizes exactly into sqrt(2 pi m/beta) * C * integral exp(-beta V);
-    unified_integral performs the honest nested integral instead.
+    Factorizes exactly into classical_Z * C; unified_integral performs the
+    honest nested integral instead.  ValueError naming z_unified where the
+    product is not a positive finite double.
     """
-    if not params.is_harmonic:
-        raise DivergentIntegral("free particle: unbounded x0 integral")
     c = gaussian_correction(params.mass, sigma, thermal, params.hbar)
-    zcl_raw = 2.0 * math.pi / (thermal.beta * params.omega)
-    norm = 2.0 * math.pi * params.hbar
-    return PartitionResult(zcl_raw * c / norm, 0.0)
+    return _finite_positive("z_unified", classical_Z(params, thermal) * c)
 
 
 def unified_integral(m: float, w: float, sigma: float, thermal: ThermalSpec,
@@ -238,27 +232,31 @@ def unified_integral(m: float, w: float, sigma: float, thermal: ThermalSpec,
 
     Axes are the initial conditions (x0, p0) and u = x - x0, with
     E = p0^2/2m + m w^2 (x0 - center)^2/2 + hbar^2/(4 m sigma^2)
-    - hbar^2 u^2/(8 m sigma^4) at t = 0.  The exponents are summed before
+    - hbar^2 u^2/(8 m sigma^4) at t = 0.  The u^2 terms of log P_G and
+    -beta E are summed as -(1 - r) u^2/(2 sigma^2), r = quantum_ratio, as
+    in gaussian_correction_integral, and all exponents are summed before
     exponentiating, since near r = 1 the u-window reaches where
     exp(-beta E) alone overflows.  Divide by 2 pi hbar for
     unified_Z_gaussian.
     """
     beta = thermal.beta
     ws = WINDOW_SIGMAS
-    sx0 = 1.0 / math.sqrt(beta * m) / w
+    r = _convergent_ratio(m, sigma, thermal, hbar)
+    sig_eff = sigma / math.sqrt(1.0 - r)
+    half = _x_window(m, w, beta)
     sp0 = math.sqrt(m / beta)
-    sig_eff = sigma / math.sqrt(1.0 - _convergent_ratio(m, sigma, thermal, hbar))
     log_pref = -0.5 * math.log(2 * math.pi * sigma**2)
     const_q = hbar**2 / (4 * m * sigma**2)
 
     def f(x0, p0, u):
         energy = (p0 * p0 / (2 * m) + 0.5 * m * w * w * (x0 - center) ** 2
-                  + const_q - hbar**2 * u * u / (8 * m * sigma**4))
-        return np.exp(log_pref - u * u / (2 * sigma**2) - beta * energy)
+                  + const_q)
+        return np.exp(log_pref - (1.0 - r) * u * u / (2 * sigma**2)
+                      - beta * energy)
 
     return integrate_window(
-        f, (center - ws * sx0, -ws * sp0, -ws * sig_eff),
-        (center + ws * sx0, ws * sp0, ws * sig_eff))
+        f, (center - half, -ws * sp0, -ws * sig_eff),
+        (center + half, ws * sp0, ws * sig_eff))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +368,7 @@ def marginal_curve(params: SystemParams, init: WavepacketInit,
 
 
 # ---------------------------------------------------------------------------
-# Classicality criterion and average energy
+# Classicality criterion
 # ---------------------------------------------------------------------------
 
 def classicality_criterion(m: float, sigma: float, thermal: ThermalSpec,
@@ -381,67 +379,3 @@ def classicality_criterion(m: float, sigma: float, thermal: ThermalSpec,
     t_min = hbar**2 / (4.0 * m * sigma**2)
     lam = math.sqrt(2.0 * math.pi * hbar**2 * thermal.beta / m)
     return CriterionReport(t_min, ratio, ratio < 1.0, lam)
-
-
-class AverageEnergyMode(Enum):
-    QUANTUM_EIGEN = "quantum_eigen"
-    CLASSICAL_LIMIT = "classical_limit"
-    UNIFIED_GAUSSIAN = "unified_gaussian"
-
-
-def _mode_variable(mode: AverageEnergyMode, params: SystemParams,
-                   thermal: ThermalSpec, sigma: float) -> float:
-    """x = beta hbar w for QUANTUM_EIGEN, else r = beta hbar^2/(4 m sigma^2).
-
-    DivergentIntegral for the free particle and, in the unified mode, at
-    r >= 1; ValueError for a non-finite or non-positive sigma.
-    """
-    if not params.is_harmonic:
-        raise DivergentIntegral("free particle: no normalizable thermal state")
-    m, hbar = params.mass, params.hbar
-    if mode is AverageEnergyMode.QUANTUM_EIGEN:
-        return thermal.beta * hbar * params.omega
-    if mode is AverageEnergyMode.CLASSICAL_LIMIT:
-        return quantum_ratio(m, sigma, thermal, hbar)
-    if mode is AverageEnergyMode.UNIFIED_GAUSSIAN:
-        return _convergent_ratio(m, sigma, thermal, hbar)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def average_energy(mode: AverageEnergyMode, params: SystemParams,
-                   thermal: ThermalSpec, sigma: float) -> float:
-    """<E> = -d log Z/d beta of the mode's Z, exactly, with x = beta hbar w
-    and r = beta hbar^2/(4 m sigma^2):
-
-    QUANTUM_EIGEN    : (x/2) / tanh(x/2) / beta, of quantum_Z
-    CLASSICAL_LIMIT  : (1 + r) / beta, the classical <H> = 1/beta plus the
-                       quantum potential at the packet centre
-    UNIFIED_GAUSSIAN : (1 + r - r/(2 (1 - r))) / beta, of unified_Z_gaussian
-
-    As r -> 0 the unified mode tends to (1 + r/2) / beta, the packet average
-    of the quantum potential in place of its centre value, so the two
-    sigma-dependent modes differ by r/(2 beta) there.
-    """
-    v = _mode_variable(mode, params, thermal, sigma)
-    if mode is AverageEnergyMode.QUANTUM_EIGEN:
-        return 0.5 * v / math.tanh(0.5 * v) / thermal.beta
-    if mode is AverageEnergyMode.CLASSICAL_LIMIT:
-        return (1.0 + v) / thermal.beta
-    return (1.0 + v - 0.5 * v / (1.0 - v)) / thermal.beta
-
-
-def heat_capacity(mode: AverageEnergyMode, params: SystemParams,
-                  thermal: ThermalSpec, sigma: float) -> float:
-    """C = -beta^2 d<E>/d beta in units of k_B, exactly, with x and r as in
-    average_energy:
-
-    QUANTUM_EIGEN    : [x exp(-x/2) / (1 - exp(-x))]^2
-    CLASSICAL_LIMIT  : 1
-    UNIFIED_GAUSSIAN : 1 + r^2 / (2 (1 - r)^2)
-    """
-    v = _mode_variable(mode, params, thermal, sigma)
-    if mode is AverageEnergyMode.QUANTUM_EIGEN:
-        return (v * math.exp(-0.5 * v) / -math.expm1(-v)) ** 2
-    if mode is AverageEnergyMode.CLASSICAL_LIMIT:
-        return 1.0
-    return 1.0 + v * v / (2.0 * (1.0 - v) ** 2)

@@ -294,7 +294,3 @@ def equivariance_check(params: SystemParams, init: WavepacketInit,
         worst = max(worst, abs(achieved - c))
     return worst
 
-
-def classical_force(params: SystemParams, x):
-    """-V'(x) = -m omega^2 x: the classical part of the Newton-like law."""
-    return -params.mass * params.omega**2 * x

@@ -276,7 +276,6 @@ class SpectralDecomposition:
     """Overlap coefficients of the packet with harmonic eigenstates 0..K."""
 
     coefficients: np.ndarray
-    truncation: int
     eigenenergies: np.ndarray
 
     @property
@@ -354,7 +353,7 @@ def spectral_project(state: WavepacketState, basis_size: int,
         raise TruncationInsufficient(
             f"basis of size {basis_size} captures only {captured:.12f} of the norm")
     energies = hbar * w * (np.arange(basis_size + 1) + 0.5)
-    return SpectralDecomposition(coeffs, basis_size, energies)
+    return SpectralDecomposition(coeffs, energies)
 
 
 def packet_mean_energy_exact(params: SystemParams, init: WavepacketInit) -> float:

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bohmpart import (BathInitialState, BathSpec, DivergentIntegral,
-                      Oscillator, ThermalSpec, bath_classicality,
-                      classical_bath_Z, large_N_ratio, memory_kernel,
-                      noise_force, phase_space_integral, unified_bath_Z,
+from bohmpart import (BathSpec, DivergentIntegral, Oscillator, ThermalSpec,
+                      bath_classicality, classical_bath_Z, large_N_ratio,
+                      memory_kernel, phase_space_integral, unified_bath_Z,
                       unified_integral, uniform_bath)
 
 
@@ -15,7 +14,7 @@ def single(m=1.0, w=1.0, c=1.0, sigma=1.0, q0=0.0):
 
 
 # ---------------------------------------------------------------------------
-# kernel and noise
+# memory kernel
 # ---------------------------------------------------------------------------
 
 def test_memory_kernel_at_zero_sums_static_friction():
@@ -39,46 +38,18 @@ def test_memory_kernel_even_and_bounded():
         assert nu0 >= abs(memory_kernel(bath, t)) - 1e-12
 
 
-def test_noise_force_at_zero_time():
-    bath = BathSpec((Oscillator(2.0, 1.5, 0.7),), 1.0, q0=0.4)
-    init = BathInitialState((1.1,), (0.3,))
-    expected = 2.0 * 0.7 * (1.1 - 0.7 * 0.4 / 1.5**2)
-    assert noise_force(bath, init, 0.0) == pytest.approx(expected)
-
-
-def test_noise_force_equilibrium_initial_condition_silent():
-    oscillators = (Oscillator(1.0, 1.0, 2.0), Oscillator(2.0, 0.7, -0.5))
-    bath = BathSpec(oscillators, 1.0, q0=1.3)
-    init = BathInitialState(
-        tuple(o.coupling * bath.q0 / o.omega**2 for o in oscillators),
-        (0.0, 0.0))
-    for t in np.linspace(0.0, 9.0, 13):
-        assert abs(noise_force(bath, init, t)) < 1e-14
-
-
-def test_noise_force_quarter_period_example():
-    bath = single()
-    init = BathInitialState((1.0,), (1.0,))
-    assert noise_force(bath, init, math.pi / 2) == pytest.approx(1.0)
-
-
-def test_noise_force_size_mismatch():
-    with pytest.raises(ValueError):
-        noise_force(single(), BathInitialState((1.0, 2.0), (0.0, 0.0)), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # classical bath Z
 # ---------------------------------------------------------------------------
 
 def test_classical_bath_Z_single():
-    assert classical_bath_Z(single(), ThermalSpec(1.0)).value == pytest.approx(
+    assert classical_bath_Z(single(), ThermalSpec(1.0)) == pytest.approx(
         2.0 * math.pi)
 
 
 def test_classical_bath_Z_product():
     bath = BathSpec((Oscillator(1.0, 1.0, 0.0), Oscillator(1.0, 2.0, 0.0)), 1.0)
-    assert classical_bath_Z(bath, ThermalSpec(1.0)).value == pytest.approx(
+    assert classical_bath_Z(bath, ThermalSpec(1.0)) == pytest.approx(
         (2.0 * math.pi) ** 2 / 2.0)
 
 
@@ -89,7 +60,7 @@ def test_classical_bath_Z_quadrature_and_coupling_invariance():
     coupled, _ = phase_space_integral(1.0, 1.0, th, center=10.0)
     assert plain == pytest.approx(2.0 * math.pi, rel=1e-10)
     assert coupled == pytest.approx(plain, rel=1e-12)
-    assert classical_bath_Z(single(c=5.0, q0=2.0), th).value == \
+    assert classical_bath_Z(single(c=5.0, q0=2.0), th) == \
         pytest.approx(plain, rel=1e-10)
 
 
@@ -100,8 +71,8 @@ def test_classical_bath_Z_quadrature_and_coupling_invariance():
 def test_unified_bath_Z_single_closed_form():
     exact, printed = unified_bath_Z(single(), ThermalSpec(1.0))
     c = math.exp(-0.25) / math.sqrt(0.75)
-    assert exact.value == pytest.approx(2.0 * math.pi * c, rel=1e-14)
-    assert printed.value == pytest.approx(exact.value * 2.0 * math.pi, rel=1e-14)
+    assert exact == pytest.approx(2.0 * math.pi * c, rel=1e-14)
+    assert printed == pytest.approx(exact * 2.0 * math.pi, rel=1e-14)
 
 
 def test_unified_bath_Z_quadrature_oracle():
@@ -112,8 +83,8 @@ def test_unified_bath_Z_quadrature_oracle():
     exact_cf, printed_cf = unified_bath_Z(bath, th)
     exact_qd, _ = unified_integral(1.0, 1.0, 1.0, th, 1.0,
                                    center=1.5 * 0.7)
-    assert exact_qd == pytest.approx(exact_cf.value, rel=1e-8)
-    assert printed_cf.value / exact_qd == pytest.approx(2.0 * math.pi,
+    assert exact_qd == pytest.approx(exact_cf, rel=1e-8)
+    assert printed_cf / exact_qd == pytest.approx(2.0 * math.pi,
                                                         rel=1e-12)
 
 
@@ -121,8 +92,8 @@ def test_unified_bath_Z_classical_limit():
     bath = single(sigma=100.0)
     th = ThermalSpec(1.0)
     exact, _ = unified_bath_Z(bath, th)
-    z_b = classical_bath_Z(bath, th).value
-    assert exact.value / z_b == pytest.approx(1.0, abs=1e-4)
+    z_b = classical_bath_Z(bath, th)
+    assert exact / z_b == pytest.approx(1.0, abs=1e-4)
 
 
 def test_unified_bath_Z_depends_on_m_sigma_sq_multiset():
@@ -132,8 +103,8 @@ def test_unified_bath_Z_depends_on_m_sigma_sq_multiset():
     bath_b = BathSpec((Oscillator(1.0, 0.7, 2.0), Oscillator(0.25, 3.0, 1.0)),
                       sigma=1.0)
     # multisets of m * sigma^2 match: {4*0.25, 1*0.25} == {1*1, 0.25*1}
-    ra = unified_bath_Z(bath_a, th)[0].value / classical_bath_Z(bath_a, th).value
-    rb = unified_bath_Z(bath_b, th)[0].value / classical_bath_Z(bath_b, th).value
+    ra = unified_bath_Z(bath_a, th)[0] / classical_bath_Z(bath_a, th)
+    rb = unified_bath_Z(bath_b, th)[0] / classical_bath_Z(bath_b, th)
     assert ra == pytest.approx(rb, rel=1e-14)
 
 
@@ -142,10 +113,10 @@ def test_unified_bath_Z_factorizes():
     oscillators = (Oscillator(1.0, 1.0, 1.0), Oscillator(2.0, 0.6, -0.4),
                    Oscillator(0.7, 2.2, 0.1))
     bath = BathSpec(oscillators, sigma=0.9, q0=0.2)
-    whole = unified_bath_Z(bath, th)[0].value
+    whole = unified_bath_Z(bath, th)[0]
     parts = 1.0
     for o in oscillators:
-        parts *= unified_bath_Z(BathSpec((o,), 0.9, 0.2), th)[0].value
+        parts *= unified_bath_Z(BathSpec((o,), 0.9, 0.2), th)[0]
     assert whole == pytest.approx(parts, rel=1e-10)
 
 
@@ -226,5 +197,3 @@ def test_bath_spec_validation():
         BathSpec((), 1.0)
     with pytest.raises(ValueError):
         Oscillator(1.0, -1.0, 0.0)
-    with pytest.raises(ValueError):
-        BathInitialState((1.0,), (1.0, 2.0))

@@ -152,7 +152,11 @@ def test_cli_linspace_is_numpy_linspace(args):
 
 # SHA-256 digests of the payload of each README CLI line but verify, which
 # emits no payload.  They were measured with numpy 2.4 on x86-64 (AVX-512)
-# and are the digests of the code before numpy became a lazy import.
+# and are the digests of the code before numpy became a lazy import, but
+# for limits and partition --oracle: those were re-measured when classical_Z
+# became 1/(beta hbar omega) and the Gaussian oracles began to sum their u^2
+# terms as (1 - r) u^2, which moved z_u, ratio and the z_unified quadrature
+# row by an ulp or two.
 # fig1, marginal, bath, trajectory and partition --oracle sum numpy's
 # vectorised exp and cos, which may round differently on another CPU; if
 # they move there, re-measure the pins on the previous commit.
@@ -165,13 +169,13 @@ README_DIGESTS = {
         "a8df65a17b2b0898b0a5c5fcd1b0079d3251c2cab116cd70a3faf4ba63f615b6",
     "bohmpart limits --var sigma --start 1.0 --stop 0.125 --num 8 "
     "--fixed-msigma2":
-        "e56e6ae33bb90cb819f8d09197daa61c924167955f8eeb0329bec0c66a4d4f84",
+        "f95143c0c2eb38447af151321cb6f26840274f165beab072b53a4975eb60ea69",
     "bohmpart bath --n 10 --sigma 5.0 --beta 1.0 --out bath.csv":
         "99ee25e89062cde07fbc1bd7ce207773053bbf582f2516c71f4d6cc8247892eb",
     "bohmpart trajectory --x-start 1.45 --tmax 5 --out path.csv":
         "88a669f0db25e8cff7a972d15ef7cb3664f9e33621668f5d018a6c883d38a0a8",
     "bohmpart partition --kbt 1.0 --sigma 1.0 --oracle":
-        "6332e6acee467cc1e5e942ffc3cf76185d757a3de4d1a19bf7b010b981adeff6",
+        "6647f030106f6b47331d31f4edb699534b6e55e2e0e814f473b485e7e7d86cce",
 }
 
 
@@ -527,6 +531,15 @@ def _exit_1_naming(capsys, argv, name):
       "--kernel-samples", "3"], "--kernel-tmax"),
     (["bath", "--kernel-tmax=-1e300", "--omega-max", "1e75",
       "--kernel-samples", "3", "--format", "json"], "--kernel-tmax"),
+    (["partition", "--omega", "1e300", "--kbt", "1e-300"], "beta hbar omega"),
+    # x = 9.999999600000016e-306 is below 1e-305, which `:g` would not show
+    (["partition", "--sigma", "1", "--kbt", "0.25000001", "--omega",
+      "2.5e-306"], "beta hbar omega = 9.999999600000016e-306"),
+    (["partition", "--sigma", "1", "--kbt", "0.25000001", "--omega",
+      "2.55e-306"], "z_unified"),
+    (["limits", "--var", "kbt", "--start", "0.25000001", "--stop", "0.3",
+      "--num", "2", "--sigma", "1", "--omega", "2.55e-306"], "z_unified"),
+    (["partition", "--oracle", "--omega", "1e-200"], "omega = 1e-200"),
 ])
 def test_input_the_subcommand_cannot_honour_exit_1(capsys, argv, name):
     _exit_1_naming(capsys, argv, name)
@@ -779,12 +792,25 @@ def test_partition_table(tmp_path: Path):
 
 def test_partition_tiny_level_spacing(capsys):
     """At beta hbar omega = 5e-301 both quantum Z rows are 1/x, with no
-    division by the 1 - exp(-x) that rounds to 0."""
+    division by the 1 - exp(-x) that rounds to 0.  Where hbar is so large
+    that beta omega alone underflows (1e-330) or 2 pi/(beta omega) overflows
+    (1.3e311), z_classical is still kbt/(hbar omega) and no cell is inf."""
     from bohmpart import cli
     assert cli.main(["partition", "--omega", "1e-300", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     z_q = [row["value"] for row in rows if row["quantity"] == "z_quantum"]
     assert z_q == [pytest.approx(2e300, rel=1e-12)] * 2
+    for flags, kbt, hbar, omega in (
+            (["--hbar", "1e75", "--omega", "1e-300", "--kbt", "1e30"],
+             1e30, 1e75, 1e-300),
+            (["--hbar", "1e30", "--omega", "1e-310"], 2.0, 1e30, 1e-310)):
+        assert cli.main(["partition", *flags]) == 0
+        _, *lines = capsys.readouterr().out.splitlines()
+        assert not any("inf" in line for line in lines)
+        cells = {tuple(line.split(",")[:2]): float(line.split(",")[2])
+                 for line in lines}
+        assert cells[("z_classical", "closed_form")] == pytest.approx(
+            kbt / (hbar * omega), rel=1e-15)
 
 
 @pytest.mark.parametrize("argv", [

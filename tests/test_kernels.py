@@ -5,8 +5,8 @@ exactly element by element."""
 import numpy as np
 import pytest
 
-from bohmpart import (BathInitialState, WavepacketInit, evolve,
-                      free_system, harmonic_system, uniform_bath)
+from bohmpart import (WavepacketInit, evolve, free_system, harmonic_system,
+                      uniform_bath)
 from bohmpart import bath, core, trajectories, verify, wavepacket
 
 HBAR = 0.7
@@ -16,7 +16,6 @@ SYSTEMS = {
 }
 STATES = {name: evolve(params, init, 0.63) for name, (params, init) in SYSTEMS.items()}
 BATH = uniform_bath(3, m0=1.2, omega_max=1.7, coupling_scale=0.8, sigma=0.9, q0=0.4)
-BATH_INIT = BathInitialState((0.3, -0.5, 0.1), (0.2, 0.4, -0.7))
 
 STATE_KERNELS = [
     wavepacket.density, wavepacket._log_density, wavepacket.amplitude,
@@ -25,7 +24,7 @@ STATE_KERNELS = [
     wavepacket._log_density_dt, wavepacket.energy_dt,
     trajectories.quantum_force, verify.energy_center_potential_variant,
 ]
-PARAMS_KERNELS = [core.potential_value, trajectories.classical_force]
+PARAMS_KERNELS = [core.potential_value]
 
 
 def _cases():
@@ -44,8 +43,6 @@ def _cases():
             False, id=f"scaling_solution-{name}")
     yield pytest.param(lambda t: bath.memory_kernel(BATH, t), False,
                        id="memory_kernel")
-    yield pytest.param(lambda t: bath.noise_force(BATH, BATH_INIT, t), False,
-                       id="noise_force")
 
 
 @pytest.mark.parametrize("kernel,is_complex", list(_cases()))
