@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ThermalSpec, _finite_positive, check_scale, np
+from .core import (ThermalSpec, _finite_positive, check_scale, functions_of,
+                   np)
 from .partition import (CriterionReport, classicality_criterion,
                         gaussian_correction, quantum_ratio)
 
@@ -77,8 +78,14 @@ def uniform_bath(n: int, m0: float = 1.0, omega_max: float = 1.0,
 
 
 def memory_kernel(bath: BathSpec, t) -> float | np.ndarray:
-    """Friction kernel nu(t) = sum_a (c_a^2 / w_a^2) cos(w_a t)."""
-    return sum((o.coupling**2 / o.omega**2) * np.cos(o.omega * t)
+    """Friction kernel nu(t) = sum_a (c_a^2 / w_a^2) cos(w_a t).
+
+    A float t gives a float on math alone, bit for bit the element an array
+    gives; an array of times gives an array of the same shape
+    (core.functions_of).
+    """
+    cos = functions_of(t).cos
+    return sum((o.coupling**2 / o.omega**2) * cos(o.omega * t)
                for o in bath.oscillators)
 
 

@@ -33,7 +33,7 @@ from .bath import (BathSpec, Oscillator, bath_classicality,
                    classical_bath_Z, large_N_ratio, memory_kernel,
                    unified_bath_Z, uniform_bath)
 from .core import (DivergentIntegral, QuadratureFailure, SystemParams,
-                   ThermalSpec, check_scale, free_system, harmonic_system, np)
+                   ThermalSpec, check_scale, free_system, harmonic_system)
 from .partition import (classical_Z, classicality_criterion,
                         gaussian_correction, marginal_curve,
                         phase_space_integral, quantum_ratio, quantum_Z,
@@ -388,8 +388,8 @@ def cmd_bath(args) -> Result:
         raise UsageError(f"--kernel-tmax {args.kernel_tmax!r} times the "
                          f"largest omega {omega_max:g} is not a finite "
                          "double, so the kernel's cos(omega t) is undefined")
-    kernel_t = np.asarray(linspace(0.0, args.kernel_tmax, args.kernel_samples))
-    kernel_nu = memory_kernel(bath, kernel_t)
+    kernel_t = linspace(0.0, args.kernel_tmax, args.kernel_samples)
+    kernel_nu = [memory_kernel(bath, t) for t in kernel_t]
     z_b = classical_bath_Z(bath, thermal)
     masses = {o.mass for o in bath.oscillators}
     large_n = (large_N_ratio(bath.size, masses.pop(), bath.sigma, thermal, hbar)
@@ -418,14 +418,17 @@ def cmd_trajectory(args) -> Result:
         raise UsageError("--tmax must be finite and positive")
     params = system_of(cfg, args.system)
     init = WavepacketInit(cfg["x0"], cfg["p0"], cfg["sigma"])
-    times = np.asarray(linspace(0.0, args.tmax, TRAJECTORY_SAMPLES))
-    with np.errstate(all="ignore"):  # an overflowing path is exit 1, below
-        positions = scaling_solution(params, init, args.x_start, times)
-        finite = np.isfinite(positions).all()
-        if finite:  # so w t is finite, and evolve's sin and cos are defined
-            velocities = [bohmian_velocity(evolve(params, init, t), x)
-                          for t, x in zip(times, positions)]
-            finite = all(map(math.isfinite, velocities))
+    times = linspace(0.0, args.tmax, TRAJECTORY_SAMPLES)
+    # math's sin and cos raise where w t is not finite; that path is exit 1
+    finite = math.isfinite(params.omega * args.tmax)
+    if finite:
+        positions = [scaling_solution(params, init, args.x_start, t)
+                     for t in times]
+        finite = all(map(math.isfinite, positions))
+    if finite:
+        velocities = [bohmian_velocity(evolve(params, init, t), x)
+                      for t, x in zip(times, positions)]
+        finite = all(map(math.isfinite, velocities))
     if not finite:
         raise UsageError(f"the path up to --tmax {args.tmax!r} leaves the "
                          "range of a double (some x or v is not finite)")

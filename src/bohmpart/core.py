@@ -11,9 +11,11 @@ numpy loads on first use.  `np` here is a small stand-in for the module that
 imports numpy when one of its attributes is first read and then keeps that
 attribute on itself, so later reads such as np.exp are plain attribute hits.
 The other modules take `np` from here, so `import bohmpart` and the
-closed-form subcommands (`partition`, `limits`), which need only `math`,
-never import numpy; an array kernel, an oracle or integrate_window loads it
-when it first runs.
+subcommands that need only `math` (`partition`, `limits`, and `bath` and
+`trajectory`, which evaluate their kernels one float at a time) never import
+numpy; an array kernel, an oracle or integrate_window loads it when it first
+runs.  A kernel that calls numpy functions takes them from functions_of(t),
+so one expression serves a float, on math alone, and an array.
 """
 
 from __future__ import annotations
@@ -35,6 +37,29 @@ class _LazyNumpy:
 
 
 np = _LazyNumpy()
+
+
+class _FloatMath:
+    """The numpy functions a kernel calls, for one float, on math alone.
+
+    Each gives the double numpy gives for that element: cos and sin are
+    libm's in both, and hypot goes through abs(complex), which calls libm's
+    hypot as np.hypot does (math.hypot rounds differently in the last bit).
+    abs(complex) raises OverflowError where both parts are finite and the
+    hypot is not, so the kernels pass it one part of size at most 1.
+    """
+
+    cos, sin, isfinite, all = math.cos, math.sin, math.isfinite, bool
+
+    @staticmethod
+    def hypot(a: float, b: float) -> float:
+        return abs(complex(a, b))
+
+
+def functions_of(x):
+    """The namespace a kernel evaluates x with: _FloatMath for a float or an
+    int (np.float64 included), numpy for an array."""
+    return _FloatMath if isinstance(x, (int, float)) else np
 
 
 # ---------------------------------------------------------------------------

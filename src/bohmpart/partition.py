@@ -265,12 +265,18 @@ def unified_integral(m: float, w: float, sigma: float, thermal: ThermalSpec,
 
 def _marginal_gaussian(state, thermal: ThermalSpec) -> tuple[float, float]:
     """(center, width) in x of the Gaussian P e^(-beta E); DivergentIntegral
-    if it is unbounded.
+    if it is unbounded, ValueError naming x0 and p0 where an energy
+    coefficient is not a finite double.
 
     log(P e^(-beta E)) = -kappa u^2 - beta A1 u + const in u = x - q.
     """
     beta = thermal.beta
-    a2, a1, _ = _energy_coefficients(state)
+    a2, a1, a0 = _energy_coefficients(state)
+    if not all(map(math.isfinite, (a2, a1, a0))):
+        raise ValueError(
+            f"the energy E(x, t={state.t:g}) is not a finite double at "
+            f"x0 = {state.init.x0:g}, p0 = {state.init.p0:g}; "
+            "the packet's centre or momentum is too large")
     kappa = 2.0 * state.alpha.real + beta * a2
     if kappa <= 0.0:
         raise DivergentIntegral(

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Sequence, Union
 
-from .core import StepFailure, SystemParams, np
+from .core import StepFailure, SystemParams, functions_of, np
 from .wavepacket import WavepacketInit, WavepacketState, evolve, phase_gradient
 
 _REL_TOL, _ABS_TOL = 1e-9, 1e-12  # Dormand-Prince, see RK45Adaptive
@@ -112,21 +112,23 @@ def scaling_solution(params: SystemParams, init: WavepacketInit,
         q = x0 c + p0 sw / m,  width/sigma = hypot(c, hbar sw/(2 m sigma^2)),
     which at w = 0 is the free packet's q = x0 + p0 t/m and
     width/sigma = sqrt(1 + (hbar t/(2 m sigma^2))^2).  The root is taken as
-    hypot, so no square overflows at large t.  A float t gives a float, an
-    array of times an array of the same shape; a non-finite time is a
-    ValueError, as in evolve.
+    hypot, so no square overflows at large t.  A float t gives a float on
+    math alone, bit for bit the element an array gives; an array of times
+    gives an array of the same shape (core.functions_of).  A non-finite
+    time is a ValueError, as in evolve.
     """
     if not math.isfinite(x_start):
         raise ValueError("x_start must be finite")
-    if not np.isfinite(t).all():
+    fn = functions_of(t)
+    if not fn.all(fn.isfinite(t)):
         raise ValueError("t must be finite")
     hbar, m, w = params.hbar, params.mass, params.omega
     if w:
-        c, sw = np.cos(w * t), np.sin(w * t) / w
+        c, sw = fn.cos(w * t), fn.sin(w * t) / w
     else:
         c, sw = 1.0, t
     q = init.x0 * c + init.p0 * sw / m
-    ratio = np.hypot(c, hbar * sw / (2 * m * init.sigma**2))
+    ratio = fn.hypot(c, hbar * sw / (2 * m * init.sigma**2))
     return q + (x_start - init.x0) * ratio
 
 

@@ -207,7 +207,8 @@ def _energy_coefficients(state: WavepacketState) -> tuple[float, float, float]:
     ra, ia = state.alpha.real, state.alpha.imag
     a2 = 2.0 * hbar**2 * (ia * ia - ra * ra) / m + 0.5 * m * w * w
     a1 = m * w * w * state.q - 2.0 * hbar * ia * state.p / m
-    a0 = state.p**2 / (2 * m) + 0.5 * m * w * w * state.q**2 + hbar**2 * ra / m
+    a0 = (state.p * state.p / (2 * m) + 0.5 * m * w * w * (state.q * state.q)
+          + hbar**2 * ra / m)
     return a2, a1, a0
 
 

@@ -85,10 +85,12 @@ def test_import_leaves_scipy_out():
 
 
 def test_import_and_closed_form_commands_leave_numpy_out(tmp_path: Path):
-    """The import, partition (CSV, and JSON with a manifest) and limits
-    never load numpy; verify and partition --oracle load it when they first
-    build an array, and still pass."""
+    """The import, partition (CSV, and JSON with a manifest), limits, bath
+    (with its companion tables) and trajectory (harmonic and free, CSV and
+    JSON) never load numpy; verify and partition --oracle load it when they
+    first build an array, and still pass."""
     out = tmp_path / "z.json"
+    bath_out = tmp_path / "b.csv"
     cp = subprocess.run(
         [*PYTHON, "-c",
          "import sys, bohmpart, bohmpart.cli as c\n"
@@ -97,6 +99,10 @@ def test_import_and_closed_form_commands_leave_numpy_out(tmp_path: Path):
          f"assert c.main(['partition', '--format', 'json', '--out', {str(out)!r}]) == 0\n"
          "assert c.main(['limits', '--var', 'sigma', '--start', '1', "
          "'--stop', '0.125', '--num', '8', '--fixed-msigma2']) == 0\n"
+         "assert c.main(['trajectory', '--x-start', '1']) == 0\n"
+         "assert c.main(['trajectory', '--system', 'free', '--x-start', '1']) == 0\n"
+         "assert c.main(['trajectory', '--x-start', '1', '--format', 'json']) == 0\n"
+         f"assert c.main(['bath', '--out', {str(bath_out)!r}]) == 0\n"
          "assert 'numpy' not in sys.modules\n"
          "assert c.main(['verify']) == 0\n"
          "assert c.main(['partition', '--oracle']) == 0\n"
@@ -104,6 +110,8 @@ def test_import_and_closed_form_commands_leave_numpy_out(tmp_path: Path):
         capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
     assert json.loads(Path(f"{out}.manifest.json").read_text())["digest"]
+    assert sorted(p.name for p in tmp_path.glob("b_*.csv")) == [
+        "b_kernel.csv", "b_oscillators.csv"]
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -540,6 +548,8 @@ def _exit_1_naming(capsys, argv, name):
     (["limits", "--var", "kbt", "--start", "0.25000001", "--stop", "0.3",
       "--num", "2", "--sigma", "1", "--omega", "2.55e-306"], "z_unified"),
     (["partition", "--oracle", "--omega", "1e-200"], "omega = 1e-200"),
+    (["marginal", "--x0", "1e200", "--samples", "3"], "x0 = 1e+200"),
+    (["fig1", "--p0", "1e200", "--samples", "3"], "p0 = 1e+200"),
 ])
 def test_input_the_subcommand_cannot_honour_exit_1(capsys, argv, name):
     _exit_1_naming(capsys, argv, name)

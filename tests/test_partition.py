@@ -575,6 +575,8 @@ _UNIT = st.floats(1e-4, 1.5)
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(m=_UNIT, omega=_UNIT, hbar=_UNIT, beta=_UNIT, r=_UNIT)
 @example(m=1.0, omega=1.0, hbar=1.0, beta=1.0, r=1.0)
+# r_used rounds to 1 - 2.2e-16 here, so the oracles run next to r = 1
+@example(m=0.5, omega=1.0, hbar=1.0, beta=1.0, r=1.0)
 def test_every_gaussian_form_diverges_exactly_at_r_one(m, omega, hbar, beta,
                                                        r):
     """Each closed form and oracle raises DivergentIntegral iff r >= 1, and
