@@ -14,8 +14,9 @@ The other modules take `np` from here, so `import bohmpart` and the
 subcommands that need only `math` (`partition`, `limits`, and `bath` and
 `trajectory`, which evaluate their kernels one float at a time) never import
 numpy; an array kernel, an oracle or integrate_window loads it when it first
-runs.  A kernel that calls numpy functions takes them from functions_of(t),
-so one expression serves a float, on math alone, and an array.
+runs.  memory_kernel and scaling_solution, which `bath` and `trajectory`
+call one sample at a time, take their functions from functions_of(t), so
+one expression serves a float, on math alone, and an array.
 """
 
 from __future__ import annotations
