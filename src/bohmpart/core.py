@@ -5,7 +5,10 @@ value record.  Units are natural: a temperature is the energy k_B T (k_B = 1),
 and hbar is a field of the system record, 1 by default, so with m = omega = 1
 energies come out in units of m*omega^2*x0^2 and times in 1/omega.  Every
 numerical integral in the package goes through integrate_window: one
-Gauss-Legendre box rule, its window and tolerances fixed.
+Gauss-Legendre box rule, its window and tolerances fixed.  The rule hands
+the integrand an open grid (np.ix_) of one slab at a time, a slab being
+whole rows of the first axis, and contracts the values with the 1-D weights
+one axis at a time.
 
 numpy loads on first use.  `np` here is a small stand-in for the module that
 imports numpy when one of its attributes is first read and then keeps that
@@ -192,6 +195,8 @@ REL_TOL, ABS_TOL = 1e-10, 1e-13
 # window is resolved to 1e-12 at 48 nodes, so its 1-D integrals stop at 96.
 GL_LADDER = (12, 24, 48, 96, 192, 384)
 # Box points handed to the integrand at once; bounds the memory of an N-D box.
+# A slab is whole rows of the first axis, at least one, so a call sees at
+# most max(SLAB_POINTS, n^(d-1)) points.
 SLAB_POINTS = 1 << 14
 
 
@@ -203,16 +208,23 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _box_rule(f: Callable, mid: np.ndarray, half: np.ndarray, n: int) -> float:
-    """n-point-per-axis tensor-product Gauss-Legendre sum of f over the box."""
+    """n-point-per-axis tensor-product Gauss-Legendre sum of f over the box.
+
+    f sees an open grid (np.ix_) of one slab of whole first-axis rows, so a
+    term that depends on one axis is evaluated on that axis's nodes, not on
+    every point; the values are contracted with the 1-D weights one axis at
+    a time, the last first.
+    """
     nodes, weights = _legendre(n)
-    total_points = n ** mid.size
+    axes = [m + h * nodes for m, h in zip(mid, half)]
+    rows = max(1, SLAB_POINTS // n ** (mid.size - 1))
     total = 0.0
-    for start in range(0, total_points, SLAB_POINTS):
-        flat = np.arange(start, min(start + SLAB_POINTS, total_points))
-        idx = np.unravel_index(flat, (n,) * mid.size)
-        coords = [mid[k] + half[k] * nodes[i] for k, i in enumerate(idx)]
-        slab_weights = np.prod([weights[i] for i in idx], axis=0)
-        total += float(np.dot(slab_weights, f(*coords)))
+    for start in range(0, n, rows):
+        grid = np.ix_(axes[0][start:start + rows], *axes[1:])
+        vals = np.broadcast_to(f(*grid), [g.size for g in grid])
+        for _ in axes[1:]:
+            vals = vals @ weights
+        total += float(vals @ weights[start:start + rows])
     return total * float(np.prod(half))
 
 
@@ -220,13 +232,15 @@ def integrate_window(f: Callable[..., np.ndarray], lo, hi) -> tuple[float, float
     """Gauss-Legendre integral of f over the box [lo, hi].
 
     lo and hi are floats for a 1-D integral or equal-length tuples of
-    per-axis bounds for an N-D box.  f takes one coordinate array per axis
-    and returns the integrand at those points, broadcasting like numpy.  The
-    nodes per axis double along GL_LADDER until two successive rules agree to
-    max(ABS_TOL, REL_TOL |Q|); returns (Q(2n), |Q(2n) - Q(n)|), where the
-    error estimate is that of the coarser rule and so bounds the finer one's
-    for an integrand the rules resolve.  Raises QuadratureFailure when the
-    ladder ends first or a rule gives a non-finite value.
+    per-axis bounds for an N-D box.  f takes one coordinate array per axis,
+    the axes of an open grid, and returns the integrand at those points,
+    broadcasting like numpy; a result that lacks an axis, or a constant,
+    is broadcast over it.  The nodes per axis double along GL_LADDER until
+    two successive rules agree to max(ABS_TOL, REL_TOL |Q|); returns
+    (Q(2n), |Q(2n) - Q(n)|), where the error estimate is that of the
+    coarser rule and so bounds the finer one's for an integrand the rules
+    resolve.  Raises QuadratureFailure when the ladder ends first or a rule
+    gives a non-finite value.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))

@@ -18,10 +18,11 @@ Conventions
 * The closed forms are backed by separate Gauss-Legendre oracles, used by
   `verify`, `partition --oracle` and the tests: phase_space_integral
   (classical Z), gaussian_correction_integral (the factor C) and
-  unified_integral (unified Z).  Each integrates a vectorized integrand over
-  a box of WINDOW_SIGMAS standard deviations per axis to core's tolerances,
-  returns the raw-measure (value, est_error) with est_error the difference
-  between the last two rules of the ladder, and calls no closed form it checks.
+  unified_integral (unified Z).  Each integrates an integrand that
+  broadcasts over core's open grid of a box of WINDOW_SIGMAS standard
+  deviations per axis, to core's tolerances, returns the raw-measure
+  (value, est_error) with est_error the difference between the last two
+  rules of the ladder, and calls no closed form it checks.
   quantum_Z returns the same (value, est_error) shape, with est_error the
   dropped tail of the eigenvalue sum.
 * The marginal partition function at fixed (x0, p0) keeps the single
@@ -265,18 +266,20 @@ def unified_integral(m: float, w: float, sigma: float, thermal: ThermalSpec,
 
 def _marginal_gaussian(state, thermal: ThermalSpec) -> tuple[float, float]:
     """(center, width) in x of the Gaussian P e^(-beta E); DivergentIntegral
-    if it is unbounded, ValueError naming x0 and p0 where an energy
-    coefficient is not a finite double.
+    if it is unbounded, ValueError naming x0, p0, omega and mass where an
+    energy coefficient is not a finite double.
 
     log(P e^(-beta E)) = -kappa u^2 - beta A1 u + const in u = x - q.
     """
     beta = thermal.beta
     a2, a1, a0 = _energy_coefficients(state)
     if not all(map(math.isfinite, (a2, a1, a0))):
+        params = state.params
         raise ValueError(
             f"the energy E(x, t={state.t:g}) is not a finite double at "
-            f"x0 = {state.init.x0:g}, p0 = {state.init.p0:g}; "
-            "the packet's centre or momentum is too large")
+            f"x0 = {state.init.x0:g}, p0 = {state.init.p0:g}, "
+            f"omega = {params.omega:g}, mass = {params.mass:g}; "
+            "the packet's centre, momentum, omega or mass is out of range")
     kappa = 2.0 * state.alpha.real + beta * a2
     if kappa <= 0.0:
         raise DivergentIntegral(
@@ -360,6 +363,8 @@ def marginal_curve(params: SystemParams, init: WavepacketInit,
     Each time is evolved once, and every window is found before any
     quadrature runs, so a divergent sample raises DivergentIntegral even
     where an earlier sample is convergent but too large for the quadrature.
+    Normalizing raises ValueError naming x0 and p0 where the t = 0 Z is not
+    a positive finite double (it underflows to 0 for a distant packet).
     """
     times = np.asarray(times, dtype=float)
     states = [evolve(params, init, t) for t in times]
@@ -369,6 +374,11 @@ def marginal_curve(params: SystemParams, init: WavepacketInit,
     if normalized:
         z0 = marginal_Z(params, init, thermal, 0.0) \
             if times[0] != 0.0 else values[0]
+        if not 0.0 < z0 < math.inf:
+            raise ValueError(
+                f"the t = 0 marginal Z is {z0:g}, not a positive finite "
+                f"double, at x0 = {init.x0:g}, p0 = {init.p0:g}; normalizing "
+                "it needs log-space Z (ROADMAP item 2)")
         values = values / z0
     return values
 

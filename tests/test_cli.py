@@ -183,7 +183,7 @@ README_DIGESTS = {
     "bohmpart trajectory --x-start 1.45 --tmax 5 --out path.csv":
         "88a669f0db25e8cff7a972d15ef7cb3664f9e33621668f5d018a6c883d38a0a8",
     "bohmpart partition --kbt 1.0 --sigma 1.0 --oracle":
-        "6647f030106f6b47331d31f4edb699534b6e55e2e0e814f473b485e7e7d86cce",
+        "f0be579be578b381b92944224a7a3833ef52a5ab135645a7c4c7d9a1ad91b980",
 }
 
 
@@ -550,6 +550,10 @@ def _exit_1_naming(capsys, argv, name):
     (["partition", "--oracle", "--omega", "1e-200"], "omega = 1e-200"),
     (["marginal", "--x0", "1e200", "--samples", "3"], "x0 = 1e+200"),
     (["fig1", "--p0", "1e200", "--samples", "3"], "p0 = 1e+200"),
+    (["marginal", "--omega", "1e300", "--samples", "3"], "omega = 1e+300"),
+    # the t = 0 marginal Z underflows to 0, so the curve cannot be normalized
+    (["marginal", "--x0", "100", "--samples", "3"], "x0 = 100"),
+    (["fig1", "--p0", "1e3", "--samples", "3"], "p0 = 1000"),
 ])
 def test_input_the_subcommand_cannot_honour_exit_1(capsys, argv, name):
     _exit_1_naming(capsys, argv, name)

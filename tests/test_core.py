@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohmpart import (BathSpec, Grid1D, Oscillator, QuadratureFailure,
                       SystemParams, ThermalSpec, WavepacketInit, free_system,
                       harmonic_system, potential_value)
-from bohmpart.core import REL_TOL, integrate_window
+from bohmpart.core import (GL_LADDER, REL_TOL, SLAB_POINTS, _box_rule,
+                           _legendre, integrate_window)
 from bohmpart.partition import marginal_curve, quantum_ratio
 
 
@@ -78,6 +81,83 @@ def test_integrate_window_gaussian():
     for (val, err), exact in cases:
         assert val == pytest.approx(exact, rel=1e-12)
         assert err >= abs(val - exact)
+
+
+def _flat_box_rule(f, mid, half, n):
+    """Reference for core._box_rule: the box as a flat index, each slab of
+    SLAB_POINTS unravelled into per-point coordinates and weight products."""
+    nodes, weights = _legendre(n)
+    total_points = n ** mid.size
+    total = 0.0
+    for start in range(0, total_points, SLAB_POINTS):
+        flat = np.arange(start, min(start + SLAB_POINTS, total_points))
+        idx = np.unravel_index(flat, (n,) * mid.size)
+        coords = [mid[k] + half[k] * nodes[i] for k, i in enumerate(idx)]
+        slab_weights = np.prod([weights[i] for i in idx], axis=0)
+        total += float(np.dot(slab_weights, f(*coords)))
+    return total * float(np.prod(half))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_box_rule_matches_the_flat_index_rule(data):
+    """Anisotropic, shifted Gaussians, coupled across the first and last
+    axis in 2-D and 3-D: the open-grid rule sums in another order, so it
+    agrees to 1e-14 relative, and in 1-D, where the order is the same,
+    bit for bit."""
+    dim = data.draw(st.integers(1, 3))
+    n = data.draw(st.sampled_from(GL_LADDER if dim < 3 else GL_LADDER[:3]))
+    unit = st.floats(-1.0, 1.0)
+    centers = [data.draw(st.floats(-5.0, 5.0)) for _ in range(dim)]
+    widths = [data.draw(st.floats(0.05, 20.0)) for _ in range(dim)]
+    rho = data.draw(unit) * 0.9 if dim > 1 else 0.0
+    mid = np.array([c + 6.0 * s * data.draw(unit)
+                    for c, s in zip(centers, widths)])
+    half = np.array([s * data.draw(st.floats(1.0, 12.0)) for s in widths])
+
+    def f(*xs):
+        z = [(x - c) / s for x, c, s in zip(xs, centers, widths)]
+        return np.exp(-0.5 * sum(zk * zk for zk in z) - rho * z[0] * z[-1])
+
+    new, ref = _box_rule(f, mid, half, n), _flat_box_rule(f, mid, half, n)
+    if dim == 1:
+        assert new == ref
+    else:
+        assert new == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_box_rule_broadcasts_an_integrand_that_ignores_an_axis():
+    """An integrand may return fewer axes than the box has, or a constant."""
+    def f(x, y):
+        return np.exp(-x * x)
+
+    mid, half = np.array([0.0, 1.5]), np.array([12.0, 1.5])
+    for n in GL_LADDER[:3]:
+        assert _box_rule(f, mid, half, n) == pytest.approx(
+            _flat_box_rule(lambda x, y: f(x, y) + 0.0 * y, mid, half, n),
+            rel=1e-14, abs=0.0)
+    val, _ = integrate_window(f, (-12.0, 0.0), (12.0, 3.0))
+    assert val == pytest.approx(3.0 * math.sqrt(math.pi), rel=1e-14)
+    val, err = integrate_window(lambda x, y, z: 2.0, (-1.0, 0.0, 2.0),
+                                (1.0, 0.5, 5.0))
+    assert val == pytest.approx(2.0 * 2.0 * 0.5 * 3.0, rel=1e-14)
+    assert err <= 1e-14
+
+
+@pytest.mark.parametrize("dim, n", [(1, 384), (2, 48), (2, 384), (3, 12),
+                                    (3, 48), (3, 192)])
+def test_box_rule_slabs_bound_the_points_per_call(dim, n):
+    """Each call sees whole first-axis rows, at most max(SLAB_POINTS,
+    n^(d-1)) points, and the calls together cover the box once."""
+    sizes = []
+
+    def f(*xs):
+        sizes.append(np.broadcast(*xs).size)
+        return np.exp(-sum(x * x for x in xs))
+
+    _box_rule(f, np.zeros(dim), np.full(dim, 3.0), n)
+    assert max(sizes) <= max(SLAB_POINTS, n ** (dim - 1))
+    assert sum(sizes) == n ** dim
 
 
 def test_integrate_window_failure_on_exhausted_subdivisions():
