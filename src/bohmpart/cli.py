@@ -57,8 +57,9 @@ CONFIG_KEYS = {
 # flag, keys only a config file sets).  Together they are the keys its
 # config file may set, the keys resolve_config resolves and the keys its
 # JSON output and manifest echo.  fig1's --sigma and --kbt are repeatable
-# lists of their own, so its sigma and kbt keys come from the file alone;
-# it echoes them as lists, one value per curve.
+# lists of their own, so its sigma and kbt keys come from the file alone,
+# as one value or a list [a, b, ...]; it echoes them as lists, one value
+# per curve, which a config file reads back as the same curves.
 READS = {
     "fig1": (("hbar", "mass", "omega", "x0", "p0"), ("sigma", "kbt")),
     "marginal": (("hbar", "mass", "omega", "sigma", "x0", "p0", "kbt"), ()),
@@ -114,33 +115,50 @@ def resolve_config(args, lists: tuple[str, ...] = (),
     """Defaults < config file < flags, over the keys the subcommand reads.
 
     The config file is flat key = value text ('#' starts a comment); a key
-    the subcommand does not read is a UsageError.  Each key in `lists` names
-    a repeatable flag of the same name (fig1's --sigma and --kbt); where
-    that flag is not given, the key's value in the file becomes its one
-    value.  `defaults` replaces some CONFIG_KEYS defaults for this call.
+    the subcommand does not read, or a value that is not a number, is a
+    UsageError.  Each key in `lists` names a repeatable flag of the same
+    name (fig1's --sigma and --kbt) and may also hold a list `[a, b, ...]`;
+    where that flag is not given, the file's values become its values.
+    `defaults` replaces some CONFIG_KEYS defaults for this call.
     """
     flags, file_only = READS[args.command]
     cfg = {key: CONFIG_KEYS[key] for key in flags + file_only}
     cfg.update(defaults or {})
-    in_file = set()
+    file_lists = {}
     for lineno, key, value in (read_key_values(args.config)
                                if args.config else ()):
+        where = f"{args.config}:{lineno}"
         if key not in cfg:
-            raise UsageError(f"{args.config}:{lineno}: unknown config key "
+            raise UsageError(f"{where}: unknown config key "
                              f"{key!r} for {args.command}")
-        cfg[key] = float(value)
-        in_file.add(key)
-    for key in in_file.intersection(lists):
+        if key not in lists:
+            cfg[key] = config_number(where, key, value)
+            continue
+        items = (value[1:-1].split(",")
+                 if value.startswith("[") and value.endswith("]") else [value])
+        file_lists[key] = [config_number(where, key, item) for item in items]
+    for key, values in file_lists.items():
         if getattr(args, key) is None:
-            setattr(args, key, [cfg[key]])
+            setattr(args, key, values)
     for key in flags:
         val = getattr(args, f"cfg_{key}")
         if val is not None:
             cfg[key] = val
     bad = [key for key, val in cfg.items() if not math.isfinite(val)]
+    bad += [key for key, values in file_lists.items()
+            if not all(map(math.isfinite, values))]
     if bad:
         raise UsageError(f"non-finite value for {', '.join(bad)}")
     return cfg
+
+
+def config_number(where: str, key: str, text: str) -> float:
+    """The float a config-file value spells, or a UsageError naming its key."""
+    try:
+        return float(text)
+    except ValueError:
+        raise UsageError(f"{where}: {key} needs a number, not "
+                         f"{text.strip()!r}") from None
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -267,12 +285,19 @@ def marginal_rows(args, cfg: dict, pairs) -> list[list]:
 
 
 def cmd_fig1(args) -> Result:
+    flag_lists = bool(args.sigma or args.kbt)
     cfg = resolve_config(args, lists=("sigma", "kbt"))
-    if args.sigma or args.kbt:
-        pairs = [(s, k) for s in args.sigma or [cfg["sigma"]]
-                 for k in args.kbt or [cfg["kbt"]]]
-    else:
+    sigmas, kbts = args.sigma or [cfg["sigma"]], args.kbt or [cfg["kbt"]]
+    if not (args.sigma or args.kbt):
         pairs = FIG1_DEFAULT_PAIRS
+    elif flag_lists or 1 in (len(sigmas), len(kbts)):
+        pairs = [(s, k) for s in sigmas for k in kbts]
+    elif len(sigmas) == len(kbts):  # the file's lists, one value per curve
+        pairs = list(zip(sigmas, kbts))
+    else:
+        raise UsageError(f"the config file's sigma and kbt lists give one "
+                         f"value per curve, so their lengths must agree, "
+                         f"not {len(sigmas)} and {len(kbts)}")
     cfg["sigma"], cfg["kbt"] = [s for s, _ in pairs], [k for _, k in pairs]
     return Result(cfg, ["sigma[length]", "kbt[energy]", "t[time]",
                         "z[dimensionless]"], marginal_rows(args, cfg, pairs))

@@ -71,13 +71,28 @@ def test_fig1_usage_error_exit_1():
 
 
 def test_import_leaves_scipy_out():
-    """Neither the import nor a trajectory or verify run loads scipy; only
-    a direct call to wavepacket.spectral_project does."""
+    """No code path needs scipy: with every scipy import made to fail, a
+    spectral_project call and each subcommand still run and exit 0."""
     cp = subprocess.run(
         [*PYTHON, "-c",
-         "import sys, bohmpart.cli\n"
-         "assert bohmpart.cli.main(['trajectory', '--x-start', '1.2']) == 0\n"
-         "assert bohmpart.cli.main(['verify']) == 0\n"
+         "import sys\n"
+         "class NoScipy:\n"
+         "    def find_spec(self, name, path=None, target=None):\n"
+         "        if name == 'scipy' or name.startswith('scipy.'):\n"
+         "            raise ImportError(f'{name} is blocked')\n"
+         "sys.meta_path.insert(0, NoScipy())\n"
+         "from bohmpart import WavepacketInit, evolve, harmonic_system\n"
+         "from bohmpart.wavepacket import default_spectral_grid, spectral_project\n"
+         "HO, init = harmonic_system(1.0, 1.0), WavepacketInit(1.0, 0.5, 0.6)\n"
+         "dec = spectral_project(evolve(HO, init, 0.0), 40,\n"
+         "                       default_spectral_grid(HO, init, 40))\n"
+         "assert abs(dec.weights.sum() - 1.0) < 1e-8\n"
+         "import bohmpart.cli as c\n"
+         "for argv in (['verify'], ['partition', '--oracle'],\n"
+         "             ['fig1', '--samples', '3'], ['marginal', '--samples', '3'],\n"
+         "             ['limits', '--var', 'kbt', '--start', '1', '--stop', '2'],\n"
+         "             ['bath'], ['trajectory', '--x-start', '1']):\n"
+         "    assert c.main(argv) == 0, argv\n"
          "print('scipy' in sys.modules, file=sys.stderr)"],
         capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
@@ -310,13 +325,24 @@ def test_fig1_divergent_message_names_the_pair(kbt, named):
     ("sigma = 0.3\n", ("--sigma", "0.5", "--sigma", "0.6"),
      {(0.5, 2.0), (0.6, 2.0)}),
     (None, ("--sigma", "0.5"), {(0.5, 2.0)}),
+    ("sigma = [0.5, 0.6]\nkbt = [2, 5]\n", (), {(0.5, 2.0), (0.6, 5.0)}),
+    ("sigma = [0.5, 0.6]\n", (), {(0.5, 2.0), (0.6, 2.0)}),
+    ("sigma = [0.5, 0.6]\nkbt = [5]\n", (), {(0.5, 5.0), (0.6, 5.0)}),
+    ("sigma = [0.5, 0.6]\nkbt = [2, 5]\n", ("--kbt", "3"),
+     {(0.5, 3.0), (0.6, 3.0)}),
+    ("sigma = [0.5, 0.6]\n", ("--kbt", "3", "--kbt", "5"),
+     {(0.5, 3.0), (0.5, 5.0), (0.6, 3.0), (0.6, 5.0)}),
 ], ids=["file-without-pair-keys", "file-only", "file-sigma",
         "file-kbt", "file-sigma-flag-kbt", "flag-over-file",
-        "file-sigma-flag-sigma", "flags-only"])
+        "file-sigma-flag-sigma", "flags-only", "file-lists-pair-up",
+        "file-list-default-kbt", "file-list-one-kbt",
+        "flag-over-file-list", "file-list-times-flag-list"])
 def test_fig1_config_keys_count_as_one_pair_value(tmp_path: Path, cfg_text,
                                                   flags, pairs):
-    """A sigma or kbt key of the config file counts as one --sigma or --kbt
-    value; the paper's pairs apply only when neither gives sigma or kbt."""
+    """A sigma or kbt key of the config file counts as the values of a
+    --sigma or --kbt list that is not given; two file lists pair up one value
+    per curve, as fig1 echoes them.  The paper's pairs apply only when
+    neither gives sigma or kbt."""
     from bohmpart import cli
     argv = ["fig1", "--samples", "2", "--tmax", "0.5", *flags]
     if cfg_text is not None:
@@ -393,6 +419,54 @@ def test_marginal_json_config_roundtrip(tmp_path: Path):
     digest_second = json.loads(
         (tmp_path / "m2.json.manifest.json").read_text())["digest"]
     assert digest_first == digest_second
+
+
+@pytest.mark.parametrize("flags", [
+    (), ("--sigma", "0.5", "--sigma", "0.6", "--kbt", "3"),
+], ids=["default-pairs", "flag-lists"])
+def test_fig1_json_config_roundtrip(tmp_path: Path, flags):
+    """fig1's echoed config, written as key = value lines with its sigma and
+    kbt lists, replays the same curves and digest."""
+    out = tmp_path / "f.json"
+    cp = run_cli("fig1", *flags, "--samples", "3", "--format", "json",
+                 "--out", str(out))
+    assert cp.returncode == 0, cp.stderr
+    first = json.loads(out.read_text())
+    digest_first = json.loads(
+        (tmp_path / "f.json.manifest.json").read_text())["digest"]
+
+    cfg_file = tmp_path / "replay.cfg"
+    cfg_file.write_text("".join(
+        f"{key} = {value}\n" for key, value in first["config"].items()))
+    out2 = tmp_path / "f2.json"
+    cp = run_cli("fig1", "--config", str(cfg_file), "--samples", "3",
+                 "--format", "json", "--out", str(out2))
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(out2.read_text()) == first
+    digest_second = json.loads(
+        (tmp_path / "f2.json.manifest.json").read_text())["digest"]
+    assert digest_first == digest_second
+
+
+@pytest.mark.parametrize("cfg_text, argv, message", [
+    ("sigma = [0.3, 0.4]\nkbt = [2, 5, 7]\n", ["fig1"], "lengths must agree"),
+    ("sigma = [0.3, nan]\n", ["fig1"], "non-finite value for sigma"),
+    ("kbt = [2, x]\n", ["fig1"], "kbt needs a number, not 'x'"),
+    ("sigma = []\n", ["fig1"], "sigma needs a number"),
+    ("x0 = [1.0]\n", ["fig1"], "x0 needs a number, not '[1.0]'"),
+    ("sigma = [0.5, 0.6]\n", ["marginal"], "sigma needs a number"),
+    ("kbt = [2.0]\n", ["partition"], "kbt needs a number"),
+], ids=["unequal-lists", "non-finite-item", "bad-item", "empty-list",
+        "fig1-scalar-key", "marginal", "partition"])
+def test_config_list_errors_exit_1(tmp_path: Path, capsys, cfg_text, argv,
+                                   message):
+    """A list outside fig1's sigma and kbt, a bad list item or fig1 lists of
+    unequal lengths exit 1 with a message that names the key."""
+    from bohmpart import cli
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(cfg_text)
+    assert cli.main([*argv, "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_config_file_unknown_key_exit_1(tmp_path: Path):

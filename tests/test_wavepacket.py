@@ -4,17 +4,17 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import floats
+from hypothesis.strategies import floats, integers
 from scipy.integrate import simpson
 
 from bohmpart import (TruncationInsufficient, WavepacketInit, density,
                       energy_pointwise, evolve, free_system,
                       harmonic_system, mean_energy, phase_gradient,
                       potential_value, quantum_potential, spectral_project)
-from bohmpart.core import WINDOW_SIGMAS
+from bohmpart.core import WINDOW_SIGMAS, Grid1D
 from bohmpart.numdiff import central_first, central_second
 from bohmpart.trajectories import scaling_solution
-from bohmpart.wavepacket import (amplitude, default_spectral_grid,
+from bohmpart.wavepacket import (_simpson, amplitude, default_spectral_grid,
                                  hermite_functions, packet_mean_energy_exact,
                                  total_phase, wavefunction)
 
@@ -314,6 +314,30 @@ def test_spectral_coefficients_match_per_state_simpson():
     for k in range(31):
         assert dec.coefficients[k] == complex(simpson(basis[k] * psi.real, x=x),
                                               simpson(basis[k] * psi.imag, x=x))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(m=floats(0.5, 2.0), w=floats(0.5, 2.0), hbar=floats(0.5, 2.0),
+       x0=floats(-3.0, 3.0), p0=floats(-3.0, 3.0), sigma=floats(0.2, 2.0),
+       t=floats(0.0, 10.0), k_max=integers(0, 160))
+def test_simpson_is_scipys_simpson_bit_for_bit(m, w, hbar, x0, p0, sigma, t,
+                                                k_max):
+    params = harmonic_system(m, w, hbar)
+    init = WavepacketInit(x0, p0, sigma)
+    x = default_spectral_grid(params, init, k_max).points
+    basis = hermite_functions(k_max, math.sqrt(m * w / hbar) * x)
+    psi = wavefunction(evolve(params, init, t), x)
+    for y in (basis * psi.real, basis * psi.imag):
+        assert np.array_equal(_simpson(y, x), simpson(y, x=x))
+
+
+def test_simpson_rejects_an_even_number_of_points():
+    x = np.linspace(-1.0, 1.0, 800)
+    with pytest.raises(ValueError, match="odd number of points"):
+        _simpson(np.exp(-x * x), x)
+    st = evolve(HO, WavepacketInit(0.0, 0.0, math.sqrt(0.5)), 0.0)
+    with pytest.raises(ValueError, match="odd number of points"):
+        spectral_project(st, 20, Grid1D(-20.0, 20.0, 3200))
 
 
 def test_spectral_truncation_error():
