@@ -6,12 +6,11 @@ that interpolates between the quantum eigenvalue sum and the classical
 phase-space integral, including the harmonic-bath crossover factors.
 """
 
-from .core import (DivergentIntegral, Grid1D, QuadratureFailure,
-                   StepFailure, SystemParams, ThermalSpec,
-                   TruncationInsufficient, free_system, harmonic_system,
-                   potential_value)
+from .core import (DivergentIntegral, QuadratureFailure, StepFailure,
+                   SystemParams, ThermalSpec, TruncationInsufficient,
+                   free_system, harmonic_system, potential_value)
 from .wavepacket import (WavepacketInit, WavepacketState, density,
-                         energy_pointwise, evolve, mean_energy, phase_gradient,
+                         energy_pointwise, evolve, phase_gradient,
                          quantum_potential, spectral_project)
 from .trajectories import (RK4Fixed, RK45Adaptive, TrajectoryConfig,
                            bohmian_velocity, equivariance_check, integrate,

@@ -276,6 +276,9 @@ def marginal_rows(args, cfg: dict, pairs) -> list[list]:
     if not math.isfinite(args.tmax):
         raise UsageError("--tmax must be finite")
     params = system_of(cfg)
+    if not math.isfinite(params.omega * args.tmax):
+        raise UsageError(f"--omega {params.omega!r} times --tmax {args.tmax!r} "
+                         "is not a finite double, so cos(omega t) is undefined")
     runs = [(WavepacketInit(cfg["x0"], cfg["p0"], sigma),
              ThermalSpec.from_kbt(kbt)) for sigma, kbt in pairs]
     times = linspace(0.0, args.tmax, args.samples)
@@ -347,25 +350,26 @@ def cmd_limits(args) -> Result:
     return Result(cfg, header, rows)
 
 
-def parse_bath_file(path: str, sigma_default: float, q0_default: float) -> BathSpec:
-    """Bath file: 'sigma = ..', 'q0 = ..', and one 'osc = m, omega, c' per line."""
-    sigma, q0 = sigma_default, q0_default
+def parse_bath_file(path: str, **flags: float) -> BathSpec:
+    """Bath file: 'sigma = ..', 'q0 = ..', and one 'osc = m, omega, c' per line.
+    `flags` (sigma, q0) override the file, as flags override --config."""
+    well = {"sigma": 1.0, "q0": 0.0}
     oscillators = []
     for lineno, key, value in read_key_values(path):
-        if key == "sigma":
-            sigma = float(value)
-        elif key == "q0":
-            q0 = float(value)
+        where = f"{path}:{lineno}"
+        if key in well:
+            well[key] = config_number(where, key, value)
         elif key == "osc":
-            parts = [float(p) for p in value.replace(",", " ").split()]
+            parts = [config_number(where, key, part)
+                     for part in value.replace(",", " ").split()]
             if len(parts) != 3:
-                raise UsageError(f"{path}:{lineno}: osc needs 'm, omega, c'")
+                raise UsageError(f"{where}: osc needs 'm, omega, c'")
             oscillators.append(Oscillator(*parts))
         else:
-            raise UsageError(f"{path}:{lineno}: unknown bath key {key!r}")
+            raise UsageError(f"{where}: unknown bath key {key!r}")
     if not oscillators:
         raise UsageError(f"{path}: no oscillators defined")
-    return BathSpec(tuple(oscillators), sigma, q0)
+    return BathSpec(tuple(oscillators), **{**well, **flags})
 
 
 def cmd_bath(args) -> Result:
@@ -375,20 +379,21 @@ def cmd_bath(args) -> Result:
     if args.kernel_samples < 1:
         raise UsageError("--kernel-samples must be at least 1")
     shape = {key: getattr(args, key) for key in BATH_SHAPE}
+    well = {key: val for key, val in (("sigma", args.bath_sigma),
+                                      ("q0", args.q0)) if val is not None}
     if args.bath_file:
         given = [f"--{key.replace('_', '-')}" for key, val in shape.items()
                  if val is not None]
         if given:
             raise UsageError(f"--bath-file defines the oscillators; drop "
                              f"{', '.join(given)}")
-        bath = parse_bath_file(args.bath_file, args.bath_sigma, args.q0)
+        bath = parse_bath_file(args.bath_file, **well)
     else:
         n, m0, omega_max, coupling = (BATH_SHAPE[key] if val is None else val
                                       for key, val in shape.items())
         if n < 1:
             raise UsageError("--n must be at least 1")
-        bath = uniform_bath(n, m0, omega_max, coupling, args.bath_sigma,
-                            args.q0)
+        bath = uniform_bath(n, m0, omega_max, coupling, **well)
     thermal = ThermalSpec(args.beta)
     hbar = cfg["hbar"]
 
@@ -499,7 +504,7 @@ def cmd_partition(args) -> Result:
 def cmd_verify(args) -> int:
     """Print (and with --out also write) the text report; return the exit code."""
     from .verify import run_verification  # here, so other commands skip it
-    report = run_verification(q_scale=args.inject_q_scale)
+    report = run_verification()
     text = report.render() + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -566,9 +571,9 @@ def build_parser() -> Parser:
         p.add_argument(f"--{key.replace('_', '-')}", type=kind,
                        help=f"{what} (default {BATH_SHAPE[key]:g}; "
                             f"not with --bath-file)")
-    p.add_argument("--sigma", dest="bath_sigma", type=float, default=1.0,
-                   help="shared packet width")
-    p.add_argument("--q0", type=float, default=0.0)
+    p.add_argument("--sigma", dest="bath_sigma", type=float,
+                   help="shared packet width (default 1)")
+    p.add_argument("--q0", type=float, help="tagged position q(0) (default 0)")
     p.add_argument("--beta", type=float, default=1.0,
                    help="inverse temperature")
     p.add_argument("--kernel-tmax", type=float, default=10.0)
@@ -590,8 +595,6 @@ def build_parser() -> Parser:
     p = sub.add_parser("verify", help="run all oracle checks and the "
                                       "discrepancy report")
     p.add_argument("--out", help="also write the report to this file")
-    p.add_argument("--inject-q-scale", type=float, default=1.0,
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -1,9 +1,11 @@
-"""Shared parameter records, grids, and the quadrature rule.
+"""Shared parameter records, the quadrature rule and the worst-residual
+reduction of the oracle checks.
 
 All other modules consume the types defined here.  Everything is an immutable
-value record.  Units are natural: a temperature is the energy k_B T (k_B = 1),
-and hbar is a field of the system record, 1 by default, so with m = omega = 1
-energies come out in units of m*omega^2*x0^2 and times in 1/omega.  Every
+value record, and a grid is a plain numpy array.  Units are natural: a
+temperature is the energy k_B T (k_B = 1), and hbar is a field of the system
+record, 1 by default, so with m = omega = 1 energies come out in units of
+m*omega^2*x0^2 and times in 1/omega.  Every
 numerical integral in the package goes through integrate_window: one
 Gauss-Legendre box rule, its window and tolerances fixed.  The rule hands
 the integrand an open grid (np.ix_) of one slab at a time, a slab being
@@ -107,6 +109,13 @@ def _finite_positive(name: str, value: float) -> float:
     return value
 
 
+def _worst(residuals) -> float:
+    """The largest residual (0.0 for none), or NaN where any residual is
+    NaN, which a running max(worst, r) would drop, passing the check."""
+    values = list(residuals)
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Single particle in V(x) = m*omega^2*x^2/2; omega = 0 is the free particle."""
@@ -162,25 +171,6 @@ class ThermalSpec:
     @property
     def kbt(self) -> float:
         return 1.0 / self.beta
-
-
-@dataclass(frozen=True)
-class Grid1D:
-    """Uniform 1D grid on [lo, hi] with n points."""
-
-    lo: float
-    hi: float
-    n: int
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("grid requires lo < hi")
-        if self.n < 3:
-            raise ValueError("grid requires n >= 3")
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n)
 
 
 # ---------------------------------------------------------------------------

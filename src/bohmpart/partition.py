@@ -114,8 +114,12 @@ def classical_Z(params: SystemParams, thermal: ThermalSpec) -> float:
 
 def _x_window(m: float, w: float, beta: float) -> float:
     """Half-width of an oracle's x window, WINDOW_SIGMAS standard deviations
-    of exp(-beta m w^2 x^2/2); ValueError naming omega where its square,
-    which the integrand forms, is not a finite double."""
+    of exp(-beta m w^2 x^2/2); ValueError naming mass and kbt where beta m
+    underflows to 0, or omega where the window's square, which the
+    integrand forms, is not a finite double."""
+    if beta * m == 0.0:
+        raise ValueError(f"mass / kbt = {m!r} / {1.0 / beta!r} underflows to "
+                         "0, so the oracle's x window is not a finite double")
     half = WINDOW_SIGMAS * (1.0 / math.sqrt(beta * m) / w)
     if not math.isfinite(half * half):
         raise ValueError(f"omega = {w!r}: the oracle's x window {half:g} "

@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Sequence, Union
+from typing import Sequence
 
-from .core import StepFailure, SystemParams, functions_of, np
+from .core import StepFailure, SystemParams, _worst, functions_of, np
 from .wavepacket import WavepacketInit, WavepacketState, evolve, phase_gradient
 
 _REL_TOL, _ABS_TOL = 1e-9, 1e-12  # Dormand-Prince, see RK45Adaptive
@@ -59,12 +59,9 @@ class RK45Adaptive:
     """
 
 
-Stepper = Union[RK4Fixed, RK45Adaptive]
-
-
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    stepper: Stepper = field(default_factory=RK45Adaptive)
+    stepper: RK4Fixed | RK45Adaptive = field(default_factory=RK45Adaptive)
     t_max: float = 5.0
 
     def __post_init__(self):
@@ -130,10 +127,6 @@ def scaling_solution(params: SystemParams, init: WavepacketInit,
     q = init.x0 * c + init.p0 * sw / m
     ratio = fn.hypot(c, hbar * sw / (2 * m * init.sigma**2))
     return q + (x_start - init.x0) * ratio
-
-
-def _velocity_of(params: SystemParams, init: WavepacketInit, t: float, x: float) -> float:
-    return bohmian_velocity(evolve(params, init, t), x)
 
 
 # Dormand-Prince 5(4): nodes c2..c5 (c6 = c7 = 1), stage weights a_ij, the
@@ -254,7 +247,7 @@ def integrate(params: SystemParams, init: WavepacketInit, x_start: float,
     """
     if not math.isfinite(x_start):
         raise ValueError("x_start must be finite")
-    rhs = lambda t, x: _velocity_of(params, init, t, x)
+    rhs = lambda t, x: bohmian_velocity(evolve(params, init, t), x)
     stepper = cfg.stepper
     if isinstance(stepper, RK4Fixed):
         n_steps = max(1, int(round(cfg.t_max / stepper.dt)))
@@ -282,17 +275,15 @@ def equivariance_check(params: SystemParams, init: WavepacketInit,
 
     Starts one trajectory at each c-quantile of P(.,0), integrates it to t
     with the default RK45Adaptive stepper, and measures the quantile each
-    endpoint occupies in P(.,t).  Returns max |c_achieved - c|; exactly zero
-    for the ideal Gaussian flow.
+    endpoint occupies in P(.,t).  Returns max |c_achieved - c|, NaN where
+    an endpoint is NaN; exactly zero for the ideal Gaussian flow.
     """
     run_cfg = TrajectoryConfig(t_max=t)
     end_state = evolve(params, init, t)
-    worst = 0.0
-    for c in quantiles:
+
+    def error(c: float) -> float:
         x_start = density_quantile(params, init, 0.0, c)
-        path = integrate(params, init, x_start, run_cfg)
-        x_end = float(path.positions[-1])
-        achieved = NormalDist().cdf((x_end - end_state.q) / end_state.width)
-        worst = max(worst, abs(achieved - c))
-    return worst
+        x_end = float(integrate(params, init, x_start, run_cfg).positions[-1])
+        return abs(NormalDist().cdf((x_end - end_state.q) / end_state.width) - c)
+    return _worst(map(error, quantiles))
 

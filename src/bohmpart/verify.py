@@ -6,8 +6,9 @@ Two kinds of entries come out of a verification run:
   definitions (finite-difference quantum potential and energy, the quantum
   Hamilton-Jacobi residual, the time derivative of the marginal Z, the bath
   correction factor against 3D quadrature).  These must pass, each with its
-  residual below a fixed module tolerance (Q_FD_TOL, ..., BATH_FACTOR_TOL);
-  the pointwise checks sample N_POINTS seeded random points.
+  residual below a fixed module tolerance (Q_FD_TOL, ..., BATH_FACTOR_TOL),
+  its worst over the samples as core._worst keeps it, NaN included; the
+  pointwise checks sample N_POINTS seeded random points.
 * discrepancies: alternate closed-form variants that circulate for the same
   quantities but disagree with the defining integrals/derivatives.  These
   are measured and reported, never silently adopted or corrected:
@@ -32,8 +33,8 @@ import math
 from dataclasses import dataclass, field
 
 from .bath import BathSpec, Oscillator, unified_bath_Z
-from .core import SystemParams, ThermalSpec, free_system, harmonic_system, \
-    np, potential_value
+from .core import SystemParams, ThermalSpec, _worst, free_system, \
+    harmonic_system, np, potential_value
 from .numdiff import central_first, central_second
 from .partition import marginal_Z, marginal_Z_derivative, unified_integral
 from .trajectories import quantum_force
@@ -126,74 +127,71 @@ def _sample_points(offset: int, lo: float = -2.5, hi: float = 2.5):
             yield name, state, state.q + rng.uniform(lo, hi) * state.width
 
 
-def check_quantum_potential_fd(q_scale: float = 1.0) -> CheckResult:
-    """Closed-form Q against -(hbar^2 / 2 m R) R'' by finite differences.
-
-    q_scale is a fault-injection hook: it multiplies the closed form, so any
-    value other than 1 must make the check fail.
-    """
-    worst = 0.0
-    for _, state, x in _sample_points(0):
+def check_quantum_potential_fd() -> CheckResult:
+    """Closed-form Q against -(hbar^2 / 2 m R) R'' by finite differences."""
+    def residual(state: WavepacketState, x: float) -> float:
         hbar, m = state.params.hbar, state.params.mass
         fd = -hbar**2 / (2 * m) * central_second(
             lambda xx: amplitude(state, xx), x) / amplitude(state, x)
-        cf = q_scale * quantum_potential(state, x)
-        scale = hbar**2 * state.alpha.real / m
-        worst = max(worst, abs(fd - cf) / max(abs(cf), scale))
-    return CheckResult("quantum potential vs finite-difference R''", worst, Q_FD_TOL)
+        cf = quantum_potential(state, x)
+        return abs(fd - cf) / max(abs(cf), hbar**2 * state.alpha.real / m)
+    return CheckResult("quantum potential vs finite-difference R''",
+                       _worst(residual(s, x) for _, s, x in _sample_points(0)),
+                       Q_FD_TOL)
 
 
 def check_energy_fd() -> CheckResult:
     """Closed-form E(x,t) against -dS/dt by central time differences."""
-    worst = 0.0
-    for _, state, x in _sample_points(1):
+    def residual(state: WavepacketState, x: float) -> float:
         fd = -central_first(
             lambda tt: total_phase(evolve(state.params, state.init, tt), x),
             state.t)
         cf = energy_pointwise(state, x)
-        worst = max(worst, abs(fd - cf) / max(abs(cf), _energy_scale(state)))
-    return CheckResult("pointwise energy vs -dS/dt", worst, ENERGY_FD_TOL)
+        return abs(fd - cf) / max(abs(cf), _energy_scale(state))
+    return CheckResult("pointwise energy vs -dS/dt",
+                       _worst(residual(s, x) for _, s, x in _sample_points(1)),
+                       ENERGY_FD_TOL)
 
 
 def check_qhj_residual() -> CheckResult:
     """-dS/dt - [(dS/dx)^2/2m + V + Q] = 0 with all closed forms."""
-    worst = 0.0
-    for _, state, x in _sample_points(2):
+    def residual(state: WavepacketState, x: float) -> float:
         res = energy_pointwise(state, x) - (
             phase_gradient(state, x) ** 2 / (2 * state.params.mass)
             + potential_value(state.params, x) + quantum_potential(state, x))
-        worst = max(worst, abs(res) / _energy_scale(state))
-    return CheckResult("quantum Hamilton-Jacobi residual", worst, QHJ_TOL)
+        return abs(res) / _energy_scale(state)
+    return CheckResult("quantum Hamilton-Jacobi residual",
+                       _worst(residual(s, x) for _, s, x in _sample_points(2)),
+                       QHJ_TOL)
 
 
 def check_quantum_force_fd() -> CheckResult:
     """Analytic -dQ/dx against a central difference of Q."""
-    worst = 0.0
-    for _, state, x in _sample_points(3, lo=0.2):
+    def residual(state: WavepacketState, x: float) -> float:
         hbar, m = state.params.hbar, state.params.mass
         fd = -central_first(lambda xx: quantum_potential(state, xx), x)
         cf = quantum_force(state, x)
         scale = 4 * hbar**2 * state.alpha.real**2 * state.width / m
-        worst = max(worst, abs(fd - cf) / max(abs(cf), scale))
-    return CheckResult("quantum force vs finite-difference dQ/dx", worst,
+        return abs(fd - cf) / max(abs(cf), scale)
+    return CheckResult("quantum force vs finite-difference dQ/dx",
+                       _worst(residual(s, x)
+                              for _, s, x in _sample_points(3, lo=0.2)),
                        QUANTUM_FORCE_FD_TOL)
 
 
 def check_marginal_rate_fd() -> CheckResult:
     """Exact marginal-Z derivative against Richardson central differences."""
-    worst = 0.0
-    for t in (0.4, 1.3, 2.9):
+    def z_of(tt: float) -> float:
+        return marginal_Z(*MARGINAL_RUN, tt)
+
+    def residual(t: float, h: float = 1e-3) -> float:
         rate = marginal_Z_derivative(*MARGINAL_RUN, t).exact
-        h = 1e-3
-
-        def z_of(tt: float) -> float:
-            return marginal_Z(*MARGINAL_RUN, tt)
-
         d1 = (z_of(t + h) - z_of(t - h)) / (2 * h)
         d2 = (z_of(t + h / 2) - z_of(t - h / 2)) / h
         fd = (4 * d2 - d1) / 3
-        worst = max(worst, abs(rate - fd) / max(abs(fd), 1e-12))
-    return CheckResult("marginal dZ/dt vs finite difference", worst, DZDT_FD_TOL)
+        return abs(rate - fd) / max(abs(fd), 1e-12)
+    return CheckResult("marginal dZ/dt vs finite difference",
+                       _worst(map(residual, (0.4, 1.3, 2.9))), DZDT_FD_TOL)
 
 
 def bath_oracle() -> float:
@@ -252,17 +250,17 @@ def energy_center_potential_variant(state: WavepacketState, x):
 
 
 def measure_energy_variant() -> DiscrepancyEntry:
-    worst = {name: 0.0 for name, _, _ in _sample_systems()}
-    for name, state, x in _sample_points(4):
-        diff = abs(energy_center_potential_variant(state, x)
-                   - energy_pointwise(state, x))
-        worst[name] = max(worst[name], diff / _energy_scale(state))
+    residuals = [(name, abs(energy_center_potential_variant(state, x)
+                            - energy_pointwise(state, x)) / _energy_scale(state))
+                 for name, state, x in _sample_points(4)]
+    worst = {name: _worst(r for n, r in residuals if n == name)
+             for name, _, _ in _sample_systems()}
     return DiscrepancyEntry(
         "energy form with center potential V(q)",
         "variant E = p^2/2m + V(q) + Q differs from -dS/dt by V(x) - V(q) "
         f"(harmonic) and by a squared width factor (free); worst relative "
         f"residuals: harmonic {worst['harmonic']:.3e}, free {worst['free']:.3e}",
-        max(worst.values()))
+        _worst(worst.values()))
 
 
 def measure_dzdt_bracket() -> DiscrepancyEntry:
@@ -288,12 +286,12 @@ def measure_bath_2pi(oracle: float) -> DiscrepancyEntry:
         abs(ratio - 1.0))
 
 
-def run_verification(q_scale: float = 1.0) -> VerificationReport:
+def run_verification() -> VerificationReport:
     """Run every oracle check plus the discrepancy measurements; the bath
     quadrature runs once, for both of its entries."""
     oracle = bath_oracle()
     return VerificationReport(
-        checks=[check_quantum_potential_fd(q_scale), check_energy_fd(),
+        checks=[check_quantum_potential_fd(), check_energy_fd(),
                 check_qhj_residual(), check_quantum_force_fd(),
                 check_marginal_rate_fd(), check_bath_factor(oracle)],
         discrepancies=[measure_energy_variant(), measure_dzdt_bracket(),

@@ -36,8 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import (WINDOW_SIGMAS, Grid1D, SystemParams,
-                   TruncationInsufficient, check_scale, integrate_window, np)
+from .core import SystemParams, TruncationInsufficient, check_scale, np
 
 
 @dataclass(frozen=True)
@@ -255,19 +254,6 @@ def energy_dt(state: WavepacketState, x):
     return a2_dot * (u * u) + (a1_dot - 2.0 * a2 * q_dot) * u + a0_dot - a1 * q_dot
 
 
-def mean_energy(state: WavepacketState) -> float:
-    """<H> = integral of P(x,t) E(x,t) dx by Gauss-Legendre quadrature.
-
-    Constant in time for both systems; the spectral decomposition gives the
-    same number as sum |c_k|^2 E_k.
-    """
-    half = WINDOW_SIGMAS * state.width
-    val, _ = integrate_window(
-        lambda x: density(state, x) * energy_pointwise(state, x),
-        state.q - half, state.q + half)
-    return val
-
-
 # ---------------------------------------------------------------------------
 # Spectral decomposition over the harmonic eigenbasis
 # ---------------------------------------------------------------------------
@@ -309,8 +295,9 @@ SPECTRAL_POINTS_PER_LENGTH = 80  # of default_spectral_grid
 
 
 def default_spectral_grid(params: SystemParams, init: WavepacketInit,
-                          basis_size: int) -> Grid1D:
-    """Grid covering both the packet and the highest basis state with margin."""
+                          basis_size: int) -> np.ndarray:
+    """Odd number of uniform points covering both the packet and the highest
+    basis state with margin."""
     if not params.is_harmonic:
         raise ValueError("spectral grid requires a harmonic system")
     hbar = params.hbar
@@ -318,7 +305,7 @@ def default_spectral_grid(params: SystemParams, init: WavepacketInit,
     turning = math.sqrt(2.0 * basis_size + 1.0) * scale
     half = max(abs(init.x0) + 10.0 * init.sigma, 1.3 * turning + 6.0 * scale)
     n = int(2 * half * SPECTRAL_POINTS_PER_LENGTH) | 1
-    return Grid1D(-half, half, max(n, 801))
+    return np.linspace(-half, half, max(n, 801))
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -341,12 +328,13 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def spectral_project(state: WavepacketState, basis_size: int,
-                     grid: Grid1D) -> SpectralDecomposition:
-    """Project the packet onto harmonic eigenfunctions by grid quadrature.
+                     x: np.ndarray) -> SpectralDecomposition:
+    """Project the packet onto harmonic eigenfunctions by quadrature on the
+    increasing points x.
 
     The overlaps use an in-repo composite Simpson rule (_simpson), the same
-    arithmetic as scipy.integrate.simpson's x= form, so the grid needs an
-    odd number of points, as default_spectral_grid gives.
+    arithmetic as scipy.integrate.simpson's x= form, so x needs an odd
+    number of points, as default_spectral_grid gives.
 
     Raises TruncationInsufficient when sum |c_k|^2 < 1 - 1e-8, i.e. when
     basis_size truncates too much of the state.
@@ -360,12 +348,11 @@ def spectral_project(state: WavepacketState, basis_size: int,
     scale = math.sqrt(hbar / (m * w))
     turning = math.sqrt(2.0 * basis_size + 1.0) * scale
     need = max(abs(state.q) + 10.0 * state.width, turning)
-    if grid.lo > -need or grid.hi < need:
+    if x[0] > -need or x[-1] < need:
         raise ValueError(
-            f"grid [{grid.lo:g}, {grid.hi:g}] must cover +-{need:g} "
+            f"grid [{x[0]:g}, {x[-1]:g}] must cover +-{need:g} "
             "(10 packet widths and the highest basis state)")
 
-    x = grid.points
     xi = np.sqrt(m * w / hbar) * x
     basis = (m * w / hbar) ** 0.25 * hermite_functions(basis_size, xi)
     psi = wavefunction(state, x)
@@ -386,7 +373,7 @@ def packet_mean_energy_exact(params: SystemParams, init: WavepacketInit) -> floa
 
     which at w = 0 is the free packet's p0^2/2m + hbar^2/(8 m sigma^2)
     exactly, since adding the zero terms does not round.  Used as an
-    independent oracle for mean_energy and spectral sums.
+    independent oracle for the spectral sums.
     """
     hbar = params.hbar
     m, w = params.mass, params.omega

@@ -18,7 +18,7 @@ from bohmpart import (RK45Adaptive, ThermalSpec, TrajectoryConfig,
                       classical_Z, DivergentIntegral, equivariance_check,
                       evolve, free_system, gaussian_correction,
                       gaussian_correction_integral, harmonic_system,
-                      integrate, marginal_Z, marginal_curve, mean_energy,
+                      integrate, marginal_Z, marginal_curve,
                       potential_value, quantum_potential, quantum_Z,
                       spectral_project, unified_integral, unified_Z_gaussian)
 from bohmpart.numdiff import central_first, central_second
@@ -157,7 +157,7 @@ def test_criterion_06_quantum_potential_and_energy_identities():
            ok, f"Q rel={worst_q:.2e}, E rel={worst_e:.2e}")
 
 
-def test_criterion_07_energy_conservation_and_spectral_sum():
+def test_criterion_07_energy_conservation_and_spectral_sum(mean_energy):
     rng = np.random.default_rng(321)
     drift_worst = spectral_worst = 0.0
     for _ in range(5):

@@ -628,9 +628,27 @@ def _exit_1_naming(capsys, argv, name):
     # the t = 0 marginal Z underflows to 0, so the curve cannot be normalized
     (["marginal", "--x0", "100", "--samples", "3"], "x0 = 100"),
     (["fig1", "--p0", "1e3", "--samples", "3"], "p0 = 1000"),
+    # beta m underflows to 0, so the oracle's x window is 1/0
+    (["partition", "--oracle", "--mass", "5.4e-69", "--kbt", "2.5e268"],
+     "mass / kbt"),
+    (["marginal", "--omega", "3.5e286", "--tmax=-7.6e74", "--samples", "3"],
+     "--omega 3.5e+286 times --tmax -7.6e+74"),
+    (["fig1", "--omega", "3.5e286", "--tmax=-7.6e74", "--samples", "3"],
+     "--omega 3.5e+286 times --tmax -7.6e+74"),
 ])
 def test_input_the_subcommand_cannot_honour_exit_1(capsys, argv, name):
     _exit_1_naming(capsys, argv, name)
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
+                   reason="ROADMAP item 2: _boltzmann_density's exp overflows "
+                          "inside the marginal quadrature")
+def test_fig1_large_omega_ends_without_a_traceback(capsys):
+    from bohmpart import cli
+    code = cli.main(["fig1", "--omega", "3.7e12", "--samples", "3"])
+    err = capsys.readouterr().err
+    assert code == 0 or (err.startswith("bohmpart: ")
+                         and err.count("\n") == 1)
 
 
 @pytest.mark.parametrize("flag", ["--n", "--m0", "--omega-max", "--coupling"])
@@ -794,6 +812,30 @@ def test_bath_file_parsing(tmp_path: Path):
     assert z_b == pytest.approx((2.0 * np.pi) ** 2 / 2.0, rel=1e-12)
 
 
+def test_bath_flags_override_the_bath_file(tmp_path: Path, capsys):
+    """--sigma and --q0 override the file's sigma and q0, as flags override
+    --config."""
+    from bohmpart import BathSpec, Oscillator, cli
+    bath_file = tmp_path / "bath.cfg"
+    bath_file.write_text("sigma = 2\nq0 = 0.1\nosc = 1, 1, 1\n")
+    osc = (Oscillator(1.0, 1.0, 1.0),)
+    assert cli.parse_bath_file(str(bath_file)) == BathSpec(osc, 2.0, 0.1)
+    assert cli.parse_bath_file(str(bath_file), sigma=5.0, q0=0.3) == \
+        BathSpec(osc, 5.0, 0.3)
+    for flags, ratio in (([], 1 / 16), (["--sigma", "5"], 1 / 100)):
+        assert cli.main(["bath", "--bath-file", str(bath_file),
+                         "--format", "json", *flags]) == 0
+        rows = json.loads(capsys.readouterr().out)["oscillators"]
+        assert rows[0]["ratio"] == pytest.approx(ratio, rel=1e-12)
+
+
+def test_bath_file_bad_number_names_its_line_and_key(tmp_path: Path, capsys):
+    bath_file = tmp_path / "bath.cfg"
+    bath_file.write_text("sigma = 2\nosc = 1, abc, 1\n")
+    _exit_1_naming(capsys, ["bath", "--bath-file", str(bath_file)],
+                   f"{bath_file}:2: osc needs a number, not 'abc'")
+
+
 def test_limits_fixed_msigma2_constant_ratio(tmp_path: Path):
     out = tmp_path / "lim.csv"
     cp = run_cli("limits", "--var", "sigma", "--start", "1.0", "--stop",
@@ -852,11 +894,19 @@ def test_golden_csv_headers(tmp_path: Path):
     assert kernel_header == "t[time],nu[coupling^2*time^2]"
 
 
-def test_verify_fault_injection_exit_3(tmp_path: Path):
+@pytest.mark.parametrize("scale", [1.01, math.nan])
+def test_verify_fault_injection_exit_3(tmp_path: Path, monkeypatch, capsys,
+                                       scale):
+    """A quantum potential moved by 1%, or one that gives NaN, fails verify."""
+    from bohmpart import cli, verify
+    closed_form = verify.quantum_potential
+    monkeypatch.setattr(verify, "quantum_potential", lambda state, x:
+                        scale * closed_form(state, x))
     out = tmp_path / "report.txt"
-    cp = run_cli("verify", "--inject-q-scale", "1.001", "--out", str(out))
-    assert cp.returncode == 3
-    assert "FAIL" in cp.stdout
+    assert cli.main(["verify", "--out", str(out)]) == 3
+    stdout = capsys.readouterr().out
+    assert "[FAIL] quantum potential" in stdout
+    assert stdout.endswith("verification FAILED\n")
     text = out.read_text()
     # the three documented discrepancy entries are always listed
     assert "center potential" in text
@@ -982,13 +1032,13 @@ def test_bath_json_summary_numbers_or_null(tmp_path: Path, oscillators,
     ["trajectory", "--x-start", "1.2", "--tmax", "3", "--system", "free"],
 ])
 def test_closed_form_subcommands_never_integrate(monkeypatch, capsys, argv):
-    from bohmpart import cli, core, partition, trajectories, wavepacket
+    from bohmpart import cli, core, partition, trajectories
     assert cli.main(argv) == 0
     expected = capsys.readouterr().out
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a closed-form subcommand ran an integrator")
-    for module in (core, partition, wavepacket):
+    for module in (core, partition):
         monkeypatch.setattr(module, "integrate_window", forbidden)
     for name in ("integrate", "_dormand_prince", "_rk4"):
         monkeypatch.setattr(trajectories, name, forbidden)

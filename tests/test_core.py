@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohmpart import (BathSpec, Grid1D, Oscillator, QuadratureFailure,
-                      SystemParams, ThermalSpec, WavepacketInit, free_system,
+from bohmpart import (BathSpec, Oscillator, QuadratureFailure, SystemParams,
+                      ThermalSpec, WavepacketInit, free_system,
                       harmonic_system, potential_value)
 from bohmpart.core import (GL_LADDER, REL_TOL, SLAB_POINTS, _box_rule,
                            _legendre, integrate_window)
@@ -58,15 +58,6 @@ def test_params_validation():
 def test_thermal_spec_kbt_roundtrip():
     th = ThermalSpec.from_kbt(2.0)
     assert th.beta == 0.5 and th.kbt == 2.0
-
-
-def test_grid1d():
-    g = Grid1D(-1.0, 1.0, 5)
-    assert np.allclose(g.points, [-1.0, -0.5, 0.0, 0.5, 1.0])
-    with pytest.raises(ValueError):
-        Grid1D(1.0, -1.0, 5)
-    with pytest.raises(ValueError):
-        Grid1D(0.0, 1.0, 2)
 
 
 def test_integrate_window_gaussian():

@@ -223,6 +223,28 @@ def test_equivariance_quantile_grid(params, init, t):
     assert equivariance_check(params, init, QUANTILES, t) < 1e-6
 
 
+def test_equivariance_check_fails_on_a_nan_velocity_or_endpoint(monkeypatch):
+    """A NaN never reads as zero transport error: a velocity that turns NaN
+    stops the Dormand-Prince stepper, and a NaN endpoint gives NaN."""
+    init = WavepacketInit(1.0, 0.0, 0.45)
+    velocity = trajectories.bohmian_velocity
+    with monkeypatch.context() as patch:
+        patch.setattr(trajectories, "bohmian_velocity", lambda state, x:
+                      velocity(state, x) if state.t < 1.0 else math.nan)
+        with pytest.raises(StepFailure):
+            equivariance_check(HO, init, (0.2, 0.5, 0.8), 2.0)
+
+    run = trajectories.integrate
+
+    def nan_endpoint(*args):
+        path = run(*args)
+        positions = path.positions.copy()
+        positions[-1] = math.nan
+        return TrajectoryPath(path.times, positions, path.velocities)
+    monkeypatch.setattr(trajectories, "integrate", nan_endpoint)
+    assert math.isnan(equivariance_check(HO, init, (0.2, 0.5, 0.8), 2.0))
+
+
 def test_equivariance_across_time_span():
     for params, init in [(FREE, WavepacketInit(0.0, 1.0, 0.8)),
                          (HO, WavepacketInit(1.0, 0.0, 0.45))]:

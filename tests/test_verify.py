@@ -17,9 +17,16 @@ def test_every_check_passes_with_a_fivefold_margin():
         assert check.tolerance / check.residual >= 5.0, check
 
 
-def test_q_check_fails_under_fault_injection():
+def test_q_check_fails_under_fault_injection(monkeypatch):
+    """A closed form moved by 1%, or one that gives NaN, fails its check."""
     assert check_quantum_potential_fd().passed
-    assert not check_quantum_potential_fd(q_scale=1.01).passed
+    closed_form = verify.quantum_potential
+    for scale in (1.01, math.nan):
+        monkeypatch.setattr(verify, "quantum_potential", lambda state, x:
+                            scale * closed_form(state, x))
+        check = check_quantum_potential_fd()
+        assert not check.passed
+        assert math.isnan(check.residual) == math.isnan(scale)
 
 
 def test_full_verification_report():

@@ -9,9 +9,9 @@ from scipy.integrate import simpson
 
 from bohmpart import (TruncationInsufficient, WavepacketInit, density,
                       energy_pointwise, evolve, free_system,
-                      harmonic_system, mean_energy, phase_gradient,
-                      potential_value, quantum_potential, spectral_project)
-from bohmpart.core import WINDOW_SIGMAS, Grid1D
+                      harmonic_system, phase_gradient, potential_value,
+                      quantum_potential, spectral_project)
+from bohmpart.core import WINDOW_SIGMAS
 from bohmpart.numdiff import central_first, central_second
 from bohmpart.trajectories import scaling_solution
 from bohmpart.wavepacket import (_simpson, amplitude, default_spectral_grid,
@@ -306,9 +306,8 @@ def test_spectral_coefficients_match_per_state_simpson():
     # one 2-D simpson call gives each state's overlap exactly as its own call
     init = WavepacketInit(0.8, -0.5, 0.6)
     st = evolve(HO, init, 0.9)
-    grid = default_spectral_grid(HO, init, 30)
-    dec = spectral_project(st, 30, grid)
-    x = grid.points
+    x = default_spectral_grid(HO, init, 30)
+    dec = spectral_project(st, 30, x)
     psi = wavefunction(st, x)
     basis = hermite_functions(30, x)
     for k in range(31):
@@ -324,7 +323,7 @@ def test_simpson_is_scipys_simpson_bit_for_bit(m, w, hbar, x0, p0, sigma, t,
                                                 k_max):
     params = harmonic_system(m, w, hbar)
     init = WavepacketInit(x0, p0, sigma)
-    x = default_spectral_grid(params, init, k_max).points
+    x = default_spectral_grid(params, init, k_max)
     basis = hermite_functions(k_max, math.sqrt(m * w / hbar) * x)
     psi = wavefunction(evolve(params, init, t), x)
     for y in (basis * psi.real, basis * psi.imag):
@@ -337,7 +336,7 @@ def test_simpson_rejects_an_even_number_of_points():
         _simpson(np.exp(-x * x), x)
     st = evolve(HO, WavepacketInit(0.0, 0.0, math.sqrt(0.5)), 0.0)
     with pytest.raises(ValueError, match="odd number of points"):
-        spectral_project(st, 20, Grid1D(-20.0, 20.0, 3200))
+        spectral_project(st, 20, np.linspace(-20.0, 20.0, 3200))
 
 
 def test_spectral_truncation_error():
@@ -347,14 +346,14 @@ def test_spectral_truncation_error():
         spectral_project(st, 3, default_spectral_grid(HO, init, 80))
 
 
-def test_mean_energy_matches_spectral_sum():
+def test_mean_energy_matches_spectral_sum(mean_energy):
     init = WavepacketInit(0.8, -0.5, 0.6)
     st = evolve(HO, init, 0.0)
     dec = spectral_project(st, 60, default_spectral_grid(HO, init, 60))
     assert mean_energy(st) == pytest.approx(dec.mean_energy(), abs=1e-8)
 
 
-def test_mean_energy_time_invariant():
+def test_mean_energy_time_invariant(mean_energy):
     init = WavepacketInit(1.0, 0.3, 0.5)
     values = [mean_energy(evolve(HO, init, t))
               for t in (0.0, 0.7, 1.9, 4.3)]
@@ -363,7 +362,7 @@ def test_mean_energy_time_invariant():
                                       rel=1e-10)
 
 
-def test_mean_energy_free_closed_form():
+def test_mean_energy_free_closed_form(mean_energy):
     sigma, p0 = 0.75, 1.3
     init = WavepacketInit(0.0, p0, sigma)
     st = evolve(FREE, init, 0.0)
