@@ -22,9 +22,11 @@ Conventions
   broadcasts over core's open grid of a box of WINDOW_SIGMAS standard
   deviations per axis, to core's tolerances, returns the raw-measure
   (value, est_error) with est_error the difference between the last two
-  rules of the ladder, and calls no closed form it checks.
-  quantum_Z returns the same (value, est_error) shape, with est_error the
-  dropped tail of the eigenvalue sum.
+  rules of the ladder, and calls no closed form it checks.  _phase_box
+  sizes the (x, p) box of the two phase-space oracles and raises ValueError
+  where doubles cannot form its energy.  quantum_Z returns the same
+  (value, est_error) shape, with est_error the dropped tail of the
+  eigenvalue sum.
 * The marginal partition function at fixed (x0, p0) keeps the single
   prepared packet in the distribution sum; it is evaluated by Gauss-Legendre
   quadrature (core.integrate_window) of exp(log P - beta E) with the window
@@ -39,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (WINDOW_SIGMAS, DivergentIntegral, SystemParams,
+from .core import (REL_TOL, WINDOW_SIGMAS, DivergentIntegral, SystemParams,
                    ThermalSpec, _finite_positive, check_scale,
                    integrate_window, np)
 from .wavepacket import (WavepacketInit, energy_dt, energy_pointwise, evolve,
@@ -112,19 +114,30 @@ def classical_Z(params: SystemParams, thermal: ThermalSpec) -> float:
     return 1.0 / _ladder_x(params, thermal, math.inf)
 
 
-def _x_window(m: float, w: float, beta: float) -> float:
-    """Half-width of an oracle's x window, WINDOW_SIGMAS standard deviations
-    of exp(-beta m w^2 x^2/2); ValueError naming mass and kbt where beta m
-    underflows to 0, or omega where the window's square, which the
-    integrand forms, is not a finite double."""
+def _energy(m: float, w: float, x, p):
+    """H = p^2/2m + m w^2 x^2/2, as both phase-space oracles form it."""
+    return p * p / (2 * m) + 0.5 * m * w * w * (x * x)
+
+
+def _phase_box(m: float, w: float, thermal: ThermalSpec,
+               const_q: float = 0.0) -> tuple[float, float]:
+    """(half_x, half_p): WINDOW_SIGMAS deviations of exp(-beta (_energy +
+    const_q)) per axis.  ValueError naming mass and kbt where beta m is 0,
+    or mass, omega and kbt unless _energy + const_q at the box's corner is
+    within REL_TOL of its exact WINDOW_SIGMAS^2 kbt + const_q, which an
+    overflowed or subnormal factor would spoil unseen by est_error."""
+    beta, kbt = thermal.beta, thermal.kbt
     if beta * m == 0.0:
-        raise ValueError(f"mass / kbt = {m!r} / {1.0 / beta!r} underflows to "
-                         "0, so the oracle's x window is not a finite double")
-    half = WINDOW_SIGMAS * (1.0 / math.sqrt(beta * m) / w)
-    if not math.isfinite(half * half):
-        raise ValueError(f"omega = {w!r}: the oracle's x window {half:g} "
-                         "squared is not a finite double")
-    return half
+        raise ValueError(f"mass / kbt = {m!r} / {kbt!r} underflows to 0, so "
+                         "the oracle's x window is not a finite double")
+    half_x = WINDOW_SIGMAS * (1.0 / math.sqrt(beta * m) / w)
+    half_p = WINDOW_SIGMAS * math.sqrt(m / beta)
+    exact = WINDOW_SIGMAS**2 * kbt + const_q
+    corner = _energy(m, w, half_x, half_p) + const_q
+    if not abs(corner - exact) <= REL_TOL * exact:
+        raise ValueError(f"mass = {m!r}, omega = {w!r}, kbt = {kbt!r}: doubles"
+                         f" miss the oracle box's energy by over {REL_TOL:g}")
+    return half_x, half_p
 
 
 def phase_space_integral(m: float, w: float, thermal: ThermalSpec,
@@ -135,14 +148,12 @@ def phase_space_integral(m: float, w: float, thermal: ThermalSpec,
     classical_Z.
     """
     beta = thermal.beta
-    half = _x_window(m, w, beta)
-    sp = WINDOW_SIGMAS * math.sqrt(m / beta)
+    hx, hp = _phase_box(m, w, thermal)
 
     def f(x, p):
-        return np.exp(-beta * (p * p / (2 * m)
-                               + 0.5 * m * w * w * (x - center) ** 2))
+        return np.exp(-beta * _energy(m, w, x - center, p))
 
-    return integrate_window(f, (center - half, -sp), (center + half, sp))
+    return integrate_window(f, (center - hx, -hp), (center + hx, hp))
 
 
 # Bound on the dropped tail of quantum_Z's eigenvalue sum, relative to the sum.
@@ -245,23 +256,22 @@ def unified_integral(m: float, w: float, sigma: float, thermal: ThermalSpec,
     unified_Z_gaussian.
     """
     beta = thermal.beta
-    ws = WINDOW_SIGMAS
     r = _convergent_ratio(m, sigma, thermal, hbar)
-    sig_eff = sigma / math.sqrt(1.0 - r)
-    half = _x_window(m, w, beta)
-    sp0 = math.sqrt(m / beta)
+    hu = WINDOW_SIGMAS * (sigma / math.sqrt(1.0 - r))
     log_pref = -0.5 * math.log(2 * math.pi * sigma**2)
     const_q = hbar**2 / (4 * m * sigma**2)
+    hx, hp = _phase_box(m, w, thermal, const_q)
+    if not 8.0 * hx * hp * hu < math.inf:
+        raise ValueError(f"mass = {m!r}, omega = {w!r}, kbt = {thermal.kbt!r}"
+                         f", sigma = {sigma!r}: the oracle's 3-D box volume "
+                         "is not a finite double")
 
     def f(x0, p0, u):
-        energy = (p0 * p0 / (2 * m) + 0.5 * m * w * w * (x0 - center) ** 2
-                  + const_q)
+        energy = _energy(m, w, x0 - center, p0) + const_q
         return np.exp(log_pref - (1.0 - r) * u * u / (2 * sigma**2)
                       - beta * energy)
 
-    return integrate_window(
-        f, (center - half, -ws * sp0, -ws * sig_eff),
-        (center + half, ws * sp0, ws * sig_eff))
+    return integrate_window(f, (center - hx, -hp, -hu), (center + hx, hp, hu))
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,8 @@ steppers integrate it in plain float arithmetic: classic RK4 at a fixed
 step, and the Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl.
 Math. 6, 1980) at fixed tolerances, with first-same-as-last stages, local
 extrapolation and the step-size controller of Hairer, Norsett & Wanner,
-Solving ODEs I, sec. II.4.  Each stepper returns, with every point (t, x)
-it reached, the velocity it evaluated there as a stage (RK4's k1,
-Dormand-Prince's first-same-as-last stage), so recording a path's
-velocities costs no further evaluation.
+Solving ODEs I, sec. II.4.  Each stepper returns every point (t, x) it
+reached; a path's velocity, where wanted, is bohmian_velocity there.
 """
 
 from __future__ import annotations
@@ -71,15 +69,14 @@ class TrajectoryConfig:
 
 @dataclass(frozen=True)
 class TrajectoryPath:
-    """Recorded (t, x, v) samples of one integrated trajectory."""
+    """Recorded (t, x) samples of one integrated trajectory."""
 
     times: np.ndarray
     positions: np.ndarray
-    velocities: np.ndarray
 
     def __post_init__(self):
-        if not (len(self.times) == len(self.positions) == len(self.velocities)):
-            raise ValueError("times, positions, velocities must have equal length")
+        if len(self.times) != len(self.positions):
+            raise ValueError("times and positions must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 
@@ -162,18 +159,16 @@ def _initial_step(f, x0: float, f0: float, t_max: float) -> float:
 
 
 def _dormand_prince(f, x0: float, t_max: float
-                    ) -> tuple[list[float], list[float], list[float]]:
-    """Accepted (t, x, f(t, x)) of dx/dt = f(t, x) from x(0) = x0 to t_max.
+                    ) -> tuple[list[float], list[float]]:
+    """Accepted (t, x) of dx/dt = f(t, x) from x(0) = x0 to t_max.
 
-    The slope at each accepted point is the first stage k1 there (the FSAL
-    stage k7 of the step that reached it), so recording it costs no call.
     Raises StepFailure when a step would have to be shorter than 10 ulp(t),
     or when more than _MAX_STEPS steps would be accepted.
     """
     t, x = 0.0, x0
     k1 = f(t, x)
     h = _initial_step(f, x, k1, t_max)
-    times, xs, vs = [t], [x], [k1]
+    times, xs = [t], [x]
     while t < t_max:
         if len(times) > _MAX_STEPS:
             raise StepFailure(f"more than {_MAX_STEPS} steps needed to reach "
@@ -211,20 +206,17 @@ def _dormand_prince(f, x0: float, t_max: float
         t, x, k1 = t_new, x_new, k7
         times.append(t)
         xs.append(x)
-        vs.append(k1)
-    return times, xs, vs
+    return times, xs
 
 
 def _rk4(f, x0: float, dt: float, steps: int
-         ) -> tuple[list[float], list[float], list[float]]:
-    """(t, x, f(t, x)) before and after each of `steps` classic RK4 steps
-    from x(0) = x0.  The slope at a step's start is its stage k1; only the
-    last point costs a call of its own."""
-    times, xs, vs = [0.0], [x0], []
+         ) -> tuple[list[float], list[float]]:
+    """(t, x) before and after each of `steps` classic RK4 steps from
+    x(0) = x0."""
+    times, xs = [0.0], [x0]
     x, t = x0, 0.0
     for k in range(steps):
         k1 = f(t, x)
-        vs.append(k1)
         k2 = f(t + dt / 2, x + dt * k1 / 2)
         k3 = f(t + dt / 2, x + dt * k2 / 2)
         k4 = f(t + dt, x + dt * k3)
@@ -232,18 +224,16 @@ def _rk4(f, x0: float, dt: float, steps: int
         t = (k + 1) * dt
         times.append(t)
         xs.append(x)
-    vs.append(f(t, x))
-    return times, xs, vs
+    return times, xs
 
 
 def integrate(params: SystemParams, init: WavepacketInit, x_start: float,
               cfg: TrajectoryConfig) -> TrajectoryPath:
     """Integrate the guidance equation from x(0) = x_start up to cfg.t_max.
 
-    The numerical oracle of scaling_solution.  Records every step of the
-    stepper, with the velocity the stepper evaluated there.  At most
-    _MAX_STEPS steps are taken: an RK4 config that needs more is a
-    ValueError, an RK45 run that would accept more a StepFailure.
+    The numerical oracle of scaling_solution; records every step of the
+    stepper.  At most _MAX_STEPS steps are taken: an RK4 config that needs
+    more is a ValueError, an RK45 run that would accept more a StepFailure.
     """
     if not math.isfinite(x_start):
         raise ValueError("x_start must be finite")

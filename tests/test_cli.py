@@ -1,8 +1,11 @@
+import io
 import json
 import math
 import shlex
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -541,6 +544,23 @@ def test_non_finite_or_non_positive_input_exit_1(argv):
     assert "Traceback" not in cp.stderr
 
 
+# partition --oracle inputs whose phase-space box doubles cannot hold, each
+# with the text its one-line message must contain: the p window is inf; m w^2
+# overflows, so the integral reads 0; w^2 is subnormal, so it is 4.6% low;
+# p^2/(2m) overflows; the 3-D box volume overflows.
+ORACLE_BOX = [
+    (["--mass", "1e75", "--kbt", "1e300", "--omega", "1e70"],
+     "mass = 1e+75, omega = 1e+70"),
+    (["--omega", "1e160", "--kbt", "1e158"], "omega = 1e+160, kbt = 1e+158"),
+    (["--omega", "3e-162", "--kbt", "1e-20", "--sigma", "1e10"],
+     "omega = 3e-162, kbt = 1e-20"),
+    (["--kbt", "1e307", "--omega", "1e10", "--mass", "1e-3"],
+     "mass = 0.001, omega = 10000000000.0"),
+    (["--sigma", "5.3213166474075176e+29", "--kbt", "5.672420291711578e+304"],
+     "sigma = 5.3213166474075176e+29"),
+]
+
+
 def _exit_1_naming(capsys, argv, name):
     from bohmpart import cli
     assert cli.main(argv) == 1
@@ -635,9 +655,56 @@ def _exit_1_naming(capsys, argv, name):
      "--omega 3.5e+286 times --tmax -7.6e+74"),
     (["fig1", "--omega", "3.5e286", "--tmax=-7.6e74", "--samples", "3"],
      "--omega 3.5e+286 times --tmax -7.6e+74"),
+    *((["partition", "--oracle", *flags], name) for flags, name in ORACLE_BOX),
 ])
 def test_input_the_subcommand_cannot_honour_exit_1(capsys, argv, name):
     _exit_1_naming(capsys, argv, name)
+
+
+# magnitudes log-uniform over the positive doubles, 5e-324 to 1.8e308
+_MAGNITUDE = st.floats(math.log(5e-324),
+                       math.log(sys.float_info.max)).map(math.exp)
+
+
+@st.composite
+def _oracle_flags(draw):
+    """One to three of partition's keys, each set to a signed magnitude."""
+    keys = draw(st.lists(st.sampled_from(["mass", "kbt", "omega", "sigma",
+                                          "hbar"]),
+                         min_size=1, max_size=3, unique=True))
+    return [f"--{key}={draw(st.sampled_from([1.0, -1.0])) * draw(_MAGNITUDE)!r}"
+            for key in keys]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(flags=_oracle_flags())
+@example(flags=ORACLE_BOX[0][0])
+@example(flags=ORACLE_BOX[1][0])
+@example(flags=ORACLE_BOX[2][0])
+@example(flags=ORACLE_BOX[3][0])
+@example(flags=ORACLE_BOX[4][0])
+def test_partition_oracle_agrees_with_its_closed_forms_or_exits(flags):
+    """A documented exit code, one bohmpart: line on failure, and each
+    quadrature row within max(1e-8 relative, est_error) of its closed form."""
+    from bohmpart import cli
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["partition", "--oracle", *flags])
+    assert code in (0, 1, 2, 4)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("bohmpart: ")
+        return
+    assert err.getvalue() == ""
+    rows = {}
+    for line in out.getvalue().splitlines()[1:]:
+        name, method, value, est_error = line.split(",")
+        rows[name, method] = float(value), float(est_error)
+    for (name, method), (value, est_error) in rows.items():
+        if method == "quadrature":
+            closed = rows[name, "closed_form"][0]
+            assert abs(value - closed) <= max(1e-8 * abs(closed), est_error)
 
 
 @pytest.mark.xfail(strict=True, raises=RuntimeWarning,
