@@ -20,7 +20,7 @@ from .partition import (CriterionReport, classical_Z, classicality_criterion,
                         marginal_Z, marginal_Z_derivative, marginal_curve,
                         phase_space_integral, quantum_Z, unified_Z_gaussian,
                         unified_integral)
-from .bath import (BathSpec, Oscillator, bath_classicality, classical_bath_Z,
-                   large_N_ratio, memory_kernel, unified_bath_Z, uniform_bath)
+from .bath import (BathSpec, Oscillator, classical_bath_Z, large_N_ratio,
+                   memory_kernel, unified_bath_Z, uniform_bath)
 
 __version__ = "0.1.0"

@@ -14,8 +14,8 @@ particle case, once per oscillator:
 
     (1 - r_a)^(-1/2) exp(-r_a),   r_a = beta hbar^2 / (4 m_a sigma^2).
 
-The per-oscillator factor is partition.gaussian_correction and the ratio is
-partition.quantum_ratio; this module does not re-derive either.  A variant
+The per-oscillator factor, ratio and temperature bound are partition's
+gaussian_correction, quantum_ratio and classicality_criterion.  A variant
 with an extra 2 pi per oscillator is retained alongside the exact factor
 because it circulates in closed-form write-ups; the verification suite
 compares both against partition.unified_integral, one 3D quadrature per
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 from .core import (ThermalSpec, _finite_positive, check_scale, functions_of,
                    np)
-from .partition import (CriterionReport, classicality_criterion,
-                        gaussian_correction, quantum_ratio)
+from .partition import gaussian_correction, quantum_ratio
 
 
 @dataclass(frozen=True)
@@ -91,10 +90,8 @@ def memory_kernel(bath: BathSpec, t) -> float | np.ndarray:
 
 def classical_bath_Z(bath: BathSpec, thermal: ThermalSpec) -> float:
     """Z_B = prod_a 2 pi / (beta w_a), raw measure; ValueError where the
-    product leaves the range of a double.
-
-    Oracle: partition.phase_space_integral per oscillator, centred at
-    c_a q0 / w_a^2.
+    product leaves the range of a double.  Oracle: phase_space_integral per
+    oscillator, whose value the coupling's shift c_a q0 / w_a^2 leaves alone.
     """
     val = 1.0
     for o in bath.oscillators:
@@ -141,10 +138,3 @@ def large_N_ratio(n: int, m0: float, sigma: float, thermal: ThermalSpec,
     approx = math.exp(-n * r)
     exact = gaussian_correction(m0, sigma, thermal, hbar) ** n
     return approx, exact, abs(approx - exact) / exact
-
-
-def bath_classicality(bath: BathSpec, thermal: ThermalSpec,
-                      hbar: float = 1.0) -> list[CriterionReport]:
-    """Per-oscillator temperature criterion; the bath passes iff all do."""
-    return [classicality_criterion(o.mass, bath.sigma, thermal, hbar)
-            for o in bath.oscillators]

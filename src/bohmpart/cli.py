@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .bath import (BathSpec, Oscillator, bath_classicality,
-                   classical_bath_Z, large_N_ratio, memory_kernel,
-                   unified_bath_Z, uniform_bath)
+from .bath import (BathSpec, Oscillator, classical_bath_Z, large_N_ratio,
+                   memory_kernel, unified_bath_Z, uniform_bath)
 from .core import (DivergentIntegral, QuadratureFailure, SystemParams,
                    ThermalSpec, check_scale, free_system, harmonic_system)
 from .partition import (classical_Z, classicality_criterion,
@@ -79,10 +78,6 @@ TRAJECTORY_SAMPLES = 101
 BATH_SHAPE = {"n": 1, "m0": 1.0, "omega_max": 1.0, "coupling": 1.0}
 
 
-class UsageError(Exception):
-    pass
-
-
 class Parser(argparse.ArgumentParser):
     """argparse that exits 1 (not 2) on bad flags, per the exit-code contract,
     and accepts no flag prefixes, which would let --kb stand for --kbt."""
@@ -98,14 +93,14 @@ def read_key_values(path: str):
     """Yield (lineno, key, value) from flat key = value text.
 
     '#' starts a comment and blank lines are skipped; any other line
-    without '=' is a UsageError.
+    without '=' is a ValueError.
     """
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         yield lineno, key, value
 
@@ -116,7 +111,7 @@ def resolve_config(args, lists: tuple[str, ...] = (),
 
     The config file is flat key = value text ('#' starts a comment); a key
     the subcommand does not read, or a value that is not a number, is a
-    UsageError.  Each key in `lists` names a repeatable flag of the same
+    ValueError.  Each key in `lists` names a repeatable flag of the same
     name (fig1's --sigma and --kbt) and may also hold a list `[a, b, ...]`;
     where that flag is not given, the file's values become its values.
     `defaults` replaces some CONFIG_KEYS defaults for this call.
@@ -129,7 +124,7 @@ def resolve_config(args, lists: tuple[str, ...] = (),
                                if args.config else ()):
         where = f"{args.config}:{lineno}"
         if key not in cfg:
-            raise UsageError(f"{where}: unknown config key "
+            raise ValueError(f"{where}: unknown config key "
                              f"{key!r} for {args.command}")
         if key not in lists:
             cfg[key] = config_number(where, key, value)
@@ -148,16 +143,16 @@ def resolve_config(args, lists: tuple[str, ...] = (),
     bad += [key for key, values in file_lists.items()
             if not all(map(math.isfinite, values))]
     if bad:
-        raise UsageError(f"non-finite value for {', '.join(bad)}")
+        raise ValueError(f"non-finite value for {', '.join(bad)}")
     return cfg
 
 
 def config_number(where: str, key: str, text: str) -> float:
-    """The float a config-file value spells, or a UsageError naming its key."""
+    """The float a config-file value spells, or a ValueError naming its key."""
     try:
         return float(text)
     except ValueError:
-        raise UsageError(f"{where}: {key} needs a number, not "
+        raise ValueError(f"{where}: {key} needs a number, not "
                          f"{text.strip()!r}") from None
 
 
@@ -234,7 +229,7 @@ class Result:
 
 
 def emit(args, command: str, config: dict, payload: bytes,
-         extra_files: dict[str, bytes] | None = None) -> str:
+         extra_files: dict[str, bytes] | None = None) -> None:
     """Write the payload (and companions), plus a manifest with the digest.
 
     The digest hashes only the numeric payload bytes, so identical resolved
@@ -261,7 +256,6 @@ def emit(args, command: str, config: dict, payload: bytes,
             json_payload(manifest))
     else:
         sys.stdout.write(payload.decode())
-    return digest
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +266,15 @@ def marginal_rows(args, cfg: dict, pairs) -> list[list]:
     """Rows (sigma, kbt, t, z) of the marginal-Z curves, one curve per
     (sigma, kbt) pair; every pair is validated before any curve runs."""
     if args.samples < 2:
-        raise UsageError("--samples must be at least 2")
-    if not math.isfinite(args.tmax):
-        raise UsageError("--tmax must be finite")
+        raise ValueError("--samples must be at least 2")
     params = system_of(cfg)
     if not math.isfinite(params.omega * args.tmax):
-        raise UsageError(f"--omega {params.omega!r} times --tmax {args.tmax!r} "
+        raise ValueError(f"--omega {params.omega!r} times --tmax {args.tmax!r} "
                          "is not a finite double, so cos(omega t) is undefined")
-    runs = [(WavepacketInit(cfg["x0"], cfg["p0"], sigma),
+    runs = [(sigma, kbt, WavepacketInit(cfg["x0"], cfg["p0"], sigma),
              ThermalSpec.from_kbt(kbt)) for sigma, kbt in pairs]
     times = linspace(0.0, args.tmax, args.samples)
-    return [[init.sigma, thermal.kbt, t, z] for init, thermal in runs
+    return [[sigma, kbt, t, z] for sigma, kbt, init, thermal in runs
             for t, z in zip(times, marginal_curve(params, init, thermal, times,
                                                   normalized=not args.raw))]
 
@@ -298,7 +290,7 @@ def cmd_fig1(args) -> Result:
     elif len(sigmas) == len(kbts):  # the file's lists, one value per curve
         pairs = list(zip(sigmas, kbts))
     else:
-        raise UsageError(f"the config file's sigma and kbt lists give one "
+        raise ValueError(f"the config file's sigma and kbt lists give one "
                          f"value per curve, so their lengths must agree, "
                          f"not {len(sigmas)} and {len(kbts)}")
     cfg["sigma"], cfg["kbt"] = [s for s, _ in pairs], [k for _, k in pairs]
@@ -316,11 +308,11 @@ def cmd_marginal(args) -> Result:
 def cmd_limits(args) -> Result:
     cfg = resolve_config(args)
     if args.num < 2:
-        raise UsageError("--num must be at least 2")
+        raise ValueError("--num must be at least 2")
     if args.fixed_msigma2 and args.var != "sigma":
-        raise UsageError("--fixed-msigma2 needs --var sigma")
+        raise ValueError("--fixed-msigma2 needs --var sigma")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
-        raise UsageError("--start and --stop must be finite")
+        raise ValueError("--start and --stop must be finite")
     if args.fixed_msigma2:
         check_scale("sigma", cfg["sigma"])
         check_scale("mass", cfg["mass"])
@@ -363,21 +355,21 @@ def parse_bath_file(path: str, **flags: float) -> BathSpec:
             parts = [config_number(where, key, part)
                      for part in value.replace(",", " ").split()]
             if len(parts) != 3:
-                raise UsageError(f"{where}: osc needs 'm, omega, c'")
+                raise ValueError(f"{where}: osc needs 'm, omega, c'")
             oscillators.append(Oscillator(*parts))
         else:
-            raise UsageError(f"{where}: unknown bath key {key!r}")
+            raise ValueError(f"{where}: unknown bath key {key!r}")
     if not oscillators:
-        raise UsageError(f"{path}: no oscillators defined")
+        raise ValueError(f"{path}: no oscillators defined")
     return BathSpec(tuple(oscillators), **{**well, **flags})
 
 
 def cmd_bath(args) -> Result:
     cfg = resolve_config(args)
     if not math.isfinite(args.kernel_tmax):
-        raise UsageError("--kernel-tmax must be finite")
+        raise ValueError("--kernel-tmax must be finite")
     if args.kernel_samples < 1:
-        raise UsageError("--kernel-samples must be at least 1")
+        raise ValueError("--kernel-samples must be at least 1")
     shape = {key: getattr(args, key) for key in BATH_SHAPE}
     well = {key: val for key, val in (("sigma", args.bath_sigma),
                                       ("q0", args.q0)) if val is not None}
@@ -385,19 +377,20 @@ def cmd_bath(args) -> Result:
         given = [f"--{key.replace('_', '-')}" for key, val in shape.items()
                  if val is not None]
         if given:
-            raise UsageError(f"--bath-file defines the oscillators; drop "
+            raise ValueError(f"--bath-file defines the oscillators; drop "
                              f"{', '.join(given)}")
         bath = parse_bath_file(args.bath_file, **well)
     else:
         n, m0, omega_max, coupling = (BATH_SHAPE[key] if val is None else val
                                       for key, val in shape.items())
         if n < 1:
-            raise UsageError("--n must be at least 1")
+            raise ValueError("--n must be at least 1")
         bath = uniform_bath(n, m0, omega_max, coupling, **well)
     thermal = ThermalSpec(args.beta)
     hbar = cfg["hbar"]
 
-    reports = bath_classicality(bath, thermal, hbar)
+    reports = [classicality_criterion(o.mass, bath.sigma, thermal, hbar)
+               for o in bath.oscillators]
     osc_rows = [[i, o.mass, o.omega, o.coupling, rep.dimensionless_ratio,
                  "pass" if rep.classical_ok else "fail"]
                 for i, (o, rep) in enumerate(zip(bath.oscillators, reports))]
@@ -415,7 +408,7 @@ def cmd_bath(args) -> Result:
 
     omega_max = max(o.omega for o in bath.oscillators)
     if not math.isfinite(omega_max * abs(args.kernel_tmax)):
-        raise UsageError(f"--kernel-tmax {args.kernel_tmax!r} times the "
+        raise ValueError(f"--kernel-tmax {args.kernel_tmax!r} times the "
                          f"largest omega {omega_max:g} is not a finite "
                          "double, so the kernel's cos(omega t) is undefined")
     kernel_t = linspace(0.0, args.kernel_tmax, args.kernel_samples)
@@ -442,27 +435,21 @@ def cmd_trajectory(args) -> Result:
     free = args.system == "free"
     cfg = resolve_config(args, defaults={"omega": 0.0} if free else None)
     if free and cfg["omega"] != 0.0:
-        raise UsageError(f"a free path has omega = 0, not {cfg['omega']:g}; "
+        raise ValueError(f"a free path has omega = 0, not {cfg['omega']:g}; "
                          "drop --omega or the config-file omega")
     if not 0 < args.tmax < math.inf:
-        raise UsageError("--tmax must be finite and positive")
+        raise ValueError("--tmax must be finite and positive")
     params = system_of(cfg, args.system)
     init = WavepacketInit(cfg["x0"], cfg["p0"], cfg["sigma"])
-    times = linspace(0.0, args.tmax, TRAJECTORY_SAMPLES)
+    rows = []
     # math's sin and cos raise where w t is not finite; that path is exit 1
-    finite = math.isfinite(params.omega * args.tmax)
-    if finite:
-        positions = [scaling_solution(params, init, args.x_start, t)
-                     for t in times]
-        finite = all(map(math.isfinite, positions))
-    if finite:
-        velocities = [bohmian_velocity(evolve(params, init, t), x)
-                      for t, x in zip(times, positions)]
-        finite = all(map(math.isfinite, velocities))
-    if not finite:
-        raise UsageError(f"the path up to --tmax {args.tmax!r} leaves the "
+    if math.isfinite(params.omega * args.tmax):
+        for t in linspace(0.0, args.tmax, TRAJECTORY_SAMPLES):
+            x = scaling_solution(params, init, args.x_start, t)
+            rows.append([t, x, bohmian_velocity(evolve(params, init, t), x)])
+    if not (rows and all(math.isfinite(c) for row in rows for c in row)):
+        raise ValueError(f"the path up to --tmax {args.tmax!r} leaves the "
                          "range of a double (some x or v is not finite)")
-    rows = [[t, x, v] for t, x, v in zip(times, positions, velocities)]
     return Result(cfg, ["t[time]", "x[length]", "v[length/time]"], rows)
 
 
@@ -619,7 +606,7 @@ def main(argv: list[str] | None = None) -> int:
                            for name, table in result.tables.items()}
         emit(args, args.command, result.config, payload, extra_files)
         return EXIT_OK
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"bohmpart: {exc}\n")
         return EXIT_USAGE
     except DivergentIntegral as exc:

@@ -12,9 +12,9 @@ Conventions
 
       beta hbar^2 / (4 m sigma^2) < 1,
 
-  which is the classicality temperature bound.  Only _convergent_ratio
-  (r >= 1) and _marginal_gaussian (kappa <= 0) decide where an integral
-  diverges; each raises DivergentIntegral, which callers such as the CLI catch.
+  the classicality bound; its ratio, t_min and thermal wavelength are finite
+  doubles or a ValueError.  Only _convergent_ratio (r >= 1) and
+  _marginal_gaussian (kappa <= 0) raise DivergentIntegral.
 * The closed forms are backed by separate Gauss-Legendre oracles, used by
   `verify`, `partition --oracle` and the tests: phase_space_integral
   (classical Z), gaussian_correction_integral (the factor C) and
@@ -28,11 +28,11 @@ Conventions
   (value, est_error) shape, with est_error the dropped tail of the
   eigenvalue sum.
 * The marginal partition function at fixed (x0, p0) keeps the single
-  prepared packet in the distribution sum; it is evaluated by Gauss-Legendre
-  quadrature (core.integrate_window) of exp(log P - beta E) with the window
-  sized from the completed square of the full exponent.  Its time
-  derivative is that Z times a two-point Gauss-Hermite mean of the rate
-  brackets, exact because they are quadratic in x.
+  prepared packet in the distribution sum: a Gauss-Legendre quadrature
+  (core.integrate_window) of exp(log P - beta E) over a window sized from
+  the full exponent's completed square (ValueError where its reach squared
+  is not a finite double).  Its time derivative is that Z times a two-point
+  Gauss-Hermite mean of the rate brackets, exact as they are quadratic.
 """
 
 from __future__ import annotations
@@ -58,14 +58,27 @@ class CriterionReport:
     thermal_de_broglie: float
 
 
+def _finite_scales(m: float, sigma: float, thermal: ThermalSpec, hbar: float,
+                   **scales: float) -> None:
+    """ValueError naming beta, mass, sigma and hbar unless every one of the
+    criterion's `scales` is a finite double."""
+    for name, value in scales.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} = {value!r} is not a finite double at "
+                             f"beta = {thermal.beta!r}, mass = {m!r}, sigma = "
+                             f"{sigma!r}, hbar = {hbar!r}")
+
+
 def quantum_ratio(params_mass: float, sigma: float, thermal: ThermalSpec,
                   hbar: float) -> float:
     """The dimensionless convergence ratio beta hbar^2 / (4 m sigma^2);
-    ValueError unless sigma, m and hbar each pass core.check_scale."""
+    ValueError unless sigma, m, hbar pass check_scale and it is finite."""
     check_scale("sigma", sigma)
     check_scale("mass", params_mass)
     check_scale("hbar", hbar)
-    return thermal.beta * hbar**2 / (4.0 * params_mass * sigma**2)
+    ratio = thermal.beta * hbar**2 / (4.0 * params_mass * sigma**2)
+    _finite_scales(params_mass, sigma, thermal, hbar, criterion_ratio=ratio)
+    return ratio
 
 
 def _convergent_ratio(m: float, sigma: float, thermal: ThermalSpec,
@@ -140,20 +153,19 @@ def _phase_box(m: float, w: float, thermal: ThermalSpec,
     return half_x, half_p
 
 
-def phase_space_integral(m: float, w: float, thermal: ThermalSpec,
-                         center: float = 0.0) -> tuple[float, float]:
+def phase_space_integral(m: float, w: float, thermal: ThermalSpec
+                         ) -> tuple[float, float]:
     """(value, error) of the raw-measure integral of exp(-beta H) dx dp.
 
-    H = p^2/2m + m w^2 (x - center)^2 / 2.  Divide by 2 pi hbar for
-    classical_Z.
+    H = p^2/2m + m w^2 x^2 / 2.  Divide by 2 pi hbar for classical_Z.
     """
     beta = thermal.beta
     hx, hp = _phase_box(m, w, thermal)
 
     def f(x, p):
-        return np.exp(-beta * _energy(m, w, x - center, p))
+        return np.exp(-beta * _energy(m, w, x, p))
 
-    return integrate_window(f, (center - hx, -hp), (center + hx, hp))
+    return integrate_window(f, (-hx, -hp), (hx, hp))
 
 
 # Bound on the dropped tail of quantum_Z's eigenvalue sum, relative to the sum.
@@ -302,6 +314,11 @@ def _marginal_gaussian(state, thermal: ThermalSpec) -> tuple[float, float]:
             f"(quadratic coefficient {-kappa:g} >= 0)")
     u_star = -beta * a1 / (2.0 * kappa)
     width = 1.0 / math.sqrt(2.0 * kappa)
+    reach = float(abs(u_star) + WINDOW_SIGMAS * width)
+    if not reach * reach < math.inf:  # else (x - q)^2 overflows in the window
+        raise ValueError(f"at t = {state.t:g}, omega = {state.params.omega:g}"
+                         f", sigma = {state.init.sigma:g} the marginal window"
+                         f" reaches {reach:g}, whose square overflows a double")
     return state.q + u_star, width
 
 
@@ -404,8 +421,10 @@ def marginal_curve(params: SystemParams, init: WavepacketInit,
 def classicality_criterion(m: float, sigma: float, thermal: ThermalSpec,
                            hbar: float = 1.0) -> CriterionReport:
     """Temperature bound k_B T > hbar^2/(4 m sigma^2) and related scales;
-    t_min is k_B T_min, an energy like every temperature here."""
+    t_min is k_B T_min, an energy like every temperature here.  Each scale
+    is a finite double, or a ValueError as in quantum_ratio."""
     ratio = quantum_ratio(m, sigma, thermal, hbar)
     t_min = hbar**2 / (4.0 * m * sigma**2)
     lam = math.sqrt(2.0 * math.pi * hbar**2 * thermal.beta / m)
+    _finite_scales(m, sigma, thermal, hbar, t_min=t_min, thermal_de_broglie=lam)
     return CriterionReport(t_min, ratio, ratio < 1.0, lam)

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -364,7 +366,9 @@ def test_fig1_config_keys_count_as_one_pair_value(tmp_path: Path, cfg_text,
      [0.5, 0.6], [3.0, 3.0]),
     ("sigma = 0.3\nkbt = 4\n", (), [0.3], [4.0]),
     ("sigma = 0.3\n", ("--kbt", "3", "--kbt", "5"), [0.3, 0.3], [3.0, 5.0]),
-], ids=["default", "flags", "flag-lists", "file", "file-and-flags"])
+    # 1/(1/49) is 49.00000000000001; the rows write the kbt typed
+    (None, ("--sigma", "0.6", "--kbt", "49"), [0.6], [49.0]),
+], ids=["default", "flags", "flag-lists", "file", "file-and-flags", "kbt-49"])
 def test_fig1_config_echoes_each_curves_pair(tmp_path: Path, cfg_text, flags,
                                              sigmas, kbts):
     """fig1's JSON config and manifest give sigma and kbt per curve, in the
@@ -561,6 +565,24 @@ ORACLE_BOX = [
 ]
 
 
+# a criterion scale past the doubles, which printed inf with exit 0, and the
+# text its one-line message must contain
+CRITERION_OVERFLOW = [
+    (["limits", "--var", "kbt", "--num", "3",
+      "--start=4.513665175843066e-299", "--stop=3.2849807868885394e+49",
+      "--sigma=2.53101710146827e-74"], "criterion_ratio = inf"),
+    (["bath", "--beta", "1e300", "--sigma", "1e-74", "--allow-divergent"],
+     "criterion_ratio = inf is not a finite double at beta = 1e+300, "
+     "mass = 1.0, sigma = 1e-74, hbar = 1.0"),
+    (["partition", "--hbar", "1e75", "--mass", "1e-75", "--sigma", "1e-75",
+      "--kbt", "1e300"], "t_min = inf"),
+    (["partition", "--kbt", "1e-200", "--hbar", "1e50", "--mass", "1e-10",
+      "--sigma", "1e75", "--omega", "1e-248"],
+     "thermal_de_broglie = inf is not a finite double at beta = 1e+200, "
+     "mass = 1e-10, sigma = 1e+75, hbar = 1e+50"),
+]
+
+
 def _exit_1_naming(capsys, argv, name):
     from bohmpart import cli
     assert cli.main(argv) == 1
@@ -656,6 +678,13 @@ def _exit_1_naming(capsys, argv, name):
     (["fig1", "--omega", "3.5e286", "--tmax=-7.6e74", "--samples", "3"],
      "--omega 3.5e+286 times --tmax -7.6e+74"),
     *((["partition", "--oracle", *flags], name) for flags, name in ORACLE_BOX),
+    # a window so wide that (x - q)^2 overflows, where the rule read 0.0
+    (["marginal", "--omega", "1e-160", "--tmax", "1e170", "--samples", "3"],
+     "t = 5e+169, omega = 1e-160, sigma = 0.45"),
+    (["fig1", "--samples", "3", "--tmax=2.54811989855662e+196",
+      "--omega=1.7092657971253837e-160", "--x0=2.5508573107064796e-29"],
+     "omega = 1.70927e-160"),
+    *CRITERION_OVERFLOW,
 ])
 def test_input_the_subcommand_cannot_honour_exit_1(capsys, argv, name):
     _exit_1_naming(capsys, argv, name)
@@ -705,6 +734,83 @@ def test_partition_oracle_agrees_with_its_closed_forms_or_exits(flags):
         if method == "quadrature":
             closed = rows[name, "closed_form"][0]
             assert abs(value - closed) <= max(1e-8 * abs(closed), est_error)
+
+
+# the float flags each closed-form subcommand reads
+CLI_FLOAT_FLAGS = {
+    "limits": ["start", "stop", "hbar", "mass", "omega", "sigma", "kbt"],
+    "bath": ["hbar", "m0", "omega-max", "coupling", "sigma", "q0", "beta",
+             "kernel-tmax"],
+    "trajectory": ["hbar", "mass", "omega", "sigma", "x0", "p0", "x-start",
+                   "tmax"],
+    "partition": ["hbar", "mass", "omega", "sigma", "kbt"],
+}
+
+
+@functools.cache
+def _built_parser():
+    from bohmpart import cli
+    return cli.build_parser()
+
+
+@st.composite
+def _cli_argv(draw):
+    """A closed-form subcommand with one to three of its float flags, each
+    set to a signed magnitude, and at most 3 of anything it counts."""
+    command = draw(st.sampled_from(sorted(CLI_FLOAT_FLAGS)))
+    keys = draw(st.lists(st.sampled_from(CLI_FLOAT_FLAGS[command]),
+                         min_size=1, max_size=3, unique=True))
+    argv = [command] + [
+        f"--{key}={draw(st.sampled_from([1.0, -1.0])) * draw(_MAGNITUDE)!r}"
+        for key in keys]
+    if command == "limits":
+        argv += ["--var", draw(st.sampled_from(["sigma", "kbt", "hbar"])),
+                 "--num", str(draw(st.integers(2, 3)))]
+        argv += [f"--{key}={val}" for key, val in (("start", 1), ("stop", 2))
+                 if key not in keys]
+    elif command == "bath":
+        argv += ["--n", str(draw(st.integers(1, 3))),
+                 "--kernel-samples", str(draw(st.integers(1, 3)))]
+        argv += ["--allow-divergent"] if draw(st.booleans()) else []
+    elif command == "trajectory":
+        argv += ["--system", draw(st.sampled_from(["harmonic", "free"]))]
+        argv += [] if "x-start" in keys else ["--x-start", "1"]
+    return argv
+
+
+@settings(derandomize=True, max_examples=2000, deadline=None)
+@given(argv=_cli_argv())
+@example(argv=CRITERION_OVERFLOW[0][0])
+@example(argv=CRITERION_OVERFLOW[1][0])
+@example(argv=CRITERION_OVERFLOW[2][0])
+@example(argv=CRITERION_OVERFLOW[3][0])
+def test_closed_form_subcommands_exit_as_documented(argv):
+    """A documented exit code, one bohmpart: line on failure, and tables
+    (companions included) with no inf, and nan only in a divergent row.
+    main reuses one parser, since building it is most of a call's time, and
+    hands its CSV tables to a stand-in for emit instead of to files."""
+    from bohmpart import cli
+    err, parser, tables = io.StringIO(), _built_parser(), []
+
+    def keep(args, command, config, payload, extra_files=None):
+        tables.extend(blob.decode() for blob in
+                      [payload, *(extra_files or {}).values()])
+
+    with redirect_stderr(err), warnings.catch_warnings(), \
+            mock.patch.object(cli, "build_parser", lambda: parser), \
+            mock.patch.object(cli, "emit", keep):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 4)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("bohmpart: ")
+        return
+    assert err.getvalue() == "" and tables
+    for table in tables:
+        for row in (line.split(",") for line in table.splitlines()[1:]):
+            assert "inf" not in row and "-inf" not in row, row
+            assert "nan" not in row or "divergent" in row, row
 
 
 @pytest.mark.xfail(strict=True, raises=RuntimeWarning,
@@ -877,6 +983,23 @@ def test_bath_file_parsing(tmp_path: Path):
     z_b = float([line for line in out.read_text().splitlines()
                  if line.startswith("z_b,")][0].split(",")[1])
     assert z_b == pytest.approx((2.0 * np.pi) ** 2 / 2.0, rel=1e-12)
+
+
+def test_bath_file_criterion_column_is_per_oscillator(tmp_path: Path,
+                                                      capsys):
+    """A mixed-mass bath fails the criterion as a whole where one oscillator
+    fails it: the light one's ratio 1/(4 0.1 0.6^2) is over 1."""
+    from bohmpart import cli
+    bath_file = tmp_path / "bath.cfg"
+    bath_file.write_text("sigma = 0.6\nosc = 1.0, 1.0, 1.0\n"
+                         "osc = 0.1, 1.0, 1.0\n")
+    argv = ["bath", "--bath-file", str(bath_file), "--format", "json"]
+    assert cli.main(argv) == 2
+    assert cli.main([*argv, "--allow-divergent"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["criterion"] for row in rows] == ["pass", "fail"]
+    assert [row["ratio"] for row in rows] == pytest.approx(
+        [1 / 1.44, 1 / 0.144], rel=1e-12)
 
 
 def test_bath_flags_override_the_bath_file(tmp_path: Path, capsys):
