@@ -25,14 +25,13 @@ oscillator, to pin down which one the integral actually gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (ThermalSpec, _finite_positive, check_scale, functions_of,
-                   np)
+                   np, record)
 from .partition import gaussian_correction, quantum_ratio
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Oscillator:
     mass: float
     omega: float
@@ -46,7 +45,7 @@ class Oscillator:
                              "outside [-1e+75, 1e+75]")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BathSpec:
     """N oscillators, the shared packet width, and the tagged position q(0)."""
 

@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Subcommands: fig1, marginal, limits, bath, trajectory, partition, verify.
-All numeric work happens in the library modules.  Each subcommand resolves
-the config keys it reads (defaults < config file < flags; the table READS
-lists them) and returns one Result: its config and its tables.  `main` is
-the one emit path and alone decides both formats.  CSV writes the main
-table, plus one companion file per further table.  JSON is one object with
-`command`, `config`, `rows` (one record per row of the main table) and one
-list of records per further table.  Either is written with a manifest
-carrying the resolved config and a stable digest of the numeric payload.
-`verify` reads no config key and prints its text report itself.
+All numeric work happens in the library modules; a subcommand imports the
+names it calls as it runs, so a run loads only those modules.  Each
+subcommand resolves the config keys it reads (defaults < config file <
+flags; the table READS lists them) and returns one Result: its config and
+its tables.  `main` is the one emit path and alone decides both formats.
+CSV writes the main table, plus one companion file per further table.  JSON
+is one object with `command`, `config`, `rows` (one record per row of the
+main table) and one list of records per further table.  Either is written
+with a manifest carrying the resolved config and a stable digest of the
+numeric payload.  `verify` reads no config key and prints its text report.
 
 Exit codes: 0 ok, 1 usage error, 2 domain error (a DivergentIntegral from
 the library, which alone decides where an integral diverges), 3 verification
@@ -20,26 +21,15 @@ holds numbers as JSON numbers and divergent cells as null.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .bath import (BathSpec, Oscillator, classical_bath_Z, large_N_ratio,
-                   memory_kernel, unified_bath_Z, uniform_bath)
 from .core import (DivergentIntegral, QuadratureFailure, SystemParams,
-                   ThermalSpec, check_scale, free_system, harmonic_system)
-from .partition import (classical_Z, classicality_criterion,
-                        gaussian_correction, marginal_curve,
-                        phase_space_integral, quantum_ratio, quantum_Z,
-                        quantum_Z_closed_form, unified_Z_gaussian,
-                        unified_integral)
-from .trajectories import bohmian_velocity, scaling_solution
-from .wavepacket import WavepacketInit, evolve
+                   ThermalSpec, check_scale, field, free_system,
+                   harmonic_system, record)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -213,11 +203,12 @@ def json_records(header: list[str], rows: list[list]) -> list[dict]:
 
 
 def json_payload(obj) -> bytes:
+    import json
     return (json.dumps(obj, indent=1, sort_keys=True, allow_nan=False)
             + "\n").encode()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Result:
     """One subcommand's output: the main table `header` and `rows`, and its
     companion tables, name -> (header, rows)."""
@@ -235,10 +226,6 @@ def emit(args, command: str, config: dict, payload: bytes,
     The digest hashes only the numeric payload bytes, so identical resolved
     configs yield identical digests while the timestamp stays informational.
     """
-    hasher = hashlib.sha256(payload)
-    for name in sorted(extra_files or {}):
-        hasher.update(extra_files[name])
-    digest = hasher.hexdigest()
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -248,10 +235,14 @@ def emit(args, command: str, config: dict, payload: bytes,
             side = out.with_name(out.stem + "_" + name + out.suffix)
             side.write_bytes(blob)
             written.append(str(side))
+        import hashlib  # only the manifest reads the digest
+        hasher = hashlib.sha256(payload)
+        for name in sorted(extra_files or {}):
+            hasher.update(extra_files[name])
         manifest = {
             "command": command, "config": config, "version": __version__,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "digest": digest, "outputs": written}
+            "digest": hasher.hexdigest(), "outputs": written}
         out.with_suffix(out.suffix + ".manifest.json").write_bytes(
             json_payload(manifest))
     else:
@@ -265,6 +256,8 @@ def emit(args, command: str, config: dict, payload: bytes,
 def marginal_rows(args, cfg: dict, pairs) -> list[list]:
     """Rows (sigma, kbt, t, z) of the marginal-Z curves, one curve per
     (sigma, kbt) pair; every pair is validated before any curve runs."""
+    from .partition import marginal_curve
+    from .wavepacket import WavepacketInit
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")
     params = system_of(cfg)
@@ -306,6 +299,7 @@ def cmd_marginal(args) -> Result:
 
 
 def cmd_limits(args) -> Result:
+    from .partition import classical_Z, quantum_ratio, unified_Z_gaussian
     cfg = resolve_config(args)
     if args.num < 2:
         raise ValueError("--num must be at least 2")
@@ -345,6 +339,7 @@ def cmd_limits(args) -> Result:
 def parse_bath_file(path: str, **flags: float) -> BathSpec:
     """Bath file: 'sigma = ..', 'q0 = ..', and one 'osc = m, omega, c' per line.
     `flags` (sigma, q0) override the file, as flags override --config."""
+    from .bath import BathSpec, Oscillator
     well = {"sigma": 1.0, "q0": 0.0}
     oscillators = []
     for lineno, key, value in read_key_values(path):
@@ -365,6 +360,9 @@ def parse_bath_file(path: str, **flags: float) -> BathSpec:
 
 
 def cmd_bath(args) -> Result:
+    from .bath import (classical_bath_Z, large_N_ratio, memory_kernel,
+                       unified_bath_Z, uniform_bath)
+    from .partition import classicality_criterion
     cfg = resolve_config(args)
     if not math.isfinite(args.kernel_tmax):
         raise ValueError("--kernel-tmax must be finite")
@@ -432,6 +430,8 @@ def cmd_bath(args) -> Result:
 
 
 def cmd_trajectory(args) -> Result:
+    from .trajectories import bohmian_velocity, scaling_solution
+    from .wavepacket import WavepacketInit, evolve
     free = args.system == "free"
     cfg = resolve_config(args, defaults={"omega": 0.0} if free else None)
     if free and cfg["omega"] != 0.0:
@@ -454,6 +454,10 @@ def cmd_trajectory(args) -> Result:
 
 
 def cmd_partition(args) -> Result:
+    from .partition import (classical_Z, classicality_criterion,
+                            gaussian_correction, phase_space_integral,
+                            quantum_Z, quantum_Z_closed_form,
+                            unified_Z_gaussian, unified_integral)
     cfg = resolve_config(args)
     params = system_of(cfg)
     thermal = ThermalSpec.from_kbt(cfg["kbt"])
@@ -490,7 +494,7 @@ def cmd_partition(args) -> Result:
 
 def cmd_verify(args) -> int:
     """Print (and with --out also write) the text report; return the exit code."""
-    from .verify import run_verification  # here, so other commands skip it
+    from .verify import run_verification
     report = run_verification()
     text = report.render() + "\n"
     if args.out:

@@ -1,16 +1,16 @@
-"""Shared parameter records, the quadrature rule and the worst-residual
-reduction of the oracle checks.
+"""Shared parameter records, the record decorator, the quadrature rule and
+the worst-residual reduction of the oracle checks.
 
-All other modules consume the types defined here.  Everything is an immutable
-value record, and a grid is a plain numpy array.  Units are natural: a
-temperature is the energy k_B T (k_B = 1), and hbar is a field of the system
-record, 1 by default, so with m = omega = 1 energies come out in units of
-m*omega^2*x0^2 and times in 1/omega.  Every
-numerical integral in the package goes through integrate_window: one
-Gauss-Legendre box rule, its window and tolerances fixed.  The rule hands
-the integrand an open grid (np.ix_) of one slab at a time, a slab being
-whole rows of the first axis, and contracts the values with the 1-D weights
-one axis at a time.
+All other modules consume the types defined here.  Every record is a class
+under `record`, a dataclass without the start-up cost of importing
+dataclasses (and inspect), and a grid is a plain numpy array.  Units are
+natural: a temperature is the energy k_B T (k_B = 1), and hbar is a field of
+the system record, 1 by default, so with m = omega = 1 energies come out in
+units of m*omega^2*x0^2 and times in 1/omega.  Every numerical integral in
+the package goes through integrate_window: one Gauss-Legendre box rule, its
+window and tolerances fixed.  The rule hands the integrand an open grid
+(np.ix_) of one slab at a time, a slab being whole rows of the first axis,
+and contracts the values with the 1-D weights one axis at a time.
 
 numpy loads on first use.  `np` here is a small stand-in for the module that
 imports numpy when one of its attributes is first read and then keeps that
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 
@@ -92,6 +91,51 @@ class TruncationInsufficient(Exception):
 # Parameter records
 # ---------------------------------------------------------------------------
 
+class field:
+    """A record field whose default is a fresh default_factory() per record."""
+
+    def __init__(self, *, default_factory: Callable):
+        self.default_factory = default_factory
+
+
+def record(cls=None, /, *, frozen: bool = False):
+    """dataclasses.dataclass(cls, frozen=frozen) without exec or its import:
+    the fields are the class's own annotations, their defaults its attributes
+    (or fields), and repr, == and hash go by the field values in order."""
+    if cls is None:
+        return functools.partial(record, frozen=frozen)
+    names = tuple(vars(cls).get("__annotations__", ()))
+    defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    values = lambda self: tuple(getattr(self, name) for name in names)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        given = {name: value.default_factory() if isinstance(value, field)
+                 else value for name, value in defaults.items()}
+        given.update(zip(names, args), **kwargs)
+        if (len(args) > len(names) or given.keys() != set(names)
+                or not kwargs.keys().isdisjoint(names[:len(args)])):
+            raise TypeError(f"{cls.__name__}() takes {', '.join(names)}")
+        for name in names:  # not self.__dict__, which slows every later read
+            object.__setattr__(self, name, given[name])
+        if post_init:
+            post_init(self)
+
+    def refuse(self, name, *value):
+        raise AttributeError(f"{cls.__name__} is frozen: cannot set {name!r}")
+
+    cls.__init__ = __init__
+    cls.__repr__ = lambda self: type(self).__qualname__ + "(" + ", ".join(
+        f"{name}={getattr(self, name)!r}" for name in names) + ")"
+    cls.__eq__ = lambda self, other: (values(self) == values(other) if type(
+        other) is type(self) else NotImplemented)
+    cls.__hash__ = None  # a mutable record is unhashable, as a dataclass is
+    if frozen:
+        cls.__setattr__ = cls.__delattr__ = refuse
+        cls.__hash__ = lambda self: hash(values(self))
+    return cls
+
+
 def check_scale(key: str, value: float) -> None:
     """ValueError naming `key` unless 1e-75 <= value <= 1e75, where value^4
     (the highest power of a mass, hbar or width) and its inverse are normal."""
@@ -116,7 +160,7 @@ def _worst(residuals) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SystemParams:
     """Single particle in V(x) = m*omega^2*x^2/2; omega = 0 is the free particle."""
 
@@ -151,7 +195,7 @@ def potential_value(params: SystemParams, x):
     return 0.5 * params.mass * params.omega**2 * (x * x)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ThermalSpec:
     """Canonical-ensemble inverse temperature beta = 1/(k_B T)."""
 

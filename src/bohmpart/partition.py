@@ -38,17 +38,17 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from typing import Sequence
 
 from .core import (REL_TOL, WINDOW_SIGMAS, DivergentIntegral, SystemParams,
                    ThermalSpec, _finite_positive, check_scale,
-                   integrate_window, np)
+                   integrate_window, np, record)
 from .wavepacket import (WavepacketInit, energy_dt, energy_pointwise, evolve,
                          _energy_coefficients, _log_density, _log_density_dt)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CriterionReport:
     """Classicality diagnostic for one (m, sigma, beta) combination."""
 
@@ -69,6 +69,11 @@ def _finite_scales(m: float, sigma: float, thermal: ThermalSpec, hbar: float,
                              f"{sigma!r}, hbar = {hbar!r}")
 
 
+# Where a product of beta and hbar^k would be subnormal and lose digits, a
+# formula runs on beta 2^_LIFT and scales back exactly; elsewhere no bit moves.
+_LIFT, _TINY = 800, sys.float_info.min  # 2^800 lifts each, overflows none
+
+
 def quantum_ratio(params_mass: float, sigma: float, thermal: ThermalSpec,
                   hbar: float) -> float:
     """The dimensionless convergence ratio beta hbar^2 / (4 m sigma^2);
@@ -76,7 +81,9 @@ def quantum_ratio(params_mass: float, sigma: float, thermal: ThermalSpec,
     check_scale("sigma", sigma)
     check_scale("mass", params_mass)
     check_scale("hbar", hbar)
-    ratio = thermal.beta * hbar**2 / (4.0 * params_mass * sigma**2)
+    lift = _LIFT if thermal.beta * hbar**2 < _TINY else 0
+    ratio = math.ldexp(math.ldexp(thermal.beta, lift) * hbar**2
+                       / (4.0 * params_mass * sigma**2), -lift)
     _finite_scales(params_mass, sigma, thermal, hbar, criterion_ratio=ratio)
     return ratio
 
@@ -105,7 +112,9 @@ def _ladder_x(params: SystemParams, thermal: ThermalSpec,
               x_max: float = LADDER_X_MAX) -> float:
     """x = beta hbar omega, or ValueError unless it is a finite double in
     [LADDER_X_MIN, x_max]."""
-    x = thermal.beta * params.hbar * params.omega
+    lift = _LIFT if thermal.beta * params.hbar < _TINY else 0
+    x = math.ldexp(math.ldexp(thermal.beta, lift) * params.hbar
+                   * params.omega, -lift)
     if not (LADDER_X_MIN <= x <= x_max and x < math.inf):
         upper = f"{x_max:g}" if x_max < math.inf else "finite"
         raise ValueError(f"beta hbar omega = {x!r} lies outside "
@@ -141,14 +150,14 @@ def _phase_box(m: float, w: float, thermal: ThermalSpec,
     overflowed or subnormal factor would spoil unseen by est_error."""
     beta, kbt = thermal.beta, thermal.kbt
     if beta * m == 0.0:
-        raise ValueError(f"mass / kbt = {m!r} / {kbt!r} underflows to 0, so "
+        raise ValueError(f"mass / kbt = {m!r} / {kbt:g} underflows to 0, so "
                          "the oracle's x window is not a finite double")
     half_x = WINDOW_SIGMAS * (1.0 / math.sqrt(beta * m) / w)
     half_p = WINDOW_SIGMAS * math.sqrt(m / beta)
     exact = WINDOW_SIGMAS**2 * kbt + const_q
     corner = _energy(m, w, half_x, half_p) + const_q
     if not abs(corner - exact) <= REL_TOL * exact:
-        raise ValueError(f"mass = {m!r}, omega = {w!r}, kbt = {kbt!r}: doubles"
+        raise ValueError(f"mass = {m!r}, omega = {w!r}, kbt = {kbt:g}: doubles"
                          f" miss the oracle box's energy by over {REL_TOL:g}")
     return half_x, half_p
 
@@ -274,7 +283,7 @@ def unified_integral(m: float, w: float, sigma: float, thermal: ThermalSpec,
     const_q = hbar**2 / (4 * m * sigma**2)
     hx, hp = _phase_box(m, w, thermal, const_q)
     if not 8.0 * hx * hp * hu < math.inf:
-        raise ValueError(f"mass = {m!r}, omega = {w!r}, kbt = {thermal.kbt!r}"
+        raise ValueError(f"mass = {m!r}, omega = {w!r}, kbt = {thermal.kbt:g}"
                          f", sigma = {sigma!r}: the oracle's 3-D box volume "
                          "is not a finite double")
 
@@ -351,7 +360,7 @@ def marginal_Z(params: SystemParams, init: WavepacketInit, thermal: ThermalSpec,
                                 *_marginal_gaussian(state, thermal))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MarginalRate:
     """Time derivative of the marginal Z.
 
@@ -425,6 +434,9 @@ def classicality_criterion(m: float, sigma: float, thermal: ThermalSpec,
     is a finite double, or a ValueError as in quantum_ratio."""
     ratio = quantum_ratio(m, sigma, thermal, hbar)
     t_min = hbar**2 / (4.0 * m * sigma**2)
-    lam = math.sqrt(2.0 * math.pi * hbar**2 * thermal.beta / m)
+    product = 2.0 * math.pi * hbar**2 * thermal.beta
+    lift = _LIFT if min(product, product / m) < _TINY else 0
+    lam = math.ldexp(math.sqrt(2.0 * math.pi * hbar**2
+                               * math.ldexp(thermal.beta, lift) / m), -lift // 2)
     _finite_scales(m, sigma, thermal, hbar, t_min=t_min, thermal_de_broglie=lam)
     return CriterionReport(t_min, ratio, ratio < 1.0, lam)

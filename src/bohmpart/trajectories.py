@@ -22,11 +22,10 @@ reached; a path's velocity, where wanted, is bohmian_velocity there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from statistics import NormalDist
 from typing import Sequence
 
-from .core import StepFailure, SystemParams, _worst, functions_of, np
+from .core import (StepFailure, SystemParams, _worst, field, functions_of,
+                   np, record)
 from .wavepacket import WavepacketInit, WavepacketState, evolve, phase_gradient
 
 _REL_TOL, _ABS_TOL = 1e-9, 1e-12  # Dormand-Prince, see RK45Adaptive
@@ -34,7 +33,7 @@ _REL_TOL, _ABS_TOL = 1e-9, 1e-12  # Dormand-Prince, see RK45Adaptive
 _MAX_STEPS = 1_000_000
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RK4Fixed:
     """Classic fixed-step 4th-order Runge-Kutta stepper."""
 
@@ -45,7 +44,7 @@ class RK4Fixed:
             raise ValueError("dt must be finite and strictly positive")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RK45Adaptive:
     """Adaptive Dormand-Prince 5(4) stepper with embedded error control.
 
@@ -57,7 +56,7 @@ class RK45Adaptive:
     """
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrajectoryConfig:
     stepper: RK4Fixed | RK45Adaptive = field(default_factory=RK45Adaptive)
     t_max: float = 5.0
@@ -67,7 +66,7 @@ class TrajectoryConfig:
             raise ValueError("t_max must be finite and strictly positive")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrajectoryPath:
     """Recorded (t, x) samples of one integrated trajectory."""
 
@@ -253,6 +252,7 @@ def integrate(params: SystemParams, init: WavepacketInit, x_start: float,
 def density_quantile(params: SystemParams, init: WavepacketInit, t: float,
                      c: float) -> float:
     """The c-quantile of P(., t): the path from x0 + sigma Phi^-1(c)."""
+    from statistics import NormalDist  # here, so `import bohmpart` skips it
     if not 0.0 < c < 1.0:
         raise ValueError("quantile must lie in (0, 1)")
     x_start = init.x0 + init.sigma * NormalDist().inv_cdf(c)
@@ -268,6 +268,7 @@ def equivariance_check(params: SystemParams, init: WavepacketInit,
     endpoint occupies in P(.,t).  Returns max |c_achieved - c|, NaN where
     an endpoint is NaN; exactly zero for the ideal Gaussian flow.
     """
+    from statistics import NormalDist
     run_cfg = TrajectoryConfig(t_max=t)
     end_state = evolve(params, init, t)
 

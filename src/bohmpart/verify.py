@@ -30,11 +30,10 @@ The quadrature oracles are separate functions of `partition`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .bath import BathSpec, Oscillator, unified_bath_Z
-from .core import SystemParams, ThermalSpec, _worst, free_system, \
-    harmonic_system, np, potential_value
+from .core import SystemParams, ThermalSpec, _worst, field, free_system, \
+    harmonic_system, np, potential_value, record
 from .numdiff import central_first, central_second
 from .partition import marginal_Z, marginal_Z_derivative, unified_integral
 from .trajectories import quantum_force
@@ -43,7 +42,7 @@ from .wavepacket import (WavepacketInit, WavepacketState, amplitude,
                          quantum_potential, total_phase)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CheckResult:
     name: str
     residual: float
@@ -54,14 +53,14 @@ class CheckResult:
         return self.residual < self.tolerance
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DiscrepancyEntry:
     name: str
     description: str
     residual: float
 
 
-@dataclass
+@record
 class VerificationReport:
     checks: list[CheckResult] = field(default_factory=list)
     discrepancies: list[DiscrepancyEntry] = field(default_factory=list)

@@ -33,13 +33,13 @@ of Q and E and against the quantum Hamilton-Jacobi residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import SystemParams, TruncationInsufficient, check_scale, np
+from .core import (SystemParams, TruncationInsufficient, check_scale, np,
+                   record)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WavepacketInit:
     """Initial center x0, momentum p0, and width sigma (> 0) of the packet."""
 
@@ -258,7 +258,7 @@ def energy_dt(state: WavepacketState, x):
 # Spectral decomposition over the harmonic eigenbasis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpectralDecomposition:
     """Overlap coefficients of the packet with harmonic eigenstates 0..K."""
 

@@ -10,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -132,6 +133,83 @@ def test_import_and_closed_form_commands_leave_numpy_out(tmp_path: Path):
     assert json.loads(Path(f"{out}.manifest.json").read_text())["digest"]
     assert sorted(p.name for p in tmp_path.glob("b_*.csv")) == [
         "b_kernel.csv", "b_oscillators.csv"]
+
+
+# The names `bohmpart` exports, by the submodule that defines each.
+EXPORTS = {
+    "core": "DivergentIntegral QuadratureFailure StepFailure SystemParams "
+            "ThermalSpec TruncationInsufficient free_system harmonic_system "
+            "potential_value",
+    "wavepacket": "WavepacketInit WavepacketState density energy_pointwise "
+                  "evolve phase_gradient quantum_potential spectral_project",
+    "trajectories": "RK4Fixed RK45Adaptive TrajectoryConfig bohmian_velocity "
+                    "equivariance_check integrate quantum_force",
+    "partition": "CriterionReport classical_Z classicality_criterion "
+                 "gaussian_correction gaussian_correction_integral marginal_Z "
+                 "marginal_Z_derivative marginal_curve phase_space_integral "
+                 "quantum_Z unified_Z_gaussian unified_integral",
+    "bath": "BathSpec Oscillator classical_bath_Z large_N_ratio memory_kernel "
+            "unified_bath_Z uniform_bath",
+}
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    """The modules a child process loads while it runs `code`."""
+    cp = subprocess.run(
+        [*PYTHON, "-c",
+         "import json, sys\n"
+         "before = set(sys.modules)\n"
+         f"{code}\n"
+         "print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)"],
+        capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    return set(json.loads(cp.stderr.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (None, set()),
+    (["partition"], {"cli", "core", "partition", "wavepacket"}),
+    (["limits", "--var", "kbt", "--start", "1", "--stop", "2"],
+     {"cli", "core", "partition", "wavepacket"}),
+    (["bath"], {"bath", "cli", "core", "partition", "wavepacket"}),
+    (["trajectory", "--x-start", "1"], {"cli", "core", "trajectories",
+                                        "wavepacket"}),
+], ids=["import", "partition", "limits", "bath", "trajectory"])
+def test_import_and_closed_form_commands_load_only_what_they_run(argv, modules):
+    """`import bohmpart` loads no submodule, and each closed-form subcommand
+    writing CSV to stdout loads just the submodules it calls and none of
+    dataclasses, statistics and hashlib.  Each runs in a child process,
+    since pytest has loaded those already."""
+    loaded = _modules_loaded_by(
+        "import bohmpart" if argv is None else
+        f"import bohmpart.cli as c; assert c.main({argv!r}) == 0")
+    assert {m for m in loaded if m.startswith("bohmpart.")} == {
+        f"bohmpart.{m}" for m in modules}
+    assert not loaded & {"dataclasses", "statistics", "hashlib"}
+
+
+def test_package_names_resolve_in_their_submodules_on_each_read():
+    """Each exported name is its submodule's object, read afresh on every
+    access (never kept in the package, so a wrapper swapped into the
+    submodule and back is what the package hands out), and an unknown name
+    is an AttributeError."""
+    import importlib
+    import bohmpart
+    assert sorted(bohmpart.__all__) == sorted(
+        name for names in EXPORTS.values() for name in names.split())
+    for module, names in EXPORTS.items():
+        sub = importlib.import_module(f"bohmpart.{module}")
+        for name in names.split():
+            assert getattr(bohmpart, name) is getattr(sub, name), name
+            assert name not in vars(bohmpart)
+    from bohmpart import core
+    original = core.harmonic_system
+    with mock.patch.object(core, "harmonic_system", lambda *a: "swapped"):
+        assert bohmpart.harmonic_system() == "swapped"
+    assert bohmpart.harmonic_system is original
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bohmpart.no_such_name
+    assert not hasattr(bohmpart, "np")
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -591,6 +669,30 @@ def _exit_1_naming(capsys, argv, name):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_partition_rows_survive_a_subnormal_beta_hbar(capsys):
+    """beta = 1e-308 times hbar = 1e-15 and hbar^2 is subnormal or 0, yet
+    every row is a normal double: each matches 50-digit mpmath of the typed
+    inputs to 1e-12, where the Z rows printed 1.2% high and the criterion
+    ratio and thermal wavelength 0.0."""
+    from bohmpart import cli
+    assert cli.main(["partition", "--kbt", "1e308", "--hbar", "1e-15", "--mass",
+                     "1e-75", "--sigma", "1e-75", "--omega", "1e300"]) == 0
+    rows = {(q, method): float(value) for q, method, value, _ in
+            (line.split(",") for line in
+             capsys.readouterr().out.splitlines()[1:])}
+    with mpmath.workdps(50):
+        beta, hbar, m = 1 / mpmath.mpf(1e308), mpmath.mpf(1e-15), mpmath.mpf(1e-75)
+        z = 1 / (beta * hbar * mpmath.mpf(1e300))
+        ratio = beta * hbar**2 / (4 * m * m**2)  # sigma = m
+        refs = {"z_classical": z, "z_quantum": z, "z_unified": z,
+                "gaussian_correction": mpmath.exp(-ratio) / mpmath.sqrt(1 - ratio),
+                "criterion_ratio": ratio, "t_min": hbar**2 / (4 * m**3),
+                "thermal_de_broglie": mpmath.sqrt(2 * mpmath.pi * hbar**2
+                                                  * beta / m)}
+    for (quantity, _), value in rows.items():
+        assert abs(value - refs[quantity]) <= 1e-12 * refs[quantity], quantity
+
+
 @pytest.mark.parametrize("argv, name", [
     (["trajectory", "--x-start", "1", "--tmax", "inf"], "--tmax"),
     (["trajectory", "--x-start", "1", "--tmax", "nan"], "--tmax"),
@@ -685,6 +787,9 @@ def _exit_1_naming(capsys, argv, name):
       "--omega=1.7092657971253837e-160", "--x0=2.5508573107064796e-29"],
      "omega = 1.70927e-160"),
     *CRITERION_OVERFLOW,
+    # kbt is echoed as typed, not as 1/beta = 9.999999999999999e+299
+    (["partition", "--oracle", "--mass", "1e75", "--kbt", "1e300", "--omega",
+      "1e70"], "kbt = 1e+300"),
 ])
 def test_input_the_subcommand_cannot_honour_exit_1(capsys, argv, name):
     _exit_1_naming(capsys, argv, name)

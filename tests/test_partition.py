@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -687,6 +688,60 @@ def test_gaussian_correction_matches_mpmath_reference(r):
     with mpmath.workdps(50):
         ref = mpmath.exp(-mpmath.mpf(r)) / mpmath.sqrt(1 - mpmath.mpf(r))
     assert abs(c - ref) / ref <= 1e-14
+
+
+_SCALE = st.floats(math.log(1e-75), math.log(1e75)).map(math.exp)
+_BETA = st.floats(math.log(5e-324), math.log(1.7e308)).map(math.exp)
+
+
+def _agrees_with(value: float, ref) -> bool:
+    """value is ref to 1e-12 relative where ref is a normal double, or to
+    one subnormal step where it lies below them."""
+    if ref >= sys.float_info.min:
+        return abs(value - ref) <= 1e-12 * ref
+    return abs(value - ref) <= 2 * 5e-324
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(beta=_BETA, hbar=_SCALE, m=_SCALE, sigma=_SCALE,
+       omega=st.floats(math.log(1e-300), math.log(1e300)).map(math.exp))
+# partition --kbt 1e308 --hbar 1e-15 --mass 1e-75 --sigma 1e-75 --omega 1e300,
+# where beta hbar and beta hbar^2 are subnormal and the scales were 0.0 and
+# 1.2% high
+@example(beta=1 / 1e308, hbar=1e-15, m=1e-75, sigma=1e-75, omega=1e300)
+@example(beta=1 / 1e308, hbar=1e-7, m=1e-75, sigma=1e-75, omega=1e300)
+@example(beta=1e-300, hbar=1.0, m=1e20, sigma=1e-20, omega=1.0)
+def test_criterion_scales_and_classical_Z_match_mpmath(beta, hbar, m, sigma,
+                                                       omega):
+    """quantum_ratio, t_min, the thermal wavelength and classical_Z's 1/x
+    against 50-digit mpmath of the same doubles, where a product of beta and
+    hbar is subnormal too; a ValueError only where a product the formula
+    forms overflows (or x leaves the ladder's range)."""
+    thermal = ThermalSpec(beta)
+    with mpmath.workdps(50):
+        b, h, mm, s = map(mpmath.mpf, (beta, hbar, m, sigma))
+        ratio = b * h**2 / (4 * mm * s**2)
+        lam2 = 2 * mpmath.pi * h**2 * b / mm
+        refs = {"ratio": ratio, "t_min": h**2 / (4 * mm * s**2),
+                "lam": mpmath.sqrt(lam2)}
+        products = [*refs.values(), lam2, 2 * mpmath.pi * h**2 * b]
+        x = b * h * mpmath.mpf(omega)
+    try:
+        rep = classicality_criterion(m, sigma, thermal, hbar)
+    except ValueError:
+        assert max(products) > 1.7e308
+    else:
+        assert quantum_ratio(m, sigma, thermal, hbar) == rep.dimensionless_ratio
+        got = {"ratio": rep.dimensionless_ratio, "t_min": rep.t_min,
+               "lam": rep.thermal_de_broglie}
+        for key, ref in refs.items():
+            assert _agrees_with(got[key], ref), (key, got[key], ref)
+    try:
+        z = classical_Z(harmonic_system(1.0, omega, hbar), thermal)
+    except ValueError:
+        assert not 1.0001e-305 <= x <= 1.7e308 or b * h > 1.7e308
+    else:
+        assert abs(z * x - 1) <= 1e-12
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
