@@ -10,7 +10,9 @@ units of m*omega^2*x0^2 and times in 1/omega.  Every numerical integral in
 the package goes through integrate_window: one Gauss-Legendre box rule, its
 window and tolerances fixed.  The rule hands the integrand an open grid
 (np.ix_) of one slab at a time, a slab being whole rows of the first axis,
-and contracts the values with the 1-D weights one axis at a time.
+and contracts the values with the 1-D weights one axis at a time.  Values
+with leading axes beyond the box's are a batch of integrands on one ladder,
+each element with the bits it gets alone: the marginal curves' samples.
 
 numpy loads on first use.  `np` here is a small stand-in for the module that
 imports numpy when one of its attributes is first read and then keeps that
@@ -241,13 +243,16 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _box_rule(f: Callable, mid: np.ndarray, half: np.ndarray, n: int) -> float:
-    """n-point-per-axis tensor-product Gauss-Legendre sum of f over the box.
+def _box_rule(f: Callable, mid: np.ndarray, half: np.ndarray, n: int):
+    """n-point-per-axis tensor-product Gauss-Legendre sum of f over the box,
+    one per batch element.
 
     f sees an open grid (np.ix_) of one slab of whole first-axis rows, so a
     term that depends on one axis is evaluated on that axis's nodes, not on
     every point; the values are contracted with the 1-D weights one axis at
-    a time, the last first.
+    a time, the last first, as a stacked vals[..., None, :] @ weights: the
+    1-D dot of a scalar integrand per batch element, where a (k, n) @ (n,)
+    gemv rounds some rows differently.
     """
     nodes, weights = _legendre(n)
     axes = [m + h * nodes for m, h in zip(mid, half)]
@@ -255,14 +260,16 @@ def _box_rule(f: Callable, mid: np.ndarray, half: np.ndarray, n: int) -> float:
     total = 0.0
     for start in range(0, n, rows):
         grid = np.ix_(axes[0][start:start + rows], *axes[1:])
-        vals = np.broadcast_to(f(*grid), [g.size for g in grid])
+        vals = np.asarray(f(*grid))
+        batch = vals.shape[:max(0, vals.ndim - len(grid))]
+        vals = np.broadcast_to(vals, batch + tuple(g.size for g in grid))
         for _ in axes[1:]:
             vals = vals @ weights
-        total += float(vals @ weights[start:start + rows])
+        total += (vals[..., None, :] @ weights[start:start + rows])[..., 0]
     return total * float(np.prod(half))
 
 
-def integrate_window(f: Callable[..., np.ndarray], lo, hi) -> tuple[float, float]:
+def integrate_window(f: Callable[..., np.ndarray], lo, hi):
     """Gauss-Legendre integral of f over the box [lo, hi].
 
     lo and hi are floats for a 1-D integral or equal-length tuples of
@@ -275,18 +282,33 @@ def integrate_window(f: Callable[..., np.ndarray], lo, hi) -> tuple[float, float
     coarser rule and so bounds the finer one's for an integrand the rules
     resolve.  Raises QuadratureFailure when the ladder ends first or a rule
     gives a non-finite value.
+
+    Values with leading axes beyond the box's are a batch of integrands:
+    the return is a pair of arrays of that shape, each element's pair bit
+    for bit its own scalar call's, and the ladder runs until all converge
+    (QuadratureFailure quotes the largest last disagreement).  f sees every
+    element on each call, so k elements on a 1-D box need k GL_LADDER[-1]
+    <= SLAB_POINTS.  A scalar integrand gets floats.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    prev = err = math.nan
+    prev = math.nan
     for n in GL_LADDER:
-        value = _box_rule(f, mid, half, n)
-        if not math.isfinite(value):
-            raise QuadratureFailure(f"non-finite value {value} with {n} nodes per axis")
-        err = abs(value - prev)
-        if err <= max(ABS_TOL, REL_TOL * abs(value)):
-            return value, err
-        prev = value
-    raise QuadratureFailure(
-        f"{GL_LADDER[-1]}- and {GL_LADDER[-2]}-node rules differ by {err:g}")
+        rule = np.asarray(_box_rule(f, mid, half, n))
+        if n == GL_LADDER[0]:  # the batch shape is known once f has run
+            value, err = np.empty_like(rule), np.full_like(rule, math.nan)
+        unconverged = np.isnan(err)
+        bad = unconverged & ~np.isfinite(rule)
+        if np.count_nonzero(bad):
+            raise QuadratureFailure(f"non-finite value {rule[bad].flat[0]} "
+                                    f"with {n} nodes per axis")
+        step = abs(rule - prev)  # NaN on the first rung, so none converges
+        done = unconverged & (step <= np.maximum(ABS_TOL, REL_TOL * abs(rule)))
+        np.copyto(value, rule, where=done)
+        np.copyto(err, step, where=done)
+        if not np.count_nonzero(np.isnan(err)):
+            return (float(value), float(err)) if value.ndim == 0 else (value, err)
+        prev = rule
+    raise QuadratureFailure(f"{GL_LADDER[-1]}- and {GL_LADDER[-2]}-node rules "
+                            f"differ by {step[unconverged].max():g}")

@@ -31,8 +31,11 @@ Conventions
   prepared packet in the distribution sum: a Gauss-Legendre quadrature
   (core.integrate_window) of exp(log P - beta E) over a window sized from
   the full exponent's completed square (ValueError where its reach squared
-  is not a finite double).  Its time derivative is that Z times a two-point
-  Gauss-Hermite mean of the rate brackets, exact as they are quadratic.
+  is not a finite double).  A curve integrates MARGINAL_CHUNK samples on
+  one ladder over [-1, 1], mapped onto each sample's window, each sample
+  bit for bit its marginal_Z.  Its time derivative is that Z times a
+  two-point Gauss-Hermite mean of the rate brackets, exact as they are
+  quadratic.
 """
 
 from __future__ import annotations
@@ -41,11 +44,12 @@ import math
 import sys
 from typing import Sequence
 
-from .core import (REL_TOL, WINDOW_SIGMAS, DivergentIntegral, SystemParams,
-                   ThermalSpec, _finite_positive, check_scale,
-                   integrate_window, np, record)
-from .wavepacket import (WavepacketInit, energy_dt, energy_pointwise, evolve,
-                         _energy_coefficients, _log_density, _log_density_dt)
+from .core import (GL_LADDER, REL_TOL, SLAB_POINTS, WINDOW_SIGMAS,
+                   DivergentIntegral, SystemParams, ThermalSpec,
+                   _finite_positive, check_scale, integrate_window, np, record)
+from .wavepacket import (StateColumns, WavepacketInit, energy_dt,
+                         energy_pointwise, evolve, _energy_coefficients,
+                         _log_density, _log_density_dt)
 
 
 @record(frozen=True)
@@ -70,8 +74,17 @@ def _finite_scales(m: float, sigma: float, thermal: ThermalSpec, hbar: float,
 
 
 # Where a product of beta and hbar^k would be subnormal and lose digits, a
-# formula runs on beta 2^_LIFT and scales back exactly; elsewhere no bit moves.
+# formula runs on beta 2^_LIFT and scales back exactly (on beta 2^-_LIFT
+# where it overflows); elsewhere no bit moves.
 _LIFT, _TINY = 800, sys.float_info.min  # 2^800 lifts each, overflows none
+
+
+def _lift(*products: float) -> int:
+    """The power of two that scales beta: _LIFT where a product is
+    subnormal or 0, -_LIFT where one overflows, else 0."""
+    if min(products) < _TINY:
+        return _LIFT
+    return -_LIFT if max(products) == math.inf else 0
 
 
 def quantum_ratio(params_mass: float, sigma: float, thermal: ThermalSpec,
@@ -81,9 +94,10 @@ def quantum_ratio(params_mass: float, sigma: float, thermal: ThermalSpec,
     check_scale("sigma", sigma)
     check_scale("mass", params_mass)
     check_scale("hbar", hbar)
-    lift = _LIFT if thermal.beta * hbar**2 < _TINY else 0
-    ratio = math.ldexp(math.ldexp(thermal.beta, lift) * hbar**2
-                       / (4.0 * params_mass * sigma**2), -lift)
+    lift = _lift(thermal.beta * hbar**2)
+    # scaled back by a product, which gives inf where math.ldexp would raise
+    ratio = (math.ldexp(thermal.beta, lift) * hbar**2
+             / (4.0 * params_mass * sigma**2) * 2.0**-lift)
     _finite_scales(params_mass, sigma, thermal, hbar, criterion_ratio=ratio)
     return ratio
 
@@ -152,7 +166,9 @@ def _phase_box(m: float, w: float, thermal: ThermalSpec,
     if beta * m == 0.0:
         raise ValueError(f"mass / kbt = {m!r} / {kbt:g} underflows to 0, so "
                          "the oracle's x window is not a finite double")
-    half_x = WINDOW_SIGMAS * (1.0 / math.sqrt(beta * m) / w)
+    lift = _LIFT if beta * m < _TINY else 0  # a subnormal beta m loses digits
+    half_x = WINDOW_SIGMAS * (1.0 / math.sqrt(math.ldexp(beta, lift) * m)
+                              * 2.0**(lift // 2) / w)
     half_p = WINDOW_SIGMAS * math.sqrt(m / beta)
     exact = WINDOW_SIGMAS**2 * kbt + const_q
     corner = _energy(m, w, half_x, half_p) + const_q
@@ -331,20 +347,28 @@ def _marginal_gaussian(state, thermal: ThermalSpec) -> tuple[float, float]:
     return state.q + u_star, width
 
 
-def _boltzmann_density(state, beta: float, x):
-    """P(x,t) exp(-beta E(x,t)), exponentiated once so that no sample point
-    multiplies an underflowed density by an overflowed Boltzmann factor."""
-    return np.exp(_log_density(state, x) - beta * energy_pointwise(state, x))
+# Samples per marginal ladder: a chunk's points on the finest rung fit one slab.
+MARGINAL_CHUNK = SLAB_POINTS // GL_LADDER[-1]
 
 
-def _marginal_quadrature(state, thermal: ThermalSpec, center: float,
-                         width: float) -> float:
-    """marginal_Z of an evolved state whose _marginal_gaussian is given."""
-    half = WINDOW_SIGMAS * width
-    val, _ = integrate_window(
-        lambda x: _boltzmann_density(state, thermal.beta, x),
-        center - half, center + half)
-    return val
+def _marginal_quadrature(states: list, thermal: ThermalSpec,
+                         windows: list[tuple[float, float]]) -> np.ndarray:
+    """marginal_Z of each of at most MARGINAL_CHUNK evolved states, whose
+    _marginal_gaussian windows are given: one ladder on [-1, 1], mapped onto
+    each window through the mid and half-width integrate_window would form,
+    so every node keeps its bits.  exp(log P - beta E) is taken once, so no
+    point multiplies an underflowed P by an overflowed exp(-beta E)."""
+    lo = np.array([center - WINDOW_SIGMAS * width for center, width in windows])
+    hi = np.array([center + WINDOW_SIGMAS * width for center, width in windows])
+    mid, half = (0.5 * (hi + lo))[:, None], (0.5 * (hi - lo))[:, None]
+    columns, beta = StateColumns.of(states), thermal.beta
+
+    def f(s):
+        x = mid + half * s
+        return np.exp(_log_density(columns, x) - beta * energy_pointwise(columns, x))
+
+    values, _ = integrate_window(f, -1.0, 1.0)
+    return values * half[:, 0]
 
 
 def marginal_Z(params: SystemParams, init: WavepacketInit, thermal: ThermalSpec,
@@ -356,8 +380,8 @@ def marginal_Z(params: SystemParams, init: WavepacketInit, thermal: ThermalSpec,
     non-negative at this t.
     """
     state = evolve(params, init, t)
-    return _marginal_quadrature(state, thermal,
-                                *_marginal_gaussian(state, thermal))
+    return float(_marginal_quadrature(
+        [state], thermal, [_marginal_gaussian(state, thermal)])[0])
 
 
 @record(frozen=True)
@@ -385,7 +409,7 @@ def marginal_Z_derivative(params: SystemParams, init: WavepacketInit,
     """
     state = evolve(params, init, t)
     center, width = _marginal_gaussian(state, thermal)
-    z = _marginal_quadrature(state, thermal, center, width)
+    z = float(_marginal_quadrature([state], thermal, [(center, width)])[0])
     nodes = (center - width, center + width)
 
     def mean(energy_weight: float) -> float:
@@ -403,14 +427,19 @@ def marginal_curve(params: SystemParams, init: WavepacketInit,
     Each time is evolved once, and every window is found before any
     quadrature runs, so a divergent sample raises DivergentIntegral even
     where an earlier sample is convergent but too large for the quadrature.
+    Each chunk of MARGINAL_CHUNK samples is one ladder, and each value is
+    bit for bit the marginal_Z of its time.
     Normalizing raises ValueError naming x0 and p0 where the t = 0 Z is not
     a positive finite double (it underflows to 0 for a distant packet).
     """
     times = np.asarray(times, dtype=float)
     states = [evolve(params, init, t) for t in times]
     windows = [_marginal_gaussian(state, thermal) for state in states]
-    values = np.array([_marginal_quadrature(state, thermal, *window)
-                       for state, window in zip(states, windows)])
+    values = np.empty(len(states))
+    for start in range(0, len(states), MARGINAL_CHUNK):
+        chunk = slice(start, start + MARGINAL_CHUNK)
+        values[chunk] = _marginal_quadrature(states[chunk], thermal,
+                                             windows[chunk])
     if normalized:
         z0 = marginal_Z(params, init, thermal, 0.0) \
             if times[0] != 0.0 else values[0]
@@ -435,8 +464,8 @@ def classicality_criterion(m: float, sigma: float, thermal: ThermalSpec,
     ratio = quantum_ratio(m, sigma, thermal, hbar)
     t_min = hbar**2 / (4.0 * m * sigma**2)
     product = 2.0 * math.pi * hbar**2 * thermal.beta
-    lift = _LIFT if min(product, product / m) < _TINY else 0
-    lam = math.ldexp(math.sqrt(2.0 * math.pi * hbar**2
-                               * math.ldexp(thermal.beta, lift) / m), -lift // 2)
+    lift = _lift(product, product / m)
+    lam = math.sqrt(2.0 * math.pi * hbar**2 * math.ldexp(thermal.beta, lift)
+                    / m) * 2.0**(-lift // 2)
     _finite_scales(m, sigma, thermal, hbar, t_min=t_min, thermal_de_broglie=lam)
     return CriterionReport(t_min, ratio, ratio < 1.0, lam)

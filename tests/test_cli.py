@@ -642,6 +642,12 @@ ORACLE_BOX = [
      "sigma = 5.3213166474075176e+29"),
 ]
 
+# beta m = 4.7e-321 is subnormal, so the box's x window lost digits and the
+# oracle exited 1, where the rule it stopped was right
+SUBNORMAL_BETA_M = ["--omega=7.655492808947607e+87",
+                    "--kbt=1.1189365365002268e+287",
+                    "--mass=5.219913566980221e-34"]
+
 
 # a criterion scale past the doubles, which printed inf with exit 0, and the
 # text its one-line message must contain
@@ -654,11 +660,16 @@ CRITERION_OVERFLOW = [
      "mass = 1.0, sigma = 1e-74, hbar = 1.0"),
     (["partition", "--hbar", "1e75", "--mass", "1e-75", "--sigma", "1e-75",
       "--kbt", "1e300"], "t_min = inf"),
-    (["partition", "--kbt", "1e-200", "--hbar", "1e50", "--mass", "1e-10",
-      "--sigma", "1e75", "--omega", "1e-248"],
-     "thermal_de_broglie = inf is not a finite double at beta = 1e+200, "
-     "mass = 1e-10, sigma = 1e+75, hbar = 1e+50"),
+    # beta hbar^2 overflows, and so does the ratio that beta 2^-800 gives
+    (["partition", "--kbt", "1e-299", "--hbar", "1e10"],
+     "criterion_ratio = inf is not a finite double at beta = 1e+299, "
+     "mass = 1.0, sigma = 0.45, hbar = 10000000000.0"),
 ]
+
+# 2 pi hbar^2 beta / m overflows, where the thermal wavelength is 2.5e155
+WAVELENGTH_PAST_ITS_SQUARE = [
+    "partition", "--kbt", "1e-200", "--hbar", "1e50", "--mass", "1e-10",
+    "--sigma", "1e75", "--omega", "1e-248"]
 
 
 def _exit_1_naming(capsys, argv, name):
@@ -691,6 +702,50 @@ def test_partition_rows_survive_a_subnormal_beta_hbar(capsys):
                                                   * beta / m)}
     for (quantity, _), value in rows.items():
         assert abs(value - refs[quantity]) <= 1e-12 * refs[quantity], quantity
+
+
+def test_partition_oracle_survives_a_subnormal_beta_m(capsys):
+    """The x window of a subnormal beta m is formed on beta 2^800, so the
+    oracle runs, with RuntimeWarning an error, and each quadrature row is
+    within 2e-14 of its closed form."""
+    from bohmpart import cli
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["partition", "--oracle", *SUBNORMAL_BETA_M]) == 0
+    rows = {(q, method): float(value) for q, method, value, _ in
+            (line.split(",") for line in
+             capsys.readouterr().out.splitlines()[1:])}
+    for quantity in ("z_classical", "z_unified"):
+        closed = rows[quantity, "closed_form"]
+        assert abs(rows[quantity, "quadrature"] - closed) <= 2e-14 * closed
+
+
+def test_partition_rows_survive_a_thermal_wavelength_whose_square_overflows(
+        capsys):
+    """2 pi hbar^2 beta / m overflows, and it exited 1, yet every scale is a
+    double: each finite row matches 50-digit mpmath of the typed inputs to
+    1e-12, and the unified rows are divergent (r = 2.5e159)."""
+    from bohmpart import cli
+    assert cli.main(WAVELENGTH_PAST_ITS_SQUARE) == 0
+    rows = {(q, method): float(value) for q, method, value, _ in
+            (line.split(",") for line in
+             capsys.readouterr().out.splitlines()[1:])}
+    with mpmath.workdps(50):
+        beta, hbar = 1 / mpmath.mpf(1e-200), mpmath.mpf(1e50)
+        m, sigma, omega = mpmath.mpf(1e-10), mpmath.mpf(1e75), mpmath.mpf(1e-248)
+        x = beta * hbar * omega
+        refs = {"z_classical": 1 / x, "z_quantum": 1 / (2 * mpmath.sinh(x / 2)),
+                "criterion_ratio": beta * hbar**2 / (4 * m * sigma**2),
+                "t_min": hbar**2 / (4 * m * sigma**2),
+                "thermal_de_broglie": mpmath.sqrt(2 * mpmath.pi * hbar**2
+                                                  * beta / m)}
+    assert {key for key in rows if key[1] == "divergent"} == {
+        ("gaussian_correction", "divergent"), ("z_unified", "divergent")}
+    for (quantity, method), value in rows.items():
+        if method != "divergent":
+            assert abs(value - refs[quantity]) <= 1e-12 * refs[quantity], quantity
+    assert rows["thermal_de_broglie", "closed_form"] == pytest.approx(2.5e155,
+                                                                      rel=3e-3)
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -817,6 +872,7 @@ def _oracle_flags(draw):
 @example(flags=ORACLE_BOX[2][0])
 @example(flags=ORACLE_BOX[3][0])
 @example(flags=ORACLE_BOX[4][0])
+@example(flags=SUBNORMAL_BETA_M)
 def test_partition_oracle_agrees_with_its_closed_forms_or_exits(flags):
     """A documented exit code, one bohmpart: line on failure, and each
     quadrature row within max(1e-8 relative, est_error) of its closed form."""
@@ -889,6 +945,7 @@ def _cli_argv(draw):
 @example(argv=CRITERION_OVERFLOW[1][0])
 @example(argv=CRITERION_OVERFLOW[2][0])
 @example(argv=CRITERION_OVERFLOW[3][0])
+@example(argv=WAVELENGTH_PAST_ITS_SQUARE)
 def test_closed_form_subcommands_exit_as_documented(argv):
     """A documented exit code, one bohmpart: line on failure, and tables
     (companions included) with no inf, and nan only in a divergent row.
@@ -919,8 +976,8 @@ def test_closed_form_subcommands_exit_as_documented(argv):
 
 
 @pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                   reason="ROADMAP item 2: _boltzmann_density's exp overflows "
-                          "inside the marginal quadrature")
+                   reason="ROADMAP item 2: the exp of _marginal_quadrature's "
+                          "integrand overflows inside the marginal quadrature")
 def test_fig1_large_omega_ends_without_a_traceback(capsys):
     from bohmpart import cli
     code = cli.main(["fig1", "--omega", "3.7e12", "--samples", "3"])

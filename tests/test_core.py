@@ -151,6 +151,66 @@ def test_box_rule_slabs_bound_the_points_per_call(dim, n):
     assert sum(sizes) == n ** dim
 
 
+# (center, width) per axis of each element of a batch of Gaussians; the
+# narrow ones converge on later rungs than the wide ones
+_BATCH = [[(0.3, 2.0), (-1.0, 0.9), (0.5, 1.0)],
+          [(1.5, 0.35), (0.2, 3.0), (-1.0, 0.8)],
+          [(-2.0, 1.1), (0.0, 0.25), (1.2, 2.0)],
+          [(0.0, 4.0), (2.5, 0.6), (0.0, 0.4)],
+          [(4.0, 0.5), (-3.0, 1.7), (2.0, 1.5)],
+          [(-0.7, 1.3), (1.1, 0.3), (-2.5, 0.7)]]
+
+
+def _gaussian(centers, widths):
+    """exp(-|(x - c)/w|^2 / 2) over as many axes as the coordinates given."""
+    def f(*xs):
+        return np.exp(sum(-0.5 * ((x - c) / w) ** 2
+                          for x, c, w in zip(xs, centers, widths)))
+    return f
+
+
+@pytest.mark.parametrize("dim, batch", [(1, (6,)), (2, (6,)), (2, (2, 3)),
+                                        (3, (3,))])
+def test_batched_integrand_gives_each_element_its_scalar_bits(dim, batch):
+    """A batch's values and errors are the per-element scalar calls' bit for
+    bit, though the elements converge on different rungs; a scalar
+    integrand still returns floats."""
+    lo, hi = (-6.0, -5.0, -4.0)[:dim], (5.0, 6.0, 4.5)[:dim]
+    elements = [tuple(zip(*axes[:dim])) for axes in _BATCH][:math.prod(batch)]
+    pad = (1,) * dim  # the element columns broadcast against the open grid
+    centers = [np.array([c[k] for c, _ in elements]).reshape(batch + pad)
+               for k in range(dim)]
+    widths = [np.array([w[k] for _, w in elements]).reshape(batch + pad)
+              for k in range(dim)]
+    values, errors = integrate_window(_gaussian(centers, widths), lo, hi)
+    assert values.shape == errors.shape == batch
+    scalars = [integrate_window(_gaussian(c, w), lo, hi) for c, w in elements]
+    assert all(type(v) is float and type(e) is float for v, e in scalars)
+    assert values.ravel().tolist() == [v for v, _ in scalars]
+    assert errors.ravel().tolist() == [e for _, e in scalars]
+    assert len({e for _, e in scalars}) > 1
+
+
+def test_batched_quadrature_failure_names_the_largest_disagreement():
+    """One element that never converges fails the batch, and the message
+    quotes the largest last disagreement among those that did not; one
+    non-finite element fails it too."""
+    rates = np.array([[200.0], [1.0], [150.0]])  # 1.0 converges
+
+    def messages(f):
+        with pytest.raises(QuadratureFailure) as info:
+            integrate_window(f, 0.0, 10.0)
+        return str(info.value)
+
+    alone = [messages(lambda x, a=a: np.cos(a * x * x)) for a in (200.0, 150.0)]
+    worst = max(alone, key=lambda m: float(m.rsplit(" ", 1)[1]))
+    assert messages(lambda x: np.cos(rates * x * x)) == worst
+    assert alone[0] != alone[1]
+    edges = np.array([[20.0], [0.5], [30.0]])
+    assert "non-finite value inf" in messages(
+        lambda x: np.where(x > edges, np.inf, 1.0))
+
+
 def test_integrate_window_failure_on_exhausted_subdivisions():
     # 3000 oscillations on the window: no rule of the ladder resolves them
     with pytest.raises(QuadratureFailure):

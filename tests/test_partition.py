@@ -15,8 +15,9 @@ from bohmpart import (BathSpec, DivergentIntegral, Oscillator,
                       marginal_Z, marginal_Z_derivative, marginal_curve,
                       phase_space_integral, quantum_Z, unified_bath_Z,
                       unified_integral, unified_Z_gaussian)
-from bohmpart.core import (ABS_TOL, REL_TOL, WINDOW_SIGMAS, _finite_positive,
-                          integrate_window)
+from bohmpart import partition
+from bohmpart.core import (ABS_TOL, REL_TOL, SLAB_POINTS, WINDOW_SIGMAS,
+                           _finite_positive, integrate_window)
 from bohmpart.numdiff import central_first, central_second
 from bohmpart.partition import quantum_ratio, quantum_Z_closed_form
 from bohmpart.wavepacket import (_energy_coefficients, _log_density,
@@ -181,6 +182,43 @@ def test_marginal_curve_normalized_at_zero(ho_params, fig_init):
     raw = marginal_curve(ho_params, fig_init, th, times, normalized=False)
     assert raw[0] == marginal_Z(ho_params, fig_init, th, 0.0)
     assert np.array_equal(values, raw / raw[0])
+
+
+@pytest.mark.parametrize("samples", [1, 41, 42, 43, 400])
+def test_marginal_curve_samples_are_marginal_Z_bit_for_bit(samples):
+    """A curve integrates its samples MARGINAL_CHUNK (42) to a ladder, yet
+    each raw sample is the marginal_Z of its time, on both sides of every
+    chunk boundary, for seeded harmonic and free packets."""
+    rng = np.random.default_rng(samples)
+    m = rng.uniform(0.8, 1.25)
+    for params in (harmonic_system(m, rng.uniform(0.8, 1.25)), free_system(m)):
+        init = WavepacketInit(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0),
+                              rng.uniform(0.5, 0.9))
+        th = ThermalSpec.from_kbt(rng.uniform(2.0, 5.0))
+        times = np.linspace(0.0, rng.uniform(1.0, 10.0), samples)
+        curve = marginal_curve(params, init, th, times, normalized=False)
+        assert curve.tolist() == [marginal_Z(params, init, th, t) for t in times]
+
+
+def test_marginal_curve_evaluates_at_most_a_slab_at_once(monkeypatch,
+                                                         ho_params, fig_init):
+    """However many samples a curve has, no integrand call evaluates more
+    than SLAB_POINTS points: memory does not grow with the samples."""
+    sizes, ladders = [], []
+
+    def counting(f, lo, hi):
+        def g(*xs):
+            values = f(*xs)
+            sizes.append(values.size)
+            return values
+        ladders.append((lo, hi))
+        return integrate_window(g, lo, hi)
+
+    monkeypatch.setattr(partition, "integrate_window", counting)
+    times = np.linspace(0.0, 4.0 * math.pi, 5000)
+    marginal_curve(ho_params, fig_init, ThermalSpec.from_kbt(2.0), times)
+    assert max(sizes) <= SLAB_POINTS
+    assert len(ladders) == -(-5000 // partition.MARGINAL_CHUNK)
 
 
 def test_marginal_periodicity(ho_params, fig_init):
@@ -711,25 +749,29 @@ def _agrees_with(value: float, ref) -> bool:
 @example(beta=1 / 1e308, hbar=1e-15, m=1e-75, sigma=1e-75, omega=1e300)
 @example(beta=1 / 1e308, hbar=1e-7, m=1e-75, sigma=1e-75, omega=1e300)
 @example(beta=1e-300, hbar=1.0, m=1e20, sigma=1e-20, omega=1.0)
+# partition --kbt 1e-200 --hbar 1e50 --mass 1e-10 --sigma 1e75 --omega 1e-248,
+# where the thermal wavelength's square overflows, and a beta hbar^2 that
+# overflows under a finite ratio: both exited 1
+@example(beta=1e200, hbar=1e50, m=1e-10, sigma=1e75, omega=1e-248)
+@example(beta=1e300, hbar=1e10, m=1e10, sigma=1e75, omega=1.0)
 def test_criterion_scales_and_classical_Z_match_mpmath(beta, hbar, m, sigma,
                                                        omega):
     """quantum_ratio, t_min, the thermal wavelength and classical_Z's 1/x
     against 50-digit mpmath of the same doubles, where a product of beta and
-    hbar is subnormal too; a ValueError only where a product the formula
-    forms overflows (or x leaves the ladder's range)."""
+    hbar is subnormal or overflows too; a criterion ValueError only where a
+    scale itself is past the doubles (classical_Z's also where beta hbar
+    overflows or x leaves the ladder's range)."""
     thermal = ThermalSpec(beta)
     with mpmath.workdps(50):
         b, h, mm, s = map(mpmath.mpf, (beta, hbar, m, sigma))
-        ratio = b * h**2 / (4 * mm * s**2)
-        lam2 = 2 * mpmath.pi * h**2 * b / mm
-        refs = {"ratio": ratio, "t_min": h**2 / (4 * mm * s**2),
-                "lam": mpmath.sqrt(lam2)}
-        products = [*refs.values(), lam2, 2 * mpmath.pi * h**2 * b]
+        refs = {"ratio": b * h**2 / (4 * mm * s**2),
+                "t_min": h**2 / (4 * mm * s**2),
+                "lam": mpmath.sqrt(2 * mpmath.pi * h**2 * b / mm)}
         x = b * h * mpmath.mpf(omega)
     try:
         rep = classicality_criterion(m, sigma, thermal, hbar)
     except ValueError:
-        assert max(products) > 1.7e308
+        assert max(refs.values()) > 1.7e308
     else:
         assert quantum_ratio(m, sigma, thermal, hbar) == rep.dimensionless_ratio
         got = {"ratio": rep.dimensionless_ratio, "t_min": rep.t_min,
