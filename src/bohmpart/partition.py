@@ -32,10 +32,12 @@ Conventions
   (core.integrate_window) of exp(log P - beta E) over a window sized from
   the full exponent's completed square (ValueError where its reach squared
   is not a finite double).  A curve integrates MARGINAL_CHUNK samples on
-  one ladder over [-1, 1], mapped onto each sample's window, each sample
-  bit for bit its marginal_Z.  Its time derivative is that Z times a
-  two-point Gauss-Hermite mean of the rate brackets, exact as they are
-  quadratic.
+  one ladder over [-1, 1], mapped onto each sample's window, on (k, 1)
+  columns of the samples' own floats, each sample bit for bit its
+  marginal_Z; only this module batches, and wavepacket's kernels take one
+  state.  An integrand that overflows is a QuadratureFailure.  Its time
+  derivative is that Z times a two-point Gauss-Hermite mean of the rate
+  brackets, exact as they are quadratic.
 """
 
 from __future__ import annotations
@@ -47,9 +49,8 @@ from typing import Sequence
 from .core import (GL_LADDER, REL_TOL, SLAB_POINTS, WINDOW_SIGMAS,
                    DivergentIntegral, SystemParams, ThermalSpec,
                    _finite_positive, check_scale, integrate_window, np, record)
-from .wavepacket import (StateColumns, WavepacketInit, energy_dt,
-                         energy_pointwise, evolve, _energy_coefficients,
-                         _log_density, _log_density_dt)
+from .wavepacket import (WavepacketInit, energy_dt, evolve,
+                         _energy_coefficients, _log_density_dt)
 
 
 @record(frozen=True)
@@ -315,10 +316,12 @@ def unified_integral(m: float, w: float, sigma: float, thermal: ThermalSpec,
 # Marginal partition function and its time derivative
 # ---------------------------------------------------------------------------
 
-def _marginal_gaussian(state, thermal: ThermalSpec) -> tuple[float, float]:
-    """(center, width) in x of the Gaussian P e^(-beta E); DivergentIntegral
-    if it is unbounded, ValueError naming x0, p0, omega and mass where an
-    energy coefficient is not a finite double.
+def _marginal_gaussian(state, thermal: ThermalSpec
+                       ) -> tuple[float, float, tuple[float, float, float]]:
+    """(center, width) in x of the Gaussian P e^(-beta E), and the (A2, A1,
+    A0) of E that built it; DivergentIntegral if it is unbounded, ValueError
+    naming x0, p0, omega and mass where an energy coefficient is not a
+    finite double.
 
     log(P e^(-beta E)) = -kappa u^2 - beta A1 u + const in u = x - q.
     """
@@ -344,7 +347,7 @@ def _marginal_gaussian(state, thermal: ThermalSpec) -> tuple[float, float]:
         raise ValueError(f"at t = {state.t:g}, omega = {state.params.omega:g}"
                          f", sigma = {state.init.sigma:g} the marginal window"
                          f" reaches {reach:g}, whose square overflows a double")
-    return state.q + u_star, width
+    return state.q + u_star, width, (a2, a1, a0)
 
 
 # Samples per marginal ladder: a chunk's points on the finest rung fit one slab.
@@ -352,20 +355,24 @@ MARGINAL_CHUNK = SLAB_POINTS // GL_LADDER[-1]
 
 
 def _marginal_quadrature(states: list, thermal: ThermalSpec,
-                         windows: list[tuple[float, float]]) -> np.ndarray:
-    """marginal_Z of each of at most MARGINAL_CHUNK evolved states, whose
-    _marginal_gaussian windows are given: one ladder on [-1, 1], mapped onto
-    each window through the mid and half-width integrate_window would form,
-    so every node keeps its bits.  exp(log P - beta E) is taken once, so no
-    point multiplies an underflowed P by an overflowed exp(-beta E)."""
-    lo = np.array([center - WINDOW_SIGMAS * width for center, width in windows])
-    hi = np.array([center + WINDOW_SIGMAS * width for center, width in windows])
+                         gaussians: list) -> np.ndarray:
+    """marginal_Z of each of at most MARGINAL_CHUNK evolved states, given
+    their _marginal_gaussian: one ladder on [-1, 1] mapped onto each window
+    as integrate_window would map it, and exp(log P - beta E) taken once, in
+    the operation order of _log_density and energy_pointwise, so every node
+    keeps its scalar bits.  An overflow to inf is a QuadratureFailure."""
+    lo = np.array([c - WINDOW_SIGMAS * w for c, w, _ in gaussians])
+    hi = np.array([c + WINDOW_SIGMAS * w for c, w, _ in gaussians])
     mid, half = (0.5 * (hi + lo))[:, None], (0.5 * (hi - lo))[:, None]
-    columns, beta = StateColumns.of(states), thermal.beta
+    q, ra, log_norm, a2, a1, a0 = np.array(
+        [(s.q, s.alpha.real, 0.5 * math.log(2.0 * s.alpha.real / math.pi), *e)
+         for s, (_, _, e) in zip(states, gaussians)]).T[..., None]
 
     def f(s):
-        x = mid + half * s
-        return np.exp(_log_density(columns, x) - beta * energy_pointwise(columns, x))
+        u = mid + half * s - q
+        with np.errstate(over="ignore"):
+            return np.exp(log_norm - 2.0 * ra * (u * u)
+                          - thermal.beta * (a2 * (u * u) + a1 * u + a0))
 
     values, _ = integrate_window(f, -1.0, 1.0)
     return values * half[:, 0]
@@ -408,8 +415,8 @@ def marginal_Z_derivative(params: SystemParams, init: WavepacketInit,
     exactly.  Z is the marginal_Z quadrature.
     """
     state = evolve(params, init, t)
-    center, width = _marginal_gaussian(state, thermal)
-    z = float(_marginal_quadrature([state], thermal, [(center, width)])[0])
+    center, width, _ = gaussian = _marginal_gaussian(state, thermal)
+    z = float(_marginal_quadrature([state], thermal, [gaussian])[0])
     nodes = (center - width, center + width)
 
     def mean(energy_weight: float) -> float:
@@ -434,12 +441,12 @@ def marginal_curve(params: SystemParams, init: WavepacketInit,
     """
     times = np.asarray(times, dtype=float)
     states = [evolve(params, init, t) for t in times]
-    windows = [_marginal_gaussian(state, thermal) for state in states]
+    gaussians = [_marginal_gaussian(state, thermal) for state in states]
     values = np.empty(len(states))
     for start in range(0, len(states), MARGINAL_CHUNK):
         chunk = slice(start, start + MARGINAL_CHUNK)
         values[chunk] = _marginal_quadrature(states[chunk], thermal,
-                                             windows[chunk])
+                                             gaussians[chunk])
     if normalized:
         z0 = marginal_Z(params, init, thermal, 0.0) \
             if times[0] != 0.0 else values[0]

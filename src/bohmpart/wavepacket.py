@@ -21,9 +21,9 @@ polar decomposition psi = R exp(iS/hbar) everything else follows:
     Q = -(hbar^2 / 2 m R) R''     quantum potential
     E = -dS/dt                    pointwise energy along the flow
 
-Every pointwise function of (state, x) is one broadcasting expression in
-u = x - q: a float x gives a float (complex for the wavefunction) and an
-array x gives an array of the same shape.
+Every pointwise function of (state, x) takes one WavepacketState and is one
+broadcasting expression in u = x - q: a float x gives a float (complex for
+the wavefunction) and an array x gives an array of the same shape.
 
 All formulas here are exact solutions of the time-dependent Schroedinger
 equation; the test suite verifies them against finite-difference definitions
@@ -82,36 +82,6 @@ class WavepacketState(NamedTuple):
     def gamma(self) -> float:
         """Real phase accumulator g(t) of psi."""
         return _phase(self.params, self.init, self.t)
-
-    @property
-    def log_norm(self) -> float:
-        """log sqrt(2 Re a / pi), the log of P's prefactor, by math.log."""
-        return 0.5 * math.log(2.0 * self.alpha.real / math.pi)
-
-    @property
-    def energy_coefficients(self) -> tuple[float, float, float]:
-        """(A2, A1, A0) of E(x,t) = A2 u^2 + A1 u + A0 (_energy_coefficients)."""
-        return _energy_coefficients(self)
-
-
-class StateColumns(NamedTuple):
-    """k states as (k, 1) columns of their own floats, which _log_density
-    and energy_pointwise take in place of one state, giving row i of (k, n)
-    points state i's bits (np.log may not match log_norm's math.log)."""
-
-    alpha: np.ndarray
-    q: np.ndarray
-    log_norm: np.ndarray
-    energy_coefficients: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    @classmethod
-    def of(cls, states: list[WavepacketState]) -> "StateColumns":
-        """The columns of a non-empty list of states."""
-        q, log_norm, *coefficients = np.array(
-            [(s.q, s.log_norm, *s.energy_coefficients) for s in states]
-        ).T[..., None]
-        return cls(np.array([s.alpha for s in states])[:, None], q, log_norm,
-                   tuple(coefficients))
 
 
 def evolve(params: SystemParams, init: WavepacketInit, t: float) -> WavepacketState:
@@ -176,10 +146,11 @@ def density(state: WavepacketState, x):
     return np.sqrt(2.0 * ra / np.pi) * np.exp(-2.0 * ra * (u * u))
 
 
-def _log_density(state: WavepacketState | StateColumns, x):
+def _log_density(state: WavepacketState, x):
     """log P(x,t), finite where P itself underflows to zero."""
+    ra = state.alpha.real
     u = x - state.q
-    return state.log_norm - 2.0 * state.alpha.real * (u * u)
+    return 0.5 * math.log(2.0 * ra / math.pi) - 2.0 * ra * (u * u)
 
 
 def amplitude(state: WavepacketState, x):
@@ -240,9 +211,9 @@ def _energy_coefficients(state: WavepacketState) -> tuple[float, float, float]:
     return a2, a1, a0
 
 
-def energy_pointwise(state: WavepacketState | StateColumns, x):
+def energy_pointwise(state: WavepacketState, x):
     """E(x,t) = -dS/dt, the energy of the trajectory passing through x at t."""
-    a2, a1, a0 = state.energy_coefficients
+    a2, a1, a0 = _energy_coefficients(state)
     u = x - state.q
     return a2 * (u * u) + a1 * u + a0
 

@@ -947,6 +947,34 @@ def _cli_argv(draw):
 @example(argv=CRITERION_OVERFLOW[3][0])
 @example(argv=WAVELENGTH_PAST_ITS_SQUARE)
 def test_closed_form_subcommands_exit_as_documented(argv):
+    _exits_as_documented(argv)
+
+
+# the float flags fig1 and marginal both read
+MARGINAL_FLOAT_FLAGS = ["hbar", "mass", "omega", "sigma", "x0", "p0", "kbt",
+                        "tmax"]
+
+
+@st.composite
+def _marginal_argv(draw):
+    """fig1 or marginal with one to three of its float flags, each set to a
+    signed magnitude, on 3 samples."""
+    command = draw(st.sampled_from(["fig1", "marginal"]))
+    keys = draw(st.lists(st.sampled_from(MARGINAL_FLOAT_FLAGS),
+                         min_size=1, max_size=3, unique=True))
+    return [command, "--samples", "3"] + [
+        f"--{key}={draw(st.sampled_from([1.0, -1.0])) * draw(_MAGNITUDE)!r}"
+        for key in keys]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(argv=_marginal_argv())
+@example(argv=["fig1", "--samples", "3", "--omega", "3.7e12"])
+def test_marginal_subcommands_exit_as_documented(argv):
+    _exits_as_documented(argv)
+
+
+def _exits_as_documented(argv):
     """A documented exit code, one bohmpart: line on failure, and tables
     (companions included) with no inf, and nan only in a divergent row.
     main reuses one parser, since building it is most of a call's time, and
@@ -975,9 +1003,6 @@ def test_closed_form_subcommands_exit_as_documented(argv):
             assert "nan" not in row or "divergent" in row, row
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                   reason="ROADMAP item 2: the exp of _marginal_quadrature's "
-                          "integrand overflows inside the marginal quadrature")
 def test_fig1_large_omega_ends_without_a_traceback(capsys):
     from bohmpart import cli
     code = cli.main(["fig1", "--omega", "3.7e12", "--samples", "3"])

@@ -188,7 +188,8 @@ def test_marginal_curve_normalized_at_zero(ho_params, fig_init):
 def test_marginal_curve_samples_are_marginal_Z_bit_for_bit(samples):
     """A curve integrates its samples MARGINAL_CHUNK (42) to a ladder, yet
     each raw sample is the marginal_Z of its time, on both sides of every
-    chunk boundary, for seeded harmonic and free packets."""
+    chunk boundary, for seeded harmonic and free packets, and the scalar
+    quadrature of the wavepacket kernels over its _marginal_gaussian window."""
     rng = np.random.default_rng(samples)
     m = rng.uniform(0.8, 1.25)
     for params in (harmonic_system(m, rng.uniform(0.8, 1.25)), free_system(m)):
@@ -198,6 +199,14 @@ def test_marginal_curve_samples_are_marginal_Z_bit_for_bit(samples):
         times = np.linspace(0.0, rng.uniform(1.0, 10.0), samples)
         curve = marginal_curve(params, init, th, times, normalized=False)
         assert curve.tolist() == [marginal_Z(params, init, th, t) for t in times]
+        for t, z in zip(times, curve):
+            s = evolve(params, init, t)
+            c, w, _ = partition._marginal_gaussian(s, th)
+            kernels = integrate_window(
+                lambda x: np.exp(_log_density(s, x)
+                                 - th.beta * energy_pointwise(s, x)),
+                c - WINDOW_SIGMAS * w, c + WINDOW_SIGMAS * w)[0]
+            assert z == kernels
 
 
 def test_marginal_curve_evaluates_at_most_a_slab_at_once(monkeypatch,
