@@ -31,7 +31,7 @@ from .core import (ThermalSpec, _finite_positive, check_scale, functions_of,
 from .partition import gaussian_correction, quantum_ratio
 
 
-@record(frozen=True)
+@record
 class Oscillator:
     mass: float
     omega: float
@@ -45,7 +45,7 @@ class Oscillator:
                              "outside [-1e+75, 1e+75]")
 
 
-@record(frozen=True)
+@record
 class BathSpec:
     """N oscillators, the shared packet width, and the tagged position q(0)."""
 
@@ -94,7 +94,8 @@ def classical_bath_Z(bath: BathSpec, thermal: ThermalSpec) -> float:
     """
     val = 1.0
     for o in bath.oscillators:
-        val *= 2.0 * math.pi / (thermal.beta * o.omega)
+        beta_omega = thermal.beta * o.omega  # 0.0 where it underflows
+        val *= 2.0 * math.pi / beta_omega if beta_omega else math.inf
     return _finite_positive("z_b", val)
 
 

@@ -4,13 +4,14 @@ Subcommands: fig1, marginal, limits, bath, trajectory, partition, verify.
 All numeric work happens in the library modules; a subcommand imports the
 names it calls as it runs, so a run loads only those modules.  Each
 subcommand resolves the config keys it reads (defaults < config file <
-flags; the table READS lists them) and returns one Result: its config and
-its tables.  `main` is the one emit path and alone decides both formats.
-CSV writes the main table, plus one companion file per further table.  JSON
-is one object with `command`, `config`, `rows` (one record per row of the
-main table) and one list of records per further table.  Either is written
-with a manifest carrying the resolved config and a stable digest of the
-numeric payload.  `verify` reads no config key and prints its text report.
+flags; the table READS lists them) and returns its config and its tables,
+name -> (header, rows), where `rows` is the main table and any other entry a
+companion.  `main` is the one emit path and alone decides both formats.  CSV
+writes the main table, plus one companion file per further table.  JSON is
+one object with `command`, `config` and one list of records per table, one
+record per row.  Either is written with a manifest carrying the resolved
+config and a stable digest of the numeric payload.  `verify` reads no config
+key and prints its text report.
 
 Exit codes: 0 ok, 1 usage error, 2 domain error (a DivergentIntegral from
 the library, which alone decides where an integral diverges), 3 verification
@@ -28,8 +29,7 @@ from pathlib import Path
 
 from . import __version__
 from .core import (DivergentIntegral, QuadratureFailure, SystemParams,
-                   ThermalSpec, check_scale, field, free_system,
-                   harmonic_system, record)
+                   ThermalSpec, check_scale, free_system, harmonic_system)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,16 +95,15 @@ def read_key_values(path: str):
         yield lineno, key, value
 
 
-def resolve_config(args, lists: tuple[str, ...] = (),
-                   defaults: dict | None = None) -> dict:
+def resolve_config(args, defaults: dict | None = None) -> dict:
     """Defaults < config file < flags, over the keys the subcommand reads.
 
     The config file is flat key = value text ('#' starts a comment); a key
     the subcommand does not read, or a value that is not a number, is a
-    ValueError.  Each key in `lists` names a repeatable flag of the same
-    name (fig1's --sigma and --kbt) and may also hold a list `[a, b, ...]`;
-    where that flag is not given, the file's values become its values.
-    `defaults` replaces some CONFIG_KEYS defaults for this call.
+    ValueError.  A key only the file sets (fig1's sigma and kbt) also names
+    a repeatable flag and may hold a list `[a, b, ...]`; where that flag is
+    not given, the file's values become its values.  `defaults` replaces
+    some CONFIG_KEYS defaults for this call.
     """
     flags, file_only = READS[args.command]
     cfg = {key: CONFIG_KEYS[key] for key in flags + file_only}
@@ -116,7 +115,7 @@ def resolve_config(args, lists: tuple[str, ...] = (),
         if key not in cfg:
             raise ValueError(f"{where}: unknown config key "
                              f"{key!r} for {args.command}")
-        if key not in lists:
+        if key not in file_only:
             cfg[key] = config_number(where, key, value)
             continue
         items = (value[1:-1].split(",")
@@ -208,17 +207,6 @@ def json_payload(obj) -> bytes:
             + "\n").encode()
 
 
-@record(frozen=True)
-class Result:
-    """One subcommand's output: the main table `header` and `rows`, and its
-    companion tables, name -> (header, rows)."""
-
-    config: dict
-    header: list[str]
-    rows: list[list]
-    tables: dict[str, tuple[list, list]] = field(default_factory=dict)
-
-
 def emit(args, command: str, config: dict, payload: bytes,
          extra_files: dict[str, bytes] | None = None) -> None:
     """Write the payload (and companions), plus a manifest with the digest.
@@ -272,9 +260,9 @@ def marginal_rows(args, cfg: dict, pairs) -> list[list]:
                                                   normalized=not args.raw))]
 
 
-def cmd_fig1(args) -> Result:
+def cmd_fig1(args) -> tuple[dict, dict]:
     flag_lists = bool(args.sigma or args.kbt)
-    cfg = resolve_config(args, lists=("sigma", "kbt"))
+    cfg = resolve_config(args)
     sigmas, kbts = args.sigma or [cfg["sigma"]], args.kbt or [cfg["kbt"]]
     if not (args.sigma or args.kbt):
         pairs = FIG1_DEFAULT_PAIRS
@@ -287,18 +275,18 @@ def cmd_fig1(args) -> Result:
                          f"value per curve, so their lengths must agree, "
                          f"not {len(sigmas)} and {len(kbts)}")
     cfg["sigma"], cfg["kbt"] = [s for s, _ in pairs], [k for _, k in pairs]
-    return Result(cfg, ["sigma[length]", "kbt[energy]", "t[time]",
-                        "z[dimensionless]"], marginal_rows(args, cfg, pairs))
+    header = ["sigma[length]", "kbt[energy]", "t[time]", "z[dimensionless]"]
+    return cfg, {"rows": (header, marginal_rows(args, cfg, pairs))}
 
 
-def cmd_marginal(args) -> Result:
+def cmd_marginal(args) -> tuple[dict, dict]:
     cfg = resolve_config(args)
     rows = marginal_rows(args, cfg, [(cfg["sigma"], cfg["kbt"])])
-    return Result(cfg, ["t[time]", "z[dimensionless]"],
-                  [row[2:] for row in rows])
+    return cfg, {"rows": (["t[time]", "z[dimensionless]"],
+                          [row[2:] for row in rows])}
 
 
-def cmd_limits(args) -> Result:
+def cmd_limits(args) -> tuple[dict, dict]:
     from .partition import classical_Z, quantum_ratio, unified_Z_gaussian
     cfg = resolve_config(args)
     if args.num < 2:
@@ -333,7 +321,7 @@ def cmd_limits(args) -> Result:
 
     header = [f"{args.var}[swept]", "z_u[dimensionless]", "z_cl[dimensionless]",
               "ratio[dimensionless]", "criterion_ratio[dimensionless]", "status"]
-    return Result(cfg, header, rows)
+    return cfg, {"rows": (header, rows)}
 
 
 def parse_bath_file(path: str, **flags: float) -> BathSpec:
@@ -359,7 +347,7 @@ def parse_bath_file(path: str, **flags: float) -> BathSpec:
     return BathSpec(tuple(oscillators), **{**well, **flags})
 
 
-def cmd_bath(args) -> Result:
+def cmd_bath(args) -> tuple[dict, dict]:
     from .bath import (classical_bath_Z, large_N_ratio, memory_kernel,
                        unified_bath_Z, uniform_bath)
     from .partition import classicality_criterion
@@ -402,7 +390,7 @@ def cmd_bath(args) -> Result:
             raise DivergentIntegral(
                 "criterion ratio >= 1 for at least one oscillator; rerun "
                 "with --allow-divergent for the criterion table") from None
-        return Result(cfg, osc_header, osc_rows)
+        return cfg, {"rows": (osc_header, osc_rows)}
 
     omega_max = max(o.omega for o in bath.oscillators)
     if not math.isfinite(omega_max * abs(args.kernel_tmax)):
@@ -423,13 +411,13 @@ def cmd_bath(args) -> Result:
         *zip(("large_n_factor_approx", "large_n_factor_exact",
               "large_n_rel_err"), large_n),
     ]
-    return Result(cfg, ["quantity", "value[dimensionless]"], summary, {
-        "oscillators": (osc_header, osc_rows),
-        "kernel": (["t[time]", "nu[coupling^2*time^2]"],
-                   list(zip(kernel_t, kernel_nu)))})
+    return cfg, {"rows": (["quantity", "value[dimensionless]"], summary),
+                 "oscillators": (osc_header, osc_rows),
+                 "kernel": (["t[time]", "nu[coupling^2*time^2]"],
+                            list(zip(kernel_t, kernel_nu)))}
 
 
-def cmd_trajectory(args) -> Result:
+def cmd_trajectory(args) -> tuple[dict, dict]:
     from .trajectories import bohmian_velocity, scaling_solution
     from .wavepacket import WavepacketInit, evolve
     free = args.system == "free"
@@ -450,10 +438,10 @@ def cmd_trajectory(args) -> Result:
     if not (rows and all(math.isfinite(c) for row in rows for c in row)):
         raise ValueError(f"the path up to --tmax {args.tmax!r} leaves the "
                          "range of a double (some x or v is not finite)")
-    return Result(cfg, ["t[time]", "x[length]", "v[length/time]"], rows)
+    return cfg, {"rows": (["t[time]", "x[length]", "v[length/time]"], rows)}
 
 
-def cmd_partition(args) -> Result:
+def cmd_partition(args) -> tuple[dict, dict]:
     from .partition import (classical_Z, classicality_criterion,
                             gaussian_correction, phase_space_integral,
                             quantum_Z, quantum_Z_closed_form,
@@ -489,7 +477,7 @@ def cmd_partition(args) -> Result:
     rows.append(["thermal_de_broglie", "closed_form", crit.thermal_de_broglie, 0.0])
 
     header = ["quantity", "method", "value[dimensionless]", "est_error[dimensionless]"]
-    return Result(cfg, header, rows)
+    return cfg, {"rows": (header, rows)}
 
 
 def cmd_verify(args) -> int:
@@ -594,21 +582,20 @@ def build_parser() -> Parser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result = args.func(args)
-        if args.command == "verify":  # it printed its own text report
-            return result
+        if args.command == "verify":  # it prints its own text report
+            return args.func(args)
+        config, tables = args.func(args)
         if args.format == "json":
             payload = json_payload({
-                "command": args.command, "config": result.config,
-                "rows": json_records(result.header, result.rows),
+                "command": args.command, "config": config,
                 **{name: json_records(*table)
-                   for name, table in result.tables.items()}})
+                   for name, table in tables.items()}})
             extra_files = None
         else:
-            payload = csv_payload(result.header, result.rows)
+            payload = csv_payload(*tables.pop("rows"))
             extra_files = {name: csv_payload(*table)
-                           for name, table in result.tables.items()}
-        emit(args, args.command, result.config, payload, extra_files)
+                           for name, table in tables.items()}
+        emit(args, args.command, config, payload, extra_files)
         return EXIT_OK
     except ValueError as exc:
         sys.stderr.write(f"bohmpart: {exc}\n")

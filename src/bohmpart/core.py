@@ -2,7 +2,7 @@
 the worst-residual reduction of the oracle checks.
 
 All other modules consume the types defined here.  Every record is a class
-under `record`, a dataclass without the start-up cost of importing
+under `record`, a frozen dataclass without the start-up cost of importing
 dataclasses (and inspect), and a grid is a plain numpy array.  Units are
 natural: a temperature is the energy k_B T (k_B = 1), and hbar is a field of
 the system record, 1 by default, so with m = omega = 1 energies come out in
@@ -93,27 +93,17 @@ class TruncationInsufficient(Exception):
 # Parameter records
 # ---------------------------------------------------------------------------
 
-class field:
-    """A record field whose default is a fresh default_factory() per record."""
-
-    def __init__(self, *, default_factory: Callable):
-        self.default_factory = default_factory
-
-
-def record(cls=None, /, *, frozen: bool = False):
-    """dataclasses.dataclass(cls, frozen=frozen) without exec or its import:
-    the fields are the class's own annotations, their defaults its attributes
-    (or fields), and repr, == and hash go by the field values in order."""
-    if cls is None:
-        return functools.partial(record, frozen=frozen)
+def record(cls):
+    """A frozen dataclasses.dataclass(cls) without exec or its import: the
+    fields are the class's own annotations, their defaults its attributes,
+    and repr, == and hash go by the field values in order."""
     names = tuple(vars(cls).get("__annotations__", ()))
     defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
     values = lambda self: tuple(getattr(self, name) for name in names)
     post_init = getattr(cls, "__post_init__", None)
 
     def __init__(self, *args, **kwargs):
-        given = {name: value.default_factory() if isinstance(value, field)
-                 else value for name, value in defaults.items()}
+        given = dict(defaults)
         given.update(zip(names, args), **kwargs)
         if (len(args) > len(names) or given.keys() != set(names)
                 or not kwargs.keys().isdisjoint(names[:len(args)])):
@@ -131,10 +121,8 @@ def record(cls=None, /, *, frozen: bool = False):
         f"{name}={getattr(self, name)!r}" for name in names) + ")"
     cls.__eq__ = lambda self, other: (values(self) == values(other) if type(
         other) is type(self) else NotImplemented)
-    cls.__hash__ = None  # a mutable record is unhashable, as a dataclass is
-    if frozen:
-        cls.__setattr__ = cls.__delattr__ = refuse
-        cls.__hash__ = lambda self: hash(values(self))
+    cls.__hash__ = lambda self: hash(values(self))
+    cls.__setattr__ = cls.__delattr__ = refuse
     return cls
 
 
@@ -162,7 +150,7 @@ def _worst(residuals) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
 
-@record(frozen=True)
+@record
 class SystemParams:
     """Single particle in V(x) = m*omega^2*x^2/2; omega = 0 is the free particle."""
 
@@ -197,7 +185,7 @@ def potential_value(params: SystemParams, x):
     return 0.5 * params.mass * params.omega**2 * (x * x)
 
 
-@record(frozen=True)
+@record
 class ThermalSpec:
     """Canonical-ensemble inverse temperature beta = 1/(k_B T)."""
 

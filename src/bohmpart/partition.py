@@ -35,9 +35,10 @@ Conventions
   one ladder over [-1, 1], mapped onto each sample's window, on (k, 1)
   columns of the samples' own floats, each sample bit for bit its
   marginal_Z; only this module batches, and wavepacket's kernels take one
-  state.  An integrand that overflows is a QuadratureFailure.  Its time
-  derivative is that Z times a two-point Gauss-Hermite mean of the rate
-  brackets, exact as they are quadratic.
+  state.  An integrand that overflows is a QuadratureFailure naming the
+  packet, omega, kbt and the samples' times.  Its time derivative is that Z
+  times a two-point Gauss-Hermite mean of the rate brackets, exact as they
+  are quadratic.
 """
 
 from __future__ import annotations
@@ -47,13 +48,14 @@ import sys
 from typing import Sequence
 
 from .core import (GL_LADDER, REL_TOL, SLAB_POINTS, WINDOW_SIGMAS,
-                   DivergentIntegral, SystemParams, ThermalSpec,
-                   _finite_positive, check_scale, integrate_window, np, record)
+                   DivergentIntegral, QuadratureFailure, SystemParams,
+                   ThermalSpec, _finite_positive, check_scale,
+                   integrate_window, np, record)
 from .wavepacket import (WavepacketInit, energy_dt, evolve,
                          _energy_coefficients, _log_density_dt)
 
 
-@record(frozen=True)
+@record
 class CriterionReport:
     """Classicality diagnostic for one (m, sigma, beta) combination."""
 
@@ -360,7 +362,8 @@ def _marginal_quadrature(states: list, thermal: ThermalSpec,
     their _marginal_gaussian: one ladder on [-1, 1] mapped onto each window
     as integrate_window would map it, and exp(log P - beta E) taken once, in
     the operation order of _log_density and energy_pointwise, so every node
-    keeps its scalar bits.  An overflow to inf is a QuadratureFailure."""
+    keeps its scalar bits.  An overflow to inf is a QuadratureFailure that
+    names the chunk's times, omega, sigma, kbt, x0 and p0."""
     lo = np.array([c - WINDOW_SIGMAS * w for c, w, _ in gaussians])
     hi = np.array([c + WINDOW_SIGMAS * w for c, w, _ in gaussians])
     mid, half = (0.5 * (hi + lo))[:, None], (0.5 * (hi - lo))[:, None]
@@ -374,7 +377,16 @@ def _marginal_quadrature(states: list, thermal: ThermalSpec,
             return np.exp(log_norm - 2.0 * ra * (u * u)
                           - thermal.beta * (a2 * (u * u) + a1 * u + a0))
 
-    values, _ = integrate_window(f, -1.0, 1.0)
+    try:
+        values, _ = integrate_window(f, -1.0, 1.0)
+    except QuadratureFailure as exc:
+        ts, init = [s.t for s in states], states[0].init
+        when = (f"t = {ts[0]:g}" if len(ts) == 1
+                else f"t in [{min(ts):g}, {max(ts):g}]")
+        raise QuadratureFailure(
+            f"marginal Z at {when}, omega = {states[0].params.omega:g}, "
+            f"sigma = {init.sigma:g}, kbt = {thermal.kbt:g}, x0 = "
+            f"{init.x0:g}, p0 = {init.p0:g}: {exc}") from None
     return values * half[:, 0]
 
 
@@ -391,7 +403,7 @@ def marginal_Z(params: SystemParams, init: WavepacketInit, thermal: ThermalSpec,
         [state], thermal, [_marginal_gaussian(state, thermal)])[0])
 
 
-@record(frozen=True)
+@record
 class MarginalRate:
     """Time derivative of the marginal Z.
 

@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import (StepFailure, SystemParams, _worst, field, functions_of,
-                   np, record)
+from .core import StepFailure, SystemParams, _worst, functions_of, np, record
 from .wavepacket import WavepacketInit, WavepacketState, evolve, phase_gradient
 
 _REL_TOL, _ABS_TOL = 1e-9, 1e-12  # Dormand-Prince, see RK45Adaptive
@@ -33,7 +32,7 @@ _REL_TOL, _ABS_TOL = 1e-9, 1e-12  # Dormand-Prince, see RK45Adaptive
 _MAX_STEPS = 1_000_000
 
 
-@record(frozen=True)
+@record
 class RK4Fixed:
     """Classic fixed-step 4th-order Runge-Kutta stepper."""
 
@@ -44,7 +43,7 @@ class RK4Fixed:
             raise ValueError("dt must be finite and strictly positive")
 
 
-@record(frozen=True)
+@record
 class RK45Adaptive:
     """Adaptive Dormand-Prince 5(4) stepper with embedded error control.
 
@@ -56,9 +55,9 @@ class RK45Adaptive:
     """
 
 
-@record(frozen=True)
+@record
 class TrajectoryConfig:
-    stepper: RK4Fixed | RK45Adaptive = field(default_factory=RK45Adaptive)
+    stepper: RK4Fixed | RK45Adaptive = RK45Adaptive()
     t_max: float = 5.0
 
     def __post_init__(self):
@@ -66,7 +65,7 @@ class TrajectoryConfig:
             raise ValueError("t_max must be finite and strictly positive")
 
 
-@record(frozen=True)
+@record
 class TrajectoryPath:
     """Recorded (t, x) samples of one integrated trajectory."""
 

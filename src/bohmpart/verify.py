@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 
 from .bath import BathSpec, Oscillator, unified_bath_Z
-from .core import SystemParams, ThermalSpec, _worst, field, free_system, \
+from .core import SystemParams, ThermalSpec, _worst, free_system, \
     harmonic_system, np, potential_value, record
 from .numdiff import central_first, central_second
 from .partition import marginal_Z, marginal_Z_derivative, unified_integral
@@ -42,7 +42,7 @@ from .wavepacket import (WavepacketInit, WavepacketState, amplitude,
                          quantum_potential, total_phase)
 
 
-@record(frozen=True)
+@record
 class CheckResult:
     name: str
     residual: float
@@ -53,7 +53,7 @@ class CheckResult:
         return self.residual < self.tolerance
 
 
-@record(frozen=True)
+@record
 class DiscrepancyEntry:
     name: str
     description: str
@@ -62,8 +62,8 @@ class DiscrepancyEntry:
 
 @record
 class VerificationReport:
-    checks: list[CheckResult] = field(default_factory=list)
-    discrepancies: list[DiscrepancyEntry] = field(default_factory=list)
+    checks: list[CheckResult]
+    discrepancies: list[DiscrepancyEntry]
 
     @property
     def passed(self) -> bool:

@@ -39,7 +39,7 @@ from .core import (SystemParams, TruncationInsufficient, check_scale, np,
                    record)
 
 
-@record(frozen=True)
+@record
 class WavepacketInit:
     """Initial center x0, momentum p0, and width sigma (> 0) of the packet."""
 
@@ -258,7 +258,7 @@ def energy_dt(state: WavepacketState, x):
 # Spectral decomposition over the harmonic eigenbasis
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class SpectralDecomposition:
     """Overlap coefficients of the packet with harmonic eigenstates 0..K."""
 

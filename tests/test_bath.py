@@ -62,6 +62,16 @@ def test_classical_bath_Z_quadrature_and_coupling_invariance():
         pytest.approx(plain, rel=1e-10)
 
 
+@pytest.mark.parametrize("beta, omega", [(5e-324, 0.5), (5e-324, 1.0),
+                                         (1e-300, 1e-10)])
+def test_classical_bath_Z_of_an_underflowing_beta_omega_is_a_value_error(
+        beta, omega):
+    """beta w of 0.0 or a subnormal takes Z_B past the largest double: the
+    z_b ValueError, where a product of 0.0 raised ZeroDivisionError."""
+    with pytest.raises(ValueError, match="z_b = inf"):
+        classical_bath_Z(single(w=omega), ThermalSpec(beta))
+
+
 # ---------------------------------------------------------------------------
 # unified bath Z
 # ---------------------------------------------------------------------------

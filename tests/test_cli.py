@@ -946,6 +946,7 @@ def _cli_argv(draw):
 @example(argv=CRITERION_OVERFLOW[2][0])
 @example(argv=CRITERION_OVERFLOW[3][0])
 @example(argv=WAVELENGTH_PAST_ITS_SQUARE)
+@example(argv=["bath", "--beta", "5e-324", "--n", "2"])  # beta w_a is 0.0
 def test_closed_form_subcommands_exit_as_documented(argv):
     _exits_as_documented(argv)
 
@@ -1009,6 +1010,18 @@ def test_fig1_large_omega_ends_without_a_traceback(capsys):
     err = capsys.readouterr().err
     assert code == 0 or (err.startswith("bohmpart: ")
                          and err.count("\n") == 1)
+
+
+def test_marginal_overflow_names_its_sample(capsys):
+    """Exit 4 names the curve's inputs and its chunk's time range, as the
+    exit-1 messages of a marginal window do."""
+    from bohmpart import cli
+    assert cli.main(["fig1", "--omega", "3.7e12", "--samples", "3"]) == 4
+    err = capsys.readouterr().err
+    assert err == ("bohmpart: numerical failure: marginal Z at t in "
+                   "[0, 12.5664], omega = 3.7e+12, sigma = 0.45, kbt = 2, "
+                   "x0 = 1, p0 = 0: non-finite value inf with 12 nodes per "
+                   "axis\n")
 
 
 @pytest.mark.parametrize("flag", ["--n", "--m0", "--omega-max", "--coupling"])

@@ -9,8 +9,10 @@ from bohmpart import (BathSpec, Oscillator, QuadratureFailure, SystemParams,
                       ThermalSpec, WavepacketInit, free_system,
                       harmonic_system, potential_value)
 from bohmpart.core import (GL_LADDER, REL_TOL, SLAB_POINTS, _box_rule,
-                           _legendre, integrate_window)
+                           _legendre, integrate_window, record)
 from bohmpart.partition import marginal_curve, quantum_ratio
+from bohmpart.trajectories import RK45Adaptive, TrajectoryConfig
+from bohmpart.verify import VerificationReport
 
 
 def test_hbar_override_and_validation():
@@ -263,3 +265,60 @@ def test_mass_and_hbar_share_the_width_range(key, make):
     for value in (5e-76, 2e75, 1e-200, 1e200):
         with pytest.raises(ValueError, match=f"{key} = "):
             make(value)
+
+
+@record
+class _Pair:
+    a: float
+    b: str = "b"
+
+    def __post_init__(self):
+        if self.a < 0:
+            raise ValueError("a must be non-negative")
+
+
+@record
+class _Twin:
+    a: float
+    b: str = "b"
+
+
+# case -> (action, None for a true result or the exception it raises)
+RECORD_CONTRACT = {
+    "set-field": (lambda: setattr(_Pair(1.0), "a", 2.0), AttributeError),
+    "set-new-attribute": (lambda: setattr(_Pair(1.0), "c", 2.0),
+                          AttributeError),
+    "del-field": (lambda: delattr(_Pair(1.0), "a"), AttributeError),
+    "report-is-frozen": (lambda: setattr(VerificationReport([], []),
+                                         "checks", []), AttributeError),
+    "eq-by-values": (lambda: _Pair(1.0, "x") == _Pair(b="x", a=1.0), None),
+    "ne-by-values": (lambda: _Pair(1.0, "x") != _Pair(1.0, "y")
+                     != _Pair(2.0, "y"), None),
+    "ne-other-type": (lambda: _Pair(1.0) != _Twin(1.0)
+                      and _Pair(1.0) != (1.0, "b"), None),
+    "hash-by-values": (lambda: hash(_Pair(1.0, "x")) == hash((1.0, "x")),
+                       None),
+    "hash-in-order": (lambda: hash(_Pair(1.0, "x")) != hash(("x", 1.0)),
+                      None),
+    "class-default": (lambda: _Pair(1.0).b == _Pair(a=2.0).b == "b", None),
+    "shared-default-stepper": (
+        lambda: TrajectoryConfig().stepper == RK45Adaptive(), None),
+    "missing": (lambda: _Pair(), TypeError),
+    "extra-positional": (lambda: _Pair(1.0, "x", 3), TypeError),
+    "extra-keyword": (lambda: _Pair(1.0, c=3), TypeError),
+    "duplicated": (lambda: _Pair(1.0, a=2.0), TypeError),
+    "post-init": (lambda: _Pair(-1.0), ValueError),
+}
+
+
+@pytest.mark.parametrize("action, error", RECORD_CONTRACT.values(),
+                         ids=RECORD_CONTRACT)
+def test_record_contract(action, error):
+    """A record is frozen, compares and hashes by its field values in
+    order, applies class defaults, takes each field exactly once and runs
+    __post_init__ on the values it was given."""
+    if error is None:
+        assert action()
+    else:
+        with pytest.raises(error):
+            action()

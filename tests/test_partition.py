@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bohmpart import (BathSpec, DivergentIntegral, Oscillator,
-                      ThermalSpec, WavepacketInit, classical_Z,
-                      classicality_criterion, energy_pointwise, evolve,
-                      free_system, gaussian_correction,
+                      QuadratureFailure, ThermalSpec, WavepacketInit,
+                      classical_Z, classicality_criterion, energy_pointwise,
+                      evolve, free_system, gaussian_correction,
                       gaussian_correction_integral, harmonic_system,
                       marginal_Z, marginal_Z_derivative, marginal_curve,
                       phase_space_integral, quantum_Z, unified_bath_Z,
@@ -261,6 +261,15 @@ def test_marginal_divergence_detected(ho_params):
     # divergence is time-dependent: near the breathing maximum the spread
     # packet feeds a convergent integrand again
     assert marginal_Z(ho_params, init, th, math.pi / 2) > 0.0
+
+
+def test_marginal_overflow_names_its_sample():
+    """An integrand that overflows names the packet, omega, kbt and t."""
+    params, init = harmonic_system(1.0, 3.7e12), WavepacketInit(1.0, 0.0, 0.45)
+    with pytest.raises(QuadratureFailure, match=(
+            r"^marginal Z at t = 6\.28319, omega = 3\.7e\+12, sigma = 0\.45, "
+            r"kbt = 2, x0 = 1, p0 = 0: non-finite value inf")):
+        marginal_Z(params, init, ThermalSpec.from_kbt(2.0), 2.0 * math.pi)
 
 
 def test_marginal_orbit_translation_symmetry(ho_params):
