@@ -13,10 +13,11 @@ record per row.  Either is written with a manifest carrying the resolved
 config and a stable digest of the numeric payload.  `verify` reads no config
 key and prints its text report.
 
-Exit codes: 0 ok, 1 usage error, 2 domain error (a DivergentIntegral from
-the library, which alone decides where an integral diverges), 3 verification
-failure, 4 numerical failure (a quadrature did not converge).  JSON output
-holds numbers as JSON numbers and divergent cells as null.
+Exit codes: 0 ok, 1 usage error (an OSError included: a file it cannot read
+or write), 2 domain error (a DivergentIntegral from the library, which alone
+decides where an integral diverges), 3 verification failure, 4 numerical
+failure (a quadrature did not converge).  JSON output holds numbers as
+JSON numbers and divergent cells as null.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ CONFIG_KEYS = {
 }
 
 # The config keys each subcommand reads, as (keys with a --<key> override
-# flag, keys only a config file sets).  Together they are the keys its
-# config file may set, the keys resolve_config resolves and the keys its
-# JSON output and manifest echo.  fig1's --sigma and --kbt are repeatable
-# lists of their own, so its sigma and kbt keys come from the file alone,
-# as one value or a list [a, b, ...]; it echoes them as lists, one value
-# per curve, which a config file reads back as the same curves.
+# flag, list keys).  Together they are the keys its config file may set,
+# resolve_config resolves and its JSON output and manifest echo.  fig1's
+# list keys sigma and kbt come from a repeatable flag or the file (one value
+# or [a, b, ...]); it echoes them as lists, one value per curve, which a
+# config file reads back as the same curves.
 READS = {
     "fig1": (("hbar", "mass", "omega", "x0", "p0"), ("sigma", "kbt")),
     "marginal": (("hbar", "mass", "omega", "sigma", "x0", "p0", "kbt"), ()),
@@ -100,37 +100,32 @@ def resolve_config(args, defaults: dict | None = None) -> dict:
 
     The config file is flat key = value text ('#' starts a comment); a key
     the subcommand does not read, or a value that is not a number, is a
-    ValueError.  A key only the file sets (fig1's sigma and kbt) also names
-    a repeatable flag and may hold a list `[a, b, ...]`; where that flag is
-    not given, the file's values become its values.  `defaults` replaces
-    some CONFIG_KEYS defaults for this call.
+    ValueError, as is a non-finite value.  A list key (fig1's sigma and kbt)
+    resolves to a list where its repeatable flag or the file gives it, the
+    file as one value or a list `[a, b, ...]`, and to its scalar default
+    otherwise.  `defaults` replaces some CONFIG_KEYS defaults for this call.
     """
-    flags, file_only = READS[args.command]
-    cfg = {key: CONFIG_KEYS[key] for key in flags + file_only}
+    flags, lists = READS[args.command]
+    cfg = {key: CONFIG_KEYS[key] for key in flags + lists}
     cfg.update(defaults or {})
-    file_lists = {}
     for lineno, key, value in (read_key_values(args.config)
                                if args.config else ()):
         where = f"{args.config}:{lineno}"
         if key not in cfg:
             raise ValueError(f"{where}: unknown config key "
                              f"{key!r} for {args.command}")
-        if key not in file_only:
+        if key not in lists:
             cfg[key] = config_number(where, key, value)
             continue
         items = (value[1:-1].split(",")
                  if value.startswith("[") and value.endswith("]") else [value])
-        file_lists[key] = [config_number(where, key, item) for item in items]
-    for key, values in file_lists.items():
-        if getattr(args, key) is None:
-            setattr(args, key, values)
-    for key in flags:
+        cfg[key] = [config_number(where, key, item) for item in items]
+    for key in flags + lists:
         val = getattr(args, f"cfg_{key}")
         if val is not None:
             cfg[key] = val
-    bad = [key for key, val in cfg.items() if not math.isfinite(val)]
-    bad += [key for key, values in file_lists.items()
-            if not all(map(math.isfinite, values))]
+    bad = [key for key, val in cfg.items() if not all(
+        map(math.isfinite, val if isinstance(val, list) else [val]))]
     if bad:
         raise ValueError(f"non-finite value for {', '.join(bad)}")
     return cfg
@@ -164,6 +159,15 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
         points = [i * step + start for i in range(num)]
     points[-1] = stop
     return points
+
+
+def time_grid(flag: str, tmax: float, num: int, omega: float) -> list[float]:
+    """linspace(0, tmax, num), or a ValueError naming `flag` unless omega *
+    tmax is a finite double, without which cos(omega t) is undefined."""
+    if not math.isfinite(omega * tmax):
+        raise ValueError(f"{flag} {tmax!r} times omega = {omega!r} is not a "
+                         "finite double, so cos(omega t) is undefined")
+    return linspace(0.0, tmax, num)
 
 
 def system_of(cfg: dict, kind: str = "harmonic") -> SystemParams:
@@ -249,24 +253,21 @@ def marginal_rows(args, cfg: dict, pairs) -> list[list]:
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")
     params = system_of(cfg)
-    if not math.isfinite(params.omega * args.tmax):
-        raise ValueError(f"--omega {params.omega!r} times --tmax {args.tmax!r} "
-                         "is not a finite double, so cos(omega t) is undefined")
+    times = time_grid("--tmax", args.tmax, args.samples, params.omega)
     runs = [(sigma, kbt, WavepacketInit(cfg["x0"], cfg["p0"], sigma),
              ThermalSpec.from_kbt(kbt)) for sigma, kbt in pairs]
-    times = linspace(0.0, args.tmax, args.samples)
     return [[sigma, kbt, t, z] for sigma, kbt, init, thermal in runs
             for t, z in zip(times, marginal_curve(params, init, thermal, times,
                                                   normalized=not args.raw))]
 
 
 def cmd_fig1(args) -> tuple[dict, dict]:
-    flag_lists = bool(args.sigma or args.kbt)
     cfg = resolve_config(args)
-    sigmas, kbts = args.sigma or [cfg["sigma"]], args.kbt or [cfg["kbt"]]
-    if not (args.sigma or args.kbt):
+    sigmas, kbts = (val if isinstance(val, list) else [val]
+                    for val in (cfg["sigma"], cfg["kbt"]))
+    if not any(isinstance(cfg[key], list) for key in ("sigma", "kbt")):
         pairs = FIG1_DEFAULT_PAIRS
-    elif flag_lists or 1 in (len(sigmas), len(kbts)):
+    elif args.cfg_sigma or args.cfg_kbt or 1 in (len(sigmas), len(kbts)):
         pairs = [(s, k) for s in sigmas for k in kbts]
     elif len(sigmas) == len(kbts):  # the file's lists, one value per curve
         pairs = list(zip(sigmas, kbts))
@@ -352,8 +353,6 @@ def cmd_bath(args) -> tuple[dict, dict]:
                        unified_bath_Z, uniform_bath)
     from .partition import classicality_criterion
     cfg = resolve_config(args)
-    if not math.isfinite(args.kernel_tmax):
-        raise ValueError("--kernel-tmax must be finite")
     if args.kernel_samples < 1:
         raise ValueError("--kernel-samples must be at least 1")
     shape = {key: getattr(args, key) for key in BATH_SHAPE}
@@ -372,6 +371,8 @@ def cmd_bath(args) -> tuple[dict, dict]:
         if n < 1:
             raise ValueError("--n must be at least 1")
         bath = uniform_bath(n, m0, omega_max, coupling, **well)
+    kernel_t = time_grid("--kernel-tmax", args.kernel_tmax, args.kernel_samples,
+                         max(o.omega for o in bath.oscillators))
     thermal = ThermalSpec(args.beta)
     hbar = cfg["hbar"]
 
@@ -392,12 +393,6 @@ def cmd_bath(args) -> tuple[dict, dict]:
                 "with --allow-divergent for the criterion table") from None
         return cfg, {"rows": (osc_header, osc_rows)}
 
-    omega_max = max(o.omega for o in bath.oscillators)
-    if not math.isfinite(omega_max * abs(args.kernel_tmax)):
-        raise ValueError(f"--kernel-tmax {args.kernel_tmax!r} times the "
-                         f"largest omega {omega_max:g} is not a finite "
-                         "double, so the kernel's cos(omega t) is undefined")
-    kernel_t = linspace(0.0, args.kernel_tmax, args.kernel_samples)
     kernel_nu = [memory_kernel(bath, t) for t in kernel_t]
     z_b = classical_bath_Z(bath, thermal)
     masses = {o.mass for o in bath.oscillators}
@@ -430,12 +425,10 @@ def cmd_trajectory(args) -> tuple[dict, dict]:
     params = system_of(cfg, args.system)
     init = WavepacketInit(cfg["x0"], cfg["p0"], cfg["sigma"])
     rows = []
-    # math's sin and cos raise where w t is not finite; that path is exit 1
-    if math.isfinite(params.omega * args.tmax):
-        for t in linspace(0.0, args.tmax, TRAJECTORY_SAMPLES):
-            x = scaling_solution(params, init, args.x_start, t)
-            rows.append([t, x, bohmian_velocity(evolve(params, init, t), x)])
-    if not (rows and all(math.isfinite(c) for row in rows for c in row)):
+    for t in time_grid("--tmax", args.tmax, TRAJECTORY_SAMPLES, params.omega):
+        x = scaling_solution(params, init, args.x_start, t)
+        rows.append([t, x, bohmian_velocity(evolve(params, init, t), x)])
+    if not all(math.isfinite(c) for row in rows for c in row):
         raise ValueError(f"the path up to --tmax {args.tmax!r} leaves the "
                          "range of a double (some x or v is not finite)")
     return cfg, {"rows": (["t[time]", "x[length]", "v[length/time]"], rows)}
@@ -518,9 +511,9 @@ def build_parser() -> Parser:
 
     fig1 = add("fig1", cmd_fig1,
                "normalized marginal-Z curves for (sigma, kbt) pairs")
-    fig1.add_argument("--sigma", action="append", type=float, default=None,
-                      help="packet width; repeatable")
-    fig1.add_argument("--kbt", action="append", type=float, default=None,
+    fig1.add_argument("--sigma", dest="cfg_sigma", action="append",
+                      type=float, help="packet width; repeatable")
+    fig1.add_argument("--kbt", dest="cfg_kbt", action="append", type=float,
                       help="thermal energy k_B T; repeatable")
     marginal = add("marginal", cmd_marginal,
                    "single marginal-Z curve from the resolved config")
@@ -597,7 +590,7 @@ def main(argv: list[str] | None = None) -> int:
                            for name, table in tables.items()}
         emit(args, args.command, config, payload, extra_files)
         return EXIT_OK
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"bohmpart: {exc}\n")
         return EXIT_USAGE
     except DivergentIntegral as exc:

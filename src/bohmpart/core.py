@@ -7,12 +7,15 @@ dataclasses (and inspect), and a grid is a plain numpy array.  Units are
 natural: a temperature is the energy k_B T (k_B = 1), and hbar is a field of
 the system record, 1 by default, so with m = omega = 1 energies come out in
 units of m*omega^2*x0^2 and times in 1/omega.  Every numerical integral in
-the package goes through integrate_window: one Gauss-Legendre box rule, its
-window and tolerances fixed.  The rule hands the integrand an open grid
-(np.ix_) of one slab at a time, a slab being whole rows of the first axis,
-and contracts the values with the 1-D weights one axis at a time.  Values
-with leading axes beyond the box's are a batch of integrands on one ladder,
-each element with the bits it gets alone: the marginal curves' samples.
+the package goes through integrate_window, one Gauss-Legendre box rule, its
+window and tolerances fixed, except two: wavepacket's composite Simpson rule
+of the spectral overlaps, on the caller's grid, and partition's two-point
+Gauss-Hermite mean of the marginal rate brackets, exact for quadratics.
+integrate_window hands the integrand an open grid (np.ix_) of one slab at
+a time, a slab being whole rows of the first axis, and contracts the values
+with the 1-D weights one axis at a time.  Values with leading axes beyond the box's
+are a batch of integrands on one ladder, each element with the bits it gets
+alone: the marginal curves' samples.
 
 numpy loads on first use.  `np` here is a small stand-in for the module that
 imports numpy when one of its attributes is first read and then keeps that
@@ -200,6 +203,9 @@ class ThermalSpec:
         """Build from the thermal energy k_B*T."""
         if not 0 < kbt < math.inf:
             raise ValueError("kbt must be finite and strictly positive")
+        if 1.0 / kbt == math.inf:
+            raise ValueError(f"kbt = {kbt!r} is so small that beta = 1/kbt "
+                             "overflows a double")
         return cls(1.0 / kbt)
 
     @property

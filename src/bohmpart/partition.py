@@ -13,8 +13,9 @@ Conventions
       beta hbar^2 / (4 m sigma^2) < 1,
 
   the classicality bound; its ratio, t_min and thermal wavelength are finite
-  doubles or a ValueError.  Only _convergent_ratio (r >= 1) and
-  _marginal_gaussian (kappa <= 0) raise DivergentIntegral.
+  doubles or a ValueError.  Only _convergent_ratio (r >= 1),
+  _marginal_gaussian (kappa <= 0) and _ladder_x (the free particle, omega =
+  0) raise DivergentIntegral.
 * The closed forms are backed by separate Gauss-Legendre oracles, used by
   `verify`, `partition --oracle` and the tests: phase_space_integral
   (classical Z), gaussian_correction_integral (the factor C) and
@@ -127,8 +128,10 @@ LADDER_X_MIN, LADDER_X_MAX = 1e-305, 1400.0
 
 def _ladder_x(params: SystemParams, thermal: ThermalSpec,
               x_max: float = LADDER_X_MAX) -> float:
-    """x = beta hbar omega, or ValueError unless it is a finite double in
-    [LADDER_X_MIN, x_max]."""
+    """x = beta hbar omega, DivergentIntegral for the free particle, or
+    ValueError unless x is a finite double in [LADDER_X_MIN, x_max]."""
+    if not params.is_harmonic:
+        raise DivergentIntegral("free particle: unbounded integral and spectrum")
     lift = _LIFT if thermal.beta * params.hbar < _TINY else 0
     x = math.ldexp(math.ldexp(thermal.beta, lift) * params.hbar
                    * params.omega, -lift)
@@ -148,8 +151,6 @@ def classical_Z(params: SystemParams, thermal: ThermalSpec) -> float:
     particle raises DivergentIntegral, and an x = beta hbar omega below
     LADDER_X_MIN or not finite a ValueError.  Oracle: phase_space_integral.
     """
-    if not params.is_harmonic:
-        raise DivergentIntegral("free particle: unbounded configuration integral")
     return 1.0 / _ladder_x(params, thermal, math.inf)
 
 
@@ -212,8 +213,6 @@ def quantum_Z(params: SystemParams, thermal: ThermalSpec
     1/(2 sinh(x / 2)) is the exact limit.  ValueError unless LADDER_X_MIN
     <= x <= LADDER_X_MAX.
     """
-    if not params.is_harmonic:
-        raise DivergentIntegral("free particle: continuous spectrum")
     x = _ladder_x(params, thermal)
     gap = -math.expm1(-x)  # 1 - exp(-x), positive however small x is
     # tail after K terms: exp(-x(K+1/2)) * exp(-x)/(1 - exp(-x))

@@ -336,8 +336,9 @@ def spectral_project(state: WavepacketState, basis_size: int,
     arithmetic as scipy.integrate.simpson's x= form, so x needs an odd
     number of points, as default_spectral_grid gives.
 
-    Raises TruncationInsufficient when sum |c_k|^2 < 1 - 1e-8, i.e. when
-    basis_size truncates too much of the state.
+    Raises ValueError unless x covers the packet and the highest basis
+    state, and TruncationInsufficient unless sum |c_k|^2 >= 1 - 1e-8, i.e.
+    when basis_size truncates too much of the state; a NaN fails both.
     """
     params = state.params
     if not params.is_harmonic:
@@ -348,7 +349,7 @@ def spectral_project(state: WavepacketState, basis_size: int,
     scale = math.sqrt(hbar / (m * w))
     turning = math.sqrt(2.0 * basis_size + 1.0) * scale
     need = max(abs(state.q) + 10.0 * state.width, turning)
-    if x[0] > -need or x[-1] < need:
+    if not (x[0] <= -need and x[-1] >= need):
         raise ValueError(
             f"grid [{x[0]:g}, {x[-1]:g}] must cover +-{need:g} "
             "(10 packet widths and the highest basis state)")
@@ -359,7 +360,7 @@ def spectral_project(state: WavepacketState, basis_size: int,
 
     coeffs = _simpson(basis * psi.real, x) + 1j * _simpson(basis * psi.imag, x)
     captured = float(np.sum(np.abs(coeffs) ** 2))
-    if captured < 1.0 - 1e-8:
+    if not captured >= 1.0 - 1e-8:
         raise TruncationInsufficient(
             f"basis of size {basis_size} captures only {captured:.12f} of the norm")
     energies = hbar * w * (np.arange(basis_size + 1) + 0.5)

@@ -340,9 +340,9 @@ def test_readme_config_key_table_matches_reads():
                                     for cell in line.split("|")[1:4])
         rows[command] = (sorted(keys.split()), sorted(overrides.split()))
     assert rows == {
-        command: (sorted(flags + file_only),
+        command: (sorted(flags + lists),
                   sorted(f"--{key}" for key in flags))
-        for command, (flags, file_only) in cli.READS.items()}
+        for command, (flags, lists) in cli.READS.items()}
 
 
 def test_bad_flag_exit_1():
@@ -554,6 +554,37 @@ def test_config_list_errors_exit_1(tmp_path: Path, capsys, cfg_text, argv,
     assert message in capsys.readouterr().err
 
 
+def test_resolve_config_leaves_the_parsed_flags_alone(tmp_path: Path):
+    """fig1's file lists come back in the config, not written into args."""
+    from bohmpart import cli
+    cfg = tmp_path / "fig1.cfg"
+    cfg.write_text("sigma = [0.5, 0.6]\nkbt = [2, 5]\n")
+    args = cli.build_parser().parse_args(["fig1", "--config", str(cfg)])
+    before = dict(vars(args))
+    resolved = cli.resolve_config(args)
+    assert vars(args) == before
+    assert (resolved["sigma"], resolved["kbt"]) == ([0.5, 0.6], [2.0, 5.0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition", "--config", "{missing}/x.cfg"],
+    ["bath", "--bath-file", "{dir}"],
+    ["partition", "--out", "{file}/x.csv"],
+    ["verify", "--out", "{missing}/r.txt"],
+], ids=["missing-config", "bath-file-is-a-directory", "out-under-a-file",
+        "verify-out-in-a-missing-dir"])
+def test_a_file_it_cannot_use_exits_1_in_one_line(tmp_path: Path, capsys,
+                                                  argv):
+    from bohmpart import cli
+    (tmp_path / "file").write_text("")
+    paths = {"missing": tmp_path / "missing", "dir": tmp_path,
+             "file": tmp_path / "file"}
+    assert cli.main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bohmpart: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_config_file_unknown_key_exit_1(tmp_path: Path):
     """A config file may set only the keys its subcommand reads."""
     cases = [
@@ -600,8 +631,8 @@ def test_config_file_unknown_key_exit_1(tmp_path: Path):
 def test_json_config_echoes_the_keys_the_subcommand_reads(tmp_path: Path,
                                                           argv, keys):
     from bohmpart import cli
-    flags, file_only = cli.READS[argv[0]]
-    assert sorted(flags + file_only) == sorted(keys.split())
+    flags, lists = cli.READS[argv[0]]
+    assert sorted(flags + lists) == sorted(keys.split())
     out = tmp_path / "out.json"
     assert cli.main([*argv, "--format", "json", "--out", str(out)]) == 0
     assert sorted(json.loads(out.read_text())["config"]) == sorted(keys.split())
@@ -831,9 +862,9 @@ def test_partition_rows_survive_a_thermal_wavelength_whose_square_overflows(
     (["partition", "--oracle", "--mass", "5.4e-69", "--kbt", "2.5e268"],
      "mass / kbt"),
     (["marginal", "--omega", "3.5e286", "--tmax=-7.6e74", "--samples", "3"],
-     "--omega 3.5e+286 times --tmax -7.6e+74"),
+     "--tmax -7.6e+74 times omega = 3.5e+286"),
     (["fig1", "--omega", "3.5e286", "--tmax=-7.6e74", "--samples", "3"],
-     "--omega 3.5e+286 times --tmax -7.6e+74"),
+     "--tmax -7.6e+74 times omega = 3.5e+286"),
     *((["partition", "--oracle", *flags], name) for flags, name in ORACLE_BOX),
     # a window so wide that (x - q)^2 overflows, where the rule read 0.0
     (["marginal", "--omega", "1e-160", "--tmax", "1e170", "--samples", "3"],
@@ -845,6 +876,11 @@ def test_partition_rows_survive_a_thermal_wavelength_whose_square_overflows(
     # kbt is echoed as typed, not as 1/beta = 9.999999999999999e+299
     (["partition", "--oracle", "--mass", "1e75", "--kbt", "1e300", "--omega",
       "1e70"], "kbt = 1e+300"),
+    # 1/kbt overflows, so beta is inf
+    (["partition", "--kbt", "1e-320"], "kbt = 1e-320"),
+    # the kernel grid is checked before Z, so even where Z diverges
+    (["bath", "--beta", "10", "--sigma", "0.1", "--allow-divergent",
+      "--kernel-tmax", "1e308", "--omega-max", "10"], "--kernel-tmax"),
 ])
 def test_input_the_subcommand_cannot_honour_exit_1(capsys, argv, name):
     _exit_1_naming(capsys, argv, name)

@@ -568,6 +568,7 @@ def test_thermal_averages_errors():
     free = free_system(1.0)
     for z in (lambda: classical_Z(free, ThermalSpec(1.0)),
               lambda: quantum_Z(free, ThermalSpec(1.0)),
+              lambda: quantum_Z_closed_form(free, ThermalSpec(1.0)),
               lambda: unified_Z_gaussian(free, 1.0, ThermalSpec(1.0)),
               lambda: unified_Z_gaussian(HO, 1.0, ThermalSpec(4.0))):
         with pytest.raises(DivergentIntegral):

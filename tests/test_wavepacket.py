@@ -346,6 +346,19 @@ def test_spectral_truncation_error():
         spectral_project(st, 3, default_spectral_grid(HO, init, 80))
 
 
+@pytest.mark.parametrize("where, error", [
+    ([1400], TruncationInsufficient), ([0, -1], ValueError),
+], ids=["interior-point", "endpoints"])
+def test_spectral_project_refuses_a_grid_with_nan(where, error):
+    """A NaN point fails the norm check and NaN endpoints the cover check,
+    where either returned a NaN decomposition."""
+    init = WavepacketInit(1.0, 0.5, 0.6)
+    x = default_spectral_grid(HO, init, 40)
+    x[where] = np.nan
+    with pytest.raises(error):
+        spectral_project(evolve(HO, init, 0.0), 40, x)
+
+
 def test_mean_energy_matches_spectral_sum(mean_energy):
     init = WavepacketInit(0.8, -0.5, 0.6)
     st = evolve(HO, init, 0.0)
