@@ -220,23 +220,26 @@ def emit(args, command: str, config: dict, payload: bytes,
     """
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(payload)
-        written = [str(out)]
-        for name, blob in (extra_files or {}).items():
-            side = out.with_name(out.stem + "_" + name + out.suffix)
-            side.write_bytes(blob)
-            written.append(str(side))
-        import hashlib  # only the manifest reads the digest
-        hasher = hashlib.sha256(payload)
-        for name in sorted(extra_files or {}):
-            hasher.update(extra_files[name])
-        manifest = {
-            "command": command, "config": config, "version": __version__,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "digest": hasher.hexdigest(), "outputs": written}
-        out.with_suffix(out.suffix + ".manifest.json").write_bytes(
-            json_payload(manifest))
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_bytes(payload)
+            written = [str(out)]
+            for name, blob in (extra_files or {}).items():
+                side = out.with_name(out.stem + "_" + name + out.suffix)
+                side.write_bytes(blob)
+                written.append(str(side))
+            import hashlib  # only the manifest reads the digest
+            hasher = hashlib.sha256(payload)
+            for name in sorted(extra_files or {}):
+                hasher.update(extra_files[name])
+            manifest = {
+                "command": command, "config": config, "version": __version__,
+                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                "digest": hasher.hexdigest(), "outputs": written}
+            out.with_suffix(out.suffix + ".manifest.json").write_bytes(
+                json_payload(manifest))
+        except OSError as exc:  # name the path asked for, not only the OS's
+            raise OSError(f"cannot write --out {args.out}: {exc}") from exc
     else:
         sys.stdout.write(payload.decode())
 
@@ -479,7 +482,10 @@ def cmd_verify(args) -> int:
     report = run_verification()
     text = report.render() + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise OSError(f"cannot write --out {args.out}: {exc}") from exc
     sys.stdout.write(text)
     return EXIT_OK if report.passed else EXIT_VERIFY
 

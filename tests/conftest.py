@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from bohmpart import (WavepacketInit, density, energy_pointwise,
@@ -27,3 +29,16 @@ def mean_energy():
             state.q - half, state.q + half)
         return val
     return mean_energy
+
+
+@pytest.fixture(scope="session")
+def peak_bytes():
+    """The most memory, in bytes, that tracemalloc sees in use during a call."""
+    def peak_bytes(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak_bytes

@@ -579,10 +579,13 @@ def test_a_file_it_cannot_use_exits_1_in_one_line(tmp_path: Path, capsys,
     (tmp_path / "file").write_text("")
     paths = {"missing": tmp_path / "missing", "dir": tmp_path,
              "file": tmp_path / "file"}
-    assert cli.main([arg.format(**paths) for arg in argv]) == 1
+    argv = [arg.format(**paths) for arg in argv]
+    assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("bohmpart: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if "--out" in argv:  # the line names the path asked for, not its parent
+        assert f"--out {argv[-1]}" in err
 
 
 def test_config_file_unknown_key_exit_1(tmp_path: Path):

@@ -1,6 +1,9 @@
 """Every pointwise kernel is one broadcasting expression: a float in gives a
 float out, an array in gives an array of the same shape, and the two agree
-exactly element by element."""
+exactly element by element.  density and energy_pointwise evaluate their
+expression in place on the one new array u = x - q (and energy_pointwise on
+one more), in the same order, so they keep its bits, never write into x and
+allocate no other temporary; a float still gives a float."""
 
 import numpy as np
 import pytest
@@ -63,3 +66,54 @@ def test_free_particle_potential_and_force_vanish(kernel):
     xs = np.linspace(-3.0, 3.0, 7)
     assert np.all(kernel(params, xs) == 0.0)
     assert all(kernel(params, float(x)) == 0.0 for x in xs)
+
+
+@pytest.mark.parametrize("kernel,is_complex", list(_cases()))
+def test_array_input_is_not_modified(kernel, is_complex):
+    xs = np.linspace(-2.0, 2.0, 9)
+    kept = xs.copy()
+    kernel(xs)
+    assert np.array_equal(xs, kept)
+
+
+# the one-line expressions the in-place kernels replace, term for term
+def _density_expression(state, x):
+    ra = state.alpha.real
+    u = x - state.q
+    return np.sqrt(2.0 * ra / np.pi) * np.exp(-2.0 * ra * (u * u))
+
+
+def _energy_expression(state, x):
+    a2, a1, a0 = wavepacket._energy_coefficients(state)
+    u = x - state.q
+    return a2 * (u * u) + a1 * u + a0
+
+
+IN_PLACE = [(wavepacket.density, _density_expression),
+            (wavepacket.energy_pointwise, _energy_expression)]
+
+
+@pytest.mark.parametrize("name", STATES)
+@pytest.mark.parametrize("kernel,expression", IN_PLACE,
+                         ids=lambda k: k.__name__)
+def test_in_place_kernel_keeps_the_bits_of_its_expression(kernel, expression,
+                                                          name):
+    state = STATES[name]
+    x = np.linspace(state.q - 12.0 * state.width, state.q + 12.0 * state.width,
+                    2**16)
+    assert np.array_equal(kernel(state, x), expression(state, x))
+    for xf in (float(x[0]), state.q, 0.37):
+        value = kernel(state, xf)
+        assert isinstance(value, float) and value == expression(state, xf)
+
+
+@pytest.mark.parametrize("kernel,arrays", [(wavepacket.density, 1),
+                                           (wavepacket.energy_pointwise, 2)],
+                         ids=lambda k: getattr(k, "__name__", str(k)))
+def test_in_place_kernel_allocates_one_or_two_grids(kernel, arrays,
+                                                    peak_bytes):
+    """density allocates one grid-sized array and energy_pointwise two, where
+    the one-line expressions take three each."""
+    state = STATES["harmonic"]
+    x = np.linspace(-8.0, 8.0, 2**20)
+    assert peak_bytes(lambda: kernel(state, x)) <= (arrays + 0.1) * x.nbytes

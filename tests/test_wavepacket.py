@@ -302,17 +302,41 @@ def test_spectral_coherent_state_poisson_weights():
     assert dec.mean_energy() == pytest.approx(1.5, abs=1e-8)
 
 
-def test_spectral_coefficients_match_per_state_simpson():
-    # one 2-D simpson call gives each state's overlap exactly as its own call
-    init = WavepacketInit(0.8, -0.5, 0.6)
+@pytest.mark.parametrize("k_max", [0, 15, 16, 17, 160])
+def test_spectral_coefficients_match_per_state_simpson(k_max):
+    # each block of basis rows gives every state's overlap exactly as its own
+    # call: one partial block, one full block, a ragged last block, many
+    init = (WavepacketInit(0.0, 0.0, math.sqrt(0.5)) if k_max == 0
+            else WavepacketInit(0.8, -0.5, 0.6))  # K = 0 holds only h_0
     st = evolve(HO, init, 0.9)
-    x = default_spectral_grid(HO, init, 30)
-    dec = spectral_project(st, 30, x)
+    x = default_spectral_grid(HO, init, k_max)
+    dec = spectral_project(st, k_max, x)
     psi = wavefunction(st, x)
-    basis = hermite_functions(30, x)
-    for k in range(31):
+    basis = hermite_functions(k_max, x)
+    for k in range(k_max + 1):
         assert dec.coefficients[k] == complex(simpson(basis[k] * psi.real, x=x),
                                               simpson(basis[k] * psi.imag, x=x))
+
+
+def test_spectral_project_never_holds_the_scaled_basis_and_products(
+        peak_bytes):
+    """Blocks of rows keep the peak below half the 17.6 MiB that scaling the
+    whole K = 160 basis and multiplying it by psi took; the unscaled basis
+    itself is 5.8 MiB."""
+    init = WavepacketInit(1.0, 0.5, 0.6)
+    st = evolve(HO, init, 0.0)
+    x = default_spectral_grid(HO, init, 160)
+    assert peak_bytes(lambda: spectral_project(st, 160, x)) < 0.5 * 17.6 * 2**20
+
+
+@pytest.mark.parametrize("basis_size", [-1, 2.5])
+def test_basis_size_must_be_a_non_negative_int(basis_size):
+    init = WavepacketInit(1.0, 0.5, 0.6)
+    x = default_spectral_grid(HO, init, 40)
+    with pytest.raises(ValueError, match="basis_size"):
+        default_spectral_grid(HO, init, basis_size)
+    with pytest.raises(ValueError, match="basis_size"):
+        spectral_project(evolve(HO, init, 0.0), basis_size, x)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
