@@ -11,6 +11,9 @@ the package goes through integrate_window, one Gauss-Legendre box rule, its
 window and tolerances fixed, except two: wavepacket's composite Simpson rule
 of the spectral overlaps, on the caller's grid, and partition's two-point
 Gauss-Hermite mean of the marginal rate brackets, exact for quadratics.
+Its integrands are Gaussians on WINDOW_SIGMAS of their deviations per axis,
+C exp(-72 s^2) in window coordinates s, so GL_LADDER starts at 48 nodes, the
+first rule to resolve one, and each integral, however small, ends on 96.
 integrate_window hands the integrand an open grid (np.ix_) of one slab at
 a time, a slab being whole rows of the first axis, and contracts the values
 with the 1-D weights one axis at a time.  Values with leading axes beyond the box's
@@ -221,9 +224,10 @@ class ThermalSpec:
 # integrand; 12 keeps the dropped tail below 1e-30, far under the tolerances.
 WINDOW_SIGMAS = 12.0
 REL_TOL, ABS_TOL = 1e-10, 1e-13
-# Gauss-Legendre nodes per axis, tried in turn.  A Gaussian on a 12-sigma
-# window is resolved to 1e-12 at 48 nodes, so its 1-D integrals stop at 96.
-GL_LADDER = (12, 24, 48, 96, 192, 384)
+# Gauss-Legendre nodes per axis, tried in turn.  Each integrand is C exp(-72
+# s^2) per axis s in [-1, 1] of its window: 24 nodes are 6e-4 off, which
+# ABS_TOL passes below 1e-10, and 48 are 1e-12 off, so all end on 96 nodes.
+GL_LADDER = (48, 96, 192, 384)
 # Box points handed to the integrand at once; bounds the memory of an N-D box.
 # A slab is whole rows of the first axis, at least one, so a call sees at
 # most max(SLAB_POINTS, n^(d-1)) points.

@@ -25,7 +25,8 @@ import math
 from typing import Sequence
 
 from .core import StepFailure, SystemParams, _worst, functions_of, np, record
-from .wavepacket import WavepacketInit, WavepacketState, evolve, phase_gradient
+from .wavepacket import (WavepacketInit, WavepacketState, _rotation, evolve,
+                         phase_gradient)
 
 _REL_TOL, _ABS_TOL = 1e-9, 1e-12  # Dormand-Prince, see RK45Adaptive
 # Steps one integration may take; every step is kept in memory.
@@ -115,10 +116,7 @@ def scaling_solution(params: SystemParams, init: WavepacketInit,
     if not fn.all(fn.isfinite(t)):
         raise ValueError("t must be finite")
     hbar, m, w = params.hbar, params.mass, params.omega
-    if w:
-        c, sw = fn.cos(w * t), fn.sin(w * t) / w
-    else:
-        c, sw = 1.0, t
+    c, _, sw = _rotation(w, t, fn)
     q = init.x0 * c + init.p0 * sw / m
     ratio = fn.hypot(c, hbar * sw / (2 * m * init.sigma**2))
     return q + (x_start - init.x0) * ratio

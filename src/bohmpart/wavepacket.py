@@ -87,6 +87,16 @@ class WavepacketState(NamedTuple):
         return _phase(self.params, self.init, self.t)
 
 
+def _rotation(w: float, t, fn=math):
+    """(cos wt, sin wt, sin(wt)/w) from fn's cos and sin, fn being
+    core.functions_of(t) where t may be an array, and the free particle's
+    (1, 0, t) at w = 0, the removable singularity of sin(wt)/w."""
+    if not w:
+        return 1.0, 0.0, t
+    s = fn.sin(w * t)
+    return fn.cos(w * t), s, s / w
+
+
 def evolve(params: SystemParams, init: WavepacketInit, t: float) -> WavepacketState:
     """Evolve the packet to time t under the system's potential.
 
@@ -95,19 +105,13 @@ def evolve(params: SystemParams, init: WavepacketInit, t: float) -> WavepacketSt
         a(t) = (a0 c + i (m w^2 / 2 hbar) sw) / (c + i T),
         q = x0 c + p0 sw / m,  p = p0 c - m w^2 x0 sw,
     the classical flow for (q, p).  At w = 0 this is the free packet
-    a0 / (1 + i T), q = x0 + p0 t / m, p = p0.
-
-    The phase g(t) is not computed here: the state's gamma property computes
-    it when read (see _phase).
+    a0 / (1 + i T), q = x0 + p0 t / m, p = p0.  The phase g(t) is left to
+    the state's gamma property (_phase).
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    hbar = params.hbar
-    m, w = params.mass, params.omega
-    if w:
-        c, sw = math.cos(w * t), math.sin(w * t) / w
-    else:  # the removable singularity of sin(wt)/w
-        c, sw = 1.0, t
+    hbar, m, w = params.hbar, params.mass, params.omega
+    c, _, sw = _rotation(w, t)
     a0 = 0.25 / init.sigma**2  # init.alpha0 without a property call per step
     mw2sw = m * w * w * sw
     alpha = ((a0 * c + 1j * (0.5 * mw2sw / hbar))
@@ -128,14 +132,9 @@ def _phase(params: SystemParams, init: WavepacketInit, t: float) -> float:
     w t, so the log branch is exact for any number of windings.  At w = 0,
     g = p0^2 t / 2m - (hbar/2) arctan(T) + p0 x0 / 2.
     """
-    hbar = params.hbar
-    m, w = params.mass, params.omega
+    hbar, m, w = params.hbar, params.mass, params.omega
     x0, p0 = init.x0, init.p0
-    if w:
-        s, c = math.sin(w * t), math.cos(w * t)
-        sw = s / w
-    else:
-        s, c, sw = 0.0, 1.0, t
+    c, s, sw = _rotation(w, t)
     big_t = hbar * sw / (2 * m * init.sigma**2)
     return (-0.5 * hbar * (w * t + math.atan2((big_t - s) * c, c * c + big_t * s))
             + (p0**2 / (2 * m) - 0.5 * m * w**2 * x0**2) * c * sw
@@ -309,22 +308,25 @@ SPECTRAL_POINTS_PER_LENGTH = 80  # of default_spectral_grid
 _SPECTRAL_BLOCK = 16
 
 
-def _check_basis_size(basis_size) -> None:
+def _spectral_reach(params: SystemParams, basis_size) -> tuple[float, float]:
+    """(scale, turning): the oscillator length sqrt(hbar / (m w)) and the
+    classical turning point of the highest basis state.  ValueError unless
+    basis_size is a non-negative int and the system is harmonic."""
     if not (isinstance(basis_size, int) and basis_size >= 0):
         raise ValueError(
             f"basis_size must be a non-negative int, not {basis_size!r}")
+    if not params.is_harmonic:
+        raise ValueError("the harmonic eigenbasis needs omega > 0; the free "
+                         "particle has none")
+    scale = math.sqrt(params.hbar / (params.mass * params.omega))
+    return scale, math.sqrt(2.0 * basis_size + 1.0) * scale
 
 
 def default_spectral_grid(params: SystemParams, init: WavepacketInit,
                           basis_size: int) -> np.ndarray:
     """Odd number of uniform points covering both the packet and the highest
     basis state with margin."""
-    _check_basis_size(basis_size)
-    if not params.is_harmonic:
-        raise ValueError("spectral grid requires a harmonic system")
-    hbar = params.hbar
-    scale = math.sqrt(hbar / (params.mass * params.omega))
-    turning = math.sqrt(2.0 * basis_size + 1.0) * scale
+    scale, turning = _spectral_reach(params, basis_size)
     half = max(abs(init.x0) + 10.0 * init.sigma, 1.3 * turning + 6.0 * scale)
     n = int(2 * half * SPECTRAL_POINTS_PER_LENGTH) | 1
     return np.linspace(-half, half, max(n, 801))
@@ -362,20 +364,14 @@ def spectral_project(state: WavepacketState, basis_size: int,
     default grid), never whole; each row's overlap has the same bits either
     way.
 
-    Raises ValueError unless basis_size is a non-negative int and x covers
-    the packet and the highest basis state, and TruncationInsufficient
-    unless sum |c_k|^2 >= 1 - 1e-8, i.e. when basis_size truncates too much
-    of the state; a NaN fails both.
+    Raises ValueError unless basis_size is a non-negative int, the system
+    is harmonic and x covers the packet and the highest basis state, and
+    TruncationInsufficient unless sum |c_k|^2 >= 1 - 1e-8, i.e. when
+    basis_size truncates too much of the state; a NaN fails both.
     """
-    _check_basis_size(basis_size)
     params = state.params
-    if not params.is_harmonic:
-        raise ValueError("spectral projection requires a harmonic system")
-    hbar = params.hbar
-    m, w = params.mass, params.omega
-
-    scale = math.sqrt(hbar / (m * w))
-    turning = math.sqrt(2.0 * basis_size + 1.0) * scale
+    _, turning = _spectral_reach(params, basis_size)
+    hbar, m, w = params.hbar, params.mass, params.omega
     need = max(abs(state.q) + 10.0 * state.width, turning)
     if not (x[0] <= -need and x[-1] >= need):
         raise ValueError(
@@ -411,8 +407,7 @@ def packet_mean_energy_exact(params: SystemParams, init: WavepacketInit) -> floa
     exactly, since adding the zero terms does not round.  Used as an
     independent oracle for the spectral sums.
     """
-    hbar = params.hbar
-    m, w = params.mass, params.omega
+    hbar, m, w = params.hbar, params.mass, params.omega
     spread = hbar**2 / (8.0 * m * init.sigma**2)
     kin_cen = init.p0**2 / (2.0 * m)
     return kin_cen + 0.5 * m * w * w * init.x0**2 + spread \

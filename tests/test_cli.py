@@ -1059,7 +1059,7 @@ def test_marginal_overflow_names_its_sample(capsys):
     err = capsys.readouterr().err
     assert err == ("bohmpart: numerical failure: marginal Z at t in "
                    "[0, 12.5664], omega = 3.7e+12, sigma = 0.45, kbt = 2, "
-                   "x0 = 1, p0 = 0: non-finite value inf with 12 nodes per "
+                   "x0 = 1, p0 = 0: non-finite value inf with 48 nodes per "
                    "axis\n")
 
 

@@ -1,5 +1,6 @@
 import math
 import sys
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -15,7 +16,7 @@ from bohmpart import (BathSpec, DivergentIntegral, Oscillator,
                       marginal_Z, marginal_Z_derivative, marginal_curve,
                       phase_space_integral, quantum_Z, unified_bath_Z,
                       unified_integral, unified_Z_gaussian)
-from bohmpart import partition
+from bohmpart import core, partition
 from bohmpart.core import (ABS_TOL, REL_TOL, SLAB_POINTS, WINDOW_SIGMAS,
                            _finite_positive, integrate_window)
 from bohmpart.numdiff import central_first, central_second
@@ -321,14 +322,20 @@ def test_marginal_derivative_vanishes_in_classical_surrogate():
     assert abs(rate.exact) < 1e-4 * z * 1.0
 
 
-def _marginal_Z_gaussian_closed_form(params, init, th, t):
-    """sqrt(2 Re a / kappa) exp(-beta A0 + beta^2 A1^2 / (4 kappa)), kappa = 2 Re a + beta A2."""
+def _log_marginal_Z_closed_form(params, init, th, t):
+    """log Z from the completed square of log(P e^(-beta E)), no quadrature:
+    log(2 Re a / kappa)/2 - beta A0 + beta^2 A1^2 / (4 kappa), kappa = 2 Re a
+    + beta A2, with (A2, A1, A0) from _energy_coefficients."""
     st = evolve(params, init, t)
-    e_minus, e_mid, e_plus = (energy_pointwise(st, st.q + u) for u in (-1.0, 0.0, 1.0))
-    a2, a1, a0 = 0.5 * (e_plus + e_minus) - e_mid, 0.5 * (e_plus - e_minus), e_mid
+    a2, a1, a0 = _energy_coefficients(st)
     beta, ra = th.beta, st.alpha.real
     kappa = 2.0 * ra + beta * a2
-    return math.sqrt(2.0 * ra / kappa) * math.exp(-beta * a0 + beta**2 * a1**2 / (4.0 * kappa))
+    return (0.5 * math.log(2.0 * ra / kappa) - beta * a0
+            + beta**2 * a1**2 / (4.0 * kappa))
+
+
+def _marginal_Z_gaussian_closed_form(params, init, th, t):
+    return math.exp(_log_marginal_Z_closed_form(params, init, th, t))
 
 
 def test_marginal_near_divergence_matches_gaussian_closed_form():
@@ -344,6 +351,61 @@ def test_marginal_near_divergence_matches_gaussian_closed_form():
               for step in (h, h / 2))
     rate = marginal_Z_derivative(HO, init, th, t0)
     assert rate.exact == pytest.approx((4 * d2 - d1) / 3, rel=1e-6)
+
+
+@pytest.mark.parametrize("argv", [
+    ["marginal", "--x0", "12", "--samples", "7", "--raw"],
+    ["marginal", "--x0", "11", "--samples", "41"]])
+def test_distant_packet_marginal_curves_match_the_completed_square(capsys,
+                                                                   argv):
+    """A distant packet's Z is tiny (down to 2e-16 raw at x0 = 12), yet each
+    printed sample, raw or over its own t = 0 value, is within 1e-12 of the
+    closed form; a ladder that accepted its 24-node rule was 6.1e-4 off."""
+    from bohmpart import cli
+    assert cli.main(argv) == 0
+    rows = [tuple(map(float, line.split(",")))
+            for line in capsys.readouterr().out.splitlines()[1:]]
+    init = WavepacketInit(float(argv[2]), 0.0, 0.45)  # the CLI's defaults
+    th = ThermalSpec.from_kbt(2.0)
+    log_z0 = 0.0 if "--raw" in argv else _log_marginal_Z_closed_form(
+        HO, init, th, 0.0)
+    assert len(rows) == int(argv[4])
+    for t, z in rows:
+        ref = math.exp(_log_marginal_Z_closed_form(HO, init, th, t) - log_z0)
+        assert abs(z - ref) <= 1e-12 * ref, t
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(m=st.floats(0.2, 5.0), omega=st.floats(0.2, 5.0), free=st.booleans(),
+       sigma=st.floats(0.2, 3.0), kbt=st.floats(0.2, 50.0),
+       x0=st.floats(-30.0, 30.0), p0=st.floats(-30.0, 30.0),
+       t=st.floats(0.0, 10.0))
+def test_every_package_integral_ends_on_the_96_node_rule(m, omega, free, sigma,
+                                                         kbt, x0, p0, t):
+    """Each integrand is C exp(-72 s^2) per axis of its window, which the
+    48-node rule resolves, so every converging marginal Z and oracle accepts
+    the 96-node rule on its first check, however small its value."""
+    rules = []
+
+    def recording(f, mid, half, n):
+        rules.append(n)
+        return box_rule(f, mid, half, n)
+
+    box_rule, th = core._box_rule, ThermalSpec.from_kbt(kbt)
+    params = free_system(m) if free else harmonic_system(m, omega)
+    calls = [lambda: marginal_Z(params, WavepacketInit(x0, p0, sigma), th, t),
+             lambda: gaussian_correction_integral(m, sigma, th, 1.0)]
+    if not free:
+        calls += [lambda: phase_space_integral(m, omega, th),
+                  lambda: unified_integral(m, omega, sigma, th, 1.0)]
+    with mock.patch.object(core, "_box_rule", recording):
+        for call in calls:
+            rules.clear()
+            try:
+                call()
+            except (DivergentIntegral, QuadratureFailure):
+                continue
+            assert rules == [48, 96]
 
 
 def test_marginal_rate_high_temperature_suppression(ho_params, fig_init):
