@@ -409,7 +409,7 @@ def cmd_bath(args) -> tuple[dict, dict]:
         *zip(("large_n_factor_approx", "large_n_factor_exact",
               "large_n_rel_err"), large_n),
     ]
-    return cfg, {"rows": (["quantity", "value[dimensionless]"], summary),
+    return cfg, {"rows": (["quantity", "value"], summary),
                  "oscillators": (osc_header, osc_rows),
                  "kernel": (["t[time]", "nu[coupling^2*time^2]"],
                             list(zip(kernel_t, kernel_nu)))}
@@ -472,8 +472,7 @@ def cmd_partition(args) -> tuple[dict, dict]:
     rows.append(["t_min", "closed_form", crit.t_min, 0.0])
     rows.append(["thermal_de_broglie", "closed_form", crit.thermal_de_broglie, 0.0])
 
-    header = ["quantity", "method", "value[dimensionless]", "est_error[dimensionless]"]
-    return cfg, {"rows": (header, rows)}
+    return cfg, {"rows": (["quantity", "method", "value", "est_error"], rows)}
 
 
 def cmd_verify(args) -> int:

@@ -13,7 +13,7 @@ of the spectral overlaps, on the caller's grid, and partition's two-point
 Gauss-Hermite mean of the marginal rate brackets, exact for quadratics.
 Its integrands are Gaussians on WINDOW_SIGMAS of their deviations per axis,
 C exp(-72 s^2) in window coordinates s, so GL_LADDER starts at 48 nodes, the
-first rule to resolve one, and each integral, however small, ends on 96.
+first rule to resolve one; a rule passes on the unit-free REL_TOL alone.
 integrate_window hands the integrand an open grid (np.ix_) of one slab at
 a time, a slab being whole rows of the first axis, and contracts the values
 with the 1-D weights one axis at a time.  Values with leading axes beyond the box's
@@ -223,10 +223,10 @@ class ThermalSpec:
 # Half-width of every truncated Gaussian integral in standard deviations of the
 # integrand; 12 keeps the dropped tail below 1e-30, far under the tolerances.
 WINDOW_SIGMAS = 12.0
-REL_TOL, ABS_TOL = 1e-10, 1e-13
+REL_TOL = 1e-10
 # Gauss-Legendre nodes per axis, tried in turn.  Each integrand is C exp(-72
-# s^2) per axis s in [-1, 1] of its window: 24 nodes are 6e-4 off, which
-# ABS_TOL passes below 1e-10, and 48 are 1e-12 off, so all end on 96 nodes.
+# s^2) per axis s in [-1, 1] of its window: 24 nodes are 6e-4 off, so no pair
+# with them agrees to REL_TOL, and 48 are 1e-12 off, so (48, 96) is the first.
 GL_LADDER = (48, 96, 192, 384)
 # Box points handed to the integrand at once; bounds the memory of an N-D box.
 # A slab is whole rows of the first axis, at least one, so a call sees at
@@ -275,7 +275,7 @@ def integrate_window(f: Callable[..., np.ndarray], lo, hi):
     the axes of an open grid, and returns the integrand at those points,
     broadcasting like numpy; a result that lacks an axis, or a constant,
     is broadcast over it.  The nodes per axis double along GL_LADDER until
-    two successive rules agree to max(ABS_TOL, REL_TOL |Q|); returns
+    two successive rules agree to REL_TOL |Q| (two zeros agree); returns
     (Q(2n), |Q(2n) - Q(n)|), where the error estimate is that of the
     coarser rule and so bounds the finer one's for an integrand the rules
     resolve.  Raises QuadratureFailure when the ladder ends first or a rule
@@ -302,7 +302,7 @@ def integrate_window(f: Callable[..., np.ndarray], lo, hi):
             raise QuadratureFailure(f"non-finite value {rule[bad].flat[0]} "
                                     f"with {n} nodes per axis")
         step = abs(rule - prev)  # NaN on the first rung, so none converges
-        done = unconverged & (step <= np.maximum(ABS_TOL, REL_TOL * abs(rule)))
+        done = unconverged & (step <= REL_TOL * abs(rule))
         np.copyto(value, rule, where=done)
         np.copyto(err, step, where=done)
         if not np.count_nonzero(np.isnan(err)):

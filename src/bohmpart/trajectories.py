@@ -49,10 +49,10 @@ class RK45Adaptive:
     """Adaptive Dormand-Prince 5(4) stepper with embedded error control.
 
     A step is accepted when its local error estimate is at most
-    _ABS_TOL + _REL_TOL * max(|x_old|, |x_new|) (1e-12 and 1e-9); the next
-    step size follows the Hairer-Norsett-Wanner controller (safety 0.9,
-    factor clamped to [0.2, 10], exponent -1/5, no growth right after a
-    rejection).
+    _ABS_TOL sigma + _REL_TOL max(|x_old|, |x_new|), sigma being the packet's
+    width, so no step depends on the length unit; the next step size
+    follows the Hairer-Norsett-Wanner controller (safety 0.9, factor clamped
+    to [0.2, 10], exponent -1/5, no growth right after a rejection).
     """
 
 
@@ -138,10 +138,11 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5  # -1/(order of the embedded estimate + 1)
 
 
-def _initial_step(f, x0: float, f0: float, t_max: float) -> float:
+def _initial_step(f, x0: float, f0: float, t_max: float, width: float
+                  ) -> float:
     """First step size from the scaled size of x0, f0 and a trial Euler
     step (Hairer-Norsett-Wanner, sec. II.4)."""
-    scale = _ABS_TOL + abs(x0) * _REL_TOL
+    scale = _ABS_TOL * width + abs(x0) * _REL_TOL
     d0, d1 = abs(x0) / scale, abs(f0) / scale
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_max)
@@ -154,7 +155,7 @@ def _initial_step(f, x0: float, f0: float, t_max: float) -> float:
     return min(100 * h0, h1, t_max)
 
 
-def _dormand_prince(f, x0: float, t_max: float
+def _dormand_prince(f, x0: float, t_max: float, width: float
                     ) -> tuple[list[float], list[float]]:
     """Accepted (t, x) of dx/dt = f(t, x) from x(0) = x0 to t_max.
 
@@ -163,7 +164,7 @@ def _dormand_prince(f, x0: float, t_max: float
     """
     t, x = 0.0, x0
     k1 = f(t, x)
-    h = _initial_step(f, x, k1, t_max)
+    h = _initial_step(f, x, k1, t_max, width)
     times, xs = [t], [x]
     while t < t_max:
         if len(times) > _MAX_STEPS:
@@ -189,7 +190,7 @@ def _dormand_prince(f, x0: float, t_max: float
             k7 = f(t_new, x_new)  # first stage of the next step (FSAL)
             error = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5
                          + _E6 * k6 + _E7 * k7)
-            scale = _ABS_TOL + max(abs(x), abs(x_new)) * _REL_TOL
+            scale = _ABS_TOL * width + max(abs(x), abs(x_new)) * _REL_TOL
             error_norm = abs(error) / scale
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0 else
@@ -242,7 +243,7 @@ def integrate(params: SystemParams, init: WavepacketInit, x_start: float,
                              f"limit of {_MAX_STEPS}")
         columns = _rk4(rhs, x_start, stepper.dt, n_steps)
     else:
-        columns = _dormand_prince(rhs, x_start, cfg.t_max)
+        columns = _dormand_prince(rhs, x_start, cfg.t_max, init.sigma)
     return TrajectoryPath(*map(np.array, columns))
 
 

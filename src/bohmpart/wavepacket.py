@@ -302,7 +302,6 @@ def hermite_functions(n_max: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-SPECTRAL_POINTS_PER_LENGTH = 80  # of default_spectral_grid
 # basis rows per Simpson pass of spectral_project; of 4, 8, 16 and 32, 8 and
 # 16 ran fastest at K = 160 (13-14 ms against 15-17 ms on a 2-core Xeon)
 _SPECTRAL_BLOCK = 16
@@ -324,12 +323,13 @@ def _spectral_reach(params: SystemParams, basis_size) -> tuple[float, float]:
 
 def default_spectral_grid(params: SystemParams, init: WavepacketInit,
                           basis_size: int) -> np.ndarray:
-    """Odd number of uniform points covering both the packet and the highest
-    basis state with margin."""
+    """Odd number of uniform points, 80 per oscillator length sqrt(hbar/(m w))
+    and so as many in every unit system, covering both the packet and the
+    highest basis state with margin (6 lengths past its turning point at
+    least, so at least 1,167 points)."""
     scale, turning = _spectral_reach(params, basis_size)
     half = max(abs(init.x0) + 10.0 * init.sigma, 1.3 * turning + 6.0 * scale)
-    n = int(2 * half * SPECTRAL_POINTS_PER_LENGTH) | 1
-    return np.linspace(-half, half, max(n, 801))
+    return np.linspace(-half, half, int(2 * half / scale * 80) | 1)
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from bohmpart import (BathSpec, DivergentIntegral, Oscillator,
                       phase_space_integral, quantum_Z, unified_bath_Z,
                       unified_integral, unified_Z_gaussian)
 from bohmpart import core, partition
-from bohmpart.core import (ABS_TOL, REL_TOL, SLAB_POINTS, WINDOW_SIGMAS,
+from bohmpart.core import (REL_TOL, SLAB_POINTS, WINDOW_SIGMAS,
                            _finite_positive, integrate_window)
 from bohmpart.numdiff import central_first, central_second
 from bohmpart.partition import quantum_ratio, quantum_Z_closed_form
@@ -45,7 +45,7 @@ def test_classical_Z_quadrature_agrees():
         raw, err = phase_space_integral(m, w, th)
         # raw measure dx dp against dGamma = dx dp / (2 pi hbar)
         assert raw / (2.0 * math.pi) == pytest.approx(cf, rel=1e-10)
-        assert err <= max(ABS_TOL, REL_TOL * raw)
+        assert err <= REL_TOL * raw
 
 
 def test_classical_Z_free_diverges():

@@ -96,7 +96,8 @@ def test_dormand_prince_matches_scipy_rk45():
                          TrajectoryConfig(RK45Adaptive(), t_max))
         ref = solve_ivp(
             lambda t, y: [bohmian_velocity(evolve(params, init, t), y[0])],
-            (0.0, t_max), [x_start], method="RK45", rtol=1e-9, atol=1e-12)
+            (0.0, t_max), [x_start], method="RK45", rtol=1e-9,
+            atol=1e-12 * init.sigma)
         assert abs(path.times.size - ref.t.size) <= 2
         ours = _worst_relative_error(params, init, x_start, path.times,
                                      path.positions)
