@@ -297,6 +297,10 @@ def cmd_limits(args) -> tuple[dict, dict]:
         raise ValueError("--num must be at least 2")
     if args.fixed_msigma2 and args.var != "sigma":
         raise ValueError("--fixed-msigma2 needs --var sigma")
+    # every row sets the swept key, so its flag is accepted but its value is
+    # neither read nor echoed; --fixed-msigma2 reads sigma as its reference
+    if not args.fixed_msigma2:
+        del cfg[args.var]
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise ValueError("--start and --stop must be finite")
     if args.fixed_msigma2:

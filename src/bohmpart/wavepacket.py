@@ -302,11 +302,6 @@ def hermite_functions(n_max: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-# basis rows per Simpson pass of spectral_project; of 4, 8, 16 and 32, 8 and
-# 16 ran fastest at K = 160 (13-14 ms against 15-17 ms on a 2-core Xeon)
-_SPECTRAL_BLOCK = 16
-
-
 def _spectral_reach(params: SystemParams, basis_size) -> tuple[float, float]:
     """(scale, turning): the oscillator length sqrt(hbar / (m w)) and the
     classical turning point of the highest basis state.  ValueError unless
@@ -332,23 +327,27 @@ def default_spectral_grid(params: SystemParams, init: WavepacketInit,
     return np.linspace(-half, half, int(2 * half / scale * 80) | 1)
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Composite Simpson rule along the last axis of y, on the samples x.
+def _simpson_weights(x: np.ndarray) -> np.ndarray:
+    """Weights w of the composite Simpson rule on the increasing points x,
+    so that the rule's value for samples y at x is w @ y.
 
-    The same arithmetic, in the same order, as scipy.integrate.simpson(y, x=x)
-    for an odd number of points, so it gives the same bits.  An even number
-    of points is a ValueError.
+    Each pair of intervals (h0, h1) integrates the parabola through its
+    three points, which weights them (h0 + h1)/6 times 2 - h1/h0,
+    (h0 + h1)^2/(h0 h1) and 2 - h0/h1; a point two pairs share gets the sum
+    of its two weights.  An even number of points is a ValueError.
     """
     if x.size % 2 == 0:
         raise ValueError(f"Simpson's rule needs an odd number of points, "
                          f"not {x.size}")
     h = np.diff(x)
     h0, h1 = h[0::2], h[1::2]
-    hsum, hprod, r = h0 + h1, h0 * h1, h0 / h1
-    tmp = hsum / 6.0 * (y[..., 0:-2:2] * (2.0 - 1.0 / r)
-                        + y[..., 1:-1:2] * (hsum * (hsum / hprod))
-                        + y[..., 2::2] * (2.0 - r))
-    return np.sum(tmp, axis=-1)
+    hsum, r = h0 + h1, h0 / h1
+    pair = hsum / 6.0
+    w = np.zeros(x.size)
+    w[0:-2:2] = pair * (2.0 - 1.0 / r)
+    w[1:-1:2] = pair * (hsum * (hsum / (h0 * h1)))
+    w[2::2] += pair * (2.0 - r)
+    return w
 
 
 def spectral_project(state: WavepacketState, basis_size: int,
@@ -356,13 +355,13 @@ def spectral_project(state: WavepacketState, basis_size: int,
     """Project the packet onto harmonic eigenfunctions by quadrature on the
     increasing points x.
 
-    The overlaps use an in-repo composite Simpson rule (_simpson), the same
-    arithmetic as scipy.integrate.simpson's x= form, so x needs an odd
-    number of points, as default_spectral_grid gives.  It runs over blocks
-    of _SPECTRAL_BLOCK basis rows, so the scaled basis and its products with
-    psi exist one block at a time (about 0.6 MB a block at K = 160 on the
-    default grid), never whole; each row's overlap has the same bits either
-    way.
+    The overlaps use the composite Simpson rule, so x needs an odd number
+    of points, as default_spectral_grid gives.  The rule is linear in its
+    samples, so its weights (_simpson_weights) multiply psi and the basis
+    normalization once, into one vector, and each coefficient is its own
+    basis row's dot with that vector: the scaled basis and its products
+    with psi are never formed, and coefficient k has the same bits for
+    every basis_size on the same grid.
 
     Raises ValueError unless basis_size is a non-negative int, the system
     is harmonic and x covers the packet and the highest basis state, and
@@ -378,18 +377,12 @@ def spectral_project(state: WavepacketState, basis_size: int,
             f"grid [{x[0]:g}, {x[-1]:g}] must cover +-{need:g} "
             "(10 packet widths and the highest basis state)")
 
-    xi = np.sqrt(m * w / hbar) * x
     norm = (m * w / hbar) ** 0.25
-    hermite = hermite_functions(basis_size, xi)
-    psi = wavefunction(state, x)
-    psi_re, psi_im = psi.real, psi.imag
-
-    c_re, c_im = np.empty(basis_size + 1), np.empty(basis_size + 1)
-    for k in range(0, basis_size + 1, _SPECTRAL_BLOCK):
-        basis = norm * hermite[k:k + _SPECTRAL_BLOCK]
-        c_re[k:k + _SPECTRAL_BLOCK] = _simpson(basis * psi_re, x)
-        c_im[k:k + _SPECTRAL_BLOCK] = _simpson(basis * psi_im, x)
-    coeffs = c_re + 1j * c_im
+    weighted = norm * _simpson_weights(x) * wavefunction(state, x)
+    # one 1-D dot per row, as a stacked matmul: a (K+1, n) @ (n,) gemv rounds
+    # some rows differently as K changes
+    basis = hermite_functions(basis_size, np.sqrt(m * w / hbar) * x)[:, None, :]
+    coeffs = (basis @ weighted.real)[:, 0] + 1j * (basis @ weighted.imag)[:, 0]
     captured = float(np.sum(np.abs(coeffs) ** 2))
     if not captured >= 1.0 - 1e-8:
         raise TruncationInsufficient(

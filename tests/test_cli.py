@@ -625,18 +625,27 @@ def test_config_file_unknown_key_exit_1(tmp_path: Path):
      "hbar mass omega x0 p0 sigma kbt"),
     (["marginal", "--samples", "2", "--tmax", "0.5"],
      "hbar mass omega sigma x0 p0 kbt"),
-    (["limits", "--var", "kbt", "--start", "1", "--stop", "2", "--num", "2"],
-     "hbar mass omega sigma kbt"),
+    # limits leaves out the key it sweeps, which its rows set, but for
+    # sigma under --fixed-msigma2, the reference width; --kbt is accepted
+    (["limits", "--var", "kbt", "--start", "1", "--stop", "2", "--num", "2",
+      "--kbt", "3"], "hbar mass omega sigma"),
+    (["limits", "--var", "sigma", "--start", "1", "--stop", "2", "--num", "2"],
+     "hbar mass omega kbt"),
+    (["limits", "--var", "sigma", "--start", "1", "--stop", "2", "--num", "2",
+      "--fixed-msigma2"], "hbar mass omega sigma kbt"),
     (["bath"], "hbar"),
     (["trajectory", "--x-start", "1", "--tmax", "0.5"],
      "hbar mass omega sigma x0 p0"),
     (["partition"], "hbar mass omega sigma kbt"),
-], ids=["fig1", "marginal", "limits", "bath", "trajectory", "partition"])
+], ids=["fig1", "marginal", "limits", "limits-sigma", "limits-fixed-msigma2",
+        "bath", "trajectory", "partition"])
 def test_json_config_echoes_the_keys_the_subcommand_reads(tmp_path: Path,
                                                           argv, keys):
     from bohmpart import cli
     flags, lists = cli.READS[argv[0]]
-    assert sorted(flags + lists) == sorted(keys.split())
+    swept = ([argv[argv.index("--var") + 1]]
+             if "--var" in argv and "--fixed-msigma2" not in argv else [])
+    assert sorted(flags + lists) == sorted(keys.split() + swept)
     out = tmp_path / "out.json"
     assert cli.main([*argv, "--format", "json", "--out", str(out)]) == 0
     assert sorted(json.loads(out.read_text())["config"]) == sorted(keys.split())

@@ -58,8 +58,7 @@ ROW_UNITS = {"t_min": ENERGY, "thermal_de_broglie": LENGTH}
 BATH_ACTION_ROWS = {"z_b", "z_b_unified_exact", "z_b_unified_with_2pi"}
 
 # Each subcommand with every dimensioned input spelled out, since a default
-# does not follow the units (limits echoes its swept key's config value as
-# well); each exit code the CLI documents for a result
+# does not follow the units; each exit code the CLI documents for a result
 # (0, 2 and 4) appears.
 CASES = [
     "fig1 --mass 1 --omega 1 --hbar 1 --x0 1 --p0 0.3 --sigma 0.45 "
