@@ -80,10 +80,12 @@ def memory_kernel(bath: BathSpec, t) -> float | np.ndarray:
 
     A float t gives a float on math alone, bit for bit the element an array
     gives; an array of times gives an array of the same shape
-    (core.functions_of).
+    (core.functions_of).  A non-finite time is a ValueError.
     """
-    cos = functions_of(t).cos
-    return sum((o.coupling**2 / o.omega**2) * cos(o.omega * t)
+    fn = functions_of(t)
+    if not fn.all(fn.isfinite(t)):
+        raise ValueError("t must be finite")
+    return sum((o.coupling**2 / o.omega**2) * fn.cos(o.omega * t)
                for o in bath.oscillators)
 
 

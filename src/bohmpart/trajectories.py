@@ -15,8 +15,10 @@ steppers integrate it in plain float arithmetic: classic RK4 at a fixed
 step, and the Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl.
 Math. 6, 1980) at fixed tolerances, with first-same-as-last stages, local
 extrapolation and the step-size controller of Hairer, Norsett & Wanner,
-Solving ODEs I, sec. II.4.  Each stepper returns every point (t, x) it
-reached; a path's velocity, where wanted, is bohmian_velocity there.
+Solving ODEs I, sec. II.4.  Its first trial step is the whole span, which
+the controller shrinks by rejection, so no step depends on the time unit.
+Each stepper returns every point (t, x) it reached; a path's velocity,
+where wanted, is bohmian_velocity there.
 """
 
 from __future__ import annotations
@@ -50,9 +52,11 @@ class RK45Adaptive:
 
     A step is accepted when its local error estimate is at most
     _ABS_TOL sigma + _REL_TOL max(|x_old|, |x_new|), sigma being the packet's
-    width, so no step depends on the length unit; the next step size
-    follows the Hairer-Norsett-Wanner controller (safety 0.9, factor clamped
-    to [0.2, 10], exponent -1/5, no growth right after a rejection).
+    width, so no step depends on the length unit.  The first trial step is
+    the whole span t_max, so none depends on the time unit either; every
+    step size after a trial follows the Hairer-Norsett-Wanner controller
+    (safety 0.9, factor clamped to [0.2, 10], exponent -1/5, no growth right
+    after a rejection).
     """
 
 
@@ -138,23 +142,6 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5  # -1/(order of the embedded estimate + 1)
 
 
-def _initial_step(f, x0: float, f0: float, t_max: float, width: float
-                  ) -> float:
-    """First step size from the scaled size of x0, f0 and a trial Euler
-    step (Hairer-Norsett-Wanner, sec. II.4)."""
-    scale = _ABS_TOL * width + abs(x0) * _REL_TOL
-    d0, d1 = abs(x0) / scale, abs(f0) / scale
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t_max)
-    f1 = f(h0, x0 + h0 * f0)
-    d2 = abs(f1 - f0) / scale / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, t_max)
-
-
 def _dormand_prince(f, x0: float, t_max: float, width: float
                     ) -> tuple[list[float], list[float]]:
     """Accepted (t, x) of dx/dt = f(t, x) from x(0) = x0 to t_max.
@@ -162,9 +149,8 @@ def _dormand_prince(f, x0: float, t_max: float, width: float
     Raises StepFailure when a step would have to be shorter than 10 ulp(t),
     or when more than _MAX_STEPS steps would be accepted.
     """
-    t, x = 0.0, x0
+    t, x, h = 0.0, x0, t_max
     k1 = f(t, x)
-    h = _initial_step(f, x, k1, t_max, width)
     times, xs = [t], [x]
     while t < t_max:
         if len(times) > _MAX_STEPS:

@@ -38,6 +38,14 @@ def test_memory_kernel_even_and_bounded():
         assert nu0 >= abs(memory_kernel(bath, t)) - 1e-12
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf,
+                               np.array([0.0, 1.0, math.nan]),
+                               np.array([[2.0], [math.inf]])])
+def test_memory_kernel_rejects_nonfinite_time(t):
+    with pytest.raises(ValueError, match="t must be finite"):
+        memory_kernel(uniform_bath(3, 1.0, 1.5, 0.8, 2.0, 0.3), t)
+
+
 # ---------------------------------------------------------------------------
 # classical bath Z
 # ---------------------------------------------------------------------------
