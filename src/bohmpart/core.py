@@ -14,22 +14,23 @@ Gauss-Hermite mean of the marginal rate brackets, exact for quadratics.
 Its integrands are Gaussians on WINDOW_SIGMAS of their deviations per axis,
 C exp(-72 s^2) in window coordinates s, so GL_LADDER starts at 48 nodes, the
 first rule to resolve one; a rule passes on the unit-free REL_TOL alone.
-integrate_window hands the integrand an open grid (np.ix_) of one slab at
-a time, a slab being whole rows of the first axis, and contracts the values
-with the 1-D weights one axis at a time.  Values with leading axes beyond the box's
-are a batch of integrands on one ladder, each element with the bits it gets
-alone: the marginal curves' samples.
+The nodes and weights are pure-Python float tuples (_legendre), and
+integrate_window hands the integrand one first-axis node at a time, as a
+float, so a 1-D integral, each marginal Z sample among them, runs on math
+alone.  In 2-D and 3-D the other axes come as a numpy open grid (np.ix_),
+and the values are contracted with the 1-D weights one axis at a time.
 
 numpy loads on first use.  `np` here is a small stand-in for the module that
 imports numpy when one of its attributes is first read and then keeps that
 attribute on itself, so later reads such as np.exp are plain attribute hits.
 The other modules take `np` from here, so `import bohmpart` and the
-subcommands that need only `math` (`partition`, `limits`, and `bath` and
-`trajectory`, which evaluate their kernels one float at a time) never import
-numpy; an array kernel, an oracle or integrate_window loads it when it first
-runs.  memory_kernel and scaling_solution, which `bath` and `trajectory`
-call one sample at a time, take their functions from functions_of(t), so
-one expression serves a float, on math alone, and an array.
+subcommands that need only `math` (`partition`, `limits`, `fig1` and
+`marginal`, and `bath` and `trajectory`, which evaluate their kernels one
+float at a time) never import numpy; an array kernel or a 2-D or 3-D oracle
+loads it when it first runs.  memory_kernel and scaling_solution, which
+`bath` and `trajectory` call one sample at a time, take their functions
+from functions_of(t), so one expression serves a float, on math alone, and
+an array.
 """
 
 from __future__ import annotations
@@ -228,85 +229,100 @@ REL_TOL = 1e-10
 # s^2) per axis s in [-1, 1] of its window: 24 nodes are 6e-4 off, so no pair
 # with them agrees to REL_TOL, and 48 are 1e-12 off, so (48, 96) is the first.
 GL_LADDER = (48, 96, 192, 384)
-# Box points handed to the integrand at once; bounds the memory of an N-D box.
-# A slab is whole rows of the first axis, at least one, so a call sees at
-# most max(SLAB_POINTS, n^(d-1)) points.
-SLAB_POINTS = 1 << 14
 
 
 @functools.lru_cache(maxsize=None)
-def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+def _legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The n-point Gauss-Legendre nodes on [-1, 1], ascending, and their
+    weights, for an even n, on math alone.
+
+    Each positive node is found by Newton's method on P_n from the guess
+    cos(pi (4i + 3) / (4n + 2)), with P_n and P_(n-1) from the three-term
+    recurrence j P_j = (2j - 1) x P_(j-1) - (j - 1) P_(j-2), and its weight
+    is 2 / ((1 - x^2) P_n'(x)^2); the negative half mirrors them.  The
+    weights are scaled to sum to 2, the length of [-1, 1]: a bias that every
+    weight shared would move both rules of a rung alike, where est_error,
+    their difference, cannot see it.  The nodes lie within 2 ulp and the
+    weights within 1e-11 of their exact values (tests/test_core.py holds
+    them to mpmath).
+    """
+    steps = [((2 * j - 1) / j, (j - 1) / j) for j in range(2, n + 1)]
+    positive = []
+    for i in range(n // 2):
+        x, dx = math.cos(math.pi * (4 * i + 3) / (4 * n + 2)), 1.0
+        while abs(dx) > 1e-16:
+            p0, p1 = 1.0, x
+            for a, b in steps:
+                p0, p1 = p1, a * x * p1 - b * p0
+            dp = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+            dx = p1 / dp
+            x -= dx
+        positive.append((x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)))
+    nodes = [-x for x, _ in positive] + [x for x, _ in reversed(positive)]
+    weights = [w for _, w in positive] + [w for _, w in reversed(positive)]
+    scale = 2.0 / math.fsum(weights)
+    return tuple(nodes), tuple(w * scale for w in weights)
 
 
-def _box_rule(f: Callable, mid: np.ndarray, half: np.ndarray, n: int):
-    """n-point-per-axis tensor-product Gauss-Legendre sum of f over the box,
-    one per batch element.
+def _box_rule(f: Callable, mid, half, n: int) -> float:
+    """n-point-per-axis tensor-product Gauss-Legendre sum of f over the box.
 
-    f sees an open grid (np.ix_) of one slab of whole first-axis rows, so a
-    term that depends on one axis is evaluated on that axis's nodes, not on
-    every point; the values are contracted with the 1-D weights one axis at
-    a time, the last first, as a stacked vals[..., None, :] @ weights: the
-    1-D dot of a scalar integrand per batch element, where a (k, n) @ (n,)
-    gemv rounds some rows differently.
+    f gets one first-axis node at a time, as a float, so a 1-D rule runs on
+    math alone.  In 2-D and 3-D it gets the other axes as an open grid
+    (np.ix_) of their nodes, so a term that depends on one axis is
+    evaluated on that axis's nodes, not on every point, and the values are
+    contracted with the 1-D weights one axis at a time, the last first.
+    The first axis's terms are added in node order.
     """
     nodes, weights = _legendre(n)
-    axes = [m + h * nodes for m, h in zip(mid, half)]
-    rows = max(1, SLAB_POINTS // n ** (mid.size - 1))
+    first, *rest = ([m + h * x for x in nodes] for m, h in zip(mid, half))
+    g = f
+    if rest:
+        grid, vector = np.ix_(*rest), np.array(weights)
+        shape = tuple(len(axis) for axis in rest)
+
+        def g(x):
+            vals = np.broadcast_to(f(x, *grid), shape)
+            for _ in rest:
+                vals = vals @ vector
+            return float(vals)
     total = 0.0
-    for start in range(0, n, rows):
-        grid = np.ix_(axes[0][start:start + rows], *axes[1:])
-        vals = np.asarray(f(*grid))
-        batch = vals.shape[:max(0, vals.ndim - len(grid))]
-        vals = np.broadcast_to(vals, batch + tuple(g.size for g in grid))
-        for _ in axes[1:]:
-            vals = vals @ weights
-        total += (vals[..., None, :] @ weights[start:start + rows])[..., 0]
-    return total * float(np.prod(half))
+    for w, x in zip(weights, first):
+        total += w * g(x)
+    return total * math.prod(half)
 
 
-def integrate_window(f: Callable[..., np.ndarray], lo, hi):
+def integrate_window(f: Callable, lo, hi) -> tuple[float, float]:
     """Gauss-Legendre integral of f over the box [lo, hi].
 
     lo and hi are floats for a 1-D integral or equal-length tuples of
-    per-axis bounds for an N-D box.  f takes one coordinate array per axis,
-    the axes of an open grid, and returns the integrand at those points,
-    broadcasting like numpy; a result that lacks an axis, or a constant,
-    is broadcast over it.  The nodes per axis double along GL_LADDER until
-    two successive rules agree to REL_TOL |Q| (two zeros agree); returns
-    (Q(2n), |Q(2n) - Q(n)|), where the error estimate is that of the
-    coarser rule and so bounds the finer one's for an integrand the rules
-    resolve.  Raises QuadratureFailure when the ladder ends first or a rule
-    gives a non-finite value.
-
-    Values with leading axes beyond the box's are a batch of integrands:
-    the return is a pair of arrays of that shape, each element's pair bit
-    for bit its own scalar call's, and the ladder runs until all converge
-    (QuadratureFailure quotes the largest last disagreement).  f sees every
-    element on each call, so k elements on a 1-D box need k GL_LADDER[-1]
-    <= SLAB_POINTS.  A scalar integrand gets floats.
+    per-axis bounds for an N-D box.  f takes one coordinate per axis: a
+    float for the first, and for further axes the arrays of an open grid,
+    whose values it returns, broadcasting like numpy (a result that lacks
+    an axis, or a constant, is broadcast over it).  The nodes per axis
+    double along GL_LADDER until two successive rules agree to REL_TOL |Q|
+    (two zeros agree); returns the floats (Q(2n), |Q(2n) - Q(n)|), where
+    the error estimate is that of the coarser rule and so bounds the finer
+    one's for an integrand the rules resolve.  Raises QuadratureFailure
+    when the ladder ends first, or a rule's value is not finite or
+    overflows a double in f (an OverflowError from math.exp, say).
     """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    if not isinstance(lo, (tuple, list)):
+        lo, hi = (lo,), (hi,)
+    mid = [0.5 * (b + a) for a, b in zip(lo, hi)]
+    half = [0.5 * (b - a) for a, b in zip(lo, hi)]
     prev = math.nan
     for n in GL_LADDER:
-        rule = np.asarray(_box_rule(f, mid, half, n))
-        if n == GL_LADDER[0]:  # the batch shape is known once f has run
-            value, err = np.empty_like(rule), np.full_like(rule, math.nan)
-        unconverged = np.isnan(err)
-        bad = unconverged & ~np.isfinite(rule)
-        if np.count_nonzero(bad):
-            raise QuadratureFailure(f"non-finite value {rule[bad].flat[0]} "
-                                    f"with {n} nodes per axis")
-        step = abs(rule - prev)  # NaN on the first rung, so none converges
-        done = unconverged & (step <= REL_TOL * abs(rule))
-        np.copyto(value, rule, where=done)
-        np.copyto(err, step, where=done)
-        if not np.count_nonzero(np.isnan(err)):
-            return (float(value), float(err)) if value.ndim == 0 else (value, err)
+        try:
+            rule = float(_box_rule(f, mid, half, n))
+        except OverflowError:
+            rule = math.inf
+        if not math.isfinite(rule):
+            raise QuadratureFailure(f"non-finite value {rule} with {n} nodes "
+                                    "per axis")
+        step = abs(rule - prev)  # NaN on the first rung, so it never passes
+        if step <= REL_TOL * abs(rule):
+            return rule, step
         prev = rule
     raise QuadratureFailure(f"{GL_LADDER[-1]}- and {GL_LADDER[-2]}-node rules "
-                            f"differ by {step[unconverged].max():g}")
+                            f"differ by {step:g}")

@@ -19,9 +19,10 @@ Conventions
 * The closed forms are backed by separate Gauss-Legendre oracles, used by
   `verify`, `partition --oracle` and the tests: phase_space_integral
   (classical Z), gaussian_correction_integral (the factor C) and
-  unified_integral (unified Z).  Each integrates an integrand that
-  broadcasts over core's open grid of a box of WINDOW_SIGMAS standard
-  deviations per axis, to core's tolerances, returns the raw-measure
+  unified_integral (unified Z).  Each integrates over a box of
+  WINDOW_SIGMAS standard deviations per axis, to core's tolerances, an
+  integrand of a float first coordinate (the 1-D factor C on math alone)
+  and of core's open grid of any others, returns the raw-measure
   (value, est_error) with est_error the difference between the last two
   rules of the ladder, and calls no closed form it checks.  _phase_box
   sizes the (x, p) box of the two phase-space oracles and raises ValueError
@@ -32,14 +33,12 @@ Conventions
   prepared packet in the distribution sum: a Gauss-Legendre quadrature
   (core.integrate_window) of exp(log P - beta E) over a window sized from
   the full exponent's completed square (ValueError where its reach squared
-  is not a finite double).  A curve integrates MARGINAL_CHUNK samples on
-  one ladder over [-1, 1], mapped onto each sample's window, on (k, 1)
-  columns of the samples' own floats, each sample bit for bit its
-  marginal_Z; only this module batches, and wavepacket's kernels take one
-  state.  An integrand that overflows is a QuadratureFailure naming the
-  packet, omega, kbt and the samples' times.  Its time derivative is that Z
-  times a two-point Gauss-Hermite mean of the rate brackets, exact as they
-  are quadratic.
+  is not a finite double).  Each sample is its own 1-D ladder through this
+  module's integrate_window name, of a math.exp integrand on floats, so a
+  curve, a list of floats, needs no numpy.  An integrand that overflows is
+  a QuadratureFailure naming the packet, omega, kbt and the sample's time.
+  Its time derivative is that Z times a two-point Gauss-Hermite mean of the
+  rate brackets, exact as they are quadratic.
 """
 
 from __future__ import annotations
@@ -48,10 +47,9 @@ import math
 import sys
 from typing import Sequence
 
-from .core import (GL_LADDER, REL_TOL, SLAB_POINTS, WINDOW_SIGMAS,
-                   DivergentIntegral, QuadratureFailure, SystemParams,
-                   ThermalSpec, _finite_positive, check_scale,
-                   integrate_window, np, record)
+from .core import (REL_TOL, WINDOW_SIGMAS, DivergentIntegral,
+                   QuadratureFailure, SystemParams, ThermalSpec,
+                   _finite_positive, check_scale, integrate_window, np, record)
 from .wavepacket import (WavepacketInit, energy_dt, evolve,
                          _energy_coefficients, _log_density_dt)
 
@@ -261,7 +259,7 @@ def gaussian_correction_integral(m: float, sigma: float, thermal: ThermalSpec,
     half = WINDOW_SIGMAS * sig_eff
 
     def f(u):
-        return np.exp(-r - (1.0 - r) * u * u / (2 * sigma**2)) \
+        return math.exp(-r - (1.0 - r) * u * u / (2 * sigma**2)) \
             / (math.sqrt(2 * math.pi) * sigma)
 
     return integrate_window(f, -half, half)
@@ -351,42 +349,30 @@ def _marginal_gaussian(state, thermal: ThermalSpec
     return state.q + u_star, width, (a2, a1, a0)
 
 
-# Samples per marginal ladder: a chunk's points on the finest rung fit one slab.
-MARGINAL_CHUNK = SLAB_POINTS // GL_LADDER[-1]
+def _marginal_quadrature(state, thermal: ThermalSpec, gaussian) -> float:
+    """marginal_Z of an evolved state, given its _marginal_gaussian: the
+    scalar ladder over WINDOW_SIGMAS widths about its centre, of
+    exp(log P - beta E) taken once, in the operation order of _log_density
+    and energy_pointwise.  A QuadratureFailure, an overflow to inf
+    included, names the sample's t, omega, sigma, kbt, x0 and p0."""
+    center, width, (a2, a1, a0) = gaussian
+    q, ra, beta = state.q, state.alpha.real, thermal.beta
+    log_norm = 0.5 * math.log(2.0 * ra / math.pi)
 
+    def f(x):
+        u = x - q
+        return math.exp(log_norm - 2.0 * ra * (u * u)
+                        - beta * (a2 * (u * u) + a1 * u + a0))
 
-def _marginal_quadrature(states: list, thermal: ThermalSpec,
-                         gaussians: list) -> np.ndarray:
-    """marginal_Z of each of at most MARGINAL_CHUNK evolved states, given
-    their _marginal_gaussian: one ladder on [-1, 1] mapped onto each window
-    as integrate_window would map it, and exp(log P - beta E) taken once, in
-    the operation order of _log_density and energy_pointwise, so every node
-    keeps its scalar bits.  An overflow to inf is a QuadratureFailure that
-    names the chunk's times, omega, sigma, kbt, x0 and p0."""
-    lo = np.array([c - WINDOW_SIGMAS * w for c, w, _ in gaussians])
-    hi = np.array([c + WINDOW_SIGMAS * w for c, w, _ in gaussians])
-    mid, half = (0.5 * (hi + lo))[:, None], (0.5 * (hi - lo))[:, None]
-    q, ra, log_norm, a2, a1, a0 = np.array(
-        [(s.q, s.alpha.real, 0.5 * math.log(2.0 * s.alpha.real / math.pi), *e)
-         for s, (_, _, e) in zip(states, gaussians)]).T[..., None]
-
-    def f(s):
-        u = mid + half * s - q
-        with np.errstate(over="ignore"):
-            return np.exp(log_norm - 2.0 * ra * (u * u)
-                          - thermal.beta * (a2 * (u * u) + a1 * u + a0))
-
+    reach = WINDOW_SIGMAS * width
     try:
-        values, _ = integrate_window(f, -1.0, 1.0)
+        return integrate_window(f, center - reach, center + reach)[0]
     except QuadratureFailure as exc:
-        ts, init = [s.t for s in states], states[0].init
-        when = (f"t = {ts[0]:g}" if len(ts) == 1
-                else f"t in [{min(ts):g}, {max(ts):g}]")
+        init = state.init
         raise QuadratureFailure(
-            f"marginal Z at {when}, omega = {states[0].params.omega:g}, "
+            f"marginal Z at t = {state.t:g}, omega = {state.params.omega:g}, "
             f"sigma = {init.sigma:g}, kbt = {thermal.kbt:g}, x0 = "
             f"{init.x0:g}, p0 = {init.p0:g}: {exc}") from None
-    return values * half[:, 0]
 
 
 def marginal_Z(params: SystemParams, init: WavepacketInit, thermal: ThermalSpec,
@@ -398,8 +384,8 @@ def marginal_Z(params: SystemParams, init: WavepacketInit, thermal: ThermalSpec,
     non-negative at this t.
     """
     state = evolve(params, init, t)
-    return float(_marginal_quadrature(
-        [state], thermal, [_marginal_gaussian(state, thermal)])[0])
+    return _marginal_quadrature(state, thermal,
+                                _marginal_gaussian(state, thermal))
 
 
 @record
@@ -427,7 +413,7 @@ def marginal_Z_derivative(params: SystemParams, init: WavepacketInit,
     """
     state = evolve(params, init, t)
     center, width, _ = gaussian = _marginal_gaussian(state, thermal)
-    z = float(_marginal_quadrature([state], thermal, [gaussian])[0])
+    z = _marginal_quadrature(state, thermal, gaussian)
     nodes = (center - width, center + width)
 
     def mean(energy_weight: float) -> float:
@@ -439,34 +425,29 @@ def marginal_Z_derivative(params: SystemParams, init: WavepacketInit,
 
 def marginal_curve(params: SystemParams, init: WavepacketInit,
                    thermal: ThermalSpec, times: Sequence[float],
-                   normalized: bool = True) -> np.ndarray:
+                   normalized: bool = True) -> list[float]:
     """Marginal Z at each time, optionally normalized to 1 at t=0.
 
     Each time is evolved once, and every window is found before any
     quadrature runs, so a divergent sample raises DivergentIntegral even
     where an earlier sample is convergent but too large for the quadrature.
-    Each chunk of MARGINAL_CHUNK samples is one ladder, and each value is
-    bit for bit the marginal_Z of its time.
-    Normalizing raises ValueError naming x0 and p0 where the t = 0 Z is not
-    a positive finite double (it underflows to 0 for a distant packet).
+    Each value is the marginal_Z of its time, bit for bit.  Normalizing
+    raises ValueError naming x0 and p0 where the t = 0 Z is not a positive
+    finite double (it underflows to 0 for a distant packet).
     """
-    times = np.asarray(times, dtype=float)
     states = [evolve(params, init, t) for t in times]
     gaussians = [_marginal_gaussian(state, thermal) for state in states]
-    values = np.empty(len(states))
-    for start in range(0, len(states), MARGINAL_CHUNK):
-        chunk = slice(start, start + MARGINAL_CHUNK)
-        values[chunk] = _marginal_quadrature(states[chunk], thermal,
-                                             gaussians[chunk])
+    values = [_marginal_quadrature(state, thermal, gaussian)
+              for state, gaussian in zip(states, gaussians)]
     if normalized:
-        z0 = marginal_Z(params, init, thermal, 0.0) \
-            if times[0] != 0.0 else values[0]
+        z0 = values[0] if times[0] == 0.0 else \
+            marginal_Z(params, init, thermal, 0.0)
         if not 0.0 < z0 < math.inf:
             raise ValueError(
-                f"the t = 0 marginal Z is {z0:g}, not a positive finite "
-                f"double, at x0 = {init.x0:g}, p0 = {init.p0:g}; normalizing "
-                "it needs log-space Z (ROADMAP item 2)")
-        values = values / z0
+                f"the t = 0 marginal Z is {z0:g} at x0 = {init.x0:g}, p0 = "
+                f"{init.p0:g}: it underflows a double, so the curve cannot "
+                "be normalized to 1 at t = 0")
+        values = [value / z0 for value in values]
     return values
 
 

@@ -118,7 +118,7 @@ def test_criterion_05_fig1_properties():
         worst_period = max(worst_period, abs(a - b) / a)
 
     def amp(key):
-        return curves[key].max() - curves[key].min()
+        return max(curves[key]) - min(curves[key])
 
     ordering = amp((0.45, 5.0)) < amp((0.45, 2.0)) \
         and amp((0.65, 2.0)) < amp((0.45, 2.0))

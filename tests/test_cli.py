@@ -107,11 +107,13 @@ def test_import_leaves_scipy_out():
 
 def test_import_and_closed_form_commands_leave_numpy_out(tmp_path: Path):
     """The import, partition (CSV, and JSON with a manifest), limits, bath
-    (with its companion tables) and trajectory (harmonic and free, CSV and
-    JSON) never load numpy; verify and partition --oracle load it when they
-    first build an array, and still pass."""
+    (with its companion tables), trajectory (harmonic and free, CSV and
+    JSON), and fig1 and marginal, whose 1-D quadratures run on math alone,
+    never load numpy; verify and partition --oracle load it when they first
+    build an array, and still pass."""
     out = tmp_path / "z.json"
     bath_out = tmp_path / "b.csv"
+    curve_out = tmp_path / "curve.json"
     cp = subprocess.run(
         [*PYTHON, "-c",
          "import sys, bohmpart, bohmpart.cli as c\n"
@@ -124,6 +126,9 @@ def test_import_and_closed_form_commands_leave_numpy_out(tmp_path: Path):
          "assert c.main(['trajectory', '--system', 'free', '--x-start', '1']) == 0\n"
          "assert c.main(['trajectory', '--x-start', '1', '--format', 'json']) == 0\n"
          f"assert c.main(['bath', '--out', {str(bath_out)!r}]) == 0\n"
+         "assert c.main(['fig1']) == 0\n"
+         "assert c.main(['marginal', '--format', 'json', '--out', "
+         f"{str(curve_out)!r}]) == 0\n"
          "assert 'numpy' not in sys.modules\n"
          "assert c.main(['verify']) == 0\n"
          "assert c.main(['partition', '--oracle']) == 0\n"
@@ -131,6 +136,7 @@ def test_import_and_closed_form_commands_leave_numpy_out(tmp_path: Path):
         capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
     assert json.loads(Path(f"{out}.manifest.json").read_text())["digest"]
+    assert len(json.loads(curve_out.read_text())["rows"]) == 400
     assert sorted(p.name for p in tmp_path.glob("b_*.csv")) == [
         "b_kernel.csv", "b_oscillators.csv"]
 
@@ -174,12 +180,14 @@ def _modules_loaded_by(code: str) -> set[str]:
     (["bath"], {"bath", "cli", "core", "partition", "wavepacket"}),
     (["trajectory", "--x-start", "1"], {"cli", "core", "trajectories",
                                         "wavepacket"}),
-], ids=["import", "partition", "limits", "bath", "trajectory"])
+    (["fig1", "--samples", "3"], {"cli", "core", "partition", "wavepacket"}),
+], ids=["import", "partition", "limits", "bath", "trajectory", "fig1"])
 def test_import_and_closed_form_commands_load_only_what_they_run(argv, modules):
-    """`import bohmpart` loads no submodule, and each closed-form subcommand
-    writing CSV to stdout loads just the submodules it calls and none of
-    dataclasses, statistics and hashlib.  Each runs in a child process,
-    since pytest has loaded those already."""
+    """`import bohmpart` loads no submodule, and each closed-form subcommand,
+    and fig1 with its scalar quadratures, writing CSV to stdout loads just
+    the submodules it calls and none of dataclasses, statistics and
+    hashlib.  Each runs in a child process, since pytest has loaded those
+    already."""
     loaded = _modules_loaded_by(
         "import bohmpart" if argv is None else
         f"import bohmpart.cli as c; assert c.main({argv!r}) == 0")
@@ -257,23 +265,24 @@ def test_cli_linspace_is_numpy_linspace(args):
 
 
 # SHA-256 digests of the payload of each README CLI line but verify, which
-# emits no payload.  They were measured with numpy 2.4 on x86-64 (AVX-512)
-# and are the digests of the code before numpy became a lazy import, but
-# for limits and partition --oracle: those were re-measured when classical_Z
-# became 1/(beta hbar omega) and the Gaussian oracles began to sum their u^2
-# terms as (1 - r) u^2, which moved z_u, ratio and the z_unified quadrature
-# row by an ulp or two, and for bath and partition, re-measured when their
-# value columns lost a "[dimensionless]" that some of their rows do not have.
-# fig1, marginal, bath, trajectory and partition --oracle sum numpy's
-# vectorised exp and cos, which may round differently on another CPU; if
-# they move there, re-measure the pins on the previous commit.
+# emits no payload.  They were measured with numpy 2.4 on x86-64 (AVX-512).
+# fig1, marginal and partition --oracle were last re-measured when the
+# Gauss-Legendre nodes and weights became a pure-Python Newton rule and a
+# 1-D rule began to take one float node at a time (math.exp in fig1 and
+# marginal, terms added in node order), which moved their quadrature cells
+# by at most about 1e-13 relative.  limits, bath and partition were last
+# re-measured for an ulp or two in z_u and ratio and for a value column
+# that lost its "[dimensionless]".  bath, trajectory and partition --oracle
+# use numpy's vectorised exp and cos, and fig1 and marginal libm's exp,
+# which may round differently on another CPU or C library; if they move
+# there, re-measure the pins on the previous commit.
 README_DIGESTS = {
     "bohmpart fig1 --out fig1.csv":
-        "b3f591af8f1d9d5839902ca8522650806094e5c8f2ae4642cb52c938c68c592c",
+        "8e9885875d1a60684608d1bddb33e1592aada46688b46afe0be92b380ee0e9e8",
     "bohmpart fig1 --sigma 0.45 --kbt 2 --kbt 5 --samples 400":
-        "2769b90aad82775a6f382e31333c98f3d7dcf3212cbf2c6c2487f7808ac34994",
+        "a9c93780ffdc5c4ef5596983dd54b01c95d4d96d177f67c07aaa1e3e4fd6b95e",
     "bohmpart marginal --sigma 0.5 --kbt 3 --format json --out curve.json":
-        "a8df65a17b2b0898b0a5c5fcd1b0079d3251c2cab116cd70a3faf4ba63f615b6",
+        "13db8de57e6e9f0e8502231f2d0269c90915fc43a243d55d8c08dac8fb098bcb",
     "bohmpart limits --var sigma --start 1.0 --stop 0.125 --num 8 "
     "--fixed-msigma2":
         "f95143c0c2eb38447af151321cb6f26840274f165beab072b53a4975eb60ea69",
@@ -282,7 +291,7 @@ README_DIGESTS = {
     "bohmpart trajectory --x-start 1.45 --tmax 5 --out path.csv":
         "88a669f0db25e8cff7a972d15ef7cb3664f9e33621668f5d018a6c883d38a0a8",
     "bohmpart partition --kbt 1.0 --sigma 1.0 --oracle":
-        "8fe1cbc63066cb23e0ccbe20010e920cbba4d1e60a5f451d5b4aeb115e2f9d4d",
+        "70d1e6bf61f1564211ce727a205053ad2b8d9a9878bf8078d17517fcc1a202e3",
 }
 
 
@@ -1062,15 +1071,14 @@ def test_fig1_large_omega_ends_without_a_traceback(capsys):
 
 
 def test_marginal_overflow_names_its_sample(capsys):
-    """Exit 4 names the curve's inputs and its chunk's time range, as the
+    """Exit 4 names the curve's inputs and the failing sample's time, as the
     exit-1 messages of a marginal window do."""
     from bohmpart import cli
     assert cli.main(["fig1", "--omega", "3.7e12", "--samples", "3"]) == 4
     err = capsys.readouterr().err
-    assert err == ("bohmpart: numerical failure: marginal Z at t in "
-                   "[0, 12.5664], omega = 3.7e+12, sigma = 0.45, kbt = 2, "
-                   "x0 = 1, p0 = 0: non-finite value inf with 48 nodes per "
-                   "axis\n")
+    assert err == ("bohmpart: numerical failure: marginal Z at t = 0, "
+                   "omega = 3.7e+12, sigma = 0.45, kbt = 2, x0 = 1, p0 = 0: "
+                   "non-finite value inf with 48 nodes per axis\n")
 
 
 @pytest.mark.parametrize("flag", ["--n", "--m0", "--omega-max", "--coupling"])

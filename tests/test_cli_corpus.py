@@ -1,9 +1,10 @@
-"""Every argv of cli_corpus.txt keeps its exit code, stdout and stderr.
+"""Every argv of cli_corpus.txt keeps its exit code, stdout, stderr and files.
 
 cli_corpus.sha256 holds one line `<digest>  <argv>` per corpus argv, the
-SHA-256 of its exit code, stdout, stderr and any warning raised, with
-cli.main run in process.  A change meant to move no CLI byte passes this
-test unchanged.  A change that moves some rewrites the digests with
+SHA-256 of its exit code, stdout, stderr, any warning raised and every file
+it wrote (a manifest without its timestamp), with cli.main run in process
+in a fresh temporary directory.  A change meant to move no CLI byte passes
+this test unchanged.  A change that moves some rewrites the digests with
 
     PYTHONPATH=src python tests/test_cli_corpus.py
 
@@ -17,8 +18,9 @@ import hashlib
 import io
 import json
 import shlex
+import tempfile
 import warnings
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import chdir, redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -38,6 +40,20 @@ def digests() -> dict[str, str]:
     return {argv: digest for digest, argv in pairs}
 
 
+def written(root: Path) -> list[list[str]]:
+    """[path, text] of each file under root, by path, a manifest's
+    timestamp left out."""
+    files = []
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        text = path.read_text()
+        if path.name.endswith(".manifest.json"):
+            manifest = json.loads(text)
+            del manifest["timestamp"]
+            text = json.dumps(manifest, sort_keys=True)
+        files.append([path.relative_to(root).as_posix(), text])
+    return files
+
+
 def outcomes(lines: list[str]) -> dict[str, str]:
     """Each line and the digest of its run.  Every run shares one parser,
     since building it is most of a closed-form call's time."""
@@ -45,7 +61,8 @@ def outcomes(lines: list[str]) -> dict[str, str]:
     parser, found = cli.build_parser(), {}
     for line in lines:
         out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err), \
+        with tempfile.TemporaryDirectory() as tmp, chdir(tmp), \
+                redirect_stdout(out), redirect_stderr(err), \
                 warnings.catch_warnings(record=True) as caught, \
                 mock.patch.object(cli, "build_parser", lambda: parser):
             warnings.simplefilter("always")
@@ -53,9 +70,10 @@ def outcomes(lines: list[str]) -> dict[str, str]:
                 code = cli.main(shlex.split(line))
             except SystemExit as exc:  # argparse's usage errors
                 code = exc.code
-        blob = json.dumps([code, out.getvalue(), err.getvalue(),
-                           [f"{w.category.__name__}: {w.message}"
-                            for w in caught]])
+            files = written(Path(tmp))
+        outcome = [code, out.getvalue(), err.getvalue(),
+                   [f"{w.category.__name__}: {w.message}" for w in caught]]
+        blob = json.dumps(outcome + [files] if files else outcome)
         found[line] = hashlib.sha256(blob.encode()).hexdigest()
     return found
 
