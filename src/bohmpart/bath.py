@@ -101,7 +101,7 @@ def classical_bath_Z(bath: BathSpec, thermal: ThermalSpec) -> float:
     return _finite_positive("z_b", val)
 
 
-def unified_bath_Z(bath: BathSpec, thermal: ThermalSpec, hbar: float = 1.0
+def unified_bath_Z(bath: BathSpec, thermal: ThermalSpec, hbar: float
                    ) -> tuple[float, float]:
     """Bath partition function with the hidden coordinates integrated out.
 
@@ -127,7 +127,7 @@ def unified_bath_Z(bath: BathSpec, thermal: ThermalSpec, hbar: float = 1.0
 
 
 def large_N_ratio(n: int, m0: float, sigma: float, thermal: ThermalSpec,
-                  hbar: float = 1.0) -> tuple[float, float, float]:
+                  hbar: float) -> tuple[float, float, float]:
     """Uniform-mass large-N approximation vs the exact product factor.
 
     Returns (approx, exact, rel_err) for Z'_B / Z_B:

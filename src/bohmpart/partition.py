@@ -75,32 +75,30 @@ def _finite_scales(m: float, sigma: float, thermal: ThermalSpec, hbar: float,
                              f"{sigma!r}, hbar = {hbar!r}")
 
 
-# Where a product of beta and hbar^k would be subnormal and lose digits, a
-# formula runs on beta 2^_LIFT and scales back exactly (on beta 2^-_LIFT
-# where it overflows); elsewhere no bit moves.
-_LIFT, _TINY = 800, sys.float_info.min  # 2^800 lifts each, overflows none
+# Where a product of beta with hbar, hbar^2 or m is subnormal (losing digits)
+# or overflows, a formula runs on beta 2^k, k = +-_LIFT, and multiplies its
+# result by 2^-k or its half power, which gives inf where math.ldexp raises.
+_LIFT, _TINY = 800, sys.float_info.min  # 2^+-800 brings each into range
 
 
-def _lift(*products: float) -> int:
-    """The power of two that scales beta: _LIFT where a product is
-    subnormal or 0, -_LIFT where one overflows, else 0."""
-    if min(products) < _TINY:
-        return _LIFT
-    return -_LIFT if max(products) == math.inf else 0
+def _lifted(beta: float, *products: float) -> tuple[float, int]:
+    """(beta 2^k, k): k = _LIFT where a product is subnormal or 0, -_LIFT
+    where one overflows, else 0."""
+    k = (_LIFT if min(products) < _TINY
+         else -_LIFT if max(products) == math.inf else 0)
+    return beta * 2.0**k, k
 
 
-def quantum_ratio(params_mass: float, sigma: float, thermal: ThermalSpec,
+def quantum_ratio(m: float, sigma: float, thermal: ThermalSpec,
                   hbar: float) -> float:
     """The dimensionless convergence ratio beta hbar^2 / (4 m sigma^2);
     ValueError unless sigma, m, hbar pass check_scale and it is finite."""
     check_scale("sigma", sigma)
-    check_scale("mass", params_mass)
+    check_scale("mass", m)
     check_scale("hbar", hbar)
-    lift = _lift(thermal.beta * hbar**2)
-    # scaled back by a product, which gives inf where math.ldexp would raise
-    ratio = (math.ldexp(thermal.beta, lift) * hbar**2
-             / (4.0 * params_mass * sigma**2) * 2.0**-lift)
-    _finite_scales(params_mass, sigma, thermal, hbar, criterion_ratio=ratio)
+    lifted, k = _lifted(thermal.beta, thermal.beta * hbar**2)
+    ratio = lifted * hbar**2 / (4.0 * m * sigma**2) * 2.0**-k
+    _finite_scales(m, sigma, thermal, hbar, criterion_ratio=ratio)
     return ratio
 
 
@@ -130,9 +128,8 @@ def _ladder_x(params: SystemParams, thermal: ThermalSpec,
     ValueError unless x is a finite double in [LADDER_X_MIN, x_max]."""
     if not params.is_harmonic:
         raise DivergentIntegral("free particle: unbounded integral and spectrum")
-    lift = _LIFT if thermal.beta * params.hbar < _TINY else 0
-    x = math.ldexp(math.ldexp(thermal.beta, lift) * params.hbar
-                   * params.omega, -lift)
+    lifted, k = _lifted(thermal.beta, thermal.beta * params.hbar)
+    x = lifted * params.hbar * params.omega * 2.0**-k
     if not (LADDER_X_MIN <= x <= x_max and x < math.inf):
         upper = f"{x_max:g}" if x_max < math.inf else "finite"
         raise ValueError(f"beta hbar omega = {x!r} lies outside "
@@ -160,17 +157,13 @@ def _energy(m: float, w: float, x, p):
 def _phase_box(m: float, w: float, thermal: ThermalSpec,
                const_q: float = 0.0) -> tuple[float, float]:
     """(half_x, half_p): WINDOW_SIGMAS deviations of exp(-beta (_energy +
-    const_q)) per axis.  ValueError naming mass and kbt where beta m is 0,
-    or mass, omega and kbt unless _energy + const_q at the box's corner is
-    within REL_TOL of its exact WINDOW_SIGMAS^2 kbt + const_q, which an
-    overflowed or subnormal factor would spoil unseen by est_error."""
+    const_q)) per axis.  ValueError naming mass, omega and kbt unless
+    _energy + const_q at the box's corner is within REL_TOL of its exact
+    WINDOW_SIGMAS^2 kbt + const_q, which an overflowed or subnormal factor
+    would spoil unseen by est_error."""
     beta, kbt = thermal.beta, thermal.kbt
-    if beta * m == 0.0:
-        raise ValueError(f"mass / kbt = {m!r} / {kbt:g} underflows to 0, so "
-                         "the oracle's x window is not a finite double")
-    lift = _LIFT if beta * m < _TINY else 0  # a subnormal beta m loses digits
-    half_x = WINDOW_SIGMAS * (1.0 / math.sqrt(math.ldexp(beta, lift) * m)
-                              * 2.0**(lift // 2) / w)
+    lifted, k = _lifted(beta, beta * m)
+    half_x = WINDOW_SIGMAS * (1.0 / math.sqrt(lifted * m) * 2.0**(k // 2) / w)
     half_p = WINDOW_SIGMAS * math.sqrt(m / beta)
     exact = WINDOW_SIGMAS**2 * kbt + const_q
     corner = _energy(m, w, half_x, half_p) + const_q
@@ -231,7 +224,7 @@ def quantum_Z_closed_form(params: SystemParams, thermal: ThermalSpec) -> float:
 # ---------------------------------------------------------------------------
 
 def gaussian_correction(m: float, sigma: float, thermal: ThermalSpec,
-                        hbar: float = 1.0) -> float:
+                        hbar: float) -> float:
     """Factor C multiplying the classical Z in the unified Gaussian form.
 
     C = (1 - r)^(-1/2) exp(-r) with r = beta hbar^2/(4 m sigma^2), from
@@ -431,10 +424,12 @@ def marginal_curve(params: SystemParams, init: WavepacketInit,
     Each time is evolved once, and every window is found before any
     quadrature runs, so a divergent sample raises DivergentIntegral even
     where an earlier sample is convergent but too large for the quadrature.
-    Each value is the marginal_Z of its time, bit for bit.  Normalizing
-    raises ValueError naming x0 and p0 where the t = 0 Z is not a positive
-    finite double (it underflows to 0 for a distant packet).
+    Each value is the marginal_Z of its time, bit for bit.  ValueError for
+    no times, and, normalizing, naming x0 and p0 where the t = 0 Z is not a
+    positive finite double (it underflows to 0 for a distant packet).
     """
+    if len(times) == 0:
+        raise ValueError("marginal_curve needs at least one time")
     states = [evolve(params, init, t) for t in times]
     gaussians = [_marginal_gaussian(state, thermal) for state in states]
     values = [_marginal_quadrature(state, thermal, gaussian)
@@ -456,15 +451,14 @@ def marginal_curve(params: SystemParams, init: WavepacketInit,
 # ---------------------------------------------------------------------------
 
 def classicality_criterion(m: float, sigma: float, thermal: ThermalSpec,
-                           hbar: float = 1.0) -> CriterionReport:
+                           hbar: float) -> CriterionReport:
     """Temperature bound k_B T > hbar^2/(4 m sigma^2) and related scales;
     t_min is k_B T_min, an energy like every temperature here.  Each scale
     is a finite double, or a ValueError as in quantum_ratio."""
     ratio = quantum_ratio(m, sigma, thermal, hbar)
     t_min = hbar**2 / (4.0 * m * sigma**2)
     product = 2.0 * math.pi * hbar**2 * thermal.beta
-    lift = _lift(product, product / m)
-    lam = math.sqrt(2.0 * math.pi * hbar**2 * math.ldexp(thermal.beta, lift)
-                    / m) * 2.0**(-lift // 2)
+    lifted, k = _lifted(thermal.beta, product, product / m)
+    lam = math.sqrt(2.0 * math.pi * hbar**2 * lifted / m) * 2.0**(-k // 2)
     _finite_scales(m, sigma, thermal, hbar, t_min=t_min, thermal_de_broglie=lam)
     return CriterionReport(t_min, ratio, ratio < 1.0, lam)

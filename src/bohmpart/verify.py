@@ -206,7 +206,7 @@ def bath_oracle() -> float:
 
 def check_bath_factor(oracle: float) -> CheckResult:
     """Per-oscillator hidden-coordinate factor: closed form vs bath_oracle()."""
-    exact_cf, _ = unified_bath_Z(BATH, BATH_THERMAL)
+    exact_cf, _ = unified_bath_Z(BATH, BATH_THERMAL, 1.0)
     rel = abs(exact_cf - oracle) / exact_cf
     return CheckResult("bath correction factor vs 3D quadrature", rel,
                        BATH_FACTOR_TOL)
@@ -276,7 +276,7 @@ def measure_dzdt_bracket() -> DiscrepancyEntry:
 
 def measure_bath_2pi(oracle: float) -> DiscrepancyEntry:
     """The 2 pi variant against `oracle`, the value of bath_oracle()."""
-    _, printed = unified_bath_Z(BATH, BATH_THERMAL)
+    _, printed = unified_bath_Z(BATH, BATH_THERMAL, 1.0)
     ratio = printed / oracle
     return DiscrepancyEntry(
         "bath factor with extra 2 pi per oscillator",

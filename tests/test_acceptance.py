@@ -43,7 +43,7 @@ def report(num: int, label: str, ok: bool, detail: str = ""):
 def test_criterion_01_gaussian_correction_oracle():
     t0 = time.time()
     th = ThermalSpec(1.0)
-    closed = gaussian_correction(1.0, 1.0, th)
+    closed = gaussian_correction(1.0, 1.0, th, 1.0)
     quad_val, _ = gaussian_correction_integral(1.0, 1.0, th, 1.0)
     rel = abs(closed - quad_val) / closed
     elapsed = time.time() - t0
@@ -72,7 +72,7 @@ def test_criterion_03_temperature_bound_gates_divergence():
         th = ThermalSpec(float(beta))
         ratio = beta / 4.0
         try:
-            gaussian_correction(1.0, 1.0, th)
+            gaussian_correction(1.0, 1.0, th, 1.0)
             diverged = False
         except DivergentIntegral:
             diverged = True
@@ -248,7 +248,7 @@ def test_criterion_10_bath():
     from bohmpart import BathSpec, Oscillator, large_N_ratio, unified_bath_Z
     th = ThermalSpec(1.0)
     bath = BathSpec((Oscillator(1.0, 1.0, 1.5),), sigma=1.0, q0=0.7)
-    exact_cf, _ = unified_bath_Z(bath, th)
+    exact_cf, _ = unified_bath_Z(bath, th, 1.0)
     # raw measure, one oscillator centred at c q0 / w^2
     exact_qd, _ = unified_integral(1.0, 1.0, 1.0, th, 1.0, center=1.5 * 0.7)
     quad_rel = abs(exact_cf - exact_qd) / exact_cf
@@ -258,7 +258,7 @@ def test_criterion_10_bath():
     for _ in range(20):
         n = int(rng.integers(1, 30))
         r = float(rng.uniform(1e-4, 0.9))
-        _, _, rel = large_N_ratio(n, 1.0, 1.0, ThermalSpec(4.0 * r))
+        _, _, rel = large_N_ratio(n, 1.0, 1.0, ThermalSpec(4.0 * r), 1.0)
         largen_ok = largen_ok and \
             abs(rel - abs(1.0 - (1.0 - r) ** (n / 2))) < 1e-12
 
@@ -267,7 +267,7 @@ def test_criterion_10_bath():
         b = BathSpec((Oscillator(1.0, 1.0, 1.0),), sigma=1.0)
         t = ThermalSpec(float(beta))
         try:
-            unified_bath_Z(b, t)
+            unified_bath_Z(b, t, 1.0)
             diverged = False
         except DivergentIntegral:
             diverged = True

@@ -85,7 +85,7 @@ def test_classical_bath_Z_of_an_underflowing_beta_omega_is_a_value_error(
 # ---------------------------------------------------------------------------
 
 def test_unified_bath_Z_single_closed_form():
-    exact, printed = unified_bath_Z(single(), ThermalSpec(1.0))
+    exact, printed = unified_bath_Z(single(), ThermalSpec(1.0), 1.0)
     c = math.exp(-0.25) / math.sqrt(0.75)
     assert exact == pytest.approx(2.0 * math.pi * c, rel=1e-14)
     assert printed == pytest.approx(exact * 2.0 * math.pi, rel=1e-14)
@@ -96,7 +96,7 @@ def test_unified_bath_Z_quadrature_oracle():
     # factor with no extra 2 pi
     bath = single(c=1.5, q0=0.7)
     th = ThermalSpec(1.0)
-    exact_cf, printed_cf = unified_bath_Z(bath, th)
+    exact_cf, printed_cf = unified_bath_Z(bath, th, 1.0)
     exact_qd, _ = unified_integral(1.0, 1.0, 1.0, th, 1.0,
                                    center=1.5 * 0.7)
     assert exact_qd == pytest.approx(exact_cf, rel=1e-8)
@@ -107,7 +107,7 @@ def test_unified_bath_Z_quadrature_oracle():
 def test_unified_bath_Z_classical_limit():
     bath = single(sigma=100.0)
     th = ThermalSpec(1.0)
-    exact, _ = unified_bath_Z(bath, th)
+    exact, _ = unified_bath_Z(bath, th, 1.0)
     z_b = classical_bath_Z(bath, th)
     assert exact / z_b == pytest.approx(1.0, abs=1e-4)
 
@@ -119,8 +119,8 @@ def test_unified_bath_Z_depends_on_m_sigma_sq_multiset():
     bath_b = BathSpec((Oscillator(1.0, 0.7, 2.0), Oscillator(0.25, 3.0, 1.0)),
                       sigma=1.0)
     # multisets of m * sigma^2 match: {4*0.25, 1*0.25} == {1*1, 0.25*1}
-    ra = unified_bath_Z(bath_a, th)[0] / classical_bath_Z(bath_a, th)
-    rb = unified_bath_Z(bath_b, th)[0] / classical_bath_Z(bath_b, th)
+    ra = unified_bath_Z(bath_a, th, 1.0)[0] / classical_bath_Z(bath_a, th)
+    rb = unified_bath_Z(bath_b, th, 1.0)[0] / classical_bath_Z(bath_b, th)
     assert ra == pytest.approx(rb, rel=1e-14)
 
 
@@ -129,16 +129,16 @@ def test_unified_bath_Z_factorizes():
     oscillators = (Oscillator(1.0, 1.0, 1.0), Oscillator(2.0, 0.6, -0.4),
                    Oscillator(0.7, 2.2, 0.1))
     bath = BathSpec(oscillators, sigma=0.9, q0=0.2)
-    whole = unified_bath_Z(bath, th)[0]
+    whole = unified_bath_Z(bath, th, 1.0)[0]
     parts = 1.0
     for o in oscillators:
-        parts *= unified_bath_Z(BathSpec((o,), 0.9, 0.2), th)[0]
+        parts *= unified_bath_Z(BathSpec((o,), 0.9, 0.2), th, 1.0)[0]
     assert whole == pytest.approx(parts, rel=1e-10)
 
 
 def test_unified_bath_Z_divergence():
     with pytest.raises(DivergentIntegral):
-        unified_bath_Z(single(sigma=0.4), ThermalSpec(1.0))
+        unified_bath_Z(single(sigma=0.4), ThermalSpec(1.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def test_unified_bath_Z_divergence():
 # ---------------------------------------------------------------------------
 
 def test_large_N_example():
-    approx, exact, rel = large_N_ratio(10, 1.0, 1.0, ThermalSpec(0.04))
+    approx, exact, rel = large_N_ratio(10, 1.0, 1.0, ThermalSpec(0.04), 1.0)
     assert rel == pytest.approx(abs(1.0 - 0.99**5), rel=1e-12)
 
 
@@ -155,19 +155,19 @@ def test_large_N_error_formula_identity():
     for _ in range(25):
         n = int(rng.integers(1, 40))
         r = float(rng.uniform(1e-4, 0.9))
-        approx, exact, rel = large_N_ratio(n, 1.0, 1.0, ThermalSpec(4.0 * r))
+        approx, exact, rel = large_N_ratio(n, 1.0, 1.0, ThermalSpec(4.0 * r), 1.0)
         assert rel == pytest.approx(abs(1.0 - (1.0 - r) ** (n / 2)), abs=1e-12)
 
 
 def test_large_N_error_vanishes_with_ratio():
-    rels = [large_N_ratio(8, 1.0, 1.0, ThermalSpec(4.0 * r))[2]
+    rels = [large_N_ratio(8, 1.0, 1.0, ThermalSpec(4.0 * r), 1.0)[2]
             for r in (1e-2, 1e-4, 1e-6)]
     assert rels[0] > rels[1] > rels[2]
     assert rels[2] < 1e-5
 
 
 def test_large_N_quarter_ratio_product():
-    approx, exact, rel = large_N_ratio(4, 1.0, 1.0, ThermalSpec(1.0))
+    approx, exact, rel = large_N_ratio(4, 1.0, 1.0, ThermalSpec(1.0), 1.0)
     c = math.exp(-0.25) / math.sqrt(0.75)
     assert exact == pytest.approx(c**4, rel=1e-12)
     assert approx == pytest.approx(math.exp(-1.0), rel=1e-12)
@@ -175,7 +175,7 @@ def test_large_N_quarter_ratio_product():
 
 def test_large_N_divergence():
     with pytest.raises(DivergentIntegral):
-        large_N_ratio(5, 1.0, 0.5, ThermalSpec(1.0))
+        large_N_ratio(5, 1.0, 0.5, ThermalSpec(1.0), 1.0)
 
 
 def test_uniform_bath_constructor():

@@ -264,52 +264,20 @@ def test_cli_linspace_is_numpy_linspace(args):
             assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w)
 
 
-# SHA-256 digests of the payload of each README CLI line but verify, which
-# emits no payload.  They were measured with numpy 2.4 on x86-64 (AVX-512).
-# fig1, marginal and partition --oracle were last re-measured when the
-# Gauss-Legendre nodes and weights became a pure-Python Newton rule and a
-# 1-D rule began to take one float node at a time (math.exp in fig1 and
-# marginal, terms added in node order), which moved their quadrature cells
-# by at most about 1e-13 relative.  limits, bath and partition were last
-# re-measured for an ulp or two in z_u and ratio and for a value column
-# that lost its "[dimensionless]".  bath, trajectory and partition --oracle
-# use numpy's vectorised exp and cos, and fig1 and marginal libm's exp,
-# which may round differently on another CPU or C library; if they move
-# there, re-measure the pins on the previous commit.
-README_DIGESTS = {
-    "bohmpart fig1 --out fig1.csv":
-        "8e9885875d1a60684608d1bddb33e1592aada46688b46afe0be92b380ee0e9e8",
-    "bohmpart fig1 --sigma 0.45 --kbt 2 --kbt 5 --samples 400":
-        "a9c93780ffdc5c4ef5596983dd54b01c95d4d96d177f67c07aaa1e3e4fd6b95e",
-    "bohmpart marginal --sigma 0.5 --kbt 3 --format json --out curve.json":
-        "13db8de57e6e9f0e8502231f2d0269c90915fc43a243d55d8c08dac8fb098bcb",
-    "bohmpart limits --var sigma --start 1.0 --stop 0.125 --num 8 "
-    "--fixed-msigma2":
-        "f95143c0c2eb38447af151321cb6f26840274f165beab072b53a4975eb60ea69",
-    "bohmpart bath --n 10 --sigma 5.0 --beta 1.0 --out bath.csv":
-        "371f6efd546d2ca75d78a084f64802b120f027815fdc1b35e530ea6a02e1149f",
-    "bohmpart trajectory --x-start 1.45 --tmax 5 --out path.csv":
-        "88a669f0db25e8cff7a972d15ef7cb3664f9e33621668f5d018a6c883d38a0a8",
-    "bohmpart partition --kbt 1.0 --sigma 1.0 --oracle":
-        "70d1e6bf61f1564211ce727a205053ad2b8d9a9878bf8078d17517fcc1a202e3",
-}
-
-
-def test_readme_cli_digests_are_pinned(tmp_path: Path, capsys):
-    from bohmpart import cli
-    lines = [line for line in _readme_cli_lines()
-             if not line.startswith("bohmpart verify")]
-    assert set(lines) == set(README_DIGESTS)
-    for n, line in enumerate(lines):
+def test_readme_cli_lines_are_corpus_lines():
+    """cli_corpus.txt is the one byte pin of README's CLI lines: it holds
+    each line without its --out, so the payload goes to stdout, and, where
+    README gives an --out, the line as written, whose digest covers the
+    files it writes."""
+    from test_cli_corpus import corpus
+    pinned = set(corpus())
+    for line in _readme_cli_lines():
         argv = shlex.split(line)[1:]
-        if "--out" not in argv:
-            argv += ["--out", f"run{n}.out"]
-        at = argv.index("--out") + 1
-        argv[at] = out = str(tmp_path / argv[at])
-        assert cli.main(argv) == 0, line
-        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
-        assert manifest["digest"] == README_DIGESTS[line], line
-    capsys.readouterr()
+        if "--out" in argv:
+            assert shlex.join(argv) in pinned, line
+            at = argv.index("--out")
+            del argv[at:at + 2]
+        assert shlex.join(argv) in pinned, line
 
 
 def _readme_cli_lines() -> list[str]:
@@ -773,6 +741,27 @@ def test_partition_oracle_survives_a_subnormal_beta_m(capsys):
         assert abs(rows[quantity, "quadrature"] - closed) <= 2e-14 * closed
 
 
+# beta m = 1e315 overflows, so half_x was 0 and the box missed its energy
+OVERFLOWING_BETA_M = ["--kbt", "1e-240", "--mass", "1e75", "--sigma", "1e75",
+                      "--hbar", "1e-75", "--omega", "1e-162"]
+
+
+def test_partition_oracle_survives_an_overflowing_beta_m(capsys):
+    """The x window of an overflowing beta m is formed on beta 2^-800, so the
+    oracle runs, with RuntimeWarning an error, and each quadrature row is
+    within 1e-12 of its closed form."""
+    from bohmpart import cli
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["partition", "--oracle", *OVERFLOWING_BETA_M]) == 0
+    rows = {(q, method): float(value) for q, method, value, _ in
+            (line.split(",") for line in
+             capsys.readouterr().out.splitlines()[1:])}
+    for quantity in ("z_classical", "z_unified"):
+        closed = rows[quantity, "closed_form"]
+        assert abs(rows[quantity, "quadrature"] - closed) <= 1e-12 * closed
+
+
 def test_partition_rows_survive_a_thermal_wavelength_whose_square_overflows(
         capsys):
     """2 pi hbar^2 beta / m overflows, and it exited 1, yet every scale is a
@@ -880,9 +869,10 @@ def test_partition_rows_survive_a_thermal_wavelength_whose_square_overflows(
     # the t = 0 marginal Z underflows to 0, so the curve cannot be normalized
     (["marginal", "--x0", "100", "--samples", "3"], "x0 = 100"),
     (["fig1", "--p0", "1e3", "--samples", "3"], "p0 = 1000"),
-    # beta m underflows to 0, so the oracle's x window is 1/0
+    # beta m underflows to 0; on the lifted beta the x window is a double,
+    # but its square overflows at the box's corner
     (["partition", "--oracle", "--mass", "5.4e-69", "--kbt", "2.5e268"],
-     "mass / kbt"),
+     "kbt = 2.5e+268: doubles miss"),
     (["marginal", "--omega", "3.5e286", "--tmax=-7.6e74", "--samples", "3"],
      "--tmax -7.6e+74 times omega = 3.5e+286"),
     (["fig1", "--omega", "3.5e286", "--tmax=-7.6e74", "--samples", "3"],

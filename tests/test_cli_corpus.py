@@ -3,21 +3,24 @@
 cli_corpus.sha256 holds one line `<digest>  <argv>` per corpus argv, the
 SHA-256 of its exit code, stdout, stderr, any warning raised and every file
 it wrote (a manifest without its timestamp), with cli.main run in process
-in a fresh temporary directory.  A change meant to move no CLI byte passes
-this test unchanged.  A change that moves some rewrites the digests with
+in a fresh temporary directory.  A line with --config or --bath-file runs
+beside a copy of cli_files/ as files/ and reads files/<name>; those copies
+are not among the files it wrote.  A change meant to move no CLI byte
+passes this test unchanged.  A change that moves some rewrites the digests
+with
 
     PYTHONPATH=src python tests/test_cli_corpus.py
 
-and lists the argv that moved, and why, in CHANGES.md.  Like README_DIGESTS
-in test_cli.py, the pins hold for one platform's numpy: vectorised exp and
-cos may round differently on another CPU, and if they move there, re-pin
-them on the previous commit.
+and lists the argv that moved, and why, in CHANGES.md.  The pins hold for
+one platform's numpy and libm: vectorised exp and cos may round differently
+on another CPU, and if they move there, re-pin them on the previous commit.
 """
 
 import hashlib
 import io
 import json
 import shlex
+import shutil
 import tempfile
 import warnings
 from contextlib import chdir, redirect_stderr, redirect_stdout
@@ -26,6 +29,7 @@ from unittest import mock
 
 CORPUS = Path(__file__).with_name("cli_corpus.txt")
 DIGESTS = Path(__file__).with_name("cli_corpus.sha256")
+FILES = Path(__file__).with_name("cli_files")
 
 
 def corpus() -> list[str]:
@@ -41,10 +45,11 @@ def digests() -> dict[str, str]:
 
 
 def written(root: Path) -> list[list[str]]:
-    """[path, text] of each file under root, by path, a manifest's
-    timestamp left out."""
+    """[path, text] of each file under root but the files/ inputs, by path,
+    a manifest's timestamp left out."""
     files = []
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+    for path in sorted(p for p in root.rglob("*") if p.is_file()
+                       and not p.is_relative_to(root / "files")):
         text = path.read_text()
         if path.name.endswith(".manifest.json"):
             manifest = json.loads(text)
@@ -60,14 +65,16 @@ def outcomes(lines: list[str]) -> dict[str, str]:
     from bohmpart import cli
     parser, found = cli.build_parser(), {}
     for line in lines:
-        out, err = io.StringIO(), io.StringIO()
+        argv, out, err = shlex.split(line), io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, chdir(tmp), \
                 redirect_stdout(out), redirect_stderr(err), \
                 warnings.catch_warnings(record=True) as caught, \
                 mock.patch.object(cli, "build_parser", lambda: parser):
             warnings.simplefilter("always")
+            if {"--config", "--bath-file"} & set(argv):
+                shutil.copytree(FILES, Path(tmp) / "files")
             try:
-                code = cli.main(shlex.split(line))
+                code = cli.main(argv)
             except SystemExit as exc:  # argparse's usage errors
                 code = exc.code
             files = written(Path(tmp))

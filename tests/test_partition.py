@@ -97,7 +97,7 @@ def test_partition_result_validation():
 
 def test_gaussian_correction_value_vs_quadrature():
     th = ThermalSpec(1.0)  # ratio = 0.25
-    cf = gaussian_correction(1.0, 1.0, th)
+    cf = gaussian_correction(1.0, 1.0, th, 1.0)
     qd, _ = gaussian_correction_integral(1.0, 1.0, th, 1.0)
     assert cf == pytest.approx(math.exp(-0.25) / math.sqrt(0.75), rel=1e-14)
     assert qd == pytest.approx(cf, rel=1e-8)
@@ -105,14 +105,14 @@ def test_gaussian_correction_value_vs_quadrature():
 
 def test_gaussian_correction_classical_limit():
     th = ThermalSpec(4e-8)  # ratio = 1e-8 with m = sigma = hbar = 1
-    assert abs(gaussian_correction(1.0, 1.0, th) - 1.0) < 2e-8
+    assert abs(gaussian_correction(1.0, 1.0, th, 1.0) - 1.0) < 2e-8
 
 
 def test_gaussian_correction_divergence_threshold():
     with pytest.raises(DivergentIntegral):
-        gaussian_correction(1.0, 0.5, ThermalSpec(1.0))  # ratio = 1 exactly
+        gaussian_correction(1.0, 0.5, ThermalSpec(1.0), 1.0)  # ratio = 1 exactly
     with pytest.raises(DivergentIntegral):
-        gaussian_correction(1.0, 0.5, ThermalSpec(1.2))
+        gaussian_correction(1.0, 0.5, ThermalSpec(1.2), 1.0)
 
 
 def test_gaussian_correction_threshold_grid():
@@ -121,16 +121,16 @@ def test_gaussian_correction_threshold_grid():
         th = ThermalSpec(float(beta))
         if beta >= 4.0:
             with pytest.raises(DivergentIntegral):
-                gaussian_correction(1.0, 1.0, th)
+                gaussian_correction(1.0, 1.0, th, 1.0)
         else:
-            assert gaussian_correction(1.0, 1.0, th) > 0.0
+            assert gaussian_correction(1.0, 1.0, th, 1.0) > 0.0
 
 
 def test_gaussian_correction_log_slope():
     # log C = -r - log(1-r)/2 = -r/2 + O(r^2): leading coefficient -1/2
     r = 1e-3
     th = ThermalSpec(4.0 * r)
-    slope = math.log(gaussian_correction(1.0, 1.0, th)) / r
+    slope = math.log(gaussian_correction(1.0, 1.0, th, 1.0)) / r
     assert slope == pytest.approx(-0.5, rel=0.05)
 
 
@@ -143,7 +143,7 @@ def test_unified_Z_closed_vs_nested_quadrature():
     cf = unified_Z_gaussian(HO, 1.0, th)
     raw, _ = unified_integral(1.0, 1.0, 1.0, th, 1.0)
     assert cf == pytest.approx(
-        classical_Z(HO, th) * gaussian_correction(1.0, 1.0, th),
+        classical_Z(HO, th) * gaussian_correction(1.0, 1.0, th, 1.0),
         rel=1e-14)
     assert raw / (2.0 * math.pi) == pytest.approx(cf, rel=1e-7)
 
@@ -174,6 +174,14 @@ def test_unified_Z_free_diverges():
 # ---------------------------------------------------------------------------
 # marginal Z
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("normalized", [True, False])
+@pytest.mark.parametrize("times", [[], (), np.array([])])
+def test_marginal_curve_of_no_times_is_a_value_error(times, normalized):
+    with pytest.raises(ValueError, match="at least one time"):
+        marginal_curve(HO, WavepacketInit(1.0, 0.0, 0.45),
+                       ThermalSpec.from_kbt(2.0), times, normalized)
+
 
 def test_marginal_curve_normalized_at_zero(ho_params, fig_init):
     times = np.linspace(0.0, 2.0, 5)
@@ -466,9 +474,9 @@ def test_marginal_rate_matches_gauss_legendre_oracle():
 # ---------------------------------------------------------------------------
 
 def test_criterion_report_values():
-    rep = classicality_criterion(1.0, 0.5, ThermalSpec(1.0))
+    rep = classicality_criterion(1.0, 0.5, ThermalSpec(1.0), 1.0)
     assert rep.t_min == pytest.approx(1.0)
-    rep2 = classicality_criterion(1.0, 0.5, ThermalSpec(0.5))  # T = 2 T_min
+    rep2 = classicality_criterion(1.0, 0.5, ThermalSpec(0.5), 1.0)  # T = 2 T_min
     assert rep2.classical_ok and rep2.dimensionless_ratio == pytest.approx(0.5)
 
 
@@ -476,7 +484,7 @@ def test_criterion_threshold_de_broglie_relation():
     # at T = T_min the packet width satisfies sigma/lambda = 1/sqrt(8 pi)
     m, sigma = 1.3, 0.6
     t_min = 1.0 / (4.0 * m * sigma**2)
-    rep = classicality_criterion(m, sigma, ThermalSpec(1.0 / t_min))
+    rep = classicality_criterion(m, sigma, ThermalSpec(1.0 / t_min), 1.0)
     assert rep.dimensionless_ratio == pytest.approx(1.0)
     assert sigma / rep.thermal_de_broglie == pytest.approx(
         1.0 / math.sqrt(8.0 * math.pi), rel=1e-12)
@@ -839,13 +847,16 @@ def _agrees_with(value: float, ref) -> bool:
 # overflows under a finite ratio: both exited 1
 @example(beta=1e200, hbar=1e50, m=1e-10, sigma=1e75, omega=1e-248)
 @example(beta=1e300, hbar=1e10, m=1e10, sigma=1e75, omega=1.0)
+# limits --var kbt --start 1e-250 --stop 2e-250 --num 2 --hbar 1e75
+# --sigma 1e75 --omega 1e-320, where beta hbar overflows under x = 1e5 and
+# the row exited 1 naming beta hbar omega = inf
+@example(beta=1 / 1e-250, hbar=1e75, m=1.0, sigma=1e75, omega=1e-320)
 def test_criterion_scales_and_classical_Z_match_mpmath(beta, hbar, m, sigma,
                                                        omega):
     """quantum_ratio, t_min, the thermal wavelength and classical_Z's 1/x
     against 50-digit mpmath of the same doubles, where a product of beta and
-    hbar is subnormal or overflows too; a criterion ValueError only where a
-    scale itself is past the doubles (classical_Z's also where beta hbar
-    overflows or x leaves the ladder's range)."""
+    hbar is subnormal or overflows too; a ValueError only where a scale
+    itself is past the doubles, or x leaves the ladder's range."""
     thermal = ThermalSpec(beta)
     with mpmath.workdps(50):
         b, h, mm, s = map(mpmath.mpf, (beta, hbar, m, sigma))
@@ -866,9 +877,46 @@ def test_criterion_scales_and_classical_Z_match_mpmath(beta, hbar, m, sigma,
     try:
         z = classical_Z(harmonic_system(1.0, omega, hbar), thermal)
     except ValueError:
-        assert not 1.0001e-305 <= x <= 1.7e308 or b * h > 1.7e308
+        assert not 1.0001e-305 <= x <= 1.7e308
     else:
         assert abs(z * x - 1) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(beta=_BETA, m=_SCALE,
+       w=st.floats(math.log(1e-300), math.log(1e300)).map(math.exp))
+# partition --oracle --kbt 1e-240 --mass 1e75 --sigma 1e75 --hbar 1e-75
+# --omega 1e-162: beta m overflows, so half_x was 0 and the box missed its
+# energy
+@example(beta=1 / 1e-240, m=1e75, w=1e-162)
+# partition --oracle --mass 5.4e-69 --kbt 2.5e268: beta m underflows to 0,
+# and at omega = 1e100 every term of the corner energy is a normal double
+@example(beta=1 / 2.5e268, m=5.4e-69, w=1.0)
+@example(beta=1 / 2.5e268, m=5.4e-69, w=1e100)
+# beta m = 4.7e-321 is subnormal
+@example(beta=1 / 1.1189365365002268e+287, m=5.219913566980221e-34,
+         w=7.655492808947607e+87)
+def test_phase_box_x_window_matches_mpmath_on_both_lifts(beta, m, w):
+    """_phase_box's half_x against 50-digit mpmath of
+    WINDOW_SIGMAS/(sqrt(beta m) omega), where beta m is subnormal, 0 or
+    overflows too; a ValueError only where a term of the corner energy, or
+    kbt, is past the normal doubles."""
+    with mpmath.workdps(50):
+        b, mm, ww = map(mpmath.mpf, (beta, m, w))
+        hx = WINDOW_SIGMAS / (mpmath.sqrt(b * mm) * ww)
+        hp = WINDOW_SIGMAS * mpmath.sqrt(mm / b)
+        # _energy's terms at the corner (hx, hp) and 1/beta, in its order
+        terms = [mm / b, hp, hp**2, 2 * mm, hp**2 / (2 * mm), mm / 2,
+                 mm * ww / 2, mm * ww**2 / 2, hx, hx**2,
+                 mm * ww**2 * hx**2 / 2, 1 / b, WINDOW_SIGMAS**2 / b]
+    try:
+        half_x, _ = partition._phase_box(m, w, ThermalSpec(beta))
+    except ValueError:
+        normal = (sys.float_info.min <= term <= sys.float_info.max
+                  for term in terms)
+        assert not all(normal)
+    else:
+        assert abs(half_x - hx) <= 1e-14 * hx
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
