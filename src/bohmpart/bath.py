@@ -50,7 +50,7 @@ class BathSpec:
     """N oscillators, the shared packet width, and the tagged position q(0)."""
 
     oscillators: tuple[Oscillator, ...]
-    sigma: float
+    sigma: float = 1.0
     q0: float = 0.0
 
     def __post_init__(self):
@@ -65,14 +65,13 @@ class BathSpec:
         return len(self.oscillators)
 
 
-def uniform_bath(n: int, m0: float = 1.0, omega_max: float = 1.0,
-                 coupling_scale: float = 1.0, sigma: float = 1.0,
-                 q0: float = 0.0) -> BathSpec:
-    """Convenience bath: equal masses, linear frequency and coupling grids."""
-    oscillators = tuple(
-        Oscillator(m0, omega_max * k / n, coupling_scale * k / n)
-        for k in range(1, n + 1))
-    return BathSpec(oscillators, sigma, q0)
+def uniform_bath(n: int = 1, m0: float = 1.0, omega_max: float = 1.0,
+                 coupling: float = 1.0, **well: float) -> BathSpec:
+    """Convenience bath: equal masses, linear frequency and coupling grids;
+    `well` (sigma, q0) goes to BathSpec as it is."""
+    oscillators = tuple(Oscillator(m0, omega_max * k / n, coupling * k / n)
+                        for k in range(1, n + 1))
+    return BathSpec(oscillators, **well)
 
 
 def memory_kernel(bath: BathSpec, t) -> float | np.ndarray:

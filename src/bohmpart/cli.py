@@ -2,16 +2,17 @@
 
 Subcommands: fig1, marginal, limits, bath, trajectory, partition, verify.
 All numeric work happens in the library modules; a subcommand imports the
-names it calls as it runs, so a run loads only those modules.  Each
-subcommand resolves the config keys it reads (defaults < config file <
-flags; the table READS lists them) and returns its config and its tables,
-name -> (header, rows), where `rows` is the main table and any other entry a
-companion.  `main` is the one emit path and alone decides both formats.  CSV
-writes the main table, plus one companion file per further table.  JSON is
-one object with `command`, `config` and one list of records per table, one
-record per row.  Either is written with a manifest carrying the resolved
-config and a stable digest of the numeric payload.  `verify` reads no config
-key and prints its text report.
+names it calls as it runs, so a run loads only those modules.  The table
+READS lists the config keys each subcommand reads; build_parser declares one
+--<key> flag for each, and the subcommand resolves them (defaults < config
+file < flags) and returns its config and its tables, name -> (header, rows),
+where `rows` is the main table and any other entry a companion.  `main` is
+the one emit path and alone decides both formats.  CSV writes the main
+table, plus one companion file per further table.  JSON is one object with
+`command`, `config` and one list of records per table, one record per row.
+Either is written with a manifest carrying the resolved config and a stable
+digest of the numeric payload.  `verify` reads no config key and prints its
+text report.
 
 Exit codes: 0 ok, 1 usage error (an OSError included: a file it cannot read
 or write), 2 domain error (a DivergentIntegral from the library, which alone
@@ -43,11 +44,11 @@ CONFIG_KEYS = {
     "sigma": 0.45, "x0": 1.0, "p0": 0.0, "kbt": 2.0,
 }
 
-# The config keys each subcommand reads, as (keys with a --<key> override
-# flag, list keys).  Together they are the keys its config file may set,
-# resolve_config resolves and its JSON output and manifest echo.  fig1's
-# list keys sigma and kbt come from a repeatable flag or the file (one value
-# or [a, b, ...]); it echoes them as lists, one value per curve, which a
+# The config keys each subcommand reads, as (scalar keys, list keys), each
+# with a --<key> override flag.  Together they are the keys its config file
+# may set, resolve_config resolves and its JSON output and manifest echo.
+# fig1's list keys sigma and kbt come from a repeatable flag or the file (one
+# value or [a, b, ...]); it echoes them as lists, one value per curve, which a
 # config file reads back as the same curves.
 READS = {
     "fig1": (("hbar", "mass", "omega", "x0", "p0"), ("sigma", "kbt")),
@@ -62,10 +63,6 @@ FIG1_DEFAULT_PAIRS = [(0.45, 2.0), (0.45, 5.0), (0.65, 2.0)]
 
 # trajectory writes its path at this many uniform times in [0, tmax].
 TRAJECTORY_SAMPLES = 101
-
-# The uniform bath's shape flags and their defaults.  A --bath-file lists its
-# oscillators itself, so it takes none of them.
-BATH_SHAPE = {"n": 1, "m0": 1.0, "omega_max": 1.0, "coupling": 1.0}
 
 
 class Parser(argparse.ArgumentParser):
@@ -336,11 +333,10 @@ def parse_bath_file(path: str, **flags: float) -> BathSpec:
     """Bath file: 'sigma = ..', 'q0 = ..', and one 'osc = m, omega, c' per line.
     `flags` (sigma, q0) override the file, as flags override --config."""
     from .bath import BathSpec, Oscillator
-    well = {"sigma": 1.0, "q0": 0.0}
-    oscillators = []
+    well, oscillators = {}, []
     for lineno, key, value in read_key_values(path):
         where = f"{path}:{lineno}"
-        if key in well:
+        if key in ("sigma", "q0"):
             well[key] = config_number(where, key, value)
         elif key == "osc":
             parts = [config_number(where, key, part)
@@ -362,22 +358,18 @@ def cmd_bath(args) -> tuple[dict, dict]:
     cfg = resolve_config(args)
     if args.kernel_samples < 1:
         raise ValueError("--kernel-samples must be at least 1")
-    shape = {key: getattr(args, key) for key in BATH_SHAPE}
+    # the uniform bath's shape flags the user gave
+    shape = {key: val for key in ("n", "m0", "omega_max", "coupling")
+             if (val := getattr(args, key)) is not None}
     well = {key: val for key, val in (("sigma", args.bath_sigma),
                                       ("q0", args.q0)) if val is not None}
-    if args.bath_file:
-        given = [f"--{key.replace('_', '-')}" for key, val in shape.items()
-                 if val is not None]
-        if given:
-            raise ValueError(f"--bath-file defines the oscillators; drop "
-                             f"{', '.join(given)}")
-        bath = parse_bath_file(args.bath_file, **well)
-    else:
-        n, m0, omega_max, coupling = (BATH_SHAPE[key] if val is None else val
-                                      for key, val in shape.items())
-        if n < 1:
-            raise ValueError("--n must be at least 1")
-        bath = uniform_bath(n, m0, omega_max, coupling, **well)
+    if args.bath_file and shape:
+        given = ", ".join(f"--{key.replace('_', '-')}" for key in shape)
+        raise ValueError(f"--bath-file defines the oscillators; drop {given}")
+    if args.n is not None and args.n < 1:
+        raise ValueError("--n must be at least 1")
+    bath = (parse_bath_file(args.bath_file, **well) if args.bath_file
+            else uniform_bath(**shape, **well))
     kernel_t = time_grid("--kernel-tmax", args.kernel_tmax, args.kernel_samples,
                          max(o.omega for o in bath.oscillators))
     thermal = ThermalSpec(args.beta)
@@ -507,23 +499,23 @@ def build_parser() -> Parser:
 
     def add(command: str, func, help: str) -> argparse.ArgumentParser:
         """Subparser with --config, --out, --format and a --<key> override
-        for each config key READS gives the subcommand a flag for."""
+        for each config key in READS[command], in its order; a list key's
+        flag is repeatable and appends one value per use."""
         p = sub.add_parser(command, help=help)
         p.set_defaults(func=func)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="output file path (stdout if omitted)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        for key in READS[command][0]:
+        flags, lists = READS[command]
+        for key in flags + lists:
             p.add_argument(f"--{key}", dest=f"cfg_{key}", type=float,
-                           help=f"override config key {key}")
+                           action="append" if key in lists else "store",
+                           help=f"override config key {key}"
+                                + ("; repeatable" if key in lists else ""))
         return p
 
     fig1 = add("fig1", cmd_fig1,
                "normalized marginal-Z curves for (sigma, kbt) pairs")
-    fig1.add_argument("--sigma", dest="cfg_sigma", action="append",
-                      type=float, help="packet width; repeatable")
-    fig1.add_argument("--kbt", dest="cfg_kbt", action="append", type=float,
-                      help="thermal energy k_B T; repeatable")
     marginal = add("marginal", cmd_marginal,
                    "single marginal-Z curve from the resolved config")
     for p in (fig1, marginal):  # the flags marginal_rows reads
@@ -550,8 +542,7 @@ def build_parser() -> Parser:
                             ("omega_max", float, "highest frequency"),
                             ("coupling", float, "highest coupling")):
         p.add_argument(f"--{key.replace('_', '-')}", type=kind,
-                       help=f"{what} (default {BATH_SHAPE[key]:g}; "
-                            f"not with --bath-file)")
+                       help=f"{what} (default 1; not with --bath-file)")
     p.add_argument("--sigma", dest="bath_sigma", type=float,
                    help="shared packet width (default 1)")
     p.add_argument("--q0", type=float, help="tagged position q(0) (default 0)")

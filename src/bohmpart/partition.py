@@ -12,7 +12,7 @@ Conventions
 
       beta hbar^2 / (4 m sigma^2) < 1,
 
-  the classicality bound; its ratio, t_min and thermal wavelength are finite
+  the classicality bound; its ratio, t_min and thermal wavelength are normal
   doubles or a ValueError.  Only _convergent_ratio (r >= 1),
   _marginal_gaussian (kappa <= 0) and _ladder_x (the free particle, omega =
   0) raise DivergentIntegral.
@@ -66,12 +66,14 @@ class CriterionReport:
 
 def _finite_scales(m: float, sigma: float, thermal: ThermalSpec, hbar: float,
                    **scales: float) -> None:
-    """ValueError naming beta, mass, sigma and hbar unless every one of the
-    criterion's `scales` is a finite double."""
+    """ValueError naming beta, mass, sigma and hbar unless each of the
+    criterion's `scales` is a positive normal double (no digits lost)."""
     for name, value in scales.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} = {value!r} is not a finite double at "
-                             f"beta = {thermal.beta!r}, mass = {m!r}, sigma = "
+        if not _TINY <= value < math.inf:
+            why = ("is below the normal doubles" if math.isfinite(value)
+                   else "is not a finite double")
+            raise ValueError(f"{name} = {value!r} {why} at beta = "
+                             f"{thermal.beta!r}, mass = {m!r}, sigma = "
                              f"{sigma!r}, hbar = {hbar!r}")
 
 
@@ -92,7 +94,8 @@ def _lifted(beta: float, *products: float) -> tuple[float, int]:
 def quantum_ratio(m: float, sigma: float, thermal: ThermalSpec,
                   hbar: float) -> float:
     """The dimensionless convergence ratio beta hbar^2 / (4 m sigma^2);
-    ValueError unless sigma, m, hbar pass check_scale and it is finite."""
+    ValueError unless sigma, m, hbar pass check_scale and it is a positive
+    normal double."""
     check_scale("sigma", sigma)
     check_scale("mass", m)
     check_scale("hbar", hbar)
@@ -454,7 +457,7 @@ def classicality_criterion(m: float, sigma: float, thermal: ThermalSpec,
                            hbar: float) -> CriterionReport:
     """Temperature bound k_B T > hbar^2/(4 m sigma^2) and related scales;
     t_min is k_B T_min, an energy like every temperature here.  Each scale
-    is a finite double, or a ValueError as in quantum_ratio."""
+    is a positive normal double, or a ValueError as in quantum_ratio."""
     ratio = quantum_ratio(m, sigma, thermal, hbar)
     t_min = hbar**2 / (4.0 * m * sigma**2)
     product = 2.0 * math.pi * hbar**2 * thermal.beta

@@ -43,7 +43,7 @@ def test_memory_kernel_even_and_bounded():
                                np.array([[2.0], [math.inf]])])
 def test_memory_kernel_rejects_nonfinite_time(t):
     with pytest.raises(ValueError, match="t must be finite"):
-        memory_kernel(uniform_bath(3, 1.0, 1.5, 0.8, 2.0, 0.3), t)
+        memory_kernel(uniform_bath(3, 1.0, 1.5, 0.8, sigma=2.0, q0=0.3), t)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_large_N_divergence():
 
 
 def test_uniform_bath_constructor():
-    bath = uniform_bath(5, m0=2.0, omega_max=3.0, coupling_scale=0.5)
+    bath = uniform_bath(5, m0=2.0, omega_max=3.0, coupling=0.5)
     assert bath.size == 5
     assert bath.oscillators[-1].omega == pytest.approx(3.0)
     assert bath.oscillators[0].omega == pytest.approx(0.6)

@@ -303,9 +303,9 @@ def test_readme_cli_block_runs(tmp_path: Path, capsys):
 
 
 def test_readme_config_key_table_matches_reads():
-    """Each row of README's config-key table lists exactly the keys and
-    --<key> overrides that cli.READS gives the subcommand: the first
-    backquoted span of each cell, before any remark."""
+    """Each row of README's config-key table lists exactly the keys that
+    cli.READS gives the subcommand and a --<key> override for each: the
+    first backquoted span of each cell, before any remark."""
     import re
     from bohmpart import cli
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -319,8 +319,26 @@ def test_readme_config_key_table_matches_reads():
         rows[command] = (sorted(keys.split()), sorted(overrides.split()))
     assert rows == {
         command: (sorted(flags + lists),
-                  sorted(f"--{key}" for key in flags))
+                  sorted(f"--{key}" for key in flags + lists))
         for command, (flags, lists) in cli.READS.items()}
+
+
+def test_parser_declares_one_flag_per_config_key():
+    """Each subcommand's cfg_* dests are exactly the keys READS gives it, in
+    READS' order, each set by --<key>, and only a list key's flag appends."""
+    import argparse
+    from bohmpart import cli
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        flags, lists = cli.READS.get(command, ((), ()))
+        keyed = [action for action in parser._actions
+                 if action.dest.startswith("cfg_")]
+        assert [(action.dest, action.option_strings) for action in keyed] == [
+            (f"cfg_{key}", [f"--{key}"]) for key in flags + lists], command
+        assert [action.dest for action in keyed
+                if isinstance(action, argparse._AppendAction)] == [
+            f"cfg_{key}" for key in lists], command
 
 
 def test_bad_flag_exit_1():
@@ -650,16 +668,19 @@ def test_non_finite_or_non_positive_input_exit_1(argv):
 # partition --oracle inputs whose phase-space box doubles cannot hold, each
 # with the text its one-line message must contain: the p window is inf; m w^2
 # overflows, so the integral reads 0; w^2 is subnormal, so it is 4.6% low;
-# p^2/(2m) overflows; the 3-D box volume overflows.
+# p^2/(2m) overflows; the 3-D box volume overflows.  The first and the last
+# set sigma 1e-60 or hbar 1e30, without which their criterion ratio
+# underflows and is named before the box is formed.
 ORACLE_BOX = [
-    (["--mass", "1e75", "--kbt", "1e300", "--omega", "1e70"],
-     "mass = 1e+75, omega = 1e+70"),
+    (["--mass", "1e75", "--kbt", "1e300", "--omega", "1e70", "--sigma",
+      "1e-60"], "mass = 1e+75, omega = 1e+70"),
     (["--omega", "1e160", "--kbt", "1e158"], "omega = 1e+160, kbt = 1e+158"),
     (["--omega", "3e-162", "--kbt", "1e-20", "--sigma", "1e10"],
      "omega = 3e-162, kbt = 1e-20"),
     (["--kbt", "1e307", "--omega", "1e10", "--mass", "1e-3"],
      "mass = 0.001, omega = 10000000000.0"),
-    (["--sigma", "5.3213166474075176e+29", "--kbt", "5.672420291711578e+304"],
+    (["--sigma", "5.3213166474075176e+29", "--kbt", "5.672420291711578e+304",
+      "--hbar", "1e30"],
      "sigma = 5.3213166474075176e+29"),
 ]
 
@@ -685,6 +706,24 @@ CRITERION_OVERFLOW = [
     (["partition", "--kbt", "1e-299", "--hbar", "1e10"],
      "criterion_ratio = inf is not a finite double at beta = 1e+299, "
      "mass = 1.0, sigma = 0.45, hbar = 10000000000.0"),
+]
+
+# a criterion scale below the normal doubles, which printed 0.0 with exit 0,
+# and the text its one-line message must contain
+CRITERION_UNDERFLOW = [
+    (["partition", "--hbar", "1e-75", "--mass", "1e75", "--sigma", "1e75"],
+     "criterion_ratio = 0.0 is below the normal doubles at beta = 0.5, "
+     "mass = 1e+75, sigma = 1e+75, hbar = 1e-75"),
+    (["partition", "--oracle", "--kbt", "1e-240", "--mass", "1e75", "--sigma",
+      "1e75", "--hbar", "1e-75", "--omega", "1e-162"],
+     "t_min = 0.0 is below the normal doubles"),
+    (["limits", "--var", "kbt", "--start", "1", "--stop", "2", "--num", "2",
+      "--hbar", "1e-75", "--mass", "1e75", "--sigma", "1e75"],
+     "criterion_ratio = 0.0 is below the normal doubles at beta = 1.0"),
+    (["bath", "--hbar", "1e-75", "--m0", "1e75", "--sigma", "1e75"],
+     "criterion_ratio = 0.0 is below the normal doubles at beta = 1.0"),
+    (["bath", "--beta", "5e-324", "--n", "2"],
+     "criterion_ratio = 0.0 is below the normal doubles at beta = 5e-324"),
 ]
 
 # 2 pi hbar^2 beta / m overflows, where the thermal wavelength is 2.5e155
@@ -742,7 +781,7 @@ def test_partition_oracle_survives_a_subnormal_beta_m(capsys):
 
 
 # beta m = 1e315 overflows, so half_x was 0 and the box missed its energy
-OVERFLOWING_BETA_M = ["--kbt", "1e-240", "--mass", "1e75", "--sigma", "1e75",
+OVERFLOWING_BETA_M = ["--kbt", "1e-240", "--mass", "1e75", "--sigma", "1e25",
                       "--hbar", "1e-75", "--omega", "1e-162"]
 
 
@@ -832,8 +871,12 @@ def test_partition_rows_survive_a_thermal_wavelength_whose_square_overflows(
     (["trajectory", "--system", "free", "--omega", "3", "--x-start", "1.2",
       "--tmax", "1"], "--omega"),
     (["partition", "--omega", "1e-310"], "beta hbar omega"),
-    (["partition", "--kbt", "1e308"], "beta hbar omega"),
-    (["partition", "--kbt", "1e308", "--omega", "1e-300"], "beta hbar omega"),
+    # beta hbar omega = 1e-308 is below the ladder's range too, but the
+    # criterion ratio is checked first
+    (["partition", "--kbt", "1e308"], "criterion_ratio = 1.2345679012345677e-308"
+     " is below the normal doubles"),
+    (["partition", "--kbt", "1e308", "--omega", "1e-300"],
+     "criterion_ratio = 1.2345679012345677e-308 is below the normal doubles"),
     (["partition", "--omega", "1e308"], "beta hbar omega"),
     (["partition", "--kbt", "1e-300"], "beta hbar omega"),
     (["bath", "--n", "400"], "z_b"),
@@ -887,12 +930,13 @@ def test_partition_rows_survive_a_thermal_wavelength_whose_square_overflows(
     *CRITERION_OVERFLOW,
     # kbt is echoed as typed, not as 1/beta = 9.999999999999999e+299
     (["partition", "--oracle", "--mass", "1e75", "--kbt", "1e300", "--omega",
-      "1e70"], "kbt = 1e+300"),
+      "1e70", "--sigma", "1e-60"], "kbt = 1e+300"),
     # 1/kbt overflows, so beta is inf
     (["partition", "--kbt", "1e-320"], "kbt = 1e-320"),
     # the kernel grid is checked before Z, so even where Z diverges
     (["bath", "--beta", "10", "--sigma", "0.1", "--allow-divergent",
       "--kernel-tmax", "1e308", "--omega-max", "10"], "--kernel-tmax"),
+    *CRITERION_UNDERFLOW,
 ])
 def test_input_the_subcommand_cannot_honour_exit_1(capsys, argv, name):
     _exit_1_naming(capsys, argv, name)
@@ -1189,6 +1233,22 @@ def test_bath_default_summary(tmp_path: Path):
     assert z_b == pytest.approx(2.0 * np.pi, rel=1e-12)
     assert (tmp_path / "bath_oscillators.csv").exists()
     assert (tmp_path / "bath_kernel.csv").exists()
+
+
+def test_bath_without_shape_flags_lists_the_default_uniform_bath(capsys):
+    """No shape flag leaves every shape and well default to uniform_bath."""
+    from bohmpart import cli
+    from bohmpart.bath import uniform_bath
+    from bohmpart.core import ThermalSpec
+    from bohmpart.partition import quantum_ratio
+    assert cli.main(["bath", "--format", "json"]) == 0
+    listed = json.loads(capsys.readouterr().out)["oscillators"]
+    bath = uniform_bath()
+    assert [(row["mass"], row["omega"], row["coupling"], row["ratio"])
+            for row in listed] == [
+        (o.mass, o.omega, o.coupling,
+         quantum_ratio(o.mass, bath.sigma, ThermalSpec(1.0), 1.0))
+        for o in bath.oscillators]
 
 
 def test_bath_uniform_large_n(tmp_path: Path):

@@ -18,7 +18,7 @@ SYSTEMS = {
     "free": (free_system(0.9, HBAR), WavepacketInit(-0.2, 1.1, 0.4)),
 }
 STATES = {name: evolve(params, init, 0.63) for name, (params, init) in SYSTEMS.items()}
-BATH = uniform_bath(3, m0=1.2, omega_max=1.7, coupling_scale=0.8, sigma=0.9, q0=0.4)
+BATH = uniform_bath(3, m0=1.2, omega_max=1.7, coupling=0.8, sigma=0.9, q0=0.4)
 
 STATE_KERNELS = [
     wavepacket.density, wavepacket._log_density, wavepacket.amplitude,

@@ -856,7 +856,8 @@ def test_criterion_scales_and_classical_Z_match_mpmath(beta, hbar, m, sigma,
     """quantum_ratio, t_min, the thermal wavelength and classical_Z's 1/x
     against 50-digit mpmath of the same doubles, where a product of beta and
     hbar is subnormal or overflows too; a ValueError only where a scale
-    itself is past the doubles, or x leaves the ladder's range."""
+    itself is past or below the normal doubles, or x leaves the ladder's
+    range."""
     thermal = ThermalSpec(beta)
     with mpmath.workdps(50):
         b, h, mm, s = map(mpmath.mpf, (beta, hbar, m, sigma))
@@ -867,7 +868,8 @@ def test_criterion_scales_and_classical_Z_match_mpmath(beta, hbar, m, sigma,
     try:
         rep = classicality_criterion(m, sigma, thermal, hbar)
     except ValueError:
-        assert max(refs.values()) > 1.7e308
+        assert (max(refs.values()) > 1.7e308
+                or min(refs.values()) < sys.float_info.min)
     else:
         assert quantum_ratio(m, sigma, thermal, hbar) == rep.dimensionless_ratio
         got = {"ratio": rep.dimensionless_ratio, "t_min": rep.t_min,
