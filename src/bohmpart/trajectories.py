@@ -17,8 +17,9 @@ Math. 6, 1980) at fixed tolerances, with first-same-as-last stages, local
 extrapolation and the step-size controller of Hairer, Norsett & Wanner,
 Solving ODEs I, sec. II.4.  Its first trial step is the whole span, which
 the controller shrinks by rejection, so no step depends on the time unit.
-Each stepper returns every point (t, x) it reached; a path's velocity,
-where wanted, is bohmian_velocity there.
+Both take the velocity from _guidance, bohmian_velocity on floats.  Each
+stepper returns every point (t, x) it reached; a path's velocity, where
+wanted, is bohmian_velocity there.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import math
 from typing import Sequence
 
 from .core import StepFailure, SystemParams, _worst, functions_of, np, record
-from .wavepacket import (WavepacketInit, WavepacketState, _rotation, evolve,
-                         phase_gradient)
+from .wavepacket import (WavepacketInit, WavepacketState, _packet, _rotation,
+                         evolve, phase_gradient)
 
 _REL_TOL, _ABS_TOL = 1e-9, 1e-12  # Dormand-Prince, see RK45Adaptive
 # Steps one integration may take; every step is kept in memory.
@@ -87,6 +88,18 @@ class TrajectoryPath:
 def bohmian_velocity(state: WavepacketState, x):
     """Guidance velocity v(x,t) = (dS/dx)/m."""
     return phase_gradient(state, x) / state.params.mass
+
+
+def _guidance(params: SystemParams, init: WavepacketInit):
+    """v(t, x) = bohmian_velocity(evolve(params, init, t), x) bit for bit, in
+    the same operations on floats, without a state record per call."""
+    hbar, m, w = params.hbar, params.mass, params.omega
+    a0, x0, p0 = 0.25 / init.sigma**2, init.x0, init.p0
+
+    def velocity(t: float, x: float) -> float:
+        alpha, q, p = _packet(hbar, m, w, a0, x0, p0, t)
+        return (-2.0 * hbar * alpha.imag * (x - q) + p) / m
+    return velocity
 
 
 def quantum_force(state: WavepacketState, x):
@@ -215,12 +228,13 @@ def integrate(params: SystemParams, init: WavepacketInit, x_start: float,
     """Integrate the guidance equation from x(0) = x_start up to cfg.t_max.
 
     The numerical oracle of scaling_solution; records every step of the
-    stepper.  At most _MAX_STEPS steps are taken: an RK4 config that needs
-    more is a ValueError, an RK45 run that would accept more a StepFailure.
+    stepper, whose right-hand side is _guidance.  At most _MAX_STEPS steps
+    are taken: an RK4 config that needs more is a ValueError, an RK45 run
+    that would accept more a StepFailure.
     """
     if not math.isfinite(x_start):
         raise ValueError("x_start must be finite")
-    rhs = lambda t, x: bohmian_velocity(evolve(params, init, t), x)
+    rhs = _guidance(params, init)
     stepper = cfg.stepper
     if isinstance(stepper, RK4Fixed):
         n_steps = max(1, int(round(cfg.t_max / stepper.dt)))

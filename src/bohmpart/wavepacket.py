@@ -11,10 +11,11 @@ with complex inverse-width a(t), classical center (q(t), p(t)) and real phase
 accumulator g(t).  The phase convention makes the normalization prefactor real
 positive at all times, so g(t) carries only the physical phase.  It starts at
 g(0) = p0 x0 / 2, so the prepared packet above holds up to that constant
-global phase, which no density, velocity or energy sees.  evolve computes a,
-q and p; the state computes g(t) when its gamma is read, so callers that
-never read it (densities, velocities, energies) do not pay for it.  From the
-polar decomposition psi = R exp(iS/hbar) everything else follows:
+global phase, which no density, velocity or energy sees.  _packet computes a,
+q and p on floats, for evolve and the trajectory integrators; the state
+computes g(t) when its gamma is read, so callers that never read it
+(densities, velocities, energies) do not pay for it.  From the polar
+decomposition psi = R exp(iS/hbar) everything else follows:
 
     P = R^2                       probability density
     dS/dx                         phase gradient (local momentum field)
@@ -24,9 +25,9 @@ polar decomposition psi = R exp(iS/hbar) everything else follows:
 Every pointwise function of (state, x) takes one WavepacketState and is one
 broadcasting expression in u = x - q: a float x gives a float (complex for
 the wavefunction) and an array x gives an array of the same shape.  density
-and energy_pointwise, the grid kernels, evaluate theirs in place on the new
-array u (energy_pointwise on one more), in the expression's order, so they
-keep its bits without its temporaries; a float x still gives a float.
+and energy_pointwise, the grid kernels, evaluate theirs in place in the one
+array they return, in cache-sized blocks, in the expression's order, so
+they keep its bits without its temporaries; a float x still gives a float.
 
 All formulas here are exact solutions of the time-dependent Schroedinger
 equation; the test suite verifies them against finite-difference definitions
@@ -40,6 +41,8 @@ from typing import NamedTuple
 
 from .core import (SystemParams, TruncationInsufficient, check_scale, np,
                    record)
+
+_BLOCK = 1 << 14  # elements per grid-kernel block: 128 KiB of float64, in L2
 
 
 @record
@@ -97,28 +100,32 @@ def _rotation(w: float, t, fn=math):
     return fn.cos(w * t), s, s / w
 
 
-def evolve(params: SystemParams, init: WavepacketInit, t: float) -> WavepacketState:
-    """Evolve the packet to time t under the system's potential.
+def _packet(hbar: float, m: float, w: float, a0: float, x0: float,
+            p0: float, t: float) -> tuple[complex, float, float]:
+    """The packet's (a, q, p) at time t, on floats, for evolve and _guidance.
 
     With c = cos(wt), sw = sin(wt)/w (= t at w = 0), a0 = 1/(4 sigma^2) and
     T = hbar sw / (2 m sigma^2), for every omega >= 0:
         a(t) = (a0 c + i (m w^2 / 2 hbar) sw) / (c + i T),
         q = x0 c + p0 sw / m,  p = p0 c - m w^2 x0 sw,
     the classical flow for (q, p).  At w = 0 this is the free packet
-    a0 / (1 + i T), q = x0 + p0 t / m, p = p0.  The phase g(t) is left to
-    the state's gamma property (_phase).
+    a0 / (1 + i T), q = x0 + p0 t / m, p = p0.
     """
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    hbar, m, w = params.hbar, params.mass, params.omega
     c, _, sw = _rotation(w, t)
-    a0 = 0.25 / init.sigma**2  # init.alpha0 without a property call per step
     mw2sw = m * w * w * sw
     alpha = ((a0 * c + 1j * (0.5 * mw2sw / hbar))
              / (c + 1j * (2.0 * hbar * a0 * sw / m)))
-    q = init.x0 * c + init.p0 * sw / m
-    p = init.p0 * c - mw2sw * init.x0
-    return WavepacketState(alpha, q, p, t, init, params)
+    return alpha, x0 * c + p0 * sw / m, p0 * c - mw2sw * x0
+
+
+def evolve(params: SystemParams, init: WavepacketInit, t: float) -> WavepacketState:
+    """The packet at time t: _packet's a, q and p; gamma, the phase, is
+    computed when read (_phase)."""
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    a_q_p = _packet(params.hbar, params.mass, params.omega,
+                    0.25 / init.sigma**2, init.x0, init.p0, t)
+    return WavepacketState(*a_q_p, t, init, params)
 
 
 def _phase(params: SystemParams, init: WavepacketInit, t: float) -> float:
@@ -141,15 +148,32 @@ def _phase(params: SystemParams, init: WavepacketInit, t: float) -> float:
             + 0.5 * p0 * x0 * (c * c - s * s))
 
 
+def _blocks(x, q):
+    """(out, [(x block, out block), ...]): the unfilled result of the shape
+    and dtype of x - q and views of _BLOCK elements at most that tile it and
+    x in step, or None for a float or 0-d x."""
+    if not (isinstance(x, np.ndarray) and x.ndim):
+        return None
+    out = np.empty(x.shape, np.result_type(x, q))
+    xs, outs = x.reshape(-1), out.reshape(-1)
+    return out, [(xs[i:i + _BLOCK], outs[i:i + _BLOCK])
+                 for i in range(0, out.size, _BLOCK)]
+
+
 def density(state: WavepacketState, x):
     """Probability density P(x,t) = sqrt(2 Re a / pi) exp(-2 Re a (x-q)^2)."""
-    ra = state.alpha.real
-    u = x - state.q  # a new array: the steps below write into it, not into x
-    u *= u
-    u *= -2.0 * ra
-    u = np.exp(u, out=u if isinstance(u, np.ndarray) else None)
-    u *= np.sqrt(2.0 * ra / np.pi)
-    return u
+    ra, q = state.alpha.real, state.q
+    spread, peak = -2.0 * ra, np.sqrt(2.0 * ra / np.pi)
+    if (tiles := _blocks(x, q)) is None:
+        u = x - q
+        return np.exp(u * u * spread) * peak
+    for xb, u in tiles[1]:  # in place, in the formula's order
+        np.subtract(xb, q, out=u)
+        u *= u
+        u *= spread
+        np.exp(u, out=u)
+        u *= peak
+    return tiles[0]
 
 
 def _log_density(state: WavepacketState, x):
@@ -219,14 +243,19 @@ def _energy_coefficients(state: WavepacketState) -> tuple[float, float, float]:
 
 def energy_pointwise(state: WavepacketState, x):
     """E(x,t) = -dS/dt, the energy of the trajectory passing through x at t."""
-    a2, a1, a0 = _energy_coefficients(state)
-    u = x - state.q
-    e = u * u  # a2 (u u) + a1 u + a0, in that order, in two arrays
-    e *= a2
-    u *= a1
-    e += u
-    e += a0
-    return e
+    (a2, a1, a0), q = _energy_coefficients(state), state.q
+    if (tiles := _blocks(x, q)) is None:
+        u = x - q
+        return a2 * (u * u) + a1 * u + a0
+    u = np.empty(min(_BLOCK, tiles[0].size), tiles[0].dtype)  # reused
+    for xb, e in tiles[1]:  # a2 (u u) + a1 u + a0, in that order
+        ub = np.subtract(xb, q, out=u[:e.size])
+        np.multiply(ub, ub, out=e)
+        e *= a2
+        ub *= a1
+        e += ub
+        e += a0
+    return tiles[0]
 
 
 def _state_rates(state: WavepacketState):

@@ -3,6 +3,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import booleans, floats
 
 from bohmpart import (RK4Fixed, RK45Adaptive, TrajectoryConfig,
                       WavepacketInit, bohmian_velocity, equivariance_check,
@@ -109,16 +111,49 @@ def test_dormand_prince_matches_scipy_rk45():
 
 def test_rk4_evaluates_four_stages_per_step_and_the_last_point(monkeypatch):
     calls = []
+    guidance = trajectories._guidance
 
-    def counting_evolve(*args):
-        calls.append(args[2])
-        return evolve(*args)
-    monkeypatch.setattr(trajectories, "evolve", counting_evolve)
+    def counting_guidance(params, init):
+        velocity = guidance(params, init)
+
+        def counted(t, x):
+            calls.append(t)
+            return velocity(t, x)
+        return counted
+    monkeypatch.setattr(trajectories, "_guidance", counting_guidance)
     steps = 50
     path = integrate(HO, WavepacketInit(1.0, 0.2, 0.6), 1.3,
                      TrajectoryConfig(RK4Fixed(0.01), steps * 0.01))
     assert path.times.size == steps + 1
     assert len(calls) == 4 * steps  # the last point costs no call
+
+
+def _log_uniform(lo, hi):
+    return floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(harmonic=booleans(), m=_log_uniform(0.1, 10.0),
+       hbar=_log_uniform(0.1, 10.0), w=_log_uniform(0.1, 10.0),
+       sigma=_log_uniform(0.1, 5.0), x0=floats(-5.0, 5.0),
+       p0=floats(-5.0, 5.0), t=floats(-20.0, 20.0), x=floats(-20.0, 20.0),
+       t_max=floats(0.1, 3.0))
+def test_guidance_keeps_the_bits_of_the_velocity_of_the_evolved_state(
+        harmonic, m, hbar, w, sigma, x0, p0, t, x, t_max):
+    """The integrators' right-hand side is bohmian_velocity(evolve(...), x)
+    bit for bit, and so are the RK4 and Dormand-Prince paths it drives."""
+    params = harmonic_system(m, w, hbar) if harmonic else free_system(m, hbar)
+    init = WavepacketInit(x0, p0, sigma)
+    composed = lambda tt, xx: bohmian_velocity(evolve(params, init, tt), xx)
+    assert trajectories._guidance(params, init)(t, x) == composed(t, x)
+    x_start, steps = x0 + 0.7 * sigma, 40
+    rk4 = integrate(params, init, x_start,
+                    TrajectoryConfig(RK4Fixed(t_max / steps), t_max))
+    assert (rk4.times.tolist(), rk4.positions.tolist()) == trajectories._rk4(
+        composed, x_start, t_max / steps, steps)
+    dp = integrate(params, init, x_start, TrajectoryConfig(t_max=t_max))
+    times, xs = trajectories._dormand_prince(composed, x_start, t_max, sigma)
+    assert dp.times.tolist() == times and dp.positions.tolist() == xs
 
 
 def test_step_count_is_capped(monkeypatch):
@@ -220,10 +255,13 @@ def test_equivariance_check_fails_on_a_nan_velocity_or_endpoint(monkeypatch):
     """A NaN never reads as zero transport error: a velocity that turns NaN
     stops the Dormand-Prince stepper, and a NaN endpoint gives NaN."""
     init = WavepacketInit(1.0, 0.0, 0.45)
-    velocity = trajectories.bohmian_velocity
+    guidance = trajectories._guidance
+
+    def nan_after_1(params, init):
+        velocity = guidance(params, init)
+        return lambda t, x: velocity(t, x) if t < 1.0 else math.nan
     with monkeypatch.context() as patch:
-        patch.setattr(trajectories, "bohmian_velocity", lambda state, x:
-                      velocity(state, x) if state.t < 1.0 else math.nan)
+        patch.setattr(trajectories, "_guidance", nan_after_1)
         with pytest.raises(StepFailure):
             equivariance_check(HO, init, (0.2, 0.5, 0.8), 2.0)
 
