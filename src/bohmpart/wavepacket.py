@@ -167,13 +167,14 @@ def density(state: WavepacketState, x):
     if (tiles := _blocks(x, q)) is None:
         u = x - q
         return np.exp(u * u * spread) * peak
-    for xb, u in tiles[1]:  # in place, in the formula's order
+    out, pairs = tiles
+    for xb, u in pairs:  # in place, in the formula's order
         np.subtract(xb, q, out=u)
         u *= u
         u *= spread
         np.exp(u, out=u)
         u *= peak
-    return tiles[0]
+    return out
 
 
 def _log_density(state: WavepacketState, x):
@@ -247,15 +248,16 @@ def energy_pointwise(state: WavepacketState, x):
     if (tiles := _blocks(x, q)) is None:
         u = x - q
         return a2 * (u * u) + a1 * u + a0
-    u = np.empty(min(_BLOCK, tiles[0].size), tiles[0].dtype)  # reused
-    for xb, e in tiles[1]:  # a2 (u u) + a1 u + a0, in that order
+    out, pairs = tiles
+    u = np.empty(min(_BLOCK, out.size), out.dtype)  # reused by each block
+    for xb, e in pairs:  # a2 (u u) + a1 u + a0, in that order
         ub = np.subtract(xb, q, out=u[:e.size])
         np.multiply(ub, ub, out=e)
         e *= a2
         ub *= a1
         e += ub
         e += a0
-    return tiles[0]
+    return out
 
 
 def _state_rates(state: WavepacketState):
