@@ -447,6 +447,8 @@ def cmd_partition(args) -> tuple[dict, dict]:
             ["z_quantum", "eigen_sum", *quantum_Z(params, thermal)],
             ["z_quantum", "closed_form",
              quantum_Z_closed_form(params, thermal), 0.0]]
+    m, w, hbar = params.mass, params.omega, params.hbar
+    oracles = {"z_classical": lambda: phase_space_integral(m, w, thermal)}
     try:
         c = gaussian_correction(cfg["mass"], cfg["sigma"], thermal, cfg["hbar"])
         z_u = unified_Z_gaussian(params, cfg["sigma"], thermal)
@@ -456,14 +458,13 @@ def cmd_partition(args) -> tuple[dict, dict]:
     else:
         rows.append(["gaussian_correction", "closed_form", c, 0.0])
         rows.append(["z_unified", "closed_form", z_u, 0.0])
-        if args.oracle:
-            m, w, hbar = params.mass, params.omega, params.hbar
-            norm = 2.0 * math.pi * hbar
-            for name, (val, err) in (
-                    ("z_classical", phase_space_integral(m, w, thermal)),
-                    ("z_unified",
-                     unified_integral(m, w, cfg["sigma"], thermal, hbar))):
-                rows.append([name, "quadrature", val / norm, err / norm])
+        oracles["z_unified"] = lambda: unified_integral(m, w, cfg["sigma"],
+                                                        thermal, hbar)
+    if args.oracle:  # the classical oracle runs where the unified Z diverges
+        norm = 2.0 * math.pi * hbar
+        for name, oracle in oracles.items():
+            val, err = oracle()
+            rows.append([name, "quadrature", val / norm, err / norm])
     rows.append(["criterion_ratio", "closed_form", crit.dimensionless_ratio, 0.0])
     rows.append(["t_min", "closed_form", crit.t_min, 0.0])
     rows.append(["thermal_de_broglie", "closed_form", crit.thermal_de_broglie, 0.0])

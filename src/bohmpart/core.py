@@ -7,26 +7,27 @@ dataclasses (and inspect), and a grid is a plain numpy array.  Units are
 natural: a temperature is the energy k_B T (k_B = 1), and hbar is a field of
 the system record, 1 by default, so with m = omega = 1 energies come out in
 units of m*omega^2*x0^2 and times in 1/omega.  Every numerical integral in
-the package goes through integrate_window, one Gauss-Legendre box rule, its
+the package goes through integrate_window, one Gauss-Legendre rule, its
 window and tolerances fixed, except two: wavepacket's composite Simpson rule
 of the spectral overlaps, on the caller's grid, and partition's two-point
 Gauss-Hermite mean of the marginal rate brackets, exact for quadratics.
 Its integrands are Gaussians on WINDOW_SIGMAS of their deviations per axis,
 C exp(-72 s^2) in window coordinates s, so GL_LADDER starts at 48 nodes, the
 first rule to resolve one; a rule passes on the unit-free REL_TOL alone.
-The nodes and weights are pure-Python float tuples (_legendre), and
-integrate_window hands the integrand one first-axis node at a time, as a
-float, so a 1-D integral, each marginal Z sample among them, runs on math
-alone.  In 2-D and 3-D the other axes come as a numpy open grid (np.ix_),
-and the values are contracted with the 1-D weights one axis at a time.
+The nodes and weights are pure-Python float tuples (_legendre).  Every
+integrand in 2-D and 3-D is a product of one factor per axis, and the
+tensor-product rule of a product is the product of the 1-D rules, so
+integrate_window runs one rule per axis, on floats, and an integrand on
+math alone, each marginal Z sample and each oracle among them, needs no
+numpy.
 
 numpy loads on first use.  `np` here is a small stand-in for the module that
 imports numpy when one of its attributes is first read and then keeps that
 attribute on itself, so later reads such as np.exp are plain attribute hits.
 The other modules take `np` from here, so `import bohmpart` and the
-subcommands that need only `math` (`partition`, `limits`, `fig1` and
-`marginal`, and `bath` and `trajectory`, which evaluate their kernels one
-float at a time) never import numpy; an array kernel or a 2-D or 3-D oracle
+subcommands that need only `math` (`partition`, `partition --oracle`,
+`limits`, `fig1` and `marginal`, and `bath` and `trajectory`, which evaluate
+their kernels one float at a time) never import numpy; an array kernel
 loads it when it first runs.  memory_kernel and scaling_solution, which
 `bath` and `trajectory` call one sample at a time, take their functions
 from functions_of(t), so one expression serves a float, on math alone, and
@@ -264,57 +265,39 @@ def _legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(nodes), tuple(w * scale for w in weights)
 
 
-def _box_rule(f: Callable, mid, half, n: int) -> float:
-    """n-point-per-axis tensor-product Gauss-Legendre sum of f over the box.
-
-    f gets one first-axis node at a time, as a float, so a 1-D rule runs on
-    math alone.  In 2-D and 3-D it gets the other axes as an open grid
-    (np.ix_) of their nodes, so a term that depends on one axis is
-    evaluated on that axis's nodes, not on every point, and the values are
-    contracted with the 1-D weights one axis at a time, the last first.
-    The first axis's terms are added in node order.
-    """
-    nodes, weights = _legendre(n)
-    first, *rest = ([m + h * x for x in nodes] for m, h in zip(mid, half))
-    g = f
-    if rest:
-        grid, vector = np.ix_(*rest), np.array(weights)
-        shape = tuple(len(axis) for axis in rest)
-
-        def g(x):
-            vals = np.broadcast_to(f(x, *grid), shape)
-            for _ in rest:
-                vals = vals @ vector
-            return float(vals)
+def _rule(f: Callable, mid: float, half: float, n: int) -> float:
+    """n-point Gauss-Legendre sum of f over [mid - half, mid + half]: f
+    gets each node mid + half x, a float, the terms are added in node
+    order, and the sum is multiplied by half."""
     total = 0.0
-    for w, x in zip(weights, first):
-        total += w * g(x)
-    return total * math.prod(half)
+    for x, w in zip(*_legendre(n)):
+        total += w * f(mid + half * x)
+    return total * half
 
 
-def integrate_window(f: Callable, lo, hi) -> tuple[float, float]:
+def integrate_window(f, lo, hi) -> tuple[float, float]:
     """Gauss-Legendre integral of f over the box [lo, hi].
 
-    lo and hi are floats for a 1-D integral or equal-length tuples of
-    per-axis bounds for an N-D box.  f takes one coordinate per axis: a
-    float for the first, and for further axes the arrays of an open grid,
-    whose values it returns, broadcasting like numpy (a result that lacks
-    an axis, or a constant, is broadcast over it).  The nodes per axis
-    double along GL_LADDER until two successive rules agree to REL_TOL |Q|
-    (two zeros agree); returns the floats (Q(2n), |Q(2n) - Q(n)|), where
-    the error estimate is that of the coarser rule and so bounds the finer
-    one's for an integrand the rules resolve.  Raises QuadratureFailure
-    when the ladder ends first, or a rule's value is not finite or
-    overflows a double in f (an OverflowError from math.exp, say).
+    For a 1-D integral f is a function of a float and lo and hi are
+    floats.  For an N-D box f is a tuple of per-axis factors, the integrand
+    their product, and lo and hi are equal-length tuples of per-axis
+    bounds; the tensor-product rule of a product is the product of the 1-D
+    rules, so each rung is that product.  The nodes per axis double along
+    GL_LADDER until two successive rules agree to REL_TOL |Q| (two zeros
+    agree); returns the floats (Q(2n), |Q(2n) - Q(n)|), where the error
+    estimate is that of the coarser rule and so bounds the finer one's for
+    an integrand the rules resolve.  Raises QuadratureFailure when the
+    ladder ends first, or a rule's value is not finite or overflows a
+    double in f (an OverflowError from math.exp, say).
     """
     if not isinstance(lo, (tuple, list)):
-        lo, hi = (lo,), (hi,)
-    mid = [0.5 * (b + a) for a, b in zip(lo, hi)]
-    half = [0.5 * (b - a) for a, b in zip(lo, hi)]
+        f, lo, hi = (f,), (lo,), (hi,)
+    axes = [(g, 0.5 * (b + a), 0.5 * (b - a)) for g, a, b in zip(f, lo, hi)]
     prev = math.nan
     for n in GL_LADDER:
         try:
-            rule = float(_box_rule(f, mid, half, n))
+            rule = float(math.prod(_rule(g, mid, half, n)
+                                   for g, mid, half in axes))
         except OverflowError:
             rule = math.inf
         if not math.isfinite(rule):

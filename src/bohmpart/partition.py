@@ -20,13 +20,13 @@ Conventions
   `verify`, `partition --oracle` and the tests: phase_space_integral
   (classical Z), gaussian_correction_integral (the factor C) and
   unified_integral (unified Z).  Each integrates over a box of
-  WINDOW_SIGMAS standard deviations per axis, to core's tolerances, an
-  integrand of a float first coordinate (the 1-D factor C on math alone)
-  and of core's open grid of any others, returns the raw-measure
-  (value, est_error) with est_error the difference between the last two
-  rules of the ladder, and calls no closed form it checks.  _phase_box
-  sizes the (x, p) box of the two phase-space oracles and raises ValueError
-  where doubles cannot form its energy.  quantum_Z returns the same
+  WINDOW_SIGMAS standard deviations per axis, to core's tolerances, a
+  product of one math.exp factor per axis (_phase_factors in x and p,
+  _u_factor in the hidden coordinate, each written once), returns the
+  raw-measure (value, est_error) with est_error the difference between the
+  last two rules of the ladder, and calls no closed form it checks.
+  _phase_box sizes the (x, p) box of the two phase-space oracles and raises
+  ValueError where doubles cannot form its energy.  quantum_Z returns the same
   (value, est_error) shape, with est_error the dropped tail of the
   eigenvalue sum.
 * The marginal partition function at fixed (x0, p0) keeps the single
@@ -49,7 +49,7 @@ from typing import Sequence
 
 from .core import (REL_TOL, WINDOW_SIGMAS, DivergentIntegral,
                    QuadratureFailure, SystemParams, ThermalSpec,
-                   _finite_positive, check_scale, integrate_window, np, record)
+                   _finite_positive, check_scale, integrate_window, record)
 from .wavepacket import (WavepacketInit, energy_dt, evolve,
                          _energy_coefficients, _log_density_dt)
 
@@ -152,24 +152,30 @@ def classical_Z(params: SystemParams, thermal: ThermalSpec) -> float:
     return 1.0 / _ladder_x(params, thermal, math.inf)
 
 
-def _energy(m: float, w: float, x, p):
+def _energy(m: float, w: float, x: float, p: float) -> float:
     """H = p^2/2m + m w^2 x^2/2, as both phase-space oracles form it."""
     return p * p / (2 * m) + 0.5 * m * w * w * (x * x)
 
 
-def _phase_box(m: float, w: float, thermal: ThermalSpec,
-               const_q: float = 0.0) -> tuple[float, float]:
-    """(half_x, half_p): WINDOW_SIGMAS deviations of exp(-beta (_energy +
-    const_q)) per axis.  ValueError naming mass, omega and kbt unless
-    _energy + const_q at the box's corner is within REL_TOL of its exact
-    WINDOW_SIGMAS^2 kbt + const_q, which an overflowed or subnormal factor
-    would spoil unseen by est_error."""
+def _phase_factors(m: float, w: float, thermal: ThermalSpec, center=0.0):
+    """The x and p factors exp(-beta H(x - center, 0)) and exp(-beta H(0, p))
+    of exp(-beta H); each forms its term of H as _energy does, bit for bit."""
+    beta = thermal.beta
+    return (lambda x: math.exp(-beta * _energy(m, w, x - center, 0.0)),
+            lambda p: math.exp(-beta * _energy(m, w, 0.0, p)))
+
+
+def _phase_box(m: float, w: float, thermal: ThermalSpec) -> tuple[float, float]:
+    """(half_x, half_p): WINDOW_SIGMAS deviations of exp(-beta _energy) per
+    axis.  ValueError naming mass, omega and kbt unless _energy at the box's
+    corner is within REL_TOL of its exact WINDOW_SIGMAS^2 kbt, which an
+    overflowed or subnormal factor would spoil unseen by est_error."""
     beta, kbt = thermal.beta, thermal.kbt
     lifted, k = _lifted(beta, beta * m)
     half_x = WINDOW_SIGMAS * (1.0 / math.sqrt(lifted * m) * 2.0**(k // 2) / w)
     half_p = WINDOW_SIGMAS * math.sqrt(m / beta)
-    exact = WINDOW_SIGMAS**2 * kbt + const_q
-    corner = _energy(m, w, half_x, half_p) + const_q
+    exact = WINDOW_SIGMAS**2 * kbt
+    corner = _energy(m, w, half_x, half_p)
     if not abs(corner - exact) <= REL_TOL * exact:
         raise ValueError(f"mass = {m!r}, omega = {w!r}, kbt = {kbt:g}: doubles"
                          f" miss the oracle box's energy by over {REL_TOL:g}")
@@ -182,13 +188,9 @@ def phase_space_integral(m: float, w: float, thermal: ThermalSpec
 
     H = p^2/2m + m w^2 x^2 / 2.  Divide by 2 pi hbar for classical_Z.
     """
-    beta = thermal.beta
     hx, hp = _phase_box(m, w, thermal)
-
-    def f(x, p):
-        return np.exp(-beta * _energy(m, w, x, p))
-
-    return integrate_window(f, (-hx, -hp), (hx, hp))
+    return integrate_window(_phase_factors(m, w, thermal), (-hx, -hp),
+                            (hx, hp))
 
 
 # Bound on the dropped tail of quantum_Z's eigenvalue sum, relative to the sum.
@@ -239,25 +241,30 @@ def gaussian_correction(m: float, sigma: float, thermal: ThermalSpec,
     return math.exp(-r) / math.sqrt(1.0 - r)
 
 
-def gaussian_correction_integral(m: float, sigma: float, thermal: ThermalSpec,
-                                 hbar: float) -> tuple[float, float]:
-    """(value, error) of integral P_G(u) exp(-beta Q(u)) du, the factor C.
+def _u_factor(m: float, sigma: float, thermal: ThermalSpec, hbar: float):
+    """(f, half): the integrand P_G(u) exp(-beta Q(u)) of the factor C and
+    the half-width of its window, WINDOW_SIGMAS deviations of it.
 
     P_G is the normalized packet density of width sigma and Q its quantum
     potential hbar^2/(4 m sigma^2) - hbar^2 u^2/(8 m sigma^4), so the
     exponent is -r - (1 - r) u^2/(2 sigma^2) with r = quantum_ratio.  The
     two u^2 terms are summed as the factor 1 - r before they multiply u^2:
     near r = 1 each alone is huge at the window's edge, and their
-    difference would be lost to rounding.
+    difference would be lost to rounding.  DivergentIntegral at r >= 1.
     """
     r = _convergent_ratio(m, sigma, thermal, hbar)
-    sig_eff = sigma / math.sqrt(1.0 - r)
-    half = WINDOW_SIGMAS * sig_eff
 
     def f(u):
         return math.exp(-r - (1.0 - r) * u * u / (2 * sigma**2)) \
             / (math.sqrt(2 * math.pi) * sigma)
 
+    return f, WINDOW_SIGMAS * (sigma / math.sqrt(1.0 - r))
+
+
+def gaussian_correction_integral(m: float, sigma: float, thermal: ThermalSpec,
+                                 hbar: float) -> tuple[float, float]:
+    """(value, error) of the factor C, the integral of _u_factor's f du."""
+    f, half = _u_factor(m, sigma, thermal, hbar)
     return integrate_window(f, -half, half)
 
 
@@ -281,30 +288,18 @@ def unified_integral(m: float, w: float, sigma: float, thermal: ThermalSpec,
 
     Axes are the initial conditions (x0, p0) and u = x - x0, with
     E = p0^2/2m + m w^2 (x0 - center)^2/2 + hbar^2/(4 m sigma^2)
-    - hbar^2 u^2/(8 m sigma^4) at t = 0.  The u^2 terms of log P_G and
-    -beta E are summed as -(1 - r) u^2/(2 sigma^2), r = quantum_ratio, as
-    in gaussian_correction_integral, and all exponents are summed before
-    exponentiating, since near r = 1 the u-window reaches where
-    exp(-beta E) alone overflows.  Divide by 2 pi hbar for
-    unified_Z_gaussian.
+    - hbar^2 u^2/(8 m sigma^4) at t = 0, so the integrand is the
+    _phase_factors of (x0, p0) times the _u_factor of u, which carries the
+    constant term of beta E.  Divide by 2 pi hbar for unified_Z_gaussian.
     """
-    beta = thermal.beta
-    r = _convergent_ratio(m, sigma, thermal, hbar)
-    hu = WINDOW_SIGMAS * (sigma / math.sqrt(1.0 - r))
-    log_pref = -0.5 * math.log(2 * math.pi * sigma**2)
-    const_q = hbar**2 / (4 * m * sigma**2)
-    hx, hp = _phase_box(m, w, thermal, const_q)
+    fu, hu = _u_factor(m, sigma, thermal, hbar)
+    hx, hp = _phase_box(m, w, thermal)
     if not 8.0 * hx * hp * hu < math.inf:
         raise ValueError(f"mass = {m!r}, omega = {w!r}, kbt = {thermal.kbt:g}"
                          f", sigma = {sigma!r}: the oracle's 3-D box volume "
                          "is not a finite double")
-
-    def f(x0, p0, u):
-        energy = _energy(m, w, x0 - center, p0) + const_q
-        return np.exp(log_pref - (1.0 - r) * u * u / (2 * sigma**2)
-                      - beta * energy)
-
-    return integrate_window(f, (center - hx, -hp, -hu), (center + hx, hp, hu))
+    return integrate_window((*_phase_factors(m, w, thermal, center), fu),
+                            (center - hx, -hp, -hu), (center + hx, hp, hu))
 
 
 # ---------------------------------------------------------------------------

@@ -108,9 +108,10 @@ def test_import_leaves_scipy_out():
 def test_import_and_closed_form_commands_leave_numpy_out(tmp_path: Path):
     """The import, partition (CSV, and JSON with a manifest), limits, bath
     (with its companion tables), trajectory (harmonic and free, CSV and
-    JSON), and fig1 and marginal, whose 1-D quadratures run on math alone,
-    never load numpy; verify and partition --oracle load it when they first
-    build an array, and still pass."""
+    JSON), fig1 and marginal, whose 1-D quadratures run on math alone, and
+    partition --oracle, whose 2-D and 3-D oracles are products of 1-D
+    rules, never load numpy; verify loads it when it first builds an array,
+    and still passes."""
     out = tmp_path / "z.json"
     bath_out = tmp_path / "b.csv"
     curve_out = tmp_path / "curve.json"
@@ -129,9 +130,9 @@ def test_import_and_closed_form_commands_leave_numpy_out(tmp_path: Path):
          "assert c.main(['fig1']) == 0\n"
          "assert c.main(['marginal', '--format', 'json', '--out', "
          f"{str(curve_out)!r}]) == 0\n"
+         "assert c.main(['partition', '--oracle']) == 0\n"
          "assert 'numpy' not in sys.modules\n"
          "assert c.main(['verify']) == 0\n"
-         "assert c.main(['partition', '--oracle']) == 0\n"
          "assert 'numpy' in sys.modules\n"],
         capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
@@ -181,13 +182,15 @@ def _modules_loaded_by(code: str) -> set[str]:
     (["trajectory", "--x-start", "1"], {"cli", "core", "trajectories",
                                         "wavepacket"}),
     (["fig1", "--samples", "3"], {"cli", "core", "partition", "wavepacket"}),
-], ids=["import", "partition", "limits", "bath", "trajectory", "fig1"])
+    (["partition", "--oracle"], {"cli", "core", "partition", "wavepacket"}),
+], ids=["import", "partition", "limits", "bath", "trajectory", "fig1",
+        "partition-oracle"])
 def test_import_and_closed_form_commands_load_only_what_they_run(argv, modules):
     """`import bohmpart` loads no submodule, and each closed-form subcommand,
-    and fig1 with its scalar quadratures, writing CSV to stdout loads just
-    the submodules it calls and none of dataclasses, statistics and
-    hashlib.  Each runs in a child process, since pytest has loaded those
-    already."""
+    fig1 with its scalar quadratures and partition --oracle, writing CSV to
+    stdout, loads just the submodules it calls and none of dataclasses,
+    statistics and hashlib.  Each runs in a child process, since pytest has
+    loaded those already."""
     loaded = _modules_loaded_by(
         "import bohmpart" if argv is None else
         f"import bohmpart.cli as c; assert c.main({argv!r}) == 0")
@@ -778,6 +781,22 @@ def test_partition_oracle_survives_a_subnormal_beta_m(capsys):
     for quantity in ("z_classical", "z_unified"):
         closed = rows[quantity, "closed_form"]
         assert abs(rows[quantity, "quadrature"] - closed) <= 2e-14 * closed
+
+
+def test_partition_oracle_writes_its_classical_row_where_z_unified_diverges(
+        capsys):
+    """The classical oracle does not depend on sigma: at sigma 0.1 (ratio
+    12.5) the unified Z diverges and has no quadrature row, yet the
+    classical one is written, within its est_error of the closed form."""
+    from bohmpart import cli
+    assert cli.main(["partition", "--oracle", "--sigma", "0.1"]) == 0
+    rows = {(q, method): (float(value), float(err)) for q, method, value, err
+            in (line.split(",") for line in
+                capsys.readouterr().out.splitlines()[1:])}
+    assert ("z_unified", "divergent") in rows
+    assert ("z_unified", "quadrature") not in rows
+    value, err = rows["z_classical", "quadrature"]
+    assert abs(value - rows["z_classical", "closed_form"][0]) <= err
 
 
 # beta m = 1e315 overflows, so half_x was 0 and the box missed its energy

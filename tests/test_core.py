@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bohmpart import (BathSpec, Oscillator, QuadratureFailure, SystemParams,
                       ThermalSpec, WavepacketInit, free_system,
                       harmonic_system, potential_value)
-from bohmpart.core import (GL_LADDER, REL_TOL, _box_rule, _legendre,
+from bohmpart.core import (GL_LADDER, REL_TOL, _legendre, _rule,
                            integrate_window, record)
 from bohmpart.partition import marginal_curve, quantum_ratio
 from bohmpart.trajectories import RK45Adaptive, TrajectoryConfig
@@ -67,9 +67,9 @@ def test_integrate_window_gaussian():
     cases = [
         (integrate_window(lambda x: np.exp(-x * x), -12.0, 12.0),
          math.sqrt(math.pi)),
-        (integrate_window(lambda x, y: np.exp(-x * x - y * y),
+        (integrate_window((lambda x: np.exp(-x * x),) * 2,
                           (-12.0, -12.0), (12.0, 12.0)), math.pi),
-        (integrate_window(lambda x, y, z: np.exp(-x * x - y * y - z * z),
+        (integrate_window((lambda x: np.exp(-x * x),) * 3,
                           (-12.0,) * 3, (12.0,) * 3), math.pi**1.5),
     ]
     for (val, err), exact in cases:
@@ -114,8 +114,9 @@ def test_legendre_nodes_and_weights_match_40_digit_mpmath(n):
 
 
 def _flat_box_rule(f, mid, half, n):
-    """Reference for core._box_rule: the box as a flat index, unravelled
-    into per-point coordinates and weight products, summed in one dot."""
+    """The n-point-per-axis tensor-product Gauss-Legendre rule: the box as a
+    flat index, unravelled into per-point coordinates and weight products,
+    summed in one dot."""
     nodes, weights = map(np.array, _legendre(n))
     idx = np.unravel_index(np.arange(n ** len(mid)), (n,) * len(mid))
     coords = [m + h * nodes[i] for m, h, i in zip(mid, half, idx)]
@@ -123,7 +124,7 @@ def _flat_box_rule(f, mid, half, n):
     return float(np.dot(point_weights, f(*coords))) * math.prod(half)
 
 
-# node counts the box-rule tests draw from: the ladder's rules and two coarser
+# node counts the rule test draws from: the ladder's rules and two coarser
 # ones; 3-D boxes stop at 48, below 192^3 points
 _RULE_SIZES = (12, 24, 48, 96, 192, 384)
 
@@ -131,61 +132,62 @@ _RULE_SIZES = (12, 24, 48, 96, 192, 384)
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.data())
 def test_box_rule_matches_the_flat_index_rule(data):
-    """Anisotropic, shifted Gaussians, coupled across the first and last
-    axis in 2-D and 3-D: the rule adds its terms in another order than one
-    flat dot, so it agrees to 1e-14 relative."""
+    """On a separable product of anisotropic, shifted Gaussians in 1-D, 2-D
+    and 3-D, the product of the 1-D rules, as integrate_window forms each
+    rung, is the full tensor-product rule: it adds its terms in another
+    order than one flat dot, so it agrees to 1e-14 relative."""
     dim = data.draw(st.integers(1, 3))
     n = data.draw(st.sampled_from(_RULE_SIZES if dim < 3 else _RULE_SIZES[:3]))
     unit = st.floats(-1.0, 1.0)
     centers = [data.draw(st.floats(-5.0, 5.0)) for _ in range(dim)]
     widths = [data.draw(st.floats(0.05, 20.0)) for _ in range(dim)]
-    rho = data.draw(unit) * 0.9 if dim > 1 else 0.0
     mid = [c + 6.0 * s * data.draw(unit) for c, s in zip(centers, widths)]
     half = [s * data.draw(st.floats(1.0, 12.0)) for s in widths]
+    factors = [lambda x, c=c, s=s: np.exp(-0.5 * ((x - c) / s) ** 2)
+               for c, s in zip(centers, widths)]
 
     def f(*xs):
-        z = [(x - c) / s for x, c, s in zip(xs, centers, widths)]
-        return np.exp(-0.5 * sum(zk * zk for zk in z) - rho * z[0] * z[-1])
+        return math.prod(g(x) for g, x in zip(factors, xs))
 
-    assert _box_rule(f, mid, half, n) == pytest.approx(
-        _flat_box_rule(f, mid, half, n), rel=1e-14, abs=0.0)
-
-
-def test_box_rule_broadcasts_an_integrand_that_ignores_an_axis():
-    """An integrand may return fewer axes than the box has, or a constant."""
-    def f(x, y):
-        return np.exp(-x * x)
-
-    mid, half = [0.0, 1.5], [12.0, 1.5]
-    for n in _RULE_SIZES[:3]:
-        assert _box_rule(f, mid, half, n) == pytest.approx(
-            _flat_box_rule(lambda x, y: f(x, y) + 0.0 * y, mid, half, n),
-            rel=1e-14, abs=0.0)
-    val, _ = integrate_window(f, (-12.0, 0.0), (12.0, 3.0))
-    assert val == pytest.approx(3.0 * math.sqrt(math.pi), rel=1e-14)
-    val, err = integrate_window(lambda x, y, z: 2.0, (-1.0, 0.0, 2.0),
-                                (1.0, 0.5, 5.0))
-    assert val == pytest.approx(2.0 * 2.0 * 0.5 * 3.0, rel=1e-14)
-    assert err <= 1e-14
+    product = math.prod(_rule(g, m, h, n)
+                        for g, m, h in zip(factors, mid, half))
+    assert product == pytest.approx(_flat_box_rule(f, mid, half, n),
+                                    rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("dim, n", [(1, 384), (2, 48), (2, 384), (3, 12),
-                                    (3, 48), (3, 192)])
-def test_box_rule_slabs_bound_the_points_per_call(dim, n):
-    """Each call gets one first-axis node, a float, and the open grid of
-    the other axes, so it sees one row of n^(d-1) points; the calls take
-    the first-axis nodes in order, each once, and so cover the box once."""
-    firsts, sizes = [], []
+@pytest.mark.parametrize("n", GL_LADDER)
+def test_a_1d_rule_is_the_node_order_sum_times_half(n):
+    """A 1-D rule forms each node as mid + half x, adds the terms in node
+    order and multiplies the sum by half, bit for bit."""
+    mid, half = 0.3, 7.5
+    total = 0.0
+    for x, w in zip(*_legendre(n)):
+        total += w * math.exp(-(mid + half * x) ** 2)
+    assert _rule(lambda x: math.exp(-x * x), mid, half, n) == total * half
 
-    def f(x, *rest):
-        firsts.append(x)
-        sizes.append(np.broadcast(x, *rest).size)
-        return np.exp(-x * x - sum(y * y for y in rest))
 
-    _box_rule(f, [0.0] * dim, [3.0] * dim, n)
-    assert all(type(x) is float for x in firsts)
-    assert firsts == [3.0 * x for x in _legendre(n)[0]]
-    assert sizes == [n ** (dim - 1)] * n
+def test_an_nd_rung_is_the_product_of_its_axes_rules():
+    """Each rung of an N-D box is the product of its axes' 1-D rules, in
+    axis order; the 96-node rung is returned, with its distance from the
+    48-node rung as the error estimate."""
+    factors = (lambda x: math.exp(-x * x), lambda y: math.exp(-2.0 * y * y),
+               lambda z: math.exp(-0.5 * (z - 1.0) ** 2))
+    half = 12.0 / math.sqrt(2.0)  # WINDOW_SIGMAS deviations of each factor
+    lo, hi = (-half, -6.0, -11.0), (half, 6.0, 13.0)
+
+    def rung(n):
+        return math.prod(_rule(g, 0.5 * (b + a), 0.5 * (b - a), n)
+                         for g, a, b in zip(factors, lo, hi))
+
+    val, err = integrate_window(factors, lo, hi)
+    assert val == rung(96) and err == abs(rung(96) - rung(48))
+    assert val == pytest.approx(math.pi**1.5, rel=1e-14)
+
+
+def test_an_nd_factor_that_overflows_is_a_quadrature_failure():
+    with pytest.raises(QuadratureFailure, match="non-finite value inf with 48"):
+        integrate_window((lambda x: 1.0, lambda y: math.exp(1e3 * y)),
+                         (0.0, 0.0), (1.0, 1.0))
 
 
 def test_a_1d_rule_runs_on_math_alone():

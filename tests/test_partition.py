@@ -396,28 +396,30 @@ def test_every_package_integral_ends_on_the_96_node_rule(m, omega, free, sigma,
                                                          kbt, x0, p0, t):
     """Each integrand is C exp(-72 s^2) per axis of its window, which the
     48-node rule resolves, so every converging marginal Z and oracle accepts
-    the 96-node rule on its first check, however small its value."""
+    the 96-node rule on its first check, however small its value: each of
+    its d axes runs the 48-node rule, then the 96-node rule."""
     rules = []
 
     def recording(f, mid, half, n):
         rules.append(n)
-        return box_rule(f, mid, half, n)
+        return rule(f, mid, half, n)
 
-    box_rule, th = core._box_rule, ThermalSpec.from_kbt(kbt)
+    rule, th = core._rule, ThermalSpec.from_kbt(kbt)
     params = free_system(m) if free else harmonic_system(m, omega)
-    calls = [lambda: marginal_Z(params, WavepacketInit(x0, p0, sigma), th, t),
-             lambda: gaussian_correction_integral(m, sigma, th, 1.0)]
+    calls = [(1, lambda: marginal_Z(params, WavepacketInit(x0, p0, sigma), th,
+                                    t)),
+             (1, lambda: gaussian_correction_integral(m, sigma, th, 1.0))]
     if not free:
-        calls += [lambda: phase_space_integral(m, omega, th),
-                  lambda: unified_integral(m, omega, sigma, th, 1.0)]
-    with mock.patch.object(core, "_box_rule", recording):
-        for call in calls:
+        calls += [(2, lambda: phase_space_integral(m, omega, th)),
+                  (3, lambda: unified_integral(m, omega, sigma, th, 1.0))]
+    with mock.patch.object(core, "_rule", recording):
+        for dim, call in calls:
             rules.clear()
             try:
                 call()
             except (DivergentIntegral, QuadratureFailure):
                 continue
-            assert rules == [48, 96]
+            assert rules == [48] * dim + [96] * dim
 
 
 def test_marginal_rate_high_temperature_suppression(ho_params, fig_init):
