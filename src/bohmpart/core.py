@@ -24,14 +24,14 @@ numpy.
 numpy loads on first use.  `np` here is a small stand-in for the module that
 imports numpy when one of its attributes is first read and then keeps that
 attribute on itself, so later reads such as np.exp are plain attribute hits.
-The other modules take `np` from here, so `import bohmpart` and the
-subcommands that need only `math` (`partition`, `partition --oracle`,
-`limits`, `fig1` and `marginal`, and `bath` and `trajectory`, which evaluate
-their kernels one float at a time) never import numpy; an array kernel
-loads it when it first runs.  memory_kernel and scaling_solution, which
-`bath` and `trajectory` call one sample at a time, take their functions
-from functions_of(t), so one expression serves a float, on math alone, and
-an array.
+The other modules take `np` from here, so `import bohmpart` and every
+subcommand, each of which needs only `math` (`partition`, `partition
+--oracle`, `limits`, `fig1` and `marginal`, and `bath`, `trajectory` and
+`verify`, which evaluate their kernels one float at a time), never import
+numpy; an array kernel loads it when it first runs.  memory_kernel and
+scaling_solution, which `bath` and `trajectory` call one sample at a time,
+take their functions from functions_of(t), so one expression serves a
+float, on math alone, and an array.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ Two kinds of entries come out of a verification run:
   correction factor against 3D quadrature).  These must pass, each with its
   residual below a fixed module tolerance (Q_FD_TOL, ..., BATH_FACTOR_TOL),
   its worst over the samples as core._worst keeps it, NaN included; the
-  pointwise checks sample N_POINTS seeded random points.
+  pointwise checks sample N_POINTS seeded random points, drawn with the
+  standard library's random.Random, and the quantum-potential check takes
+  its finite-difference steps in units of the packet's width.
 * discrepancies: alternate closed-form variants that circulate for the same
   quantities but disagree with the defining integrals/derivatives.  These
   are measured and reported, never silently adopted or corrected:
@@ -25,19 +27,22 @@ which run_verification computes once.
 
 The quadrature oracles are separate functions of `partition`
 (unified_integral here), never a branch of the closed form they check.
+Every check evaluates its kernels one float at a time, so a run imports
+no numpy.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 from .bath import BathSpec, Oscillator, unified_bath_Z
 from .core import SystemParams, ThermalSpec, _worst, free_system, \
-    harmonic_system, np, potential_value, record
+    harmonic_system, potential_value, record
 from .numdiff import central_first, central_second
 from .partition import marginal_Z, marginal_Z_derivative, unified_integral
 from .trajectories import quantum_force
-from .wavepacket import (WavepacketInit, WavepacketState, amplitude,
+from .wavepacket import (WavepacketInit, WavepacketState, _log_density,
                          energy_pointwise, evolve, phase_gradient,
                          quantum_potential, total_phase)
 
@@ -117,9 +122,9 @@ def _sample_points(offset: int, lo: float = -2.5, hi: float = 2.5):
     """Yield (system name, state, x) at N_POINTS // 2 random points per system.
 
     Each point draws t uniform in [0, 6] and then x = q + uniform(lo, hi)
-    times the packet width, from a generator seeded with SEED + offset.
+    times the packet width, from random.Random(SEED + offset).
     """
-    rng = np.random.default_rng(SEED + offset)
+    rng = random.Random(SEED + offset)
     for name, params, init in _sample_systems():
         for _ in range(N_POINTS // 2):
             state = evolve(params, init, rng.uniform(0.0, 6.0))
@@ -127,11 +132,18 @@ def _sample_points(offset: int, lo: float = -2.5, hi: float = 2.5):
 
 
 def check_quantum_potential_fd() -> CheckResult:
-    """Closed-form Q against -(hbar^2 / 2 m R) R'' by finite differences."""
+    """Closed-form Q against -(hbar^2 / 2 m) R''/R by finite differences.
+
+    With L = log R = log P / 2, R''/R = L'' + L'^2; both derivatives take
+    steps in units of the packet's width.
+    """
     def residual(state: WavepacketState, x: float) -> float:
-        hbar, m = state.params.hbar, state.params.mass
-        fd = -hbar**2 / (2 * m) * central_second(
-            lambda xx: amplitude(state, xx), x) / amplitude(state, x)
+        hbar, m, width = state.params.hbar, state.params.mass, state.width
+
+        def log_r(xx: float) -> float:
+            return 0.5 * _log_density(state, xx)
+        fd = -hbar**2 / (2 * m) * (central_second(log_r, x, 1e-3 * width)
+                                   + central_first(log_r, x, 1e-4 * width) ** 2)
         cf = quantum_potential(state, x)
         return abs(fd - cf) / max(abs(cf), hbar**2 * state.alpha.real / m)
     return CheckResult("quantum potential vs finite-difference R''",

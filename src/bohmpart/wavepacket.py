@@ -151,8 +151,10 @@ def _phase(params: SystemParams, init: WavepacketInit, t: float) -> float:
 def _blocks(x, q):
     """(out, [(x block, out block), ...]): the unfilled result of the shape
     and dtype of x - q and views of _BLOCK elements at most that tile it and
-    x in step, or None for a float or 0-d x."""
-    if not (isinstance(x, np.ndarray) and x.ndim):
+    x in step, or None for a float or 0-d x.  A float is told apart before
+    np is read, so a scalar call does not import numpy."""
+    if isinstance(x, (int, float)) or not (isinstance(x, np.ndarray)
+                                           and x.ndim):
         return None
     out = np.empty(x.shape, np.result_type(x, q))
     xs, outs = x.reshape(-1), out.reshape(-1)

@@ -110,8 +110,9 @@ def test_import_and_closed_form_commands_leave_numpy_out(tmp_path: Path):
     (with its companion tables), trajectory (harmonic and free, CSV and
     JSON), fig1 and marginal, whose 1-D quadratures run on math alone, and
     partition --oracle, whose 2-D and 3-D oracles are products of 1-D
-    rules, never load numpy; verify loads it when it first builds an array,
-    and still passes."""
+    rules, and verify, which draws its sample points from the standard
+    library and evaluates each kernel one float at a time, never load
+    numpy."""
     out = tmp_path / "z.json"
     bath_out = tmp_path / "b.csv"
     curve_out = tmp_path / "curve.json"
@@ -131,15 +132,30 @@ def test_import_and_closed_form_commands_leave_numpy_out(tmp_path: Path):
          "assert c.main(['marginal', '--format', 'json', '--out', "
          f"{str(curve_out)!r}]) == 0\n"
          "assert c.main(['partition', '--oracle']) == 0\n"
-         "assert 'numpy' not in sys.modules\n"
          "assert c.main(['verify']) == 0\n"
-         "assert 'numpy' in sys.modules\n"],
+         "assert 'numpy' not in sys.modules\n"],
         capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
     assert json.loads(Path(f"{out}.manifest.json").read_text())["digest"]
     assert len(json.loads(curve_out.read_text())["rows"]) == 400
     assert sorted(p.name for p in tmp_path.glob("b_*.csv")) == [
         "b_kernel.csv", "b_oscillators.csv"]
+
+
+def test_scalar_energy_call_leaves_numpy_out():
+    """energy_pointwise of a float or an int tells it from an array before it
+    reads np, so a scalar call in a fresh interpreter imports no numpy."""
+    cp = subprocess.run(
+        [*PYTHON, "-c",
+         "import sys\n"
+         "from bohmpart import WavepacketInit, energy_pointwise, evolve, "
+         "harmonic_system\n"
+         "state = evolve(harmonic_system(1.0, 1.0), WavepacketInit(1.0, 0.5, 0.45), 0.7)\n"
+         "assert type(energy_pointwise(state, 0.3)) is float\n"
+         "assert energy_pointwise(state, 1) == energy_pointwise(state, 1.0)\n"
+         "assert 'numpy' not in sys.modules\n"],
+        capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
 
 
 # The names `bohmpart` exports, by the submodule that defines each.
@@ -183,12 +199,14 @@ def _modules_loaded_by(code: str) -> set[str]:
                                         "wavepacket"}),
     (["fig1", "--samples", "3"], {"cli", "core", "partition", "wavepacket"}),
     (["partition", "--oracle"], {"cli", "core", "partition", "wavepacket"}),
+    (["verify"], {"bath", "cli", "core", "numdiff", "partition",
+                  "trajectories", "verify", "wavepacket"}),
 ], ids=["import", "partition", "limits", "bath", "trajectory", "fig1",
-        "partition-oracle"])
+        "partition-oracle", "verify"])
 def test_import_and_closed_form_commands_load_only_what_they_run(argv, modules):
     """`import bohmpart` loads no submodule, and each closed-form subcommand,
-    fig1 with its scalar quadratures and partition --oracle, writing CSV to
-    stdout, loads just the submodules it calls and none of dataclasses,
+    fig1 with its scalar quadratures, partition --oracle and verify, writing
+    to stdout, loads just the submodules it calls and none of dataclasses,
     statistics and hashlib.  Each runs in a child process, since pytest has
     loaded those already."""
     loaded = _modules_loaded_by(
