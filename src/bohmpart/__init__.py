@@ -22,9 +22,9 @@ _MODULE_OF = {name: module for module, names in {
     "trajectories": "RK4Fixed RK45Adaptive TrajectoryConfig bohmian_velocity "
                     "equivariance_check integrate quantum_force",
     "partition": "CriterionReport classical_Z classicality_criterion "
-                 "gaussian_correction gaussian_correction_integral marginal_Z "
-                 "marginal_Z_derivative marginal_curve phase_space_integral "
-                 "quantum_Z unified_Z_gaussian unified_integral",
+                 "gaussian_correction marginal_Z marginal_Z_derivative "
+                 "marginal_curve phase_space_integral quantum_Z "
+                 "unified_Z_gaussian unified_integral",
     "bath": "BathSpec Oscillator classical_bath_Z large_N_ratio memory_kernel "
             "unified_bath_Z uniform_bath",
 }.items() for name in names.split()}

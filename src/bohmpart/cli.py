@@ -216,29 +216,33 @@ def emit(args, command: str, config: dict, payload: bytes,
     configs yield identical digests while the timestamp stays informational.
     """
     if args.out:
-        out = Path(args.out)
-        try:
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_bytes(payload)
-            written = [str(out)]
-            for name, blob in (extra_files or {}).items():
-                side = out.with_name(out.stem + "_" + name + out.suffix)
-                side.write_bytes(blob)
-                written.append(str(side))
-            import hashlib  # only the manifest reads the digest
-            hasher = hashlib.sha256(payload)
-            for name in sorted(extra_files or {}):
-                hasher.update(extra_files[name])
-            manifest = {
-                "command": command, "config": config, "version": __version__,
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                "digest": hasher.hexdigest(), "outputs": written}
-            out.with_suffix(out.suffix + ".manifest.json").write_bytes(
-                json_payload(manifest))
-        except OSError as exc:  # name the path asked for, not only the OS's
-            raise OSError(f"cannot write --out {args.out}: {exc}") from exc
+        import hashlib  # only the manifest reads the digest
+        out, extra = Path(args.out), extra_files or {}
+        files = {out: payload}
+        for name, blob in extra.items():
+            files[out.with_name(out.stem + "_" + name + out.suffix)] = blob
+        digest = hashlib.sha256(b"".join(
+            [payload, *(extra[name] for name in sorted(extra))])).hexdigest()
+        manifest = {
+            "command": command, "config": config, "version": __version__,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "digest": digest, "outputs": list(map(str, files))}
+        files[out.with_suffix(out.suffix + ".manifest.json")] = \
+            json_payload(manifest)
+        write_out(args.out, files)
     else:
         sys.stdout.write(payload.decode())
+
+
+def write_out(out: str, files: dict[Path, bytes]) -> None:
+    """Write each file in order, after making the parent directory of the
+    --out path `out`; an OSError names `out`, not only the OS's path."""
+    try:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        for path, blob in files.items():
+            path.write_bytes(blob)
+    except OSError as exc:
+        raise OSError(f"cannot write --out {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +482,7 @@ def cmd_verify(args) -> int:
     report = run_verification()
     text = report.render() + "\n"
     if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            raise OSError(f"cannot write --out {args.out}: {exc}") from exc
+        write_out(args.out, {Path(args.out): text.encode()})
     sys.stdout.write(text)
     return EXIT_OK if report.passed else EXIT_VERIFY
 

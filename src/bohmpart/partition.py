@@ -16,18 +16,18 @@ Conventions
   doubles or a ValueError.  Only _convergent_ratio (r >= 1),
   _marginal_gaussian (kappa <= 0) and _ladder_x (the free particle, omega =
   0) raise DivergentIntegral.
-* The closed forms are backed by separate Gauss-Legendre oracles, used by
-  `verify`, `partition --oracle` and the tests: phase_space_integral
-  (classical Z), gaussian_correction_integral (the factor C) and
-  unified_integral (unified Z).  Each integrates over a box of
-  WINDOW_SIGMAS standard deviations per axis, to core's tolerances, a
+* The closed forms are backed by separate Gauss-Legendre oracles:
+  phase_space_integral (classical Z) and unified_integral (unified Z), run
+  by `partition --oracle` and the tests, the second by `verify` too; their
+  ratio is the oracle of C, its u-axis integral.  Each integrates over a box
+  of WINDOW_SIGMAS standard deviations per axis, to core's tolerances, a
   product of one math.exp factor per axis (_phase_factors in x and p,
   _u_factor in the hidden coordinate, each written once), returns the
   raw-measure (value, est_error) with est_error the difference between the
   last two rules of the ladder, and calls no closed form it checks.
   _phase_box sizes the (x, p) box of the two phase-space oracles and raises
-  ValueError where doubles cannot form its energy.  quantum_Z returns the same
-  (value, est_error) shape, with est_error the dropped tail of the
+  ValueError where doubles cannot form its energy.  quantum_Z returns the
+  same (value, est_error) shape, with est_error the dropped tail of the
   eigenvalue sum.
 * The marginal partition function at fixed (x0, p0) keeps the single
   prepared packet in the distribution sum: a Gauss-Legendre quadrature
@@ -235,7 +235,7 @@ def gaussian_correction(m: float, sigma: float, thermal: ThermalSpec,
     C = (1 - r)^(-1/2) exp(-r) with r = beta hbar^2/(4 m sigma^2), from
     integrating the packet density against the Boltzmann weight of its own
     quantum potential.  Diverges (is raised) at r >= 1.  Oracle:
-    gaussian_correction_integral.
+    unified_integral / phase_space_integral.
     """
     r = _convergent_ratio(m, sigma, thermal, hbar)
     return math.exp(-r) / math.sqrt(1.0 - r)
@@ -259,13 +259,6 @@ def _u_factor(m: float, sigma: float, thermal: ThermalSpec, hbar: float):
             / (math.sqrt(2 * math.pi) * sigma)
 
     return f, WINDOW_SIGMAS * (sigma / math.sqrt(1.0 - r))
-
-
-def gaussian_correction_integral(m: float, sigma: float, thermal: ThermalSpec,
-                                 hbar: float) -> tuple[float, float]:
-    """(value, error) of the factor C, the integral of _u_factor's f du."""
-    f, half = _u_factor(m, sigma, thermal, hbar)
-    return integrate_window(f, -half, half)
 
 
 def unified_Z_gaussian(params: SystemParams, sigma: float,

@@ -10,7 +10,8 @@ Two kinds of entries come out of a verification run:
   its worst over the samples as core._worst keeps it, NaN included; the
   pointwise checks sample N_POINTS seeded random points, drawn with the
   standard library's random.Random, and the quantum-potential check takes
-  its finite-difference steps in units of the packet's width.
+  its finite-difference steps in units of the packet's width.  Every
+  finite difference, in x or in t, is a numdiff stencil.
 * discrepancies: alternate closed-form variants that circulate for the same
   quantities but disagree with the defining integrals/derivatives.  These
   are measured and reported, never silently adopted or corrected:
@@ -191,15 +192,13 @@ def check_quantum_force_fd() -> CheckResult:
 
 
 def check_marginal_rate_fd() -> CheckResult:
-    """Exact marginal-Z derivative against Richardson central differences."""
+    """Exact marginal-Z derivative against central_first of marginal_Z in t."""
     def z_of(tt: float) -> float:
         return marginal_Z(*MARGINAL_RUN, tt)
 
-    def residual(t: float, h: float = 1e-3) -> float:
+    def residual(t: float) -> float:
         rate = marginal_Z_derivative(*MARGINAL_RUN, t).exact
-        d1 = (z_of(t + h) - z_of(t - h)) / (2 * h)
-        d2 = (z_of(t + h / 2) - z_of(t - h / 2)) / h
-        fd = (4 * d2 - d1) / 3
+        fd = central_first(z_of, t, 1e-3)
         return abs(rate - fd) / max(abs(fd), 1e-12)
     return CheckResult("marginal dZ/dt vs finite difference",
                        _worst(map(residual, (0.4, 1.3, 2.9))), DZDT_FD_TOL)

@@ -186,13 +186,6 @@ def _log_density(state: WavepacketState, x):
     return 0.5 * math.log(2.0 * ra / math.pi) - 2.0 * ra * (u * u)
 
 
-def amplitude(state: WavepacketState, x):
-    """Real amplitude R(x,t) = sqrt(P)."""
-    ra = state.alpha.real
-    u = x - state.q
-    return (2.0 * ra / np.pi) ** 0.25 * np.exp(-ra * (u * u))
-
-
 def total_phase(state: WavepacketState, x):
     """Phase S(x,t) of psi = R exp(iS/hbar)."""
     hbar = state.params.hbar

@@ -15,18 +15,17 @@ import numpy as np
 
 from bohmpart import (RK45Adaptive, ThermalSpec, TrajectoryConfig,
                       WavepacketInit, bohmian_velocity,
-                      classical_Z, DivergentIntegral, equivariance_check,
-                      evolve, free_system, gaussian_correction,
-                      gaussian_correction_integral, harmonic_system,
-                      integrate, marginal_Z, marginal_curve,
+                      classical_Z, density, DivergentIntegral,
+                      equivariance_check, evolve, free_system,
+                      gaussian_correction, harmonic_system, integrate,
+                      marginal_Z, marginal_curve, phase_space_integral,
                       potential_value, quantum_potential, quantum_Z,
                       spectral_project, unified_integral, unified_Z_gaussian)
 from bohmpart.numdiff import central_first, central_second
 from bohmpart.partition import quantum_Z_closed_form
 from bohmpart.trajectories import scaling_solution
 from bohmpart.verify import run_verification
-from bohmpart.wavepacket import (amplitude, default_spectral_grid,
-                                 total_phase)
+from bohmpart.wavepacket import default_spectral_grid, total_phase
 
 HO = harmonic_system(1.0, 1.0)
 FREE = free_system(1.0)
@@ -44,10 +43,13 @@ def test_criterion_01_gaussian_correction_oracle():
     t0 = time.time()
     th = ThermalSpec(1.0)
     closed = gaussian_correction(1.0, 1.0, th, 1.0)
-    quad_val, _ = gaussian_correction_integral(1.0, 1.0, th, 1.0)
+    # the u-axis integral: both oracles are products of 1-D rules
+    quad_val = (unified_integral(1.0, 1.0, 1.0, th, 1.0)[0]
+                / phase_space_integral(1.0, 1.0, th)[0])
     rel = abs(closed - quad_val) / closed
     elapsed = time.time() - t0
-    report(1, "gaussian correction closed form vs 1D quadrature",
+    report(1, "gaussian correction closed form vs unified / phase-space "
+           "quadrature",
            rel < 1e-8 and elapsed < 1.0,
            f"rel={rel:.2e}, {elapsed:.2f}s")
 
@@ -141,7 +143,7 @@ def test_criterion_06_quantum_potential_and_energy_identities():
             st = evolve(params, init, t)
             x = st.q + rng.uniform(-2.5, 2.5) * st.width
             q_fd = -hbar**2 / (2 * m) * central_second(
-                lambda xx: amplitude(st, xx), x) / amplitude(st, x)
+                lambda xx: density(st, xx) ** 0.5, x) / density(st, x) ** 0.5
             q_cf = quantum_potential(st, x)
             q_scale = hbar**2 * st.alpha.real / m
             worst_q = max(worst_q, abs(q_fd - q_cf) / max(abs(q_cf), q_scale))

@@ -168,9 +168,9 @@ EXPORTS = {
     "trajectories": "RK4Fixed RK45Adaptive TrajectoryConfig bohmian_velocity "
                     "equivariance_check integrate quantum_force",
     "partition": "CriterionReport classical_Z classicality_criterion "
-                 "gaussian_correction gaussian_correction_integral marginal_Z "
-                 "marginal_Z_derivative marginal_curve phase_space_integral "
-                 "quantum_Z unified_Z_gaussian unified_integral",
+                 "gaussian_correction marginal_Z marginal_Z_derivative "
+                 "marginal_curve phase_space_integral quantum_Z "
+                 "unified_Z_gaussian unified_integral",
     "bath": "BathSpec Oscillator classical_bath_Z large_N_ratio memory_kernel "
             "unified_bath_Z uniform_bath",
 }
@@ -587,9 +587,9 @@ def test_resolve_config_leaves_the_parsed_flags_alone(tmp_path: Path):
     ["partition", "--config", "{missing}/x.cfg"],
     ["bath", "--bath-file", "{dir}"],
     ["partition", "--out", "{file}/x.csv"],
-    ["verify", "--out", "{missing}/r.txt"],
+    ["verify", "--out", "{file}/r.txt"],
 ], ids=["missing-config", "bath-file-is-a-directory", "out-under-a-file",
-        "verify-out-in-a-missing-dir"])
+        "verify-out-under-a-file"])
 def test_a_file_it_cannot_use_exits_1_in_one_line(tmp_path: Path, capsys,
                                                   argv):
     from bohmpart import cli
@@ -1425,6 +1425,20 @@ def test_golden_csv_headers(tmp_path: Path):
                           "ratio[dimensionless],criterion")
     kernel_header = (tmp_path / "bath_kernel.csv").read_text().splitlines()[0]
     assert kernel_header == "t[time],nu[coupling^2*time^2]"
+
+
+@pytest.mark.parametrize("command,first_line", [
+    ("partition", "quantity,method,value,est_error"),
+    ("verify", "[ok  ] quantum potential"),
+], ids=["partition", "verify"])
+def test_out_makes_its_missing_parent_directories(tmp_path: Path, command,
+                                                  first_line):
+    """A table's --out and verify's share one writer, which makes the
+    directories the path needs."""
+    from bohmpart import cli
+    out = tmp_path / "run" / "deeper" / "out.txt"
+    assert cli.main([command, "--out", str(out)]) == 0
+    assert out.read_text().startswith(first_line)
 
 
 @pytest.mark.parametrize("scale", [1.01, math.nan])

@@ -22,8 +22,8 @@ STATES = {name: evolve(params, init, 0.63) for name, (params, init) in SYSTEMS.i
 BATH = uniform_bath(3, m0=1.2, omega_max=1.7, coupling=0.8, sigma=0.9, q0=0.4)
 
 STATE_KERNELS = [
-    wavepacket.density, wavepacket._log_density, wavepacket.amplitude,
-    wavepacket.total_phase, wavepacket.wavefunction, wavepacket.phase_gradient,
+    wavepacket.density, wavepacket._log_density, wavepacket.total_phase,
+    wavepacket.wavefunction, wavepacket.phase_gradient,
     wavepacket.quantum_potential, wavepacket.energy_pointwise,
     wavepacket._log_density_dt, wavepacket.energy_dt,
     trajectories.quantum_force, verify.energy_center_potential_variant,

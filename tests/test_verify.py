@@ -3,7 +3,9 @@ import math
 import pytest
 
 from bohmpart import verify
+from bohmpart.partition import MarginalRate
 from bohmpart.verify import (bath_oracle, check_bath_factor,
+                             check_marginal_rate_fd,
                              check_quantum_potential_fd, measure_bath_2pi,
                              run_verification)
 
@@ -25,6 +27,21 @@ def test_q_check_fails_under_fault_injection(monkeypatch):
         monkeypatch.setattr(verify, "quantum_potential", lambda state, x:
                             scale * closed_form(state, x))
         check = check_quantum_potential_fd()
+        assert not check.passed
+        assert math.isnan(check.residual) == math.isnan(scale)
+
+
+def test_dzdt_check_fails_under_fault_injection(monkeypatch):
+    """An exact marginal-Z rate moved by 1%, or one that is NaN, fails the
+    dZ/dt check."""
+    assert check_marginal_rate_fd().passed
+    derivative = verify.marginal_Z_derivative
+    for scale in (1.01, math.nan):
+        def moved(*run, scale=scale):
+            rate = derivative(*run)
+            return MarginalRate(scale * rate.exact, rate.bracket)
+        monkeypatch.setattr(verify, "marginal_Z_derivative", moved)
+        check = check_marginal_rate_fd()
         assert not check.passed
         assert math.isnan(check.residual) == math.isnan(scale)
 
