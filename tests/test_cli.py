@@ -1441,6 +1441,38 @@ def test_out_makes_its_missing_parent_directories(tmp_path: Path, command,
     assert out.read_text().startswith(first_line)
 
 
+def test_out_puts_companions_and_manifest_in_the_directory_it_makes(
+        tmp_path: Path):
+    """bath's payload, its two companion tables and the manifest all land in
+    the directory --out makes, and the digest hashes the payload, then the
+    companions in name order, as one byte string."""
+    import hashlib
+    from bohmpart import cli
+    out = tmp_path / "run" / "bath.csv"
+    assert cli.main(["bath", "--n", "5", "--out", str(out)]) == 0
+    written = sorted(path.name for path in out.parent.iterdir())
+    assert written == ["bath.csv", "bath.csv.manifest.json",
+                       "bath_kernel.csv", "bath_oscillators.csv"]
+    manifest = json.loads(out.with_name("bath.csv.manifest.json").read_text())
+    assert manifest["outputs"] == [str(out),
+                                   str(out.with_name("bath_oscillators.csv")),
+                                   str(out.with_name("bath_kernel.csv"))]
+    blobs = [out.read_bytes(), out.with_name("bath_kernel.csv").read_bytes(),
+             out.with_name("bath_oscillators.csv").read_bytes()]
+    assert manifest["digest"] == hashlib.sha256(b"".join(blobs)).hexdigest()
+
+
+def test_verify_out_writes_the_report_it_prints_and_no_manifest(
+        tmp_path: Path, capsys):
+    """verify's --out file is its stdout byte for byte; the report is not a
+    table, so no manifest is written beside it."""
+    from bohmpart import cli
+    out = tmp_path / "run" / "report.txt"
+    assert cli.main(["verify", "--out", str(out)]) == 0
+    assert out.read_text() == capsys.readouterr().out
+    assert [path.name for path in out.parent.iterdir()] == ["report.txt"]
+
+
 @pytest.mark.parametrize("scale", [1.01, math.nan])
 def test_verify_fault_injection_exit_3(tmp_path: Path, monkeypatch, capsys,
                                        scale):
