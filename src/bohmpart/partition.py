@@ -45,13 +45,14 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (REL_TOL, WINDOW_SIGMAS, DivergentIntegral,
                    QuadratureFailure, SystemParams, ThermalSpec,
                    _finite_positive, check_scale, integrate_window, record)
-from .wavepacket import (WavepacketInit, energy_dt, evolve,
-                         _energy_coefficients, _log_density_dt)
+
+if TYPE_CHECKING:
+    from .wavepacket import WavepacketInit
 
 
 @record
@@ -308,6 +309,7 @@ def _marginal_gaussian(state, thermal: ThermalSpec
 
     log(P e^(-beta E)) = -kappa u^2 - beta A1 u + const in u = x - q.
     """
+    from .wavepacket import _energy_coefficients
     beta = thermal.beta
     a2, a1, a0 = _energy_coefficients(state)
     if not all(map(math.isfinite, (a2, a1, a0))):
@@ -367,6 +369,7 @@ def marginal_Z(params: SystemParams, init: WavepacketInit, thermal: ThermalSpec,
     DivergentIntegral when the total quadratic exponent coefficient is
     non-negative at this t.
     """
+    from .wavepacket import evolve
     state = evolve(params, init, t)
     return _marginal_quadrature(state, thermal,
                                 _marginal_gaussian(state, thermal))
@@ -395,6 +398,7 @@ def marginal_Z_derivative(params: SystemParams, init: WavepacketInit,
     the two-point Gauss-Hermite rule at center +- width gives their means
     exactly.  Z is the marginal_Z quadrature.
     """
+    from .wavepacket import _log_density_dt, energy_dt, evolve
     state = evolve(params, init, t)
     center, width, _ = gaussian = _marginal_gaussian(state, thermal)
     z = _marginal_quadrature(state, thermal, gaussian)
@@ -421,6 +425,7 @@ def marginal_curve(params: SystemParams, init: WavepacketInit,
     """
     if len(times) == 0:
         raise ValueError("marginal_curve needs at least one time")
+    from .wavepacket import evolve
     states = [evolve(params, init, t) for t in times]
     gaussians = [_marginal_gaussian(state, thermal) for state in states]
     values = [_marginal_quadrature(state, thermal, gaussian)

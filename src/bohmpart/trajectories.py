@@ -17,9 +17,11 @@ Math. 6, 1980) at fixed tolerances, with first-same-as-last stages, local
 extrapolation and the step-size controller of Hairer, Norsett & Wanner,
 Solving ODEs I, sec. II.4.  Its first trial step is the whole span, which
 the controller shrinks by rejection, so no step depends on the time unit.
-Both take the velocity from _guidance, bohmian_velocity on floats.  Each
-stepper returns every point (t, x) it reached; a path's velocity, where
-wanted, is bohmian_velocity there.
+Both take the velocity from _guidance, bohmian_velocity on floats, which
+evaluates the packet once per stage time: a stage at the time of the one
+before reuses its slope, q and p, except at t = 0, where the sign of zero
+may change the bits.  Each stepper returns every point (t, x) it reached;
+a path's velocity, where wanted, is bohmian_velocity there.
 """
 
 from __future__ import annotations
@@ -92,13 +94,23 @@ def bohmian_velocity(state: WavepacketState, x):
 
 def _guidance(params: SystemParams, init: WavepacketInit):
     """v(t, x) = bohmian_velocity(evolve(params, init, t), x) bit for bit, in
-    the same operations on floats, without a state record per call."""
+    the same operations on floats, without a state record per call.
+
+    The field keeps the packet's slope -2 hbar Im a, q and p of the last
+    time it was asked at, and reuses them while the time repeats (RK4's k2
+    and k3, Dormand-Prince's k6 and k7).  A time equal to 0 is evaluated
+    afresh each call: 0.0 and -0.0 compare equal but may give other bits.
+    """
     hbar, m, w = params.hbar, params.mass, params.omega
     a0, x0, p0 = 0.25 / init.sigma**2, init.x0, init.p0
+    last_t = slope = q = p = math.nan
 
     def velocity(t: float, x: float) -> float:
-        alpha, q, p = _packet(hbar, m, w, a0, x0, p0, t)
-        return (-2.0 * hbar * alpha.imag * (x - q) + p) / m
+        nonlocal last_t, slope, q, p
+        if t != last_t or t == 0.0:
+            alpha, q, p = _packet(hbar, m, w, a0, x0, p0, t)
+            slope, last_t = -2.0 * hbar * alpha.imag, t
+        return (slope * (x - q) + p) / m
     return velocity
 
 

@@ -191,14 +191,14 @@ def _modules_loaded_by(code: str) -> set[str]:
 
 @pytest.mark.parametrize("argv, modules", [
     (None, set()),
-    (["partition"], {"cli", "core", "partition", "wavepacket"}),
+    (["partition"], {"cli", "core", "partition"}),
     (["limits", "--var", "kbt", "--start", "1", "--stop", "2"],
-     {"cli", "core", "partition", "wavepacket"}),
-    (["bath"], {"bath", "cli", "core", "partition", "wavepacket"}),
+     {"cli", "core", "partition"}),
+    (["bath"], {"bath", "cli", "core", "partition"}),
     (["trajectory", "--x-start", "1"], {"cli", "core", "trajectories",
                                         "wavepacket"}),
     (["fig1", "--samples", "3"], {"cli", "core", "partition", "wavepacket"}),
-    (["partition", "--oracle"], {"cli", "core", "partition", "wavepacket"}),
+    (["partition", "--oracle"], {"cli", "core", "partition"}),
     (["verify"], {"bath", "cli", "core", "numdiff", "partition",
                   "trajectories", "verify", "wavepacket"}),
 ], ids=["import", "partition", "limits", "bath", "trajectory", "fig1",

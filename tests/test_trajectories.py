@@ -1,9 +1,10 @@
 import math
+import re
 from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis.strategies import booleans, floats
 
 from bohmpart import (RK4Fixed, RK45Adaptive, TrajectoryConfig,
@@ -138,14 +139,21 @@ def _log_uniform(lo, hi):
        sigma=_log_uniform(0.1, 5.0), x0=floats(-5.0, 5.0),
        p0=floats(-5.0, 5.0), t=floats(-20.0, 20.0), x=floats(-20.0, 20.0),
        t_max=floats(0.1, 3.0))
+# at p0 = -0.0 the velocity at x = x0 is -0.0 at t = 0.0 and 0.0 at t = -0.0
+@example(harmonic=True, m=1.0, hbar=1.0, w=1.0, sigma=1.0, x0=1.0, p0=-0.0,
+         t=0.5, x=1.0, t_max=1.0)
 def test_guidance_keeps_the_bits_of_the_velocity_of_the_evolved_state(
         harmonic, m, hbar, w, sigma, x0, p0, t, x, t_max):
     """The integrators' right-hand side is bohmian_velocity(evolve(...), x)
-    bit for bit, and so are the RK4 and Dormand-Prince paths it drives."""
+    bit for bit, on times that repeat, alternate and change the sign of
+    zero, and so are the RK4 and Dormand-Prince paths it drives."""
     params = harmonic_system(m, w, hbar) if harmonic else free_system(m, hbar)
     init = WavepacketInit(x0, p0, sigma)
     composed = lambda tt, xx: bohmian_velocity(evolve(params, init, tt), xx)
-    assert trajectories._guidance(params, init)(t, x) == composed(t, x)
+    field, other = trajectories._guidance(params, init), t_max - t
+    for tt, xx in [(t, x), (t, x + sigma), (other, x), (t, x), (t, -x),
+                   (0.0, x), (-0.0, x), (-0.0, -x), (0.0, x), (other, -x)]:
+        assert field(tt, xx).hex() == composed(tt, xx).hex(), (tt, xx)
     x_start, steps = x0 + 0.7 * sigma, 40
     rk4 = integrate(params, init, x_start,
                     TrajectoryConfig(RK4Fixed(t_max / steps), t_max))
@@ -156,15 +164,44 @@ def test_guidance_keeps_the_bits_of_the_velocity_of_the_evolved_state(
     assert dp.times.tolist() == times and dp.positions.tolist() == xs
 
 
+def test_guidance_evaluates_the_packet_once_per_stage_time(monkeypatch):
+    """Over an RK4 run the packet is evaluated twice per step, at t + dt/2
+    (k2 and k3) and at t + dt (k4), and once more for each step whose k1
+    time is not the float the step before asked k4 at: at most 3 per step,
+    against the 4 velocity calls per step."""
+    times = []
+    packet = trajectories._packet
+
+    def counted(*args):
+        times.append(args[-1])
+        return packet(*args)
+    monkeypatch.setattr(trajectories, "_packet", counted)
+    dt, steps = 0.01, 500
+    integrate(HO, WavepacketInit(1.0, 0.2, 0.6), 1.3,
+              TrajectoryConfig(RK4Fixed(dt), steps * dt))
+    k1_times = [0.0] + [(k + 1) * dt for k in range(steps - 1)]  # as _rk4
+    fresh_k1 = 1 + sum(k1 != t + dt for t, k1 in zip(k1_times, k1_times[1:]))
+    assert len(times) == 2 * steps + fresh_k1 < 3 * steps
+    assert times[:3] == [0.0, dt / 2, dt]
+
+
 def test_step_count_is_capped(monkeypatch):
-    monkeypatch.setattr(trajectories, "_MAX_STEPS", 20)
     init = WavepacketInit(1.0, 0.2, 0.6)
+    uncapped = integrate(HO, init, 1.3, TrajectoryConfig(RK45Adaptive(), 6.0))
+    assert 21 < uncapped.times.size <= 201
+    monkeypatch.setattr(trajectories, "_MAX_STEPS", 20)
     path = integrate(HO, init, 1.3, TrajectoryConfig(RK4Fixed(0.01), 0.2))
     assert path.times.size == 21  # exactly at the cap
     with pytest.raises(ValueError, match="t_max/dt"):
         integrate(HO, init, 1.3, TrajectoryConfig(RK4Fixed(0.01), 0.21))
     with pytest.raises(StepFailure, match="more than 20 steps"):
         integrate(HO, init, 1.3, TrajectoryConfig(RK45Adaptive(), 1e9))
+    # a run of a few dozen steps stops after its 20th, where it would have
+    # taken its 21st
+    with pytest.raises(StepFailure, match=re.escape(
+            "more than 20 steps needed to reach t_max=6.0 "
+            f"(stopped at t={float(uncapped.times[20])!r})")):
+        integrate(HO, init, 1.3, TrajectoryConfig(RK45Adaptive(), 6.0))
 
 
 @pytest.mark.parametrize("make, field", [
