@@ -13,9 +13,10 @@ Conventions
       beta hbar^2 / (4 m sigma^2) < 1,
 
   the classicality bound; its ratio, t_min and thermal wavelength are normal
-  doubles or a ValueError.  Only _convergent_ratio (r >= 1),
-  _marginal_gaussian (kappa <= 0) and _ladder_x (the free particle, omega =
-  0) raise DivergentIntegral.
+  doubles or a ValueError, as are x = beta hbar omega and the oracles' x
+  window: _group forms each product with beta on exact exponents.  Only
+  _convergent_ratio (r >= 1), _marginal_gaussian (kappa <= 0) and _ladder_x
+  (the free particle, omega = 0) raise DivergentIntegral.
 * The closed forms are backed by separate Gauss-Legendre oracles:
   phase_space_integral (classical Z) and unified_integral (unified Z), run
   by `partition --oracle` and the tests, the second by `verify` too; their
@@ -54,6 +55,8 @@ from .core import (REL_TOL, WINDOW_SIGMAS, DivergentIntegral,
 if TYPE_CHECKING:
     from .wavepacket import WavepacketInit
 
+_TINY = sys.float_info.min  # the least positive normal double
+
 
 @record
 class CriterionReport:
@@ -78,18 +81,21 @@ def _finite_scales(m: float, sigma: float, thermal: ThermalSpec, hbar: float,
                              f"{sigma!r}, hbar = {hbar!r}")
 
 
-# Where a product of beta with hbar, hbar^2 or m is subnormal (losing digits)
-# or overflows, a formula runs on beta 2^k, k = +-_LIFT, and multiplies its
-# result by 2^-k or its half power, which gives inf where math.ldexp raises.
-_LIFT, _TINY = 800, sys.float_info.min  # 2^+-800 brings each into range
-
-
-def _lifted(beta: float, *products: float) -> tuple[float, int]:
-    """(beta 2^k, k): k = _LIFT where a product is subnormal or 0, -_LIFT
-    where one overflows, else 0."""
-    k = (_LIFT if min(products) < _TINY
-         else -_LIFT if max(products) == math.inf else 0)
-    return beta * 2.0**k, k
+def _group(*factors: float, over=(), root=False) -> float:
+    """factors[0] * factors[1] ... / over[0] / ..., or its square root, on
+    math.frexp mantissas with int exponents: the naive double where every
+    intermediate is normal, else the exact-exponent one (inf on overflow)."""
+    mant, ex = 1.0, 0
+    for frac, e in map(math.frexp, factors):
+        mant, ex = mant * frac, ex + e
+    for frac, e in map(math.frexp, over):
+        mant, ex = mant / frac, ex - e
+    if root:  # the exponent, made even, halves exactly
+        mant, ex = math.sqrt(mant * 2**(ex & 1)), ex >> 1
+    try:
+        return math.ldexp(mant, ex)
+    except OverflowError:
+        return math.copysign(math.inf, mant)
 
 
 def quantum_ratio(m: float, sigma: float, thermal: ThermalSpec,
@@ -97,11 +103,9 @@ def quantum_ratio(m: float, sigma: float, thermal: ThermalSpec,
     """The dimensionless convergence ratio beta hbar^2 / (4 m sigma^2);
     ValueError unless sigma, m, hbar pass check_scale and it is a positive
     normal double."""
-    check_scale("sigma", sigma)
-    check_scale("mass", m)
-    check_scale("hbar", hbar)
-    lifted, k = _lifted(thermal.beta, thermal.beta * hbar**2)
-    ratio = lifted * hbar**2 / (4.0 * m * sigma**2) * 2.0**-k
+    for key, value in (("sigma", sigma), ("mass", m), ("hbar", hbar)):
+        check_scale(key, value)
+    ratio = _group(thermal.beta, hbar**2, over=(4.0 * m * sigma**2,))
     _finite_scales(m, sigma, thermal, hbar, criterion_ratio=ratio)
     return ratio
 
@@ -132,8 +136,7 @@ def _ladder_x(params: SystemParams, thermal: ThermalSpec,
     ValueError unless x is a finite double in [LADDER_X_MIN, x_max]."""
     if not params.is_harmonic:
         raise DivergentIntegral("free particle: unbounded integral and spectrum")
-    lifted, k = _lifted(thermal.beta, thermal.beta * params.hbar)
-    x = lifted * params.hbar * params.omega * 2.0**-k
+    x = _group(thermal.beta, params.hbar, params.omega)
     if not (LADDER_X_MIN <= x <= x_max and x < math.inf):
         upper = f"{x_max:g}" if x_max < math.inf else "finite"
         raise ValueError(f"beta hbar omega = {x!r} lies outside "
@@ -172,8 +175,7 @@ def _phase_box(m: float, w: float, thermal: ThermalSpec) -> tuple[float, float]:
     corner is within REL_TOL of its exact WINDOW_SIGMAS^2 kbt, which an
     overflowed or subnormal factor would spoil unseen by est_error."""
     beta, kbt = thermal.beta, thermal.kbt
-    lifted, k = _lifted(beta, beta * m)
-    half_x = WINDOW_SIGMAS * (1.0 / math.sqrt(lifted * m) * 2.0**(k // 2) / w)
+    half_x = WINDOW_SIGMAS * (1.0 / _group(beta, m, root=True) / w)
     half_p = WINDOW_SIGMAS * math.sqrt(m / beta)
     exact = WINDOW_SIGMAS**2 * kbt
     corner = _energy(m, w, half_x, half_p)
@@ -453,8 +455,6 @@ def classicality_criterion(m: float, sigma: float, thermal: ThermalSpec,
     is a positive normal double, or a ValueError as in quantum_ratio."""
     ratio = quantum_ratio(m, sigma, thermal, hbar)
     t_min = hbar**2 / (4.0 * m * sigma**2)
-    product = 2.0 * math.pi * hbar**2 * thermal.beta
-    lifted, k = _lifted(thermal.beta, product, product / m)
-    lam = math.sqrt(2.0 * math.pi * hbar**2 * lifted / m) * 2.0**(-k // 2)
+    lam = _group(2.0 * math.pi, hbar**2, thermal.beta, over=(m,), root=True)
     _finite_scales(m, sigma, thermal, hbar, t_min=t_min, thermal_de_broglie=lam)
     return CriterionReport(t_min, ratio, ratio < 1.0, lam)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -191,3 +192,14 @@ def test_bath_spec_validation():
         BathSpec((), 1.0)
     with pytest.raises(ValueError):
         Oscillator(1.0, -1.0, 0.0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_oscillator_coupling_bound_is_1e75(sign):
+    """A coupling of magnitude 1e75 is accepted and the next double up is
+    refused, with the message naming the bound."""
+    assert Oscillator(1.0, 1.0, sign * 1e75).coupling == sign * 1e75
+    past = sign * math.nextafter(1e75, math.inf)
+    message = f"oscillator coupling = {past:g} lies outside [-1e+75, 1e+75]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Oscillator(1.0, 1.0, past)

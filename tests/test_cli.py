@@ -723,7 +723,7 @@ CRITERION_OVERFLOW = [
      "mass = 1.0, sigma = 1e-74, hbar = 1.0"),
     (["partition", "--hbar", "1e75", "--mass", "1e-75", "--sigma", "1e-75",
       "--kbt", "1e300"], "t_min = inf"),
-    # beta hbar^2 overflows, and so does the ratio that beta 2^-800 gives
+    # beta hbar^2 overflows, and so does the ratio that _group gives
     (["partition", "--kbt", "1e-299", "--hbar", "1e10"],
      "criterion_ratio = inf is not a finite double at beta = 1e+299, "
      "mass = 1.0, sigma = 0.45, hbar = 10000000000.0"),
@@ -786,9 +786,9 @@ def test_partition_rows_survive_a_subnormal_beta_hbar(capsys):
 
 
 def test_partition_oracle_survives_a_subnormal_beta_m(capsys):
-    """The x window of a subnormal beta m is formed on beta 2^800, so the
-    oracle runs, with RuntimeWarning an error, and each quadrature row is
-    within 2e-14 of its closed form."""
+    """The x window of a subnormal beta m is formed on exact exponents
+    (partition._group), so the oracle runs, with RuntimeWarning an error,
+    and each quadrature row is within 2e-14 of its closed form."""
     from bohmpart import cli
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -823,9 +823,9 @@ OVERFLOWING_BETA_M = ["--kbt", "1e-240", "--mass", "1e75", "--sigma", "1e25",
 
 
 def test_partition_oracle_survives_an_overflowing_beta_m(capsys):
-    """The x window of an overflowing beta m is formed on beta 2^-800, so the
-    oracle runs, with RuntimeWarning an error, and each quadrature row is
-    within 1e-12 of its closed form."""
+    """The x window of an overflowing beta m is formed on exact exponents
+    (partition._group), so the oracle runs, with RuntimeWarning an error,
+    and each quadrature row is within 1e-12 of its closed form."""
     from bohmpart import cli
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -949,7 +949,7 @@ def test_partition_rows_survive_a_thermal_wavelength_whose_square_overflows(
     # the t = 0 marginal Z underflows to 0, so the curve cannot be normalized
     (["marginal", "--x0", "100", "--samples", "3"], "x0 = 100"),
     (["fig1", "--p0", "1e3", "--samples", "3"], "p0 = 1000"),
-    # beta m underflows to 0; on the lifted beta the x window is a double,
+    # beta m underflows to 0; on exact exponents the x window is a double,
     # but its square overflows at the box's corner
     (["partition", "--oracle", "--mass", "5.4e-69", "--kbt", "2.5e268"],
      "kbt = 2.5e+268: doubles miss"),

@@ -898,10 +898,11 @@ def test_criterion_scales_and_classical_Z_match_mpmath(beta, hbar, m, sigma,
 # beta m = 4.7e-321 is subnormal
 @example(beta=1 / 1.1189365365002268e+287, m=5.219913566980221e-34,
          w=7.655492808947607e+87)
-def test_phase_box_x_window_matches_mpmath_on_both_lifts(beta, m, w):
+def test_phase_box_x_window_matches_mpmath_where_beta_m_leaves_the_doubles(
+        beta, m, w):
     """_phase_box's half_x against 50-digit mpmath of
-    WINDOW_SIGMAS/(sqrt(beta m) omega), where beta m is subnormal, 0 or
-    overflows too; a ValueError only where a term of the corner energy, or
+    WINDOW_SIGMAS/(sqrt(beta m) omega), where beta m is normal, subnormal, 0
+    or overflows; a ValueError only where a term of the corner energy, or
     kbt, is past the normal doubles."""
     with mpmath.workdps(50):
         b, mm, ww = map(mpmath.mpf, (beta, m, w))
@@ -919,6 +920,55 @@ def test_phase_box_x_window_matches_mpmath_on_both_lifts(beta, m, w):
         assert not all(normal)
     else:
         assert abs(half_x - hx) <= 1e-14 * hx
+
+
+def test_phase_box_rejects_a_corner_energy_just_past_its_tolerance():
+    """half_x^2 = 1.9e-318 is subnormal inside _energy, so the corner energy
+    misses WINDOW_SIGMAS^2 kbt by 5.7e-8 relative: under 1e-7, but over
+    REL_TOL, so the box is refused."""
+    with pytest.raises(ValueError, match="doubles miss the oracle box"):
+        partition._phase_box(41621.87949118055, 1.6260655403186614e+139,
+                             ThermalSpec.from_kbt(1.418075405844682e-37))
+
+
+# a positive normal double, log-uniform over the whole range or over 2^+-200
+_NORMAL = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+                    st.one_of(st.integers(-1021, 1024), st.integers(-200, 200)))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(factors=st.lists(_NORMAL, min_size=1, max_size=4),
+       over=st.lists(_NORMAL, max_size=2), root=st.booleans())
+# quantum_ratio and thermal_de_broglie of partition --kbt 1e308 --hbar 1e-15
+# --mass 1e-75 --sigma 1e-75, whose beta hbar^2 underflows to 0
+@example(factors=[1 / 1e308, 1e-15**2], over=[4.0 * 1e-75 * 1e-75**2],
+         root=False)
+@example(factors=[2.0 * math.pi, 1e-15**2, 1 / 1e308], over=[1e-75],
+         root=True)
+def test_group_is_the_naive_double_or_the_exact_exponent_one(factors, over,
+                                                             root):
+    """_group is the naive left-to-right expression bit for bit where each
+    of its intermediates, the result included, is a normal double, and
+    within 4 ulp of 50-digit mpmath elsewhere (inf past the largest
+    double)."""
+    got = partition._group(*factors, over=over, root=root)
+    steps = [factors[0]]
+    for x in factors[1:]:
+        steps.append(steps[-1] * x)
+    for x in over:
+        steps.append(steps[-1] / x)
+    if root:
+        steps.append(math.sqrt(steps[-1]))
+    if all(sys.float_info.min <= step <= sys.float_info.max for step in steps):
+        assert got.hex() == steps[-1].hex()
+        return
+    with mpmath.workdps(50):
+        ref = mpmath.fprod(factors) / mpmath.fprod(over)
+        ref = mpmath.sqrt(ref) if root else ref
+        if got == math.inf:
+            assert ref > sys.float_info.max * (1 - 4 * sys.float_info.epsilon)
+        else:
+            assert abs(got - ref) <= 4 * math.ulp(got), (got, ref)
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])

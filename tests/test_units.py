@@ -57,6 +57,23 @@ COLUMN_UNITS = {
 ROW_UNITS = {"t_min": ENERGY, "thermal_de_broglie": LENGTH}
 BATH_ACTION_ROWS = {"z_b", "z_b_unified_exact", "z_b_unified_with_2pi"}
 
+# Cases whose naive products with beta leave the normal doubles, so that
+# partition._group does their exponent arithmetic, each with the ranges of
+# (a, b, c) under which every scaled flag still passes check_scale and keeps
+# its bits.
+EDGE_EXPONENTS = {
+    # beta hbar is subnormal and beta hbar^2 underflows to 0: README's
+    # example, at a kbt whose beta is still normal (at kbt 1e308 beta is
+    # subnormal, so it has lost bits that no scaling keeps)
+    "partition --mass 1e-75 --omega 1e300 --hbar 1e-15 --sigma 1e-75 "
+    "--kbt 4e307": ((0, 10), (0, 10), (15, 25)),
+    # beta hbar overflows under x = 1e5; omega = 253 2^-1071 scales down by
+    # at most 2^3 exactly
+    "limits --var kbt --start 1e-250 --stop 2e-250 --num 2 --mass 1 "
+    "--omega 1e-320 --hbar 1e75 --sigma 1e75 --kbt 1":
+        ((-20, -5), (-10, 0), (-5, 3)),
+}
+
 # Each subcommand with every dimensioned input spelled out, since a default
 # does not follow the units; each exit code the CLI documents for a result
 # (0, 2 and 4) appears.
@@ -92,6 +109,7 @@ CASES = [
     "partition --mass 1 --omega 1 --hbar 1 --sigma 1 --kbt 1 --oracle",
     # divergent gaussian_correction and z_unified cells
     "partition --mass 0.7 --omega 1.4 --hbar 1.1 --sigma 0.2 --kbt 0.5",
+    *EDGE_EXPONENTS,
 ]
 
 
@@ -169,13 +187,16 @@ def _cell_units(record: dict, oscillators: int) -> dict:
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.split()[0])
 @settings(derandomize=True, max_examples=15, deadline=None)
-@given(a=EXPONENT, b=EXPONENT, c=EXPONENT)
-def test_cli_payloads_are_unit_covariant(case, a, b, c):
+@given(data=st.data())
+def test_cli_payloads_are_unit_covariant(case, data):
     """The same exit code in every unit system, with each dimensionless
     closed-form cell the same bytes, each dimensioned one exactly the scaled
     value, and each quadrature cell within QUADRATURE_REL.  A quadrature's
     est_error is a difference of two rules, so its bound is relative to the
     row's value."""
+    a, b, c = (data.draw(EXPONENT if span is None else st.integers(*span), name)
+               for span, name in zip(EDGE_EXPONENTS.get(case, (None,) * 3),
+                                     "abc"))
     code, base = _base(case)
     new_code, new = _run(_scaled_argv(shlex.split(case), a, b, c))
     assert new_code == code
