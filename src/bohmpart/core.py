@@ -21,9 +21,11 @@ integrate_window runs one rule per axis, on floats, and an integrand on
 math alone, each marginal Z sample and each oracle among them, needs no
 numpy.
 
-numpy loads on first use.  `np` here is a small stand-in for the module that
-imports numpy when one of its attributes is first read and then keeps that
-attribute on itself, so later reads such as np.exp are plain attribute hits.
+numpy is not a dependency, and loads on first use.  `np` here is a small
+stand-in for the module that imports numpy when one of its attributes is
+first read and then keeps that attribute on itself, so later reads such as
+np.exp are plain attribute hits; where numpy is not installed, that first
+read raises ImportError.
 The other modules take `np` from here, so `import bohmpart` and every
 subcommand, each of which needs only `math` (`partition`, `partition
 --oracle`, `limits`, `fig1` and `marginal`, and `bath`, `trajectory` and
@@ -38,14 +40,22 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Callable
+
+_TINY = sys.float_info.min  # the least positive normal double
 
 
 class _LazyNumpy:
     """numpy, imported when an attribute is first read (module docstring)."""
 
     def __getattr__(self, name: str):
-        import numpy
+        try:
+            import numpy
+        except ModuleNotFoundError as exc:
+            raise ImportError(
+                "numpy is not installed: bohmpart needs it for array inputs, "
+                "and for density, wavefunction and spectral_project") from exc
         value = getattr(numpy, name)
         setattr(self, name, value)
         return value
@@ -208,10 +218,14 @@ class ThermalSpec:
         """Build from the thermal energy k_B*T."""
         if not 0 < kbt < math.inf:
             raise ValueError("kbt must be finite and strictly positive")
-        if 1.0 / kbt == math.inf:
+        beta = 1.0 / kbt
+        if beta == math.inf:
             raise ValueError(f"kbt = {kbt!r} is so small that beta = 1/kbt "
                              "overflows a double")
-        return cls(1.0 / kbt)
+        if beta < _TINY:
+            raise ValueError(f"kbt = {kbt!r} is so large that beta = 1/kbt "
+                             "is below the normal doubles")
+        return cls(beta)
 
     @property
     def kbt(self) -> float:

@@ -45,17 +45,14 @@ Conventions
 from __future__ import annotations
 
 import math
-import sys
 from typing import TYPE_CHECKING, Sequence
 
-from .core import (REL_TOL, WINDOW_SIGMAS, DivergentIntegral,
+from .core import (_TINY, REL_TOL, WINDOW_SIGMAS, DivergentIntegral,
                    QuadratureFailure, SystemParams, ThermalSpec,
                    _finite_positive, check_scale, integrate_window, record)
 
 if TYPE_CHECKING:
     from .wavepacket import WavepacketInit
-
-_TINY = sys.float_info.min  # the least positive normal double
 
 
 @record

@@ -20,16 +20,22 @@ the controller shrinks by rejection, so no step depends on the time unit.
 Both take the velocity from _guidance, bohmian_velocity on floats, which
 evaluates the packet once per stage time: a stage at the time of the one
 before reuses its slope, q and p, except at t = 0, where the sign of zero
-may change the bits.  Each stepper returns every point (t, x) it reached;
-a path's velocity, where wanted, is bohmian_velocity there.
+may change the bits.  Each stepper returns every point (t, x) it reached,
+and integrate keeps them as two lists of floats in a TrajectoryPath; a
+path's velocity, where wanted, is bohmian_velocity there.
+
+Nothing here reads numpy, so integrate and equivariance_check run on the
+standard library; scaling_solution computes on numpy only for an array of
+times (core.functions_of).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
-from .core import StepFailure, SystemParams, _worst, functions_of, np, record
+from .core import StepFailure, SystemParams, _worst, functions_of, record
 from .wavepacket import (WavepacketInit, WavepacketState, _packet, _rotation,
                          evolve, phase_gradient)
 
@@ -75,15 +81,17 @@ class TrajectoryConfig:
 
 @record
 class TrajectoryPath:
-    """Recorded (t, x) samples of one integrated trajectory."""
+    """Recorded (t, x) samples of one integrated trajectory, two lists of
+    floats."""
 
-    times: np.ndarray
-    positions: np.ndarray
+    times: list[float]
+    positions: list[float]
 
     def __post_init__(self):
-        if len(self.times) != len(self.positions):
+        t = self.times
+        if len(t) != len(self.positions):
             raise ValueError("times and positions must have equal length")
-        if np.any(np.diff(self.times) <= 0):
+        if not all(map(operator.lt, t, t[1:])):  # False at a NaN too
             raise ValueError("times must be strictly increasing")
 
 
@@ -256,7 +264,7 @@ def integrate(params: SystemParams, init: WavepacketInit, x_start: float,
         columns = _rk4(rhs, x_start, stepper.dt, n_steps)
     else:
         columns = _dormand_prince(rhs, x_start, cfg.t_max, init.sigma)
-    return TrajectoryPath(*map(np.array, columns))
+    return TrajectoryPath(*columns)
 
 
 def density_quantile(params: SystemParams, init: WavepacketInit, t: float,
@@ -284,7 +292,7 @@ def equivariance_check(params: SystemParams, init: WavepacketInit,
 
     def error(c: float) -> float:
         x_start = density_quantile(params, init, 0.0, c)
-        x_end = float(integrate(params, init, x_start, run_cfg).positions[-1])
+        x_end = integrate(params, init, x_start, run_cfg).positions[-1]
         return abs(NormalDist().cdf((x_end - end_state.q) / end_state.width) - c)
     return _worst(map(error, quantiles))
 

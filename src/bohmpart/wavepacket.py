@@ -152,7 +152,9 @@ def _blocks(x, q):
     """(out, [(x block, out block), ...]): the unfilled result of the shape
     and dtype of x - q and views of _BLOCK elements at most that tile it and
     x in step, or None for a float or 0-d x.  A float is told apart before
-    np is read, so a scalar call does not import numpy."""
+    np is read, so energy_pointwise at a float does not import numpy;
+    density at a float does, as it reads np.sqrt, np.pi and np.exp to give
+    the numpy.float64 an array gives for that element, bit for bit."""
     if isinstance(x, (int, float)) or not (isinstance(x, np.ndarray)
                                            and x.ndim):
         return None

@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import pytest
@@ -42,3 +46,34 @@ def peak_bytes():
         finally:
             tracemalloc.stop()
     return peak_bytes
+
+
+# Put before a child's source: from then on `import numpy` raises
+# ModuleNotFoundError there, as where numpy is not installed.
+_BLOCK_NUMPY = """
+import json, sys
+class _NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+sys.meta_path.insert(0, _NoNumpy())
+"""
+
+
+@pytest.fixture(scope="session")
+def without_numpy():
+    """Runs Python source, which binds `result`, in a fresh interpreter where
+    numpy cannot be imported, and returns `result` through JSON (which keeps
+    every float's bits).  Fails unless the child exits 0 with numpy never
+    in sys.modules."""
+    def without_numpy(source: str):
+        epilogue = '\nprint(json.dumps([result, "numpy" in sys.modules]))\n'
+        child = subprocess.run(
+            [sys.executable, "-c",
+             _BLOCK_NUMPY + textwrap.dedent(source) + epilogue],
+            capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        result, numpy_loaded = json.loads(child.stdout.splitlines()[-1])
+        assert not numpy_loaded
+        return result
+    return without_numpy

@@ -194,9 +194,10 @@ def test_criterion_08_trajectories():
         for c in (-1.5, 0.5, 2.0):
             x_start = init.x0 + c * init.sigma
             path = integrate(params, init, x_start, cfg)
-            exact = scaling_solution(params, init, x_start, path.times)
-            worst_path = max(worst_path,
-                             float(np.max(np.abs(path.positions - exact))))
+            exact = scaling_solution(params, init, x_start,
+                                     np.array(path.times))
+            worst_path = max(worst_path, float(np.max(np.abs(
+                np.array(path.positions) - exact))))
 
     quantiles = (0.1, 0.25, 0.5, 0.75, 0.9)
     worst_eq = max(

@@ -762,18 +762,18 @@ def _exit_1_naming(capsys, argv, name):
 
 
 def test_partition_rows_survive_a_subnormal_beta_hbar(capsys):
-    """beta = 1e-308 times hbar = 1e-15 and hbar^2 is subnormal or 0, yet
+    """beta = 2.5e-308 times hbar = 1e-15 and hbar^2 is subnormal or 0, yet
     every row is a normal double: each matches 50-digit mpmath of the typed
-    inputs to 1e-12, where the Z rows printed 1.2% high and the criterion
-    ratio and thermal wavelength 0.0."""
+    inputs to 1e-12, where naive products print the Z rows 1.2% high and
+    the criterion ratio and thermal wavelength 0.0."""
     from bohmpart import cli
-    assert cli.main(["partition", "--kbt", "1e308", "--hbar", "1e-15", "--mass",
+    assert cli.main(["partition", "--kbt", "4e307", "--hbar", "1e-15", "--mass",
                      "1e-75", "--sigma", "1e-75", "--omega", "1e300"]) == 0
     rows = {(q, method): float(value) for q, method, value, _ in
             (line.split(",") for line in
              capsys.readouterr().out.splitlines()[1:])}
     with mpmath.workdps(50):
-        beta, hbar, m = 1 / mpmath.mpf(1e308), mpmath.mpf(1e-15), mpmath.mpf(1e-75)
+        beta, hbar, m = 1 / mpmath.mpf(4e307), mpmath.mpf(1e-15), mpmath.mpf(1e-75)
         z = 1 / (beta * hbar * mpmath.mpf(1e300))
         ratio = beta * hbar**2 / (4 * m * m**2)  # sigma = m
         refs = {"z_classical": z, "z_quantum": z, "z_unified": z,
@@ -908,12 +908,12 @@ def test_partition_rows_survive_a_thermal_wavelength_whose_square_overflows(
     (["trajectory", "--system", "free", "--omega", "3", "--x-start", "1.2",
       "--tmax", "1"], "--omega"),
     (["partition", "--omega", "1e-310"], "beta hbar omega"),
-    # beta hbar omega = 1e-308 is below the ladder's range too, but the
-    # criterion ratio is checked first
-    (["partition", "--kbt", "1e308"], "criterion_ratio = 1.2345679012345677e-308"
-     " is below the normal doubles"),
+    # beta = 1/kbt = 1e-308 is subnormal, so from_kbt refuses it before any
+    # scale formed from it is checked
+    (["partition", "--kbt", "1e308"], "kbt = 1e+308 is so large that beta = "
+     "1/kbt is below the normal doubles"),
     (["partition", "--kbt", "1e308", "--omega", "1e-300"],
-     "criterion_ratio = 1.2345679012345677e-308 is below the normal doubles"),
+     "kbt = 1e+308 is so large that beta = 1/kbt is below the normal doubles"),
     (["partition", "--omega", "1e308"], "beta hbar omega"),
     (["partition", "--kbt", "1e-300"], "beta hbar omega"),
     (["bath", "--n", "400"], "z_b"),

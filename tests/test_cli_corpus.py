@@ -2,18 +2,19 @@
 
 cli_corpus.sha256 holds one line `<digest>  <argv>` per corpus argv, the
 SHA-256 of its exit code, stdout, stderr, any warning raised and every file
-it wrote (a manifest without its timestamp), with cli.main run in process
-in a fresh temporary directory.  A line with --config or --bath-file runs
-beside a copy of cli_files/ as files/ and reads files/<name>; those copies
-are not among the files it wrote.  A change meant to move no CLI byte
-passes this test unchanged.  A change that moves some rewrites the digests
-with
+it wrote (a manifest without its timestamp), with cli.main run in a fresh
+temporary directory.  The test runs every argv in one child interpreter
+where numpy cannot be imported, and requires that numpy never loads there.
+A line with --config or --bath-file runs beside a copy of cli_files/ as
+files/ and reads files/<name>; those copies are not among the files it
+wrote.  A change meant to move no CLI byte passes this test unchanged.  A
+change that moves some rewrites the digests with
 
     PYTHONPATH=src python tests/test_cli_corpus.py
 
 and lists the argv that moved, and why, in CHANGES.md.  The pins hold for
-one platform's numpy and libm: vectorised exp and cos may round differently
-on another CPU, and if they move there, re-pin them on the previous commit.
+one platform's libm: exp and cos may round differently on another CPU, and
+if they move there, re-pin them on the previous commit.
 """
 
 import hashlib
@@ -85,12 +86,16 @@ def outcomes(lines: list[str]) -> dict[str, str]:
     return found
 
 
-def test_corpus_keeps_its_exit_codes_and_bytes():
+def test_corpus_keeps_its_exit_codes_and_bytes(without_numpy):
     lines = corpus()
     assert len(set(lines)) == len(lines), "a corpus line appears twice"
     pinned = digests()
     assert list(pinned) == lines, "re-pin after editing cli_corpus.txt"
-    found = outcomes(lines)
+    found = without_numpy(f"""
+        sys.path.insert(0, {str(Path(__file__).parent)!r})
+        from test_cli_corpus import corpus, outcomes
+        result = outcomes(corpus())
+        """)
     moved = [line for line in lines if found[line] != pinned[line]]
     assert not moved, f"{len(moved)} argv moved, the first: {moved[:5]}"
 

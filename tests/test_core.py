@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -61,6 +63,21 @@ def test_params_validation():
 def test_thermal_spec_kbt_roundtrip():
     th = ThermalSpec.from_kbt(2.0)
     assert th.beta == 0.5 and th.kbt == 2.0
+
+
+def test_from_kbt_keeps_beta_a_normal_double():
+    """kbt = 2^1022 gives the least normal beta; the next kbt up would give
+    a subnormal beta, which has lost bits, and a kbt whose inverse
+    overflows has none."""
+    assert ThermalSpec.from_kbt(2.0**1022).beta == sys.float_info.min
+    kbt = math.nextafter(2.0**1022, math.inf)
+    with pytest.raises(ValueError, match=re.escape(
+            f"kbt = {kbt!r} is so large that beta = 1/kbt is below the "
+            "normal doubles")):
+        ThermalSpec.from_kbt(kbt)
+    with pytest.raises(ValueError, match=r"kbt = 5e-324 is so small that "
+                       "beta = 1/kbt overflows a double"):
+        ThermalSpec.from_kbt(5e-324)
 
 
 def test_integrate_window_gaussian():

@@ -148,3 +148,27 @@ def test_in_place_kernel_allocates_one_grid(kernel, peak_bytes):
     state = STATES["harmonic"]
     x = np.linspace(-8.0, 8.0, 2**20)
     assert peak_bytes(lambda: kernel(state, x)) <= 1.1 * x.nbytes
+
+
+def test_float_energy_needs_no_numpy_and_float_density_names_it(
+        without_numpy):
+    """Where numpy cannot be imported, energy_pointwise at a float runs and
+    gives the in-process float, while density at a float, which reads np to
+    match the array element, raises ImportError naming numpy and density."""
+    energy, refused = without_numpy("""
+        from bohmpart import (WavepacketInit, density, energy_pointwise,
+                              evolve, harmonic_system)
+        state = evolve(harmonic_system(1.3, 0.8, 0.7),
+                       WavepacketInit(0.9, -0.4, 0.55), 0.63)
+        energy, refused = energy_pointwise(state, 0.25), None
+        try:
+            density(state, 0.25)
+        except ImportError as exc:
+            refused = [str(exc), type(exc.__cause__).__name__]
+        result = [[type(energy).__name__, energy], refused]
+        """)
+    assert energy == ["float", wavepacket.energy_pointwise(
+        STATES["harmonic"], 0.25)]
+    message, cause = refused
+    assert "numpy" in message and "density" in message
+    assert cause == "ModuleNotFoundError"

@@ -836,9 +836,10 @@ def _agrees_with(value: float, ref) -> bool:
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(beta=_BETA, hbar=_SCALE, m=_SCALE, sigma=_SCALE,
        omega=st.floats(math.log(1e-300), math.log(1e300)).map(math.exp))
-# partition --kbt 1e308 --hbar 1e-15 --mass 1e-75 --sigma 1e-75 --omega 1e300,
-# where beta hbar and beta hbar^2 are subnormal and the scales were 0.0 and
-# 1.2% high
+# beta = 1e-308, itself subnormal (which ThermalSpec takes and from_kbt
+# refuses), with hbar 1e-15, mass 1e-75, sigma 1e-75 and omega 1e300, where
+# beta hbar and beta hbar^2 are subnormal and the scales were 0.0 and 1.2%
+# high
 @example(beta=1 / 1e308, hbar=1e-15, m=1e-75, sigma=1e-75, omega=1e300)
 @example(beta=1 / 1e308, hbar=1e-7, m=1e-75, sigma=1e-75, omega=1e300)
 @example(beta=1e-300, hbar=1.0, m=1e20, sigma=1e-20, omega=1.0)
@@ -939,8 +940,9 @@ _NORMAL = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(factors=st.lists(_NORMAL, min_size=1, max_size=4),
        over=st.lists(_NORMAL, max_size=2), root=st.booleans())
-# quantum_ratio and thermal_de_broglie of partition --kbt 1e308 --hbar 1e-15
-# --mass 1e-75 --sigma 1e-75, whose beta hbar^2 underflows to 0
+# quantum_ratio and thermal_de_broglie at beta = 1e-308 (a subnormal beta,
+# which ThermalSpec takes and from_kbt refuses), hbar 1e-15, mass 1e-75 and
+# sigma 1e-75, whose beta hbar^2 underflows to 0
 @example(factors=[1 / 1e308, 1e-15**2], over=[4.0 * 1e-75 * 1e-75**2],
          root=False)
 @example(factors=[2.0 * math.pi, 1e-15**2, 1 / 1e308], over=[1e-75],

@@ -53,7 +53,8 @@ def test_integrate_center_trajectory_exact():
     init = WavepacketInit(0.0, 2.0, 1.0)
     cfg = TrajectoryConfig(stepper=RK45Adaptive(), t_max=5.0)
     path = integrate(FREE, init, 0.0, cfg)
-    assert np.max(np.abs(path.positions - 2.0 * path.times)) < 1e-9
+    assert max(abs(x - 2.0 * t)
+               for t, x in zip(path.times, path.positions)) < 1e-9
 
 
 @pytest.mark.parametrize("params,init", [
@@ -67,8 +68,8 @@ def test_integrate_matches_scaling_solution(params, init, c):
     cfg = TrajectoryConfig(stepper=RK45Adaptive(), t_max=5.0)
     x_start = init.x0 + c * init.sigma
     path = integrate(params, init, x_start, cfg)
-    exact = scaling_solution(params, init, x_start, path.times)
-    assert np.max(np.abs(path.positions - exact)) < 1e-6
+    exact = scaling_solution(params, init, x_start, np.array(path.times))
+    assert np.max(np.abs(np.array(path.positions) - exact)) < 1e-6
     # the closed form against q(t) and width(t) of the evolved packet
     states = [evolve(params, init, t) for t in path.times]
     via_evolve = np.array([st.q + (x_start - init.x0) * st.width / init.sigma
@@ -103,11 +104,33 @@ def test_dormand_prince_matches_scipy_rk45():
             lambda t, y: [bohmian_velocity(evolve(params, init, t), y[0])],
             (0.0, t_max), [x_start], method="RK45", rtol=1e-9,
             atol=1e-12 * init.sigma)
-        assert abs(path.times.size - ref.t.size) <= 2
-        ours = _worst_relative_error(params, init, x_start, path.times,
-                                     path.positions)
+        assert abs(len(path.times) - ref.t.size) <= 2
+        ours = _worst_relative_error(params, init, x_start,
+                                     np.array(path.times),
+                                     np.array(path.positions))
         theirs = _worst_relative_error(params, init, x_start, ref.t, ref.y[0])
         assert ours <= 2.0 * theirs and ours < 1e-6
+
+
+def test_integrate_and_equivariance_check_need_no_numpy(without_numpy):
+    """Where numpy cannot be imported, both steppers and equivariance_check
+    run and give the in-process paths and residual, bit for bit."""
+    init = WavepacketInit(1.0, 0.5, 0.6)
+    cfgs = [TrajectoryConfig(RK45Adaptive(), 5.0),
+            TrajectoryConfig(RK4Fixed(0.01), 2.0)]
+    found = without_numpy(f"""
+        from bohmpart import (RK4Fixed, RK45Adaptive, TrajectoryConfig,
+                              WavepacketInit, equivariance_check, free_system,
+                              harmonic_system, integrate)
+        paths = [integrate(harmonic_system(1.0, 1.0), {init!r}, 1.45, cfg)
+                 for cfg in {cfgs!r}]
+        result = [[[p.times, p.positions] for p in paths],
+                  equivariance_check(free_system(1.0), {init!r}, {QUANTILES!r},
+                                     2.0)]
+        """)
+    paths = [integrate(HO, init, 1.45, cfg) for cfg in cfgs]
+    assert found == [[[p.times, p.positions] for p in paths],
+                     equivariance_check(FREE, init, QUANTILES, 2.0)]
 
 
 def test_rk4_evaluates_four_stages_per_step_and_the_last_point(monkeypatch):
@@ -125,7 +148,7 @@ def test_rk4_evaluates_four_stages_per_step_and_the_last_point(monkeypatch):
     steps = 50
     path = integrate(HO, WavepacketInit(1.0, 0.2, 0.6), 1.3,
                      TrajectoryConfig(RK4Fixed(0.01), steps * 0.01))
-    assert path.times.size == steps + 1
+    assert len(path.times) == steps + 1
     assert len(calls) == 4 * steps  # the last point costs no call
 
 
@@ -157,11 +180,11 @@ def test_guidance_keeps_the_bits_of_the_velocity_of_the_evolved_state(
     x_start, steps = x0 + 0.7 * sigma, 40
     rk4 = integrate(params, init, x_start,
                     TrajectoryConfig(RK4Fixed(t_max / steps), t_max))
-    assert (rk4.times.tolist(), rk4.positions.tolist()) == trajectories._rk4(
+    assert (rk4.times, rk4.positions) == trajectories._rk4(
         composed, x_start, t_max / steps, steps)
     dp = integrate(params, init, x_start, TrajectoryConfig(t_max=t_max))
     times, xs = trajectories._dormand_prince(composed, x_start, t_max, sigma)
-    assert dp.times.tolist() == times and dp.positions.tolist() == xs
+    assert dp.times == times and dp.positions == xs
 
 
 def test_guidance_evaluates_the_packet_once_per_stage_time(monkeypatch):
@@ -188,10 +211,10 @@ def test_guidance_evaluates_the_packet_once_per_stage_time(monkeypatch):
 def test_step_count_is_capped(monkeypatch):
     init = WavepacketInit(1.0, 0.2, 0.6)
     uncapped = integrate(HO, init, 1.3, TrajectoryConfig(RK45Adaptive(), 6.0))
-    assert 21 < uncapped.times.size <= 201
+    assert 21 < len(uncapped.times) <= 201
     monkeypatch.setattr(trajectories, "_MAX_STEPS", 20)
     path = integrate(HO, init, 1.3, TrajectoryConfig(RK4Fixed(0.01), 0.2))
-    assert path.times.size == 21  # exactly at the cap
+    assert len(path.times) == 21  # exactly at the cap
     with pytest.raises(ValueError, match="t_max/dt"):
         integrate(HO, init, 1.3, TrajectoryConfig(RK4Fixed(0.01), 0.21))
     with pytest.raises(StepFailure, match="more than 20 steps"):
@@ -200,7 +223,7 @@ def test_step_count_is_capped(monkeypatch):
     # taken its 21st
     with pytest.raises(StepFailure, match=re.escape(
             "more than 20 steps needed to reach t_max=6.0 "
-            f"(stopped at t={float(uncapped.times[20])!r})")):
+            f"(stopped at t={uncapped.times[20]!r})")):
         integrate(HO, init, 1.3, TrajectoryConfig(RK45Adaptive(), 6.0))
 
 
@@ -245,11 +268,18 @@ def test_scaling_solution_free_width_does_not_overflow():
     assert np.isfinite(scaling_solution(FREE, init, 0.7, np.array([t]))).all()
 
 
-def test_trajectory_path_validation():
-    with pytest.raises(ValueError):
-        TrajectoryPath(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        TrajectoryPath(np.array([0.0, 1.0]), np.array([1.0]))
+@pytest.mark.parametrize("times", [[0.0, 0.0], [0.0, math.nan, 1.0],
+                                   [math.nan, 0.0], [0.0, 1.0, 1.0],
+                                   [0.0, 2.0, 1.0]])
+def test_trajectory_path_refuses_times_not_strictly_increasing(times):
+    """A repeated, falling or NaN time is refused (NaN < t is False)."""
+    with pytest.raises(ValueError, match="strictly increasing"):
+        TrajectoryPath(times, [1.0] * len(times))
+
+
+def test_trajectory_path_refuses_unequal_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        TrajectoryPath([0.0, 1.0], [1.0])
 
 
 def test_quantum_force_examples():
@@ -338,8 +368,8 @@ def test_rk4_global_order_on_free_oracle():
     for dt in (1e-2, 5e-3, 2.5e-3):
         cfg = TrajectoryConfig(stepper=RK4Fixed(dt), t_max=5.0)
         path = integrate(FREE, init, x_start, cfg)
-        exact = scaling_solution(FREE, init, x_start, path.times)
-        errs.append(np.max(np.abs(path.positions - exact)))
+        exact = scaling_solution(FREE, init, x_start, np.array(path.times))
+        errs.append(np.max(np.abs(np.array(path.positions) - exact)))
     for coarse, fine in zip(errs, errs[1:]):
         assert 8.0 < coarse / fine < 32.0  # dt^4 within a factor of 2
 

@@ -63,8 +63,8 @@ BATH_ACTION_ROWS = {"z_b", "z_b_unified_exact", "z_b_unified_with_2pi"}
 # its bits.
 EDGE_EXPONENTS = {
     # beta hbar is subnormal and beta hbar^2 underflows to 0: README's
-    # example, at a kbt whose beta is still normal (at kbt 1e308 beta is
-    # subnormal, so it has lost bits that no scaling keeps)
+    # example, at a kbt whose beta is still normal (from_kbt refuses kbt
+    # 1e308, whose beta is subnormal and has lost bits)
     "partition --mass 1e-75 --omega 1e300 --hbar 1e-15 --sigma 1e-75 "
     "--kbt 4e307": ((0, 10), (0, 10), (15, 25)),
     # beta hbar overflows under x = 1e5; omega = 253 2^-1071 scales down by
@@ -248,8 +248,8 @@ def test_paths_scale_exactly_under_a_change_of_units(a, b, c, free):
     quantile residual keeps its bits."""
     base, new = _packet(0, 0, 0, free), _packet(a, b, c, free)
     base_path, new_path = _path(*base), _path(*new)
-    assert np.array_equal(new_path.times, base_path.times * 2.0 ** c)
-    assert np.array_equal(new_path.positions, base_path.positions * 2.0 ** b)
+    assert new_path.times == [t * 2.0 ** c for t in base_path.times]
+    assert new_path.positions == [x * 2.0 ** b for x in base_path.positions]
     quantiles = (0.1, 0.5, 0.9)
     assert (equivariance_check(*new[:2], quantiles, new[3])
             == equivariance_check(*base[:2], quantiles, base[3]))
